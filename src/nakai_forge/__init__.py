@@ -11,7 +11,6 @@ from .derivations import (
     euler_derivation,
     hamiltonian,
     lift_to_diff2,
-    necessary_condition_test,
     replay_ledger,
     symmetrize,
     theta2_extract,
@@ -36,7 +35,6 @@ from .groebner import (
     is_zero_dimensional,
     jacobian_ideal,
     lift_membership,
-    normal_form,
     quotient_dimension,
 )
 from .minors import (

@@ -44,7 +44,7 @@ from .pipeline import (
     build_witness,
     certificate_failures,
 )
-from .poly import Polynomial
+from .poly import Polynomial, quasi_homogeneous_weights
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -102,7 +102,7 @@ def _split_vars(spec: str) -> list[str]:
 
 
 def _order(args) -> MonomialOrder:
-    return MonomialOrder(getattr(args, "order", "grevlex"))
+    return MonomialOrder(args.order)
 
 
 def _config(args) -> PipelineConfig:
@@ -112,7 +112,6 @@ def _config(args) -> PipelineConfig:
         seed=args.seed,
         order=_order(args),
         max_pairs=args.max_pairs,
-        modular_prefilter=getattr(args, "prefilter", False),
     )
 
 
@@ -127,24 +126,33 @@ def cmd_check(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial does not define a hypersurface")
         return EXIT_REJECTED
-    degree = f.homogeneous_degree()
+    # the same gate as witness: unique positive weights, no term of degree
+    # below 2, zero-dimensional Jacobian ideal
+    found = quasi_homogeneous_weights(f)
+    weights, degree = found if found is not None else (None, None)
     gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs)
     zero_dim = gb.is_zero_dimensional()
     milnor = gb.quotient_dimension() if zero_dim else None
-    isolated = degree is not None and degree >= 2 and zero_dim
+    isolated = found is not None and f.min_degree() >= 2 and zero_dim
     if args.json:
         _emit(json.dumps({
             "polynomial": format_poly(f, variables, order),
-            "homogeneous": degree is not None,
+            "homogeneous": f.is_homogeneous(),
+            "weights": None if weights is None else list(weights),
             "degree": degree,
             "jacobian_zero_dimensional": zero_dim,
-            "isolated_homogeneous_singularity": isolated,
+            "isolated_quasi_homogeneous_singularity": isolated,
             "milnor_number": milnor,
         }, indent=2, sort_keys=True))
     else:
+        weight_text = "none (not quasi-homogeneous)" if found is None else (
+            f"({', '.join(map(str, weights))}), weighted degree {degree}"
+        )
         _emit(f"polynomial:            {format_poly(f, variables, order)}")
-        _emit(f"homogeneous:           {'yes, degree ' + str(degree) if degree is not None else 'no'}")
+        _emit(f"homogeneous:           {'yes, degree ' + str(degree) if f.is_homogeneous() else 'no'}")
+        _emit(f"weights:               {weight_text}")
         _emit(f"jacobian 0-dimensional: {'yes' if zero_dim else 'no'}")
+        _emit(f"isolated singularity:  {'yes' if isolated else 'no'}")
         _emit(f"milnor number:         {milnor if milnor is not None else 'infinite (not isolated)'}")
     return EXIT_OK
 
@@ -300,9 +308,9 @@ def cmd_examples(args) -> int:
     all_expected = True
     for name, text, variables, expected in BUILTIN_CORPUS:
         f = parse_poly(text, variables)
-        start = time.time()
+        start = time.perf_counter()
         cert = build_witness(f, variables, _config(args))
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         failures = certificate_failures(cert)
         as_expected = cert.verdict == expected and not failures
         all_expected = all_expected and as_expected
@@ -327,6 +335,21 @@ def cmd_examples(args) -> int:
     return EXIT_OK if all_expected else EXIT_INCONSISTENT
 
 
+# every flag a subcommand may take; build_parser gives each subcommand only
+# the ones its handler reads
+FLAGS = {
+    "input": {"help": "polynomial expression or path to a file with a 'vars:' header"},
+    "--vars": {"help": "comma-separated variable names for inline expressions"},
+    "--order": {"choices": ["grevlex", "lex"], "default": "grevlex"},
+    "--seed": {"type": int, "default": 0},
+    "--bound": {"type": int, "default": 3, "help": "slice coefficient search bound"},
+    "--retries": {"type": int, "default": 200, "help": "maximum slice attempts"},
+    "--max-pairs": {"type": int, "default": 100_000, "dest": "max_pairs"},
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--out": {"help": "write the certificate to this path"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nakai-forge",
@@ -334,50 +357,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="polynomial expression or path to a file with a 'vars:' header")
-        p.add_argument("--vars", help="comma-separated variable names for inline expressions")
-        p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bound", type=int, default=3, help="slice coefficient search bound")
-        p.add_argument("--retries", type=int, default=200, help="maximum slice attempts")
-        p.add_argument("--max-pairs", type=int, default=100_000, dest="max_pairs")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", help="write the certificate to this path")
+    def add(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
 
-    common(sub.add_parser("check", help="homogeneity, isolatedness, Milnor number"))
-    witness = sub.add_parser("witness", help="run the full pipeline and emit a certificate")
-    common(witness)
-    witness.add_argument("--prefilter", action="store_true",
-                         help="screen slice candidates modulo a prime before the exact check")
-    verify = sub.add_parser("verify", help="replay a certificate without searching")
+    search = ("--seed", "--bound", "--retries", "--order", "--max-pairs")
+    add("check", "quasi-homogeneity, isolatedness, Milnor number",
+        "input", "--vars", "--order", "--max-pairs", "--json")
+    add("witness", "run the full pipeline and emit a certificate",
+        "input", "--vars", *search, "--json", "--out")
+    verify = add("verify", "replay a certificate without searching", "--json")
     verify.add_argument("certificate", help="path to a certificate file")
-    verify.add_argument("--json", action="store_true")
-    identity = sub.add_parser("identity", help="cofactor identity residual report")
-    common(identity)
+    identity = add("identity", "cofactor identity residual report", "input", "--vars", "--json")
     identity.add_argument("-i", type=int, required=True)
     identity.add_argument("-j", type=int, required=True)
     identity.add_argument("-k", type=int, required=True)
-    common(sub.add_parser("symmetrize", help="candidate tuple, ledger, symmetric tuple"))
-    member = sub.add_parser("member", help="ideal membership with cofactors")
+    add("symmetrize", "candidate tuple, ledger, symmetric tuple",
+        "input", "--vars", "--order", "--max-pairs", "--json")
+    member = add("member", "ideal membership with cofactors", "--order", "--max-pairs", "--json")
     member.add_argument("polynomial")
     member.add_argument("--ideal", required=True, help="comma-separated generators")
     member.add_argument("--vars", required=True)
-    member.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
-    member.add_argument("--max-pairs", type=int, default=100_000, dest="max_pairs")
-    member.add_argument("--json", action="store_true")
-    common(sub.add_parser("milnor", help="quotient dimension of the Jacobian ideal"))
-    examples = sub.add_parser("examples", help="run the built-in corpus and print a summary")
-    for flag, kwargs in [
-        ("--seed", {"type": int, "default": 0}),
-        ("--bound", {"type": int, "default": 3}),
-        ("--retries", {"type": int, "default": 200}),
-        ("--max-pairs", {"type": int, "default": 100_000, "dest": "max_pairs"}),
-        ("--order", {"choices": ["grevlex", "lex"], "default": "grevlex"}),
-        ("--json", {"action": "store_true"}),
-    ]:
-        examples.add_argument(flag, **kwargs)
+    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars", "--order", "--max-pairs")
+    add("examples", "run the built-in corpus and print a summary", *search, "--json")
     return parser
 
 

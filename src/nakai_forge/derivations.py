@@ -20,11 +20,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .groebner import (
+    DEFAULT_MAX_TERMS,
     GREVLEX,
     GroebnerBasis,
     Ideal,
     InternalInconsistencyError,
-    MonomialOrder,
+    _divide_tracked,
     buchberger,
     jacobian_ideal,
 )
@@ -128,31 +129,10 @@ def principal_cofactor(delta: Derivation1, f: Polynomial) -> Polynomial | None:
         return Polynomial.zero(f.n)
     if f.is_zero():
         return None
-    return _single_division(value, f)
-
-
-def _single_division(p: Polynomial, f: Polynomial) -> Polynomial | None:
-    order = GREVLEX
-    lm, lc = order.leading_term(f)
-    work = dict(p.terms)
-    quotient: dict[Exponent, Fraction] = {}
-    while work:
-        exp = max(work, key=order.key)
-        if not all(a <= b for a, b in zip(lm, exp)):
-            return None
-        factor = work.pop(exp) / lc
-        shift = tuple(b - a for a, b in zip(lm, exp))
-        quotient[shift] = quotient.get(shift, Fraction(0)) + factor
-        for dexp, dcoeff in f.terms.items():
-            if dexp == lm:
-                continue
-            key = tuple(a + b for a, b in zip(dexp, shift))
-            c = work.get(key, Fraction(0)) - factor * dcoeff
-            if c:
-                work[key] = c
-            else:
-                work.pop(key, None)
-    return Polynomial(p.n, quotient)
+    (quotient,), remainder = _divide_tracked(
+        value, (f,), (GREVLEX.leading_term(f),), GREVLEX, DEFAULT_MAX_TERMS
+    )
+    return quotient if remainder.is_zero() else None
 
 
 @dataclass(frozen=True)
@@ -526,23 +506,6 @@ def lift_to_diff2(
     return op
 
 
-@dataclass(frozen=True)
-class NecessaryConditionReport:
-    """Memberships of d_i(x_i) used by the composition-obstruction test.
-
-    in_modified: membership in (f_1,..,f_{i-1}, x_i^2, f_{i+1},..,f_n).
-    in_square:   membership in (f_1,..,f_{i-1}, x_i,   f_{i+1},..,f_n)^2.
-    The square ideal sits inside the modified one, so in_square implies
-    in_modified; failing the modified ideal is the stronger obstruction.
-    """
-
-    value: Polynomial
-    in_modified: bool
-    in_square: bool
-    nf_modified: Polynomial
-    nf_square: Polynomial
-
-
 def modified_jacobian_ideal(f: Polynomial, i: int) -> Ideal:
     """(f_1, ..., f_{i-1}, x_i^2, f_{i+1}, ..., f_n)."""
     gens = [f.partial(k) for k in range(1, f.n + 1)]
@@ -556,35 +519,3 @@ def square_obstruction_ideal(f: Polynomial, i: int) -> Ideal:
     base[i - 1] = Polynomial.variable(f.n, i)
     products = [base[a] * base[b] for a in range(f.n) for b in range(a, f.n)]
     return Ideal(tuple(products))
-
-
-def necessary_condition_test(
-    tuple_in: DerivationTuple,
-    i: int,
-    order: MonomialOrder = GREVLEX,
-    **caps,
-) -> NecessaryConditionReport:
-    """Test d_i(x_i) against the modified Jacobian ideal and the square ideal.
-
-    A tuple extracted from a composition of first-order derivations always
-    lands in the square ideal, so a negative verdict here certifies that no
-    operator with this tuple image is such a composition.
-    """
-    f = tuple_in.f
-    value = tuple_in.entry(i, i)
-    gb_modified = buchberger(modified_jacobian_ideal(f, i), order, **caps)
-    gb_square = buchberger(square_obstruction_ideal(f, i), order, **caps)
-    nf_modified = gb_modified.normal_form(value)
-    nf_square = gb_square.normal_form(value)
-    report = NecessaryConditionReport(
-        value=value,
-        in_modified=nf_modified.is_zero(),
-        in_square=nf_square.is_zero(),
-        nf_modified=nf_modified,
-        nf_square=nf_square,
-    )
-    if report.in_square and not report.in_modified:
-        raise InternalInconsistencyError(
-            "square-ideal membership without modified-ideal membership contradicts the containment"
-        )
-    return report

@@ -392,10 +392,6 @@ def _reduce_basis(
     )
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(p)
-
-
 def reduce_by_basis(
     p: Polynomial,
     basis: Sequence[Polynomial],
@@ -473,91 +469,3 @@ def is_regular_sequence_homog(
         if g.is_zero() or g.homogeneous_degree() is None:
             raise ValueError("every entry must be nonzero and homogeneous")
     return is_zero_dimensional(Ideal(gens), order, **caps)
-
-
-# -- finite-field pre-filter --------------------------------------------
-#
-# A minimal Buchberger over Z/p used only as a probabilistic screen (bad
-# slices are rejected cheaply before the exact run).  Verdicts never come
-# from this path.
-
-
-def zero_dimensional_mod_p(
-    gens: Sequence[Polynomial],
-    prime: int,
-    order: MonomialOrder = GREVLEX,
-    max_pairs: int = 20_000,
-) -> bool:
-    if not gens:
-        raise ValueError("empty generator list")
-    n = gens[0].n
-
-    def reduce_poly(g: Polynomial) -> dict[Exponent, int]:
-        out = {}
-        for e, c in g.terms.items():
-            den_inv = pow(c.denominator % prime, -1, prime)
-            v = c.numerator % prime * den_inv % prime
-            if v:
-                out[e] = v
-        return out
-
-    basis = [p for p in (reduce_poly(g) for g in gens) if p]
-    if not basis:
-        return False
-    leading = [max(p, key=order.key) for p in basis]
-
-    def reduce_mod(work: dict[Exponent, int]) -> dict[Exponent, int]:
-        remainder: dict[Exponent, int] = {}
-        while work:
-            exp = max(work, key=order.key)
-            coeff = work.pop(exp)
-            for lm, p in zip(leading, basis):
-                if _divides(lm, exp):
-                    factor = coeff * pow(p[lm], -1, prime) % prime
-                    shift = _exp_sub(exp, lm)
-                    for dexp, dcoeff in p.items():
-                        if dexp == lm:
-                            continue
-                        key = tuple(a + b for a, b in zip(dexp, shift))
-                        v = (work.get(key, 0) - factor * dcoeff) % prime
-                        if v:
-                            work[key] = v
-                        else:
-                            work.pop(key, None)
-                    break
-            else:
-                remainder[exp] = coeff
-        return remainder
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    processed = 0
-    while pairs:
-        pairs.sort(key=lambda ij: (sum(_exp_lcm(leading[ij[0]], leading[ij[1]])), ij))
-        i, j = pairs.pop(0)
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceLimitExceeded(f"mod-{prime} pre-filter pair cap exceeded")
-        lm_i, lm_j = leading[i], leading[j]
-        lcm = _exp_lcm(lm_i, lm_j)
-        if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
-            continue
-        inv_i = pow(basis[i][lm_i], -1, prime)
-        inv_j = pow(basis[j][lm_j], -1, prime)
-        s: dict[Exponent, int] = {}
-        for e, c in basis[i].items():
-            key = tuple(a + b for a, b in zip(e, _exp_sub(lcm, lm_i)))
-            s[key] = (s.get(key, 0) + c * inv_i) % prime
-        for e, c in basis[j].items():
-            key = tuple(a + b for a, b in zip(e, _exp_sub(lcm, lm_j)))
-            s[key] = (s.get(key, 0) - c * inv_j) % prime
-        s = {e: c for e, c in s.items() if c}
-        remainder = reduce_mod(s)
-        if remainder:
-            basis.append(remainder)
-            leading.append(max(remainder, key=order.key))
-            new = len(basis) - 1
-            pairs.extend((k, new) for k in range(new))
-    for i in range(n):
-        if not any(all(e == 0 for k, e in enumerate(lm) if k != i) for lm in leading):
-            return False
-    return True

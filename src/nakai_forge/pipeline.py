@@ -6,7 +6,8 @@ isolated singularity, builds the Hessian-cofactor candidate tuple in the
 new coordinates, symmetrizes it, lifts it to an explicit second-order
 operator, and certifies that the extracted diagonal value lies outside
 the modified Jacobian ideal (and so outside the square obstruction
-ideal).  Every claim is recorded in a self-contained JSON certificate
+ideal) in the polynomial ring; point 3 below says what that proves in
+Q[x]/(f).  Every claim is recorded in a self-contained JSON certificate
 that replays by division and re-multiplication alone; verification never
 searches and never re-runs the basis algorithm.
 
@@ -36,9 +37,18 @@ iff f is quasi-homogeneous).  Soundness of the weighted path rests on:
    the slice y_1 = sum a_i x_i mixes only variables of weight W_1.  (A slice
    that mixes weights has E_W(y_1) outside (y_1) in general.)  So every
    composition of two derivations has its d_1(y_1) entry in the square
-   ideal (y_1, g_2, ..., g_n)^2, exactly as in the homogeneous case.  The
-   pipeline tests d_1(y_1) against (y_1^2, g_2, ..., g_n), which contains
-   the square ideal.
+   ideal (y_1, g_2, ..., g_n)^2, exactly as in the homogeneous case.
+   Derivations and operators on A = Q[y]/(g) are defined only modulo (g),
+   so the obstruction must hold modulo (g): d_1(y_1) must lie outside
+   (y_1, g_2, ..., g_n)^2 + (g).  The pipeline tests d_1(y_1) against
+   (y_1^2, g_2, ..., g_n), which contains the square ideal, and against
+   the square ideal itself, both without (g).  Where g lies in
+   (y_1^2, g_2, ..., g_n) (the Fermat and Brieskorn examples) the first
+   test is the same modulo (g).  Where it does not, the test proves nothing
+   in A: the cyclic cubic's witness lies in (y_1^2, g_2, g_3, g).  Its
+   verdict still holds, because the witness lies outside
+   (y_1, g_2, g_3)^2 + (g), but the certificate does not record that
+   (tests/test_pipeline.py, TestObstructionModuloF, checks it).
 
 When the no-op slice fails and no other variable shares the weight of
 x_1, no admissible slice exists and the input is rejected with the reason
@@ -90,7 +100,6 @@ from .groebner import (
     reduce_by_basis,
     s_polynomial,
     standard_monomials_from_leading,
-    zero_dimensional_mod_p,
 )
 from .minors import PolyMatrix, algebraic_cofactor, determinant, hessian
 from .poly import LinearChange, Polynomial, quasi_homogeneous_weights
@@ -112,7 +121,6 @@ class PipelineConfig:
     order: MonomialOrder = GREVLEX
     max_pairs: int = 100_000
     max_terms: int = 500_000
-    modular_prefilter: bool = False
 
     def __post_init__(self):
         if self.bound < 1:
@@ -218,10 +226,9 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
     found = quasi_homogeneous_weights(f)
     if found is None:
         raise ValueError("slice search requires a quasi-homogeneous polynomial")
-    weights, degree = found
+    weights = found[0]
     only_noop = all(w != weights[0] for w in weights[1:])
     rng = random.Random(cfg.seed)
-    prime = _prime_above(2 * (degree or 2))
     attempts = 0
 
     def candidates():
@@ -243,29 +250,13 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
         restriction = restrict_to_hyperplane(g)
         if restriction.is_zero():
             continue
-        ideal = jacobian_ideal(restriction)
-        if cfg.modular_prefilter and not only_noop:
-            # probabilistic screen only; the exact check below decides
-            try:
-                if not zero_dimensional_mod_p(ideal.generators, prime, cfg.order):
-                    continue
-            except ResourceLimitExceeded:
-                pass
-        gb = buchberger(ideal, cfg.order, **cfg.caps())
+        gb = buchberger(jacobian_ideal(restriction), cfg.order, **cfg.caps())
         if gb.is_zero_dimensional():
             logger.info("slice found after %d attempts: %s", attempts, coeffs)
             return SliceChoice(coeffs, change, restriction, gb, attempts)
         if only_noop:
             raise NoIsolatingSlice(gb)
     raise AssertionError("unreachable")
-
-
-def _prime_above(bound: int) -> int:
-    candidate = max(bound + 1, 3)
-    while True:
-        if all(candidate % d for d in range(2, int(candidate**0.5) + 1)):
-            return candidate
-        candidate += 1
 
 
 def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
@@ -351,7 +342,6 @@ def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) 
                 "max_retries": cfg.max_retries,
                 "seed": cfg.seed,
                 "order": cfg.order.kind,
-                "modular_prefilter": cfg.modular_prefilter,
             },
         },
         "change_of_coordinates": None,

@@ -59,6 +59,17 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["homogeneous"] is False
 
+    def test_brieskorn_isolated(self, capsys):
+        code, out, _ = run(capsys, "check", "x^2 + y^3 + z^4", "--vars", "x,y,z")
+        assert code == 0
+        assert "weights:               (6, 4, 3), weighted degree 12" in out
+        assert "isolated singularity:  yes" in out
+        code, out, _ = run(capsys, "check", "x^2 + y^3 + z^4", "--vars", "x,y,z", "--json")
+        payload = json.loads(out)
+        assert payload["isolated_quasi_homogeneous_singularity"] is True
+        assert payload["weights"] == [6, 4, 3] and payload["degree"] == 12
+        assert payload["milnor_number"] == 6
+
 
 class TestIdentity:
     def test_paper_triple(self, capsys):
@@ -160,6 +171,19 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_flag_the_handler_does_not_read(self, capsys, tmp_path):
+        out_path = tmp_path / "f.json"
+        for argv in (
+            ("check", "x^3+y^3+z^3", "--vars", "x,y,z", "--out", str(out_path)),
+            ("milnor", "x^3+y^3+z^3", "--vars", "x,y,z", "--json"),
+            ("identity", "x^3+y^3+z^3", "--vars", "x,y,z", "-i", "1", "-j", "1", "-k", "2",
+             "--order", "lex"),
+            ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--prefilter"),
+        ):
+            code, _, _ = run(capsys, *argv)
+            assert code == 2, argv
+        assert not out_path.exists()
 
 
 class TestExamples:

@@ -14,7 +14,6 @@ from nakai_forge.derivations import (
     hamiltonian,
     lift_to_diff2,
     modified_jacobian_ideal,
-    necessary_condition_test,
     principal_cofactor,
     replay_ledger,
     square_obstruction_ideal,
@@ -442,31 +441,6 @@ class TestLiftToDiff2:
 
 
 class TestNecessaryCondition:
-    def test_fermat_witness(self):
-        f = P(FERMAT)
-        cand = build_candidate_tuple(f)
-        gb = buchberger(jacobian_ideal(f))
-        symmetric, _ = symmetrize(cand, gb)
-        report = necessary_condition_test(symmetric, 1)
-        assert report.value == symmetric.entry(1, 1)
-        assert not report.in_modified
-        assert not report.in_square
-        assert not report.nf_modified.is_zero()
-
-    def test_generator_is_member(self):
-        f = P(FERMAT)
-        t = DerivationTuple(
-            (
-                Derivation1((P("x^2"), Polynomial.zero(3), Polynomial.zero(3))),
-                Derivation1((Polynomial.zero(3),) * 3),
-                Derivation1((Polynomial.zero(3),) * 3),
-            ),
-            f,
-        )
-        report = necessary_condition_test(t, 1)
-        assert report.in_modified
-        assert report.in_square  # x^2 = x*x is in the square ideal too
-
     def test_proof_table_closure(self):
         # d1(x1) for each generator family, plus square-ideal membership
         rng = random.Random(149)

@@ -15,7 +15,6 @@ from nakai_forge.groebner import (
     jacobian_ideal,
     lift_membership,
     quotient_dimension,
-    zero_dimensional_mod_p,
 )
 from nakai_forge.poly import LEX, LinearChange, Polynomial
 from linalg_oracle import membership_oracle, monomial_ideal_member
@@ -359,11 +358,3 @@ class TestQuotientDimensionOracle:
                 if not any(all(a <= b for a, b in zip(e, point)) for e in exps)
             )
             assert computed == expected
-
-
-class TestModularPrefilter:
-    def test_agrees_on_clean_cases(self):
-        fermat = jacobian_ideal(P("x^3 + y^3 + z^3"))
-        assert zero_dimensional_mod_p(fermat.generators, 11)
-        line = ideal("x", variables=["x", "y"])
-        assert not zero_dimensional_mod_p(line.generators, 11)

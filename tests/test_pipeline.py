@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from nakai_forge.cli import main as cli_main
+from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
+from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, buchberger, jacobian_ideal
 from nakai_forge.pipeline import (
@@ -69,12 +70,6 @@ class TestSliceSearch:
         a = generic_slice_search(P(PAPER_F), cfg)
         b = generic_slice_search(P(PAPER_F), cfg)
         assert a.coefficients == b.coefficients
-
-    def test_prefilter_same_answer(self):
-        for seed in (0, 3):
-            plain = generic_slice_search(P(PAPER_F), PipelineConfig(seed=seed))
-            filtered = generic_slice_search(P(PAPER_F), PipelineConfig(seed=seed, modular_prefilter=True))
-            assert plain.coefficients == filtered.coefficients
 
     def test_too_few_variables(self):
         with pytest.raises(ValueError):
@@ -417,3 +412,35 @@ class TestQuasiHomogeneous:
         })
         assert _cli_verify(doc, tmp_path) == 4
         assert "slice mixes variables of different weight" in certificate_failures(WitnessCertificate(doc))
+
+
+class TestObstructionModuloF:
+    """Operators on A = Q[y]/(g) are defined modulo (g), so the composition
+    argument needs the witness d1(y1) outside (y1, g_2, .., g_n)^2 + (g).
+    The certificate records memberships in the polynomial ring only; these
+    tests pin the stronger fact on the built-in corpus, and the cyclic-cubic
+    case where the recorded modified-ideal test says nothing in A."""
+
+    @staticmethod
+    def _witness(name):
+        text, variables = next((t, v) for n, t, v, _ in BUILTIN_CORPUS if n == name)
+        doc = build_witness(parse_poly(text, variables), variables).document
+        yvars = doc["change_of_coordinates"]["new_variables"]
+        g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
+        test = next(t for t in doc["membership_tests"]["tests"]
+                    if t["name"] == "witness_diagonal_vs_modified_jacobian")
+        return g, parse_poly(test["polynomial"], yvars)
+
+    @pytest.mark.parametrize("name", [
+        "fermat-cubic", "fermat-quartic", "cyclic-cubic", "brieskorn-2-3-4", "brieskorn-3-3-4",
+    ])
+    def test_witness_outside_square_ideal_modulo_f(self, name):
+        g, witness = self._witness(name)
+        square_mod_g = Ideal(square_obstruction_ideal(g, 1).generators + (g,))
+        assert not buchberger(square_mod_g).contains(witness)
+
+    def test_cyclic_cubic_modified_ideal_gap(self):
+        g, witness = self._witness("cyclic-cubic")
+        modified = modified_jacobian_ideal(g, 1)
+        assert not buchberger(modified).contains(g)
+        assert buchberger(Ideal(modified.generators + (g,))).contains(witness)
