@@ -12,17 +12,20 @@ factors, no implicit multiplication):
 Certificates are JSON documents with a fixed top-level key set; every
 rational inside is a decimal-free "num/den" string and every polynomial
 an expression string in the grammar above, so documents round-trip
-exactly.
+exactly, with coefficients of any length.  Expressions are untrusted
+input: a power of a sum too large to expand is refused at its exponent.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .poly import GREVLEX, MonomialOrder, Polynomial
+from .groebner import DEFAULT_MAX_TERMS
+from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial
 
 
 class ParseError(ValueError):
@@ -33,55 +36,95 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER | IDENT | OP | END
     text: str
     pos: int
 
 
+# \s, \w and \d match exactly str.isspace, str.isalnum-or-underscore and
+# str.isdecimal.  [^\W\d] also admits numeric characters that are not
+# letters (such as '½' or '²'); _tokenize rejects those as unexpected.
+_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>\d+(?:/\d*)?)|(?P<IDENT>[^\W\d]\w*)|(?P<OP>[-+*^()])|(?P<BAD>\S))")
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            if i < len(text) and text[i] == "/":
-                j = i + 1
-                if j < len(text) and text[j].isdigit():
-                    i = j
-                    while i < len(text) and text[i].isdigit():
-                        i += 1
-                else:
-                    raise ParseError("expected digits after '/' in rational literal", j)
-            tokens.append(Token("NUMBER", text[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], start))
-            continue
-        if ch in "+-*^()":
-            tokens.append(Token("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        value = m.group(kind)
+        if kind == "NUMBER" and value[-1] == "/":
+            raise ParseError("expected digits after '/' in rational literal", m.end())
+        if kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            raise ParseError(f"unexpected character {value[0]!r}", start)
+        tokens.append(Token(kind, value, start))
     tokens.append(Token("END", "", len(text)))
     return tokens
+
+
+def _decimal_to_int(digits: str) -> int:
+    """int(digits) for a decimal digit string of any length.
+
+    Python refuses str -> int conversions longer than
+    sys.get_int_max_str_digits() (4300 digits by default); a longer string
+    is converted in halves instead of changing that process-wide limit.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        if len(digits) <= sys.int_info.str_digits_check_threshold:
+            raise  # not a length problem: the limit never applies this short
+        half = len(digits) // 2
+        return _decimal_to_int(digits[:-half]) * 10**half + _decimal_to_int(digits[-half:])
+
+
+def _int_to_decimal(v: int) -> str:
+    """str(v) for an int of any size, converted in halves past the limit."""
+    try:
+        return str(v)
+    except ValueError:
+        if v < 0:
+            return "-" + _int_to_decimal(-v)
+        half = int(v.bit_length() * 0.30103) // 2  # below the digit count of v
+        high, low = divmod(v, 10**half)
+        return _int_to_decimal(high) + _int_to_decimal(low).zfill(half)
+
+
+def _rational(tok: Token) -> Fraction:
+    num, _, den = tok.text.partition("/")
+    if not den:
+        return Fraction(_decimal_to_int(num))
+    d = _decimal_to_int(den)
+    if not d:
+        raise ParseError("zero denominator in rational literal", tok.pos)
+    return Fraction(_decimal_to_int(num), d)
+
+
+def _power_too_large(terms: int, k: int) -> bool:
+    """Whether the k-th power of a base with ``terms`` terms is too big to expand.
+
+    The power has at most comb(k + terms - 1, terms - 1) terms, and its
+    coefficients grow linearly in k (up to k * log10(terms) digits for unit
+    coefficients), so that bound times k measures its size.  True when the
+    product exceeds DEFAULT_MAX_TERMS; the running product stops at the
+    first partial value past the cap, so a huge k costs nothing.
+    """
+    if terms < 2 or k < 2:
+        return False
+    size = k
+    for i in range(1, terms):
+        size = size * (k + i) // i  # k * comb(k + i, i)
+        if size > DEFAULT_MAX_TERMS:
+            return True
+    return False
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], variables: Sequence[str], n: int):
         self.tokens = tokens
         self.pos = 0
-        self.var_index = {name: i + 1 for i, name in enumerate(variables)}
+        self.var_index = {name: i for i, name in enumerate(variables)}
         self.n = n
 
     def peek(self) -> Token:
@@ -99,66 +142,93 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Polynomial:
-        sign = 1
+        """Sum the terms into one map in place; zeros are dropped at the end."""
+        out: dict[Exponent, Fraction] = {}
         tok = self.peek()
+        negate = False
         if tok.kind == "OP" and tok.text in "+-":
             self.advance()
-            sign = -1 if tok.text == "-" else 1
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
+            negate = tok.text == "-"
         while True:
+            for exp, c in self.parse_term().items():
+                if negate:
+                    c = -c
+                old = out.get(exp)
+                out[exp] = c if old is None else old + c
             tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                term = self.parse_term()
-                result = result + term if tok.text == "+" else result - term
-            else:
-                return result
+            if tok.kind != "OP" or tok.text not in "+-":
+                return Polynomial._raw(self.n, {e: c for e, c in out.items() if c})
+            self.advance()
+            negate = tok.text == "-"
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
+    def parse_term(self) -> dict[Exponent, Fraction]:
+        """The terms of one product of factors.
+
+        Numbers and variable powers fold straight into one coefficient and
+        one exponent; only parenthesised factors are multiplied as
+        polynomials.
+        """
+        coeff = None  # None stands for 1
+        exp = [0] * self.n
+        product = None  # the product of the parenthesised factors
         while True:
+            tok = self.advance()
+            if tok.kind == "NUMBER":
+                value = _rational(tok)
+                k = self.parse_power(1)
+                if k is not None:
+                    value = value**k
+                coeff = value if coeff is None else coeff * value
+            elif tok.kind == "IDENT":
+                idx = self.var_index.get(tok.text)
+                if idx is None:
+                    raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
+                k = self.parse_power(1)
+                exp[idx] += 1 if k is None else k
+            elif tok.kind == "OP" and tok.text == "(":
+                inner = self.parse_expr()
+                self.expect_op(")")
+                k = self.parse_power(len(inner))
+                if k is not None:
+                    inner = inner**k
+                product = inner if product is None else product * inner
+            else:
+                raise ParseError(
+                    f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.pos
+                )
             tok = self.peek()
             if tok.kind == "OP" and tok.text == "*":
                 self.advance()
-                result = result * self.parse_factor()
             elif tok.kind in ("NUMBER", "IDENT") or (tok.kind == "OP" and tok.text == "("):
                 raise ParseError("missing '*' between factors", tok.pos)
             else:
-                return result
+                break
+        if coeff is None:
+            coeff = Fraction(1)
+        if product is None:
+            return {tuple(exp): coeff}
+        return product.mul_monomial(exp, coeff).terms
 
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind == "OP" and exp_tok.text == "-":
-                raise ParseError("negative exponent", exp_tok.pos)
-            if exp_tok.kind != "NUMBER" or "/" in exp_tok.text:
-                raise ParseError("exponent must be a non-negative integer", exp_tok.pos)
-            self.advance()
-            return base ** int(exp_tok.text)
-        return base
+    def parse_power(self, terms: int) -> int | None:
+        """The exponent after '^', or None when no '^' follows the base.
 
-    def parse_base(self) -> Polynomial:
+        ``terms`` is the base's term count; a power that _power_too_large
+        refuses raises ParseError at the exponent.
+        """
         tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Polynomial.constant(self.n, Fraction(tok.text))
-        if tok.kind == "IDENT":
-            self.advance()
-            idx = self.var_index.get(tok.text)
-            if idx is None:
-                raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-            return Polynomial.variable(self.n, idx)
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.pos)
+        if tok.kind != "OP" or tok.text != "^":
+            return None
+        self.advance()
+        exp_tok = self.peek()
+        if exp_tok.kind == "OP" and exp_tok.text == "-":
+            raise ParseError("negative exponent", exp_tok.pos)
+        if exp_tok.kind != "NUMBER" or "/" in exp_tok.text:
+            raise ParseError("exponent must be a non-negative integer", exp_tok.pos)
+        self.advance()
+        k = int(exp_tok.text)
+        if _power_too_large(terms, k):
+            raise ParseError(f"power {k} of a {terms}-term base is too large to expand", exp_tok.pos)
+        return k
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
@@ -184,8 +254,7 @@ def format_poly(p: Polynomial, variables: Sequence[str], order: MonomialOrder = 
     for exp, coeff in order.sorted_terms(p):
         factors = []
         if abs(coeff) != 1 or not any(exp):
-            c = abs(coeff)
-            factors.append(str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
+            factors.append(format_fraction(abs(coeff)))
         for name, e in zip(variables, exp):
             if e == 1:
                 factors.append(name)
@@ -201,7 +270,8 @@ def format_poly(p: Polynomial, variables: Sequence[str], order: MonomialOrder = 
 
 def format_fraction(c: Fraction) -> str:
     c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    num = _int_to_decimal(c.numerator)
+    return num if c.denominator == 1 else f"{num}/{_int_to_decimal(c.denominator)}"
 
 
 def parse_fraction(text: str) -> Fraction:

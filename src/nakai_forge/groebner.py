@@ -6,6 +6,20 @@ cofactor tracking: every basis element carries its expression in terms
 of the source generators, so ideal memberships come with replayable
 witnesses (p = sum q_i * g_i, checkable by re-multiplication).
 
+Division is fraction-free.  The working polynomial is kept as integer
+numerators W over one common denominator D, and each divisor g as integer
+terms G over its own denominator.  To cancel a term w of W with the
+integer leading coefficient L of G, with h = gcd(w, L) signed like L, the
+step scales W and D by L/h > 0 (only when that is not 1) and subtracts
+(w/h) * x^s * G.  Quotient and remainder terms become Fractions only when
+they are emitted.  After every step W/D is the working polynomial of the
+plain Fraction loop, so both take the same terms in the same order (the
+largest first, divisors in list order) and emit equal rationals:
+quotients and remainders agree term for term.  The largest working term
+comes from a heap keyed by ``MonomialOrder.descending_key``.  Cancelled
+terms leave the working dict at once, so the ``max_terms`` cap counts live
+terms, and a heap entry whose monomial is no longer live is skipped.
+
 Resource limits are hard errors, never silent wrong answers.
 """
 
@@ -16,6 +30,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 from typing import Sequence
 
 from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights
@@ -72,11 +87,11 @@ def _content(p: Polynomial) -> Fraction:
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
@@ -96,39 +111,56 @@ def _divide_tracked(
     Divisors are tried in list order, which keeps the result deterministic.
     """
     n = p.n
-    work = dict(p.terms)
-    quotients = [dict() for _ in divisors]
+    denominator, items = p.integer_terms()
+    work = dict(items)
+    key = order.descending_key
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
+    integer: list[tuple[int, int, list[tuple[Exponent, int]]] | None] = [None] * len(divisors)
+    quotients: list[dict[Exponent, Fraction]] = [{} for _ in divisors]
     remainder: dict[Exponent, Fraction] = {}
-    while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
-        for k, (lm, lc) in enumerate(leading):
+    while heap:
+        exp = heapq.heappop(heap)[1]
+        w = work.pop(exp, 0)
+        if not w:
+            continue  # cancelled, or a second heap entry of a monomial already taken
+        for k, (lm, _) in enumerate(leading):
             if _divides(lm, exp):
-                shift = _exp_sub(exp, lm)
-                factor = coeff / lc
-                q = quotients[k]
-                q[shift] = q.get(shift, Fraction(0)) + factor
-                if not q[shift]:
-                    del q[shift]
-                for dexp, dcoeff in divisors[k].terms.items():
-                    if dexp == lm:
-                        continue
-                    key = tuple(a + b for a, b in zip(dexp, shift))
-                    c = work.get(key, Fraction(0)) - factor * dcoeff
-                    if c:
-                        work[key] = c
-                    else:
-                        work.pop(key, None)
-                if len(work) > max_terms:
-                    raise ResourceLimitExceeded(
-                        f"intermediate polynomial exceeded {max_terms} terms during division"
-                    )
                 break
         else:
-            remainder[exp] = coeff
+            remainder[exp] = Fraction(w, denominator)
+            continue
+        if integer[k] is None:
+            dg, terms = divisors[k].integer_terms()
+            lc = next(c for e, c in terms if e == lm)
+            integer[k] = dg, lc, [(e, c) for e, c in terms if e != lm]
+        dg, lc, tail = integer[k]
+        shift = _exp_sub(exp, lm)
+        quotients[k][shift] = Fraction(w * dg, denominator * lc)
+        h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
+        scale = lc // h
+        if scale != 1:
+            denominator *= scale
+            work = {e: c * scale for e, c in work.items()}
+        factor = w // h
+        for dexp, dc in tail:
+            e = tuple(map(add, dexp, shift))
+            v = factor * dc
+            c = work.get(e)
+            if c is None:
+                work[e] = -v
+                heapq.heappush(heap, (key(e), e))
+            elif c == v:
+                del work[e]
+            else:
+                work[e] = c - v
+        if len(work) > max_terms:
+            raise ResourceLimitExceeded(
+                f"intermediate polynomial exceeded {max_terms} terms during division"
+            )
     return (
-        [Polynomial(n, q) for q in quotients],
-        Polynomial(n, remainder),
+        [Polynomial._raw(n, q) for q in quotients],
+        Polynomial._raw(n, remainder),
     )
 
 

@@ -4,6 +4,13 @@ A polynomial in n variables is stored as a map from exponent tuples to
 nonzero Fraction coefficients, so equal polynomials always have identical
 term maps and every operation is exact.  Variable indices are 1-based in
 the public API (x1, ..., xn); exponent tuples are indexed positionally.
+
+Multiplication is fraction-free (Bareiss 1968): each operand is written
+once as integer numerators over one common denominator (``integer_terms``),
+the term products are summed as integers, and each output coefficient
+becomes one normalised Fraction.  Exact rationals are canonical, so the
+product is the same term map the term-by-term Fraction loop gives; it only
+skips the gcd that every Fraction product and sum would pay.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -165,21 +173,35 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(exp, Fraction(0)) + c1 * c2
-                if c:
-                    out[exp] = c
-                else:
-                    out.pop(exp, None)
-        return Polynomial._raw(self.n, out)
+        d1, terms1 = self.integer_terms()
+        d2, terms2 = other.integer_terms()
+        acc: dict[Exponent, int] = {}
+        get = acc.get
+        for e1, c1 in terms1:
+            for e2, c2 in terms2:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+        d = d1 * d2
+        if d == 1:
+            return Polynomial._raw(self.n, {e: Fraction(c) for e, c in acc.items() if c})
+        return Polynomial._raw(self.n, {e: Fraction(c, d) for e, c in acc.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
         return NotImplemented
+
+    def integer_terms(self) -> tuple[int, list[tuple[Exponent, int]]]:
+        """The lcm d of the coefficient denominators and the terms of d * self,
+        whose coefficients are integers."""
+        d = 1
+        for c in self.terms.values():
+            q = c.denominator
+            if d % q:
+                d = d // math.gcd(d, q) * q
+        if d == 1:
+            return 1, [(e, c.numerator) for e, c in self.terms.items()]
+        return d, [(e, c.numerator * (d // c.denominator)) for e, c in self.terms.items()]
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
@@ -375,7 +397,17 @@ class MonomialOrder:
         if self.kind == "grlex":
             return (deg, e)
         # grevlex: smaller exponent on the least significant variable wins ties
-        return (deg, tuple(-v for v in reversed(e)))
+        return (deg, tuple(map(neg, reversed(e))))
+
+    def descending_key(self, exp: Exponent) -> tuple[int, ...]:
+        """Flat int tuple, smaller for the larger monomial: a min-heap keyed
+        by it pops monomials from the largest down."""
+        e = self._arrange(exp)
+        if self.kind == "lex":
+            return tuple(map(neg, e))
+        if self.kind == "grlex":
+            return (-sum(e), *map(neg, e))
+        return (-sum(e), *reversed(e))
 
     def greater(self, a: Exponent, b: Exponent) -> bool:
         return self.key(a) > self.key(b)
@@ -386,7 +418,7 @@ class MonomialOrder:
     def leading_term(self, p: Polynomial) -> tuple[Exponent, Fraction]:
         if p.is_zero():
             raise ValueError("leading term of the zero polynomial")
-        exp = max(p.terms, key=self.key)
+        exp = min(p.terms, key=self.descending_key)
         return exp, p.terms[exp]
 
 

@@ -1,0 +1,110 @@
+"""Plain-Fraction reference versions of the exact kernels.
+
+These are the term-by-term loops that the integer-numerator kernels
+replaced: ``Polynomial.__mul__`` and ``groebner._divide_tracked`` with one
+Fraction operation per term, and the character-by-character tokenizer of
+``exprio``.  They share no arithmetic with the kernels they check;
+``tests/test_kernels.py`` requires exactly equal results.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from nakai_forge.exprio import ParseError
+from nakai_forge.groebner import ResourceLimitExceeded
+from nakai_forge.poly import Exponent, MonomialOrder, Polynomial
+
+
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    out: dict[Exponent, Fraction] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            c = out.get(exp, Fraction(0)) + c1 * c2
+            if c:
+                out[exp] = c
+            else:
+                out.pop(exp, None)
+    return Polynomial(a.n, out)
+
+
+def reference_divide(
+    p: Polynomial,
+    divisors: Sequence[Polynomial],
+    leading: Sequence[tuple[Exponent, Fraction]],
+    order: MonomialOrder,
+    max_terms: int,
+) -> tuple[list[Polynomial], Polynomial]:
+    """Division taking the largest working term by a scan on every step."""
+    n = p.n
+    work = dict(p.terms)
+    quotients = [dict() for _ in divisors]
+    remainder: dict[Exponent, Fraction] = {}
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work.pop(exp)
+        for k, (lm, lc) in enumerate(leading):
+            if all(x <= y for x, y in zip(lm, exp)):
+                shift = tuple(x - y for x, y in zip(exp, lm))
+                factor = coeff / lc
+                q = quotients[k]
+                q[shift] = q.get(shift, Fraction(0)) + factor
+                if not q[shift]:
+                    del q[shift]
+                for dexp, dcoeff in divisors[k].terms.items():
+                    if dexp == lm:
+                        continue
+                    key = tuple(a + b for a, b in zip(dexp, shift))
+                    c = work.get(key, Fraction(0)) - factor * dcoeff
+                    if c:
+                        work[key] = c
+                    else:
+                        work.pop(key, None)
+                if len(work) > max_terms:
+                    raise ResourceLimitExceeded(
+                        f"intermediate polynomial exceeded {max_terms} terms during division"
+                    )
+                break
+        else:
+            remainder[exp] = coeff
+    return [Polynomial(n, q) for q in quotients], Polynomial(n, remainder)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, ending with ("END", "", len(text))."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            if i < len(text) and text[i] == "/":
+                j = i + 1
+                if j < len(text) and text[j].isdigit():
+                    i = j
+                    while i < len(text) and text[i].isdigit():
+                        i += 1
+                else:
+                    raise ParseError("expected digits after '/' in rational literal", j)
+            tokens.append(("NUMBER", text[start:i], start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("IDENT", text[start:i], start))
+            continue
+        if ch in "+-*^()":
+            tokens.append(("OP", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", len(text)))
+    return tokens

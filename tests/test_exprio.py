@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +91,36 @@ class TestParse:
             parse_poly("   ", V3)
 
 
+class TestPowerCap:
+    def test_long_power_of_a_sum_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="too large to expand") as info:
+            parse_poly("(x + y)^100000", ["x", "y"])
+        assert info.value.position == 8
+        assert time.perf_counter() - start < 5
+
+    def test_cap_counts_terms_times_exponent(self):
+        # (x + y)^706 has 707 terms: 707 * 706 = 499142 stays under the
+        # 500000 cap, 708 * 707 = 500556 for the 707th power does not
+        assert len(parse_poly("(x + y)^706", ["x", "y"])) == 707
+        with pytest.raises(ParseError, match="too large to expand"):
+            parse_poly("(x + y)^707", ["x", "y"])
+
+    def test_small_powers_and_monomial_powers_parse(self):
+        assert parse_poly("(x + y)^3", ["x", "y"]) == parse_poly("x^3 + 3*x^2*y + 3*x*y^2 + y^3", ["x", "y"])
+        assert parse_poly("x^100000", ["x"]).terms == {(100000,): 1}
+        assert parse_poly("(2*x)^100000", ["x"]).terms == {(100000,): 2**100000}
+
+
+def _long_coefficient_poly() -> Polynomial:
+    """A 5000-digit numerator over a 4401-digit denominator, and more."""
+    return Polynomial(2, {
+        (2, 1): Fraction(-(7 * 10**4999 + 3), 3 * 10**4400 + 1),
+        (0, 3): Fraction(1, 10**4500 + 7),
+        (1, 0): Fraction(5),
+    })
+
+
 class TestFormat:
     def test_zero(self):
         assert format_poly(Polynomial.zero(3), V3) == "0"
@@ -120,6 +152,13 @@ class TestFormat:
             for order in (GREVLEX, LEX):
                 text = format_poly(p, names[:n], order)
                 assert parse_poly(text, names[:n]) == p
+
+    def test_round_trip_past_int_str_limit(self):
+        # Python refuses int <-> str conversions past 4300 digits by default
+        p = _long_coefficient_poly()
+        text = format_poly(p, ["x", "y"])
+        assert "-7" + "0" * 4998 + "3/3" + "0" * 4399 + "1*x^2*y" in text
+        assert parse_poly(text, ["x", "y"]) == p
 
 
 class TestCertificateIO:
@@ -154,6 +193,13 @@ class TestCertificateIO:
         payload = write_certificate(good).replace(b'"version": 1', b'"version": 2')
         with pytest.raises(CertificateError, match="version"):
             read_certificate(payload)
+
+    def test_long_coefficients_round_trip(self):
+        doc = self._document()
+        doc["input"]["polynomial"] = format_poly(_long_coefficient_poly(), ["x", "y"])
+        back = read_certificate(write_certificate(doc))
+        assert back == doc
+        assert parse_poly(back["input"]["polynomial"], ["x", "y"]) == _long_coefficient_poly()
 
     def test_missing_key(self):
         doc = self._document()

@@ -1,0 +1,262 @@
+"""The integer-numerator kernels against their plain-Fraction references.
+
+Multiplication, tracked division and tokenizing must give exactly what the
+loops in kernel_reference.py give: the same term maps (Fraction values),
+the same quotients and remainders, the same tokens and the same ParseError
+messages and positions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from kernel_reference import reference_divide, reference_mul, reference_tokenize
+from nakai_forge.exprio import ParseError, _tokenize, parse_poly
+from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, buchberger
+from nakai_forge.poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, monomials_of_degree
+
+
+def _random_rational_poly(rng: random.Random, n: int, max_degree: int, max_terms: int) -> Polynomial:
+    """Sparse random polynomial with signed rational coefficients, some large."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exp = tuple(rng.randint(0, max_degree) for _ in range(n))
+        num = rng.choice((rng.randint(-3, 3), rng.randint(-10**30, 10**30)))
+        terms[exp] = Fraction(num, rng.choice((1, 1, 2, 3, 4, 6, 7, 12, 10**20 + 39)))
+    return Polynomial(n, terms)
+
+
+def _assert_same(new: Polynomial, ref: Polynomial):
+    assert new.n == ref.n
+    assert new.terms == ref.terms
+    assert all(type(c) is Fraction and c for c in new.terms.values())
+
+
+def _orders_for(n: int):
+    yield GREVLEX
+    yield GRLEX
+    yield LEX
+    rng = random.Random(n)
+    priority = list(range(1, n + 1))
+    rng.shuffle(priority)
+    yield MonomialOrder("grevlex", tuple(priority))
+
+
+class TestMultiply:
+    def test_random_against_reference(self):
+        rng = random.Random(5150)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = _random_rational_poly(rng, n, 3, 6)
+            b = _random_rational_poly(rng, n, 3, 6)
+            _assert_same(a * b, reference_mul(a, b))
+
+    def test_cancelling_terms(self):
+        # coefficients in {-1, 0, 1} over few monomials cancel often
+        rng = random.Random(77)
+        cancelled = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = Polynomial(n, {e: Fraction(rng.choice((-1, 1)), rng.choice((1, 2)))
+                               for e in monomials_of_degree(n, 1) if rng.random() < 0.8})
+            b = Polynomial(n, {e: Fraction(rng.choice((-1, 1)), rng.choice((1, 2)))
+                               for e in monomials_of_degree(n, 1) if rng.random() < 0.8})
+            product = a * b
+            _assert_same(product, reference_mul(a, b))
+            cancelled += len(product) < len({tuple(x + y for x, y in zip(e1, e2))
+                                             for e1 in a.terms for e2 in b.terms})
+        assert cancelled > 0
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        assert (x - y) * (x + y) == reference_mul(x - y, x + y) == x * x - y * y
+
+    def test_zero_operands(self):
+        for n in range(1, 5):
+            zero = Polynomial.zero(n)
+            p = Polynomial(n, {(1,) * n: Fraction(-5, 3)})
+            for a, b in ((zero, p), (p, zero), (zero, zero)):
+                _assert_same(a * b, reference_mul(a, b))
+                assert (a * b).is_zero()
+
+    def test_power_and_substitution(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            p = _random_rational_poly(rng, n, 2, 4)
+            expected = Polynomial.constant(n, 1)
+            for _ in range(3):
+                expected = reference_mul(expected, p)
+            _assert_same(p ** 3, expected)
+
+
+def _divide_both(p, divisors, order, max_terms=10**6):
+    leading = [order.leading_term(g) for g in divisors]
+    return (
+        _divide_tracked(p, divisors, leading, order, max_terms),
+        reference_divide(p, divisors, leading, order, max_terms),
+    )
+
+
+def _assert_same_division(new, ref):
+    (new_q, new_r), (ref_q, ref_r) = new, ref
+    assert len(new_q) == len(ref_q)
+    for a, b in zip(new_q, ref_q):
+        _assert_same(a, b)
+    _assert_same(new_r, ref_r)
+
+
+class TestDivide:
+    def test_random_divisors_against_reference(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            p = _random_rational_poly(rng, n, 4, 8)
+            divisors = []
+            while len(divisors) < rng.randint(1, 4):
+                g = _random_rational_poly(rng, n, 2, 4)
+                if not g.is_zero():
+                    divisors.append(g)
+            for order in _orders_for(n):
+                _assert_same_division(*_divide_both(p, divisors, order))
+
+    def test_negative_leading_coefficients(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            p = _random_rational_poly(rng, n, 4, 8)
+            divisors = []
+            for _ in range(rng.randint(1, 3)):
+                g = _random_rational_poly(rng, n, 2, 4)
+                if g.is_zero():
+                    continue
+                _, lc = GREVLEX.leading_term(g)
+                divisors.append(g if lc < 0 else -g)
+            if divisors:
+                _assert_same_division(*_divide_both(p, divisors, GREVLEX))
+
+    def test_reduced_bases_against_reference(self):
+        # a monic divisor with a rational tail has, in integer form, the
+        # common denominator of its tail as leading coefficient
+        rng = random.Random(404)
+        for _ in range(12):
+            n = rng.randint(2, 3)
+            gens = tuple(
+                Polynomial(n, {e: Fraction(rng.randint(-3, 3)) for e in monomials_of_degree(n, 2)})
+                for _ in range(n)
+            )
+            if any(g.is_zero() for g in gens):
+                continue
+            gb = buchberger(Ideal(gens))
+            for _ in range(5):
+                p = _random_rational_poly(rng, n, 4, 8)
+                _assert_same_division(*_divide_both(p, list(gb.basis), GREVLEX))
+                product = p * gens[0]
+                (quotients, remainder), _ = _divide_both(product, list(gb.basis), GREVLEX)
+                assert remainder.is_zero()
+
+    def test_zero_dividend(self):
+        for n in range(1, 5):
+            divisors = [Polynomial(n, {(1,) + (0,) * (n - 1): Fraction(-2, 3)})]
+            (quotients, remainder), ref = _divide_both(Polynomial.zero(n), divisors, GREVLEX)
+            _assert_same_division((quotients, remainder), ref)
+            assert remainder.is_zero() and all(q.is_zero() for q in quotients)
+
+    def test_cap_agrees_with_reference(self):
+        rng = random.Random(99)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            p = _random_rational_poly(rng, n, 4, 8)
+            g = _random_rational_poly(rng, n, 2, 4)
+            if len(g) < 2:
+                continue
+            leading = [GREVLEX.leading_term(g)]
+            for cap in range(0, 40):
+                try:
+                    reference_divide(p, [g], leading, GREVLEX, cap)
+                except ResourceLimitExceeded:
+                    with pytest.raises(ResourceLimitExceeded):
+                        _divide_tracked(p, [g], leading, GREVLEX, cap)
+                    continue
+                _divide_tracked(p, [g], leading, GREVLEX, cap)
+                checked += cap > 0
+                break
+        assert checked > 10
+
+
+class TestMaxTermsCap:
+    def test_raises_once_live_terms_exceed_cap(self):
+        # x^2 by x - y - z under grevlex: after x^2 the live terms are
+        # {xy, xz}, after xy {xz, y^2, yz}, after xz {y^2, 2yz, z^2};
+        # the most live terms at once is 3
+        V = Polynomial.variable
+        p = V(3, 1) * V(3, 1)
+        g = V(3, 1) - V(3, 2) - V(3, 3)
+        leading = [GREVLEX.leading_term(g)]
+        with pytest.raises(ResourceLimitExceeded, match="exceeded 2 terms"):
+            _divide_tracked(p, [g], leading, GREVLEX, 2)
+        quotients, remainder = _divide_tracked(p, [g], leading, GREVLEX, 3)
+        assert quotients[0] == V(3, 1) + V(3, 2) + V(3, 3)
+        assert remainder == (V(3, 2) + V(3, 3)) * (V(3, 2) + V(3, 3))
+
+    def test_cancelled_terms_are_not_counted(self):
+        # x^2 - x*y + z^2 by x - y: taking x^2 adds x*y, which cancels the
+        # -x*y already there, so one live term (z^2) remains and a cap of 1
+        # holds; a zero kept in the working map would count as a second
+        p = parse_poly("x^2 - x*y + z^2", ["x", "y", "z"])
+        g = parse_poly("x - y", ["x", "y", "z"])
+        leading = [GREVLEX.leading_term(g)]
+        quotients, remainder = _divide_tracked(p, [g], leading, GREVLEX, 1)
+        assert quotients[0] == parse_poly("x", ["x", "y", "z"])
+        assert remainder == parse_poly("z^2", ["x", "y", "z"])
+
+
+class TestDescendingKey:
+    def test_sorts_like_reversed_key(self):
+        rng = random.Random(3)
+        for n in range(1, 5):
+            exps = list({tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)})
+            for order in _orders_for(n):
+                assert sorted(exps, key=order.descending_key) == sorted(exps, key=order.key, reverse=True)
+                assert all(type(v) is int for v in order.descending_key(exps[0]))
+
+
+# Inputs of tests/test_exprio.py plus malformed and Unicode cases.
+TOKEN_CASES = [
+    "x^2*y + y^2*z + z^2*x", "0", "(x + y)^3", "1/2*x - 3/4", "-x + y", "y - x", "x1*x2^2",
+    "x + t", "x^-2", "2 x", "x y", "2(x + y)", "x + * y", "x + y)", "(x + y", "x^1/2", "",
+    "   ", "5/3*x^2 - 1/2", "x - y + 1", "-x^2 - y", "x^3 + y^3 + z^3",
+    "1/", "1/x", "3/ 4", "12/34/5", "1//2", "x $ y", "a.b", "x + y\n", "\tx\r\n*\x0by",
+    "é*x", "_a1 + __", "½*x", "x½", "x²", "٣*x + ١/٢",
+    "123456789012345678901234567890/987654321", "((x))^0", "x^", "^x", "*", ")(", "y1^2 - 3/7*y2*y3",
+]
+
+
+def _outcome(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("text", TOKEN_CASES)
+    def test_listed_cases(self, text):
+        assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+
+    def test_random_strings(self):
+        # every character class the tokenizer distinguishes, except
+        # non-decimal digits such as '²' (see the test below)
+        alphabet = "xyz_a019/+-*^()  \t\n.,#$é½  ٣ß"
+        rng = random.Random(1234)
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text), text
+
+    def test_non_decimal_digits_are_unexpected(self):
+        # '²' is a digit to str.isdigit but not a decimal: the reference
+        # made it a NUMBER that Fraction then refused with a bare ValueError
+        for text, position in (("x + ²", 4), ("2²*x", 1), ("1/²", 2)):
+            with pytest.raises(ParseError) as info:
+                parse_poly(text, ["x"])
+            assert info.value.position == position

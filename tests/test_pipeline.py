@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -212,6 +213,25 @@ class TestBuildWitness:
         assert verify_certificate(cert)
 
 
+# sha256 of the certificate bytes of every BUILTIN_CORPUS entry under
+# PipelineConfig().  Two builds in one process agree even when an arithmetic
+# change alters the bytes; these digests pin them across commits.
+BUILTIN_CERT_SHA256 = {
+    "cyclic-cubic": "ffda1c1cf3d0afbb8cc941b39063b4895752ea91d170cfce50bf37489af4b734",
+    "fermat-cubic": "e16b295500edc28ced6205c1d0a7e10274dcedab13afc807098037c748dcebf4",
+    "fermat-quartic": "9af27f26b028a4cb4ccfa5f8cbf0eafbe5803e41b4b177137dc748920b741452",
+    "fermat-cubic-4": "fdee2d0d326573d4f42b053dffcde5c812860431a08596bab55412d72869cc07",
+    "brieskorn-2-3-4": "b87b820a6165f99e268dc7ffa707ee9c6c02f1fa93de2d883c7f37ffd958ac68",
+    "brieskorn-3-3-4": "3efe249e6a0a94b12867a678def211652967b8ec4ce487556169e0852f3b10da",
+}
+
+
+@pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
+def test_builtin_certificate_bytes_pinned(name, text, variables):
+    cert = build_witness(parse_poly(text, variables), variables, PipelineConfig())
+    assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == BUILTIN_CERT_SHA256[name]
+
+
 class TestVerifyCertificate:
     def _fermat_cert(self):
         return build_witness(P(FERMAT), V3)
@@ -263,6 +283,15 @@ class TestVerifyCertificate:
                 test["normal_form"] = "1"
                 break
         assert not verify_certificate(WitnessCertificate(doc))
+
+    def test_long_power_refused(self, tmp_path):
+        # (y1 + y2)^100000 would expand to 100001 terms of up to 30103
+        # digits; the parser refuses it at the exponent instead
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["symmetric_tuple"]["images"][0][0] = "(y1 + y2)^100000"
+        assert _cli_verify(doc, tmp_path) == 4
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert any("does not replay" in f and "too large to expand" in f for f in failures)
 
     def test_verify_is_deterministic(self):
         cert = self._fermat_cert()
