@@ -7,6 +7,7 @@ from .derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
+    candidate_defect_cofactors,
     compose2,
     euler_derivation,
     hamiltonian,
@@ -34,7 +35,6 @@ from .groebner import (
     is_regular_sequence_homog,
     is_zero_dimensional,
     jacobian_ideal,
-    lift_membership,
     quotient_dimension,
 )
 from .minors import (

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .derivations import build_candidate_tuple, symmetrize
+from .derivations import build_candidate_tuple, candidate_defect_cofactors, symmetrize
 from .exprio import (
     CertificateError,
     ParseError,
@@ -237,8 +237,7 @@ def cmd_symmetrize(args) -> int:
     except ValueError as exc:
         _emit(f"rejected: {exc}")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs)
-    symmetric, ledger = symmetrize(candidate, gb)
+    symmetric, ledger = symmetrize(candidate, candidate_defect_cofactors(f))
     result = {
         "candidate": [[format_poly(p, variables, order) for p in d.images] for d in candidate.ders],
         "adjustments": [
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     identity.add_argument("-j", type=int, required=True)
     identity.add_argument("-k", type=int, required=True)
     add("symmetrize", "candidate tuple, ledger, symmetric tuple",
-        "input", "--vars", "--order", "--max-pairs", "--json")
+        "input", "--vars", "--order", "--json")
     member = add("member", "ideal membership with cofactors", "--order", "--max-pairs", "--json")
     member.add_argument("polynomial")
     member.add_argument("--ideal", required=True, help="comma-separated generators")

@@ -10,6 +10,33 @@ The symmetrization sweep adjusts a tuple whose pairwise defects lie in
 the Jacobian ideal into an exactly symmetric one by adding polynomial
 multiples of the Hamiltonian derivations, recording every move in a
 replayable ledger.
+
+Every cofactor the witness construction needs has a closed form, so the
+sweep and the lift compute no Groebner basis.  Let f be quasi-homogeneous with
+weights W and weighted degree D, A_1i the cofactors of the first row of
+its Hessian and A_[l,i,1,k] the minor without rows (l, 1) and columns
+(i, k) (minors.signed_minor), and write f_l = df/dx_l.
+
+1. Defect cofactors.  The candidate d_i = A_1i E_W has the defect
+   d_i(x_k) - d_k(x_i) = A_1i W_k x_k - A_1k W_i x_i
+                       = sum_{l >= 2} a_l f_l,  a_l = -(D - W_l) A_[l,i,1,k],
+   and a_1 = 0: the weighted cofactor identity with row 1 deleted
+   (minors.verify_cofactor_identity, minors.cofactor_identity_terms).
+2. The sweep carry.  The move d_t += c D_kl changes d_t(x_l) by c f_k and
+   d_t(x_k) by -c f_l, so it adds +-c to one entry of the cofactor vector
+   of each pair (t, l) and (t, k).  The sweep carries every pair's vector
+   along its moves exactly and never lifts.
+3. The first-order lift.  Let c_ij = d_i(x_j) for a symmetric tuple with
+   d_i(f) = q_i f.  Differentiating sum_j c_ij f_j = q_i f by x_i, summing
+   over i and substituting f = (1/D) sum_k W_k x_k f_k gives
+   sum_ij c_ij f_ij = -2 sum_k b_k f_k with
+   b_k = -1/2 [(sum_i d q_i/dx_i) W_k x_k / D + q_k - sum_i d c_ik/dx_i],
+   so the operator with second-order part c and first-order part b
+   annihilates f.
+
+Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
+annihilate f, so every tuple the sweep makes from it scales f by the same
+D A_1i.
 """
 
 from __future__ import annotations
@@ -17,19 +44,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .groebner import (
     DEFAULT_MAX_TERMS,
     GREVLEX,
-    GroebnerBasis,
     Ideal,
     InternalInconsistencyError,
     _divide_tracked,
-    buchberger,
-    jacobian_ideal,
 )
-from .minors import algebraic_cofactor, hessian
+from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
 from .poly import Exponent, Polynomial, quasi_homogeneous_weights
 
 logger = logging.getLogger(__name__)
@@ -354,6 +379,20 @@ def verify_order2_identity(
     return True
 
 
+def _weights_and_degree(f: Polynomial, weights: Sequence[int] | None) -> tuple[tuple[int, ...], int]:
+    """The given weights, or those of quasi_homogeneous_weights(f), with the
+    weighted degree of f; ValueError when f is not quasi-homogeneous for them."""
+    if weights is None:
+        found = quasi_homogeneous_weights(f)
+        if found is None:
+            raise ValueError("polynomial is not quasi-homogeneous: no unique positive weight vector")
+        return found
+    degree = f.homogeneous_degree(weights)
+    if degree is None:
+        raise ValueError(f"polynomial is not quasi-homogeneous for the weights {tuple(weights)}")
+    return tuple(weights), degree
+
+
 def build_candidate_tuple(
     f: Polynomial,
     check_isolated: bool = True,
@@ -371,13 +410,7 @@ def build_candidate_tuple(
     """
     if f.is_zero():
         raise ValueError("candidate tuple requires a nonzero polynomial")
-    if weights is None:
-        found = quasi_homogeneous_weights(f)
-        if found is None:
-            raise ValueError("candidate tuple requires a quasi-homogeneous polynomial")
-        weights = found[0]
-    elif f.homogeneous_degree(weights) is None:
-        raise ValueError(f"polynomial is not quasi-homogeneous for the weights {tuple(weights)}")
+    weights, _ = _weights_and_degree(f, weights)
     if f.min_degree() < 2:
         raise ValueError("candidate tuple requires a polynomial singular at the origin")
     if check_isolated:
@@ -395,15 +428,37 @@ def build_candidate_tuple(
     return DerivationTuple(tuple(ders), f)
 
 
+def candidate_defect_cofactors(
+    f: Polynomial,
+    weights: Sequence[int] | None = None,
+) -> dict[tuple[int, int], tuple[Polynomial, ...]]:
+    """For each pair i < k, the closed-form cofactors a_l with
+    sum_l a_l f_l = d_i(x_k) - d_k(x_i) for d_i = A_1i * E_W: a_1 = 0 and
+    a_l = -(D - W_l) A_[l,i,1,k] (identity 1 of the module docstring).
+
+    The weights are those of quasi_homogeneous_weights(f) unless given.
+    """
+    weights, degree = _weights_and_degree(f, weights)
+    hess = hessian(f)
+    return {
+        (i, k): tuple(-c for c in cofactor_identity_terms(hess, weights, degree, i, 1, k))
+        for i, k in combinations(range(1, f.n + 1), 2)
+    }
+
+
 def symmetrize(
     tuple_in: DerivationTuple,
-    gb: GroebnerBasis | None = None,
+    cofactors: Mapping[tuple[int, int], Sequence[Polynomial]],
 ) -> tuple[DerivationTuple, tuple[Adjustment, ...]]:
     """Adjust the tuple by Hamiltonian moves until d_i(x_j) = d_j(x_i) exactly.
 
-    Precondition: every pairwise defect lies in the Jacobian ideal (checked
-    via lifting; a defect outside it raises ValueError).  Pairs are swept in
-    lexicographic order.  For the pair (i, j) with defect sum a_l * f_l:
+    ``cofactors`` maps a pair (i, j), i < j, to a vector a with
+    sum_l a_l f_l = d_i(x_j) - d_j(x_i) for the input tuple; a missing pair
+    starts from the zero vector.  Every move carries these vectors along
+    (identity 2 of the module docstring), and each pair's vector is checked
+    to recombine to its current defect before it is used; one that does
+    not raises ValueError.  Pairs are swept in lexicographic order.  For
+    the pair (i, j) with defect sum a_l * f_l:
 
       * the f_i and f_j parts go away by adding -a_i D_ij to d_i and
         -a_j D_ij to d_j (touches only the pair itself and diagonals);
@@ -418,8 +473,9 @@ def symmetrize(
     """
     f = tuple_in.f
     n = tuple_in.n
-    if gb is None:
-        gb = buchberger(jacobian_ideal(f))
+    partials = [f.partial(l) for l in range(1, n + 1)]
+    pairs = list(combinations(range(1, n + 1), 2))
+    vectors = {pair: list(cofactors.get(pair) or [Polynomial.zero(n)] * n) for pair in pairs}
     ledger: list[Adjustment] = []
     ders = list(tuple_in.ders)
 
@@ -428,31 +484,35 @@ def symmetrize(
             return
         ders[target - 1] = ders[target - 1].add_scaled(coeff, hamiltonian(f, k, l))
         ledger.append(Adjustment(target, k, l, coeff))
+        # carry (identity 2): d_target(x_m) gains c * f_idx, which adds c to
+        # entry idx of the vector of pair (target, m), or -c if m < target
+        for m, idx, c in ((l, k, coeff), (k, l, -coeff)):
+            if m != target:
+                vectors[min(target, m), max(target, m)][idx - 1] += c if target < m else -c
 
     half = Fraction(1, 2)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            defect = ders[i - 1].image(j) - ders[j - 1].image(i)
-            if defect.is_zero():
+    for i, j in pairs:
+        defect = ders[i - 1].image(j) - ders[j - 1].image(i)
+        cofs = list(vectors[i, j])
+        if len(cofs) != n or sum((a * g for a, g in zip(cofs, partials)), Polynomial.zero(n)) != defect:
+            raise ValueError(
+                f"defect of pair ({i},{j}) is not in the Jacobian ideal by the supplied "
+                "cofactors; the input tuple is not a valid candidate"
+            )
+        if defect.is_zero():
+            continue
+        move(i, i, j, -cofs[i - 1])
+        move(j, i, j, -cofs[j - 1])
+        for l in range(1, n + 1):
+            if l in (i, j) or cofs[l - 1].is_zero():
                 continue
-            cofs = gb.lift(defect)
-            if cofs is None:
-                raise ValueError(
-                    f"defect of pair ({i},{j}) is not in the Jacobian ideal; "
-                    "the input tuple is not a valid candidate"
-                )
-            move(i, i, j, -cofs[i - 1])
-            move(j, i, j, -cofs[j - 1])
-            for l in range(1, n + 1):
-                if l in (i, j) or cofs[l - 1].is_zero():
-                    continue
-                a_l = cofs[l - 1]
-                if l > j:
-                    move(i, j, l, a_l)
-                else:
-                    move(i, l, j, a_l.scale(-half))
-                    move(j, l, i, a_l.scale(half))
-                    move(l, i, j, a_l.scale(-half))
+            a_l = cofs[l - 1]
+            if l > j:
+                move(i, j, l, a_l)
+            else:
+                move(i, l, j, a_l.scale(-half))
+                move(j, l, i, a_l.scale(half))
+                move(l, i, j, a_l.scale(-half))
     result = DerivationTuple(tuple(ders), f)
     if not result.is_symmetric():
         raise InternalInconsistencyError("symmetrization sweep left an asymmetric pair")
@@ -460,46 +520,35 @@ def symmetrize(
     return result, tuple(ledger)
 
 
-def lift_to_diff2(
-    tuple_in: DerivationTuple,
-    gb: GroebnerBasis | None = None,
-) -> DiffOp2:
+def lift_to_diff2(tuple_in: DerivationTuple) -> DiffOp2:
     """A second-order operator D with theta2_extract(D) equal to the tuple
     and D(f) = 0 on the nose.
 
     Second-order coefficients come straight from the tuple
     (c_(e_i+e_j) = d_i(x_j), c_(2e_i) = d_i(x_i)); the first-order ones are
-    a lift of minus the second-order part applied to f over the Jacobian
-    ideal, which must exist for a symmetric tuple of derivations preserving
-    (f) when f lies in its own Jacobian ideal, as every quasi-homogeneous f
-    does (f = E_W(f) / D) -- a failed lift is an engine bug, not an input
-    error.
+    the closed form b_k of identity 3 of the module docstring, with q_i
+    from principal_cofactor.  f must be quasi-homogeneous and every d_i
+    must preserve (f), else ValueError; an operator that then fails to
+    annihilate f is an engine bug, not an input error.
     """
     if not tuple_in.is_symmetric():
         raise ValueError("lifting requires a symmetric tuple")
     f = tuple_in.f
     n = tuple_in.n
-    if gb is None:
-        gb = buchberger(jacobian_ideal(f))
-    coeffs: dict[Exponent, Polynomial] = {}
-    second_applied = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            c = tuple_in.entry(i, j)
-            if c.is_zero():
-                continue
-            alpha = _pair_index(n, i, j)
-            coeffs[alpha] = c
-            second_applied = second_applied + c * f.higher_partial(alpha)
-    firsts = gb.lift(-second_applied)
-    if firsts is None:
-        raise InternalInconsistencyError(
-            "second-order part applied to f is not in the Jacobian ideal; "
-            "the exactness guarantee failed"
-        )
-    for i in range(1, n + 1):
-        if not firsts[i - 1].is_zero():
-            coeffs[_unit(n, i)] = firsts[i - 1]
+    weights, degree = _weights_and_degree(f, None)
+    scales = [principal_cofactor(d, f) for d in tuple_in.ders]
+    if any(q is None for q in scales):
+        raise ValueError("lifting requires derivations that preserve (f)")
+    zero = Polynomial.zero(n)
+    divergence = sum((q.partial(i) for i, q in enumerate(scales, 1)), zero)
+    coeffs = {
+        _pair_index(n, i, j): tuple_in.entry(i, j)
+        for i, j in combinations_with_replacement(range(1, n + 1), 2)
+    }
+    for k in range(1, n + 1):
+        column = sum((tuple_in.entry(i, k).partial(i) for i in range(1, n + 1)), zero)
+        euler_part = (divergence * Polynomial.variable(n, k)).scale(Fraction(weights[k - 1], degree))
+        coeffs[_unit(n, k)] = (euler_part + scales[k - 1] - column).scale(Fraction(-1, 2))
     op = DiffOp2(n, coeffs)
     if not op.apply(f).is_zero():
         raise InternalInconsistencyError("lifted operator does not annihilate f")

@@ -13,7 +13,10 @@ Certificates are JSON documents with a fixed top-level key set; every
 rational inside is a decimal-free "num/den" string and every polynomial
 an expression string in the grammar above, so documents round-trip
 exactly, with coefficients of any length.  Expressions are untrusted
-input: a power of a sum too large to expand is refused at its exponent.
+input: a power of a sum too large to expand is refused at its exponent,
+and so is any term whose size, its term count times the bits of its
+coefficients, would exceed DEFAULT_MAX_TERMS (a number or a monomial
+raised to a huge power, a long product of powers).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import log2
 from typing import NamedTuple, Sequence
 
 from .groebner import DEFAULT_MAX_TERMS
@@ -120,6 +124,14 @@ def _power_too_large(terms: int, k: int) -> bool:
     return False
 
 
+def _bits(c: Fraction | int) -> float:
+    return log2(abs(c.numerator) or 1) + log2(c.denominator)
+
+
+def _height(p: Polynomial) -> float:
+    return max(map(_bits, p.terms.values()), default=0.0)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], variables: Sequence[str], n: int):
         self.tokens = tokens
@@ -140,6 +152,13 @@ class _Parser:
         if tok.kind != "OP" or tok.text != op:
             raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.advance()
+
+    def check_size(self, terms: int, bits: float) -> None:
+        """Refuse, at the last token read, a term that would have ``terms``
+        terms with coefficients of ``bits`` bits: its size is at most
+        DEFAULT_MAX_TERMS, counting a term of coefficient 1 as 1."""
+        if terms * (1 + bits) > DEFAULT_MAX_TERMS:
+            raise ParseError("term too large to expand", self.tokens[self.pos - 1].pos)
 
     def parse_expr(self) -> Polynomial:
         """Sum the terms into one map in place; zeros are dropped at the end."""
@@ -166,16 +185,22 @@ class _Parser:
 
         Numbers and variable powers fold straight into one coefficient and
         one exponent; only parenthesised factors are multiplied as
-        polynomials.
+        polynomials.  Each factor's size is bounded (check_size) before it
+        is computed: the bits of the coefficients add up, and the term
+        count multiplies, so the bound also caps the work of each product.
         """
         coeff = None  # None stands for 1
         exp = [0] * self.n
         product = None  # the product of the parenthesised factors
+        terms, product_bits = 1, 0.0  # len(product) and its largest coefficient's bits
         while True:
             tok = self.advance()
             if tok.kind == "NUMBER":
                 value = _rational(tok)
                 k = self.parse_power(1)
+                if k is not None or product is not None:  # else the term stays input-sized
+                    bits = _bits(coeff or 1) + _bits(value) * (1 if k is None else k)
+                    self.check_size(terms, bits + product_bits)
                 if k is not None:
                     value = value**k
                 coeff = value if coeff is None else coeff * value
@@ -190,8 +215,14 @@ class _Parser:
                 self.expect_op(")")
                 k = self.parse_power(len(inner))
                 if k is not None:
+                    self.check_size(terms, _bits(coeff or 1) + product_bits + k * _height(inner))
                     inner = inner**k
+                if product is not None:
+                    # each product term sums at most min(len) pairs of terms
+                    product_bits += log2(min(len(product), len(inner)) or 1)
+                self.check_size(terms * len(inner), _bits(coeff or 1) + product_bits + _height(inner))
                 product = inner if product is None else product * inner
+                terms, product_bits = len(product), _height(product)
             else:
                 raise ParseError(
                     f"expected a number, variable or '(', found {tok.text or 'end of input'!r}", tok.pos
@@ -225,6 +256,8 @@ class _Parser:
         if exp_tok.kind != "NUMBER" or "/" in exp_tok.text:
             raise ParseError("exponent must be a non-negative integer", exp_tok.pos)
         self.advance()
+        if len(exp_tok.text) > sys.int_info.default_max_str_digits:
+            raise ParseError("exponent has too many digits", exp_tok.pos)
         k = int(exp_tok.text)
         if _power_too_large(terms, k):
             raise ParseError(f"power {k} of a {terms}-term base is too large to expand", exp_tok.pos)

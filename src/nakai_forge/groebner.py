@@ -447,17 +447,6 @@ def s_polynomial(a: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomi
         b.mul_monomial(_exp_sub(lcm, lm_b), Fraction(1) / lc_b)
 
 
-def lift_membership(
-    p: Polynomial,
-    ideal: Ideal,
-    order: MonomialOrder = GREVLEX,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> tuple[Polynomial, ...] | None:
-    """Cofactors expressing p over the ideal's generators, or None."""
-    return buchberger(ideal, order, max_pairs, max_terms).lift(p)
-
-
 def is_zero_dimensional(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> bool:
     return buchberger(ideal, order, **caps).is_zero_dimensional()
 

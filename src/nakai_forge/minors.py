@@ -174,6 +174,19 @@ def _minor_or_zero(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, .
     return signed_minor(matrix, MinorSpec(rows, cols))
 
 
+def cofactor_identity_terms(
+    hess: PolyMatrix, weights: Sequence[int], degree: int, i: int, j: int, k: int
+) -> list[Polynomial]:
+    """The coefficients c_l of the right-hand side sum_l c_l f_l of the
+    weighted cofactor identity (see verify_cofactor_identity):
+    c_l = (D - W_l) A_[l,i,j,k] for l != j, and c_j = 0."""
+    return [
+        Polynomial.zero(hess.nvars) if l == j
+        else _minor_or_zero(hess, (l, j), (i, k)).scale(degree - weights[l - 1])
+        for l in range(1, hess.m + 1)
+    ]
+
+
 def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[bool, Polynomial]:
     """Check the weighted cofactor identity for quasi-homogeneous f:
 
@@ -207,13 +220,9 @@ def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[boo
     lhs = Polynomial.variable(n, i).scale(weights[i - 1]) * algebraic_cofactor(hess, j, k) \
         - Polynomial.variable(n, k).scale(weights[k - 1]) * algebraic_cofactor(hess, j, i)
     rhs = Polynomial.zero(n)
-    for l in range(1, n + 1):
-        if l == j:
-            continue
-        f_l = f.partial(l)
-        if f_l.is_zero():
-            continue
-        rhs = rhs + f_l.scale(degree - weights[l - 1]) * _minor_or_zero(hess, (l, j), (i, k))
+    for l, c in enumerate(cofactor_identity_terms(hess, weights, degree, i, j, k), 1):
+        if not c.is_zero():
+            rhs = rhs + f.partial(l) * c
     residual = lhs - rhs
     return residual.is_zero(), residual
 

@@ -58,6 +58,7 @@ no_isolating_slice.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,10 +70,10 @@ from .derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
+    candidate_defect_cofactors,
     euler_derivation,
     lift_to_diff2,
     modified_jacobian_ideal,
-    principal_cofactor,
     replay_ledger,
     square_obstruction_ideal,
     symmetrize,
@@ -99,7 +100,6 @@ from .groebner import (
     leading_terms_zero_dimensional,
     reduce_by_basis,
     s_polynomial,
-    standard_monomials_from_leading,
 )
 from .minors import PolyMatrix, algebraic_cofactor, determinant, hessian
 from .poly import LinearChange, Polynomial, quasi_homogeneous_weights
@@ -440,38 +440,30 @@ def build_witness(
         "attempts": chosen.attempts,
     }
 
-    gb_g = buchberger(jacobian_ideal(g), order, **cfg.caps())
-    bases["jacobian"] = _gb_record(gb_g, yvars)
+    # only this record's generators g_1..g_n are read: the defect records
+    # below refer to them, with closed-form cofactors
+    bases["jacobian"] = _gb_record(buchberger(jacobian_ideal(g), order, **cfg.caps()), yvars)
 
     candidate = build_candidate_tuple(g, check_isolated=False, weights=weights)
     hess = hessian(g)
     cofactor_row = [algebraic_cofactor(hess, 1, i) for i in range(1, n + 1)]
-    candidate_scales = []
-    for d in candidate.ders:
-        q = principal_cofactor(d, g)
-        if q is None:
-            raise InternalInconsistencyError("candidate derivation does not preserve (f)")
-        candidate_scales.append(q)
+    # E_W scales g by D and Hamiltonians annihilate it, so the candidate and
+    # the symmetric d_i both scale g by D * A_1i
+    scales = [format_poly(c.scale(degree), yvars, order) for c in cofactor_row]
     doc["candidate_tuple"] = {
         "hessian_cofactors": [format_poly(c, yvars, order) for c in cofactor_row],
         "images": [[format_poly(p, yvars, order) for p in d.images] for d in candidate.ders],
-        "scales_f_by": [format_poly(q, yvars, order) for q in candidate_scales],
+        "scales_f_by": scales,
     }
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            defect = candidate.defect(i, j)
-            cofs = gb_g.lift(defect)
-            if cofs is None:
-                raise InternalInconsistencyError(
-                    f"candidate defect ({i},{j}) escaped the Jacobian ideal"
-                )
-            tests.append(_membership_record(
-                f"candidate_defect_{i}_{j}_in_jacobian", "jacobian", defect,
-                yvars, cofs, None, order,
-            ))
+    defect_cofactors = candidate_defect_cofactors(g, weights)
+    for (i, j), cofs in defect_cofactors.items():
+        tests.append(_membership_record(
+            f"candidate_defect_{i}_{j}_in_jacobian", "jacobian", candidate.defect(i, j),
+            yvars, cofs, None, order,
+        ))
 
-    symmetric, ledger = symmetrize(candidate, gb_g)
+    symmetric, ledger = symmetrize(candidate, defect_cofactors)
     doc["adjustments"] = [
         {
             "target": move.target,
@@ -480,18 +472,12 @@ def build_witness(
         }
         for move in ledger
     ]
-    symmetric_scales = []
-    for d in symmetric.ders:
-        q = principal_cofactor(d, g)
-        if q is None:
-            raise InternalInconsistencyError("symmetrized derivation does not preserve (f)")
-        symmetric_scales.append(q)
     doc["symmetric_tuple"] = {
         "images": [[format_poly(p, yvars, order) for p in d.images] for d in symmetric.ders],
-        "scales_f_by": [format_poly(q, yvars, order) for q in symmetric_scales],
+        "scales_f_by": list(scales),
     }
 
-    lifted = lift_to_diff2(symmetric, gb_g)
+    lifted = lift_to_diff2(symmetric)
     doc["lifted_operator"] = {
         "coefficients": [
             {"index": list(alpha), "value": format_poly(c, yvars, order)}
@@ -808,13 +794,10 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
 
     if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
         failures.append("input flags must record the homogeneity of an isolated singularity")
-    input_record = bases.get("input_jacobian")
-    if input_record is not None and input_record.get("zero_dimensional"):
-        record_order = MonomialOrder(input_record["order"])
-        input_basis = [parse_poly(s, input_record["variables"]) for s in input_record["basis"]]
-        lms = [record_order.leading_term(b)[0] for b in input_basis]
-        if info.get("milnor_number") != len(standard_monomials_from_leading(lms, n)):
-            failures.append("recorded Milnor number does not match the validated basis")
+    # Milnor and Orlik (1970): an isolated quasi-homogeneous singularity has
+    # Milnor number prod(D / W_i - 1); no walk of the recorded basis needed
+    if info.get("milnor_number") != math.prod(Fraction(degree, w) - 1 for w in weights):
+        failures.append("recorded Milnor number is not prod(D / W_i - 1)")
 
     modified_record = bases.get("modified_jacobian_1")
     if modified_record is None:

@@ -125,3 +125,13 @@ def random_compatible_tuple(rng: random.Random, f: Polynomial) -> DerivationTupl
             d = Derivation1(tuple(images))
         ders.append(d)
     return DerivationTuple(tuple(ders), f)
+
+
+def lifted_defect_cofactors(t: DerivationTuple, gb) -> dict:
+    """For each pair i < j, gb.lift of the tuple's defect d_i(x_j) - d_j(x_i)
+    over the Jacobian basis gb: the generic cofactors symmetrize takes."""
+    return {
+        (i, j): gb.lift(t.defect(i, j))
+        for i in range(1, t.n + 1)
+        for j in range(i + 1, t.n + 1)
+    }

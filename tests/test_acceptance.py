@@ -44,6 +44,7 @@ from nakai_forge.pipeline import (
 from nakai_forge.poly import LEX, Polynomial, quasi_homogeneous_weights
 
 from conftest import (
+    lifted_defect_cofactors,
     random_compatible_tuple,
     random_homogeneous,
     random_isolated,
@@ -200,7 +201,7 @@ def test_criterion_5_symmetrization_contract():
             gb = buchberger(jacobian_ideal(f))
             for _ in range(10):
                 tuple_in = random_compatible_tuple(rng, f)
-                symmetric, ledger = symmetrize(tuple_in, gb)
+                symmetric, ledger = symmetrize(tuple_in, lifted_defect_cofactors(tuple_in, gb))
                 assert symmetric.is_symmetric()
                 replayed = replay_ledger(tuple_in, ledger)
                 assert all(

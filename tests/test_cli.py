@@ -180,6 +180,7 @@ class TestUsageErrors:
             ("identity", "x^3+y^3+z^3", "--vars", "x,y,z", "-i", "1", "-j", "1", "-k", "2",
              "--order", "lex"),
             ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--prefilter"),
+            ("symmetrize", "x^3+y^3+z^3", "--vars", "x,y,z", "--max-pairs", "10"),
         ):
             code, _, _ = run(capsys, *argv)
             assert code == 2, argv

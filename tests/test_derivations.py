@@ -9,6 +9,7 @@ from nakai_forge.derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
+    candidate_defect_cofactors,
     compose2,
     euler_derivation,
     hamiltonian,
@@ -326,7 +327,7 @@ class TestSymmetrize:
             f,
         )
         assert t.is_symmetric()
-        result, ledger = symmetrize(t)
+        result, ledger = symmetrize(t, {})
         assert ledger == ()
         assert all(a.images == b.images for a, b in zip(result.ders, t.ders))
 
@@ -337,7 +338,7 @@ class TestSymmetrize:
         d1 = Derivation1((Polynomial.zero(2), a1 * f.partial(1) + a2 * f.partial(2)))
         d2 = Derivation1((Polynomial.zero(2), Polynomial.zero(2)))
         t = DerivationTuple((d1, d2), f)
-        result, ledger = symmetrize(t)
+        result, ledger = symmetrize(t, {(1, 2): (a1, a2)})
         assert result.is_symmetric()
         assert [(m.target, m.k, m.l) for m in ledger] == [(1, 1, 2), (2, 1, 2)]
         expected_d1 = d1.add_scaled(-a1, hamiltonian(f, 1, 2))
@@ -349,8 +350,7 @@ class TestSymmetrize:
         for text in (FERMAT, PAPER_F):
             f = P(text)
             cand = build_candidate_tuple(f)
-            gb = buchberger(jacobian_ideal(f))
-            result, ledger = symmetrize(cand, gb)
+            result, ledger = symmetrize(cand, candidate_defect_cofactors(f))
             assert result.is_symmetric()
             replayed = replay_ledger(cand, ledger)
             assert all(a.images == b.images for a, b in zip(replayed.ders, result.ders))
@@ -359,7 +359,7 @@ class TestSymmetrize:
 
     def test_random_compatible_tuples(self):
         rng = random.Random(137)
-        from conftest import random_compatible_tuple, random_isolated
+        from conftest import lifted_defect_cofactors, random_compatible_tuple, random_isolated
 
         for _ in range(4):
             n = rng.choice([2, 3])
@@ -367,7 +367,7 @@ class TestSymmetrize:
             gb = buchberger(jacobian_ideal(f))
             for _ in range(3):
                 t = random_compatible_tuple(rng, f)
-                result, ledger = symmetrize(t, gb)
+                result, ledger = symmetrize(t, lifted_defect_cofactors(t, gb))
                 assert result.is_symmetric()
                 replayed = replay_ledger(t, ledger)
                 assert all(a.images == b.images for a, b in zip(replayed.ders, result.ders))
@@ -385,16 +385,62 @@ class TestSymmetrize:
             f,
         )
         with pytest.raises(ValueError, match="not in the Jacobian ideal"):
-            symmetrize(bad)
+            symmetrize(bad, {})
+
+
+class TestClosedFormCofactors:
+    def test_defect_cofactors_exhaustive(self):
+        # every pair of every small case: the closed-form vector and gb.lift's
+        # vector both recombine to the candidate defect (they need not agree)
+        from conftest import random_isolated, random_isolated_quasi_homogeneous
+
+        rng = random.Random(161)
+        cases = [random_isolated(rng, 3, d) for d in (2, 3, 3, 4)]
+        cases += [random_isolated(rng, 4, d) for d in (2, 3)]
+        cases += [random_isolated_quasi_homogeneous(rng, w, 12)
+                  for w in ((6, 4, 3), (4, 4, 3), (4, 3, 3, 2), (6, 4, 3, 2))]
+        for f in cases:
+            n = f.n
+            cand = build_candidate_tuple(f, check_isolated=False)
+            cofactors = candidate_defect_cofactors(f)
+            gb = buchberger(jacobian_ideal(f))
+            partials = [f.partial(l) for l in range(1, n + 1)]
+            assert sorted(cofactors) == [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
+            for (i, k), closed in cofactors.items():
+                defect = cand.defect(i, k)
+                assert closed[0].is_zero()
+                for vector in (closed, gb.lift(defect)):
+                    total = Polynomial.zero(n)
+                    for a, g in zip(vector, partials):
+                        total = total + a * g
+                    assert total == defect, (f, i, k)
+
+    def test_symmetrize_rejects_vector_that_does_not_recombine(self):
+        f = P(PAPER_F)
+        cand = build_candidate_tuple(f)
+        cofactors = candidate_defect_cofactors(f)
+        a1, a2, a3 = cofactors[1, 3]
+        cofactors[1, 3] = (a1, a2 + P("x"), a3)
+        with pytest.raises(ValueError, match="not in the Jacobian ideal"):
+            symmetrize(cand, cofactors)
+
+    @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
+    def test_lift_brieskorn(self, text):
+        f = P(text)
+        cand = build_candidate_tuple(f)
+        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
+        op = lift_to_diff2(symmetric)
+        assert op.apply(f).is_zero()
+        extracted = theta2_extract(op, f)
+        assert all(a.images == b.images for a, b in zip(extracted.ders, symmetric.ders))
 
 
 class TestLiftToDiff2:
     def test_section_property(self):
         f = P(PAPER_F)
         cand = build_candidate_tuple(f)
-        gb = buchberger(jacobian_ideal(f))
-        symmetric, _ = symmetrize(cand, gb)
-        op = lift_to_diff2(symmetric, gb)
+        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
+        op = lift_to_diff2(symmetric)
         extracted = theta2_extract(op, f)
         assert all(a.images == b.images for a, b in zip(extracted.ders, symmetric.ders))
         assert op.apply(f).is_zero()
@@ -430,13 +476,27 @@ class TestLiftToDiff2:
         with pytest.raises(ValueError, match="symmetric"):
             lift_to_diff2(t)
 
+    def test_non_preserving_rejected(self):
+        # d_1 = 2 d/dx, the rest zero: symmetric, but d_1(f) = 6x^2 is no
+        # multiple of f
+        f = P(FERMAT)
+        t = DerivationTuple(
+            (
+                Derivation1((P("2"), Polynomial.zero(3), Polynomial.zero(3))),
+                Derivation1((Polynomial.zero(3),) * 3),
+                Derivation1((Polynomial.zero(3),) * 3),
+            ),
+            f,
+        )
+        with pytest.raises(ValueError, match="preserve"):
+            lift_to_diff2(t)
+
     def test_order2_identity_on_lifts(self):
         rng = random.Random(139)
         f = P(PAPER_F)
         cand = build_candidate_tuple(f)
-        gb = buchberger(jacobian_ideal(f))
-        symmetric, _ = symmetrize(cand, gb)
-        op = lift_to_diff2(symmetric, gb)
+        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
+        op = lift_to_diff2(symmetric)
         assert verify_order2_identity(op, monomial_triples(rng, 3, 50))
 
 

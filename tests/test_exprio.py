@@ -112,6 +112,32 @@ class TestPowerCap:
         assert parse_poly("(2*x)^100000", ["x"]).terms == {(100000,): 2**100000}
 
 
+class TestTermSizeBound:
+    @pytest.mark.parametrize("text, position", [
+        ("2^10000000000", 2),
+        ("3*x*(2*y)^10000000000", 10),
+        ("*".join(["(x + y)^700"] * 40), 20),
+        ("*".join(["2^400000"] * 40), 11),
+    ])
+    def test_refused_quickly_at_the_offending_token(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="term too large") as info:
+            parse_poly(text, ["x", "y"])
+        assert info.value.position == position
+        assert time.perf_counter() - start < 5
+
+    def test_products_within_the_bound_parse(self):
+        assert parse_poly("(x + y)^30*(x + y)^30", ["x", "y"]) == parse_poly("(x + y)^60", ["x", "y"])
+        assert parse_poly("(x + y + z)^10*(x - y + z)^10", V3) == parse_poly("((x + z)^2 - y^2)^10", V3)
+        assert parse_poly("2^400000*x", ["x"]).terms == {(1,): 2**400000}
+
+    def test_exponent_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="too many digits") as info:
+            parse_poly("x^" + "1" * 4301, ["x"])
+        assert info.value.position == 2
+        assert parse_poly("x^" + "1" * 4300, ["x"]).terms == {(int("1" * 4300),): 1}
+
+
 def _long_coefficient_poly() -> Polynomial:
     """A 5000-digit numerator over a 4401-digit denominator, and more."""
     return Polynomial(2, {

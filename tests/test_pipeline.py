@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,7 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "ffda1c1cf3d0afbb8cc941b39063b4895752ea91d170cfce50bf37489af4b734",
+    "cyclic-cubic": "a7bc8f101202d5cd93bf59ecc67ccc98f4bde8170395b4c4cf6f6be81a1af435",
     "fermat-cubic": "e16b295500edc28ced6205c1d0a7e10274dcedab13afc807098037c748dcebf4",
     "fermat-quartic": "9af27f26b028a4cb4ccfa5f8cbf0eafbe5803e41b4b177137dc748920b741452",
     "fermat-cubic-4": "fdee2d0d326573d4f42b053dffcde5c812860431a08596bab55412d72869cc07",
@@ -292,6 +293,25 @@ class TestVerifyCertificate:
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
         assert any("does not replay" in f and "too large to expand" in f for f in failures)
+
+    def test_number_power_refused(self, tmp_path):
+        # 2^10000000000 would be a 10^10-bit integer; the parser refuses it
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["symmetric_tuple"]["images"][0][0] = "2^10000000000*y1"
+        assert _cli_verify(doc, tmp_path) == 4
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert any("does not replay" in f and "too large" in f for f in failures)
+
+    def test_tampered_input_basis_fails_fast(self, tmp_path):
+        # the recorded Milnor number is checked against prod(D / W_i - 1), not
+        # by walking the standard monomials of the (here forged) basis
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"] = ["x^300", "y^300", "z^300"]
+        start = time.perf_counter()
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert time.perf_counter() - start < 5
+        assert any(f.startswith("input_jacobian:") for f in failures)
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_verify_is_deterministic(self):
         cert = self._fermat_cert()
