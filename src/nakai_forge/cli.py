@@ -130,7 +130,7 @@ def cmd_check(args) -> int:
     # below 2, zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
-    gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs)
+    gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs, track_cofactors=False)
     zero_dim = gb.is_zero_dimensional()
     milnor = gb.quotient_dimension() if zero_dim else None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
@@ -171,12 +171,12 @@ def cmd_witness(args) -> int:
         if cert.verdict == WITNESS_FOUND:
             change = cert.document["change_of_coordinates"]
             _emit(f"slice:   y1 = {_slice_text(change, variables)} (attempt {change['attempts']})")
-            witness = next(
-                t for t in cert.document["membership_tests"]["tests"]
-                if t["name"] == "witness_diagonal_vs_modified_jacobian"
+            obstruction = cert.document["membership_tests"]["obstruction"]
+            _emit(f"witness: d1(y1) = {obstruction['witness']}")
+            _emit(
+                f"lambda(d1(y1)) = {obstruction['value']} != 0 for a functional lambda on weighted "
+                f"degree {obstruction['degree']} that vanishes on (y1, g_2, ..., g_n)^2 + (g)"
             )
-            _emit(f"witness: d1(y1) = {witness['polynomial']}")
-            _emit(f"normal form mod (y1^2, g_2, ..., g_n): {witness['normal_form']}")
         elif cert.verdict == INPUT_REJECTED:
             rejection = cert.document["input"].get("rejection", {})
             _emit(f"reason:  {rejection.get('reason')}: {rejection.get('message')}")
@@ -293,7 +293,7 @@ def cmd_milnor(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f), _order(args), max_pairs=args.max_pairs)
+    gb = buchberger(jacobian_ideal(f), _order(args), max_pairs=args.max_pairs, track_cofactors=False)
     if not gb.is_zero_dimensional():
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED

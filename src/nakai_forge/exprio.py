@@ -307,14 +307,26 @@ def format_fraction(c: Fraction) -> str:
     return num if c.denominator == 1 else f"{num}/{_int_to_decimal(c.denominator)}"
 
 
+_FRACTION = re.compile(r"-?\d+(?:/\d+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    """A rational written as format_fraction writes it: ``-?digits(/digits)?``.
+
+    Fraction(text) would also take floats and exponents such as ``1e999999999``
+    (a 10^9-digit integer); certificates are untrusted, so only the plain
+    form is read.
+    """
+    if not isinstance(text, str) or not _FRACTION.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    sign = -1 if text.startswith("-") else 1
+    return sign * _rational(Token("NUMBER", text.lstrip("-"), 0))
 
 
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REQUIRED_KEYS = (
     "schema",
@@ -344,7 +356,7 @@ def read_certificate(data: bytes) -> dict:
     """Parse and validate certificate bytes; raises CertificateError."""
     try:
         document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"not a valid certificate document: {exc}") from exc
     if not isinstance(document, dict):
         raise CertificateError("certificate document must be a JSON object")

@@ -1,10 +1,12 @@
 """Exact Groebner-basis engine over the rationals.
 
 Buchberger's algorithm with the normal selection strategy, the coprime
-and chain criteria, content removal after every reduction, and full
-cofactor tracking: every basis element carries its expression in terms
-of the source generators, so ideal memberships come with replayable
-witnesses (p = sum q_i * g_i, checkable by re-multiplication).
+and chain criteria, content removal after every reduction, and optional
+cofactor tracking: with it every basis element carries its expression in
+terms of the source generators, so ideal memberships come with replayable
+witnesses (p = sum q_i * g_i, checkable by re-multiplication).  Without it
+the basis is the same and costs far less, since the rows grow faster than
+the basis itself.
 
 Division is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
@@ -29,6 +31,7 @@ import heapq
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import add, le, sub
 from typing import Sequence
@@ -166,10 +169,12 @@ def _divide_tracked(
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis with cofactors over its source generators.
+    """A reduced Groebner basis, with cofactors over its source generators
+    when they were tracked.
 
-    basis[i] == sum_j cofactors[i][j] * source.generators[j] holds exactly;
-    the basis is auto-reduced with monic leading coefficients.
+    With cofactors, basis[i] == sum_j cofactors[i][j] * source.generators[j]
+    holds exactly; without, ``cofactors`` is empty and ``lift`` refuses.
+    The basis is auto-reduced with monic leading coefficients.
     """
 
     basis: tuple[Polynomial, ...]
@@ -183,8 +188,9 @@ class GroebnerBasis:
         return self.source.n
 
     def leading_monomials(self) -> list[Exponent]:
-        return [self.order.leading_term(g)[0] for g in self.basis]
+        return [lm for lm, _ in self._leading]
 
+    @cached_property
     def _leading(self) -> list[tuple[Exponent, Fraction]]:
         return [self.order.leading_term(g) for g in self.basis]
 
@@ -194,7 +200,7 @@ class GroebnerBasis:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         if not self.basis:
             return p
-        _, remainder = _divide_tracked(p, self.basis, self._leading(), self.order, self.max_terms)
+        _, remainder = _divide_tracked(p, self.basis, self._leading, self.order, self.max_terms)
         return remainder
 
     def contains(self, p: Polynomial) -> bool:
@@ -204,13 +210,16 @@ class GroebnerBasis:
         """Quotients over the basis elements plus the remainder."""
         if not self.basis:
             return [], p
-        return _divide_tracked(p, self.basis, self._leading(), self.order, self.max_terms)
+        return _divide_tracked(p, self.basis, self._leading, self.order, self.max_terms)
 
     def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
 
-        On success p == sum lift[j] * source.generators[j] exactly.
+        On success p == sum lift[j] * source.generators[j] exactly.  A basis
+        computed without cofactors raises ValueError.
         """
+        if len(self.cofactors) != len(self.basis):
+            raise ValueError("the basis was computed without cofactor rows")
         quotients, remainder = self.reduce_tracked(p)
         if not remainder.is_zero():
             return None
@@ -272,8 +281,10 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_terms: int = DEFAULT_MAX_TERMS,
+    track_cofactors: bool = True,
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis with cofactor tracking.
+    """Compute the reduced Groebner basis, with cofactor rows unless
+    ``track_cofactors`` is False (the rows are then empty lists throughout).
 
     Deterministic: pairs are processed by (lcm degree, lcm, i, j) and the
     final basis is sorted by descending leading monomial.
@@ -283,6 +294,8 @@ def buchberger(
     zero = Polynomial.zero(n)
 
     def unit_row(j: int) -> list[Polynomial]:
+        if not track_cofactors:
+            return []
         return [Polynomial.constant(n, 1) if k == j else zero for k in range(len(gens))]
 
     def normalize(p: Polynomial, row: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
@@ -368,7 +381,7 @@ def buchberger(
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
-    return _reduce_basis(basis, rows, ideal, order, max_terms)
+    return _reduce_basis(basis, rows, ideal, order, max_terms, track_cofactors)
 
 
 def _reduce_basis(
@@ -377,6 +390,7 @@ def _reduce_basis(
     ideal: Ideal,
     order: MonomialOrder,
     max_terms: int,
+    track_cofactors: bool,
 ) -> GroebnerBasis:
     """Minimalize, auto-reduce, and make monic, updating cofactor rows."""
     if not basis:
@@ -417,7 +431,7 @@ def _reduce_basis(
     final_rows = [r for _, r in paired]
     return GroebnerBasis(
         tuple(final_polys),
-        tuple(tuple(r) for r in final_rows),
+        tuple(tuple(r) for r in final_rows) if track_cofactors else (),
         order,
         ideal,
         max_terms,
@@ -429,11 +443,17 @@ def reduce_by_basis(
     basis: Sequence[Polynomial],
     order: MonomialOrder,
     max_terms: int = 10_000_000,
+    leading: Sequence[tuple[Exponent, Fraction]] | None = None,
 ) -> Polynomial:
-    """Fully reduce p against an explicit polynomial list (certificate replay)."""
+    """Fully reduce p against an explicit polynomial list (certificate replay).
+
+    ``leading`` holds the basis elements' leading terms when the caller
+    reduces many polynomials by one list; otherwise they are found here.
+    """
     if not basis:
         return p
-    leading = [order.leading_term(b) for b in basis]
+    if leading is None:
+        leading = [order.leading_term(b) for b in basis]
     _, remainder = _divide_tracked(p, basis, leading, order, max_terms)
     return remainder
 
@@ -448,11 +468,11 @@ def s_polynomial(a: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def is_zero_dimensional(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> bool:
-    return buchberger(ideal, order, **caps).is_zero_dimensional()
+    return buchberger(ideal, order, track_cofactors=False, **caps).is_zero_dimensional()
 
 
 def quotient_dimension(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> int:
-    return buchberger(ideal, order, **caps).quotient_dimension()
+    return buchberger(ideal, order, track_cofactors=False, **caps).quotient_dimension()
 
 
 def is_isolated_singularity(f: Polynomial, order: MonomialOrder = GREVLEX, **caps) -> bool:

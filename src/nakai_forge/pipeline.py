@@ -1,15 +1,14 @@
 """End-to-end witness construction and certificate verification.
 
 Given a quasi-homogeneous polynomial f with an isolated singularity at the
-origin, the pipeline finds a linear slice whose restriction is still an
-isolated singularity, builds the Hessian-cofactor candidate tuple in the
-new coordinates, symmetrizes it, lifts it to an explicit second-order
-operator, and certifies that the extracted diagonal value lies outside
-the modified Jacobian ideal (and so outside the square obstruction
-ideal) in the polynomial ring; point 3 below says what that proves in
-Q[x]/(f).  Every claim is recorded in a self-contained JSON certificate
-that replays by division and re-multiplication alone; verification never
-searches and never re-runs the basis algorithm.
+origin, the pipeline finds a linear slice y_1, builds the Hessian-cofactor
+candidate tuple in the new coordinates, symmetrizes it, lifts it to an
+explicit second-order operator, and certifies that the extracted diagonal
+value d_1(y_1) lies outside S = (y_1, g_2, ..., g_n)^2 + (g), the ideal
+that every sum of compositions of derivations of A = Q[y]/(g) lands in.
+Every claim is recorded in a self-contained JSON certificate that the
+verifier checks by re-multiplication and dot products alone: it never
+divides by a Groebner basis and never searches.
 
 Homogeneous input is the case W = (1, ..., 1) of what follows.  The
 weights W (coprime positive integers) and the weighted degree D are the
@@ -18,8 +17,14 @@ unique solution of <e, W> = D over the exponents e of f
 input and only compares the recorded ones with them.  The weighted Euler
 derivation E_W = sum W_i x_i d/dx_i satisfies E_W(f) = D f, so f lies in
 its Jacobian ideal (Saito 1971: for an isolated singularity this happens
-iff f is quasi-homogeneous).  Soundness of the weighted path rests on:
+iff f is quasi-homogeneous).  Soundness rests on:
 
+0. Isolation of f.  For each variable x_i the certificate records the
+   element of the reduced basis of J(f) whose leading monomial is a power
+   x_i^(N_i), with its cofactors over f_1, ..., f_n.  Re-multiplying them
+   shows x_i^(N_i) in LT(J(f)) for every i, so J(f) is zero-dimensional;
+   the Milnor number is then prod(D / W_i - 1) (Milnor and Orlik 1970).
+   Isolation of g = f(x(y)) follows through the invertible change.
 1. The weighted cofactor identity.  Differentiating E_W(f) = D f gives
    sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2 alternation of the maximal
    minors of the Hessian with row 1 deleted then puts
@@ -37,22 +42,35 @@ iff f is quasi-homogeneous).  Soundness of the weighted path rests on:
    the slice y_1 = sum a_i x_i mixes only variables of weight W_1.  (A slice
    that mixes weights has E_W(y_1) outside (y_1) in general.)  So every
    composition of two derivations has its d_1(y_1) entry in the square
-   ideal (y_1, g_2, ..., g_n)^2, exactly as in the homogeneous case.
-   Derivations and operators on A = Q[y]/(g) are defined only modulo (g),
-   so the obstruction must hold modulo (g): d_1(y_1) must lie outside
-   (y_1, g_2, ..., g_n)^2 + (g).  The pipeline tests d_1(y_1) against
-   (y_1^2, g_2, ..., g_n), which contains the square ideal, and against
-   the square ideal itself, both without (g).  Where g lies in
-   (y_1^2, g_2, ..., g_n) (the Fermat and Brieskorn examples) the first
-   test is the same modulo (g).  Where it does not, the test proves nothing
-   in A: the cyclic cubic's witness lies in (y_1^2, g_2, g_3, g).  Its
-   verdict still holds, because the witness lies outside
-   (y_1, g_2, g_3)^2 + (g), but the certificate does not record that
-   (tests/test_pipeline.py, TestObstructionModuloF, checks it).
+   ideal (y_1, g_2, ..., g_n)^2.  Derivations and operators on A are
+   defined only modulo (g), so the obstruction must hold modulo (g):
+   d_1(y_1) must lie outside S = (y_1, g_2, ..., g_n)^2 + (g).  The
+   certificate proves exactly that (this closes the gap of earlier
+   certificates, which tested d_1(y_1) in the polynomial ring only).  S is
+   weighted homogeneous, with y_i of weight W_i, and d_1(y_1) has some
+   weighted degree delta.  The builder reads a Macaulay inverse-system
+   vector (Lazard 1983) off a Groebner basis of S: for a standard monomial
+   mu in the normal form of d_1(y_1), lambda(m) = coefficient of mu in
+   NF(m) for each monomial m of weighted degree delta.  The verifier checks
+   lambda(m s) = 0 for every generator s of S and every monomial m of the
+   complementary weighted degree (these m s span the degree-delta part of
+   S; lambda(m s) is trivially 0 unless m times a term of s lies in the
+   support of lambda, so only those m are tried), and lambda(d_1(y_1)) != 0.
 
-When the no-op slice fails and no other variable shares the weight of
-x_1, no admissible slice exists and the input is rejected with the reason
-no_isolating_slice.
+The slice search also requires the restriction of g to y_1 = 0 to be an
+isolated singularity.  That is a builder heuristic: it makes
+(y_1^2, g_2, ..., g_n) zero-dimensional, and in practice leaves d_1(y_1)
+outside S, but no step above uses it, so witness certificates do not
+record it.  When the no-op slice fails and no other variable shares the
+weight of x_1, no admissible slice exists and the input is rejected with
+the reason no_isolating_slice.
+
+Rejections not_isolated and no_isolating_slice record a reduced basis G of
+the Jacobian ideal J in question, without cofactor rows.  Every generator
+of J reduces to zero by G, so J lies in (G); every S-polynomial of G
+reduces to zero, so G is a Groebner basis and LT((G)) is generated by the
+leading monomials of G; one variable has no pure power among them, so (G),
+and with it J, is positive-dimensional.
 """
 
 from __future__ import annotations
@@ -62,6 +80,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 from .derivations import (
@@ -73,7 +92,6 @@ from .derivations import (
     candidate_defect_cofactors,
     euler_derivation,
     lift_to_diff2,
-    modified_jacobian_ideal,
     replay_ledger,
     square_obstruction_ideal,
     symmetrize,
@@ -102,7 +120,7 @@ from .groebner import (
     s_polynomial,
 )
 from .minors import PolyMatrix, algebraic_cofactor, determinant, hessian
-from .poly import LinearChange, Polynomial, quasi_homogeneous_weights
+from .poly import Exponent, LinearChange, Polynomial, monomials_of_degree, quasi_homogeneous_weights
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +166,6 @@ class SliceChoice:
     coefficients: tuple[Fraction, ...]
     change: LinearChange
     restriction: Polynomial  # g restricted to the hyperplane, in n-1 variables
-    gb_restriction: GroebnerBasis
     attempts: int
 
 
@@ -188,16 +205,6 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
         if exp[0] == 0:
             out[exp[1:]] = coeff
     return Polynomial(p.n - 1, out)
-
-
-def sliced_jacobian(g: Polynomial) -> Ideal:
-    """Jacobian of g restricted to the first-coordinate hyperplane.
-
-    Restriction commutes with the partials in the surviving variables, so
-    these are the partials of the restricted polynomial.
-    """
-    restriction = restrict_to_hyperplane(g)
-    return jacobian_ideal(restriction)
 
 
 class NoIsolatingSlice(Exception):
@@ -250,10 +257,10 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
         restriction = restrict_to_hyperplane(g)
         if restriction.is_zero():
             continue
-        gb = buchberger(jacobian_ideal(restriction), cfg.order, **cfg.caps())
+        gb = buchberger(jacobian_ideal(restriction), cfg.order, track_cofactors=False, **cfg.caps())
         if gb.is_zero_dimensional():
             logger.info("slice found after %d attempts: %s", attempts, coeffs)
-            return SliceChoice(coeffs, change, restriction, gb, attempts)
+            return SliceChoice(coeffs, change, restriction, attempts)
         if only_noop:
             raise NoIsolatingSlice(gb)
     raise AssertionError("unreachable")
@@ -300,35 +307,50 @@ def _new_variables(n: int) -> list[str]:
 
 
 def _gb_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
+    """A reduced basis without cofactor rows: the evidence of a rejection."""
     return {
         "order": gb.order.kind,
         "variables": list(variables),
         "generators": [format_poly(g, variables, gb.order) for g in gb.source.generators],
         "basis": [format_poly(g, variables, gb.order) for g in gb.basis],
-        "cofactors": [
-            [format_poly(c, variables, gb.order) for c in row] for row in gb.cofactors
-        ],
         "zero_dimensional": gb.is_zero_dimensional(),
     }
 
 
-def _membership_record(
-    name: str,
-    basis_key: str,
-    p: Polynomial,
-    variables: Sequence[str],
-    cofactors: Sequence[Polynomial] | None,
-    normal_form: Polynomial | None,
-    order: MonomialOrder,
-) -> dict:
+def _combination_record(p: Polynomial, cofactors: Sequence[Polynomial], variables, order) -> dict:
     return {
-        "name": name,
-        "basis": basis_key,
         "polynomial": format_poly(p, variables, order),
-        "member": cofactors is not None,
-        "cofactors": None if cofactors is None else [format_poly(c, variables, order) for c in cofactors],
-        "normal_form": None if normal_form is None else format_poly(normal_form, variables, order),
+        "cofactors": [format_poly(c, variables, order) for c in cofactors],
     }
+
+
+def _pure_power_records(gb: GroebnerBasis, variables: Sequence[str]) -> list[dict]:
+    """For each variable x_i, the basis element whose leading monomial is a
+    power of x_i, with its cofactor row over the source generators."""
+    records = []
+    leading = gb.leading_monomials()
+    for i in range(gb.n):
+        k = next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)
+        records.append(_combination_record(gb.basis[k], gb.cofactors[k], variables, gb.order))
+    return records
+
+
+def obstruction_ideal(g: Polynomial) -> Ideal:
+    """S = (y_1, g_2, ..., g_n)^2 + (g): the pairwise products of
+    square_obstruction_ideal(g, 1), then g itself."""
+    return Ideal(square_obstruction_ideal(g, 1).generators + (g,))
+
+
+def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
+    """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
+    given monomial m; zero values are left out.  The normal form is linear
+    and vanishes on the ideal, so lambda does too."""
+    out = {}
+    for m in monomials:
+        c = gb.normal_form(Polynomial.monomial(gb.n, m)).coefficient(mu)
+        if c:
+            out[m] = c
+    return out
 
 
 def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) -> dict:
@@ -349,7 +371,7 @@ def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) 
         "adjustments": [],
         "symmetric_tuple": None,
         "lifted_operator": None,
-        "membership_tests": {"groebner_bases": {}, "tests": []},
+        "membership_tests": {},
         "verdict": None,
     }
 
@@ -364,6 +386,7 @@ def build_witness(
     order = cfg.order
     doc = _empty_document(format_poly(f, variables, order), variables, cfg)
     info = doc["input"]
+    section = doc["membership_tests"]
 
     def rejected(reason: str, message: str) -> WitnessCertificate:
         info["rejection"] = {"reason": reason, "message": message}
@@ -399,13 +422,10 @@ def build_witness(
             f"{f.n} variables exceed the configured determinant dimension cap of 6",
         )
 
-    bases = doc["membership_tests"]["groebner_bases"]
-    tests = doc["membership_tests"]["tests"]
-
     gb_input = buchberger(jacobian_ideal(f), order, **cfg.caps())
-    bases["input_jacobian"] = _gb_record(gb_input, variables)
     if not gb_input.is_zero_dimensional():
         info["isolated"] = False
+        section["groebner_bases"] = {"input_jacobian": _gb_record(gb_input, variables)}
         return rejected("not_isolated", "the Jacobian ideal is not zero-dimensional")
     info["isolated"] = True
     info["milnor_number"] = gb_input.quotient_dimension()
@@ -413,7 +433,7 @@ def build_witness(
     try:
         chosen = generic_slice_search(f, cfg)
     except NoIsolatingSlice as exc:
-        bases["slice_jacobian"] = _gb_record(exc.gb, variables[1:])
+        section["groebner_bases"] = {"slice_jacobian": _gb_record(exc.gb, variables[1:])}
         return rejected(
             "no_isolating_slice",
             f"the restriction to {variables[0]} = 0 is not an isolated singularity and no other "
@@ -424,13 +444,13 @@ def build_witness(
         doc["verdict"] = RESOURCE_EXHAUSTED
         info["resource_error"] = str(exc)
         return WitnessCertificate(doc)
+    section["isolation"] = {"pure_powers": _pure_power_records(gb_input, variables)}
 
     n = f.n
     yvars = _new_variables(n)
     slice_vars = yvars[1:]
     change = chosen.change
     g = change.apply(f)
-    bases["slice_jacobian"] = _gb_record(chosen.gb_restriction, slice_vars)
     doc["change_of_coordinates"] = {
         "slice_coefficients": [format_fraction(c) for c in chosen.coefficients],
         "matrix": [[format_fraction(v) for v in row] for row in change.matrix],
@@ -439,10 +459,6 @@ def build_witness(
         "slice_restriction": format_poly(chosen.restriction, slice_vars, order),
         "attempts": chosen.attempts,
     }
-
-    # only this record's generators g_1..g_n are read: the defect records
-    # below refer to them, with closed-form cofactors
-    bases["jacobian"] = _gb_record(buchberger(jacobian_ideal(g), order, **cfg.caps()), yvars)
 
     candidate = build_candidate_tuple(g, check_isolated=False, weights=weights)
     hess = hessian(g)
@@ -456,12 +472,13 @@ def build_witness(
         "scales_f_by": scales,
     }
 
+    # closed-form cofactors of each defect over g_1, ..., g_n
     defect_cofactors = candidate_defect_cofactors(g, weights)
-    for (i, j), cofs in defect_cofactors.items():
-        tests.append(_membership_record(
-            f"candidate_defect_{i}_{j}_in_jacobian", "jacobian", candidate.defect(i, j),
-            yvars, cofs, None, order,
-        ))
+    section["tests"] = [
+        {"name": f"candidate_defect_{i}_{j}_in_jacobian",
+         **_combination_record(candidate.defect(i, j), cofs, yvars, order)}
+        for (i, j), cofs in defect_cofactors.items()
+    ]
 
     symmetric, ledger = symmetrize(candidate, defect_cofactors)
     doc["adjustments"] = [
@@ -486,48 +503,35 @@ def build_witness(
         "annihilates_f": lifted.apply(g).is_zero(),
     }
 
-    witness_value = symmetric.entry(1, 1)
-    modified = modified_jacobian_ideal(g, 1)
-    gb_modified = buchberger(modified, order, **cfg.caps())
-    bases["modified_jacobian_1"] = _gb_record(gb_modified, yvars)
-    nf_modified = gb_modified.normal_form(witness_value)
-    in_modified = nf_modified.is_zero()
-    tests.append(_membership_record(
-        "witness_diagonal_vs_modified_jacobian", "modified_jacobian_1", witness_value,
-        yvars, gb_modified.lift(witness_value) if in_modified else None,
-        None if in_modified else nf_modified, order,
-    ))
-
-    square = square_obstruction_ideal(g, 1)
-    gb_square = buchberger(square, order, **cfg.caps())
-    bases["square_1"] = _gb_record(gb_square, yvars)
-    nf_square = gb_square.normal_form(witness_value)
-    in_square = nf_square.is_zero()
-    tests.append(_membership_record(
-        "witness_diagonal_vs_square_ideal", "square_1", witness_value,
-        yvars, gb_square.lift(witness_value) if in_square else None,
-        None if in_square else nf_square, order,
-    ))
-    if in_square and not in_modified:
-        raise InternalInconsistencyError("square ideal membership outside the larger ideal")
-
-    saito = saito_check(modified.generators, order, gb=gb_modified)
-    tests.append(_membership_record(
-        "saito_jacobian_determinant", "modified_jacobian_1", saito.jac_det,
-        yvars, None, saito.normal_form, order,
-    ))
-
-    doc["membership_tests"]["soundness_chain"] = {
-        "outside_modified_jacobian": not in_modified,
-        "outside_square_ideal": not in_square,
-        "chain_respected": (not in_modified) <= (not in_square),
+    witness = symmetric.entry(1, 1)
+    obstruction = obstruction_ideal(g)
+    gb_obstruction = buchberger(obstruction, order, track_cofactors=False, **cfg.caps())
+    nf = gb_obstruction.normal_form(witness)
+    section["obstruction"] = record = {
+        "witness": format_poly(witness, yvars, order),
+        "member": nf.is_zero(),
     }
-    doc["verdict"] = WITNESS_FOUND if not in_modified else INPUT_REJECTED
-    if in_modified:
-        info["rejection"] = {
-            "reason": "witness_membership",
-            "message": "the diagonal value fell inside the modified Jacobian ideal",
-        }
+    if nf.is_zero():
+        cofactors = buchberger(obstruction, order, **cfg.caps()).lift(witness)
+        record["cofactors"] = [format_poly(c, yvars, order) for c in cofactors]
+        return rejected(
+            "witness_membership",
+            "the diagonal value lies in (y1, g_2, ..., g_n)^2 + (g)",
+        )
+    delta = witness.homogeneous_degree(weights)
+    if delta is None:
+        raise InternalInconsistencyError("the diagonal value is not weighted homogeneous")
+    mu = order.leading_term(nf)[0]
+    functional = dual_functional(gb_obstruction, mu, monomials_of_degree(n, delta, weights))
+    record.update({
+        "degree": delta,
+        "functional": [
+            {"monomial": list(m), "value": format_fraction(c)}
+            for m, c in sorted(functional.items(), key=lambda t: order.key(t[0]), reverse=True)
+        ],
+        "value": format_fraction(nf.coefficient(mu)),
+    })
+    doc["verdict"] = WITNESS_FOUND
     return WitnessCertificate(doc)
 
 
@@ -544,7 +548,11 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
 
 
 def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
-    """All verification failures (empty list means the certificate is valid)."""
+    """All verification failures (empty list means the certificate is valid).
+
+    A document without the top-level keys raises CertificateError; data
+    of any other wrong shape, type or size is a failure, never a crash.
+    """
     doc = cert.document if isinstance(cert, WitnessCertificate) else cert
     missing = [k for k in ("schema", "input", "verdict") if k not in doc]
     if missing:
@@ -559,93 +567,52 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
             return _verify_witness(doc)
     except CertificateError:
         raise
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
-        # corrupted but well-shaped data: report invalid instead of crashing
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RuntimeError) as exc:
+        # corrupted data (RuntimeError covers a runaway replay hitting a
+        # resource cap and recursion on deep nesting): invalid, not a crash
         return [f"certificate data does not replay: {exc}"]
     return [f"unknown verdict {verdict!r}"]
 
 
-def _check_gb_record(name: str, record: dict, failures: list[str]) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Validate a recorded reduced basis by division and re-multiplication.
+def _recombines(texts: Sequence[str], gens: Sequence[Polynomial], variables, target: Polynomial) -> bool:
+    """Whether the recorded cofactors times the generators sum to target."""
+    cofs = [parse_poly(s, variables) for s in texts]
+    if len(cofs) != len(gens):
+        return False
+    total = Polynomial.zero(target.n)
+    for q, g in zip(cofs, gens):
+        if q:
+            total = total + q * g
+    return total == target
 
-    Checks: every basis element is a recorded combination of the generators,
-    every generator reduces to zero, every S-polynomial reduces to zero, and
-    the zero-dimensionality flag matches the leading monomials.  Together
-    these replay the Buchberger criterion without re-running the algorithm.
+
+def _check_gb_record(name: str, record: dict, failures: list[str]) -> list[Polynomial]:
+    """Replay a recorded reduced basis by division; returns its generators.
+
+    Checks: every generator reduces to zero, every S-polynomial reduces to
+    zero (pairs with coprime leading monomials always do, by Buchberger's
+    first criterion, and are skipped), and the zero-dimensionality flag
+    matches the leading monomials.
     """
     order = MonomialOrder(record["order"])
     variables = record["variables"]
     gens = [parse_poly(s, variables) for s in record["generators"]]
     basis = [parse_poly(s, variables) for s in record["basis"]]
-    cofs = [[parse_poly(s, variables) for s in row] for row in record["cofactors"]]
-    if len(cofs) != len(basis) or any(len(row) != len(gens) for row in cofs):
-        failures.append(f"{name}: cofactor matrix shape mismatch")
-        return gens, basis
-    n = gens[0].n if gens else 0
-    for idx, (b, row) in enumerate(zip(basis, cofs)):
-        total = Polynomial.zero(n)
-        for q, g in zip(row, gens):
-            total = total + q * g
-        if total != b:
-            failures.append(f"{name}: basis element {idx} is not the recorded combination of generators")
+    leading = [order.leading_term(b) for b in basis]
     for idx, g in enumerate(gens):
-        if not reduce_by_basis(g, basis, order).is_zero():
+        if not reduce_by_basis(g, basis, order, leading=leading).is_zero():
             failures.append(f"{name}: generator {idx} does not reduce to zero")
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
+            if all(a == 0 or b == 0 for a, b in zip(leading[i][0], leading[j][0])):
+                continue
             s = s_polynomial(basis[i], basis[j], order)
-            if not reduce_by_basis(s, basis, order).is_zero():
+            if not reduce_by_basis(s, basis, order, leading=leading).is_zero():
                 failures.append(f"{name}: S-polynomial ({i},{j}) does not reduce to zero")
-    leading = [order.leading_term(b)[0] for b in basis]
-    zero_dim = leading_terms_zero_dimensional(leading, n)
+    zero_dim = leading_terms_zero_dimensional([lm for lm, _ in leading], len(variables))
     if record.get("zero_dimensional") != zero_dim:
         failures.append(f"{name}: zero-dimensionality flag does not match the leading monomials")
-    return gens, basis
-
-
-def _check_membership_tests(doc: dict, failures: list[str]) -> dict:
-    """Validate all bases, then all membership records; returns parsed tests."""
-    section = doc.get("membership_tests") or {}
-    checked: dict[str, tuple[list[Polynomial], list[Polynomial]]] = {}
-    for key, record in (section.get("groebner_bases") or {}).items():
-        checked[key] = _check_gb_record(key, record, failures)
-    parsed = {}
-    for test in section.get("tests") or []:
-        name = test["name"]
-        basis_key = test["basis"]
-        if basis_key not in checked:
-            failures.append(f"{name}: references unknown basis {basis_key!r}")
-            continue
-        gens, basis = checked[basis_key]
-        record = section["groebner_bases"][basis_key]
-        order = MonomialOrder(record["order"])
-        variables = record["variables"]
-        p = parse_poly(test["polynomial"], variables)
-        if test["member"]:
-            if test.get("cofactors") is None:
-                failures.append(f"{name}: membership claim without cofactors")
-                continue
-            cofs = [parse_poly(s, variables) for s in test["cofactors"]]
-            if len(cofs) != len(gens):
-                failures.append(f"{name}: cofactor count mismatch")
-                continue
-            total = Polynomial.zero(p.n)
-            for q, g in zip(cofs, gens):
-                total = total + q * g
-            if total != p:
-                failures.append(f"{name}: cofactors do not re-multiply to the polynomial")
-        else:
-            if not basis:
-                failures.append(f"{name}: non-membership claim against an empty basis")
-                continue
-            nf = reduce_by_basis(p, basis, order)
-            if nf.is_zero():
-                failures.append(f"{name}: polynomial actually reduces to zero")
-            recorded = test.get("normal_form")
-            if recorded is None or parse_poly(recorded, variables) != nf:
-                failures.append(f"{name}: recorded normal form does not match the recomputation")
-        parsed[name] = (p, test)
-    return parsed
+    return gens
 
 
 def _verify_exhausted(doc: dict) -> list[str]:
@@ -660,13 +627,12 @@ def _check_jacobian_not_isolated(doc: dict, key: str, expected: list[Polynomial]
     """A recorded, replayed basis of the expected partials that is not
     zero-dimensional: the evidence behind a not-isolated claim."""
     failures: list[str] = []
-    record = (doc.get("membership_tests") or {}).get("groebner_bases", {}).get(key)
+    record = doc["membership_tests"].get("groebner_bases", {}).get(key)
     if record is None:
         return [f"rejection without the recorded basis {key!r}"]
-    _check_gb_record(key, record, failures)
+    gens = _check_gb_record(key, record, failures)
     if record.get("zero_dimensional"):
         failures.append(f"{key}: recorded basis is zero-dimensional; rejection unjustified")
-    gens = [parse_poly(s, record["variables"]) for s in record["generators"]]
     if gens != expected:
         failures.append(f"{key}: recorded generators are not the expected partials")
     return failures
@@ -724,6 +690,92 @@ def _verify_rejected(doc: dict) -> list[str]:
     return [f"unknown rejection reason {reason!r}"]
 
 
+def _check_isolation(section: dict, f: Polynomial, variables, order: MonomialOrder, failures: list[str]) -> None:
+    """Point 0 of the module docstring: one recorded element of J(f) per
+    variable, re-multiplied from its cofactors, leading with a pure power."""
+    records = section["isolation"]["pure_powers"]
+    partials = [f.partial(i) for i in range(1, f.n + 1)]
+    if len(records) != f.n:
+        failures.append(f"isolation: {len(records)} pure powers recorded for {f.n} variables")
+        return
+    for i, record in enumerate(records):
+        p = parse_poly(record["polynomial"], variables)
+        lm = None if p.is_zero() else order.leading_term(p)[0]
+        if lm is None or not sum(lm) == lm[i] > 0:
+            failures.append(f"isolation: element {i + 1} does not lead with a power of {variables[i]}")
+        if not _recombines(record["cofactors"], partials, variables, p):
+            failures.append(f"isolation: element {i + 1} is not the recorded combination of the partials")
+
+
+def _parse_functional(entries, n: int, delta: int, weights) -> dict[Exponent, Fraction]:
+    """The recorded dual vector as a map; every key is an exponent vector
+    of length n, no negative entry and weighted degree delta."""
+    out: dict[Exponent, Fraction] = {}
+    for entry in entries:
+        exp = entry["monomial"]
+        if (
+            not isinstance(exp, list) or len(exp) != n
+            or any(type(e) is not int or e < 0 for e in exp)
+            or sum(w * e for w, e in zip(weights, exp)) != delta
+        ):
+            raise ValueError(f"functional monomial {exp!r} is not an exponent vector of weighted degree {delta}")
+        if tuple(exp) in out:
+            raise ValueError(f"functional monomial {exp!r} is repeated")
+        out[tuple(exp)] = parse_fraction(entry["value"])
+    return out
+
+
+def _apply(functional: dict[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction:
+    """lambda(x^shift * p): one dot product over the terms of p."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        if shift is not None:
+            e = tuple(map(add, e, shift))
+        v = functional.get(e)
+        if v:
+            total += c * v
+    return total
+
+
+def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, weights, yvars,
+                       failures: list[str]) -> bool:
+    """Point 3 of the module docstring.  Returns whether the certificate
+    claims the witness lies in S; a claim is checked either way."""
+    if parse_poly(record["witness"], yvars) != witness:
+        failures.append("obstruction: recorded witness is not d1(y1) of the symmetric tuple")
+    gens = obstruction_ideal(g).generators
+    if record["member"] is True:
+        if not _recombines(record["cofactors"], gens, yvars, witness):
+            failures.append("obstruction: cofactors do not re-multiply to the witness")
+        return True
+    if record["member"] is not False:
+        failures.append("obstruction: membership flag is not a boolean")
+        return True
+    delta = None if witness.is_zero() else witness.homogeneous_degree(weights)
+    if delta is None or g.homogeneous_degree(weights) is None:
+        failures.append("obstruction: g and d1(y1) must be nonzero and weighted homogeneous")
+        return False
+    if record["degree"] != delta:
+        failures.append(f"obstruction: recorded degree is not {delta}, the weighted degree of d1(y1)")
+        return False
+    functional = _parse_functional(record["functional"], g.n, delta, weights)
+    for k, s in enumerate(gens):
+        # lambda(m s) is 0 unless some m t, t a term of s, is in the support
+        # of lambda: only those m need a dot product, and there are at most
+        # len(functional) * len(s) of them, whatever delta is
+        shifts = {tuple(map(sub, e, t)) for e in functional for t in s.terms}
+        for m in sorted(shifts):
+            if min(m) >= 0 and _apply(functional, s, m):
+                failures.append(f"obstruction: the functional does not vanish on monomial {list(m)} times generator {k}")
+                break
+    value = _apply(functional, witness)
+    if not value:
+        failures.append("obstruction: the functional vanishes on d1(y1)")
+    if parse_fraction(record["value"]) != value:
+        failures.append("obstruction: recorded value is not the functional at d1(y1)")
+    return False
+
+
 def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     failures: list[str] = []
     required = (
@@ -749,11 +801,18 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     n = f.n
     if info.get("degree") != degree or info.get("variable_count") != n:
         failures.append("recorded degree or variable count is wrong")
-    # certificates without the field predate weighted input: all weights 1
-    if info.get("weights", [1] * n) != list(weights):
+    if info.get("weights") != list(weights):
         failures.append("recorded weights are not the unique weights of the input")
     if euler_derivation(n, weights).apply(f) != f.scale(degree):
         failures.append("the weighted Euler derivation does not multiply f by its weighted degree")
+    section = doc["membership_tests"]
+    _check_isolation(section, f, variables, order, failures)
+    if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
+        failures.append("input flags must record the homogeneity of an isolated singularity")
+    # Milnor and Orlik (1970): an isolated quasi-homogeneous singularity has
+    # Milnor number prod(D / W_i - 1); no walk of a basis needed
+    if info.get("milnor_number") != math.prod(Fraction(degree, w) - 1 for w in weights):
+        failures.append("recorded Milnor number is not prod(D / W_i - 1)")
 
     change_doc = doc["change_of_coordinates"]
     yvars = change_doc["new_variables"]
@@ -773,50 +832,6 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     restriction = restrict_to_hyperplane(g)
     if parse_poly(change_doc["slice_restriction"], yvars[1:]) != restriction:
         failures.append("recorded slice restriction is wrong")
-
-    tests = _check_membership_tests(doc, failures)
-    bases = doc["membership_tests"]["groebner_bases"]
-
-    for key, expected_gens, gen_vars in (
-        ("input_jacobian", [f.partial(i) for i in range(1, n + 1)], variables),
-        ("slice_jacobian", [restriction.partial(i) for i in range(1, n)], yvars[1:]),
-        ("jacobian", [g.partial(i) for i in range(1, n + 1)], yvars),
-    ):
-        record = bases.get(key)
-        if record is None:
-            failures.append(f"missing recorded basis {key!r}")
-            continue
-        gens = [parse_poly(s, record["variables"]) for s in record["generators"]]
-        if gens != expected_gens:
-            failures.append(f"{key}: recorded generators are not the expected partials")
-        if key in ("input_jacobian", "slice_jacobian") and not record.get("zero_dimensional"):
-            failures.append(f"{key}: expected a zero-dimensional system")
-
-    if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
-        failures.append("input flags must record the homogeneity of an isolated singularity")
-    # Milnor and Orlik (1970): an isolated quasi-homogeneous singularity has
-    # Milnor number prod(D / W_i - 1); no walk of the recorded basis needed
-    if info.get("milnor_number") != math.prod(Fraction(degree, w) - 1 for w in weights):
-        failures.append("recorded Milnor number is not prod(D / W_i - 1)")
-
-    modified_record = bases.get("modified_jacobian_1")
-    if modified_record is None:
-        return failures + ["missing recorded basis 'modified_jacobian_1'"]
-    expected_modified = [g.partial(i) for i in range(1, n + 1)]
-    expected_modified[0] = Polynomial.variable(n, 1) ** 2
-    if [parse_poly(s, yvars) for s in modified_record["generators"]] != expected_modified:
-        failures.append("modified_jacobian_1: recorded generators are wrong")
-    if not modified_record.get("zero_dimensional"):
-        failures.append("modified_jacobian_1: system must be zero-dimensional for the criterion")
-
-    square_record = bases.get("square_1")
-    if square_record is None:
-        return failures + ["missing recorded basis 'square_1'"]
-    base_row = [g.partial(i) for i in range(1, n + 1)]
-    base_row[0] = Polynomial.variable(n, 1)
-    expected_square = [base_row[a] * base_row[b] for a in range(n) for b in range(a, n)]
-    if [parse_poly(s, yvars) for s in square_record["generators"]] != expected_square:
-        failures.append("square_1: recorded generators are not the pairwise products")
 
     # candidate tuple: cofactors of the Hessian's first row times the
     # weighted Euler images W_j y_j
@@ -838,6 +853,20 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
             failures.append(f"candidate derivation {i + 1} does not scale f by the recorded factor")
 
     candidate = DerivationTuple(tuple(Derivation1(tuple(r)) for r in candidate_images), g)
+    partials = [g.partial(i) for i in range(1, n + 1)]
+    tests = {test["name"]: test for test in section["tests"]}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            name = f"candidate_defect_{i}_{j}_in_jacobian"
+            if name not in tests:
+                failures.append(f"missing membership record {name}")
+                continue
+            p = parse_poly(tests[name]["polynomial"], yvars)
+            if p != candidate.defect(i, j):
+                failures.append(f"{name}: recorded polynomial is not the candidate defect")
+            if not _recombines(tests[name]["cofactors"], partials, yvars, p):
+                failures.append(f"{name}: cofactors do not re-multiply to the polynomial")
+
     ledger = tuple(
         Adjustment(m["target"], m["hamiltonian"][0], m["hamiltonian"][1], parse_poly(m["coefficient"], yvars))
         for m in doc["adjustments"]
@@ -869,46 +898,9 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     if not annihilates:
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            name = f"candidate_defect_{i}_{j}_in_jacobian"
-            if name not in tests:
-                failures.append(f"missing membership record {name}")
-                continue
-            p, test = tests[name]
-            if p != candidate.defect(i, j):
-                failures.append(f"{name}: recorded polynomial is not the candidate defect")
-            if not test["member"]:
-                failures.append(f"{name}: defect must be certified as a member")
-
-    witness_value = symmetric.entry(1, 1)
-    for name, expected_poly in (
-        ("witness_diagonal_vs_modified_jacobian", witness_value),
-        ("witness_diagonal_vs_square_ideal", witness_value),
-        ("saito_jacobian_determinant", determinant(jacobian_matrix(expected_modified))),
-    ):
-        if name not in tests:
-            failures.append(f"missing membership record {name}")
-            continue
-        p, test = tests[name]
-        if p != expected_poly:
-            failures.append(f"{name}: recorded polynomial is not the expected one")
-
-    chain = (doc.get("membership_tests") or {}).get("soundness_chain") or {}
-    in_modified = tests.get("witness_diagonal_vs_modified_jacobian", (None, {"member": True}))[1]["member"]
-    in_square = tests.get("witness_diagonal_vs_square_ideal", (None, {"member": True}))[1]["member"]
-    if chain.get("outside_modified_jacobian") != (not in_modified):
-        failures.append("soundness chain disagrees with the recorded modified-ideal verdict")
-    if chain.get("outside_square_ideal") != (not in_square):
-        failures.append("soundness chain disagrees with the recorded square-ideal verdict")
-    if in_square and not in_modified:
-        failures.append("containment violated: inside the square ideal but outside the ideal containing it")
-    saito_member = tests.get("saito_jacobian_determinant", (None, {"member": True}))[1]["member"]
-    if saito_member:
-        failures.append("Saito determinant recorded as a member; theorem violation")
-    expected_verdict = WITNESS_FOUND if not in_modified else INPUT_REJECTED
+    member = _check_obstruction(section["obstruction"], g, symmetric.entry(1, 1), weights, yvars, failures)
     if expect_witness and doc["verdict"] != WITNESS_FOUND:
         failures.append("verdict is not WITNESS_FOUND")
-    if doc["verdict"] != expected_verdict:
-        failures.append("verdict does not follow from the recorded memberships")
+    if doc["verdict"] != (INPUT_REJECTED if member else WITNESS_FOUND):
+        failures.append("verdict does not follow from the recorded obstruction")
     return failures

@@ -96,9 +96,6 @@ class Polynomial:
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
-
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -528,14 +525,18 @@ def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | No
     return tuple(v // common for v in ints), scale // common
 
 
-def monomials_of_degree(n: int, degree: int) -> list[Exponent]:
-    """All exponent tuples in n variables of the given total degree."""
+def monomials_of_degree(n: int, degree: int, weights: Sequence[int] | None = None) -> list[Exponent]:
+    """All exponent tuples in n variables of the given degree, the first
+    exponent descending; with ``weights`` (positive) the degree of x^e is
+    the weighted sum <e, weights>."""
     if n == 0:
         return [()] if degree == 0 else []
+    w = 1 if weights is None else weights[0]
     if n == 1:
-        return [(degree,)]
+        return [(degree // w,)] if degree % w == 0 and degree >= 0 else []
+    rest_weights = None if weights is None else weights[1:]
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(n - 1, degree - first):
+    for first in range(degree // w, -1, -1):
+        for rest in monomials_of_degree(n - 1, degree - first * w, rest_weights):
             out.append((first,) + rest)
     return out

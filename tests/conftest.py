@@ -57,17 +57,6 @@ def random_isolated(rng: random.Random, n: int, degree: int,
             return p
 
 
-def monomials_of_weighted_degree(weights, degree: int) -> list[tuple[int, ...]]:
-    """All exponents e with sum(weights[i] * e[i]) == degree."""
-    if not weights:
-        return [()] if degree == 0 else []
-    return [
-        (a,) + rest
-        for a in range(degree // weights[0], -1, -1)
-        for rest in monomials_of_weighted_degree(weights[1:], degree - a * weights[0])
-    ]
-
-
 def random_isolated_quasi_homogeneous(rng: random.Random, weights, degree: int,
                                       coeff_bound: int = 3) -> Polynomial:
     """A random isolated singularity of the given weights and weighted degree.
@@ -82,7 +71,7 @@ def random_isolated_quasi_homogeneous(rng: random.Random, weights, degree: int,
     }
     while True:
         terms = {}
-        for e in monomials_of_weighted_degree(tuple(weights), degree):
+        for e in monomials_of_degree(n, degree, weights):
             c = rng.randint(-coeff_bound, coeff_bound)
             if e in pure and c == 0:
                 c = rng.choice((-1, 1))

@@ -18,6 +18,7 @@ from nakai_forge.derivations import (
     compose2,
     euler_derivation,
     hamiltonian,
+    modified_jacobian_ideal,
     principal_cofactor,
     replay_ledger,
     square_obstruction_ideal,
@@ -352,10 +353,12 @@ def test_criterion_9_saito_criterion(corpus_certificates):
         saito = saito_check(jacobian_ideal(f).generators)
         assert saito.member is False, name
         checked += 1
-    # the recorded (y1^2, g_2, ..., g_n) systems from the criterion-6 runs
+    # the (y1^2, g_2, ..., g_n) systems of the recorded transformed polynomials
+    # from the criterion-6 runs
     for name, _, _, document in results:
-        record = document["membership_tests"]["groebner_bases"]["modified_jacobian_1"]
-        gens = tuple(parse_poly(s, record["variables"]) for s in record["generators"])
+        change = document["change_of_coordinates"]
+        g = parse_poly(change["transformed_polynomial"], change["new_variables"])
+        gens = modified_jacobian_ideal(g, 1).generators
         saito = saito_check(gens)
         assert saito.member is False, name
         checked += 1

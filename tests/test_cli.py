@@ -102,6 +102,16 @@ class TestWitnessAndVerify:
         assert code == 0
         assert "VALID" in out
 
+    def test_witness_prints_functional_value(self, capsys):
+        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--json")
+        obstruction = json.loads(out)["membership_tests"]["obstruction"]
+        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z")
+        assert code == 0
+        assert f"witness: d1(y1) = {obstruction['witness']}" in out
+        assert (f"lambda(d1(y1)) = {obstruction['value']} != 0 for a functional lambda on weighted degree "
+                f"{obstruction['degree']} that vanishes on (y1, g_2, ..., g_n)^2 + (g)") in out
+        assert "normal form" not in out
+
     def test_witness_json_stdout(self, capsys):
         code, out, _ = run(capsys, "witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--json")
         assert code == 0

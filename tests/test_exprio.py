@@ -190,14 +190,14 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 1},
+            "schema": {"name": "nakai-witness-certificate", "version": 2},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
             "candidate_tuple": None,
             "adjustments": [],
             "symmetric_tuple": None,
             "lifted_operator": None,
-            "membership_tests": {"groebner_bases": {}, "tests": []},
+            "membership_tests": {},
             "verdict": "INPUT_REJECTED",
         }
 
@@ -216,7 +216,8 @@ class TestCertificateIO:
         with pytest.raises(CertificateError, match="version"):
             write_certificate(doc)
         good = self._document()
-        payload = write_certificate(good).replace(b'"version": 1', b'"version": 2')
+        # schema 1 (row-tracked bases, no dual functional) is no longer read
+        payload = write_certificate(good).replace(b'"version": 2', b'"version": 1')
         with pytest.raises(CertificateError, match="version"):
             read_certificate(payload)
 

@@ -142,6 +142,19 @@ class TestLift:
         gb = buchberger(ideal("x^2", "y^2"))
         assert gb.lift(P("x*y*z")) is None
 
+    def test_untracked_basis_is_the_same_and_refuses_lift(self):
+        rng = random.Random(84)
+        from conftest import random_homogeneous
+
+        for _ in range(10):
+            gens = Ideal(tuple(random_homogeneous(rng, 3, rng.randint(2, 3)) for _ in range(3)))
+            tracked = buchberger(gens)
+            untracked = buchberger(gens, track_cofactors=False)
+            assert untracked.basis == tracked.basis and untracked.cofactors == ()
+            assert untracked.normal_form(P("x^3*y")) == tracked.normal_form(P("x^3*y"))
+            with pytest.raises(ValueError, match="without cofactor rows"):
+                untracked.lift(gens.generators[0])
+
     def test_soundness_random(self):
         rng = random.Random(83)
         from conftest import random_homogeneous, random_polynomial

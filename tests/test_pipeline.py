@@ -20,13 +20,15 @@ from nakai_forge.pipeline import (
     _gb_record,
     build_witness,
     certificate_failures,
+    dual_functional,
     generic_slice_search,
+    obstruction_ideal,
     restrict_to_hyperplane,
     saito_check,
     slice_change,
     verify_certificate,
 )
-from nakai_forge.poly import Polynomial
+from nakai_forge.poly import Polynomial, monomials_of_degree
 
 V3 = ["x", "y", "z"]
 
@@ -116,13 +118,13 @@ class TestBuildWitness:
         doc = cert.document
         assert doc["input"]["milnor_number"] == 8
         assert doc["input"]["degree"] == 3
-        witness = next(t for t in doc["membership_tests"]["tests"]
-                       if t["name"] == "witness_diagonal_vs_modified_jacobian")
-        assert not witness["member"]
-        square = next(t for t in doc["membership_tests"]["tests"]
-                      if t["name"] == "witness_diagonal_vs_square_ideal")
-        assert not square["member"]
-        assert doc["membership_tests"]["soundness_chain"]["chain_respected"]
+        obstruction = doc["membership_tests"]["obstruction"]
+        assert obstruction["member"] is False
+        assert obstruction["degree"] == 3 and obstruction["value"] != "0"
+        assert obstruction["functional"]
+        # one pure power per variable certifies isolation; no basis is recorded
+        assert len(doc["membership_tests"]["isolation"]["pure_powers"]) == 3
+        assert "groebner_bases" not in doc["membership_tests"]
 
     def test_paper_example(self):
         cert = build_witness(P(PAPER_F), V3)
@@ -202,8 +204,26 @@ class TestBuildWitness:
 
         cert = build_witness(P(FERMAT), V3, PipelineConfig(order=LEX))
         assert cert.verdict == WITNESS_FOUND
-        assert cert.document["membership_tests"]["groebner_bases"]["jacobian"]["order"] == "lex"
+        assert cert.document["input"]["config"]["order"] == "lex"
+        pure = cert.document["membership_tests"]["isolation"]["pure_powers"]
+        assert [r["polynomial"].split(" ")[0] for r in pure] == ["x^2", "y^2", "z^2"]
         assert verify_certificate(cert)
+
+    def test_witness_membership_path(self, monkeypatch):
+        # no known input puts d1(y1) inside S; the unit ideal in place of S
+        # runs the rejection branch and its replay
+        import nakai_forge.pipeline as pipeline
+
+        real = pipeline.obstruction_ideal
+        monkeypatch.setattr(pipeline, "obstruction_ideal", lambda g: Ideal((Polynomial.constant(g.n, 1),)))
+        cert = build_witness(P(FERMAT), V3)
+        assert cert.verdict == INPUT_REJECTED
+        assert cert.document["input"]["rejection"]["reason"] == "witness_membership"
+        obstruction = cert.document["membership_tests"]["obstruction"]
+        assert obstruction["member"] is True and obstruction["cofactors"] == [obstruction["witness"]]
+        assert verify_certificate(cert)
+        monkeypatch.setattr(pipeline, "obstruction_ideal", real)
+        assert certificate_failures(cert) == ["obstruction: cofactors do not re-multiply to the witness"]
 
     def test_dimension_cap(self):
         names = [f"x{i}" for i in range(1, 8)]
@@ -218,12 +238,12 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "a7bc8f101202d5cd93bf59ecc67ccc98f4bde8170395b4c4cf6f6be81a1af435",
-    "fermat-cubic": "e16b295500edc28ced6205c1d0a7e10274dcedab13afc807098037c748dcebf4",
-    "fermat-quartic": "9af27f26b028a4cb4ccfa5f8cbf0eafbe5803e41b4b177137dc748920b741452",
-    "fermat-cubic-4": "fdee2d0d326573d4f42b053dffcde5c812860431a08596bab55412d72869cc07",
-    "brieskorn-2-3-4": "b87b820a6165f99e268dc7ffa707ee9c6c02f1fa93de2d883c7f37ffd958ac68",
-    "brieskorn-3-3-4": "3efe249e6a0a94b12867a678def211652967b8ec4ce487556169e0852f3b10da",
+    "cyclic-cubic": "9cd36fb9532ab6815f3cd9537d3fbf83760ec493d25d36ea507a2d346b349c8f",
+    "fermat-cubic": "598d3e73c9f294e088befa102fbd750ab496e05aa8d4313869e4cd6694319574",
+    "fermat-quartic": "76d3cbf0c921edee01be3801196bc9e350c74fb7d0383dc7bb7edeca8c923e60",
+    "fermat-cubic-4": "f26bc7d1dc31d6fec3835e80004d1f986c8e698017770f582dd77ffd60266de4",
+    "brieskorn-2-3-4": "a5a4dc54c5729e2cdd3554501b6165892bf4508a38e44cf739a29c501aced951",
+    "brieskorn-3-3-4": "94cf0e00c583345477621bdab5a88828eeb90e6fef2b5ef21eecc7d884a0c16c",
 }
 
 
@@ -259,10 +279,17 @@ class TestVerifyCertificate:
             assert not verify_certificate(WitnessCertificate(doc))
 
     def test_tampered_basis(self):
-        cert = self._fermat_cert()
+        # only rejections record a basis, without cofactor rows: the replay
+        # must catch an element under which a generator no longer reduces
+        cert = build_witness(P("x^2*y"), V3)
         doc = json.loads(write_certificate(cert.document))
-        doc["membership_tests"]["groebner_bases"]["modified_jacobian_1"]["basis"][0] = "y1"
-        assert not verify_certificate(WitnessCertificate(doc))
+        assert doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"] == ["x^2", "x*y"]
+        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"][0] = "y^2"
+        assert certificate_failures(WitnessCertificate(doc)) == ["input_jacobian: generator 1 does not reduce to zero"]
+        # (x) contains the Jacobian ideal and is positive-dimensional, so
+        # replacing x^2 by x leaves a sound proof of the rejection
+        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"][0] = "x"
+        assert verify_certificate(WitnessCertificate(doc))
 
     def test_tampered_verdict(self):
         cert = build_witness(P("x^2*y"), V3)
@@ -277,12 +304,10 @@ class TestVerifyCertificate:
         assert not verify_certificate(WitnessCertificate(doc))
 
     def test_tampered_normal_form(self):
+        # the recorded lambda(d1(y1)) replaces the recorded normal form
         cert = self._fermat_cert()
         doc = json.loads(write_certificate(cert.document))
-        for test in doc["membership_tests"]["tests"]:
-            if not test["member"]:
-                test["normal_form"] = "1"
-                break
+        doc["membership_tests"]["obstruction"]["value"] = "1"
         assert not verify_certificate(WitnessCertificate(doc))
 
     def test_long_power_refused(self, tmp_path):
@@ -304,8 +329,17 @@ class TestVerifyCertificate:
 
     def test_tampered_input_basis_fails_fast(self, tmp_path):
         # the recorded Milnor number is checked against prod(D / W_i - 1), not
-        # by walking the standard monomials of the (here forged) basis
+        # by walking the standard monomials of the (here forged) pure powers
         doc = json.loads(write_certificate(self._fermat_cert().document))
+        for record, name in zip(doc["membership_tests"]["isolation"]["pure_powers"], V3):
+            record["polynomial"] = f"{name}^300"
+        start = time.perf_counter()
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert time.perf_counter() - start < 5
+        assert any(f.startswith("isolation:") for f in failures)
+        assert _cli_verify(doc, tmp_path) == 4
+        # a rejection's basis, forged the same way, is replayed as quickly
+        doc = json.loads(write_certificate(build_witness(P("x^2*y"), V3).document))
         doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"] = ["x^300", "y^300", "z^300"]
         start = time.perf_counter()
         failures = certificate_failures(WitnessCertificate(doc))
@@ -348,21 +382,98 @@ class TestVerifyCertificate:
             0, "y1"))
         corrupt("operator coefficient", lambda d: d["lifted_operator"]["coefficients"].__setitem__(
             0, {"index": [1, 0, 0], "value": "y1^2"}))
-        corrupt("basis element", lambda d: d["membership_tests"]["groebner_bases"]
-                ["jacobian"]["basis"].__setitem__(0, "y1"))
-        corrupt("basis cofactor", lambda d: d["membership_tests"]["groebner_bases"]
-                ["jacobian"]["cofactors"][0].__setitem__(0, "y2"))
-        corrupt("zero-dim flag", lambda d: d["membership_tests"]["groebner_bases"]
-                ["modified_jacobian_1"].__setitem__("zero_dimensional", False))
-        corrupt("membership flag", lambda d: next(
-            t for t in d["membership_tests"]["tests"]
-            if t["name"] == "witness_diagonal_vs_modified_jacobian"
-        ).__setitem__("member", True))
-        corrupt("membership cofactors", lambda d: next(
-            t for t in d["membership_tests"]["tests"] if t["member"]
-        )["cofactors"].__setitem__(0, "y3"))
-        corrupt("soundness chain", lambda d: d["membership_tests"]["soundness_chain"].__setitem__(
-            "outside_modified_jacobian", False))
+        corrupt("pure power element", lambda d: d["membership_tests"]["isolation"]
+                ["pure_powers"][0].__setitem__("polynomial", "x^2 + y^2"))
+        corrupt("pure power cofactor", lambda d: d["membership_tests"]["isolation"]
+                ["pure_powers"][0]["cofactors"].__setitem__(0, "y"))
+        corrupt("pure power variable", lambda d: d["membership_tests"]["isolation"]
+                ["pure_powers"].reverse())
+        corrupt("obstruction membership flag", lambda d: d["membership_tests"]["obstruction"]
+                .__setitem__("member", True))
+        corrupt("membership cofactors", lambda d: d["membership_tests"]["tests"][0]
+                ["cofactors"].__setitem__(0, "y3"))
+        corrupt("obstruction witness", lambda d: d["membership_tests"]["obstruction"]
+                .__setitem__("witness", "y1^3"))
+        corrupt("obstruction value", lambda d: d["membership_tests"]["obstruction"]
+                .__setitem__("value", "-" + d["membership_tests"]["obstruction"]["value"]))
+
+
+class TestDualFunctional:
+    """Tampering with lambda, the dual vector that certifies d1(y1) outside
+    S = (y1, g_2, ..., g_n)^2 + (g); every forgery must make verify exit 4."""
+
+    @staticmethod
+    def _doc(text=PAPER_F):
+        return json.loads(write_certificate(build_witness(P(text), V3).document))
+
+    def test_zeroed_entry(self, tmp_path):
+        for k in range(len(self._doc()["membership_tests"]["obstruction"]["functional"])):
+            doc = self._doc()
+            doc["membership_tests"]["obstruction"]["functional"][k]["value"] = "0"
+            assert _cli_verify(doc, tmp_path) == 4, k
+
+    def test_flipped_entry(self, tmp_path):
+        for k in range(len(self._doc()["membership_tests"]["obstruction"]["functional"])):
+            doc = self._doc()
+            entry = doc["membership_tests"]["obstruction"]["functional"][k]
+            entry["value"] = format_fraction(-Fraction(entry["value"]))
+            assert _cli_verify(doc, tmp_path) == 4, k
+
+    def test_wrong_degree(self, tmp_path):
+        doc = self._doc()
+        obstruction = doc["membership_tests"]["obstruction"]
+        obstruction["degree"] += 1
+        assert _cli_verify(doc, tmp_path) == 4
+        assert any("recorded degree" in f for f in certificate_failures(WitnessCertificate(doc)))
+        # a forged degree with monomials to match is refused before anything
+        # is enumerated, however large it is
+        obstruction["degree"] = 10**9
+        obstruction["functional"] = [{"monomial": [10**9, 0, 0], "value": "1"}]
+        start = time.perf_counter()
+        assert _cli_verify(doc, tmp_path) == 4
+        assert time.perf_counter() - start < 5
+
+    def test_forged_high_degree_witness_is_fast(self, tmp_path):
+        # d1(y1) forged to y1^1000000 with a functional to match: the check
+        # tries only shifts into the functional's support, never the
+        # monomials of degree 10^6
+        doc = self._doc(FERMAT)
+        doc["symmetric_tuple"]["images"][0][0] = "y1^1000000"
+        doc["membership_tests"]["obstruction"].update({
+            "witness": "y1^1000000", "degree": 1000000, "value": "1",
+            "functional": [{"monomial": [1000000, 0, 0], "value": "1"}],
+        })
+        start = time.perf_counter()
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert time.perf_counter() - start < 5
+        assert any("does not vanish on monomial [999998, 0, 0] times generator 0" in f for f in failures)
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("monomial", [[1, 1], [1, 1, 1, 0], [-1, 2, 2], [1, 1, 2], [1.0, 1, 1], [True, 1, 1], "y1^3"])
+    def test_malformed_monomial(self, monomial, tmp_path):
+        doc = self._doc()
+        doc["membership_tests"]["obstruction"]["functional"][0]["monomial"] = monomial
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_kills_modified_ideal_but_not_g(self, tmp_path):
+        # cyclic-cubic: d1(y1) lies in (y1^2, g_2, g_3) + (g) but not in
+        # (y1^2, g_2, g_3).  A functional read off the modified ideal's basis
+        # kills (y1^2, g_2, g_3), which contains the square ideal, and not
+        # d1(y1), so it must fail to kill some multiple of g.
+        doc = self._doc()
+        yvars = doc["change_of_coordinates"]["new_variables"]
+        g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
+        obstruction = doc["membership_tests"]["obstruction"]
+        witness = parse_poly(obstruction["witness"], yvars)
+        gb = buchberger(modified_jacobian_ideal(g, 1))
+        nf = gb.normal_form(witness)
+        mu = max(nf.terms, key=gb.order.key)
+        forged = dual_functional(gb, mu, monomials_of_degree(3, obstruction["degree"]))
+        obstruction["functional"] = [{"monomial": list(m), "value": format_fraction(c)} for m, c in forged.items()]
+        obstruction["value"] = format_fraction(nf.coefficient(mu))
+        assert _cli_verify(doc, tmp_path) == 4
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert failures and all("generator 6" in f for f in failures), failures
 
 
 BRIESKORN = [("x^2 + y^3 + z^4", [6, 4, 3], 6), ("x^3 + y^3 + z^4", [4, 4, 3], 12)]
@@ -466,9 +577,9 @@ class TestQuasiHomogeneous:
 class TestObstructionModuloF:
     """Operators on A = Q[y]/(g) are defined modulo (g), so the composition
     argument needs the witness d1(y1) outside (y1, g_2, .., g_n)^2 + (g).
-    The certificate records memberships in the polynomial ring only; these
-    tests pin the stronger fact on the built-in corpus, and the cyclic-cubic
-    case where the recorded modified-ideal test says nothing in A."""
+    The certificate's functional proves that; these tests check the same
+    fact by Groebner membership on the built-in corpus, and pin the
+    cyclic-cubic case where a test without (g) would say nothing in A."""
 
     @staticmethod
     def _witness(name):
@@ -476,20 +587,33 @@ class TestObstructionModuloF:
         doc = build_witness(parse_poly(text, variables), variables).document
         yvars = doc["change_of_coordinates"]["new_variables"]
         g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
-        test = next(t for t in doc["membership_tests"]["tests"]
-                    if t["name"] == "witness_diagonal_vs_modified_jacobian")
-        return g, parse_poly(test["polynomial"], yvars)
+        return g, parse_poly(doc["membership_tests"]["obstruction"]["witness"], yvars), doc
 
     @pytest.mark.parametrize("name", [
         "fermat-cubic", "fermat-quartic", "cyclic-cubic", "brieskorn-2-3-4", "brieskorn-3-3-4",
     ])
     def test_witness_outside_square_ideal_modulo_f(self, name):
-        g, witness = self._witness(name)
+        g, witness, _ = self._witness(name)
         square_mod_g = Ideal(square_obstruction_ideal(g, 1).generators + (g,))
         assert not buchberger(square_mod_g).contains(witness)
 
     def test_cyclic_cubic_modified_ideal_gap(self):
-        g, witness = self._witness("cyclic-cubic")
+        g, witness, _ = self._witness("cyclic-cubic")
         modified = modified_jacobian_ideal(g, 1)
         assert not buchberger(modified).contains(g)
         assert buchberger(Ideal(modified.generators + (g,))).contains(witness)
+
+    def test_cyclic_cubic_functional_kills_multiples_of_g(self):
+        # the recorded lambda vanishes on g * m for every monomial m of the
+        # complementary weighted degree: the part a test without (g) misses
+        g, witness, doc = self._witness("cyclic-cubic")
+        obstruction = doc["membership_tests"]["obstruction"]
+        functional = {tuple(e["monomial"]): Fraction(e["value"]) for e in obstruction["functional"]}
+        delta = obstruction["degree"]
+        assert delta == witness.homogeneous_degree() == 3 == g.homogeneous_degree()
+        for m in monomials_of_degree(3, delta - 3):
+            product = g.mul_monomial(m)
+            assert sum(c * functional.get(e, 0) for e, c in product.terms.items()) == 0
+        value = sum(c * functional.get(e, 0) for e, c in witness.terms.items())
+        assert value != 0 and format_fraction(value) == obstruction["value"]
+        assert obstruction_ideal(g).generators[-1] == g

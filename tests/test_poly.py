@@ -159,6 +159,14 @@ class TestDegrees:
         assert P("x^2 + y^3 + z^4").homogeneous_degree((6, 4, 3)) == 12
         assert P("x^2 + y^3 + z^4").homogeneous_degree((1, 1, 1)) is None
 
+    def test_monomials_of_weighted_degree(self):
+        assert monomials_of_degree(3, 12, (6, 4, 3)) == [(2, 0, 0), (1, 0, 2), (0, 3, 0), (0, 0, 4)]
+        assert monomials_of_degree(2, 7, (2, 4)) == []
+        assert monomials_of_degree(3, 2, (1, 1, 1)) == monomials_of_degree(3, 2)
+        for e in monomials_of_degree(4, 11, (3, 2, 2, 1)):
+            assert 3 * e[0] + 2 * e[1] + 2 * e[2] + e[3] == 11
+        assert len(monomials_of_degree(4, 11, (3, 2, 2, 1))) == len(set(monomials_of_degree(4, 11, (3, 2, 2, 1))))
+
     def test_min_degree(self):
         assert P("x^2 + y^3 + z^4").min_degree() == 2
         assert P("x + y^2").min_degree() == 1

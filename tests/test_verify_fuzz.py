@@ -1,0 +1,129 @@
+"""Seeded fuzzing of `verify` on a valid fermat-cubic certificate.
+
+The verifier treats a certificate as untrusted input.  Every mutation here
+(a deleted field, a value swapped for one of another type, a flipped byte)
+must end in exit 0 (still valid), 2 (not a certificate document) or 4
+(invalid): never a traceback, and never a hang.
+"""
+
+import json
+import random
+import signal
+import time
+
+import pytest
+
+from nakai_forge.cli import main as cli_main
+from nakai_forge.exprio import parse_poly, write_certificate
+from nakai_forge.pipeline import build_witness
+
+SEED = 70707
+MUTATIONS = 120  # per kind
+SECONDS_PER_VERIFY = 10  # a fermat-cubic certificate verifies in ~10 ms
+SWAPS = (7, -1, 2.5, "y1", "", None, True, [], {}, ["y1"], {"y1": 1}, 10**40)
+
+
+@pytest.fixture(scope="module")
+def certificate() -> bytes:
+    variables = ["x", "y", "z"]
+    return write_certificate(build_witness(parse_poly("x^3 + y^3 + z^3", variables), variables).document)
+
+
+def _containers(node, path=()):
+    """Every dict and list in the document with its path, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+def _slots(doc):
+    """(container, key) for every value in the document."""
+    out = []
+    for _, node in _containers(doc):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        out.extend((node, k) for k in keys)
+    return out
+
+
+def _delete_field(rng, doc):
+    node, key = rng.choice(_slots(doc))
+    del node[key]
+
+
+def _swap_type(rng, doc):
+    node, key = rng.choice(_slots(doc))
+    node[key] = rng.choice([v for v in SWAPS if type(v) is not type(node[key])])
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise _Timeout("verify did not finish in time")
+
+
+def _verify_exit(data: bytes, tmp_path) -> int:
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(SECONDS_PER_VERIFY)
+    try:
+        return cli_main(["verify", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mutate", [_delete_field, _swap_type], ids=["delete", "type-swap"])
+def test_document_mutations(mutate, certificate, tmp_path, capsys):
+    rng = random.Random(SEED)
+    start = time.perf_counter()
+    codes = set()
+    for k in range(MUTATIONS):
+        doc = json.loads(certificate)
+        mutate(rng, doc)
+        code = _verify_exit(json.dumps(doc).encode(), tmp_path)
+        assert code in (0, 2, 4), (k, code)
+        codes.add(code)
+    capsys.readouterr()
+    assert 4 in codes
+    assert time.perf_counter() - start < 60
+
+
+def test_byte_flips(certificate, tmp_path, capsys):
+    rng = random.Random(SEED)
+    start = time.perf_counter()
+    codes = set()
+    for k in range(MUTATIONS):
+        data = bytearray(certificate)
+        pos = rng.randrange(len(data))
+        data[pos] ^= 1 << rng.randrange(8)
+        code = _verify_exit(bytes(data), tmp_path)
+        assert code in (0, 2, 4), (k, pos, code)
+        codes.add(code)
+    capsys.readouterr()
+    assert {2, 4} <= codes
+    assert time.perf_counter() - start < 60
+
+
+@pytest.mark.parametrize("path, value", [
+    (("membership_tests",), 7),
+    (("membership_tests", "obstruction"), "y1"),
+    (("membership_tests", "isolation"), 7),
+    (("membership_tests", "tests"), None),
+    (("change_of_coordinates", "slice_coefficients"), ["1e999999999", "0", "0"]),
+    (("input", "variables"), 7),
+    (("input",), []),
+])
+def test_wrong_types_exit_4(path, value, certificate, tmp_path, capsys):
+    # a wrong type anywhere, and a rational with an exponent, is invalid data
+    doc = json.loads(certificate)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
+    assert "INVALID" in capsys.readouterr().out
