@@ -326,7 +326,7 @@ def parse_fraction(text: str) -> Fraction:
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 REQUIRED_KEYS = (
     "schema",

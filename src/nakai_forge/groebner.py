@@ -443,17 +443,11 @@ def reduce_by_basis(
     basis: Sequence[Polynomial],
     order: MonomialOrder,
     max_terms: int = 10_000_000,
-    leading: Sequence[tuple[Exponent, Fraction]] | None = None,
 ) -> Polynomial:
-    """Fully reduce p against an explicit polynomial list (certificate replay).
-
-    ``leading`` holds the basis elements' leading terms when the caller
-    reduces many polynomials by one list; otherwise they are found here.
-    """
+    """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    if leading is None:
-        leading = [order.leading_term(b) for b in basis]
+    leading = [order.leading_term(b) for b in basis]
     _, remainder = _divide_tracked(p, basis, leading, order, max_terms)
     return remainder
 

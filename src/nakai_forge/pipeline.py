@@ -56,6 +56,22 @@ iff f is quasi-homogeneous).  Soundness rests on:
    complementary weighted degree (these m s span the degree-delta part of
    S; lambda(m s) is trivially 0 unless m times a term of s lies in the
    support of lambda, so only those m are tried), and lambda(d_1(y_1)) != 0.
+4. Rejections not_isolated and no_isolating_slice claim that a Jacobian
+   ideal J = (h_1, ..., h_m) is positive-dimensional: that of f (m = n), or
+   that of the restriction of f to x_1 = 0 (m = n - 1, weights W_2..W_n).
+   Each h_i is zero or weighted homogeneous of degree D - W_i.  Were J
+   zero-dimensional, h_1, ..., h_m would be a regular sequence (m
+   generators in m variables), so the Hilbert series of Q[x]/J would be
+   prod (1 - T^(D - W_i)) / (1 - T^(W_i)) (Stanley 1978): a polynomial of
+   degree s = sum (D - 2 W_i), the sum over the m variables, and J would
+   contain every monomial of weighted degree t > s.  The certificate
+   records a nonzero functional lambda on the monomials of one weighted
+   degree t > s; the verifier checks lambda(m h_i) = 0 for every i and
+   every monomial m of the complementary degree, as in point 3.  So J
+   misses part of degree t and is positive-dimensional.  The builder takes
+   the first variable x_i with no pure power among the leading monomials
+   of the reduced basis of J and the least t = k W_i >= 0 above s; mu = x_i^k
+   is then standard, and lambda(m) = coefficient of mu in NF(m).
 
 The slice search also requires the restriction of g to y_1 = 0 to be an
 isolated singularity.  That is a builder heuristic: it makes
@@ -64,13 +80,6 @@ outside S, but no step above uses it, so witness certificates do not
 record it.  When the no-op slice fails and no other variable shares the
 weight of x_1, no admissible slice exists and the input is rejected with
 the reason no_isolating_slice.
-
-Rejections not_isolated and no_isolating_slice record a reduced basis G of
-the Jacobian ideal J in question, without cofactor rows.  Every generator
-of J reduces to zero by G, so J lies in (G); every S-polynomial of G
-reduces to zero, so G is a Groebner basis and LT((G)) is generated by the
-leading monomials of G; one variable has no pure power among them, so (G),
-and with it J, is positive-dimensional.
 """
 
 from __future__ import annotations
@@ -80,7 +89,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, le, sub
 from typing import Sequence
 
 from .derivations import (
@@ -115,9 +124,6 @@ from .groebner import (
     ResourceLimitExceeded,
     buchberger,
     jacobian_ideal,
-    leading_terms_zero_dimensional,
-    reduce_by_basis,
-    s_polynomial,
 )
 from .minors import PolyMatrix, algebraic_cofactor, determinant, hessian
 from .poly import Exponent, LinearChange, Polynomial, monomials_of_degree, quasi_homogeneous_weights
@@ -299,22 +305,23 @@ def saito_check(
     return SaitoReport(det, member, nf, gb)
 
 
+def milnor_number(weights: Sequence[int], degree: int) -> Fraction:
+    """prod(D / W_i - 1), the Milnor number of an isolated quasi-homogeneous
+    singularity (Milnor and Orlik 1970)."""
+    return math.prod(Fraction(degree, w) - 1 for w in weights)
+
+
+def _top_degree(weights: Sequence[int], degree: int) -> int:
+    """s = sum(D - 2 W_i): the degree of the Hilbert series of the quotient
+    by a zero-dimensional Jacobian ideal (point 4 of the module docstring)."""
+    return sum(degree - 2 * w for w in weights)
+
+
 # -- certificate assembly -------------------------------------------------
 
 
 def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
-
-
-def _gb_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
-    """A reduced basis without cofactor rows: the evidence of a rejection."""
-    return {
-        "order": gb.order.kind,
-        "variables": list(variables),
-        "generators": [format_poly(g, variables, gb.order) for g in gb.source.generators],
-        "basis": [format_poly(g, variables, gb.order) for g in gb.basis],
-        "zero_dimensional": gb.is_zero_dimensional(),
-    }
 
 
 def _combination_record(p: Polynomial, cofactors: Sequence[Polynomial], variables, order) -> dict:
@@ -344,13 +351,53 @@ def obstruction_ideal(g: Polynomial) -> Ideal:
 def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
     """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
     given monomial m; zero values are left out.  The normal form is linear
-    and vanishes on the ideal, so lambda does too."""
-    out = {}
-    for m in monomials:
-        c = gb.normal_form(Polynomial.monomial(gb.n, m)).coefficient(mu)
-        if c:
-            out[m] = c
-    return out
+    and vanishes on the ideal, so lambda does too.
+
+    The monomials must be all those of one weighted degree, and the basis
+    weighted homogeneous.  One pass in ascending order: a standard m has
+    lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
+    b whose leading term c_lm x^lm divides m; NF(m) = NF(m - x^(m-lm) b / c_lm),
+    so lambda(m) = -(1/c_lm) sum c_t lambda(x^t x^(m-lm)) over the other terms
+    c_t x^t of b, each at a smaller monomial of the same degree.
+    """
+    order = gb.order
+    leading = [order.leading_term(b) for b in gb.basis]
+    values: dict[Exponent, Fraction] = {}
+    for m in sorted(monomials, key=order.key):
+        k = next((k for k, (lm, _) in enumerate(leading) if all(map(le, lm, m))), None)
+        if k is None:
+            values[m] = Fraction(m == mu)
+            continue
+        lm, lc = leading[k]
+        shift = tuple(map(sub, m, lm))
+        total = Fraction(0)
+        for t, c in gb.basis[k].terms.items():
+            if t != lm:
+                v = values[tuple(map(add, t, shift))]
+                if v:
+                    total += c * v
+        values[m] = -total / lc
+    return {m: v for m, v in values.items() if v}
+
+
+def _functional_entries(functional: dict[Exponent, Fraction], order: MonomialOrder) -> list[dict]:
+    return [
+        {"monomial": list(m), "value": format_fraction(c)}
+        for m, c in sorted(functional.items(), key=lambda t: order.key(t[0]), reverse=True)
+    ]
+
+
+def _positive_dimension_record(gb: GroebnerBasis, weights: Sequence[int], degree: int) -> dict:
+    """Point 4 of the module docstring: the functional of the standard
+    monomial mu = x_i^k, x_i the first variable with no pure power among the
+    leading monomials of gb, on the least weighted degree k W_i above s."""
+    leading = gb.leading_monomials()
+    i = next(i for i in range(gb.n) if all(sum(lm) != lm[i] for lm in leading))
+    # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
+    k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
+    mu = tuple(k if j == i else 0 for j in range(gb.n))
+    functional = dual_functional(gb, mu, monomials_of_degree(gb.n, k * weights[i], weights))
+    return {"degree": k * weights[i], "functional": _functional_entries(functional, gb.order)}
 
 
 def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) -> dict:
@@ -425,15 +472,17 @@ def build_witness(
     gb_input = buchberger(jacobian_ideal(f), order, **cfg.caps())
     if not gb_input.is_zero_dimensional():
         info["isolated"] = False
-        section["groebner_bases"] = {"input_jacobian": _gb_record(gb_input, variables)}
+        section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(gb_input, weights, degree)}
         return rejected("not_isolated", "the Jacobian ideal is not zero-dimensional")
     info["isolated"] = True
-    info["milnor_number"] = gb_input.quotient_dimension()
+    info["milnor_number"] = int(milnor_number(weights, degree))
 
     try:
         chosen = generic_slice_search(f, cfg)
     except NoIsolatingSlice as exc:
-        section["groebner_bases"] = {"slice_jacobian": _gb_record(exc.gb, variables[1:])}
+        section["positive_dimension"] = {
+            "slice_jacobian": _positive_dimension_record(exc.gb, weights[1:], degree)
+        }
         return rejected(
             "no_isolating_slice",
             f"the restriction to {variables[0]} = 0 is not an isolated singularity and no other "
@@ -525,10 +574,7 @@ def build_witness(
     functional = dual_functional(gb_obstruction, mu, monomials_of_degree(n, delta, weights))
     record.update({
         "degree": delta,
-        "functional": [
-            {"monomial": list(m), "value": format_fraction(c)}
-            for m, c in sorted(functional.items(), key=lambda t: order.key(t[0]), reverse=True)
-        ],
+        "functional": _functional_entries(functional, order),
         "value": format_fraction(nf.coefficient(mu)),
     })
     doc["verdict"] = WITNESS_FOUND
@@ -586,35 +632,6 @@ def _recombines(texts: Sequence[str], gens: Sequence[Polynomial], variables, tar
     return total == target
 
 
-def _check_gb_record(name: str, record: dict, failures: list[str]) -> list[Polynomial]:
-    """Replay a recorded reduced basis by division; returns its generators.
-
-    Checks: every generator reduces to zero, every S-polynomial reduces to
-    zero (pairs with coprime leading monomials always do, by Buchberger's
-    first criterion, and are skipped), and the zero-dimensionality flag
-    matches the leading monomials.
-    """
-    order = MonomialOrder(record["order"])
-    variables = record["variables"]
-    gens = [parse_poly(s, variables) for s in record["generators"]]
-    basis = [parse_poly(s, variables) for s in record["basis"]]
-    leading = [order.leading_term(b) for b in basis]
-    for idx, g in enumerate(gens):
-        if not reduce_by_basis(g, basis, order, leading=leading).is_zero():
-            failures.append(f"{name}: generator {idx} does not reduce to zero")
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if all(a == 0 or b == 0 for a, b in zip(leading[i][0], leading[j][0])):
-                continue
-            s = s_polynomial(basis[i], basis[j], order)
-            if not reduce_by_basis(s, basis, order, leading=leading).is_zero():
-                failures.append(f"{name}: S-polynomial ({i},{j}) does not reduce to zero")
-    zero_dim = leading_terms_zero_dimensional([lm for lm, _ in leading], len(variables))
-    if record.get("zero_dimensional") != zero_dim:
-        failures.append(f"{name}: zero-dimensionality flag does not match the leading monomials")
-    return gens
-
-
 def _verify_exhausted(doc: dict) -> list[str]:
     failures: list[str] = []
     change = doc.get("change_of_coordinates") or {}
@@ -623,19 +640,19 @@ def _verify_exhausted(doc: dict) -> list[str]:
     return failures
 
 
-def _check_jacobian_not_isolated(doc: dict, key: str, expected: list[Polynomial]) -> list[str]:
-    """A recorded, replayed basis of the expected partials that is not
-    zero-dimensional: the evidence behind a not-isolated claim."""
-    failures: list[str] = []
-    record = doc["membership_tests"].get("groebner_bases", {}).get(key)
+def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], weights, degree: int) -> list[str]:
+    """Point 4 of the module docstring: a nonzero functional on a weighted
+    degree t > s that vanishes on every multiple of every partial."""
+    record = doc["membership_tests"].get("positive_dimension", {}).get(key)
     if record is None:
-        return [f"rejection without the recorded basis {key!r}"]
-    gens = _check_gb_record(key, record, failures)
-    if record.get("zero_dimensional"):
-        failures.append(f"{key}: recorded basis is zero-dimensional; rejection unjustified")
-    if gens != expected:
-        failures.append(f"{key}: recorded generators are not the expected partials")
-    return failures
+        return [f"rejection without the positive-dimension record {key!r}"]
+    s = _top_degree(weights, degree)
+    t = record["degree"]
+    if type(t) is not int or t <= s:
+        return [f"{key}: recorded degree {t!r} is not an integer above s = {s}"]
+    functional = _parse_functional(record["functional"], len(weights), t, weights)
+    failures = [] if any(functional.values()) else [f"{key}: the functional is zero"]
+    return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
 
 
 def _verify_rejected(doc: dict) -> list[str]:
@@ -661,7 +678,7 @@ def _verify_rejected(doc: dict) -> list[str]:
         return failures
     if found is None:
         return ["input has no unique positive weight vector but the rejection reason disagrees"]
-    weights = found[0]
+    weights, degree = found
     if reason == "degree_too_small":
         if f.min_degree() >= 2:
             failures.append("rejection says degree too small but every term has degree at least 2")
@@ -675,15 +692,15 @@ def _verify_rejected(doc: dict) -> list[str]:
             failures.append("rejection cites the dimension cap but the input fits it")
         return failures
     if reason == "not_isolated":
-        return _check_jacobian_not_isolated(
-            doc, "input_jacobian", [f.partial(i) for i in range(1, f.n + 1)]
+        return _check_positive_dimension(
+            doc, "input_jacobian", [f.partial(i) for i in range(1, f.n + 1)], weights, degree
         )
     if reason == "no_isolating_slice":
         if any(w == weights[0] for w in weights[1:]):
             failures.append("another variable shares the weight of the first; other slices are admissible")
         restriction = restrict_to_hyperplane(f)
-        return failures + _check_jacobian_not_isolated(
-            doc, "slice_jacobian", [restriction.partial(i) for i in range(1, f.n)]
+        return failures + _check_positive_dimension(
+            doc, "slice_jacobian", [restriction.partial(i) for i in range(1, f.n)], weights[1:], degree
         )
     if reason == "witness_membership":
         return _verify_witness(doc, expect_witness=False)
@@ -737,6 +754,24 @@ def _apply(functional: dict[Exponent, Fraction], p: Polynomial, shift: Exponent 
     return total
 
 
+def _vanishing_failures(functional: dict[Exponent, Fraction], gens: Sequence[Polynomial]) -> list[str]:
+    """lambda(m s) = 0 for every generator s and every monomial m of the
+    complementary weighted degree; at most one failure per generator.
+
+    lambda(m s) is 0 unless some m t, t a term of s, is in the support of
+    lambda: only those m need a dot product, and there are at most
+    len(functional) * len(s) of them, whatever the degree is.
+    """
+    failures = []
+    for k, s in enumerate(gens):
+        shifts = {tuple(map(sub, e, t)) for e in functional for t in s.terms}
+        for m in sorted(shifts):
+            if min(m) >= 0 and _apply(functional, s, m):
+                failures.append(f"the functional does not vanish on monomial {list(m)} times generator {k}")
+                break
+    return failures
+
+
 def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, weights, yvars,
                        failures: list[str]) -> bool:
     """Point 3 of the module docstring.  Returns whether the certificate
@@ -759,15 +794,7 @@ def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, weights
         failures.append(f"obstruction: recorded degree is not {delta}, the weighted degree of d1(y1)")
         return False
     functional = _parse_functional(record["functional"], g.n, delta, weights)
-    for k, s in enumerate(gens):
-        # lambda(m s) is 0 unless some m t, t a term of s, is in the support
-        # of lambda: only those m need a dot product, and there are at most
-        # len(functional) * len(s) of them, whatever delta is
-        shifts = {tuple(map(sub, e, t)) for e in functional for t in s.terms}
-        for m in sorted(shifts):
-            if min(m) >= 0 and _apply(functional, s, m):
-                failures.append(f"obstruction: the functional does not vanish on monomial {list(m)} times generator {k}")
-                break
+    failures.extend(f"obstruction: {msg}" for msg in _vanishing_failures(functional, gens))
     value = _apply(functional, witness)
     if not value:
         failures.append("obstruction: the functional vanishes on d1(y1)")
@@ -809,9 +836,7 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     _check_isolation(section, f, variables, order, failures)
     if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
         failures.append("input flags must record the homogeneity of an isolated singularity")
-    # Milnor and Orlik (1970): an isolated quasi-homogeneous singularity has
-    # Milnor number prod(D / W_i - 1); no walk of a basis needed
-    if info.get("milnor_number") != math.prod(Fraction(degree, w) - 1 for w in weights):
+    if info.get("milnor_number") != milnor_number(weights, degree):
         failures.append("recorded Milnor number is not prod(D / W_i - 1)")
 
     change_doc = doc["change_of_coordinates"]

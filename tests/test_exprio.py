@@ -190,7 +190,7 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 2},
+            "schema": {"name": "nakai-witness-certificate", "version": 3},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
             "candidate_tuple": None,
@@ -216,8 +216,8 @@ class TestCertificateIO:
         with pytest.raises(CertificateError, match="version"):
             write_certificate(doc)
         good = self._document()
-        # schema 1 (row-tracked bases, no dual functional) is no longer read
-        payload = write_certificate(good).replace(b'"version": 2', b'"version": 1')
+        # schema 2 (rejections replayed from a basis) is no longer read
+        payload = write_certificate(good).replace(b'"version": 3', b'"version": 2')
         with pytest.raises(CertificateError, match="version"):
             read_certificate(payload)
 

@@ -17,7 +17,7 @@ from nakai_forge.pipeline import (
     WITNESS_FOUND,
     PipelineConfig,
     WitnessCertificate,
-    _gb_record,
+    _positive_dimension_record,
     build_witness,
     certificate_failures,
     dual_functional,
@@ -238,12 +238,12 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "9cd36fb9532ab6815f3cd9537d3fbf83760ec493d25d36ea507a2d346b349c8f",
-    "fermat-cubic": "598d3e73c9f294e088befa102fbd750ab496e05aa8d4313869e4cd6694319574",
-    "fermat-quartic": "76d3cbf0c921edee01be3801196bc9e350c74fb7d0383dc7bb7edeca8c923e60",
-    "fermat-cubic-4": "f26bc7d1dc31d6fec3835e80004d1f986c8e698017770f582dd77ffd60266de4",
-    "brieskorn-2-3-4": "a5a4dc54c5729e2cdd3554501b6165892bf4508a38e44cf739a29c501aced951",
-    "brieskorn-3-3-4": "94cf0e00c583345477621bdab5a88828eeb90e6fef2b5ef21eecc7d884a0c16c",
+    "cyclic-cubic": "40cd3322851dde563e1f6214d553b1c429a620db1ee968a094ccdbbcbf585964",
+    "fermat-cubic": "6d9313825cf15c796146b9508ded0a9140ef2c9ab3d97cf00a25cf9e93f04eea",
+    "fermat-quartic": "abbb482772d6fcb40cd9ca04fd9b99f28c72f982ecd1ae2ff172e19cc98b64a9",
+    "fermat-cubic-4": "cded6ecde77fae7a99d328ad85f1a0d31366f835daeb8d6192650742ab3336f7",
+    "brieskorn-2-3-4": "ce3f9095d128f1ac0b655c3ab6ccb955ed8af2085f4cc8dd9e272e05e4a23200",
+    "brieskorn-3-3-4": "cdbebbe8d846eb6926238b33ec762893a84f70e5ee318294d4ac67a7a083dccb",
 }
 
 
@@ -279,16 +279,20 @@ class TestVerifyCertificate:
             assert not verify_certificate(WitnessCertificate(doc))
 
     def test_tampered_basis(self):
-        # only rejections record a basis, without cofactor rows: the replay
-        # must catch an element under which a generator no longer reduces
+        # a rejection records a functional above s = 3 that kills J = (2xy, x^2):
+        # moving it to x^4 = x^2 * x^2 must be caught at that generator
         cert = build_witness(P("x^2*y"), V3)
         doc = json.loads(write_certificate(cert.document))
-        assert doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"] == ["x^2", "x*y"]
-        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"][0] = "y^2"
-        assert certificate_failures(WitnessCertificate(doc)) == ["input_jacobian: generator 1 does not reduce to zero"]
-        # (x) contains the Jacobian ideal and is positive-dimensional, so
-        # replacing x^2 by x leaves a sound proof of the rejection
-        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"][0] = "x"
+        record = doc["membership_tests"]["positive_dimension"]["input_jacobian"]
+        assert record == {"degree": 4, "functional": [{"monomial": [0, 4, 0], "value": "1"}]}
+        record["functional"][0]["monomial"] = [4, 0, 0]
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "input_jacobian: the functional does not vanish on monomial [2, 0, 0] times generator 1"
+        ]
+        # y^5 - 3 z^5 at degree 5 also lies outside J: a different but sound
+        # proof of the rejection
+        record["degree"] = 5
+        record["functional"] = [{"monomial": [0, 5, 0], "value": "1"}, {"monomial": [0, 0, 5], "value": "-3"}]
         assert verify_certificate(WitnessCertificate(doc))
 
     def test_tampered_verdict(self):
@@ -338,9 +342,13 @@ class TestVerifyCertificate:
         assert time.perf_counter() - start < 5
         assert any(f.startswith("isolation:") for f in failures)
         assert _cli_verify(doc, tmp_path) == 4
-        # a rejection's basis, forged the same way, is replayed as quickly
+        # a rejection's functional, forged onto x^300, y^300 and z^300, is
+        # checked as quickly
         doc = json.loads(write_certificate(build_witness(P("x^2*y"), V3).document))
-        doc["membership_tests"]["groebner_bases"]["input_jacobian"]["basis"] = ["x^300", "y^300", "z^300"]
+        doc["membership_tests"]["positive_dimension"]["input_jacobian"] = {
+            "degree": 300,
+            "functional": [{"monomial": [300 * (i == j) for j in range(3)], "value": "1"} for i in range(3)],
+        }
         start = time.perf_counter()
         failures = certificate_failures(WitnessCertificate(doc))
         assert time.perf_counter() - start < 5
@@ -454,6 +462,16 @@ class TestDualFunctional:
         doc = self._doc()
         doc["membership_tests"]["obstruction"]["functional"][0]["monomial"] = monomial
         assert _cli_verify(doc, tmp_path) == 4
+        # the same monomial in a rejection's functional, moved to degree 5
+        # (where y^5 is a sound functional) so that [1, 1, 2] is malformed too
+        doc = json.loads(write_certificate(build_witness(P("x^2*y"), V3).document))
+        doc["membership_tests"]["positive_dimension"]["input_jacobian"] = {
+            "degree": 5, "functional": [{"monomial": [0, 5, 0], "value": "1"}],
+        }
+        assert verify_certificate(WitnessCertificate(doc))
+        doc["membership_tests"]["positive_dimension"]["input_jacobian"]["functional"][0]["monomial"] = monomial
+        assert _cli_verify(doc, tmp_path) == 4
+        assert any("functional monomial" in f for f in certificate_failures(WitnessCertificate(doc)))
 
     def test_kills_modified_ideal_but_not_g(self, tmp_path):
         # cyclic-cubic: d1(y1) lies in (y1^2, g_2, g_3) + (g) but not in
@@ -474,6 +492,161 @@ class TestDualFunctional:
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures and all("generator 6" in f for f in failures), failures
+
+
+class TestPositiveDimension:
+    """Forged rejections: the functional behind not_isolated and
+    no_isolating_slice must be nonzero, live above s and kill every multiple
+    of every partial; every forgery must make verify exit 4."""
+
+    @staticmethod
+    def _doc(text="x^2*y"):
+        return json.loads(write_certificate(build_witness(P(text), V3).document))
+
+    @staticmethod
+    def _forge(doc, degree, functional, key="input_jacobian"):
+        doc["membership_tests"]["positive_dimension"][key] = {
+            "degree": degree,
+            "functional": [{"monomial": list(m), "value": v} for m, v in functional.items()],
+        }
+        return certificate_failures(WitnessCertificate(doc))
+
+    def test_zero_functional(self, tmp_path):
+        doc = self._doc()
+        assert self._forge(doc, 4, {(0, 4, 0): "0"}) == ["input_jacobian: the functional is zero"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_degree_not_above_s(self, tmp_path):
+        # s = 3 for a cubic in three variables; y^3 is outside J = (2xy, x^2)
+        # and kills it, but a complete intersection has degree-3 part too
+        doc = self._doc()
+        assert self._forge(doc, 3, {(0, 3, 0): "1"}) == [
+            "input_jacobian: recorded degree 3 is not an integer above s = 3"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+        assert self._forge(doc, True, {(0, 1, 0): "1"})
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_misses_a_generator(self, tmp_path):
+        # x y^3 kills every multiple of the y-partial x^2, but not y^2 times
+        # the x-partial 2xy
+        doc = self._doc()
+        assert self._forge(doc, 4, {(1, 3, 0): "1"}) == [
+            "input_jacobian: the functional does not vanish on monomial [0, 2, 0] times generator 0"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_huge_degree_is_fast(self, tmp_path):
+        # t = 10^9 with a monomial to match: only shifts into the support are
+        # tried, never the monomials of degree 10^9
+        doc = self._doc()
+        start = time.perf_counter()
+        failures = self._forge(doc, 10**9, {(10**9, 0, 0): "1"})
+        assert failures == [
+            f"input_jacobian: the functional does not vanish on monomial [{10**9 - 2}, 0, 0] times generator 1"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+        assert time.perf_counter() - start < 5
+
+    def test_forged_rejection_of_isolated_input(self, tmp_path):
+        # fermat-cubic is isolated: its Jacobian quotient is zero above s = 3,
+        # so no nonzero functional above 3 kills (3x^2, 3y^2, 3z^2)
+        doc = self._doc(FERMAT)
+        doc["verdict"] = INPUT_REJECTED
+        doc["input"]["rejection"] = {"reason": "not_isolated", "message": "forged"}
+        doc["membership_tests"]["positive_dimension"] = {}
+        assert self._forge(doc, 4, {(4, 0, 0): "1"}) == [
+            "input_jacobian: the functional does not vanish on monomial [2, 0, 0] times generator 0"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_slice_record_missing(self, tmp_path):
+        doc = self._doc("x^3 + x*y^3 + z^2")
+        record = doc["membership_tests"]["positive_dimension"].pop("slice_jacobian")
+        assert record == {"degree": 12, "functional": [{"monomial": [3, 0], "value": "1"}]}
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "rejection without the positive-dimension record 'slice_jacobian'"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_negative_s(self):
+        # weights (9, 9, 9, 1) and D = 10 give s = -16: the functional lives
+        # on degree 0, where lambda(1) = 1 and no partial has a constant term
+        names = ["x", "y", "z", "w"]
+        cert = build_witness(parse_poly("x*w + y*w + z*w + w^10", names), names)
+        assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
+        assert cert.document["membership_tests"]["positive_dimension"]["input_jacobian"] == {
+            "degree": 0, "functional": [{"monomial": [0, 0, 0, 0], "value": "1"}],
+        }
+        assert verify_certificate(cert)
+
+    def test_rejections_verify_without_division(self, monkeypatch):
+        # the verifier never divides by a basis nor forms an S-polynomial
+        import nakai_forge.groebner as groebner
+
+        certs = [build_witness(P(text), V3) for text in ("x^2*y", "x^3 + x*y^3 + z^2", FERMAT)]
+        assert [c.document["input"].get("rejection", {}).get("reason") for c in certs] == [
+            "not_isolated", "no_isolating_slice", None,
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the verifier divided by a basis")
+
+        for name in ("reduce_by_basis", "s_polynomial", "_divide_tracked"):
+            monkeypatch.setattr(groebner, name, forbidden)
+        for cert in certs:
+            assert certificate_failures(cert) == []
+
+
+class TestDualFunctionalRecurrence:
+    """The one-pass recurrence gives lambda(m) = coefficient of mu in NF(m)
+    for every monomial m of the degree and every standard monomial mu."""
+
+    @staticmethod
+    def _check(gb, degree, weights=None):
+        monomials = monomials_of_degree(gb.n, degree, weights)
+        leading = gb.leading_monomials()
+        standard = [m for m in monomials if not any(all(a <= b for a, b in zip(lm, m)) for lm in leading)]
+        assert standard
+        normal_forms = {m: gb.normal_form(Polynomial.monomial(gb.n, m)) for m in monomials}
+        for mu in standard:
+            expected = {m: nf.coefficient(mu) for m, nf in normal_forms.items() if nf.coefficient(mu)}
+            assert dual_functional(gb, mu, monomials) == expected, mu
+
+    def test_axis_singular_jacobian(self):
+        # no x^3 or x^2*x_j term: singular along the x-axis (an n4d3 form
+        # of the gate-slice benchmark workload); s = 4, so the rejection's
+        # degree is 5
+        rng = random.Random(20)
+        f = Polynomial(4, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
+        })
+        gb = buchberger(jacobian_ideal(f), track_cofactors=False)
+        assert not gb.is_zero_dimensional()
+        names = ["x", "y", "z", "w"]
+        record = build_witness(f, names).document["membership_tests"]["positive_dimension"]["input_jacobian"]
+        assert record["degree"] == 5
+        self._check(gb, 5)
+
+    def test_cyclic_cubic_obstruction(self):
+        g, witness, doc = TestObstructionModuloF._witness("cyclic-cubic")
+        gb = buchberger(obstruction_ideal(g), track_cofactors=False)
+        self._check(gb, doc["membership_tests"]["obstruction"]["degree"])
+
+
+def test_milnor_number_without_standard_monomials(monkeypatch):
+    # the builder records prod(D / W_i - 1) and never walks the standard
+    # monomials of the Jacobian basis
+    from nakai_forge.groebner import GroebnerBasis
+
+    def forbidden(self):
+        raise AssertionError("the builder walked the standard monomials")
+
+    monkeypatch.setattr(GroebnerBasis, "standard_monomials", forbidden)
+    for text, milnor in [(FERMAT, 8)] + [(text, milnor) for text, _, milnor in BRIESKORN]:
+        cert = build_witness(P(text), V3)
+        assert cert.document["input"]["milnor_number"] == milnor
+        assert verify_certificate(cert)
 
 
 BRIESKORN = [("x^2 + y^3 + z^4", [6, 4, 3], 6), ("x^3 + y^3 + z^4", [4, 4, 3], 12)]
@@ -529,7 +702,7 @@ class TestQuasiHomogeneous:
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
         gb = buchberger(jacobian_ideal(restrict_to_hyperplane(f)))
-        doc["membership_tests"]["groebner_bases"]["slice_jacobian"] = _gb_record(gb, V3[1:])
+        doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(gb, (4, 3), 12)
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures == ["another variable shares the weight of the first; other slices are admissible"]
 

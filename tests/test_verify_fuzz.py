@@ -1,4 +1,5 @@
-"""Seeded fuzzing of `verify` on a valid fermat-cubic certificate.
+"""Seeded fuzzing of `verify` on valid certificates: the fermat-cubic
+witness and the not_isolated rejection of x^2*y.
 
 The verifier treats a certificate as untrusted input.  Every mutation here
 (a deleted field, a value swapped for one of another type, a flipped byte)
@@ -6,6 +7,7 @@ must end in exit 0 (still valid), 2 (not a certificate document) or 4
 (invalid): never a traceback, and never a hang.
 """
 
+import functools
 import json
 import random
 import signal
@@ -23,10 +25,23 @@ SECONDS_PER_VERIFY = 10  # a fermat-cubic certificate verifies in ~10 ms
 SWAPS = (7, -1, 2.5, "y1", "", None, True, [], {}, ["y1"], {"y1": 1}, 10**40)
 
 
-@pytest.fixture(scope="module")
-def certificate() -> bytes:
+INPUTS = {"fermat-cubic": "x^3 + y^3 + z^3", "not-isolated": "x^2*y"}
+
+
+@functools.cache
+def _certificate(text: str) -> bytes:
     variables = ["x", "y", "z"]
-    return write_certificate(build_witness(parse_poly("x^3 + y^3 + z^3", variables), variables).document)
+    return write_certificate(build_witness(parse_poly(text, variables), variables).document)
+
+
+@pytest.fixture(scope="module", params=list(INPUTS))
+def certificate(request) -> bytes:
+    return _certificate(INPUTS[request.param])
+
+
+@pytest.fixture(scope="module")
+def fermat_certificate() -> bytes:
+    return _certificate(INPUTS["fermat-cubic"])
 
 
 def _containers(node, path=()):
@@ -118,9 +133,9 @@ def test_byte_flips(certificate, tmp_path, capsys):
     (("input", "variables"), 7),
     (("input",), []),
 ])
-def test_wrong_types_exit_4(path, value, certificate, tmp_path, capsys):
+def test_wrong_types_exit_4(path, value, fermat_certificate, tmp_path, capsys):
     # a wrong type anywhere, and a rational with an exponent, is invalid data
-    doc = json.loads(certificate)
+    doc = json.loads(fermat_certificate)
     node = doc
     for key in path[:-1]:
         node = node[key]
