@@ -43,6 +43,7 @@ from .pipeline import (
     WitnessCertificate,
     build_witness,
     certificate_failures,
+    milnor_number,
 )
 from .poly import Polynomial, quasi_homogeneous_weights
 
@@ -120,6 +121,15 @@ def _emit(text: str):
     sys.stdout.flush()
 
 
+def _milnor(f: Polynomial, gb) -> int:
+    """The dimension of the quotient by the zero-dimensional Jacobian ideal
+    with basis gb: prod(D / W_i - 1) when f has unique weights (Milnor and
+    Orlik 1970), else a count of the standard monomials of gb, of which
+    there are (N - 1)^n for a form of degree N."""
+    found = quasi_homogeneous_weights(f)
+    return gb.quotient_dimension() if found is None else int(milnor_number(*found))
+
+
 def cmd_check(args) -> int:
     f, variables = _read_input(args)
     order = _order(args)
@@ -132,7 +142,7 @@ def cmd_check(args) -> int:
     weights, degree = found if found is not None else (None, None)
     gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs, track_cofactors=False)
     zero_dim = gb.is_zero_dimensional()
-    milnor = gb.quotient_dimension() if zero_dim else None
+    milnor = _milnor(f, gb) if zero_dim else None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
     if args.json:
         _emit(json.dumps({
@@ -297,7 +307,7 @@ def cmd_milnor(args) -> int:
     if not gb.is_zero_dimensional():
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED
-    _emit(str(gb.quotient_dimension()))
+    _emit(str(_milnor(f, gb)))
     return EXIT_OK
 
 

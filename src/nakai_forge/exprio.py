@@ -326,15 +326,12 @@ def parse_fraction(text: str) -> Fraction:
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 REQUIRED_KEYS = (
     "schema",
     "input",
     "change_of_coordinates",
-    "candidate_tuple",
-    "adjustments",
-    "symmetric_tuple",
     "lifted_operator",
     "membership_tests",
     "verdict",

@@ -2,13 +2,13 @@
 
 Given a quasi-homogeneous polynomial f with an isolated singularity at the
 origin, the pipeline finds a linear slice y_1, builds the Hessian-cofactor
-candidate tuple in the new coordinates, symmetrizes it, lifts it to an
-explicit second-order operator, and certifies that the extracted diagonal
-value d_1(y_1) lies outside S = (y_1, g_2, ..., g_n)^2 + (g), the ideal
-that every sum of compositions of derivations of A = Q[y]/(g) lands in.
-Every claim is recorded in a self-contained JSON certificate that the
-verifier checks by re-multiplication and dot products alone: it never
-divides by a Groebner basis and never searches.
+candidate tuple in the new coordinates, symmetrizes it and lifts it to an
+explicit second-order operator P.  It certifies that P is an operator on
+A = Q[y]/(g) whose extracted diagonal value d_1(y_1) lies outside
+S = (y_1, g_2, ..., g_n)^2 + (g), the ideal that every sum of compositions
+of derivations of A lands in.  Every claim is recorded in a self-contained
+JSON certificate that the verifier checks by re-multiplication and dot
+products alone: it never divides by a Groebner basis and never searches.
 
 Homogeneous input is the case W = (1, ..., 1) of what follows.  The
 weights W (coprime positive integers) and the weighted degree D are the
@@ -17,7 +17,10 @@ unique solution of <e, W> = D over the exponents e of f
 input and only compares the recorded ones with them.  The weighted Euler
 derivation E_W = sum W_i x_i d/dx_i satisfies E_W(f) = D f, so f lies in
 its Jacobian ideal (Saito 1971: for an isolated singularity this happens
-iff f is quasi-homogeneous).  Soundness rests on:
+iff f is quasi-homogeneous).  Soundness rests on points 0, 2, 3 and 4, and
+the certificate records what they read and nothing else.  Point 1 says
+why the builder always finds P; like the slice heuristic at the end, no
+certified step uses it.
 
 0. Isolation of f.  For each variable x_i the certificate records the
    element of the reduced basis of J(f) whose leading monomial is a power
@@ -25,13 +28,22 @@ iff f is quasi-homogeneous).  Soundness rests on:
    shows x_i^(N_i) in LT(J(f)) for every i, so J(f) is zero-dimensional;
    the Milnor number is then prod(D / W_i - 1) (Milnor and Orlik 1970).
    Isolation of g = f(x(y)) follows through the invertible change.
-1. The weighted cofactor identity.  Differentiating E_W(f) = D f gives
-   sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2 alternation of the maximal
-   minors of the Hessian with row 1 deleted then puts
-   A_1i W_j x_j - A_1j W_i x_i in (f_2, ..., f_n)
+1. The weighted cofactor identity (builder only).  Differentiating
+   E_W(f) = D f gives sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2
+   alternation of the maximal minors of the Hessian with row 1 deleted
+   then puts A_1i W_j x_j - A_1j W_i x_i in (f_2, ..., f_n)
    (minors.verify_cofactor_identity).  So d_i = A_1i E_W has its defects
-   in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f).
-2. Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
+   in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f); the
+   symmetrization sweep and the lift of the derivations module turn this
+   tuple into P.  The certificate records none of these intermediate
+   tuples (the symmetrize CLI subcommand prints them).
+2. P descends to A.  The certificate records the divided-power
+   coefficients c_alpha of P and polynomials q_j.  The verifier extracts
+   the tuple d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract) and
+   checks P(g) = 0 and d_j(g) = q_j g for every j.  The Leibniz rule gives
+   P(g h) = h P(g) + g (P(h) - c_0 h) + sum_j d_j(g) dh/dy_j, so P maps (g)
+   into (g) and each d_j is a derivation of A.
+   Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
    generated by E_W and the Hamiltonians D_kl = f_k d/dx_l - f_l d/dx_k.
    If delta(f) = q f then delta - (q/D) E_W annihilates f, so its images
    form a syzygy of f_1, ..., f_n.  These form a regular sequence
@@ -44,18 +56,19 @@ iff f is quasi-homogeneous).  Soundness rests on:
    composition of two derivations has its d_1(y_1) entry in the square
    ideal (y_1, g_2, ..., g_n)^2.  Derivations and operators on A are
    defined only modulo (g), so the obstruction must hold modulo (g):
-   d_1(y_1) must lie outside S = (y_1, g_2, ..., g_n)^2 + (g).  The
-   certificate proves exactly that (this closes the gap of earlier
-   certificates, which tested d_1(y_1) in the polynomial ring only).  S is
-   weighted homogeneous, with y_i of weight W_i, and d_1(y_1) has some
-   weighted degree delta.  The builder reads a Macaulay inverse-system
-   vector (Lazard 1983) off a Groebner basis of S: for a standard monomial
-   mu in the normal form of d_1(y_1), lambda(m) = coefficient of mu in
-   NF(m) for each monomial m of weighted degree delta.  The verifier checks
-   lambda(m s) = 0 for every generator s of S and every monomial m of the
-   complementary weighted degree (these m s span the degree-delta part of
-   S; lambda(m s) is trivially 0 unless m times a term of s lies in the
-   support of lambda, so only those m are tried), and lambda(d_1(y_1)) != 0.
+   d_1(y_1) = c_(2 e_1) of P must lie outside
+   S = (y_1, g_2, ..., g_n)^2 + (g).  The certificate proves exactly that
+   (this closes the gap of earlier certificates, which tested d_1(y_1) in
+   the polynomial ring only).  S is weighted homogeneous, with y_i of
+   weight W_i, and d_1(y_1) has some weighted degree delta.  The builder
+   reads a Macaulay inverse-system vector (Lazard 1983) off a Groebner
+   basis of S: for a standard monomial mu in the normal form of d_1(y_1),
+   lambda(m) = coefficient of mu in NF(m) for each monomial m of weighted
+   degree delta.  The verifier checks lambda(m s) = 0 for every generator
+   s of S and every monomial m of the complementary weighted degree (these
+   m s span the degree-delta part of S; lambda(m s) is trivially 0 unless
+   m times a term of s lies in the support of lambda, so only those m are
+   tried), and lambda(d_1(y_1)) != 0.
 4. Rejections not_isolated and no_isolating_slice claim that a Jacobian
    ideal J = (h_1, ..., h_m) is positive-dimensional: that of f (m = n), or
    that of the restriction of f to x_1 = 0 (m = n - 1, weights W_2..W_n).
@@ -93,15 +106,11 @@ from operator import add, le, sub
 from typing import Sequence
 
 from .derivations import (
-    Adjustment,
-    Derivation1,
-    DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
     candidate_defect_cofactors,
     euler_derivation,
     lift_to_diff2,
-    replay_ledger,
     square_obstruction_ideal,
     symmetrize,
     theta2_extract,
@@ -292,7 +301,7 @@ def saito_check(
     """
     gens = tuple(gens)
     if gb is None:
-        gb = buchberger(Ideal(gens), order, **caps)
+        gb = buchberger(Ideal(gens), order, track_cofactors=False, **caps)
     if not gb.is_zero_dimensional():
         raise ValueError("the system is not zero-dimensional; the criterion does not apply")
     det = determinant(jacobian_matrix(gens))
@@ -324,13 +333,6 @@ def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
 
 
-def _combination_record(p: Polynomial, cofactors: Sequence[Polynomial], variables, order) -> dict:
-    return {
-        "polynomial": format_poly(p, variables, order),
-        "cofactors": [format_poly(c, variables, order) for c in cofactors],
-    }
-
-
 def _pure_power_records(gb: GroebnerBasis, variables: Sequence[str]) -> list[dict]:
     """For each variable x_i, the basis element whose leading monomial is a
     power of x_i, with its cofactor row over the source generators."""
@@ -338,7 +340,10 @@ def _pure_power_records(gb: GroebnerBasis, variables: Sequence[str]) -> list[dic
     leading = gb.leading_monomials()
     for i in range(gb.n):
         k = next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)
-        records.append(_combination_record(gb.basis[k], gb.cofactors[k], variables, gb.order))
+        records.append({
+            "polynomial": format_poly(gb.basis[k], variables, gb.order),
+            "cofactors": [format_poly(c, variables, gb.order) for c in gb.cofactors[k]],
+        })
     return records
 
 
@@ -414,9 +419,6 @@ def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) 
             },
         },
         "change_of_coordinates": None,
-        "candidate_tuple": None,
-        "adjustments": [],
-        "symmetric_tuple": None,
         "lifted_operator": None,
         "membership_tests": {},
         "verdict": None,
@@ -497,59 +499,29 @@ def build_witness(
 
     n = f.n
     yvars = _new_variables(n)
-    slice_vars = yvars[1:]
-    change = chosen.change
-    g = change.apply(f)
+    g = chosen.change.apply(f)
     doc["change_of_coordinates"] = {
         "slice_coefficients": [format_fraction(c) for c in chosen.coefficients],
-        "matrix": [[format_fraction(v) for v in row] for row in change.matrix],
         "new_variables": yvars,
         "transformed_polynomial": format_poly(g, yvars, order),
-        "slice_restriction": format_poly(chosen.restriction, slice_vars, order),
         "attempts": chosen.attempts,
     }
 
+    # point 1 of the module docstring: the candidate, its closed-form defect
+    # cofactors and the sweep only construct P; none of them is recorded
     candidate = build_candidate_tuple(g, check_isolated=False, weights=weights)
-    hess = hessian(g)
-    cofactor_row = [algebraic_cofactor(hess, 1, i) for i in range(1, n + 1)]
-    # E_W scales g by D and Hamiltonians annihilate it, so the candidate and
-    # the symmetric d_i both scale g by D * A_1i
-    scales = [format_poly(c.scale(degree), yvars, order) for c in cofactor_row]
-    doc["candidate_tuple"] = {
-        "hessian_cofactors": [format_poly(c, yvars, order) for c in cofactor_row],
-        "images": [[format_poly(p, yvars, order) for p in d.images] for d in candidate.ders],
-        "scales_f_by": scales,
-    }
-
-    # closed-form cofactors of each defect over g_1, ..., g_n
-    defect_cofactors = candidate_defect_cofactors(g, weights)
-    section["tests"] = [
-        {"name": f"candidate_defect_{i}_{j}_in_jacobian",
-         **_combination_record(candidate.defect(i, j), cofs, yvars, order)}
-        for (i, j), cofs in defect_cofactors.items()
-    ]
-
-    symmetric, ledger = symmetrize(candidate, defect_cofactors)
-    doc["adjustments"] = [
-        {
-            "target": move.target,
-            "hamiltonian": [move.k, move.l],
-            "coefficient": format_poly(move.coeff, yvars, order),
-        }
-        for move in ledger
-    ]
-    doc["symmetric_tuple"] = {
-        "images": [[format_poly(p, yvars, order) for p in d.images] for d in symmetric.ders],
-        "scales_f_by": list(scales),
-    }
-
+    symmetric, _ = symmetrize(candidate, candidate_defect_cofactors(g, weights))
     lifted = lift_to_diff2(symmetric)
+    # E_W scales g by D and Hamiltonians annihilate it, so each symmetric
+    # d_i scales g by D * A_1i
+    hess = hessian(g)
     doc["lifted_operator"] = {
         "coefficients": [
             {"index": list(alpha), "value": format_poly(c, yvars, order)}
             for alpha, c in sorted(lifted.coeffs.items())
         ],
-        "annihilates_f": lifted.apply(g).is_zero(),
+        "scales_f_by": [format_poly(algebraic_cofactor(hess, 1, i).scale(degree), yvars, order)
+                        for i in range(1, n + 1)],
     }
 
     witness = symmetric.entry(1, 1)
@@ -805,15 +777,7 @@ def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, weights
 
 def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
     failures: list[str] = []
-    required = (
-        "change_of_coordinates",
-        "candidate_tuple",
-        "adjustments",
-        "symmetric_tuple",
-        "lifted_operator",
-        "membership_tests",
-    )
-    missing = [k for k in required if not doc.get(k)]
+    missing = [k for k in ("change_of_coordinates", "lifted_operator", "membership_tests") if not doc.get(k)]
     if missing:
         return [f"witness verdict without the supporting sections: {missing}"]
     info = doc["input"]
@@ -848,82 +812,28 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
         return failures + [f"slice coefficients invalid: {exc}"]
     if any(a and w != weights[0] for a, w in zip(coeffs, weights)):
         failures.append("slice mixes variables of different weight")
-    matrix = [[parse_fraction(v) for v in row] for row in change_doc["matrix"]]
-    if [list(row) for row in change.matrix] != matrix:
-        failures.append("recorded matrix does not match the slice coefficients")
     g = change.apply(f)
     if parse_poly(change_doc["transformed_polynomial"], yvars) != g:
         failures.append("transformed polynomial does not match the substitution")
-    restriction = restrict_to_hyperplane(g)
-    if parse_poly(change_doc["slice_restriction"], yvars[1:]) != restriction:
-        failures.append("recorded slice restriction is wrong")
 
-    # candidate tuple: cofactors of the Hessian's first row times the
-    # weighted Euler images W_j y_j
-    hess = hessian(g)
-    cand_doc = doc["candidate_tuple"]
-    cofactor_row = [algebraic_cofactor(hess, 1, i) for i in range(1, n + 1)]
-    if [parse_poly(s, yvars) for s in cand_doc["hessian_cofactors"]] != cofactor_row:
-        failures.append("candidate cofactors do not match the Hessian")
-    candidate_images = [[parse_poly(s, yvars) for s in row] for row in cand_doc["images"]]
-    euler_images = euler_derivation(n, weights).images
-    for i in range(n):
-        expected = [cofactor_row[i] * e for e in euler_images]
-        if candidate_images[i] != expected:
-            failures.append(f"candidate derivation {i + 1} is not cofactor * weighted Euler")
-    for i, q_text in enumerate(cand_doc["scales_f_by"]):
-        q = parse_poly(q_text, yvars)
-        d = Derivation1(tuple(candidate_images[i]))
-        if d.apply(g) != q * g:
-            failures.append(f"candidate derivation {i + 1} does not scale f by the recorded factor")
-
-    candidate = DerivationTuple(tuple(Derivation1(tuple(r)) for r in candidate_images), g)
-    partials = [g.partial(i) for i in range(1, n + 1)]
-    tests = {test["name"]: test for test in section["tests"]}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            name = f"candidate_defect_{i}_{j}_in_jacobian"
-            if name not in tests:
-                failures.append(f"missing membership record {name}")
-                continue
-            p = parse_poly(tests[name]["polynomial"], yvars)
-            if p != candidate.defect(i, j):
-                failures.append(f"{name}: recorded polynomial is not the candidate defect")
-            if not _recombines(tests[name]["cofactors"], partials, yvars, p):
-                failures.append(f"{name}: cofactors do not re-multiply to the polynomial")
-
-    ledger = tuple(
-        Adjustment(m["target"], m["hamiltonian"][0], m["hamiltonian"][1], parse_poly(m["coefficient"], yvars))
-        for m in doc["adjustments"]
-    )
-    replayed = replay_ledger(candidate, ledger)
-    sym_doc = doc["symmetric_tuple"]
-    symmetric_images = [[parse_poly(s, yvars) for s in row] for row in sym_doc["images"]]
-    if [list(d.images) for d in replayed.ders] != symmetric_images:
-        failures.append("ledger replay does not reproduce the symmetric tuple")
-    symmetric = DerivationTuple(tuple(Derivation1(tuple(r)) for r in symmetric_images), g)
-    if not symmetric.is_symmetric():
-        failures.append("recorded symmetric tuple is not symmetric")
-    for i, q_text in enumerate(sym_doc["scales_f_by"]):
-        q = parse_poly(q_text, yvars)
-        if symmetric.ders[i].apply(g) != q * g:
-            failures.append(f"symmetric derivation {i + 1} does not scale f by the recorded factor")
-
+    # point 2 of the module docstring: P(g) = 0 and d_j(g) = q_j g for the
+    # tuple extracted from P
     op_doc = doc["lifted_operator"]
     op = DiffOp2(n, {
         tuple(entry["index"]): parse_poly(entry["value"], yvars)
         for entry in op_doc["coefficients"]
     })
     extracted = theta2_extract(op, g)
-    if [list(d.images) for d in extracted.ders] != symmetric_images:
-        failures.append("lifted operator does not extract back to the symmetric tuple")
-    annihilates = op.apply(g).is_zero()
-    if annihilates != op_doc.get("annihilates_f"):
-        failures.append("recorded annihilation flag is wrong")
-    if not annihilates:
+    scales = [parse_poly(q, yvars) for q in op_doc["scales_f_by"]]
+    if len(scales) != n:
+        failures.append(f"lifted operator records {len(scales)} scales for {n} derivations")
+    for j, (d, q) in enumerate(zip(extracted.ders, scales), 1):
+        if d.apply(g) != q * g:
+            failures.append(f"extracted derivation {j} does not scale g by the recorded factor")
+    if not op.apply(g).is_zero():
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
-    member = _check_obstruction(section["obstruction"], g, symmetric.entry(1, 1), weights, yvars, failures)
+    member = _check_obstruction(section["obstruction"], g, extracted.entry(1, 1), weights, yvars, failures)
     if expect_witness and doc["verdict"] != WITNESS_FOUND:
         failures.append("verdict is not WITNESS_FOUND")
     if doc["verdict"] != (INPUT_REJECTED if member else WITNESS_FOUND):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,23 @@ class TestMilnor:
     def test_not_isolated(self, capsys):
         code, out, _ = run(capsys, "milnor", "x^2*y", "--vars", "x,y,z")
         assert code == 1
+
+    def test_not_quasi_homogeneous_counts_standard_monomials(self, capsys):
+        # no weights, so the quotient is counted: the critical points
+        # x = 0 and x = -2/3 of x^2 + x^3
+        code, out, _ = run(capsys, "milnor", "x^2 + y^2 + z^2 + x^3", "--vars", "x,y,z")
+        assert code == 0
+        assert out.strip() == "2"
+
+
+def test_large_degree_milnor_number_is_fast(capsys):
+    # (N - 1)^n standard monomials: 199^3 here, read off the weights instead
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "milnor", "x^200 + y^200 + z^200", "--vars", "x,y,z")
+    assert code == 0 and out.strip() == "7880599"
+    code, out, _ = run(capsys, "check", "x^200 + y^200 + z^200", "--vars", "x,y,z", "--json")
+    assert code == 0 and json.loads(out)["milnor_number"] == 7880599
+    assert time.perf_counter() - start < 5
 
 
 class TestCheck:
@@ -132,7 +150,7 @@ class TestWitnessAndVerify:
         out_path = tmp_path / "cert.json"
         run(capsys, "witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--out", str(out_path))
         doc = json.loads(out_path.read_text())
-        doc["symmetric_tuple"]["images"][0][0] += " + y1"
+        doc["lifted_operator"]["coefficients"][0]["value"] += " + y1"
         out_path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", str(out_path))
         assert code == 4

@@ -190,12 +190,9 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 3},
+            "schema": {"name": "nakai-witness-certificate", "version": 4},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
-            "candidate_tuple": None,
-            "adjustments": [],
-            "symmetric_tuple": None,
             "lifted_operator": None,
             "membership_tests": {},
             "verdict": "INPUT_REJECTED",
@@ -216,10 +213,12 @@ class TestCertificateIO:
         with pytest.raises(CertificateError, match="version"):
             write_certificate(doc)
         good = self._document()
-        # schema 2 (rejections replayed from a basis) is no longer read
-        payload = write_certificate(good).replace(b'"version": 3', b'"version": 2')
-        with pytest.raises(CertificateError, match="version"):
-            read_certificate(payload)
+        # schema 2 (rejections replayed from a basis) and schema 3 (with the
+        # candidate, the ledger and the symmetric tuple) are no longer read
+        for old in (b'"version": 2', b'"version": 3'):
+            payload = write_certificate(good).replace(b'"version": 4', old)
+            with pytest.raises(CertificateError, match="version"):
+                read_certificate(payload)
 
     def test_long_coefficients_round_trip(self):
         doc = self._document()

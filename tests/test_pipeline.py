@@ -238,13 +238,41 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "40cd3322851dde563e1f6214d553b1c429a620db1ee968a094ccdbbcbf585964",
-    "fermat-cubic": "6d9313825cf15c796146b9508ded0a9140ef2c9ab3d97cf00a25cf9e93f04eea",
-    "fermat-quartic": "abbb482772d6fcb40cd9ca04fd9b99f28c72f982ecd1ae2ff172e19cc98b64a9",
-    "fermat-cubic-4": "cded6ecde77fae7a99d328ad85f1a0d31366f835daeb8d6192650742ab3336f7",
-    "brieskorn-2-3-4": "ce3f9095d128f1ac0b655c3ab6ccb955ed8af2085f4cc8dd9e272e05e4a23200",
-    "brieskorn-3-3-4": "cdbebbe8d846eb6926238b33ec762893a84f70e5ee318294d4ac67a7a083dccb",
+    "cyclic-cubic": "c574922b9ec06edc4210e9263ec1cddf7b9e791432edb9d3c47403c9e5e4be05",
+    "fermat-cubic": "d20be106c0567928bb3b5081265841b011a74cdc4846e81b2392e5440a0ff4ed",
+    "fermat-quartic": "2fa27b9c023ad84f602fb30e76ac33332698dd1e315cc812ce0d2c8aad3ec799",
+    "fermat-cubic-4": "8d9452a3a7198df2c2108670319e7df0bbd3606c338a687d0589be71952927cd",
+    "brieskorn-2-3-4": "c479272d7e412206a03764199e4ef4fc671e2d880e4a195b7a1540e547b27f39",
+    "brieskorn-3-3-4": "08155de9a1e535b832434de8479f050efebe6e4e288164cebf8a3b2d37cce940",
 }
+
+
+def test_verifier_is_independent_of_the_construction(monkeypatch):
+    # a witness certificate holds P, its scales and the isolation and
+    # obstruction records; verifying it runs nothing of how the builder
+    # found P
+    import nakai_forge.derivations as derivations
+    import nakai_forge.pipeline as pipeline
+
+    certs = {name: build_witness(parse_poly(text, variables), variables)
+             for name, text, variables, _ in BUILTIN_CORPUS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verifier ran a step of the construction")
+
+    for module in (pipeline, derivations):
+        for name in ("symmetrize", "replay_ledger", "candidate_defect_cofactors",
+                     "build_candidate_tuple", "hessian", "algebraic_cofactor"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for name, cert in certs.items():
+        doc = cert.document
+        assert certificate_failures(cert) == [], name
+        assert set(doc) == {"schema", "input", "change_of_coordinates", "lifted_operator",
+                            "membership_tests", "verdict"}
+        assert set(doc["change_of_coordinates"]) == {"slice_coefficients", "new_variables",
+                                                     "transformed_polynomial", "attempts"}
+        assert set(doc["lifted_operator"]) == {"coefficients", "scales_f_by"}
+        assert set(doc["membership_tests"]) == {"isolation", "obstruction"}
 
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
@@ -268,15 +296,29 @@ class TestVerifyCertificate:
     def test_tampered_coefficient(self):
         cert = self._fermat_cert()
         doc = json.loads(write_certificate(cert.document))
-        doc["symmetric_tuple"]["images"][0][0] += " + x^2"
+        _coefficient(doc, [2, 0, 0])["value"] += " + y1^2"
         assert not verify_certificate(WitnessCertificate(doc))
 
-    def test_tampered_adjustment(self):
-        cert = self._fermat_cert()
-        doc = json.loads(write_certificate(cert.document))
-        if doc["adjustments"]:
-            doc["adjustments"][0]["coefficient"] += " + 1"
-            assert not verify_certificate(WitnessCertificate(doc))
+    def test_tampered_scale(self, tmp_path):
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        assert doc["lifted_operator"]["scales_f_by"] == ["108*y2*y3", "0", "0"]
+        doc["lifted_operator"]["scales_f_by"][1] = "y1"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "extracted derivation 2 does not scale g by the recorded factor"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_forged_operator_that_annihilates_g(self, tmp_path):
+        # adding 3 y1^2 d^[2e1] - 3 y1 d_1 keeps P(g) = 0 on fermat-cubic
+        # (9 y1^3 - 9 y1^3), but the extracted d_1 gains y1 -> 3 y1^2 and maps
+        # g to 108 y2 y3 g + 9 y1^4, outside (g)
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        _coefficient(doc, [2, 0, 0])["value"] += " + 3*y1^2"
+        _coefficient(doc, [1, 0, 0])["value"] += " - 3*y1"
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert "extracted derivation 1 does not scale g by the recorded factor" in failures
+        assert "lifted operator does not annihilate the transformed polynomial" not in failures
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_tampered_basis(self):
         # a rejection records a functional above s = 3 that kills J = (2xy, x^2):
@@ -318,7 +360,7 @@ class TestVerifyCertificate:
         # (y1 + y2)^100000 would expand to 100001 terms of up to 30103
         # digits; the parser refuses it at the exponent instead
         doc = json.loads(write_certificate(self._fermat_cert().document))
-        doc["symmetric_tuple"]["images"][0][0] = "(y1 + y2)^100000"
+        _coefficient(doc, [2, 0, 0])["value"] = "(y1 + y2)^100000"
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
         assert any("does not replay" in f and "too large to expand" in f for f in failures)
@@ -326,7 +368,7 @@ class TestVerifyCertificate:
     def test_number_power_refused(self, tmp_path):
         # 2^10000000000 would be a 10^10-bit integer; the parser refuses it
         doc = json.loads(write_certificate(self._fermat_cert().document))
-        doc["symmetric_tuple"]["images"][0][0] = "2^10000000000*y1"
+        _coefficient(doc, [2, 0, 0])["value"] = "2^10000000000*y1"
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
         assert any("does not replay" in f and "too large" in f for f in failures)
@@ -376,20 +418,17 @@ class TestVerifyCertificate:
         corrupt("transformed polynomial", lambda d: d["change_of_coordinates"].__setitem__(
             "transformed_polynomial",
             d["change_of_coordinates"]["transformed_polynomial"] + " + y1"))
-        corrupt("slice restriction", lambda d: d["change_of_coordinates"].__setitem__(
-            "slice_restriction", "y2^3"))
-        corrupt("candidate cofactor", lambda d: d["candidate_tuple"]["hessian_cofactors"].__setitem__(
-            0, "36*y2*y3 + y1"))
-        corrupt("candidate image", lambda d: d["candidate_tuple"]["images"][0].__setitem__(
-            0, "0"))
-        corrupt("candidate scale", lambda d: d["candidate_tuple"]["scales_f_by"].__setitem__(
-            0, "1"))
-        corrupt("symmetric image", lambda d: d["symmetric_tuple"]["images"][0].__setitem__(
-            0, d["symmetric_tuple"]["images"][0][0] + " + y2"))
-        corrupt("symmetric scale", lambda d: d["symmetric_tuple"]["scales_f_by"].__setitem__(
-            0, "y1"))
+        corrupt("operator diagonal coefficient", lambda d: _coefficient(d, [2, 0, 0]).__setitem__(
+            "value", "0"))
+        corrupt("operator mixed coefficient", lambda d: _coefficient(d, [1, 1, 0]).__setitem__(
+            "value", _coefficient(d, [1, 1, 0])["value"] + " + y2"))
+        corrupt("operator first-order coefficient", lambda d: _coefficient(d, [1, 0, 0]).__setitem__(
+            "value", "1"))
+        corrupt("operator index", lambda d: _coefficient(d, [0, 2, 0]).__setitem__("index", [0, 1, 1]))
         corrupt("operator coefficient", lambda d: d["lifted_operator"]["coefficients"].__setitem__(
             0, {"index": [1, 0, 0], "value": "y1^2"}))
+        corrupt("operator scale", lambda d: d["lifted_operator"]["scales_f_by"].__setitem__(0, "y1"))
+        corrupt("operator scale count", lambda d: d["lifted_operator"]["scales_f_by"].pop())
         corrupt("pure power element", lambda d: d["membership_tests"]["isolation"]
                 ["pure_powers"][0].__setitem__("polynomial", "x^2 + y^2"))
         corrupt("pure power cofactor", lambda d: d["membership_tests"]["isolation"]
@@ -398,8 +437,6 @@ class TestVerifyCertificate:
                 ["pure_powers"].reverse())
         corrupt("obstruction membership flag", lambda d: d["membership_tests"]["obstruction"]
                 .__setitem__("member", True))
-        corrupt("membership cofactors", lambda d: d["membership_tests"]["tests"][0]
-                ["cofactors"].__setitem__(0, "y3"))
         corrupt("obstruction witness", lambda d: d["membership_tests"]["obstruction"]
                 .__setitem__("witness", "y1^3"))
         corrupt("obstruction value", lambda d: d["membership_tests"]["obstruction"]
@@ -446,7 +483,7 @@ class TestDualFunctional:
         # tries only shifts into the functional's support, never the
         # monomials of degree 10^6
         doc = self._doc(FERMAT)
-        doc["symmetric_tuple"]["images"][0][0] = "y1^1000000"
+        _coefficient(doc, [2, 0, 0])["value"] = "y1^1000000"
         doc["membership_tests"]["obstruction"].update({
             "witness": "y1^1000000", "degree": 1000000, "value": "1",
             "functional": [{"monomial": [1000000, 0, 0], "value": "1"}],
@@ -652,6 +689,11 @@ def test_milnor_number_without_standard_monomials(monkeypatch):
 BRIESKORN = [("x^2 + y^3 + z^4", [6, 4, 3], 6), ("x^3 + y^3 + z^4", [4, 4, 3], 12)]
 
 
+def _coefficient(doc, index):
+    """The lifted operator's entry at the multi-index."""
+    return next(e for e in doc["lifted_operator"]["coefficients"] if e["index"] == index)
+
+
 def _cli_verify(doc, tmp_path) -> int:
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
@@ -739,9 +781,7 @@ class TestQuasiHomogeneous:
         yvars = doc["change_of_coordinates"]["new_variables"]
         doc["change_of_coordinates"].update({
             "slice_coefficients": [format_fraction(c) for c in coeffs],
-            "matrix": [[format_fraction(v) for v in row] for row in change.matrix],
             "transformed_polynomial": format_poly(g, yvars),
-            "slice_restriction": format_poly(restrict_to_hyperplane(g), yvars[1:]),
         })
         assert _cli_verify(doc, tmp_path) == 4
         assert "slice mixes variables of different weight" in certificate_failures(WitnessCertificate(doc))

@@ -128,7 +128,7 @@ def test_byte_flips(certificate, tmp_path, capsys):
     (("membership_tests",), 7),
     (("membership_tests", "obstruction"), "y1"),
     (("membership_tests", "isolation"), 7),
-    (("membership_tests", "tests"), None),
+    (("lifted_operator", "scales_f_by"), None),
     (("change_of_coordinates", "slice_coefficients"), ["1e999999999", "0", "0"]),
     (("input", "variables"), 7),
     (("input",), []),
