@@ -6,26 +6,34 @@ operator is a coefficient map over divided-power multi-indices
 (c_{2e_i} multiplies (1/2) d^2/dx_i^2), so the tuple extracted from an
 operator D satisfies d_j(x_i) = c_{e_i + e_j}(D) with no factor anywhere.
 
-The symmetrization sweep adjusts a tuple whose pairwise defects lie in
-the Jacobian ideal into an exactly symmetric one by adding polynomial
-multiples of the Hamiltonian derivations, recording every move in a
-replayable ledger.
+symmetrize adjusts a tuple whose pairwise defects lie in the Jacobian
+ideal into an exactly symmetric one by adding polynomial multiples of the
+Hamiltonian derivations, recording every move in a replayable ledger.
 
-Every cofactor the witness construction needs has a closed form, so the
-sweep and the lift compute no Groebner basis.  Let f be quasi-homogeneous with
-weights W and weighted degree D, A_1i the cofactors of the first row of
-its Hessian and A_[l,i,1,k] the minor without rows (l, 1) and columns
-(i, k) (minors.signed_minor), and write f_l = df/dx_l.
+Every cofactor the witness construction needs has a closed form, so
+symmetrize and the lift compute no Groebner basis.  Let f be
+quasi-homogeneous with weights W and weighted degree D, A_1i the cofactors
+of the first row of its Hessian and A_[l,i,1,k] the minor without rows
+(l, 1) and columns (i, k) (minors.signed_minor), and write f_l = df/dx_l.
 
 1. Defect cofactors.  The candidate d_i = A_1i E_W has the defect
    d_i(x_k) - d_k(x_i) = A_1i W_k x_k - A_1k W_i x_i
                        = sum_{l >= 2} a_l f_l,  a_l = -(D - W_l) A_[l,i,1,k],
    and a_1 = 0: the weighted cofactor identity with row 1 deleted
    (minors.verify_cofactor_identity, minors.cofactor_identity_terms).
-2. The sweep carry.  The move d_t += c D_kl changes d_t(x_l) by c f_k and
-   d_t(x_k) by -c f_l, so it adds +-c to one entry of the cofactor vector
-   of each pair (t, l) and (t, k).  The sweep carries every pair's vector
-   along its moves exactly and never lifts.
+2. Symmetrization.  Write a^(i,k) for the vector of pair i < k, with
+   sum_l a^(i,k)_l f_l = d_i(x_k) - d_k(x_i), and extend it by
+   a^(k,i) = -a^(i,k) and a^(i,i) = 0.  Adding c D_lk to d_t changes
+   d_t(x_k) by c f_l and d_t(x_l) by -c f_k.  So adding tau_t,lk D_lk to
+   d_t for every t and l < k, with tau antisymmetric in (l, k), leaves
+   pair (i, k) the vector a^(i,k)_l + tau_i,lk - tau_k,li, and
+     tau_t,lk = 1/2 (a^(t,l)_k - a^(t,k)_l - a^(l,k)_t)
+   makes every entry of it zero.  No other tau does: the difference of
+   two solutions has tau_i,lk = tau_k,li, so it is symmetric in its outer
+   indices and antisymmetric in its inner pair, and
+   tau_a,bc = tau_c,ba = -tau_c,ab = -tau_b,ac = tau_b,ca = tau_a,cb = -tau_a,bc.
+   Only tau_1,1k moves d_1(x_1), and for the candidate it is
+   -a^(1,k)_1 = 0, so the symmetric tuple keeps d_1(x_1) = W_1 x_1 A_11.
 3. The first-order lift.  Let c_ij = d_i(x_j) for a symmetric tuple with
    d_i(f) = q_i f.  Differentiating sum_j c_ij f_j = q_i f by x_i, summing
    over i and substituting f = (1/D) sum_k W_k x_k f_k gives
@@ -35,7 +43,7 @@ its Hessian and A_[l,i,1,k] the minor without rows (l, 1) and columns
    annihilates f.
 
 Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
-annihilate f, so every tuple the sweep makes from it scales f by the same
+annihilate f, so the tuple symmetrize makes from it scales f by the same
 D A_1i.
 """
 
@@ -206,7 +214,8 @@ class Adjustment:
 
 
 def replay_ledger(tuple_in: DerivationTuple, ledger: Sequence[Adjustment]) -> DerivationTuple:
-    """Apply the recorded moves in order; reproduces symmetrize's output."""
+    """Apply the recorded moves in order; symmetrize's output is the replay
+    of its ledger."""
     ders = list(tuple_in.ders)
     for move in ledger:
         ders[move.target - 1] = ders[move.target - 1].add_scaled(
@@ -454,68 +463,37 @@ def symmetrize(
 
     ``cofactors`` maps a pair (i, j), i < j, to a vector a with
     sum_l a_l f_l = d_i(x_j) - d_j(x_i) for the input tuple; a missing pair
-    starts from the zero vector.  Every move carries these vectors along
-    (identity 2 of the module docstring), and each pair's vector is checked
-    to recombine to its current defect before it is used; one that does
-    not raises ValueError.  Pairs are swept in lexicographic order.  For
-    the pair (i, j) with defect sum a_l * f_l:
-
-      * the f_i and f_j parts go away by adding -a_i D_ij to d_i and
-        -a_j D_ij to d_j (touches only the pair itself and diagonals);
-      * an f_l part with l > j goes away by adding a_l D_jl to d_i
-        (touches only the later pair (i, l));
-      * any other f_l part is removed by the balanced half-coefficient move
-        d_i -= (a_l/2) D_lj,  d_j += (a_l/2) D_li,  d_l -= (a_l/2) D_ij,
-        which changes no pair defect except (i, j) and no diagonal.
-
-    The returned ledger replays to the returned tuple; the symmetry
-    postcondition is verified before returning.
+    stands for the zero vector, and a vector that does not recombine to its
+    defect raises ValueError.  The ledger adds tau_t,lk D_lk to d_t for
+    every t and l < k with tau_t,lk nonzero, in that order, where tau is
+    the unique solution of identity 2 of the module docstring; the returned
+    tuple is its replay, and the symmetry postcondition is verified before
+    returning.
     """
     f = tuple_in.f
     n = tuple_in.n
+    zero = Polynomial.zero(n)
     partials = [f.partial(l) for l in range(1, n + 1)]
-    pairs = list(combinations(range(1, n + 1), 2))
-    vectors = {pair: list(cofactors.get(pair) or [Polynomial.zero(n)] * n) for pair in pairs}
-    ledger: list[Adjustment] = []
-    ders = list(tuple_in.ders)
-
-    def move(target: int, k: int, l: int, coeff: Polynomial):
-        if coeff.is_zero():
-            return
-        ders[target - 1] = ders[target - 1].add_scaled(coeff, hamiltonian(f, k, l))
-        ledger.append(Adjustment(target, k, l, coeff))
-        # carry (identity 2): d_target(x_m) gains c * f_idx, which adds c to
-        # entry idx of the vector of pair (target, m), or -c if m < target
-        for m, idx, c in ((l, k, coeff), (k, l, -coeff)):
-            if m != target:
-                vectors[min(target, m), max(target, m)][idx - 1] += c if target < m else -c
-
-    half = Fraction(1, 2)
-    for i, j in pairs:
-        defect = ders[i - 1].image(j) - ders[j - 1].image(i)
-        cofs = list(vectors[i, j])
-        if len(cofs) != n or sum((a * g for a, g in zip(cofs, partials)), Polynomial.zero(n)) != defect:
+    a = {(i, i): [zero] * n for i in range(1, n + 1)}
+    for i, k in combinations(range(1, n + 1), 2):
+        vector = list(cofactors.get((i, k)) or [zero] * n)
+        if len(vector) != n or sum((c * g for c, g in zip(vector, partials)), zero) != tuple_in.defect(i, k):
             raise ValueError(
-                f"defect of pair ({i},{j}) is not in the Jacobian ideal by the supplied "
+                f"defect of pair ({i},{k}) is not in the Jacobian ideal by the supplied "
                 "cofactors; the input tuple is not a valid candidate"
             )
-        if defect.is_zero():
-            continue
-        move(i, i, j, -cofs[i - 1])
-        move(j, i, j, -cofs[j - 1])
-        for l in range(1, n + 1):
-            if l in (i, j) or cofs[l - 1].is_zero():
-                continue
-            a_l = cofs[l - 1]
-            if l > j:
-                move(i, j, l, a_l)
-            else:
-                move(i, l, j, a_l.scale(-half))
-                move(j, l, i, a_l.scale(half))
-                move(l, i, j, a_l.scale(-half))
-    result = DerivationTuple(tuple(ders), f)
+        a[i, k] = vector
+        a[k, i] = [-c for c in vector]
+    half = Fraction(1, 2)
+    ledger = []
+    for t in range(1, n + 1):
+        for l, k in combinations(range(1, n + 1), 2):
+            tau = (a[t, l][k - 1] - a[t, k][l - 1] - a[l, k][t - 1]).scale(half)
+            if not tau.is_zero():
+                ledger.append(Adjustment(t, l, k, tau))
+    result = replay_ledger(tuple_in, ledger)
     if not result.is_symmetric():
-        raise InternalInconsistencyError("symmetrization sweep left an asymmetric pair")
+        raise InternalInconsistencyError("symmetrization left an asymmetric pair")
     logger.debug("symmetrize: %d adjustments over %d pairs", len(ledger), n * (n - 1) // 2)
     return result, tuple(ledger)
 

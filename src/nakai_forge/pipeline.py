@@ -33,10 +33,13 @@ certified step uses it.
    alternation of the maximal minors of the Hessian with row 1 deleted
    then puts A_1i W_j x_j - A_1j W_i x_i in (f_2, ..., f_n)
    (minors.verify_cofactor_identity).  So d_i = A_1i E_W has its defects
-   in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f); the
-   symmetrization sweep and the lift of the derivations module turn this
-   tuple into P.  The certificate records none of these intermediate
-   tuples (the symmetrize CLI subcommand prints them).
+   in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f);
+   derivations.symmetrize (the closed form of identity 2 of that module)
+   and derivations.lift_to_diff2 turn this tuple into P.  Every defect
+   cofactor vector has a_1 = 0, so symmetrization never moves the entry
+   (1, 1), and the witness is d_1(y_1) = W_1 y_1 A_11 for the Hessian of g.
+   The certificate records none of these intermediate tuples (the
+   symmetrize CLI subcommand prints them).
 2. P descends to A.  The certificate records the divided-power
    coefficients c_alpha of P and polynomials q_j.  The verifier extracts
    the tuple d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract) and
@@ -119,6 +122,7 @@ from .exprio import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     CertificateError,
+    _power_too_large,
     format_fraction,
     format_poly,
     parse_fraction,
@@ -213,6 +217,17 @@ def slice_change(coefficients: Sequence[Fraction], n: int) -> LinearChange:
     return LinearChange(tuple(tuple(r) for r in rows))
 
 
+def substitute_slice(change: LinearChange, f: Polynomial) -> Polynomial:
+    """g = f(x(y)) for a slice change; raises ResourceLimitExceeded, before
+    expanding anything, when a row of two or more terms is raised to a power
+    that the parser would refuse to expand (exprio._power_too_large)."""
+    for i, row in enumerate(change.matrix):
+        k = max((e[i] for e in f.terms), default=0)
+        if _power_too_large(sum(1 for c in row if c), k):
+            raise ResourceLimitExceeded(f"power {k} of slice row {i + 1} is too large to expand")
+    return change.apply(f)
+
+
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     """p with the first variable set to zero, re-read in the remaining n-1."""
     out = {}
@@ -238,7 +253,8 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
     The no-op slice (1, 0, ..., 0) is tried first; further candidates draw
     integer coefficients from [-bound, bound], deterministically from the
     seed, and zero those of variables whose weight differs from that of
-    x_1 (for homogeneous input, none).  Exhausting the retry budget raises
+    x_1 (for homogeneous input, none).  Exhausting the retry budget, or a
+    slice too large to substitute (substitute_slice), raises
     ResourceLimitExceeded; a failed no-op slice with no variable sharing the
     weight of x_1 raises NoIsolatingSlice.
     """
@@ -268,7 +284,7 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
         if coeffs[0] == 0:
             continue
         change = slice_change(coeffs, n)
-        g = change.apply(f)
+        g = substitute_slice(change, f)
         restriction = restrict_to_hyperplane(g)
         if restriction.is_zero():
             continue
@@ -508,7 +524,7 @@ def build_witness(
     }
 
     # point 1 of the module docstring: the candidate, its closed-form defect
-    # cofactors and the sweep only construct P; none of them is recorded
+    # cofactors and symmetrize only construct P; none of them is recorded
     candidate = build_candidate_tuple(g, check_isolated=False, weights=weights)
     symmetric, _ = symmetrize(candidate, candidate_defect_cofactors(g, weights))
     lifted = lift_to_diff2(symmetric)
@@ -524,7 +540,7 @@ def build_witness(
                         for i in range(1, n + 1)],
     }
 
-    witness = symmetric.entry(1, 1)
+    witness = symmetric.entry(1, 1)  # W_1 y_1 A_11 (point 1)
     obstruction = obstruction_ideal(g)
     gb_obstruction = buchberger(obstruction, order, track_cofactors=False, **cfg.caps())
     nf = gb_obstruction.normal_form(witness)
@@ -812,7 +828,7 @@ def _verify_witness(doc: dict, expect_witness: bool = True) -> list[str]:
         return failures + [f"slice coefficients invalid: {exc}"]
     if any(a and w != weights[0] for a, w in zip(coeffs, weights)):
         failures.append("slice mixes variables of different weight")
-    g = change.apply(f)
+    g = substitute_slice(change, f)
     if parse_poly(change_doc["transformed_polynomial"], yvars) != g:
         failures.append("transformed polynomial does not match the substitution")
 

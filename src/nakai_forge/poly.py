@@ -141,7 +141,7 @@ class Polynomial:
         self._check_same_ring(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            c = out.get(exp, Fraction(0)) + coeff
+            c = out.get(exp, 0) + coeff
             if c:
                 out[exp] = c
             else:
@@ -154,7 +154,7 @@ class Polynomial:
         self._check_same_ring(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            c = out.get(exp, Fraction(0)) - coeff
+            c = out.get(exp, 0) - coeff
             if c:
                 out[exp] = c
             else:
@@ -264,7 +264,7 @@ class Polynomial:
             new = list(exp)
             new[k] -= 1
             key = tuple(new)
-            c = out.get(key, Fraction(0)) + coeff * exp[k]
+            c = out.get(key, 0) + coeff * exp[k]
             if c:
                 out[key] = c
             else:
@@ -293,7 +293,7 @@ class Polynomial:
                 if a:
                     binom *= math.comb(e, a)
             key = tuple(e - a for e, a in zip(exp, alpha))
-            c = out.get(key, Fraction(0)) + coeff * binom
+            c = out.get(key, 0) + coeff * binom
             if c:
                 out[key] = c
             else:

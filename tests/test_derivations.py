@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nakai_forge.derivations import (
+    Adjustment,
     Derivation1,
     DerivationTuple,
     DiffOp2,
@@ -25,7 +26,7 @@ from nakai_forge.derivations import (
 from nakai_forge.exprio import parse_poly
 from nakai_forge.groebner import Ideal, buchberger, jacobian_ideal
 from nakai_forge.minors import algebraic_cofactor, hessian
-from nakai_forge.poly import Polynomial
+from nakai_forge.poly import Polynomial, quasi_homogeneous_weights
 
 V3 = ["x", "y", "z"]
 
@@ -346,6 +347,38 @@ class TestSymmetrize:
         assert result.ders[0].images == expected_d1.images
         assert result.ders[1].images == expected_d2.images
 
+    def test_unique_solution(self):
+        # moving a symmetric tuple by known tau_t,lk D_lk gives pair (i, k)
+        # the vector a_l = tau_i,lk - tau_k,li; symmetrize undoes exactly
+        # those moves, with coefficients -tau, whatever tau was
+        from conftest import random_polynomial
+
+        rng = random.Random(1010)
+        for text in (FERMAT, PAPER_F):
+            f = P(text)
+            n = f.n
+            zero = Polynomial.zero(n)
+            symmetric, _ = symmetrize(build_candidate_tuple(f), candidate_defect_cofactors(f))
+            tau = {}
+            for t in range(1, n + 1):
+                for l, k in itertools.combinations(range(1, n + 1), 2):
+                    c = random_polynomial(rng, n, 2, max_terms=3, coeff_bound=3)
+                    if not c.is_zero():
+                        tau[t, l, k] = c
+            moved = replay_ledger(symmetric, [Adjustment(*key, c) for key, c in tau.items()])
+
+            def at(t, l, k):  # tau extended antisymmetrically in (l, k)
+                return tau.get((t, l, k), zero) if l <= k else -tau.get((t, k, l), zero)
+
+            cofactors = {
+                (i, k): tuple(at(i, l, k) - at(k, l, i) for l in range(1, n + 1))
+                for i, k in itertools.combinations(range(1, n + 1), 2)
+            }
+            result, ledger = symmetrize(moved, cofactors)
+            assert all(a.images == b.images for a, b in zip(result.ders, symmetric.ders))
+            assert [(m.target, m.k, m.l) for m in ledger] == sorted(tau)
+            assert all(m.coeff == -tau[m.target, m.k, m.l] for m in ledger)
+
     def test_candidate_postconditions(self):
         for text in (FERMAT, PAPER_F):
             f = P(text)
@@ -423,6 +456,16 @@ class TestClosedFormCofactors:
         cofactors[1, 3] = (a1, a2 + P("x"), a3)
         with pytest.raises(ValueError, match="not in the Jacobian ideal"):
             symmetrize(cand, cofactors)
+
+    @pytest.mark.parametrize("text", [FERMAT, PAPER_F, "x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
+    def test_witness_closed_form(self, text):
+        # every candidate vector has a_1 = 0, so symmetrize never moves the
+        # entry (1, 1): d_1(x_1) = W_1 x_1 A_11
+        f = P(text)
+        (w1, *_), _ = quasi_homogeneous_weights(f)
+        symmetric, _ = symmetrize(build_candidate_tuple(f), candidate_defect_cofactors(f))
+        expected = (P("x") * algebraic_cofactor(hessian(f), 1, 1)).scale(w1)
+        assert symmetric.entry(1, 1) == expected
 
     @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
     def test_lift_brieskorn(self, text):

@@ -69,6 +69,16 @@ class TestSliceSearch:
         with pytest.raises(ResourceLimitExceeded):
             generic_slice_search(P(PAPER_F), PipelineConfig(max_retries=1))
 
+    def test_huge_slice_power_is_refused(self):
+        # the restriction y^1000 is not isolated, and any slice that changes
+        # it mixes x with y or z: a row whose 1000th power the parser refuses
+        f = P("x^1000 + y^1000 + x*z^999")
+        with pytest.raises(ResourceLimitExceeded, match="power 1000 of slice row 1"):
+            generic_slice_search(f, PipelineConfig())
+        cert = build_witness(f, V3)
+        assert cert.verdict == RESOURCE_EXHAUSTED
+        assert verify_certificate(cert)
+
     def test_determinism(self):
         cfg = PipelineConfig(seed=5)
         a = generic_slice_search(P(PAPER_F), cfg)

@@ -142,3 +142,15 @@ def test_wrong_types_exit_4(path, value, fermat_certificate, tmp_path, capsys):
     node[path[-1]] = value
     assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_huge_slice_power_exits_4(fermat_certificate, tmp_path, capsys):
+    # the slice y1 = x + y makes g = f(x(y)) expand (y1 - y2)^100000; the
+    # verifier refuses that power before expanding it
+    doc = json.loads(fermat_certificate)
+    doc["input"]["polynomial"] = "x^100000 + y^100000 + z^100000"
+    doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
+    start = time.perf_counter()
+    assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
+    assert time.perf_counter() - start < 5
+    assert "power 100000 of slice row 1 is too large to expand" in capsys.readouterr().out
