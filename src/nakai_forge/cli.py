@@ -181,12 +181,12 @@ def cmd_witness(args) -> int:
         if cert.verdict == WITNESS_FOUND:
             change = cert.document["change_of_coordinates"]
             _emit(f"slice:   y1 = {_slice_text(change, variables)} (attempt {change['attempts']})")
-            obstruction = cert.document["membership_tests"]["obstruction"]
-            _emit(f"witness: d1(y1) = {obstruction['witness']}")
-            _emit(
-                f"lambda(d1(y1)) = {obstruction['value']} != 0 for a functional lambda on weighted "
-                f"degree {obstruction['degree']} that vanishes on (y1, g_2, ..., g_n)^2 + (g)"
-            )
+            diagonal = [2] + [0] * (len(variables) - 1)
+            witness = next(e["value"] for e in cert.document["lifted_operator"]["coefficients"]
+                           if e["index"] == diagonal)
+            _emit(f"witness: d1(y1) = {witness}")
+            _emit("d1(y1) = W_1*y1*Hess(h) mod y1^2 for the isolated h = g(0, y2, ..., yn), so it lies "
+                  "outside (y1, g_2, ..., g_n)^2 + (g) (socle lemma)")
         elif cert.verdict == INPUT_REJECTED:
             rejection = cert.document["input"].get("rejection", {})
             _emit(f"reason:  {rejection.get('reason')}: {rejection.get('message')}")

@@ -61,6 +61,7 @@ from .groebner import (
     Ideal,
     InternalInconsistencyError,
     _divide_tracked,
+    _split_divisor,
 )
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
 from .poly import Exponent, Polynomial, quasi_homogeneous_weights
@@ -162,9 +163,7 @@ def principal_cofactor(delta: Derivation1, f: Polynomial) -> Polynomial | None:
         return Polynomial.zero(f.n)
     if f.is_zero():
         return None
-    (quotient,), remainder = _divide_tracked(
-        value, (f,), (GREVLEX.leading_term(f),), GREVLEX, DEFAULT_MAX_TERMS
-    )
+    (quotient,), remainder = _divide_tracked(value, (_split_divisor(f, GREVLEX),), GREVLEX, DEFAULT_MAX_TERMS)
     return quotient if remainder.is_zero() else None
 
 

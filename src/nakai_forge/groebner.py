@@ -10,7 +10,8 @@ the basis itself.
 
 Division is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
-terms G over its own denominator.  To cancel a term w of W with the
+terms G over its own denominator, split once per basis element
+(_split_divisor) and reused by every division.  To cancel a term w of W with the
 integer leading coefficient L of G, with h = gcd(w, L) signed like L, the
 step scales W and D by L/h > 0 (only when that is not 1) and subtracts
 (w/h) * x^s * G.  Quotient and remainder terms become Fractions only when
@@ -101,17 +102,31 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+# A divisor split once into integer terms: (lm, denominator, lc, tail) with
+# g = (lc x^lm + sum of the tail terms c x^e) / denominator.
+Divisor = tuple[Exponent, int, int, list[tuple[Exponent, int]]]
+
+
+def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
+    """g as _divide_tracked takes it: leading monomial, common denominator,
+    integer leading coefficient and integer tail."""
+    lm = order.leading_term(g)[0]
+    denominator, terms = g.integer_terms()
+    lc = next(c for e, c in terms if e == lm)
+    return lm, denominator, lc, [(e, c) for e, c in terms if e != lm]
+
+
 def _divide_tracked(
     p: Polynomial,
-    divisors: Sequence[Polynomial],
-    leading: Sequence[tuple[Exponent, Fraction]],
+    divisors: Sequence[Divisor],
     order: MonomialOrder,
     max_terms: int,
 ) -> tuple[list[Polynomial], Polynomial]:
     """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder.
 
     No remainder term is divisible by any divisor's leading monomial.
-    Divisors are tried in list order, which keeps the result deterministic.
+    Divisors (_split_divisor) are tried in list order, which keeps the
+    result deterministic.
     """
     n = p.n
     denominator, items = p.integer_terms()
@@ -119,7 +134,6 @@ def _divide_tracked(
     key = order.descending_key
     heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
-    integer: list[tuple[int, int, list[tuple[Exponent, int]]] | None] = [None] * len(divisors)
     quotients: list[dict[Exponent, Fraction]] = [{} for _ in divisors]
     remainder: dict[Exponent, Fraction] = {}
     while heap:
@@ -127,17 +141,12 @@ def _divide_tracked(
         w = work.pop(exp, 0)
         if not w:
             continue  # cancelled, or a second heap entry of a monomial already taken
-        for k, (lm, _) in enumerate(leading):
+        for k, (lm, dg, lc, tail) in enumerate(divisors):
             if _divides(lm, exp):
                 break
         else:
             remainder[exp] = Fraction(w, denominator)
             continue
-        if integer[k] is None:
-            dg, terms = divisors[k].integer_terms()
-            lc = next(c for e, c in terms if e == lm)
-            integer[k] = dg, lc, [(e, c) for e, c in terms if e != lm]
-        dg, lc, tail = integer[k]
         shift = _exp_sub(exp, lm)
         quotients[k][shift] = Fraction(w * dg, denominator * lc)
         h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
@@ -188,11 +197,11 @@ class GroebnerBasis:
         return self.source.n
 
     def leading_monomials(self) -> list[Exponent]:
-        return [lm for lm, _ in self._leading]
+        return [d[0] for d in self._divisors]
 
     @cached_property
-    def _leading(self) -> list[tuple[Exponent, Fraction]]:
-        return [self.order.leading_term(g) for g in self.basis]
+    def _divisors(self) -> list[Divisor]:
+        return [_split_divisor(g, self.order) for g in self.basis]
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p; zero iff p is a member."""
@@ -200,7 +209,7 @@ class GroebnerBasis:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         if not self.basis:
             return p
-        _, remainder = _divide_tracked(p, self.basis, self._leading, self.order, self.max_terms)
+        _, remainder = _divide_tracked(p, self._divisors, self.order, self.max_terms)
         return remainder
 
     def contains(self, p: Polynomial) -> bool:
@@ -210,7 +219,7 @@ class GroebnerBasis:
         """Quotients over the basis elements plus the remainder."""
         if not self.basis:
             return [], p
-        return _divide_tracked(p, self.basis, self._leading, self.order, self.max_terms)
+        return _divide_tracked(p, self._divisors, self.order, self.max_terms)
 
     def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
@@ -311,22 +320,22 @@ def buchberger(
 
     basis: list[Polynomial] = []
     rows: list[list[Polynomial]] = []
-    leading: list[tuple[Exponent, Fraction]] = []
+    divisors: list[Divisor] = []
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         p, row = normalize(g, unit_row(j))
         basis.append(p)
         rows.append(row)
-        leading.append(order.leading_term(p))
+        divisors.append(_split_divisor(p, order))
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[tuple, int, int]] = []
 
     def push_pairs(new_index: int):
-        lm_new = leading[new_index][0]
+        lm_new = divisors[new_index][0]
         for i in range(new_index):
-            lcm = _exp_lcm(leading[i][0], lm_new)
+            lcm = _exp_lcm(divisors[i][0], lm_new)
             heapq.heappush(heap, ((sum(lcm), lcm, i, new_index), i, new_index))
             pending.add((i, new_index))
 
@@ -342,8 +351,8 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise ResourceLimitExceeded(f"S-pair cap {max_pairs} exceeded")
-        lm_i, lc_i = leading[i]
-        lm_j, lc_j = leading[j]
+        lm_i, den_i, lc_i, _ = divisors[i]
+        lm_j, den_j, lc_j, _ = divisors[j]
         lcm = _exp_lcm(lm_i, lm_j)
         # coprime leading monomials: the S-polynomial reduces to zero
         if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
@@ -353,7 +362,7 @@ def buchberger(
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(leading[k][0], lcm):
+            if _divides(divisors[k][0], lcm):
                 pair_ik = (min(i, k), max(i, k))
                 pair_jk = (min(j, k), max(j, k))
                 if pair_ik not in pending and pair_jk not in pending:
@@ -361,14 +370,15 @@ def buchberger(
                     break
         if skip:
             continue
-        s_poly = basis[i].mul_monomial(_exp_sub(lcm, lm_i), Fraction(1) / lc_i) - \
-            basis[j].mul_monomial(_exp_sub(lcm, lm_j), Fraction(1) / lc_j)
+        # 1/lc of a divisor is its denominator over its integer lc
+        s_poly = basis[i].mul_monomial(_exp_sub(lcm, lm_i), Fraction(den_i, lc_i)) - \
+            basis[j].mul_monomial(_exp_sub(lcm, lm_j), Fraction(den_j, lc_j))
         s_row = [
-            a.mul_monomial(_exp_sub(lcm, lm_i), Fraction(1) / lc_i)
-            - b.mul_monomial(_exp_sub(lcm, lm_j), Fraction(1) / lc_j)
+            a.mul_monomial(_exp_sub(lcm, lm_i), Fraction(den_i, lc_i))
+            - b.mul_monomial(_exp_sub(lcm, lm_j), Fraction(den_j, lc_j))
             for a, b in zip(rows[i], rows[j])
         ]
-        quotients, remainder = _divide_tracked(s_poly, basis, leading, order, max_terms)
+        quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms)
         if remainder.is_zero():
             continue
         for k, q in enumerate(quotients):
@@ -377,7 +387,7 @@ def buchberger(
         remainder, s_row = normalize(remainder, s_row)
         basis.append(remainder)
         rows.append(s_row)
-        leading.append(order.leading_term(remainder))
+        divisors.append(_split_divisor(remainder, order))
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
@@ -407,14 +417,14 @@ def _reduce_basis(
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
+    split = [_split_divisor(p, order) for p in polys]
     final_polys: list[Polynomial] = []
     final_rows: list[list[Polynomial]] = []
     for idx, (p, row) in enumerate(zip(polys, prows)):
-        others = polys[:idx] + polys[idx + 1:]
+        others = split[:idx] + split[idx + 1:]
         other_rows = prows[:idx] + prows[idx + 1:]
         if others:
-            leads = [order.leading_term(g) for g in others]
-            quotients, reduced = _divide_tracked(p, others, leads, order, max_terms)
+            quotients, reduced = _divide_tracked(p, others, order, max_terms)
             for q, orow in zip(quotients, other_rows):
                 if not q.is_zero():
                     row = [r - q * c for r, c in zip(row, orow)]
@@ -447,8 +457,7 @@ def reduce_by_basis(
     """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    leading = [order.leading_term(b) for b in basis]
-    _, remainder = _divide_tracked(p, basis, leading, order, max_terms)
+    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order, max_terms)
     return remainder
 
 

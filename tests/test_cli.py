@@ -122,13 +122,16 @@ class TestWitnessAndVerify:
 
     def test_witness_prints_functional_value(self, capsys):
         code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--json")
-        obstruction = json.loads(out)["membership_tests"]["obstruction"]
+        # d1(y1) is the operator's coefficient at 2 e_1; the lemma replaces
+        # the value of a dual vector
+        diagonal = next(e["value"] for e in json.loads(out)["lifted_operator"]["coefficients"]
+                        if e["index"] == [2, 0, 0])
         code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z")
         assert code == 0
-        assert f"witness: d1(y1) = {obstruction['witness']}" in out
-        assert (f"lambda(d1(y1)) = {obstruction['value']} != 0 for a functional lambda on weighted degree "
-                f"{obstruction['degree']} that vanishes on (y1, g_2, ..., g_n)^2 + (g)") in out
-        assert "normal form" not in out
+        assert f"witness: d1(y1) = {diagonal}" in out
+        assert ("d1(y1) = W_1*y1*Hess(h) mod y1^2 for the isolated h = g(0, y2, ..., yn), so it lies "
+                "outside (y1, g_2, ..., g_n)^2 + (g) (socle lemma)") in out
+        assert "lambda" not in out and "normal form" not in out
 
     def test_witness_json_stdout(self, capsys):
         code, out, _ = run(capsys, "witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--json")

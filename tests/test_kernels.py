@@ -13,7 +13,7 @@ import pytest
 
 from kernel_reference import reference_divide, reference_mul, reference_tokenize
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
-from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, buchberger
+from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, _split_divisor, buchberger
 from nakai_forge.poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, monomials_of_degree
 
 
@@ -92,7 +92,7 @@ class TestMultiply:
 def _divide_both(p, divisors, order, max_terms=10**6):
     leading = [order.leading_term(g) for g in divisors]
     return (
-        _divide_tracked(p, divisors, leading, order, max_terms),
+        _divide_tracked(p, [_split_divisor(g, order) for g in divisors], order, max_terms),
         reference_divide(p, divisors, leading, order, max_terms),
     )
 
@@ -176,9 +176,9 @@ class TestDivide:
                     reference_divide(p, [g], leading, GREVLEX, cap)
                 except ResourceLimitExceeded:
                     with pytest.raises(ResourceLimitExceeded):
-                        _divide_tracked(p, [g], leading, GREVLEX, cap)
+                        _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, cap)
                     continue
-                _divide_tracked(p, [g], leading, GREVLEX, cap)
+                _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, cap)
                 checked += cap > 0
                 break
         assert checked > 10
@@ -192,10 +192,9 @@ class TestMaxTermsCap:
         V = Polynomial.variable
         p = V(3, 1) * V(3, 1)
         g = V(3, 1) - V(3, 2) - V(3, 3)
-        leading = [GREVLEX.leading_term(g)]
         with pytest.raises(ResourceLimitExceeded, match="exceeded 2 terms"):
-            _divide_tracked(p, [g], leading, GREVLEX, 2)
-        quotients, remainder = _divide_tracked(p, [g], leading, GREVLEX, 3)
+            _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 2)
+        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 3)
         assert quotients[0] == V(3, 1) + V(3, 2) + V(3, 3)
         assert remainder == (V(3, 2) + V(3, 3)) * (V(3, 2) + V(3, 3))
 
@@ -205,8 +204,7 @@ class TestMaxTermsCap:
         # holds; a zero kept in the working map would count as a second
         p = parse_poly("x^2 - x*y + z^2", ["x", "y", "z"])
         g = parse_poly("x - y", ["x", "y", "z"])
-        leading = [GREVLEX.leading_term(g)]
-        quotients, remainder = _divide_tracked(p, [g], leading, GREVLEX, 1)
+        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 1)
         assert quotients[0] == parse_poly("x", ["x", "y", "z"])
         assert remainder == parse_poly("z^2", ["x", "y", "z"])
 

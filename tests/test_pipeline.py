@@ -11,6 +11,7 @@ from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, buchberger, jacobian_ideal
+from nakai_forge.minors import determinant
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
@@ -22,13 +23,15 @@ from nakai_forge.pipeline import (
     certificate_failures,
     dual_functional,
     generic_slice_search,
-    obstruction_ideal,
+    jacobian_matrix,
     restrict_to_hyperplane,
     saito_check,
     slice_change,
     verify_certificate,
 )
 from nakai_forge.poly import Polynomial, monomials_of_degree
+
+from test_acceptance import _random_corpus
 
 V3 = ["x", "y", "z"]
 
@@ -55,7 +58,11 @@ class TestSliceSearch:
         assert not buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
         choice = generic_slice_search(f, PipelineConfig())
         assert choice.attempts > 1
-        assert buchberger(jacobian_ideal(choice.restriction)).is_zero_dimensional()
+        # the search hands on the row-tracked basis of J(h), h the restriction
+        restriction = restrict_to_hyperplane(choice.change.apply(f))
+        assert choice.gb.source == jacobian_ideal(restriction)
+        assert len(choice.gb.cofactors) == len(choice.gb.basis)
+        assert buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
 
     def test_paper_chosen_slice_works(self):
         # y1 = x + z: the restriction is y2*y3^2 + y2^2*y3 - y3^3
@@ -73,10 +80,13 @@ class TestSliceSearch:
         # the restriction y^1000 is not isolated, and any slice that changes
         # it mixes x with y or z: a row whose 1000th power the parser refuses
         f = P("x^1000 + y^1000 + x*z^999")
-        with pytest.raises(ResourceLimitExceeded, match="power 1000 of slice row 1"):
+        with pytest.raises(ResourceLimitExceeded, match="power 1000 of slice row 1") as caught:
             generic_slice_search(f, PipelineConfig())
+        assert caught.value.attempts == 2
         cert = build_witness(f, V3)
         assert cert.verdict == RESOURCE_EXHAUSTED
+        # the second slice (the draw [3, 0, 3]) hit the bound, not the retry cap
+        assert cert.document["change_of_coordinates"] == {"attempts": 2, "exhausted": True}
         assert verify_certificate(cert)
 
     def test_determinism(self):
@@ -128,10 +138,11 @@ class TestBuildWitness:
         doc = cert.document
         assert doc["input"]["milnor_number"] == 8
         assert doc["input"]["degree"] == 3
-        obstruction = doc["membership_tests"]["obstruction"]
-        assert obstruction["member"] is False
-        assert obstruction["degree"] == 3 and obstruction["value"] != "0"
-        assert obstruction["functional"]
+        # the restriction y2^3 + y3^3 is isolated: one pure power per variable
+        assert doc["membership_tests"]["obstruction"] == {"restriction_isolation": [
+            {"polynomial": "y2^2", "cofactors": ["1/3", "0"]},
+            {"polynomial": "y3^2", "cofactors": ["0", "1/3"]},
+        ]}
         # one pure power per variable certifies isolation; no basis is recorded
         assert len(doc["membership_tests"]["isolation"]["pure_powers"]) == 3
         assert "groebner_bases" not in doc["membership_tests"]
@@ -180,6 +191,7 @@ class TestBuildWitness:
     def test_resource_exhausted(self):
         cert = build_witness(P(PAPER_F), V3, PipelineConfig(max_retries=1))
         assert cert.verdict == RESOURCE_EXHAUSTED
+        assert cert.document["change_of_coordinates"] == {"attempts": 1, "exhausted": True}
         assert verify_certificate(cert)
 
     def test_determinism_byte_identical(self):
@@ -219,21 +231,14 @@ class TestBuildWitness:
         assert [r["polynomial"].split(" ")[0] for r in pure] == ["x^2", "y^2", "z^2"]
         assert verify_certificate(cert)
 
-    def test_witness_membership_path(self, monkeypatch):
-        # no known input puts d1(y1) inside S; the unit ideal in place of S
-        # runs the rejection branch and its replay
-        import nakai_forge.pipeline as pipeline
-
-        real = pipeline.obstruction_ideal
-        monkeypatch.setattr(pipeline, "obstruction_ideal", lambda g: Ideal((Polynomial.constant(g.n, 1),)))
-        cert = build_witness(P(FERMAT), V3)
-        assert cert.verdict == INPUT_REJECTED
-        assert cert.document["input"]["rejection"]["reason"] == "witness_membership"
-        obstruction = cert.document["membership_tests"]["obstruction"]
-        assert obstruction["member"] is True and obstruction["cofactors"] == [obstruction["witness"]]
-        assert verify_certificate(cert)
-        monkeypatch.setattr(pipeline, "obstruction_ideal", real)
-        assert certificate_failures(cert) == ["obstruction: cofactors do not re-multiply to the witness"]
+    def test_witness_membership_path(self, tmp_path):
+        # the socle lemma puts every witness outside S, so the builder has no
+        # witness_membership rejection and the verifier refuses one
+        doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
+        doc["verdict"] = INPUT_REJECTED
+        doc["input"]["rejection"] = {"reason": "witness_membership", "message": "forged"}
+        assert certificate_failures(WitnessCertificate(doc)) == ["unknown rejection reason 'witness_membership'"]
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_dimension_cap(self):
         names = [f"x{i}" for i in range(1, 8)]
@@ -248,20 +253,21 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "c574922b9ec06edc4210e9263ec1cddf7b9e791432edb9d3c47403c9e5e4be05",
-    "fermat-cubic": "d20be106c0567928bb3b5081265841b011a74cdc4846e81b2392e5440a0ff4ed",
-    "fermat-quartic": "2fa27b9c023ad84f602fb30e76ac33332698dd1e315cc812ce0d2c8aad3ec799",
-    "fermat-cubic-4": "8d9452a3a7198df2c2108670319e7df0bbd3606c338a687d0589be71952927cd",
-    "brieskorn-2-3-4": "c479272d7e412206a03764199e4ef4fc671e2d880e4a195b7a1540e547b27f39",
-    "brieskorn-3-3-4": "08155de9a1e535b832434de8479f050efebe6e4e288164cebf8a3b2d37cce940",
+    "cyclic-cubic": "15884101c3a695e83fb2dc6319b069e2f6fb4612f301d0190ea7a7fb904e669c",
+    "fermat-cubic": "b75b42b621a167156742df27947c6ed49a142ed5e6f8fe633b3c3d088329e53f",
+    "fermat-quartic": "b4f0203d11dbf90794358f8f3be60d073186ed037e99acd38ceab118646433c4",
+    "fermat-cubic-4": "cd3152d1dc615265f49842cc82eaaa6c25897b67fc26c634c007586756c5063f",
+    "brieskorn-2-3-4": "952f336e3f051b3f0695af8d8067a079dc8421d1a4f1a814d84e9c21d556351a",
+    "brieskorn-3-3-4": "c40bf6eef0b3dc038a0bd21d35117f973cc8a29e3a0ee8d17ae67c5d53430833",
 }
 
 
 def test_verifier_is_independent_of_the_construction(monkeypatch):
     # a witness certificate holds P, its scales and the isolation and
     # obstruction records; verifying it runs nothing of how the builder
-    # found P
+    # found P, and computes no Groebner basis
     import nakai_forge.derivations as derivations
+    import nakai_forge.groebner as groebner
     import nakai_forge.pipeline as pipeline
 
     certs = {name: build_witness(parse_poly(text, variables), variables)
@@ -270,9 +276,9 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the verifier ran a step of the construction")
 
-    for module in (pipeline, derivations):
+    for module in (pipeline, derivations, groebner):
         for name in ("symmetrize", "replay_ledger", "candidate_defect_cofactors",
-                     "build_candidate_tuple", "hessian", "algebraic_cofactor"):
+                     "build_candidate_tuple", "hessian", "algebraic_cofactor", "buchberger"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     for name, cert in certs.items():
         doc = cert.document
@@ -283,6 +289,7 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
                                                      "transformed_polynomial", "attempts"}
         assert set(doc["lifted_operator"]) == {"coefficients", "scales_f_by"}
         assert set(doc["membership_tests"]) == {"isolation", "obstruction"}
+        assert set(doc["membership_tests"]["obstruction"]) == {"restriction_isolation"}
 
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
@@ -359,12 +366,46 @@ class TestVerifyCertificate:
         doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
         assert not verify_certificate(WitnessCertificate(doc))
 
-    def test_tampered_normal_form(self):
-        # the recorded lambda(d1(y1)) replaces the recorded normal form
-        cert = self._fermat_cert()
-        doc = json.loads(write_certificate(cert.document))
-        doc["membership_tests"]["obstruction"]["value"] = "1"
-        assert not verify_certificate(WitnessCertificate(doc))
+    @pytest.mark.parametrize("case, failure", [
+        ("not a pure power", "restriction isolation: element 1 does not lead with a power of y2"),
+        ("cofactors", "restriction isolation: element 1 is not the recorded combination of the partials"),
+        ("record count", "restriction isolation: 1 pure powers recorded for 2 variables"),
+        ("schema-4 dual vector", "obstruction: no restriction_isolation record for g(0, y2, ..., yn)"),
+    ])
+    def test_tampered_obstruction(self, case, failure, tmp_path):
+        # fermat-cubic: h = y2^3 + y3^3, with y2^2 = 1/3 * dh/dy2 and
+        # y3^2 = 1/3 * dh/dy3 recorded
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        records = doc["membership_tests"]["obstruction"]["restriction_isolation"]
+        if case == "not a pure power":
+            # y2^2*y3 is in J(h), but leads with no power of y2
+            records[0] = {"polynomial": "y2^2*y3", "cofactors": ["1/3*y3", "0"]}
+        elif case == "cofactors":
+            records[0]["cofactors"] = ["1/2", "0"]
+        elif case == "record count":
+            records.pop()
+        else:
+            # the schema-4 record: lambda = (y1*y2*y3)^* kills the degree-3
+            # part of S and not d1(y1) = 36*y1*y2*y3, a sound proof in the
+            # format this schema replaced
+            doc["membership_tests"]["obstruction"] = {
+                "witness": "36*y1*y2*y3", "member": False, "degree": 3,
+                "functional": [{"monomial": [1, 1, 1], "value": "1"}], "value": "36",
+            }
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_forged_high_degree_witness_is_fast(self, tmp_path):
+        # d1(y1) forged to y1^1000000: the lemma's congruence fails on the
+        # terms of y1-degree 1 of W_1 y1 Hess(h), and nothing enumerates the
+        # monomials of degree 10^6
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        _coefficient(doc, [2, 0, 0])["value"] = "y1^1000000"
+        start = time.perf_counter()
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert time.perf_counter() - start < 5
+        assert "obstruction: d1(y1) is not W_1 y1 Hess(h) modulo y1^2" in failures
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_long_power_refused(self, tmp_path):
         # (y1 + y2)^100000 would expand to 100001 terms of up to 30103
@@ -445,72 +486,54 @@ class TestVerifyCertificate:
                 ["pure_powers"][0]["cofactors"].__setitem__(0, "y"))
         corrupt("pure power variable", lambda d: d["membership_tests"]["isolation"]
                 ["pure_powers"].reverse())
-        corrupt("obstruction membership flag", lambda d: d["membership_tests"]["obstruction"]
-                .__setitem__("member", True))
-        corrupt("obstruction witness", lambda d: d["membership_tests"]["obstruction"]
-                .__setitem__("witness", "y1^3"))
-        corrupt("obstruction value", lambda d: d["membership_tests"]["obstruction"]
-                .__setitem__("value", "-" + d["membership_tests"]["obstruction"]["value"]))
+        corrupt("restriction pure power element", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"][0].__setitem__("polynomial", "y2^2 + y3^2"))
+        corrupt("restriction pure power cofactor", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"][1]["cofactors"].__setitem__(1, "y3"))
+        corrupt("restriction pure power variable", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"].reverse())
 
 
 class TestDualFunctional:
-    """Tampering with lambda, the dual vector that certifies d1(y1) outside
-    S = (y1, g_2, ..., g_n)^2 + (g); every forgery must make verify exit 4."""
+    """Tampering with lambda, the dual vector behind a not_isolated
+    rejection; every forgery must make verify exit 4."""
 
     @staticmethod
-    def _doc(text=PAPER_F):
+    def _doc(text="x^2*z + x*y*z + y^2*z + z^3"):
+        # singular along the line y = z = 0: the functional on degree 4 has
+        # three entries, coupled through the z-partial x^2 + x*y + y^2 + 3*z^2
         return json.loads(write_certificate(build_witness(P(text), V3).document))
 
+    @staticmethod
+    def _functional(doc):
+        return doc["membership_tests"]["positive_dimension"]["input_jacobian"]["functional"]
+
     def test_zeroed_entry(self, tmp_path):
-        for k in range(len(self._doc()["membership_tests"]["obstruction"]["functional"])):
+        assert len(self._functional(self._doc())) == 3
+        for k in range(3):
             doc = self._doc()
-            doc["membership_tests"]["obstruction"]["functional"][k]["value"] = "0"
+            self._functional(doc)[k]["value"] = "0"
             assert _cli_verify(doc, tmp_path) == 4, k
 
     def test_flipped_entry(self, tmp_path):
-        for k in range(len(self._doc()["membership_tests"]["obstruction"]["functional"])):
+        for k in range(3):
             doc = self._doc()
-            entry = doc["membership_tests"]["obstruction"]["functional"][k]
+            entry = self._functional(doc)[k]
             entry["value"] = format_fraction(-Fraction(entry["value"]))
             assert _cli_verify(doc, tmp_path) == 4, k
 
     def test_wrong_degree(self, tmp_path):
+        # the recorded monomials are of degree 4; a forged degree 10^9 is
+        # TestPositiveDimension.test_huge_degree_is_fast
         doc = self._doc()
-        obstruction = doc["membership_tests"]["obstruction"]
-        obstruction["degree"] += 1
+        doc["membership_tests"]["positive_dimension"]["input_jacobian"]["degree"] += 1
         assert _cli_verify(doc, tmp_path) == 4
-        assert any("recorded degree" in f for f in certificate_failures(WitnessCertificate(doc)))
-        # a forged degree with monomials to match is refused before anything
-        # is enumerated, however large it is
-        obstruction["degree"] = 10**9
-        obstruction["functional"] = [{"monomial": [10**9, 0, 0], "value": "1"}]
-        start = time.perf_counter()
-        assert _cli_verify(doc, tmp_path) == 4
-        assert time.perf_counter() - start < 5
-
-    def test_forged_high_degree_witness_is_fast(self, tmp_path):
-        # d1(y1) forged to y1^1000000 with a functional to match: the check
-        # tries only shifts into the functional's support, never the
-        # monomials of degree 10^6
-        doc = self._doc(FERMAT)
-        _coefficient(doc, [2, 0, 0])["value"] = "y1^1000000"
-        doc["membership_tests"]["obstruction"].update({
-            "witness": "y1^1000000", "degree": 1000000, "value": "1",
-            "functional": [{"monomial": [1000000, 0, 0], "value": "1"}],
-        })
-        start = time.perf_counter()
-        failures = certificate_failures(WitnessCertificate(doc))
-        assert time.perf_counter() - start < 5
-        assert any("does not vanish on monomial [999998, 0, 0] times generator 0" in f for f in failures)
-        assert _cli_verify(doc, tmp_path) == 4
+        assert any("weighted degree 5" in f for f in certificate_failures(WitnessCertificate(doc)))
 
     @pytest.mark.parametrize("monomial", [[1, 1], [1, 1, 1, 0], [-1, 2, 2], [1, 1, 2], [1.0, 1, 1], [True, 1, 1], "y1^3"])
     def test_malformed_monomial(self, monomial, tmp_path):
-        doc = self._doc()
-        doc["membership_tests"]["obstruction"]["functional"][0]["monomial"] = monomial
-        assert _cli_verify(doc, tmp_path) == 4
-        # the same monomial in a rejection's functional, moved to degree 5
-        # (where y^5 is a sound functional) so that [1, 1, 2] is malformed too
+        # a rejection's functional, moved to degree 5 (where y^5 is a sound
+        # functional) so that [1, 1, 2] is malformed too
         doc = json.loads(write_certificate(build_witness(P("x^2*y"), V3).document))
         doc["membership_tests"]["positive_dimension"]["input_jacobian"] = {
             "degree": 5, "functional": [{"monomial": [0, 5, 0], "value": "1"}],
@@ -519,26 +542,6 @@ class TestDualFunctional:
         doc["membership_tests"]["positive_dimension"]["input_jacobian"]["functional"][0]["monomial"] = monomial
         assert _cli_verify(doc, tmp_path) == 4
         assert any("functional monomial" in f for f in certificate_failures(WitnessCertificate(doc)))
-
-    def test_kills_modified_ideal_but_not_g(self, tmp_path):
-        # cyclic-cubic: d1(y1) lies in (y1^2, g_2, g_3) + (g) but not in
-        # (y1^2, g_2, g_3).  A functional read off the modified ideal's basis
-        # kills (y1^2, g_2, g_3), which contains the square ideal, and not
-        # d1(y1), so it must fail to kill some multiple of g.
-        doc = self._doc()
-        yvars = doc["change_of_coordinates"]["new_variables"]
-        g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
-        obstruction = doc["membership_tests"]["obstruction"]
-        witness = parse_poly(obstruction["witness"], yvars)
-        gb = buchberger(modified_jacobian_ideal(g, 1))
-        nf = gb.normal_form(witness)
-        mu = max(nf.terms, key=gb.order.key)
-        forged = dual_functional(gb, mu, monomials_of_degree(3, obstruction["degree"]))
-        obstruction["functional"] = [{"monomial": list(m), "value": format_fraction(c)} for m, c in forged.items()]
-        obstruction["value"] = format_fraction(nf.coefficient(mu))
-        assert _cli_verify(doc, tmp_path) == 4
-        failures = certificate_failures(WitnessCertificate(doc))
-        assert failures and all("generator 6" in f for f in failures), failures
 
 
 class TestPositiveDimension:
@@ -676,9 +679,10 @@ class TestDualFunctionalRecurrence:
         self._check(gb, 5)
 
     def test_cyclic_cubic_obstruction(self):
-        g, witness, doc = TestObstructionModuloF._witness("cyclic-cubic")
-        gb = buchberger(obstruction_ideal(g), track_cofactors=False)
-        self._check(gb, doc["membership_tests"]["obstruction"]["degree"])
+        # S = (y1, g_2, g_3)^2 + (g), built here as the oracle the lemma replaced
+        g, witness, _ = TestObstructionModuloF._witness("cyclic-cubic")
+        gb = buchberger(_square_ideal_mod_g(g), track_cofactors=False)
+        self._check(gb, witness.homogeneous_degree())
 
 
 def test_milnor_number_without_standard_monomials(monkeypatch):
@@ -797,28 +801,50 @@ class TestQuasiHomogeneous:
         assert "slice mixes variables of different weight" in certificate_failures(WitnessCertificate(doc))
 
 
+def _square_ideal_mod_g(g):
+    """S = (y1, g_2, ..., g_n)^2 + (g)."""
+    return Ideal(square_obstruction_ideal(g, 1).generators + (g,))
+
+
+# (name, text, variables) for every input with a witness: the built-in
+# corpus and the random inputs of the acceptance corpus (criterion 6)
+WITNESS_INPUTS = [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS] + _random_corpus()
+
+
 class TestObstructionModuloF:
     """Operators on A = Q[y]/(g) are defined modulo (g), so the composition
-    argument needs the witness d1(y1) outside (y1, g_2, .., g_n)^2 + (g).
-    The certificate's functional proves that; these tests check the same
-    fact by Groebner membership on the built-in corpus, and pin the
-    cyclic-cubic case where a test without (g) would say nothing in A."""
+    argument needs the witness d1(y1) outside S = (y1, g_2, .., g_n)^2 + (g).
+    The certificate proves that by the socle lemma; these tests check the
+    same fact by Groebner membership, and pin the cyclic-cubic case where a
+    test without (g) would say nothing in A."""
 
     @staticmethod
-    def _witness(name):
-        text, variables = next((t, v) for n, t, v, _ in BUILTIN_CORPUS if n == name)
+    def _build(text, variables):
         doc = build_witness(parse_poly(text, variables), variables).document
         yvars = doc["change_of_coordinates"]["new_variables"]
         g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
-        return g, parse_poly(doc["membership_tests"]["obstruction"]["witness"], yvars), doc
+        diagonal = [2] + [0] * (len(yvars) - 1)
+        witness = next(e["value"] for e in doc["lifted_operator"]["coefficients"] if e["index"] == diagonal)
+        return g, parse_poly(witness, yvars), doc
 
-    @pytest.mark.parametrize("name", [
-        "fermat-cubic", "fermat-quartic", "cyclic-cubic", "brieskorn-2-3-4", "brieskorn-3-3-4",
-    ])
-    def test_witness_outside_square_ideal_modulo_f(self, name):
-        g, witness, _ = self._witness(name)
-        square_mod_g = Ideal(square_obstruction_ideal(g, 1).generators + (g,))
-        assert not buchberger(square_mod_g).contains(witness)
+    @classmethod
+    def _witness(cls, name):
+        text, variables = next((t, v) for n, t, v, _ in BUILTIN_CORPUS if n == name)
+        return cls._build(text, variables)
+
+    @pytest.mark.parametrize("name, text, variables", WITNESS_INPUTS, ids=[n for n, _, _ in WITNESS_INPUTS])
+    def test_witness_outside_square_ideal_modulo_f(self, name, text, variables):
+        g, witness, doc = self._build(text, variables)
+        assert doc["verdict"] == WITNESS_FOUND
+        # the old proof: d1(y1) has a nonzero normal form modulo a basis of S
+        assert not buchberger(_square_ideal_mod_g(g), track_cofactors=False).contains(witness)
+        # the lemma's congruence: d1(y1) = W_1 y1 Hess(h) modulo y1^2
+        h = restrict_to_hyperplane(g)
+        hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, h.n + 1)]))
+        w1 = doc["input"]["weights"][0]
+        lemma = Polynomial(g.n, {(1,) + e: w1 * c for e, c in hess.terms.items()})
+        assert all(e[0] >= 2 for e in (witness - lemma).terms)
+        assert not hess.is_zero()
 
     def test_cyclic_cubic_modified_ideal_gap(self):
         g, witness, _ = self._witness("cyclic-cubic")
@@ -827,16 +853,18 @@ class TestObstructionModuloF:
         assert buchberger(Ideal(modified.generators + (g,))).contains(witness)
 
     def test_cyclic_cubic_functional_kills_multiples_of_g(self):
-        # the recorded lambda vanishes on g * m for every monomial m of the
-        # complementary weighted degree: the part a test without (g) misses
-        g, witness, doc = self._witness("cyclic-cubic")
-        obstruction = doc["membership_tests"]["obstruction"]
-        functional = {tuple(e["monomial"]): Fraction(e["value"]) for e in obstruction["functional"]}
-        delta = obstruction["degree"]
-        assert delta == witness.homogeneous_degree() == 3 == g.homogeneous_degree()
+        # lambda read off a basis of S (the schema-4 proof) vanishes on g * m
+        # for every monomial m of the complementary weighted degree: the part
+        # a test without (g) misses
+        g, witness, _ = self._witness("cyclic-cubic")
+        gb = buchberger(_square_ideal_mod_g(g), track_cofactors=False)
+        nf = gb.normal_form(witness)
+        mu = gb.order.leading_term(nf)[0]
+        delta = witness.homogeneous_degree()
+        assert delta == 3 == g.homogeneous_degree()
+        functional = dual_functional(gb, mu, monomials_of_degree(3, delta))
         for m in monomials_of_degree(3, delta - 3):
             product = g.mul_monomial(m)
             assert sum(c * functional.get(e, 0) for e, c in product.terms.items()) == 0
         value = sum(c * functional.get(e, 0) for e, c in witness.terms.items())
-        assert value != 0 and format_fraction(value) == obstruction["value"]
-        assert obstruction_ideal(g).generators[-1] == g
+        assert value != 0 and value == nf.coefficient(mu)
