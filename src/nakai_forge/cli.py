@@ -29,7 +29,6 @@ from .exprio import (
 from .groebner import (
     Ideal,
     InternalInconsistencyError,
-    MonomialOrder,
     ResourceLimitExceeded,
     buchberger,
     jacobian_ideal,
@@ -102,18 +101,8 @@ def _split_vars(spec: str) -> list[str]:
     return [v.strip() for v in spec.split(",") if v.strip()]
 
 
-def _order(args) -> MonomialOrder:
-    return MonomialOrder(args.order)
-
-
 def _config(args) -> PipelineConfig:
-    return PipelineConfig(
-        bound=args.bound,
-        max_retries=args.retries,
-        seed=args.seed,
-        order=_order(args),
-        max_pairs=args.max_pairs,
-    )
+    return PipelineConfig(max_pairs=args.max_pairs)
 
 
 def _emit(text: str):
@@ -132,7 +121,6 @@ def _milnor(f: Polynomial, gb) -> int:
 
 def cmd_check(args) -> int:
     f, variables = _read_input(args)
-    order = _order(args)
     if f.is_zero():
         _emit("rejected: the zero polynomial does not define a hypersurface")
         return EXIT_REJECTED
@@ -140,13 +128,13 @@ def cmd_check(args) -> int:
     # below 2, zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
-    gb = buchberger(jacobian_ideal(f), order, max_pairs=args.max_pairs, track_cofactors=False)
+    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs, track_cofactors=False)
     zero_dim = gb.is_zero_dimensional()
     milnor = _milnor(f, gb) if zero_dim else None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
     if args.json:
         _emit(json.dumps({
-            "polynomial": format_poly(f, variables, order),
+            "polynomial": format_poly(f, variables),
             "homogeneous": f.is_homogeneous(),
             "weights": None if weights is None else list(weights),
             "degree": degree,
@@ -158,7 +146,7 @@ def cmd_check(args) -> int:
         weight_text = "none (not quasi-homogeneous)" if found is None else (
             f"({', '.join(map(str, weights))}), weighted degree {degree}"
         )
-        _emit(f"polynomial:            {format_poly(f, variables, order)}")
+        _emit(f"polynomial:            {format_poly(f, variables)}")
         _emit(f"homogeneous:           {'yes, degree ' + str(degree) if f.is_homogeneous() else 'no'}")
         _emit(f"weights:               {weight_text}")
         _emit(f"jacobian 0-dimensional: {'yes' if zero_dim else 'no'}")
@@ -241,7 +229,6 @@ def cmd_identity(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     f, variables = _read_input(args)
-    order = _order(args)
     try:
         candidate = build_candidate_tuple(f)
     except ValueError as exc:
@@ -249,13 +236,13 @@ def cmd_symmetrize(args) -> int:
         return EXIT_REJECTED
     symmetric, ledger = symmetrize(candidate, candidate_defect_cofactors(f))
     result = {
-        "candidate": [[format_poly(p, variables, order) for p in d.images] for d in candidate.ders],
+        "candidate": [[format_poly(p, variables) for p in d.images] for d in candidate.ders],
         "adjustments": [
             {"target": m.target, "hamiltonian": [m.k, m.l],
-             "coefficient": format_poly(m.coeff, variables, order)}
+             "coefficient": format_poly(m.coeff, variables)}
             for m in ledger
         ],
-        "symmetric": [[format_poly(p, variables, order) for p in d.images] for d in symmetric.ders],
+        "symmetric": [[format_poly(p, variables) for p in d.images] for d in symmetric.ders],
     }
     if args.json:
         _emit(json.dumps(result, indent=2))
@@ -278,23 +265,22 @@ def cmd_member(args) -> int:
     variables = _split_vars(args.vars)
     p = parse_poly(args.polynomial, variables)
     gens = [parse_poly(text, variables) for text in args.ideal.split(",")]
-    order = _order(args)
-    gb = buchberger(Ideal(tuple(gens)), order, max_pairs=args.max_pairs)
+    gb = buchberger(Ideal(tuple(gens)), max_pairs=args.max_pairs)
     cofactors = gb.lift(p)
     nf = gb.normal_form(p)
     if args.json:
         _emit(json.dumps({
             "member": cofactors is not None,
-            "normal_form": format_poly(nf, variables, order),
-            "cofactors": None if cofactors is None else [format_poly(c, variables, order) for c in cofactors],
+            "normal_form": format_poly(nf, variables),
+            "cofactors": None if cofactors is None else [format_poly(c, variables) for c in cofactors],
         }, indent=2))
     elif cofactors is not None:
         _emit("MEMBER")
         for c, g in zip(cofactors, gens):
-            _emit(f"  ({format_poly(c, variables, order)}) * ({format_poly(g, variables, order)})")
+            _emit(f"  ({format_poly(c, variables)}) * ({format_poly(g, variables)})")
     else:
         _emit("NOT MEMBER")
-        _emit(f"  normal form: {format_poly(nf, variables, order)}")
+        _emit(f"  normal form: {format_poly(nf, variables)}")
     return EXIT_OK
 
 
@@ -303,7 +289,7 @@ def cmd_milnor(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f), _order(args), max_pairs=args.max_pairs, track_cofactors=False)
+    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs, track_cofactors=False)
     if not gb.is_zero_dimensional():
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED
@@ -349,10 +335,6 @@ def cmd_examples(args) -> int:
 FLAGS = {
     "input": {"help": "polynomial expression or path to a file with a 'vars:' header"},
     "--vars": {"help": "comma-separated variable names for inline expressions"},
-    "--order": {"choices": ["grevlex", "lex"], "default": "grevlex"},
-    "--seed": {"type": int, "default": 0},
-    "--bound": {"type": int, "default": 3, "help": "slice coefficient search bound"},
-    "--retries": {"type": int, "default": 200, "help": "maximum slice attempts"},
     "--max-pairs": {"type": int, "default": 100_000, "dest": "max_pairs"},
     "--json": {"action": "store_true", "help": "machine-readable output"},
     "--out": {"help": "write the certificate to this path"},
@@ -372,25 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **FLAGS[flag])
         return p
 
-    search = ("--seed", "--bound", "--retries", "--order", "--max-pairs")
     add("check", "quasi-homogeneity, isolatedness, Milnor number",
-        "input", "--vars", "--order", "--max-pairs", "--json")
+        "input", "--vars", "--max-pairs", "--json")
     add("witness", "run the full pipeline and emit a certificate",
-        "input", "--vars", *search, "--json", "--out")
+        "input", "--vars", "--max-pairs", "--json", "--out")
     verify = add("verify", "replay a certificate without searching", "--json")
     verify.add_argument("certificate", help="path to a certificate file")
     identity = add("identity", "cofactor identity residual report", "input", "--vars", "--json")
     identity.add_argument("-i", type=int, required=True)
     identity.add_argument("-j", type=int, required=True)
     identity.add_argument("-k", type=int, required=True)
-    add("symmetrize", "candidate tuple, ledger, symmetric tuple",
-        "input", "--vars", "--order", "--json")
-    member = add("member", "ideal membership with cofactors", "--order", "--max-pairs", "--json")
+    add("symmetrize", "candidate tuple, ledger, symmetric tuple", "input", "--vars", "--json")
+    member = add("member", "ideal membership with cofactors", "--max-pairs", "--json")
     member.add_argument("polynomial")
     member.add_argument("--ideal", required=True, help="comma-separated generators")
     member.add_argument("--vars", required=True)
-    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars", "--order", "--max-pairs")
-    add("examples", "run the built-in corpus and print a summary", *search, "--json")
+    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars", "--max-pairs")
+    add("examples", "run the built-in corpus and print a summary", "--max-pairs", "--json")
     return parser
 
 

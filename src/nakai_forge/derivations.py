@@ -64,7 +64,7 @@ from .groebner import (
     _split_divisor,
 )
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
-from .poly import Exponent, Polynomial, quasi_homogeneous_weights
+from .poly import Exponent, Polynomial, quasi_homogeneous_weights, sum_of_products
 
 logger = logging.getLogger(__name__)
 
@@ -98,12 +98,7 @@ class Derivation1:
         """Leibniz extension: sum_i dp/dx_i * image(i)."""
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
-        out = Polynomial.zero(self.n)
-        for i in range(1, self.n + 1):
-            dp = p.partial(i)
-            if not dp.is_zero() and not self.images[i - 1].is_zero():
-                out = out + dp * self.images[i - 1]
-        return out
+        return sum_of_products(self.n, ((p.partial(i), q) for i, q in enumerate(self.images, 1) if q))
 
     def add_scaled(self, coeff: Polynomial | Fraction | int, other: "Derivation1") -> "Derivation1":
         """self + coeff * other, componentwise."""
@@ -261,12 +256,7 @@ class DiffOp2:
     def apply(self, p: Polynomial) -> Polynomial:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
-        out = Polynomial.zero(self.n)
-        for alpha, c in self.coeffs.items():
-            part = p.higher_partial(alpha)
-            if not part.is_zero():
-                out = out + c * part
-        return out
+        return sum_of_products(self.n, ((c, p.higher_partial(alpha)) for alpha, c in self.coeffs.items()))
 
     def scale(self, s: Fraction | int) -> "DiffOp2":
         return DiffOp2(self.n, {a: c.scale(s) for a, c in self.coeffs.items()})

@@ -37,7 +37,7 @@ from math import gcd
 from operator import add, le, sub
 from typing import Sequence
 
-from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights
+from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights, sum_of_products
 
 logger = logging.getLogger(__name__)
 
@@ -232,15 +232,9 @@ class GroebnerBasis:
         quotients, remainder = self.reduce_tracked(p)
         if not remainder.is_zero():
             return None
-        gens = self.source.generators
-        out = [Polynomial.zero(self.n) for _ in gens]
-        for q, row in zip(quotients, self.cofactors):
-            if q.is_zero():
-                continue
-            for j, cof in enumerate(row):
-                if not cof.is_zero():
-                    out[j] = out[j] + q * cof
-        return tuple(out)
+        used = [(q, row) for q, row in zip(quotients, self.cofactors) if q]
+        return tuple(sum_of_products(self.n, ((q, row[j]) for q, row in used))
+                     for j in range(len(self.source.generators)))
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""

@@ -104,22 +104,36 @@ why the builder always finds P; no certified step uses it.
    of the reduced basis of J and the least t = k W_i >= 0 above s; mu = x_i^k
    is then standard, and lambda(m) = coefficient of mu in NF(m).
 
-When the no-op slice fails and no other variable shares the weight of
-x_1, no admissible slice exists and the input is rejected with the reason
-no_isolating_slice.
+The slice search.  Point 3 needs some slice y_1 = sum a_i x_i, mixing only
+variables of weight W_1, whose h is isolated; which one does not matter.
+Setting y_1 = 0 gives x_1 = -(a_2 y_2 + ... + a_n y_n) / a_1, so h depends
+only on a / a_1, and a_1 = 1 loses nothing.  The search tries the no-op
+slice a = (1, 0, ..., 0) first, then a = (1, v) with v an integer vector
+on the m other variables of weight W_1, shell by shell of max-norm
+b = 1, 2, ...; it keeps the first slice whose h is isolated.  The
+coefficients of h are polynomials in v, and h fails to be isolated exactly
+where its partials share a zero other than the origin, a Zariski-closed
+condition on v.  So if some slice isolates, a nonzero polynomial R in v
+vanishes wherever h is not isolated.  R cannot vanish on all of the grid
+{-b, ..., b}^m once 2b + 1 exceeds its degree (Schwartz 1980; Zippel 1979),
+and the shells up to b cover that grid, so the search reaches an isolating
+slice; MAX_SLICE_ATTEMPTS is its only limit.  When the no-op slice fails and
+no other variable shares the weight of x_1, no admissible slice exists and
+the input is rejected with the reason no_isolating_slice.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Sequence
 
 from .derivations import (
+    Derivation1,
     DiffOp2,
     build_candidate_tuple,
     candidate_defect_cofactors,
@@ -158,22 +172,16 @@ INPUT_REJECTED = "INPUT_REJECTED"
 RESOURCE_EXHAUSTED = "RESOURCE_EXHAUSTED"
 
 
+# slices the search tries, the no-op slice included, before it gives up
+MAX_SLICE_ATTEMPTS = 200
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Deterministic knobs for the witness search."""
+    """Resource caps for the Groebner basis computations."""
 
-    bound: int = 3
-    max_retries: int = 200
-    seed: int = 0
-    order: MonomialOrder = GREVLEX
     max_pairs: int = 100_000
     max_terms: int = 500_000
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("coefficient search bound must be at least 1")
-        if self.max_retries < 1:
-            raise ValueError("retry limit must be at least 1")
 
     def caps(self) -> dict:
         return {"max_pairs": self.max_pairs, "max_terms": self.max_terms}
@@ -194,6 +202,7 @@ class WitnessCertificate:
 class SliceChoice:
     coefficients: tuple[Fraction, ...]
     change: LinearChange
+    g: Polynomial  # f(x(y))
     gb: GroebnerBasis  # row-tracked basis of J(h), h = g restricted to y_1 = 0
     attempts: int
 
@@ -257,59 +266,58 @@ class NoIsolatingSlice(Exception):
         self.gb = gb
 
 
-def generic_slice_search(f: Polynomial, cfg: PipelineConfig) -> SliceChoice:
+def _slice_candidates(weights: Sequence[int]):
+    """The slice coefficients the search tries, in order (see the module
+    docstring): the no-op slice, then a = (1, v) with v on the variables of
+    the weight of x_1, shell by shell of max-norm b = 1, 2, ..., each shell
+    by growing sum of |v_i|, then lexicographically."""
+    n = len(weights)
+    same = [i for i in range(1, n) if weights[i] == weights[0]]
+    yield (Fraction(1),) + (Fraction(0),) * (n - 1)
+    if not same:
+        return
+    for b in itertools.count(1):
+        shell = [v for v in itertools.product(range(-b, b + 1), repeat=len(same)) if max(map(abs, v)) == b]
+        for v in sorted(shell, key=lambda v: sum(map(abs, v))):
+            a = [Fraction(1)] + [Fraction(0)] * (n - 1)
+            for i, c in zip(same, v):
+                a[i] = Fraction(c)
+            yield tuple(a)
+
+
+def generic_slice_search(f: Polynomial, cfg: PipelineConfig | None = None) -> SliceChoice:
     """Find slice coefficients making the restriction an isolated singularity.
 
-    The no-op slice (1, 0, ..., 0) is tried first; further candidates draw
-    integer coefficients from [-bound, bound], deterministically from the
-    seed, and zero those of variables whose weight differs from that of
-    x_1 (for homogeneous input, none).  Exhausting the retry budget, or a
-    slice too large to substitute (substitute_slice), raises
-    ResourceLimitExceeded, whose ``attempts`` is the number of slices tried;
-    a failed no-op slice with no variable sharing the weight of x_1 raises
-    NoIsolatingSlice.
+    Tries the candidates of _slice_candidates in order and keeps the first
+    whose restriction h = g(0, y_2, ..., y_n) has a zero-dimensional
+    Jacobian ideal.  Reaching MAX_SLICE_ATTEMPTS, or a slice too large to
+    substitute (substitute_slice), raises ResourceLimitExceeded, whose
+    ``attempts`` is the number of slices tried; a failed no-op slice with no
+    variable sharing the weight of x_1 raises NoIsolatingSlice.
     """
+    cfg = cfg or PipelineConfig()
     n = f.n
     if n < 3:
         raise ValueError("slice search requires at least three variables")
     found = quasi_homogeneous_weights(f)
     if found is None:
         raise ValueError("slice search requires a quasi-homogeneous polynomial")
-    weights = found[0]
-    only_noop = all(w != weights[0] for w in weights[1:])
-    rng = random.Random(cfg.seed)
     attempts = 0
-
-    def candidates():
-        yield tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-        while True:
-            draw = [Fraction(rng.randint(-cfg.bound, cfg.bound)) for _ in range(n)]
-            yield tuple(a if w == weights[0] else Fraction(0) for a, w in zip(draw, weights))
-
     try:
-        for coeffs in candidates():
-            if attempts >= cfg.max_retries:
-                raise ResourceLimitExceeded(
-                    f"no isolating slice found within {cfg.max_retries} attempts"
-                )
+        for coeffs in _slice_candidates(found[0]):
+            if attempts >= MAX_SLICE_ATTEMPTS:
+                raise ResourceLimitExceeded(f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts")
             attempts += 1
-            if coeffs[0] == 0:
-                continue
             change = slice_change(coeffs, n)
             g = substitute_slice(change, f)
-            restriction = restrict_to_hyperplane(g)
-            if restriction.is_zero():
-                continue
-            gb = buchberger(jacobian_ideal(restriction), cfg.order, **cfg.caps())
+            gb = buchberger(jacobian_ideal(restrict_to_hyperplane(g)), GREVLEX, **cfg.caps())
             if gb.is_zero_dimensional():
                 logger.info("slice found after %d attempts: %s", attempts, coeffs)
-                return SliceChoice(coeffs, change, gb, attempts)
-            if only_noop:
-                raise NoIsolatingSlice(gb)
+                return SliceChoice(coeffs, change, g, gb, attempts)
     except ResourceLimitExceeded as exc:
         exc.attempts = attempts  # the slices tried, the one that hit the limit included
         raise
-    raise AssertionError("unreachable")
+    raise NoIsolatingSlice(gb)
 
 
 def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
@@ -430,19 +438,10 @@ def _positive_dimension_record(gb: GroebnerBasis, weights: Sequence[int], degree
     return {"degree": k * weights[i], "functional": _functional_entries(functional, gb.order)}
 
 
-def _empty_document(f_text: str, variables: Sequence[str], cfg: PipelineConfig) -> dict:
+def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
     return {
         "schema": {"name": SCHEMA_NAME, "version": SCHEMA_VERSION},
-        "input": {
-            "polynomial": f_text,
-            "variables": list(variables),
-            "config": {
-                "bound": cfg.bound,
-                "max_retries": cfg.max_retries,
-                "seed": cfg.seed,
-                "order": cfg.order.kind,
-            },
-        },
+        "input": {"polynomial": f_text, "variables": list(variables)},
         "change_of_coordinates": None,
         "lifted_operator": None,
         "membership_tests": {},
@@ -457,8 +456,7 @@ def build_witness(
 ) -> WitnessCertificate:
     """Run the full construction and return a replayable certificate."""
     cfg = cfg or PipelineConfig()
-    order = cfg.order
-    doc = _empty_document(format_poly(f, variables, order), variables, cfg)
+    doc = _empty_document(format_poly(f, variables), variables)
     info = doc["input"]
     section = doc["membership_tests"]
 
@@ -496,7 +494,7 @@ def build_witness(
             f"{f.n} variables exceed the configured determinant dimension cap of 6",
         )
 
-    gb_input = buchberger(jacobian_ideal(f), order, **cfg.caps())
+    gb_input = buchberger(jacobian_ideal(f), GREVLEX, **cfg.caps())
     if not gb_input.is_zero_dimensional():
         info["isolated"] = False
         section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(gb_input, weights, degree)}
@@ -524,11 +522,11 @@ def build_witness(
 
     n = f.n
     yvars = _new_variables(n)
-    g = chosen.change.apply(f)
+    g = chosen.g
     doc["change_of_coordinates"] = {
         "slice_coefficients": [format_fraction(c) for c in chosen.coefficients],
         "new_variables": yvars,
-        "transformed_polynomial": format_poly(g, yvars, order),
+        "transformed_polynomial": format_poly(g, yvars),
         "attempts": chosen.attempts,
     }
 
@@ -542,11 +540,10 @@ def build_witness(
     hess = hessian(g)
     doc["lifted_operator"] = {
         "coefficients": [
-            {"index": list(alpha), "value": format_poly(c, yvars, order)}
+            {"index": list(alpha), "value": format_poly(c, yvars)}
             for alpha, c in sorted(lifted.coeffs.items())
         ],
-        "scales_f_by": [format_poly(algebraic_cofactor(hess, 1, i).scale(degree), yvars, order)
-                        for i in range(1, n + 1)],
+        "scales_f_by": [format_poly(algebraic_cofactor(hess, 1, i).scale(degree), yvars) for i in range(1, n + 1)],
     }
 
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness
@@ -595,16 +592,11 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     return [f"unknown verdict {verdict!r}"]
 
 
-def _recombines(texts: Sequence[str], gens: Sequence[Polynomial], variables, target: Polynomial) -> bool:
-    """Whether the recorded cofactors times the generators sum to target."""
+def _recombines(texts: Sequence[str], f: Polynomial, variables, target: Polynomial) -> bool:
+    """Whether the recorded cofactors c_j over the partials of f sum to
+    target: sum c_j df/dx_j is the derivation with images c_j applied to f."""
     cofs = [parse_poly(s, variables) for s in texts]
-    if len(cofs) != len(gens):
-        return False
-    total = Polynomial.zero(target.n)
-    for q, g in zip(cofs, gens):
-        if q:
-            total = total + q * g
-    return total == target
+    return len(cofs) == f.n and Derivation1(tuple(cofs)).apply(f) == target
 
 
 def _verify_exhausted(doc: dict) -> list[str]:
@@ -680,20 +672,19 @@ def _verify_rejected(doc: dict) -> list[str]:
     return [f"unknown rejection reason {reason!r}"]
 
 
-def _check_isolation(records, partials: list[Polynomial], variables, order: MonomialOrder, label: str,
-                     failures: list[str]) -> None:
+def _check_isolation(records, f: Polynomial, variables, label: str, failures: list[str]) -> None:
     """Point 0 of the module docstring: one recorded element of the ideal of
-    the partials per variable, re-multiplied from its cofactors, leading
-    with a pure power."""
-    if len(records) != len(partials):
-        failures.append(f"{label}: {len(records)} pure powers recorded for {len(partials)} variables")
+    the partials of f per variable, re-multiplied from its cofactors,
+    leading with a pure power."""
+    if len(records) != f.n:
+        failures.append(f"{label}: {len(records)} pure powers recorded for {f.n} variables")
         return
     for i, record in enumerate(records):
         p = parse_poly(record["polynomial"], variables)
-        lm = None if p.is_zero() else order.leading_term(p)[0]
+        lm = None if p.is_zero() else GREVLEX.leading_term(p)[0]
         if lm is None or not sum(lm) == lm[i] > 0:
             failures.append(f"{label}: element {i + 1} does not lead with a power of {variables[i]}")
-        if not _recombines(record["cofactors"], partials, variables, p):
+        if not _recombines(record["cofactors"], f, variables, p):
             failures.append(f"{label}: element {i + 1} is not the recorded combination of the partials")
 
 
@@ -746,16 +737,15 @@ def _vanishing_failures(functional: dict[Exponent, Fraction], gens: Sequence[Pol
 
 
 def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, w1: int, yvars,
-                       order: MonomialOrder, failures: list[str]) -> None:
+                       failures: list[str]) -> None:
     """Point 3 of the module docstring: h = g(0, y_2, ..., y_n) is isolated,
     and the witness is W_1 y_1 Hess(h) modulo y_1^2."""
     if "restriction_isolation" not in record:
         failures.append("obstruction: no restriction_isolation record for g(0, y2, ..., yn)")
         return
     h = restrict_to_hyperplane(g)
-    partials = [h.partial(i) for i in range(1, h.n + 1)]
-    _check_isolation(record["restriction_isolation"], partials, yvars[1:], order, "restriction isolation", failures)
-    hess = determinant(jacobian_matrix(partials))
+    _check_isolation(record["restriction_isolation"], h, yvars[1:], "restriction isolation", failures)
+    hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, h.n + 1)]))
     # W_1 y_1 Hess(h), read in the n variables y_1..y_n
     target = Polynomial(g.n, {(1,) + e: w1 * c for e, c in hess.terms.items()})
     if any(e[0] < 2 for e in (witness - target).terms):
@@ -769,7 +759,6 @@ def _verify_witness(doc: dict) -> list[str]:
         return [f"witness verdict without the supporting sections: {missing}"]
     info = doc["input"]
     variables = info["variables"]
-    order = MonomialOrder(info.get("config", {}).get("order", "grevlex"))
     f = parse_poly(info["polynomial"], variables)
     found = None if f.is_zero() else quasi_homogeneous_weights(f)
     if found is None or f.min_degree() < 2 or f.n < 3:
@@ -784,8 +773,7 @@ def _verify_witness(doc: dict) -> list[str]:
     if euler_derivation(n, weights).apply(f) != f.scale(degree):
         failures.append("the weighted Euler derivation does not multiply f by its weighted degree")
     section = doc["membership_tests"]
-    _check_isolation(section["isolation"]["pure_powers"], [f.partial(i) for i in range(1, n + 1)], variables,
-                     order, "isolation", failures)
+    _check_isolation(section["isolation"]["pure_powers"], f, variables, "isolation", failures)
     if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
         failures.append("input flags must record the homogeneity of an isolated singularity")
     if info.get("milnor_number") != milnor_number(weights, degree):
@@ -821,5 +809,5 @@ def _verify_witness(doc: dict) -> list[str]:
     if not op.apply(g).is_zero():
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
-    _check_obstruction(section["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, order, failures)
+    _check_obstruction(section["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, failures)
     return failures

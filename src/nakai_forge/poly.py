@@ -5,12 +5,13 @@ nonzero Fraction coefficients, so equal polynomials always have identical
 term maps and every operation is exact.  Variable indices are 1-based in
 the public API (x1, ..., xn); exponent tuples are indexed positionally.
 
-Multiplication is fraction-free (Bareiss 1968): each operand is written
-once as integer numerators over one common denominator (``integer_terms``),
-the term products are summed as integers, and each output coefficient
-becomes one normalised Fraction.  Exact rationals are canonical, so the
-product is the same term map the term-by-term Fraction loop gives; it only
-skips the gcd that every Fraction product and sum would pay.
+Multiplication, and a sum of products (``sum_of_products``), is
+fraction-free (Bareiss 1968): each operand is written once as integer
+numerators over one common denominator (``integer_terms``), the term
+products are summed as integers, and each output coefficient becomes one
+normalised Fraction.  Exact rationals are canonical, so the result is the
+same term map the term-by-term Fraction loop gives; it only skips the gcd
+that every Fraction product and sum would pay.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -170,18 +171,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
-        d1, terms1 = self.integer_terms()
-        d2, terms2 = other.integer_terms()
-        acc: dict[Exponent, int] = {}
-        get = acc.get
-        for e1, c1 in terms1:
-            for e2, c2 in terms2:
-                exp = tuple(map(add, e1, e2))
-                acc[exp] = get(exp, 0) + c1 * c2
-        d = d1 * d2
-        if d == 1:
-            return Polynomial._raw(self.n, {e: Fraction(c) for e, c in acc.items() if c})
-        return Polynomial._raw(self.n, {e: Fraction(c, d) for e, c in acc.items() if c})
+        return sum_of_products(self.n, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -356,38 +346,52 @@ class Polynomial:
         return result
 
 
+def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """sum a * b over the pairs (a, b) of n-variable polynomials, in one
+    fraction-free accumulation.
+
+    Every operand is split once into integer terms (``integer_terms``); d is
+    the lcm of the products of the two denominators of each pair, and each
+    pair's term products, scaled to the denominator d, are summed in one
+    integer map.  Each output coefficient becomes one normalised Fraction.
+    Exact rationals are canonical, so the result is the term map of the
+    repeated out = out + a * b.
+    """
+    split = []
+    for a, b in pairs:
+        if a.n != n or b.n != n:
+            raise ValueError(f"variable-count mismatch: {a.n} and {b.n} vs {n}")
+        split.append((a.integer_terms(), b.integer_terms()))
+    d = math.lcm(*(d1 * d2 for (d1, _), (d2, _) in split))
+    acc: dict[Exponent, int] = {}
+    get = acc.get
+    for (d1, terms1), (d2, terms2) in split:
+        scale = d // (d1 * d2)
+        for e1, c1 in terms1:
+            c1 *= scale
+            for e2, c2 in terms2:
+                exp = tuple(map(add, e1, e2))
+                acc[exp] = get(exp, 0) + c1 * c2
+    if d == 1:
+        return Polynomial._raw(n, {e: Fraction(c) for e, c in acc.items() if c})
+    return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order: one of grevlex, grlex, lex.
-
-    ``priority`` optionally permutes variable precedence (1-based indices,
-    highest first); the default is x1 > x2 > ... > xn.
-    """
+    """A global monomial order with x1 > x2 > ... > xn: one of grevlex,
+    grlex, lex."""
 
     kind: str
-    priority: tuple[int, ...] | None = None
 
     KINDS = ("grevlex", "grlex", "lex")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {self.kind!r}; expected one of {self.KINDS}")
-        if self.priority is not None:
-            p = tuple(self.priority)
-            if sorted(p) != list(range(1, len(p) + 1)):
-                raise ValueError(f"priority {p} is not a permutation of 1..{len(p)}")
-            object.__setattr__(self, "priority", p)
 
-    def _arrange(self, exp: Exponent) -> Exponent:
-        if self.priority is None:
-            return exp
-        if len(self.priority) != len(exp):
-            raise ValueError("priority permutation length does not match exponent length")
-        return tuple(exp[i - 1] for i in self.priority)
-
-    def key(self, exp: Exponent):
+    def key(self, e: Exponent):
         """Sort key: key(a) > key(b) iff a > b in this order."""
-        e = self._arrange(exp)
         if self.kind == "lex":
             return e
         deg = sum(e)
@@ -396,10 +400,9 @@ class MonomialOrder:
         # grevlex: smaller exponent on the least significant variable wins ties
         return (deg, tuple(map(neg, reversed(e))))
 
-    def descending_key(self, exp: Exponent) -> tuple[int, ...]:
+    def descending_key(self, e: Exponent) -> tuple[int, ...]:
         """Flat int tuple, smaller for the larger monomial: a min-heap keyed
         by it pops monomials from the largest down."""
-        e = self._arrange(exp)
         if self.kind == "lex":
             return tuple(map(neg, e))
         if self.kind == "grlex":

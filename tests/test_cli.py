@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import main
 
 
@@ -144,10 +145,11 @@ class TestWitnessAndVerify:
         assert code == 1
         assert "not_isolated" in out
 
-    def test_witness_resource_exhausted(self, capsys):
-        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x",
-                           "--vars", "x,y,z", "--retries", "1")
+    def test_witness_resource_exhausted(self, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--json")
         assert code == 3
+        assert json.loads(out)["change_of_coordinates"] == {"attempts": 1, "exhausted": True}
 
     def test_verify_tampered(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -169,10 +171,8 @@ class TestWitnessAndVerify:
         (tmp_path / "one").mkdir()
         (tmp_path / "two").mkdir()
         a, b = tmp_path / "one" / "cert.json", tmp_path / "two" / "cert.json"
-        code1, out1, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x",
-                             "--vars", "x,y,z", "--seed", "0", "--out", str(a))
-        code2, out2, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x",
-                             "--vars", "x,y,z", "--seed", "0", "--out", str(b))
+        code1, out1, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--out", str(a))
+        code2, out2, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--out", str(b))
         assert code1 == code2 == 0
         assert out1.splitlines()[:-1] == out2.splitlines()[:-1]
         assert a.read_bytes() == b.read_bytes()
@@ -212,6 +212,12 @@ class TestUsageErrors:
              "--order", "lex"),
             ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--prefilter"),
             ("symmetrize", "x^3+y^3+z^3", "--vars", "x,y,z", "--max-pairs", "10"),
+            # the slice search and the monomial order are fixed
+            ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--seed", "1"),
+            ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--bound", "5"),
+            ("examples", "--retries", "1"),
+            ("check", "x^3+y^3+z^3", "--vars", "x,y,z", "--order", "lex"),
+            ("member", "x", "--ideal", "x,y", "--vars", "x,y", "--order", "lex"),
         ):
             code, _, _ = run(capsys, *argv)
             assert code == 2, argv

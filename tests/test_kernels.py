@@ -1,9 +1,9 @@
 """The integer-numerator kernels against their plain-Fraction references.
 
-Multiplication, tracked division and tokenizing must give exactly what the
-loops in kernel_reference.py give: the same term maps (Fraction values),
-the same quotients and remainders, the same tokens and the same ParseError
-messages and positions.
+Multiplication and sums of products, tracked division and tokenizing must
+give exactly what the loops in kernel_reference.py give: the same term maps
+(Fraction values), the same quotients and remainders, the same tokens and
+the same ParseError messages and positions.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from kernel_reference import reference_divide, reference_mul, reference_tokenize
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, _split_divisor, buchberger
-from nakai_forge.poly import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, monomials_of_degree
+from nakai_forge.poly import GREVLEX, GRLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
 
 def _random_rational_poly(rng: random.Random, n: int, max_degree: int, max_terms: int) -> Polynomial:
@@ -33,14 +33,7 @@ def _assert_same(new: Polynomial, ref: Polynomial):
     assert all(type(c) is Fraction and c for c in new.terms.values())
 
 
-def _orders_for(n: int):
-    yield GREVLEX
-    yield GRLEX
-    yield LEX
-    rng = random.Random(n)
-    priority = list(range(1, n + 1))
-    rng.shuffle(priority)
-    yield MonomialOrder("grevlex", tuple(priority))
+ORDERS = (GREVLEX, GRLEX, LEX)
 
 
 class TestMultiply:
@@ -77,6 +70,23 @@ class TestMultiply:
             for a, b in ((zero, p), (p, zero), (zero, zero)):
                 _assert_same(a * b, reference_mul(a, b))
                 assert (a * b).is_zero()
+
+    def test_sum_of_products_against_reference(self):
+        # pairs with unlike denominators, and pairs that cancel one another
+        rng = random.Random(4242)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            pairs = [(_random_rational_poly(rng, n, 2, 4), _random_rational_poly(rng, n, 2, 4))
+                     for _ in range(rng.randint(0, 4))]
+            if pairs and rng.random() < 0.3:
+                a, b = pairs[0]
+                pairs.append((-a, b))
+            expected = Polynomial.zero(n)
+            for a, b in pairs:
+                expected = expected + reference_mul(a, b)
+            _assert_same(sum_of_products(n, pairs), expected)
+        with pytest.raises(ValueError):
+            sum_of_products(2, [(Polynomial.variable(2, 1), Polynomial.variable(3, 1))])
 
     def test_power_and_substitution(self):
         rng = random.Random(8)
@@ -116,7 +126,7 @@ class TestDivide:
                 g = _random_rational_poly(rng, n, 2, 4)
                 if not g.is_zero():
                     divisors.append(g)
-            for order in _orders_for(n):
+            for order in ORDERS:
                 _assert_same_division(*_divide_both(p, divisors, order))
 
     def test_negative_leading_coefficients(self):
@@ -214,7 +224,7 @@ class TestDescendingKey:
         rng = random.Random(3)
         for n in range(1, 5):
             exps = list({tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(60)})
-            for order in _orders_for(n):
+            for order in ORDERS:
                 assert sorted(exps, key=order.descending_key) == sorted(exps, key=order.key, reverse=True)
                 assert all(type(v) is int for v in order.descending_key(exps[0]))
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -7,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, buchberger, jacobian_ideal
-from nakai_forge.minors import determinant
+from nakai_forge.minors import algebraic_cofactor, determinant, hessian
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
@@ -19,6 +21,7 @@ from nakai_forge.pipeline import (
     PipelineConfig,
     WitnessCertificate,
     _positive_dimension_record,
+    _slice_candidates,
     build_witness,
     certificate_failures,
     dual_functional,
@@ -58,8 +61,10 @@ class TestSliceSearch:
         assert not buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
         choice = generic_slice_search(f, PipelineConfig())
         assert choice.attempts > 1
-        # the search hands on the row-tracked basis of J(h), h the restriction
-        restriction = restrict_to_hyperplane(choice.change.apply(f))
+        # the search hands on g = f(x(y)) and the row-tracked basis of J(h),
+        # h the restriction
+        assert choice.g == choice.change.apply(f)
+        restriction = restrict_to_hyperplane(choice.g)
         assert choice.gb.source == jacobian_ideal(restriction)
         assert len(choice.gb.cofactors) == len(choice.gb.basis)
         assert buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
@@ -72,9 +77,31 @@ class TestSliceSearch:
         assert restriction == parse_poly("y2*y3^2 + y2^2*y3 - y3^3", ["y2", "y3"])
         assert buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
 
-    def test_retry_cap(self):
-        with pytest.raises(ResourceLimitExceeded):
-            generic_slice_search(P(PAPER_F), PipelineConfig(max_retries=1))
+    def test_paper_example_second_slice(self):
+        # the first candidate after the no-op slice is (1, -1, 0)
+        choice = generic_slice_search(P(PAPER_F))
+        assert choice.coefficients[0] == 1
+        assert set(choice.coefficients) <= {-1, 0, 1}
+        assert choice.attempts == 2
+
+    def test_candidates_fill_each_grid_before_the_next(self):
+        # a_1 = 1 and the variable of another weight keeps 0; after the no-op
+        # slice, shells b = 1 and 2 (24 candidates) cover {-2..2}^2 but the
+        # origin, each shell sparsest first
+        candidates = itertools.islice(_slice_candidates((1, 2, 1, 1)), 1 + 24)
+        first, *rest = [tuple(map(int, a)) for a in candidates]
+        assert first == (1, 0, 0, 0)
+        assert all(a[0] == 1 and a[1] == 0 for a in rest)
+        assert [a[2:] for a in rest[:8]] == [(-1, 0), (0, -1), (0, 1), (1, 0),
+                                             (-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert {a[2:] for a in rest} == set(itertools.product(range(-2, 3), repeat=2)) - {(0, 0)}
+        assert list(_slice_candidates((1, 2, 2))) == [(1, 0, 0)]
+
+    def test_retry_cap(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        with pytest.raises(ResourceLimitExceeded) as caught:
+            generic_slice_search(P(PAPER_F))
+        assert caught.value.attempts == 1
 
     def test_huge_slice_power_is_refused(self):
         # the restriction y^1000 is not isolated, and any slice that changes
@@ -85,14 +112,13 @@ class TestSliceSearch:
         assert caught.value.attempts == 2
         cert = build_witness(f, V3)
         assert cert.verdict == RESOURCE_EXHAUSTED
-        # the second slice (the draw [3, 0, 3]) hit the bound, not the retry cap
+        # the second slice, (1, -1, 0), hit the power bound, not the attempt cap
         assert cert.document["change_of_coordinates"] == {"attempts": 2, "exhausted": True}
         assert verify_certificate(cert)
 
     def test_determinism(self):
-        cfg = PipelineConfig(seed=5)
-        a = generic_slice_search(P(PAPER_F), cfg)
-        b = generic_slice_search(P(PAPER_F), cfg)
+        a = generic_slice_search(P(PAPER_F))
+        b = generic_slice_search(P(PAPER_F))
         assert a.coefficients == b.coefficients
 
     def test_too_few_variables(self):
@@ -188,23 +214,17 @@ class TestBuildWitness:
         assert cert.verdict == INPUT_REJECTED
         assert verify_certificate(cert)
 
-    def test_resource_exhausted(self):
-        cert = build_witness(P(PAPER_F), V3, PipelineConfig(max_retries=1))
+    def test_resource_exhausted(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        cert = build_witness(P(PAPER_F), V3)
         assert cert.verdict == RESOURCE_EXHAUSTED
         assert cert.document["change_of_coordinates"] == {"attempts": 1, "exhausted": True}
         assert verify_certificate(cert)
 
     def test_determinism_byte_identical(self):
-        cfg = PipelineConfig(seed=11)
-        one = write_certificate(build_witness(P(PAPER_F), V3, cfg).document)
-        two = write_certificate(build_witness(P(PAPER_F), V3, cfg).document)
+        one = write_certificate(build_witness(P(PAPER_F), V3).document)
+        two = write_certificate(build_witness(P(PAPER_F), V3).document)
         assert one == two
-
-    def test_seed_changes_slice_but_not_validity(self):
-        for seed in (0, 1, 2):
-            cert = build_witness(P(PAPER_F), V3, PipelineConfig(seed=seed))
-            assert cert.verdict == WITNESS_FOUND
-            assert verify_certificate(cert)
 
     def test_rational_coefficients_end_to_end(self):
         cert = build_witness(P("1/2*x^3 + 2/3*y^3 + z^3"), V3)
@@ -221,15 +241,12 @@ class TestBuildWitness:
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
         assert verify_certificate(cert)
 
-    def test_lex_order_certificate_verifies(self):
-        from nakai_forge.poly import LEX
-
-        cert = build_witness(P(FERMAT), V3, PipelineConfig(order=LEX))
-        assert cert.verdict == WITNESS_FOUND
-        assert cert.document["input"]["config"]["order"] == "lex"
-        pure = cert.document["membership_tests"]["isolation"]["pure_powers"]
-        assert [r["polynomial"].split(" ")[0] for r in pure] == ["x^2", "y^2", "z^2"]
-        assert verify_certificate(cert)
+    def test_forged_order_is_not_read(self):
+        # the verifier reads every record under grevlex; a config key in the
+        # input section is ignored, never trusted
+        doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
+        doc["input"]["config"] = {"order": "lex"}
+        assert certificate_failures(WitnessCertificate(doc)) == []
 
     def test_witness_membership_path(self, tmp_path):
         # the socle lemma puts every witness outside S, so the builder has no
@@ -253,12 +270,12 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "15884101c3a695e83fb2dc6319b069e2f6fb4612f301d0190ea7a7fb904e669c",
-    "fermat-cubic": "b75b42b621a167156742df27947c6ed49a142ed5e6f8fe633b3c3d088329e53f",
-    "fermat-quartic": "b4f0203d11dbf90794358f8f3be60d073186ed037e99acd38ceab118646433c4",
-    "fermat-cubic-4": "cd3152d1dc615265f49842cc82eaaa6c25897b67fc26c634c007586756c5063f",
-    "brieskorn-2-3-4": "952f336e3f051b3f0695af8d8067a079dc8421d1a4f1a814d84e9c21d556351a",
-    "brieskorn-3-3-4": "c40bf6eef0b3dc038a0bd21d35117f973cc8a29e3a0ee8d17ae67c5d53430833",
+    "cyclic-cubic": "0b20b957b8db30ea89d5f1a53070e8c4f45d82e2ce0c603ebfac86185c210b58",
+    "fermat-cubic": "5216ac30ad805131cd90131e01872ceff8ed01e1d535cbf6e39278e6eb06f5a7",
+    "fermat-quartic": "e2ca128602346f3d96e511e3222d2ff75853e21a8a39ca41e8f0da6791bad7bc",
+    "fermat-cubic-4": "4cffd9764f514bbde6ab3bd99b3ae31e0c7bfe859230eec35c6ab75606db191e",
+    "brieskorn-2-3-4": "014701d537228b69e2c6c28ebada98750dc4a154c04eb2e143f8557fc48506e9",
+    "brieskorn-3-3-4": "f60d50c7d5d6c4ed5327cbdfd9a19d53fb70a3de39ba80453def4336ea773727",
 }
 
 
@@ -285,6 +302,8 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
         assert certificate_failures(cert) == [], name
         assert set(doc) == {"schema", "input", "change_of_coordinates", "lifted_operator",
                             "membership_tests", "verdict"}
+        assert set(doc["input"]) == {"polynomial", "variables", "homogeneous", "weights", "degree",
+                                     "variable_count", "isolated", "milnor_number"}
         assert set(doc["change_of_coordinates"]) == {"slice_coefficients", "new_variables",
                                                      "transformed_polynomial", "attempts"}
         assert set(doc["lifted_operator"]) == {"coefficients", "scales_f_by"}
@@ -847,7 +866,11 @@ class TestObstructionModuloF:
         assert not hess.is_zero()
 
     def test_cyclic_cubic_modified_ideal_gap(self):
-        g, witness, _ = self._witness("cyclic-cubic")
+        # the gap shows under the slice y1 = 3x + 3z, with the witness
+        # y1 A_11 of point 1 of the pipeline docstring (W_1 = 1); the slice
+        # the builder takes, y1 = x - y, puts g in the modified ideal
+        g = slice_change((3, 0, 3), 3).apply(P(PAPER_F))
+        witness = algebraic_cofactor(hessian(g), 1, 1).mul_monomial((1, 0, 0))
         modified = modified_jacobian_ideal(g, 1)
         assert not buchberger(modified).contains(g)
         assert buchberger(Ideal(modified.generators + (g,))).contains(witness)

@@ -302,10 +302,6 @@ class TestMonomialOrder:
                         tuple(x + y for x, y in zip(b, c)),
                     )
 
-    def test_priority_permutation(self):
-        zyx = MonomialOrder("lex", priority=(3, 2, 1))
-        assert zyx.greater((0, 0, 1), (1, 1, 0))
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MonomialOrder("weird")
