@@ -208,14 +208,20 @@ class Adjustment:
 
 
 def replay_ledger(tuple_in: DerivationTuple, ledger: Sequence[Adjustment]) -> DerivationTuple:
-    """Apply the recorded moves in order; symmetrize's output is the replay
-    of its ledger."""
-    ders = list(tuple_in.ders)
+    """Apply the recorded moves; symmetrize's output is the replay of its
+    ledger.  Each image d_t(x_m) becomes d_t(x_m) + sum coeff * D_kl(x_m)
+    over the moves on d_t, summed in one sum_of_products."""
+    f, n = tuple_in.f, tuple_in.n
+    one = Polynomial.constant(n, 1)
+    sums = [[[(one, image)] for image in d.images] for d in tuple_in.ders]
     for move in ledger:
-        ders[move.target - 1] = ders[move.target - 1].add_scaled(
-            move.coeff, hamiltonian(tuple_in.f, move.k, move.l)
-        )
-    return DerivationTuple(tuple(ders), tuple_in.f)
+        if not 1 <= move.target <= n:
+            raise IndexError(f"move target {move.target} out of range 1..{n}")
+        for pairs, image in zip(sums[move.target - 1], hamiltonian(f, move.k, move.l).images):
+            if image:
+                pairs.append((move.coeff, image))
+    ders = (Derivation1(tuple(sum_of_products(n, pairs) for pairs in d)) for d in sums)
+    return DerivationTuple(tuple(ders), f)
 
 
 class DiffOp2:
@@ -335,22 +341,11 @@ def compose2(first: Derivation1, second: Derivation1) -> DiffOp2:
     if first.n != second.n:
         raise ValueError("variable-count mismatch")
     n = first.n
-    coeffs: dict[Exponent, Polynomial] = {}
-    for j in range(1, n + 1):
-        c = first.apply(second.images[j - 1])
-        if not c.is_zero():
-            coeffs[_unit(n, j)] = c
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            a_i, a_j = first.images[i - 1], first.images[j - 1]
-            b_i, b_j = second.images[i - 1], second.images[j - 1]
-            if i == j:
-                c = (a_i * b_i).scale(2)
-            else:
-                c = a_i * b_j + a_j * b_i
-            if not c.is_zero():
-                coeffs[_pair_index(n, i, j)] = c
-    return DiffOp2(n, coeffs)
+    a, b = first.images, second.images
+    coeffs = {_unit(n, j + 1): first.apply(b[j]) for j in range(n)}
+    for i, j in combinations_with_replacement(range(n), 2):
+        coeffs[_pair_index(n, i + 1, j + 1)] = sum_of_products(n, ((a[i], b[j]), (a[j], b[i])))
+    return DiffOp2(n, coeffs)  # drops the zero coefficients
 
 
 def verify_order2_identity(
@@ -363,16 +358,11 @@ def verify_order2_identity(
              - (q r D(p) + p r D(q) + p q D(r)).
     """
     for p, q, r in triples:
-        lhs = op.apply(p * q * r)
-        rhs = (
-            p * op.apply(q * r)
-            + q * op.apply(p * r)
-            + r * op.apply(p * q)
-            - (q * r) * op.apply(p)
-            - (p * r) * op.apply(q)
-            - (p * q) * op.apply(r)
-        )
-        if lhs != rhs:
+        rhs = sum_of_products(op.n, (
+            (p, op.apply(q * r)), (q, op.apply(p * r)), (r, op.apply(p * q)),
+            (-(q * r), op.apply(p)), (-(p * r), op.apply(q)), (-(p * q), op.apply(r)),
+        ))
+        if op.apply(p * q * r) != rhs:
             return False
     return True
 
@@ -466,7 +456,7 @@ def symmetrize(
     a = {(i, i): [zero] * n for i in range(1, n + 1)}
     for i, k in combinations(range(1, n + 1), 2):
         vector = list(cofactors.get((i, k)) or [zero] * n)
-        if len(vector) != n or sum((c * g for c, g in zip(vector, partials)), zero) != tuple_in.defect(i, k):
+        if len(vector) != n or sum_of_products(n, zip(vector, partials)) != tuple_in.defect(i, k):
             raise ValueError(
                 f"defect of pair ({i},{k}) is not in the Jacobian ideal by the supplied "
                 "cofactors; the input tuple is not a valid candidate"

@@ -8,6 +8,15 @@ witnesses (p = sum q_i * g_i, checkable by re-multiplication).  Without it
 the basis is the same and costs far less, since the rows grow faster than
 the basis itself.
 
+Rows are formed only for new basis elements: the remainder
+r = m_i g_i + m_j g_j - sum_k q_k g_k of an S-polynomial, once the
+division has shown it is nonzero, and each element the final
+auto-reduction rewrites.  The row of r is sum_k c_k * row_k over the
+multipliers c_k of that combination, with the content (or leading
+coefficient) that r is divided by divided out of each c_k, and each entry
+is one poly.sum_of_products (_combine_rows).  ``GroebnerBasis.lift`` forms
+its cofactors the same way.
+
 Division is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
 terms G over its own denominator, split once per basis element
@@ -176,6 +185,16 @@ def _divide_tracked(
     )
 
 
+def _combine_rows(n: int, combination, width: int) -> list[Polynomial]:
+    """The row sum q * row over the (q, row) pairs of ``combination``: each
+    of its ``width`` entries is one sum_of_products, and zero multipliers
+    are skipped.  With width 0 (rows not tracked) nothing is computed."""
+    if not width:
+        return []
+    used = [(q, row) for q, row in combination if q]
+    return [sum_of_products(n, ((q, row[j]) for q, row in used)) for j in range(width)]
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis, with cofactors over its source generators
@@ -232,9 +251,7 @@ class GroebnerBasis:
         quotients, remainder = self.reduce_tracked(p)
         if not remainder.is_zero():
             return None
-        used = [(q, row) for q, row in zip(quotients, self.cofactors) if q]
-        return tuple(sum_of_products(self.n, ((q, row[j]) for q, row in used))
-                     for j in range(len(self.source.generators)))
+        return tuple(_combine_rows(self.n, zip(quotients, self.cofactors), len(self.source.generators)))
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""
@@ -294,34 +311,29 @@ def buchberger(
     """
     n = ideal.n
     gens = ideal.generators
-    zero = Polynomial.zero(n)
-
-    def unit_row(j: int) -> list[Polynomial]:
-        if not track_cofactors:
-            return []
-        return [Polynomial.constant(n, 1) if k == j else zero for k in range(len(gens))]
-
-    def normalize(p: Polynomial, row: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
-        c = _content(p)
-        _, lc = order.leading_term(p)
-        if lc < 0:
-            c = -c
-        if c != 1:
-            inv = Fraction(1) / c
-            p = p.scale(inv)
-            row = [r.scale(inv) for r in row]
-        return p, row
-
+    width = len(gens) if track_cofactors else 0
     basis: list[Polynomial] = []
     rows: list[list[Polynomial]] = []
     divisors: list[Divisor] = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        p, row = normalize(g, unit_row(j))
+
+    def append(p: Polynomial, combination) -> None:
+        # p = sum q * source over the (q, source row) pairs of combination;
+        # p and its row are divided by the content of p, signed like its
+        # leading coefficient
+        c = _content(p)
+        if order.leading_term(p)[1] < 0:
+            c = -c
+        inv = 1 / c
+        if c != 1:
+            p = p.scale(inv)
         basis.append(p)
-        rows.append(row)
+        rows.append(_combine_rows(n, ((q.scale(inv), row) for q, row in combination), width))
         divisors.append(_split_divisor(p, order))
+
+    one = Polynomial.constant(n, 1)
+    for j, g in enumerate(gens):
+        if g:
+            append(g, [(one, [Polynomial.constant(n, int(k == j)) for k in range(width)])])
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[tuple, int, int]] = []
@@ -364,24 +376,15 @@ def buchberger(
                     break
         if skip:
             continue
-        # 1/lc of a divisor is its denominator over its integer lc
-        s_poly = basis[i].mul_monomial(_exp_sub(lcm, lm_i), Fraction(den_i, lc_i)) - \
-            basis[j].mul_monomial(_exp_sub(lcm, lm_j), Fraction(den_j, lc_j))
-        s_row = [
-            a.mul_monomial(_exp_sub(lcm, lm_i), Fraction(den_i, lc_i))
-            - b.mul_monomial(_exp_sub(lcm, lm_j), Fraction(den_j, lc_j))
-            for a, b in zip(rows[i], rows[j])
-        ]
+        # the S-polynomial m_i basis[i] - m_j basis[j]; 1/lc of a divisor is
+        # its denominator over its integer lc
+        m_i = Polynomial.monomial(n, _exp_sub(lcm, lm_i), Fraction(den_i, lc_i))
+        m_j = Polynomial.monomial(n, _exp_sub(lcm, lm_j), Fraction(-den_j, lc_j))
+        s_poly = sum_of_products(n, ((m_i, basis[i]), (m_j, basis[j])))
         quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms)
         if remainder.is_zero():
             continue
-        for k, q in enumerate(quotients):
-            if not q.is_zero():
-                s_row = [r - q * c for r, c in zip(s_row, rows[k])]
-        remainder, s_row = normalize(remainder, s_row)
-        basis.append(remainder)
-        rows.append(s_row)
-        divisors.append(_split_divisor(remainder, order))
+        append(remainder, [(m_i, rows[i]), (m_j, rows[j]), *((-q, row) for q, row in zip(quotients, rows))])
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
@@ -411,25 +414,18 @@ def _reduce_basis(
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
+    width = len(ideal.generators) if track_cofactors else 0
     split = [_split_divisor(p, order) for p in polys]
     final_polys: list[Polynomial] = []
     final_rows: list[list[Polynomial]] = []
     for idx, (p, row) in enumerate(zip(polys, prows)):
-        others = split[:idx] + split[idx + 1:]
-        other_rows = prows[:idx] + prows[idx + 1:]
-        if others:
-            quotients, reduced = _divide_tracked(p, others, order, max_terms)
-            for q, orow in zip(quotients, other_rows):
-                if not q.is_zero():
-                    row = [r - q * c for r, c in zip(row, orow)]
-            p = reduced
-        lc = order.leading_term(p)[1]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            p = p.scale(inv)
-            row = [r.scale(inv) for r in row]
-        final_polys.append(p)
-        final_rows.append(row)
+        quotients, p = _divide_tracked(p, split[:idx] + split[idx + 1:], order, max_terms)
+        # p = polys[idx] - sum q * other, made monic
+        inv = 1 / order.leading_term(p)[1]
+        final_polys.append(p.scale(inv) if inv != 1 else p)
+        others = zip(quotients, prows[:idx] + prows[idx + 1:])
+        combination = [(Polynomial.constant(ideal.n, inv), row), *((q.scale(-inv), orow) for q, orow in others)]
+        final_rows.append(_combine_rows(ideal.n, combination, width))
     paired = sorted(zip(final_polys, final_rows), key=lambda t: order.key(order.leading_term(t[0])[0]), reverse=True)
     final_polys = [p for p, _ in paired]
     final_rows = [r for _, r in paired]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .poly import Polynomial, quasi_homogeneous_weights
+from .poly import Polynomial, quasi_homogeneous_weights, sum_of_products
 
 # Cofactor expansion over column subsets is exponential in the dimension;
 # this cap keeps memo tables tiny and is far above the pipeline's needs.
@@ -95,27 +95,21 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
     m = matrix.m
     if m > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant dimension {m} exceeds the supported cap {MAX_DETERMINANT_DIM}")
-    if m == 0:
-        return Polynomial.constant(matrix.nvars, 1)
     entries = matrix.entries
     memo: dict[tuple[int, ...], Polynomial] = {}
 
     def expand(cols: tuple[int, ...]) -> Polynomial:
-        row = m - len(cols)
         if not cols:
             return Polynomial.constant(matrix.nvars, 1)
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        total = Polynomial.zero(matrix.nvars)
-        for pos, col in enumerate(cols):
-            entry = entries[row][col]
-            if entry.is_zero():
-                continue
-            sub = expand(cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[cols] = total
+        # Laplace step along the next row: sum of (-1)^pos a_col * minor
+        row = entries[m - len(cols)]
+        total = memo[cols] = sum_of_products(matrix.nvars, (
+            (row[col] if pos % 2 == 0 else -row[col], expand(cols[:pos] + cols[pos + 1:]))
+            for pos, col in enumerate(cols) if row[col]
+        ))
         return total
 
     return expand(tuple(range(m)))
@@ -217,13 +211,12 @@ def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[boo
     if i == k:
         return True, Polynomial.zero(n)
     hess = hessian(f)
-    lhs = Polynomial.variable(n, i).scale(weights[i - 1]) * algebraic_cofactor(hess, j, k) \
-        - Polynomial.variable(n, k).scale(weights[k - 1]) * algebraic_cofactor(hess, j, i)
-    rhs = Polynomial.zero(n)
-    for l, c in enumerate(cofactor_identity_terms(hess, weights, degree, i, j, k), 1):
-        if not c.is_zero():
-            rhs = rhs + f.partial(l) * c
-    residual = lhs - rhs
+    terms = cofactor_identity_terms(hess, weights, degree, i, j, k)
+    residual = sum_of_products(n, [
+        (Polynomial.variable(n, i).scale(weights[i - 1]), algebraic_cofactor(hess, j, k)),
+        (Polynomial.variable(n, k).scale(-weights[k - 1]), algebraic_cofactor(hess, j, i)),
+        *((-f.partial(l), c) for l, c in enumerate(terms, 1) if c),
+    ])
     return residual.is_zero(), residual
 
 
@@ -241,9 +234,6 @@ def verify_replaced_column_vanishes(f: Polynomial, i: int, j: int, k: int, t: in
     if t in (i, k):
         raise ValueError(f"replacement column t={t} must differ from i={i} and k={k}")
     hess = hessian(f)
-    total = Polynomial.zero(n)
-    for l in range(1, n + 1):
-        if l == j:
-            continue
-        total = total + hess.entry(l, t) * _minor_or_zero(hess, (l, j), (i, k))
-    return total.is_zero()
+    return sum_of_products(n, (
+        (hess.entry(l, t), _minor_or_zero(hess, (l, j), (i, k))) for l in range(1, n + 1) if l != j
+    )).is_zero()

@@ -11,7 +11,13 @@ numerators over one common denominator (``integer_terms``), the term
 products are summed as integers, and each output coefficient becomes one
 normalised Fraction.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
-that every Fraction product and sum would pay.
+that every Fraction product and sum would pay.  Every sum of products in
+the package goes through it: ``Polynomial.__mul__``, the S-polynomials,
+cofactor rows and lifts of ``groebner``, the Laplace step of
+``minors.determinant`` and the two checks of ``minors`` built on it,
+``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.compose2``,
+``derivations.verify_order2_identity``, ``derivations.replay_ledger`` and
+the recombination check of ``derivations.symmetrize``.
 """
 
 from __future__ import annotations

@@ -2,18 +2,23 @@
 
 These are the term-by-term loops that the integer-numerator kernels
 replaced: ``Polynomial.__mul__`` and ``groebner._divide_tracked`` with one
-Fraction operation per term, and the character-by-character tokenizer of
-``exprio``.  They share no arithmetic with the kernels they check;
-``tests/test_kernels.py`` requires exactly equal results.
+Fraction operation per term, the Leibniz sum for ``minors.determinant``,
+the move-by-move fold for ``derivations.replay_ledger``, and the
+character-by-character tokenizer of ``exprio``.  They share no arithmetic
+with the kernels they check; ``tests/test_kernels.py`` requires exactly
+equal results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Sequence
 
+from nakai_forge.derivations import Derivation1, DerivationTuple, hamiltonian
 from nakai_forge.exprio import ParseError
 from nakai_forge.groebner import ResourceLimitExceeded
+from nakai_forge.minors import PolyMatrix
 from nakai_forge.poly import Exponent, MonomialOrder, Polynomial
 
 
@@ -28,6 +33,28 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 out.pop(exp, None)
     return Polynomial(a.n, out)
+
+
+def reference_determinant(matrix: PolyMatrix) -> Polynomial:
+    """Leibniz sum of sign(perm) * prod_r a_(r, perm(r)) over all permutations."""
+    total = Polynomial.zero(matrix.nvars)
+    for perm in permutations(range(matrix.m)):
+        inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+        term = Polynomial.constant(matrix.nvars, (-1) ** inversions)
+        for r, c in enumerate(perm):
+            term = reference_mul(term, matrix.entries[r][c])
+        total = total + term
+    return total
+
+
+def reference_replay(tuple_in: DerivationTuple, ledger) -> DerivationTuple:
+    """The moves folded in order: d_target += coeff * D_kl, image by image."""
+    ders = [list(d.images) for d in tuple_in.ders]
+    for move in ledger:
+        images = ders[move.target - 1]
+        for m, h in enumerate(hamiltonian(tuple_in.f, move.k, move.l).images):
+            images[m] = images[m] + reference_mul(move.coeff, h)
+    return DerivationTuple(tuple(Derivation1(tuple(d)) for d in ders), tuple_in.f)
 
 
 def reference_divide(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from nakai_forge.groebner import (
     jacobian_ideal,
     quotient_dimension,
 )
-from nakai_forge.poly import LEX, LinearChange, Polynomial
+from nakai_forge.poly import GRLEX, LEX, LinearChange, Polynomial, monomials_of_degree
 from linalg_oracle import membership_oracle, monomial_ideal_member
 
 V3 = ["x", "y", "z"]
@@ -146,11 +147,24 @@ class TestLift:
         rng = random.Random(84)
         from conftest import random_homogeneous
 
-        for _ in range(10):
-            gens = Ideal(tuple(random_homogeneous(rng, 3, rng.randint(2, 3)) for _ in range(3)))
-            tracked = buchberger(gens)
-            untracked = buchberger(gens, track_cofactors=False)
+        cases = [(Ideal(tuple(random_homogeneous(rng, 3, rng.randint(2, 3)) for _ in range(3))), GREVLEX)
+                 for _ in range(10)]
+        # inhomogeneous generators with signed rational coefficients (about
+        # half of the leading coefficients are negative) under each order
+        monomials = monomials_of_degree(3, 1) + monomials_of_degree(3, 2)
+        for order in (GREVLEX, GRLEX, LEX):
+            for _ in range(4):
+                gens = tuple(
+                    Polynomial(3, {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+                                   for e in rng.sample(monomials, rng.randint(2, 4))})
+                    for _ in range(rng.randint(2, 3))
+                )
+                cases.append((Ideal(gens), order))
+        for gens, order in cases:
+            tracked = buchberger(gens, order)
+            untracked = buchberger(gens, order, track_cofactors=False)
             assert untracked.basis == tracked.basis and untracked.cofactors == ()
+            check_cofactors(tracked)
             assert untracked.normal_form(P("x^3*y")) == tracked.normal_form(P("x^3*y"))
             with pytest.raises(ValueError, match="without cofactor rows"):
                 untracked.lift(gens.generators[0])

@@ -1,9 +1,10 @@
 """The integer-numerator kernels against their plain-Fraction references.
 
-Multiplication and sums of products, tracked division and tokenizing must
-give exactly what the loops in kernel_reference.py give: the same term maps
-(Fraction values), the same quotients and remainders, the same tokens and
-the same ParseError messages and positions.
+Multiplication and sums of products, determinants, ledger replay, tracked
+division and tokenizing must give exactly what the loops in
+kernel_reference.py give: the same term maps (Fraction values), the same
+quotients and remainders, the same tokens and the same ParseError messages
+and positions.
 """
 
 import random
@@ -11,9 +12,17 @@ from fractions import Fraction
 
 import pytest
 
-from kernel_reference import reference_divide, reference_mul, reference_tokenize
+from kernel_reference import (
+    reference_determinant,
+    reference_divide,
+    reference_mul,
+    reference_replay,
+    reference_tokenize,
+)
+from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, _split_divisor, buchberger
+from nakai_forge.minors import PolyMatrix, determinant
 from nakai_forge.poly import GREVLEX, GRLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
 
@@ -97,6 +106,87 @@ class TestMultiply:
             for _ in range(3):
                 expected = reference_mul(expected, p)
             _assert_same(p ** 3, expected)
+
+
+class TestDeterminant:
+    def test_random_against_reference(self):
+        # sizes 0-5, about a third of the entries zero
+        rng = random.Random(1968)
+        for m in range(6):
+            for _ in range(10 if m < 5 else 3):
+                n = rng.randint(1, 3)
+                matrix = PolyMatrix([[_random_rational_poly(rng, n, 2, 3) if rng.random() < 0.7 else Polynomial.zero(n)
+                                      for _ in range(m)] for _ in range(m)], nvars=n)
+                _assert_same(determinant(matrix), reference_determinant(matrix))
+
+    def test_cancelling_entries(self):
+        # the last row is c * row_1 + row_2 (or c * row_1), so every term
+        # cancels; entries +-x_i / (1 or 2) make terms of a nonzero
+        # determinant cancel too
+        rng = random.Random(1969)
+        for m in range(1, 6):
+            for _ in range(4):
+                n = rng.randint(1, 3)
+                rows = [[_random_rational_poly(rng, n, 1, 3) for _ in range(m)] for _ in range(m - 1)]
+                if rows:
+                    c = _random_rational_poly(rng, n, 1, 2)
+                    rows.append([c * a + (rows[1][k] if m > 2 else Polynomial.zero(n)) for k, a in enumerate(rows[0])])
+                    rng.shuffle(rows)
+                    matrix = PolyMatrix(rows, nvars=n)
+                    _assert_same(determinant(matrix), reference_determinant(matrix))
+                    assert determinant(matrix).is_zero()
+                signs = PolyMatrix([[Polynomial.variable(n, rng.randint(1, n)).scale(Fraction(rng.choice((-1, 1)),
+                                                                                               rng.choice((1, 2))))
+                                     for _ in range(m)] for _ in range(m)], nvars=n)
+                _assert_same(determinant(signs), reference_determinant(signs))
+
+
+class TestReplayLedger:
+    def test_random_ledgers_against_reference(self):
+        # repeated (target, k, l) moves, and moves undone by -coeff or by
+        # the swapped pair D_lk = -D_kl; every coefficient is nonzero
+        rng = random.Random(1971)
+
+        def coefficient(n):
+            while True:
+                c = _random_rational_poly(rng, n, 2, 3)
+                if c:
+                    return c
+
+        undone = 0
+        for _ in range(80):
+            n = rng.randint(2, 4)
+            f = _random_rational_poly(rng, n, 3, 5)
+            while not all(f.partial(i) for i in range(1, n + 1)):  # no move is the identity
+                f = f + _random_rational_poly(rng, n, 3, 5)
+            tuple_in = DerivationTuple(tuple(
+                Derivation1(tuple(_random_rational_poly(rng, n, 2, 3) for _ in range(n))) for _ in range(n)
+            ), f)
+            ledger = []
+            for _ in range(rng.randint(0, 6)):
+                t = rng.randint(1, n)
+                k, l = rng.sample(range(1, n + 1), 2)
+                coeff = coefficient(n)
+                ledger.append(Adjustment(t, k, l, coeff))
+                if rng.random() < 0.4:
+                    ledger.append(Adjustment(t, k, l, coefficient(n)))
+                if rng.random() < 0.3:
+                    ledger.append(rng.choice((Adjustment(t, k, l, -coeff), Adjustment(t, l, k, coeff))))
+            rng.shuffle(ledger)
+            replayed = replay_ledger(tuple_in, ledger)
+            expected = reference_replay(tuple_in, ledger)
+            for new, ref in zip(replayed.ders, expected.ders):
+                for a, b in zip(new.images, ref.images):
+                    _assert_same(a, b)
+            undone += bool(ledger) and replayed.ders == tuple_in.ders
+        assert undone > 0, undone
+
+    def test_target_out_of_range(self):
+        x = Polynomial.variable(2, 1)
+        tuple_in = DerivationTuple((Derivation1((x, x)), Derivation1((x, x))), x * x)
+        for target in (0, 3):
+            with pytest.raises(IndexError):
+                replay_ledger(tuple_in, [Adjustment(target, 1, 2, x)])
 
 
 def _divide_both(p, divisors, order, max_terms=10**6):
