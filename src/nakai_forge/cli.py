@@ -128,7 +128,7 @@ def cmd_check(args) -> int:
     # below 2, zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
-    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs, track_cofactors=False)
+    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs)
     zero_dim = gb.is_zero_dimensional()
     milnor = _milnor(f, gb) if zero_dim else None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
@@ -289,7 +289,7 @@ def cmd_milnor(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs, track_cofactors=False)
+    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs)
     if not gb.is_zero_dimensional():
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED

@@ -1,21 +1,25 @@
 """Exact Groebner-basis engine over the rationals.
 
 Buchberger's algorithm with the normal selection strategy, the coprime
-and chain criteria, content removal after every reduction, and optional
-cofactor tracking: with it every basis element carries its expression in
-terms of the source generators, so ideal memberships come with replayable
-witnesses (p = sum q_i * g_i, checkable by re-multiplication).  Without it
-the basis is the same and costs far less, since the rows grow faster than
-the basis itself.
+and chain criteria, and content removal after every reduction.  Every
+basis element can be lifted to its expression in terms of the source
+generators, so ideal memberships come with replayable witnesses
+(p = sum q_i * g_i, checkable by re-multiplication).
 
-Rows are formed only for new basis elements: the remainder
-r = m_i g_i + m_j g_j - sum_k q_k g_k of an S-polynomial, once the
-division has shown it is nonzero, and each element the final
-auto-reduction rewrites.  The row of r is sum_k c_k * row_k over the
-multipliers c_k of that combination, with the content (or leading
-coefficient) that r is divided by divided out of each c_k, and each entry
-is one poly.sum_of_products (_combine_rows).  ``GroebnerBasis.lift`` forms
-its cofactors the same way.
+The algorithm records how each element was formed, not its row (the
+Groebner trace of Traverso 1988).  The nodes are the source generators,
+the raw elements of the S-pair loop and the final auto-reduced elements,
+in that order, and each raw or final node keeps its recipe: the nonzero
+(multiplier, parent node) pairs of its combination.  A raw element is a
+nonzero generator or r = m_i g_i + m_j g_j - sum_k q_k g_k, the remainder
+of an S-polynomial, and a final element is one kept raw element minus its tail quotients
+over the others; the content (or leading coefficient) that the element
+is divided by is divided out of each multiplier.  Rows (cofactors over
+the generators) are formed only when a caller reads them, through
+``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
+is sum_k c_k * row_k over its recipe, each entry one
+poly.sum_of_products (_combine_rows).  A read forms the rows of the node
+and of its ancestors only, in increasing node order, and keeps them.
 
 Division is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
@@ -185,30 +189,32 @@ def _divide_tracked(
     )
 
 
-def _combine_rows(n: int, combination, width: int) -> list[Polynomial]:
+def _combine_rows(n: int, combination: Sequence, width: int) -> list[Polynomial]:
     """The row sum q * row over the (q, row) pairs of ``combination``: each
-    of its ``width`` entries is one sum_of_products, and zero multipliers
-    are skipped.  With width 0 (rows not tracked) nothing is computed."""
-    if not width:
-        return []
-    used = [(q, row) for q, row in combination if q]
-    return [sum_of_products(n, ((q, row[j]) for q, row in used)) for j in range(width)]
+    of its ``width`` entries is one sum_of_products."""
+    return [sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width)]
+
+
+# How a node was formed: its nonzero (multiplier, parent node) pairs.
+Recipe = tuple[tuple[Polynomial, int], ...]
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, with cofactors over its source generators
-    when they were tracked.
+    """A reduced Groebner basis, with the recipes of its elements over its
+    source generators.
 
-    With cofactors, basis[i] == sum_j cofactors[i][j] * source.generators[j]
-    holds exactly; without, ``cofactors`` is empty and ``lift`` refuses.
-    The basis is auto-reduced with monic leading coefficients.
+    Generator j is node j - len(source.generators) (negative), node k >= 0
+    has recipe ``recipes[k]``, and the last len(basis) nodes are the basis
+    elements in order.  basis[i] == sum_j cofactors[i][j] * source.generators[j]
+    holds exactly.  The basis is auto-reduced with monic leading
+    coefficients.
     """
 
     basis: tuple[Polynomial, ...]
-    cofactors: tuple[tuple[Polynomial, ...], ...]
     order: MonomialOrder
     source: Ideal
+    recipes: tuple[Recipe, ...]
     max_terms: int = DEFAULT_MAX_TERMS
 
     @property
@@ -222,36 +228,57 @@ class GroebnerBasis:
     def _divisors(self) -> list[Divisor]:
         return [_split_divisor(g, self.order) for g in self.basis]
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        """The unique fully reduced remainder of p; zero iff p is a member."""
+    @cached_property
+    def _rows(self) -> dict[int, tuple[Polynomial, ...]]:
+        """The rows formed so far, from the unit rows of the generators."""
+        width = len(self.source.generators)
+        return {j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)}
+
+    def _row(self, node: int) -> tuple[Polynomial, ...]:
+        """The row of a node, formed with the rows of its unformed ancestors
+        in increasing node order (parents precede their children)."""
+        rows = self._rows
+        todo, stack = set(), [node]
+        while stack:
+            k = stack.pop()
+            if k not in rows and k not in todo:
+                todo.add(k)
+                stack.extend(parent for _, parent in self.recipes[k])
+        for k in sorted(todo):
+            combination = [(q, rows[parent]) for q, parent in self.recipes[k]]
+            rows[k] = tuple(_combine_rows(self.n, combination, len(self.source.generators)))
+        return rows[node]
+
+    @property
+    def cofactors(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The row of every basis element over the source generators."""
+        first = len(self.recipes) - len(self.basis)
+        return tuple(self._row(first + i) for i in range(len(self.basis)))
+
+    def _divide(self, p: Polynomial) -> tuple[list[Polynomial], Polynomial]:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
-        if not self.basis:
-            return p
-        _, remainder = _divide_tracked(p, self._divisors, self.order, self.max_terms)
-        return remainder
+        return _divide_tracked(p, self._divisors, self.order, self.max_terms)
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """The unique fully reduced remainder of p; zero iff p is a member."""
+        return self._divide(p)[1]
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def reduce_tracked(self, p: Polynomial) -> tuple[list[Polynomial], Polynomial]:
-        """Quotients over the basis elements plus the remainder."""
-        if not self.basis:
-            return [], p
-        return _divide_tracked(p, self._divisors, self.order, self.max_terms)
-
     def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
 
-        On success p == sum lift[j] * source.generators[j] exactly.  A basis
-        computed without cofactors raises ValueError.
+        On success p == sum lift[j] * source.generators[j] exactly.  Only
+        the rows of basis elements with a nonzero quotient are formed.
         """
-        if len(self.cofactors) != len(self.basis):
-            raise ValueError("the basis was computed without cofactor rows")
-        quotients, remainder = self.reduce_tracked(p)
+        quotients, remainder = self._divide(p)
         if not remainder.is_zero():
             return None
-        return tuple(_combine_rows(self.n, zip(quotients, self.cofactors), len(self.source.generators)))
+        first = len(self.recipes) - len(self.basis)
+        combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
+        return tuple(_combine_rows(self.n, combination, len(self.source.generators)))
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""
@@ -301,24 +328,22 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_terms: int = DEFAULT_MAX_TERMS,
-    track_cofactors: bool = True,
 ) -> GroebnerBasis:
-    """Compute the reduced Groebner basis, with cofactor rows unless
-    ``track_cofactors`` is False (the rows are then empty lists throughout).
+    """Compute the reduced Groebner basis with the recipe of every element;
+    no cofactor row is formed here (see the module docstring).
 
     Deterministic: pairs are processed by (lcm degree, lcm, i, j) and the
     final basis is sorted by descending leading monomial.
     """
     n = ideal.n
     gens = ideal.generators
-    width = len(gens) if track_cofactors else 0
     basis: list[Polynomial] = []
-    rows: list[list[Polynomial]] = []
+    recipes: list[Recipe] = []
     divisors: list[Divisor] = []
 
-    def append(p: Polynomial, combination) -> None:
-        # p = sum q * source over the (q, source row) pairs of combination;
-        # p and its row are divided by the content of p, signed like its
+    def append(p: Polynomial, recipe) -> None:
+        # p = sum q * node over the (q, node) pairs of recipe; p and its
+        # multipliers are divided by the content of p, signed like its
         # leading coefficient
         c = _content(p)
         if order.leading_term(p)[1] < 0:
@@ -327,13 +352,13 @@ def buchberger(
         if c != 1:
             p = p.scale(inv)
         basis.append(p)
-        rows.append(_combine_rows(n, ((q.scale(inv), row) for q, row in combination), width))
+        recipes.append(tuple((q.scale(inv), node) for q, node in recipe))
         divisors.append(_split_divisor(p, order))
 
     one = Polynomial.constant(n, 1)
     for j, g in enumerate(gens):
         if g:
-            append(g, [(one, [Polynomial.constant(n, int(k == j)) for k in range(width)])])
+            append(g, [(one, j - len(gens))])
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[tuple, int, int]] = []
@@ -364,17 +389,8 @@ def buchberger(
         if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
             continue
         # chain criterion: some k divides the lcm and both flanking pairs are done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(divisors[k][0], lcm):
-                pair_ik = (min(i, k), max(i, k))
-                pair_jk = (min(j, k), max(j, k))
-                if pair_ik not in pending and pair_jk not in pending:
-                    skip = True
-                    break
-        if skip:
+        if any(k not in (i, j) and _divides(divisors[k][0], lcm) and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(basis))):
             continue
         # the S-polynomial m_i basis[i] - m_j basis[j]; 1/lc of a divisor is
         # its denominator over its integer lc
@@ -384,24 +400,24 @@ def buchberger(
         quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms)
         if remainder.is_zero():
             continue
-        append(remainder, [(m_i, rows[i]), (m_j, rows[j]), *((-q, row) for q, row in zip(quotients, rows))])
+        append(remainder, [(m_i, i), (m_j, j), *((-q, k) for k, q in enumerate(quotients) if q)])
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
-    return _reduce_basis(basis, rows, ideal, order, max_terms, track_cofactors)
+    return _reduce_basis(basis, recipes, ideal, order, max_terms)
 
 
 def _reduce_basis(
     basis: list[Polynomial],
-    rows: list[list[Polynomial]],
+    recipes: list[Recipe],
     ideal: Ideal,
     order: MonomialOrder,
     max_terms: int,
-    track_cofactors: bool,
 ) -> GroebnerBasis:
-    """Minimalize, auto-reduce, and make monic, updating cofactor rows."""
+    """Minimalize, auto-reduce, and make monic, appending the recipe of
+    each final element; raw element k is node k."""
     if not basis:
-        return GroebnerBasis((), (), order, ideal, max_terms)
+        return GroebnerBasis((), order, ideal, (), max_terms)
     # Minimal: drop any element whose leading monomial another one divides.
     indices = sorted(range(len(basis)), key=lambda k: order.key(order.leading_term(basis[k])[0]))
     kept: list[int] = []
@@ -410,30 +426,24 @@ def _reduce_basis(
         if not any(_divides(order.leading_term(basis[m])[0], lm_k) for m in kept):
             kept.append(k)
     polys = [basis[k] for k in kept]
-    prows = [rows[k] for k in kept]
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
-    width = len(ideal.generators) if track_cofactors else 0
     split = [_split_divisor(p, order) for p in polys]
-    final_polys: list[Polynomial] = []
-    final_rows: list[list[Polynomial]] = []
-    for idx, (p, row) in enumerate(zip(polys, prows)):
+    final: list[tuple[Polynomial, Recipe]] = []
+    for idx, (p, node) in enumerate(zip(polys, kept)):
         quotients, p = _divide_tracked(p, split[:idx] + split[idx + 1:], order, max_terms)
         # p = polys[idx] - sum q * other, made monic
         inv = 1 / order.leading_term(p)[1]
-        final_polys.append(p.scale(inv) if inv != 1 else p)
-        others = zip(quotients, prows[:idx] + prows[idx + 1:])
-        combination = [(Polynomial.constant(ideal.n, inv), row), *((q.scale(-inv), orow) for q, orow in others)]
-        final_rows.append(_combine_rows(ideal.n, combination, width))
-    paired = sorted(zip(final_polys, final_rows), key=lambda t: order.key(order.leading_term(t[0])[0]), reverse=True)
-    final_polys = [p for p, _ in paired]
-    final_rows = [r for _, r in paired]
+        others = zip(quotients, kept[:idx] + kept[idx + 1:])
+        recipe = ((Polynomial.constant(ideal.n, inv), node), *((q.scale(-inv), other) for q, other in others if q))
+        final.append((p.scale(inv) if inv != 1 else p, recipe))
+    final.sort(key=lambda t: order.key(order.leading_term(t[0])[0]), reverse=True)
     return GroebnerBasis(
-        tuple(final_polys),
-        tuple(tuple(r) for r in final_rows) if track_cofactors else (),
+        tuple(p for p, _ in final),
         order,
         ideal,
+        tuple(recipes) + tuple(r for _, r in final),
         max_terms,
     )
 
@@ -461,11 +471,11 @@ def s_polynomial(a: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def is_zero_dimensional(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> bool:
-    return buchberger(ideal, order, track_cofactors=False, **caps).is_zero_dimensional()
+    return buchberger(ideal, order, **caps).is_zero_dimensional()
 
 
 def quotient_dimension(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> int:
-    return buchberger(ideal, order, track_cofactors=False, **caps).quotient_dimension()
+    return buchberger(ideal, order, **caps).quotient_dimension()
 
 
 def is_isolated_singularity(f: Polynomial, order: MonomialOrder = GREVLEX, **caps) -> bool:

@@ -162,7 +162,7 @@ from .groebner import (
     buchberger,
     jacobian_ideal,
 )
-from .minors import PolyMatrix, algebraic_cofactor, determinant, hessian
+from .minors import MAX_DETERMINANT_DIM, PolyMatrix, algebraic_cofactor, determinant, hessian
 from .poly import Exponent, LinearChange, Polynomial, monomials_of_degree, quasi_homogeneous_weights
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,7 @@ class SliceChoice:
     coefficients: tuple[Fraction, ...]
     change: LinearChange
     g: Polynomial  # f(x(y))
-    gb: GroebnerBasis  # row-tracked basis of J(h), h = g restricted to y_1 = 0
+    gb: GroebnerBasis  # basis of J(h), h = g restricted to y_1 = 0; its records lift from it
     attempts: int
 
 
@@ -340,7 +340,7 @@ def saito_check(
     """
     gens = tuple(gens)
     if gb is None:
-        gb = buchberger(Ideal(gens), order, track_cofactors=False, **caps)
+        gb = buchberger(Ideal(gens), order, **caps)
     if not gb.is_zero_dimensional():
         raise ValueError("the system is not zero-dimensional; the criterion does not apply")
     det = determinant(jacobian_matrix(gens))
@@ -374,14 +374,16 @@ def _new_variables(n: int) -> list[str]:
 
 def _pure_power_records(gb: GroebnerBasis, variables: Sequence[str]) -> list[dict]:
     """For each variable x_i, the basis element whose leading monomial is a
-    power of x_i, with its cofactor row over the source generators."""
+    power of x_i, with its cofactor row over the source generators: its lift,
+    since it divides by the reduced monic basis with quotient e_k and
+    remainder 0."""
     records = []
     leading = gb.leading_monomials()
     for i in range(gb.n):
         k = next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)
         records.append({
             "polynomial": format_poly(gb.basis[k], variables, gb.order),
-            "cofactors": [format_poly(c, variables, gb.order) for c in gb.cofactors[k]],
+            "cofactors": [format_poly(c, variables, gb.order) for c in gb.lift(gb.basis[k])],
         })
     return records
 
@@ -488,10 +490,10 @@ def build_witness(
             "too_few_variables",
             f"{f.n}-variable input is outside this construction; two variables are settled classically",
         )
-    if f.n > 6:
+    if f.n > MAX_DETERMINANT_DIM:
         return rejected(
             "dimension_cap",
-            f"{f.n} variables exceed the configured determinant dimension cap of 6",
+            f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}",
         )
 
     gb_input = buchberger(jacobian_ideal(f), GREVLEX, **cfg.caps())
@@ -655,7 +657,7 @@ def _verify_rejected(doc: dict) -> list[str]:
             failures.append("rejection says too few variables but there are at least 3")
         return failures
     if reason == "dimension_cap":
-        if f.n <= 6:
+        if f.n <= MAX_DETERMINANT_DIM:
             failures.append("rejection cites the dimension cap but the input fits it")
         return failures
     if reason == "not_isolated":

@@ -143,7 +143,7 @@ class TestLift:
         gb = buchberger(ideal("x^2", "y^2"))
         assert gb.lift(P("x*y*z")) is None
 
-    def test_untracked_basis_is_the_same_and_refuses_lift(self):
+    def test_rows_are_the_same_in_any_read_order(self):
         rng = random.Random(84)
         from conftest import random_homogeneous
 
@@ -161,13 +161,25 @@ class TestLift:
                 )
                 cases.append((Ideal(gens), order))
         for gens, order in cases:
-            tracked = buchberger(gens, order)
-            untracked = buchberger(gens, order, track_cofactors=False)
-            assert untracked.basis == tracked.basis and untracked.cofactors == ()
-            check_cofactors(tracked)
-            assert untracked.normal_form(P("x^3*y")) == tracked.normal_form(P("x^3*y"))
-            with pytest.raises(ValueError, match="without cofactor rows"):
-                untracked.lift(gens.generators[0])
+            # rows read through a lift first, then all of them, and the reverse
+            lift_first = buchberger(gens, order)
+            lifted = lift_first.lift(gens.generators[0])
+            rows_first = buchberger(gens, order)
+            rows = rows_first.cofactors
+            assert rows_first.basis == lift_first.basis
+            assert lift_first.cofactors == rows
+            assert rows_first.lift(gens.generators[0]) == lifted
+            # each basis element lifts to its own row
+            assert [lift_first.lift(b) for b in lift_first.basis] == list(rows)
+            check_cofactors(lift_first)
+
+    def test_lift_rejects_a_variable_count_mismatch(self):
+        # x^2 in two variables divides to remainder 0 by the zip of exponents
+        gb = buchberger(ideal("x^2", "y^2", "z^2"))
+        with pytest.raises(ValueError, match="variable-count mismatch: 2 vs 3"):
+            gb.lift(parse_poly("x^2", ["x", "y"]))
+        with pytest.raises(ValueError, match="variable-count mismatch: 2 vs 3"):
+            gb.normal_form(parse_poly("x^2", ["x", "y"]))
 
     def test_soundness_random(self):
         rng = random.Random(83)

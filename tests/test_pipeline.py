@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import nakai_forge.groebner as groebner
 import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
@@ -190,6 +191,24 @@ class TestBuildWitness:
         assert cert.verdict == INPUT_REJECTED
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
         assert verify_certificate(cert)
+
+    def test_not_isolated_forms_no_cofactor_row(self, monkeypatch):
+        # a not_isolated rejection reads the input-Jacobian basis (its
+        # lambda), never a row; f is an axis-singular n4d3 form, the shape
+        # of the gate-slice benchmark workload
+        calls = []
+        combine = groebner._combine_rows
+        monkeypatch.setattr(groebner, "_combine_rows", lambda *args: calls.append(args) or combine(*args))
+        rng = random.Random(20)
+        f = Polynomial(4, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
+        })
+        cert = build_witness(f, ["x", "y", "z", "w"])
+        assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
+        assert calls == []
+        # a witness reads the rows of its isolation records
+        assert build_witness(P(FERMAT), V3).verdict == WITNESS_FOUND
+        assert calls
 
     def test_non_homogeneous_rejected(self):
         cert = build_witness(P("x^2 + y^3"), V3)
@@ -690,7 +709,7 @@ class TestDualFunctionalRecurrence:
         f = Polynomial(4, {
             e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
         })
-        gb = buchberger(jacobian_ideal(f), track_cofactors=False)
+        gb = buchberger(jacobian_ideal(f))
         assert not gb.is_zero_dimensional()
         names = ["x", "y", "z", "w"]
         record = build_witness(f, names).document["membership_tests"]["positive_dimension"]["input_jacobian"]
@@ -700,7 +719,7 @@ class TestDualFunctionalRecurrence:
     def test_cyclic_cubic_obstruction(self):
         # S = (y1, g_2, g_3)^2 + (g), built here as the oracle the lemma replaced
         g, witness, _ = TestObstructionModuloF._witness("cyclic-cubic")
-        gb = buchberger(_square_ideal_mod_g(g), track_cofactors=False)
+        gb = buchberger(_square_ideal_mod_g(g))
         self._check(gb, witness.homogeneous_degree())
 
 
@@ -856,7 +875,7 @@ class TestObstructionModuloF:
         g, witness, doc = self._build(text, variables)
         assert doc["verdict"] == WITNESS_FOUND
         # the old proof: d1(y1) has a nonzero normal form modulo a basis of S
-        assert not buchberger(_square_ideal_mod_g(g), track_cofactors=False).contains(witness)
+        assert not buchberger(_square_ideal_mod_g(g)).contains(witness)
         # the lemma's congruence: d1(y1) = W_1 y1 Hess(h) modulo y1^2
         h = restrict_to_hyperplane(g)
         hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, h.n + 1)]))
@@ -880,7 +899,7 @@ class TestObstructionModuloF:
         # for every monomial m of the complementary weighted degree: the part
         # a test without (g) misses
         g, witness, _ = self._witness("cyclic-cubic")
-        gb = buchberger(_square_ideal_mod_g(g), track_cofactors=False)
+        gb = buchberger(_square_ideal_mod_g(g))
         nf = gb.normal_form(witness)
         mu = gb.order.leading_term(nf)[0]
         delta = witness.homogeneous_degree()
