@@ -267,7 +267,8 @@ def cmd_member(args) -> int:
     gens = [parse_poly(text, variables) for text in args.ideal.split(",")]
     gb = buchberger(Ideal(tuple(gens)), max_pairs=args.max_pairs)
     cofactors = gb.lift(p)
-    nf = gb.normal_form(p)
+    # a member's normal form is zero: divide again only for a non-member
+    nf = Polynomial.zero(p.n) if cofactors is not None else gb.normal_form(p)
     if args.json:
         _emit(json.dumps({
             "member": cofactors is not None,

@@ -326,7 +326,7 @@ def parse_fraction(text: str) -> Fraction:
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 REQUIRED_KEYS = (
     "schema",

@@ -20,6 +20,12 @@ the generators) are formed only when a caller reads them, through
 is sum_k c_k * row_k over its recipe, each entry one
 poly.sum_of_products (_combine_rows).  A read forms the rows of the node
 and of its ancestors only, in increasing node order, and keeps them.
+``lift`` with a prime modulus forms the rows modulo that prime on the same
+path, from the same recipes: each multiplier c_k is reduced modulo the
+prime before it is used, and each entry after, so no entry grows beyond
+the prime; the rows of each modulus are kept apart.  The isolation records
+of the ``pipeline`` certificates are such rows; rows over Q serve only
+the library ``lift`` and the CLI ``member``.
 
 Division is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
@@ -189,10 +195,15 @@ def _divide_tracked(
     )
 
 
-def _combine_rows(n: int, combination: Sequence, width: int) -> list[Polynomial]:
+def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[Polynomial, ...]:
     """The row sum q * row over the (q, row) pairs of ``combination``: each
-    of its ``width`` entries is one sum_of_products."""
-    return [sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width)]
+    of its ``width`` entries is one sum_of_products.  With a prime
+    ``modulus`` (None: over Q) the rows are rows modulo it, and each q is
+    reduced modulo it before the sum and each entry after."""
+    if modulus is not None:
+        combination = [(q.mod(modulus), row) for q, row in combination]
+    entries = (sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width))
+    return tuple(entries) if modulus is None else tuple(entry.mod(modulus) for entry in entries)
 
 
 # How a node was formed: its nonzero (multiplier, parent node) pairs.
@@ -229,15 +240,22 @@ class GroebnerBasis:
         return [_split_divisor(g, self.order) for g in self.basis]
 
     @cached_property
-    def _rows(self) -> dict[int, tuple[Polynomial, ...]]:
-        """The rows formed so far, from the unit rows of the generators."""
-        width = len(self.source.generators)
-        return {j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)}
+    def _rows(self) -> dict[int | None, dict[int, tuple[Polynomial, ...]]]:
+        """The rows formed so far, kept apart for each modulus (None for the
+        rows over Q)."""
+        return {}
 
-    def _row(self, node: int) -> tuple[Polynomial, ...]:
-        """The row of a node, formed with the rows of its unformed ancestors
-        in increasing node order (parents precede their children)."""
-        rows = self._rows
+    def _row(self, node: int, modulus: int | None = None) -> tuple[Polynomial, ...]:
+        """The row of a node (modulo ``modulus`` unless that is None),
+        formed with the rows of its unformed ancestors in increasing node
+        order (parents precede their children), from the unit rows of the
+        generators."""
+        width = len(self.source.generators)
+        rows = self._rows.get(modulus)
+        if rows is None:
+            rows = self._rows[modulus] = {
+                j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)
+            }
         todo, stack = set(), [node]
         while stack:
             k = stack.pop()
@@ -246,7 +264,7 @@ class GroebnerBasis:
                 stack.extend(parent for _, parent in self.recipes[k])
         for k in sorted(todo):
             combination = [(q, rows[parent]) for q, parent in self.recipes[k]]
-            rows[k] = tuple(_combine_rows(self.n, combination, len(self.source.generators)))
+            rows[k] = _combine_rows(self.n, combination, width, modulus)
         return rows[node]
 
     @property
@@ -267,18 +285,23 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
+    def lift(self, p: Polynomial, modulus: int | None = None) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
 
-        On success p == sum lift[j] * source.generators[j] exactly.  Only
-        the rows of basis elements with a nonzero quotient are formed.
+        On success p == sum lift[j] * source.generators[j] exactly.  With a
+        prime ``modulus`` the membership is still decided over Q, but the
+        cofactors are formed modulo it: every multiplier is reduced before
+        it is used and every entry after, so the identity holds modulo the
+        prime.  That raises ZeroDivisionError when the prime divides the
+        denominator of a multiplier.  Only the rows of basis elements with a
+        nonzero quotient are formed.
         """
         quotients, remainder = self._divide(p)
         if not remainder.is_zero():
             return None
         first = len(self.recipes) - len(self.basis)
-        combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
-        return tuple(_combine_rows(self.n, combination, len(self.source.generators)))
+        combination = [(q, self._row(first + i, modulus)) for i, q in enumerate(quotients) if q]
+        return _combine_rows(self.n, combination, len(self.source.generators), modulus)
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""

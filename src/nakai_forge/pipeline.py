@@ -7,9 +7,9 @@ explicit second-order operator P.  It certifies that P is an operator on
 A = Q[y]/(g) whose extracted diagonal value d_1(y_1) lies outside
 S = (y_1, g_2, ..., g_n)^2 + (g), the ideal that every sum of compositions
 of derivations of A lands in.  Every claim is recorded in a self-contained
-JSON certificate that the verifier checks by re-multiplication, dot
-products and one determinant: it never divides by a Groebner basis, never
-computes one and never searches.
+JSON certificate that the verifier checks by re-multiplication (modulo a
+prime for the isolation records), dot products and one determinant: it
+never divides by a Groebner basis, never computes one and never searches.
 
 Homogeneous input is the case W = (1, ..., 1) of what follows.  The
 weights W (coprime positive integers) and the weighted degree D are the
@@ -23,11 +23,32 @@ iff f is quasi-homogeneous).  Soundness rests on points 0, 2, 3 and 4, and
 the certificate records what they read and nothing else.  Point 1 says
 why the builder always finds P; no certified step uses it.
 
-0. Isolation of f.  For each variable x_i the certificate records the
-   element of the reduced basis of J(f) whose leading monomial is a power
-   x_i^(N_i), with its cofactors over f_1, ..., f_n.  Re-multiplying them
-   shows x_i^(N_i) in LT(J(f)) for every i, so J(f) is zero-dimensional;
-   the Milnor number is then prod(D / W_i - 1) (Milnor and Orlik 1970).
+0. Isolation of f.  The certificate records a prime p that divides no
+   denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
+   polynomials with integer coefficients in [0, p).  The verifier forms
+   h_i = sum_j c_ij f_j modulo p and checks that it is nonzero and leads,
+   under grevlex, with a power x_i^(N_i).  Let J_p be the ideal of the
+   partials f_1, ..., f_n reduced modulo p.  h_i need not be homogeneous,
+   but J_p is weighted homogeneous, so the weighted homogeneous component
+   of h_i that contains x_i^(N_i) lies in J_p; made of terms of h_i, it
+   leads with x_i^(N_i) too.  So every variable has a pure power in
+   LT(J_p), F_p[x]/J_p is finite, and J_p, being weighted homogeneous, is
+   primary to the maximal ideal: it contains every monomial of weighted
+   degree t, for every large t.  Take the Macaulay matrix of the partials
+   in degree t (a row per product m f_j, a column per monomial of degree
+   t).  Its entries are rationals with denominators prime to p, and it
+   has full column rank modulo p.  A minor that is nonzero modulo p is
+   nonzero over Q: reduction modulo p cannot raise a rank.  So the matrix
+   has full column rank over Q as well, J(f) contains every monomial of
+   degree t, and J(f) is zero-dimensional.  The implication goes one way
+   only: an unlucky prime can make the check fail, never pass falsely.
+   The builder takes for h_i the element of the reduced basis of J(f) over
+   Q that leads with x_i^(N_i), and forms its row over the partials modulo
+   p from the recipes of that basis (groebner.GroebnerBasis.lift with a
+   modulus).  The element is monic, so its image modulo p keeps that
+   leading monomial.  It takes the largest prime below 2^31 that divides
+   no denominator of f or of a multiplier its rows read.  The
+   Milnor number is then prod(D / W_i - 1) (Milnor and Orlik 1970).
    Isolation of g = f(x(y)) follows through the invertible change.
 1. The weighted cofactor identity (builder only).  Differentiating
    E_W(f) = D f gives sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2
@@ -62,10 +83,11 @@ why the builder always finds P; no certified step uses it.
    obstruction must hold modulo (g): d_1(y_1) = c_(2 e_1) of P must lie
    outside S = I^2 + (g).  Let h = g(0, y_2, ..., y_n), in the variables
    y_2..y_n with weights W_2..W_n, and Hess(h) its Hessian determinant.
-   The certificate records, as in point 0, one element of J(h) per variable
-   leading with a pure power, with its cofactors over the partials of h;
-   so J(h) is zero-dimensional and h is isolated.  The verifier checks that
-   every term of d_1(y_1) - W_1 y_1 Hess(h) has y_1-degree at least 2.  That
+   The certificate records, in the format of point 0, a prime and rows
+   over the partials of h whose combinations modulo the prime lead with a
+   power of each of y_2, ..., y_n; so J(h) is zero-dimensional and h is
+   isolated.  The verifier checks that every term of
+   d_1(y_1) - W_1 y_1 Hess(h) has y_1-degree at least 2.  That
    difference lies in (y_1^2), inside I^2, so d_1(y_1) is outside S by the
    socle lemma.  If h is isolated, then W_1 y_1 Hess(h) is not in S.
    Proof.  Write R = Q[y] and a bar for images in R/I.  For i >= 2, g_i is
@@ -163,7 +185,7 @@ from .groebner import (
     jacobian_ideal,
 )
 from .minors import MAX_DETERMINANT_DIM, PolyMatrix, algebraic_cofactor, determinant, hessian
-from .poly import Exponent, LinearChange, Polynomial, monomials_of_degree, quasi_homogeneous_weights
+from .poly import Exponent, LinearChange, Polynomial, is_prime, monomials_of_degree, quasi_homogeneous_weights
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +196,6 @@ RESOURCE_EXHAUSTED = "RESOURCE_EXHAUSTED"
 
 # slices the search tries, the no-op slice included, before it gives up
 MAX_SLICE_ATTEMPTS = 200
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -372,20 +393,27 @@ def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
 
 
-def _pure_power_records(gb: GroebnerBasis, variables: Sequence[str]) -> list[dict]:
-    """For each variable x_i, the basis element whose leading monomial is a
-    power of x_i, with its cofactor row over the source generators: its lift,
-    since it divides by the reduced monic basis with quotient e_k and
-    remainder 0."""
-    records = []
+def _isolation_record(f: Polynomial, gb: GroebnerBasis, variables: Sequence[str]) -> dict:
+    """Point 0 of the module docstring for gb, the reduced basis of J(f):
+    for each variable x_i, the row over the partials of f of the basis
+    element that leads with a power of x_i (its lift, since it divides by
+    the monic basis with quotient e_k and remainder 0), formed modulo the
+    largest prime below 2^31 that divides no denominator of f or of a
+    multiplier the rows read."""
     leading = gb.leading_monomials()
-    for i in range(gb.n):
-        k = next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)
-        records.append({
-            "polynomial": format_poly(gb.basis[k], variables, gb.order),
-            "cofactors": [format_poly(c, variables, gb.order) for c in gb.lift(gb.basis[k])],
-        })
-    return records
+    elements = [gb.basis[next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)] for i in range(gb.n)]
+    p = (1 << 31) - 1
+    while True:
+        try:
+            f.mod(p)
+            rows = [gb.lift(b, p) for b in elements]
+            break
+        except ZeroDivisionError:
+            # the next prime down; only finitely many divide a denominator
+            p -= 2
+            while not is_prime(p):
+                p -= 2
+    return {"prime": p, "cofactors": [[format_poly(c, variables, gb.order) for c in row] for row in rows]}
 
 
 def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
@@ -520,7 +548,7 @@ def build_witness(
         doc["verdict"] = RESOURCE_EXHAUSTED
         info["resource_error"] = str(exc)
         return WitnessCertificate(doc)
-    section["isolation"] = {"pure_powers": _pure_power_records(gb_input, variables)}
+    section["isolation"] = _isolation_record(f, gb_input, variables)
 
     n = f.n
     yvars = _new_variables(n)
@@ -550,7 +578,9 @@ def build_witness(
 
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness
     # d_1(y_1) = W_1 y_1 A_11 outside S
-    section["obstruction"] = {"restriction_isolation": _pure_power_records(chosen.gb, yvars[1:])}
+    section["obstruction"] = {
+        "restriction_isolation": _isolation_record(restrict_to_hyperplane(g), chosen.gb, yvars[1:])
+    }
     doc["verdict"] = WITNESS_FOUND
     return WitnessCertificate(doc)
 
@@ -592,13 +622,6 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         # resource cap and recursion on deep nesting): invalid, not a crash
         return [f"certificate data does not replay: {exc}"]
     return [f"unknown verdict {verdict!r}"]
-
-
-def _recombines(texts: Sequence[str], f: Polynomial, variables, target: Polynomial) -> bool:
-    """Whether the recorded cofactors c_j over the partials of f sum to
-    target: sum c_j df/dx_j is the derivation with images c_j applied to f."""
-    cofs = [parse_poly(s, variables) for s in texts]
-    return len(cofs) == f.n and Derivation1(tuple(cofs)).apply(f) == target
 
 
 def _verify_exhausted(doc: dict) -> list[str]:
@@ -674,20 +697,37 @@ def _verify_rejected(doc: dict) -> list[str]:
     return [f"unknown rejection reason {reason!r}"]
 
 
-def _check_isolation(records, f: Polynomial, variables, label: str, failures: list[str]) -> None:
-    """Point 0 of the module docstring: one recorded element of the ideal of
-    the partials of f per variable, re-multiplied from its cofactors,
-    leading with a pure power."""
-    if len(records) != f.n:
-        failures.append(f"{label}: {len(records)} pure powers recorded for {f.n} variables")
+def _check_isolation(record: dict, f: Polynomial, variables, label: str, failures: list[str]) -> None:
+    """Point 0 of the module docstring: a prime p that divides no
+    denominator of f, and for each variable x_i a row c_i over the partials
+    of f, with integer coefficients in [0, p), such that
+    h_i = sum_j c_ij df/dx_j mod p leads with a power of x_i."""
+    p = record["prime"]
+    if type(p) is not int or not 2 < p < 1 << 64 or not is_prime(p):
+        failures.append(f"{label}: {p!r} is not a prime between 2 and 2^64")
         return
-    for i, record in enumerate(records):
-        p = parse_poly(record["polynomial"], variables)
-        lm = None if p.is_zero() else GREVLEX.leading_term(p)[0]
+    try:
+        f_p = f.mod(p)
+    except ZeroDivisionError:
+        failures.append(f"{label}: the prime {p} divides a denominator of the polynomial")
+        return
+    rows = record["cofactors"]
+    if not isinstance(rows, list) or len(rows) != f.n:
+        failures.append(f"{label}: the record does not hold one row for each of the {f.n} variables")
+        return
+    for i, row in enumerate(rows):
+        entries = [parse_poly(s, variables) for s in row] if isinstance(row, list) else []
+        if len(entries) != f.n or any(
+            d != 1 or not 0 <= a < p for e in entries for a, d in map(Fraction.as_integer_ratio, e.terms.values())
+        ):
+            failures.append(f"{label}: row {i + 1} is not {f.n} entries with integer coefficients in [0, {p})")
+            continue
+        # h_i has integer coefficients; its leading monomial modulo p is the
+        # largest one whose coefficient p does not divide
+        h = Derivation1(tuple(entries)).apply(f_p)
+        lm = min((e for e, c in h.terms.items() if c.numerator % p), key=GREVLEX.descending_key, default=None)
         if lm is None or not sum(lm) == lm[i] > 0:
-            failures.append(f"{label}: element {i + 1} does not lead with a power of {variables[i]}")
-        if not _recombines(record["cofactors"], f, variables, p):
-            failures.append(f"{label}: element {i + 1} is not the recorded combination of the partials")
+            failures.append(f"{label}: row {i + 1} does not lead with a power of {variables[i]} modulo {p}")
 
 
 def _parse_functional(entries, n: int, delta: int, weights) -> dict[Exponent, Fraction]:
@@ -773,7 +813,7 @@ def _verify_witness(doc: dict) -> list[str]:
     if info.get("weights") != list(weights):
         failures.append("recorded weights are not the unique weights of the input")
     section = doc["membership_tests"]
-    _check_isolation(section["isolation"]["pure_powers"], f, variables, "isolation", failures)
+    _check_isolation(section["isolation"], f, variables, "isolation", failures)
     if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
         failures.append("input flags must record the homogeneity of an isolated singularity")
     if info.get("milnor_number") != milnor_number(weights, degree):

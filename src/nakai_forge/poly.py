@@ -18,6 +18,10 @@ cofactor rows and lifts of ``groebner``, the Laplace step of
 ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.compose2``,
 ``derivations.verify_order2_identity``, ``derivations.replay_ledger`` and
 the recombination check of ``derivations.symmetrize``.
+
+``Polynomial.mod`` (reduction modulo a prime) and ``is_prime`` serve the
+isolation records, which hold rows modulo a prime (point 0 of the
+``pipeline`` docstring).
 """
 
 from __future__ import annotations
@@ -195,6 +199,28 @@ class Polynomial:
         if d == 1:
             return 1, [(e, c.numerator) for e, c in self.terms.items()]
         return d, [(e, c.numerator * (d // c.denominator)) for e, c in self.terms.items()]
+
+    def mod(self, p: int) -> "Polynomial":
+        """The reduction modulo the prime p: each coefficient a/b becomes
+        the integer a * b^-1 mod p in [0, p), and the terms that vanish are
+        dropped.  One inverse is taken per distinct denominator other than
+        1.  Raises ZeroDivisionError when p divides a denominator."""
+        inverses: dict[int, int] = {}
+        out: dict[Exponent, Fraction] = {}
+        for exp, c in self.terms.items():
+            a, d = c.as_integer_ratio()
+            if d == 1:
+                r = a % p
+            else:
+                inv = inverses.get(d)
+                if inv is None:
+                    if d % p == 0:
+                        raise ZeroDivisionError(f"{p} divides the denominator {d}")
+                    inv = inverses[d] = pow(d, -1, p)
+                r = a * inv % p
+            if r:
+                out[exp] = c if r == a and d == 1 else Fraction(r)
+        return Polynomial._raw(self.n, out)
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
@@ -381,6 +407,41 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
     if d == 1:
         return Polynomial._raw(n, {e: Fraction(c) for e, c in acc.items() if c})
     return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
+
+
+# the first 12 primes: as Miller-Rabin bases they decide primality of every
+# n below 3.18 * 10^23, so of every n below 2^64 (Sorenson and Webster 2017);
+# the first 4 of them decide every n below 3215031751 (Pomerance, Selfridge
+# and Wagstaff 1980), so every n below 2^31
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime, by deterministic Miller-Rabin with
+    the first 12 prime bases (the first 4 below 3215031751); exact for
+    n < 2^64, and n >= 2^64 raises ValueError."""
+    if n >= 1 << 64:
+        raise ValueError(f"primality is decided below 2^64 only, got {n}")
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MILLER_RABIN_BASES[:4] if n < 3215031751 else _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from nakai_forge.derivations import (
     symmetrize,
     theta2_extract,
 )
-from nakai_forge.exprio import format_poly, parse_poly, read_certificate
+from nakai_forge.exprio import format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import (
     GREVLEX,
     Ideal,
@@ -364,3 +364,24 @@ def test_criterion_9_saito_criterion(corpus_certificates):
         checked += 1
     elapsed = time.perf_counter() - start
     report("criterion 9", f"{checked} zero-dimensional systems, Jacobian determinant never a member, in {elapsed:.1f}s")
+
+
+def test_isolation_records_stay_small(corpus_certificates):
+    # the isolation records hold rows modulo a prime: every entry has
+    # integer coefficients in [0, p), so the largest certificate of the
+    # corpus, random-19-n4d4's, stays small
+    results, _ = corpus_certificates
+    sizes = {}
+    for name, _, _, document in results:
+        tests = document["membership_tests"]
+        new_variables = document["change_of_coordinates"]["new_variables"]
+        for record, variables in ((tests["isolation"], document["input"]["variables"]),
+                                  (tests["obstruction"]["restriction_isolation"], new_variables[1:])):
+            p = record["prime"]
+            for row in record["cofactors"]:
+                for entry in row:
+                    coefficients = parse_poly(entry, variables).terms.values()
+                    assert all(c.denominator == 1 and 0 <= c < p for c in coefficients), (name, entry)
+        sizes[name] = len(write_certificate(document))
+    assert sizes["random-19-n4d4"] < 80_000, sizes["random-19-n4d4"]
+    report("isolation record size", f"random-19-n4d4 certificate {sizes['random-19-n4d4']} bytes")

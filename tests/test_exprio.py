@@ -190,7 +190,7 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 5},
+            "schema": {"name": "nakai-witness-certificate", "version": 6},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
             "lifted_operator": None,
@@ -214,10 +214,11 @@ class TestCertificateIO:
             write_certificate(doc)
         good = self._document()
         # schema 2 (rejections replayed from a basis), schema 3 (with the
-        # candidate, the ledger and the symmetric tuple) and schema 4 (the
-        # obstruction as a dual vector on S) are no longer read
-        for old in (b'"version": 2', b'"version": 3', b'"version": 4'):
-            payload = write_certificate(good).replace(b'"version": 5', old)
+        # candidate, the ledger and the symmetric tuple), schema 4 (the
+        # obstruction as a dual vector on S) and schema 5 (isolation rows
+        # over Q) are no longer read
+        for old in (b'"version": 2', b'"version": 3', b'"version": 4', b'"version": 5'):
+            payload = write_certificate(good).replace(b'"version": 6', old)
             with pytest.raises(CertificateError, match="version"):
                 read_certificate(payload)
 

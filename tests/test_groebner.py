@@ -172,6 +172,23 @@ class TestLift:
             # each basis element lifts to its own row
             assert [lift_first.lift(b) for b in lift_first.basis] == list(rows)
             check_cofactors(lift_first)
+            # rows modulo a prime, read first or after the rows over Q, are
+            # the rows over Q reduced modulo it; the rows over Q are kept apart
+            modular_first = buchberger(gens, order)
+            for b in modular_first.basis:
+                assert modular_first.lift(b, 2147483647) == tuple(c.mod(2147483647) for c in lift_first.lift(b))
+                assert lift_first.lift(b, 2147483647) == modular_first.lift(b, 2147483647)
+            assert modular_first.cofactors == rows
+
+    def test_lift_modulo_a_prime(self):
+        # the generator 3x is divided by its content, so the row of x is 1/3
+        gb = buchberger(ideal("3*x", "y^2"))
+        assert gb.lift(P("x")) == (P("1/3"), P("0"))
+        assert gb.lift(P("x"), 5) == (P("2"), P("0"))
+        assert gb.lift(P("x*y + y^2"), 7) == (P("5*y"), P("1"))
+        assert gb.lift(P("z"), 5) is None
+        with pytest.raises(ZeroDivisionError, match="3 divides the denominator 3"):
+            gb.lift(P("x"), 3)
 
     def test_lift_rejects_a_variable_count_mismatch(self):
         # x^2 in two variables divides to remainder 0 by the zip of exponents

@@ -165,13 +165,17 @@ class TestBuildWitness:
         doc = cert.document
         assert doc["input"]["milnor_number"] == 8
         assert doc["input"]["degree"] == 3
-        # the restriction y2^3 + y3^3 is isolated: one pure power per variable
-        assert doc["membership_tests"]["obstruction"] == {"restriction_isolation": [
-            {"polynomial": "y2^2", "cofactors": ["1/3", "0"]},
-            {"polynomial": "y3^2", "cofactors": ["0", "1/3"]},
-        ]}
-        # one pure power per variable certifies isolation; no basis is recorded
-        assert len(doc["membership_tests"]["isolation"]["pure_powers"]) == 3
+        # the restriction y2^3 + y3^3 is isolated: y2^2 and y3^2 are 1/3 of
+        # its partials, and 1/3 is 1431655765 modulo 2147483647
+        third = "1431655765"
+        assert doc["membership_tests"]["obstruction"] == {"restriction_isolation": {
+            "prime": 2147483647, "cofactors": [[third, "0"], ["0", third]],
+        }}
+        # one row per variable modulo a prime certifies isolation; no basis
+        # is recorded
+        assert doc["membership_tests"]["isolation"] == {
+            "prime": 2147483647, "cofactors": [[third, "0", "0"], ["0", third, "0"], ["0", "0", third]],
+        }
         assert "groebner_bases" not in doc["membership_tests"]
 
     def test_paper_example(self):
@@ -209,6 +213,44 @@ class TestBuildWitness:
         # a witness reads the rows of its isolation records
         assert build_witness(P(FERMAT), V3).verdict == WITNESS_FOUND
         assert calls
+
+    def test_witness_forms_rows_only_modulo_a_prime(self, monkeypatch):
+        # the isolation records are rows modulo a prime: a build forms no
+        # cofactor row over Q
+        calls = []
+        combine = groebner._combine_rows
+        monkeypatch.setattr(groebner, "_combine_rows", lambda *args: calls.append(args) or combine(*args))
+        for text in (FERMAT, PAPER_F, "x^3 + y^3 + z^3 + x*y*z"):
+            assert build_witness(P(text), V3).verdict == WITNESS_FOUND
+        assert calls
+        assert {args[3] for args in calls} == {2**31 - 1}
+
+    def test_next_prime(self, tmp_path):
+        # the first prime divides a denominator of f, so a record takes the
+        # second one; recording the first is refused
+        cert = build_witness(P("1/2147483647*x^3 + y^3 + z^3"), V3)
+        assert cert.document["membership_tests"]["isolation"]["prime"] == 2147483629
+        assert verify_certificate(cert)
+        # the two largest primes below 2^31 divide it: the record walks past
+        # the composites between them to the third
+        cert = build_witness(P("1/4611685975477714963*x^3 + y^3 + z^3"), V3)
+        assert cert.document["membership_tests"]["isolation"]["prime"] == 2147483587
+        assert verify_certificate(cert)
+        # here the denominator survives in h = g(0, y2, y3) too
+        cert = build_witness(P("x^3 + 1/2147483647*y^3 + z^3"), V3)
+        assert verify_certificate(cert)
+        for label, path in (("isolation", ("isolation",)),
+                            ("restriction isolation", ("obstruction", "restriction_isolation"))):
+            doc = json.loads(write_certificate(cert.document))
+            record = doc["membership_tests"]
+            for key in path:
+                record = record[key]
+            assert record["prime"] == 2147483629
+            record["prime"] = 2147483647
+            assert certificate_failures(WitnessCertificate(doc)) == [
+                f"{label}: the prime 2147483647 divides a denominator of the polynomial"
+            ]
+            assert _cli_verify(doc, tmp_path) == 4
 
     def test_non_homogeneous_rejected(self):
         cert = build_witness(P("x^2 + y^3"), V3)
@@ -289,12 +331,12 @@ class TestBuildWitness:
 # PipelineConfig().  Two builds in one process agree even when an arithmetic
 # change alters the bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "0b20b957b8db30ea89d5f1a53070e8c4f45d82e2ce0c603ebfac86185c210b58",
-    "fermat-cubic": "5216ac30ad805131cd90131e01872ceff8ed01e1d535cbf6e39278e6eb06f5a7",
-    "fermat-quartic": "e2ca128602346f3d96e511e3222d2ff75853e21a8a39ca41e8f0da6791bad7bc",
-    "fermat-cubic-4": "4cffd9764f514bbde6ab3bd99b3ae31e0c7bfe859230eec35c6ab75606db191e",
-    "brieskorn-2-3-4": "014701d537228b69e2c6c28ebada98750dc4a154c04eb2e143f8557fc48506e9",
-    "brieskorn-3-3-4": "f60d50c7d5d6c4ed5327cbdfd9a19d53fb70a3de39ba80453def4336ea773727",
+    "cyclic-cubic": "3c3718c3744e3921989319dd32d5a2784671cd97f84a971211226a7d7626fd3e",
+    "fermat-cubic": "2ad58a52386a041eac74f880685369ec7613be3eacad69d7a64878b5ef44e029",
+    "fermat-quartic": "1524fb5df02f1084cce622a34c8f5b337154b9837b66e4c54767b326cae621d9",
+    "fermat-cubic-4": "ae459c9ba594b453dfb061154631c505bac3fd06c8cb9d5321f39bd977346d55",
+    "brieskorn-2-3-4": "b210220073b3df57c900fcead3191c0d4047955e43365fe5ff00d3f169ac6dc6",
+    "brieskorn-3-3-4": "6c2572dec5f1dca0e089212e19e2a6f411bcb64f24758336810be795c475d7b3",
 }
 
 
@@ -405,23 +447,24 @@ class TestVerifyCertificate:
         assert not verify_certificate(WitnessCertificate(doc))
 
     @pytest.mark.parametrize("case, failure", [
-        ("not a pure power", "restriction isolation: element 1 does not lead with a power of y2"),
-        ("cofactors", "restriction isolation: element 1 is not the recorded combination of the partials"),
-        ("record count", "restriction isolation: 1 pure powers recorded for 2 variables"),
+        ("not a pure power", "restriction isolation: row 1 does not lead with a power of y2 modulo 2147483647"),
+        ("cofactors", "restriction isolation: row 1 does not lead with a power of y2 modulo 2147483647"),
+        ("record count", "restriction isolation: the record does not hold one row for each of the 2 variables"),
         ("schema-4 dual vector", "obstruction: no restriction_isolation record for g(0, y2, ..., yn)"),
     ])
     def test_tampered_obstruction(self, case, failure, tmp_path):
-        # fermat-cubic: h = y2^3 + y3^3, with y2^2 = 1/3 * dh/dy2 and
-        # y3^2 = 1/3 * dh/dy3 recorded
+        # fermat-cubic: h = y2^3 + y3^3, with the rows (1/3, 0) and (0, 1/3)
+        # modulo p = 2147483647 recorded, so h_1 = y2^2 and h_2 = y3^2
         doc = json.loads(write_certificate(self._fermat_cert().document))
-        records = doc["membership_tests"]["obstruction"]["restriction_isolation"]
+        rows = doc["membership_tests"]["obstruction"]["restriction_isolation"]["cofactors"]
         if case == "not a pure power":
-            # y2^2*y3 is in J(h), but leads with no power of y2
-            records[0] = {"polynomial": "y2^2*y3", "cofactors": ["1/3*y3", "0"]}
+            # h_1 = y2^2*y3 is in J(h), but leads with no power of y2
+            rows[0] = ["1431655765*y3", "0"]
         elif case == "cofactors":
-            records[0]["cofactors"] = ["1/2", "0"]
+            # h_1 = 3*y3^2
+            rows[0] = ["0", "1"]
         elif case == "record count":
-            records.pop()
+            rows.pop()
         else:
             # the schema-4 record: lambda = (y1*y2*y3)^* kills the degree-3
             # part of S and not d1(y1) = 36*y1*y2*y3, a sound proof in the
@@ -431,6 +474,57 @@ class TestVerifyCertificate:
                 "functional": [{"monomial": [1, 1, 1], "value": "1"}], "value": "36",
             }
         assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    # fermat-cubic's isolation record (p = 2147483647, rows 1/3 e_i modulo
+    # p) and its restriction-isolation record, each tampered in one field;
+    # v is a second variable of the record's ring
+    _ISOLATION_TAMPERS = [
+        ("composite prime", lambda r, v: r.__setitem__("prime", 2147483649),
+         "{label}: 2147483649 is not a prime between 2 and 2^64"),
+        ("prime 2^64", lambda r, v: r.__setitem__("prime", 2**64),
+         "{label}: 18446744073709551616 is not a prime between 2 and 2^64"),
+        ("prime above 2^64", lambda r, v: r.__setitem__("prime", 2**64 + 13),
+         "{label}: 18446744073709551629 is not a prime between 2 and 2^64"),
+        ("prime 0", lambda r, v: r.__setitem__("prime", 0), "{label}: 0 is not a prime between 2 and 2^64"),
+        ("prime -7", lambda r, v: r.__setitem__("prime", -7), "{label}: -7 is not a prime between 2 and 2^64"),
+        ("prime true", lambda r, v: r.__setitem__("prime", True), "{label}: True is not a prime between 2 and 2^64"),
+        ("prime 2", lambda r, v: r.__setitem__("prime", 2), "{label}: 2 is not a prime between 2 and 2^64"),
+        ("prime as text", lambda r, v: r.__setitem__("prime", "2147483647"),
+         "{label}: '2147483647' is not a prime between 2 and 2^64"),
+        ("negative entry", lambda r, v: r["cofactors"][0].__setitem__(0, "-1"),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("entry equal to p", lambda r, v: r["cofactors"][0].__setitem__(0, "2147483647"),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("entry above p", lambda r, v: r["cofactors"][0].__setitem__(0, f"2147483648 + 1431655765*{v}"),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("fractional entry", lambda r, v: r["cofactors"][0].__setitem__(0, "1/2"),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("short row", lambda r, v: r["cofactors"][0].pop(),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("row not a list", lambda r, v: r["cofactors"].__setitem__(0, "1431655765"),
+         "{label}: row 1 is not {n} entries with integer coefficients in [0, 2147483647)"),
+        ("no pure power", lambda r, v: r["cofactors"][0].__setitem__(0, f"1431655765*{v}"),
+         "{label}: row 1 does not lead with a power of {x} modulo 2147483647"),
+        ("zero row", lambda r, v: r["cofactors"][0].__setitem__(0, "0"),
+         "{label}: row 1 does not lead with a power of {x} modulo 2147483647"),
+        ("missing row", lambda r, v: r["cofactors"].pop(),
+         "{label}: the record does not hold one row for each of the {n} variables"),
+        ("extra row", lambda r, v: r["cofactors"].append(r["cofactors"][0]),
+         "{label}: the record does not hold one row for each of the {n} variables"),
+    ]
+
+    @pytest.mark.parametrize("record", ["isolation", "restriction isolation"])
+    @pytest.mark.parametrize("case, mutate, failure", _ISOLATION_TAMPERS, ids=[t[0] for t in _ISOLATION_TAMPERS])
+    def test_tampered_isolation_record(self, record, case, mutate, failure, tmp_path):
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        tests = doc["membership_tests"]
+        if record == "isolation":
+            target, n, x, v = tests["isolation"], 3, "x", "y"
+        else:
+            target, n, x, v = tests["obstruction"]["restriction_isolation"], 2, "y2", "y3"
+        mutate(target, v)
+        assert certificate_failures(WitnessCertificate(doc)) == [failure.format(label=record, n=n, x=x)]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_forged_high_degree_witness_is_fast(self, tmp_path):
@@ -464,10 +558,17 @@ class TestVerifyCertificate:
 
     def test_tampered_input_basis_fails_fast(self, tmp_path):
         # the recorded Milnor number is checked against prod(D / W_i - 1), not
-        # by walking the standard monomials of the (here forged) pure powers
+        # by walking standard monomials; rows forged to lead with x_i^302 are
+        # a sound record, and with x_i^302 times another variable they fail
         doc = json.loads(write_certificate(self._fermat_cert().document))
-        for record, name in zip(doc["membership_tests"]["isolation"]["pure_powers"], V3):
-            record["polynomial"] = f"{name}^300"
+        rows = doc["membership_tests"]["isolation"]["cofactors"]
+        for i, name in enumerate(V3):
+            rows[i][i] = f"{name}^300"
+        start = time.perf_counter()
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        assert time.perf_counter() - start < 5
+        for i, name in enumerate(V3):
+            rows[i][i] = f"{name}^300*{V3[i - 1]}"
         start = time.perf_counter()
         failures = certificate_failures(WitnessCertificate(doc))
         assert time.perf_counter() - start < 5
@@ -518,18 +619,18 @@ class TestVerifyCertificate:
             0, {"index": [1, 0, 0], "value": "y1^2"}))
         corrupt("operator scale", lambda d: d["lifted_operator"]["scales_f_by"].__setitem__(0, "y1"))
         corrupt("operator scale count", lambda d: d["lifted_operator"]["scales_f_by"].pop())
-        corrupt("pure power element", lambda d: d["membership_tests"]["isolation"]
-                ["pure_powers"][0].__setitem__("polynomial", "x^2 + y^2"))
-        corrupt("pure power cofactor", lambda d: d["membership_tests"]["isolation"]
-                ["pure_powers"][0]["cofactors"].__setitem__(0, "y"))
-        corrupt("pure power variable", lambda d: d["membership_tests"]["isolation"]
-                ["pure_powers"].reverse())
-        corrupt("restriction pure power element", lambda d: d["membership_tests"]["obstruction"]
-                ["restriction_isolation"][0].__setitem__("polynomial", "y2^2 + y3^2"))
-        corrupt("restriction pure power cofactor", lambda d: d["membership_tests"]["obstruction"]
-                ["restriction_isolation"][1]["cofactors"].__setitem__(1, "y3"))
-        corrupt("restriction pure power variable", lambda d: d["membership_tests"]["obstruction"]
-                ["restriction_isolation"].reverse())
+        corrupt("isolation prime", lambda d: d["membership_tests"]["isolation"].__setitem__(
+            "prime", 2147483649))
+        corrupt("isolation row entry", lambda d: d["membership_tests"]["isolation"]
+                ["cofactors"][0].__setitem__(0, "y"))
+        corrupt("isolation row variable", lambda d: d["membership_tests"]["isolation"]
+                ["cofactors"].reverse())
+        corrupt("restriction isolation prime", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"].__setitem__("prime", 4))
+        corrupt("restriction isolation row entry", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"]["cofactors"][1].__setitem__(0, "y2"))
+        corrupt("restriction isolation row variable", lambda d: d["membership_tests"]["obstruction"]
+                ["restriction_isolation"]["cofactors"].reverse())
 
 
 class TestDualFunctional:

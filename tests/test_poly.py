@@ -12,6 +12,7 @@ from nakai_forge.poly import (
     LinearChange,
     MonomialOrder,
     Polynomial,
+    is_prime,
     monomials_of_degree,
     quasi_homogeneous_weights,
 )
@@ -206,6 +207,40 @@ class TestQuasiHomogeneousWeights:
             assert image == f.scale(degree)
             scaled = f.scale(rng.randint(2, 9))
             assert quasi_homogeneous_weights(scaled) == (weights, degree)
+
+
+class TestModular:
+    def test_mod(self):
+        p = P("7/3*x^2 - 5*y + 1/2*z - 1/3 + 11*x*y*z")
+        # modulo 7: 1/3 = 5 and 1/2 = 4, so 7/3 vanishes and -1/3 is 2
+        assert p.mod(7) == P("4*x*y*z + 2*y + 4*z + 2")
+        # modulo 2147483647: 1/3 = 1431655765 and 1/2 = 1073741824
+        assert p.mod(2147483647) == P("11*x*y*z + 1431655767*x^2 + 2147483642*y + 1073741824*z + 715827882")
+        assert all(type(c.numerator) is int and c.denominator == 1 for c in p.mod(13).terms.values())
+        assert Polynomial.zero(3).mod(5) == Polynomial.zero(3)
+
+    def test_mod_refuses_a_denominator_the_prime_divides(self):
+        with pytest.raises(ZeroDivisionError, match="3 divides the denominator 6"):
+            P("x + 1/6*y").mod(3)
+
+    def test_is_prime_small(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert [n for n in range(-5, 5000) if is_prime(n)] == [n for n in range(-5, 5000) if trial(n)]
+
+    def test_is_prime_large(self):
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and is_prime(2**64 - 59)
+        # 2147483649 = 3 * 715827883; 1373653, 25326001, 3215031751 and
+        # 3825123056546413051 are strong pseudoprimes to the bases 2..3,
+        # 2..5, 2..7 and 2..23, 2^64 - 1 is not prime
+        for n in (2147483649, 1373653, 25326001, 3215031751, 3825123056546413051, 2**64 - 1):
+            assert not is_prime(n), n
+        # below 3215031751 four bases decide: the primes just below 2^31
+        assert [n for n in range(2**31 - 1, 2147483496, -1) if is_prime(n)] == [
+            2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+        ]
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            is_prime(2**64 + 13)
 
 
 class TestEvaluate:

@@ -23,6 +23,12 @@ SEED = 70707
 MUTATIONS = 120  # per kind
 SECONDS_PER_VERIFY = 10  # a fermat-cubic certificate verifies in ~10 ms
 SWAPS = (7, -1, 2.5, "y1", "", None, True, [], {}, ["y1"], {"y1": 1}, 10**40)
+# values for the fields of the isolation records (a prime and rows of
+# entries modulo it): out-of-range, composite and non-integer primes, and
+# entries that are negative, at least the prime, fractional or of no pure power
+ISOLATION_VALUES = (2147483649, 2**64, 2**64 + 13, 0, -7, True, 4, "2147483647", "-1", "1/2",
+                    "2147483647*x", "x*y", "y2*y3", 2147483646)
+ISOLATION_RECORDS = (("isolation",), ("obstruction", "restriction_isolation"))
 
 
 INPUTS = {"fermat-cubic": "x^3 + y^3 + z^3", "not-isolated": "x^2*y"}
@@ -108,6 +114,28 @@ def test_document_mutations(mutate, certificate, tmp_path, capsys):
     assert time.perf_counter() - start < 60
 
 
+def test_isolation_field_mutations(fermat_certificate, tmp_path, capsys):
+    # the prime or one row entry of an isolation record swapped for a value
+    # from ISOLATION_VALUES: every exit is 0, 2 or 4, and 4 occurs
+    rng = random.Random(SEED)
+    start = time.perf_counter()
+    codes = set()
+    for k in range(MUTATIONS):
+        doc = json.loads(fermat_certificate)
+        record = doc["membership_tests"]
+        for key in rng.choice(ISOLATION_RECORDS):
+            record = record[key]
+        row = rng.choice(record["cofactors"])
+        node, key = rng.choice([(record, "prime"), (record["cofactors"], 0), (row, rng.randrange(len(row)))])
+        node[key] = rng.choice(ISOLATION_VALUES)
+        code = _verify_exit(json.dumps(doc).encode(), tmp_path)
+        assert code in (0, 2, 4), (k, code)
+        codes.add(code)
+    capsys.readouterr()
+    assert 4 in codes
+    assert time.perf_counter() - start < 60
+
+
 def test_byte_flips(certificate, tmp_path, capsys):
     rng = random.Random(SEED)
     start = time.perf_counter()
@@ -132,9 +160,28 @@ def test_byte_flips(certificate, tmp_path, capsys):
     (("change_of_coordinates", "slice_coefficients"), ["1e999999999", "0", "0"]),
     (("input", "variables"), 7),
     (("input",), []),
+    (("membership_tests", "isolation", "prime"), 2147483649),
+    (("membership_tests", "isolation", "prime"), 2**64),
+    (("membership_tests", "isolation", "prime"), 0),
+    (("membership_tests", "isolation", "prime"), -7),
+    (("membership_tests", "isolation", "prime"), True),
+    (("membership_tests", "isolation", "prime"), "2147483647"),
+    (("membership_tests", "isolation", "prime"), None),
+    (("membership_tests", "isolation", "cofactors"), 7),
+    (("membership_tests", "isolation", "cofactors"), [["1"]]),
+    (("membership_tests", "isolation", "cofactors", 0), "1431655765"),
+    (("membership_tests", "isolation", "cofactors", 0, 0), "-1"),
+    (("membership_tests", "isolation", "cofactors", 0, 0), "2147483647"),
+    (("membership_tests", "isolation", "cofactors", 0, 0), "1/2"),
+    (("membership_tests", "isolation", "cofactors", 0, 0), "1431655765*y"),
+    (("membership_tests", "isolation", "cofactors", 0, 0), 7),
+    (("membership_tests", "obstruction", "restriction_isolation", "prime"), 4),
+    (("membership_tests", "obstruction", "restriction_isolation", "cofactors", 1, 1), "2147483648"),
+    (("membership_tests", "obstruction", "restriction_isolation", "cofactors", 1), ["0", "1", "0"]),
 ])
 def test_wrong_types_exit_4(path, value, fermat_certificate, tmp_path, capsys):
-    # a wrong type anywhere, and a rational with an exponent, is invalid data
+    # a wrong type anywhere, a rational with an exponent, and a prime or row
+    # entry of an isolation record out of its range, is invalid data
     doc = json.loads(fermat_certificate)
     node = doc
     for key in path[:-1]:
