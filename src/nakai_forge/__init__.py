@@ -7,7 +7,6 @@ from .derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
-    candidate_defect_cofactors,
     compose2,
     euler_derivation,
     hamiltonian,
@@ -52,7 +51,6 @@ from .pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
-    PipelineConfig,
     WitnessCertificate,
     build_witness,
     certificate_failures,

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .derivations import build_candidate_tuple, candidate_defect_cofactors, symmetrize
+from .derivations import build_candidate_tuple, symmetrize
 from .exprio import (
     CertificateError,
     ParseError,
@@ -31,6 +31,7 @@ from .groebner import (
     InternalInconsistencyError,
     ResourceLimitExceeded,
     buchberger,
+    is_isolated_singularity,
     jacobian_ideal,
 )
 from .minors import verify_cofactor_identity
@@ -38,7 +39,6 @@ from .pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
-    PipelineConfig,
     WitnessCertificate,
     build_witness,
     certificate_failures,
@@ -101,10 +101,6 @@ def _split_vars(spec: str) -> list[str]:
     return [v.strip() for v in spec.split(",") if v.strip()]
 
 
-def _config(args) -> PipelineConfig:
-    return PipelineConfig(max_pairs=args.max_pairs)
-
-
 def _emit(text: str):
     sys.stdout.write(text + "\n")
     sys.stdout.flush()
@@ -128,7 +124,7 @@ def cmd_check(args) -> int:
     # below 2, zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
-    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs)
+    gb = buchberger(jacobian_ideal(f))
     zero_dim = gb.is_zero_dimensional()
     milnor = _milnor(f, gb) if zero_dim else None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
@@ -157,7 +153,7 @@ def cmd_check(args) -> int:
 
 def cmd_witness(args) -> int:
     f, variables = _read_input(args)
-    cert = build_witness(f, variables, _config(args))
+    cert = build_witness(f, variables)
     payload = write_certificate(cert.document)
     if args.out:
         Path(args.out).write_bytes(payload)
@@ -230,11 +226,14 @@ def cmd_identity(args) -> int:
 def cmd_symmetrize(args) -> int:
     f, variables = _read_input(args)
     try:
-        candidate = build_candidate_tuple(f)
+        candidate, cofactors, _ = build_candidate_tuple(f)
     except ValueError as exc:
         _emit(f"rejected: {exc}")
         return EXIT_REJECTED
-    symmetric, ledger = symmetrize(candidate, candidate_defect_cofactors(f))
+    if not is_isolated_singularity(f):
+        _emit("rejected: candidate tuple requires an isolated singularity")
+        return EXIT_REJECTED
+    symmetric, ledger = symmetrize(candidate, cofactors)
     result = {
         "candidate": [[format_poly(p, variables) for p in d.images] for d in candidate.ders],
         "adjustments": [
@@ -265,7 +264,7 @@ def cmd_member(args) -> int:
     variables = _split_vars(args.vars)
     p = parse_poly(args.polynomial, variables)
     gens = [parse_poly(text, variables) for text in args.ideal.split(",")]
-    gb = buchberger(Ideal(tuple(gens)), max_pairs=args.max_pairs)
+    gb = buchberger(Ideal(tuple(gens)))
     cofactors = gb.lift(p)
     # a member's normal form is zero: divide again only for a non-member
     nf = Polynomial.zero(p.n) if cofactors is not None else gb.normal_form(p)
@@ -290,7 +289,7 @@ def cmd_milnor(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f), max_pairs=args.max_pairs)
+    gb = buchberger(jacobian_ideal(f))
     if not gb.is_zero_dimensional():
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED
@@ -305,7 +304,7 @@ def cmd_examples(args) -> int:
     for name, text, variables, expected in BUILTIN_CORPUS:
         f = parse_poly(text, variables)
         start = time.perf_counter()
-        cert = build_witness(f, variables, _config(args))
+        cert = build_witness(f, variables)
         elapsed = time.perf_counter() - start
         failures = certificate_failures(cert)
         as_expected = cert.verdict == expected and not failures
@@ -336,7 +335,6 @@ def cmd_examples(args) -> int:
 FLAGS = {
     "input": {"help": "polynomial expression or path to a file with a 'vars:' header"},
     "--vars": {"help": "comma-separated variable names for inline expressions"},
-    "--max-pairs": {"type": int, "default": 100_000, "dest": "max_pairs"},
     "--json": {"action": "store_true", "help": "machine-readable output"},
     "--out": {"help": "write the certificate to this path"},
 }
@@ -356,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("check", "quasi-homogeneity, isolatedness, Milnor number",
-        "input", "--vars", "--max-pairs", "--json")
+        "input", "--vars", "--json")
     add("witness", "run the full pipeline and emit a certificate",
-        "input", "--vars", "--max-pairs", "--json", "--out")
+        "input", "--vars", "--json", "--out")
     verify = add("verify", "replay a certificate without searching", "--json")
     verify.add_argument("certificate", help="path to a certificate file")
     identity = add("identity", "cofactor identity residual report", "input", "--vars", "--json")
@@ -366,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     identity.add_argument("-j", type=int, required=True)
     identity.add_argument("-k", type=int, required=True)
     add("symmetrize", "candidate tuple, ledger, symmetric tuple", "input", "--vars", "--json")
-    member = add("member", "ideal membership with cofactors", "--max-pairs", "--json")
+    member = add("member", "ideal membership with cofactors", "--json")
     member.add_argument("polynomial")
     member.add_argument("--ideal", required=True, help="comma-separated generators")
     member.add_argument("--vars", required=True)
-    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars", "--max-pairs")
-    add("examples", "run the built-in corpus and print a summary", "--max-pairs", "--json")
+    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars")
+    add("examples", "run the built-in corpus and print a summary", "--json")
     return parser
 
 

@@ -44,7 +44,9 @@ of the first row of its Hessian and A_[l,i,1,k] the minor without rows
 
 Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
 annihilate f, so the tuple symmetrize makes from it scales f by the same
-D A_1i.
+D A_1i.  build_candidate_tuple reads the candidate, the cofactors of
+identity 1 and these q_i from one Hessian, and lift_to_diff2 is given the
+q_i: it checks d_i(f) = q_i f by multiplication and never divides.
 """
 
 from __future__ import annotations
@@ -55,14 +57,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .groebner import (
-    DEFAULT_MAX_TERMS,
-    GREVLEX,
-    Ideal,
-    InternalInconsistencyError,
-    _divide_tracked,
-    _split_divisor,
-)
+from .groebner import Ideal, InternalInconsistencyError, buchberger
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
 from .poly import Exponent, Polynomial, quasi_homogeneous_weights, sum_of_products
 
@@ -150,16 +145,11 @@ def hamiltonian(f: Polynomial, i: int, j: int) -> Derivation1:
 def principal_cofactor(delta: Derivation1, f: Polynomial) -> Polynomial | None:
     """q with delta(f) = q * f, or None when delta does not preserve (f).
 
-    Membership in a principal ideal is plain divisibility, so this needs
-    only single-divisor division, no basis computation.
+    The basis of a principal ideal is its generator made monic, so this is
+    one division by f.
     """
-    value = delta.apply(f)
-    if value.is_zero():
-        return Polynomial.zero(f.n)
-    if f.is_zero():
-        return None
-    (quotient,), remainder = _divide_tracked(value, (_split_divisor(f, GREVLEX),), GREVLEX, DEFAULT_MAX_TERMS)
-    return quotient if remainder.is_zero() else None
+    lifted = buchberger(Ideal((f,))).lift(delta.apply(f))
+    return None if lifted is None else lifted[0]
 
 
 @dataclass(frozen=True)
@@ -367,71 +357,43 @@ def verify_order2_identity(
     return True
 
 
-def _weights_and_degree(f: Polynomial, weights: Sequence[int] | None) -> tuple[tuple[int, ...], int]:
-    """The given weights, or those of quasi_homogeneous_weights(f), with the
-    weighted degree of f; ValueError when f is not quasi-homogeneous for them."""
-    if weights is None:
-        found = quasi_homogeneous_weights(f)
-        if found is None:
-            raise ValueError("polynomial is not quasi-homogeneous: no unique positive weight vector")
-        return found
-    degree = f.homogeneous_degree(weights)
-    if degree is None:
-        raise ValueError(f"polynomial is not quasi-homogeneous for the weights {tuple(weights)}")
-    return tuple(weights), degree
+def _weights_and_degree(f: Polynomial) -> tuple[tuple[int, ...], int]:
+    """quasi_homogeneous_weights(f); ValueError when f has no unique weights."""
+    found = quasi_homogeneous_weights(f)
+    if found is None:
+        raise ValueError("polynomial is not quasi-homogeneous: no unique positive weight vector")
+    return found
 
 
 def build_candidate_tuple(
     f: Polynomial,
-    check_isolated: bool = True,
-    weights: Sequence[int] | None = None,
-) -> DerivationTuple:
-    """The tuple d_i = A_1i * E_W built from the first Hessian cofactor row.
+) -> tuple[DerivationTuple, dict[tuple[int, int], tuple[Polynomial, ...]], tuple[Polynomial, ...]]:
+    """The candidate d_i = A_1i * E_W, its defect cofactors and its scales,
+    all read from one Hessian of f.
 
     E_W = sum W_i x_i d/dx_i is the weighted Euler derivation of the
-    quasi-homogeneous f (W = (1, ..., 1) and E_W = E for homogeneous f);
-    the weights are those of quasi_homogeneous_weights(f) unless given.
-    Its pairwise defects d_i(x_j) - d_j(x_i) = A_1i W_j x_j - A_1j W_i x_i
-    lie in (f_2, ..., f_n) by the weighted cofactor identity (see
-    minors.verify_cofactor_identity with row 1 deleted), and each d_i
-    scales f by D * A_1i, where D is the weighted degree.
+    quasi-homogeneous f (W = (1, ..., 1) and E_W = E for homogeneous f),
+    with the weights of quasi_homogeneous_weights(f).  For each pair i < k
+    the cofactors a_l with sum_l a_l f_l = d_i(x_k) - d_k(x_i) are a_1 = 0
+    and a_l = -(D - W_l) A_[l,i,1,k] (identity 1 of the module docstring),
+    and d_i scales f by q_i = D * A_1i, where D is the weighted degree.
+    None of this needs f to be isolated.
     """
     if f.is_zero():
         raise ValueError("candidate tuple requires a nonzero polynomial")
-    weights, _ = _weights_and_degree(f, weights)
+    weights, degree = _weights_and_degree(f)
     if f.min_degree() < 2:
         raise ValueError("candidate tuple requires a polynomial singular at the origin")
-    if check_isolated:
-        from .groebner import is_isolated_singularity
-
-        if not is_isolated_singularity(f):
-            raise ValueError("candidate tuple requires an isolated singularity")
     n = f.n
     hess = hessian(f)
-    euler = euler_derivation(n, weights)
-    ders = []
-    for i in range(1, n + 1):
-        cof = algebraic_cofactor(hess, 1, i)
-        ders.append(Derivation1(tuple(cof * img for img in euler.images)))
-    return DerivationTuple(tuple(ders), f)
-
-
-def candidate_defect_cofactors(
-    f: Polynomial,
-    weights: Sequence[int] | None = None,
-) -> dict[tuple[int, int], tuple[Polynomial, ...]]:
-    """For each pair i < k, the closed-form cofactors a_l with
-    sum_l a_l f_l = d_i(x_k) - d_k(x_i) for d_i = A_1i * E_W: a_1 = 0 and
-    a_l = -(D - W_l) A_[l,i,1,k] (identity 1 of the module docstring).
-
-    The weights are those of quasi_homogeneous_weights(f) unless given.
-    """
-    weights, degree = _weights_and_degree(f, weights)
-    hess = hessian(f)
-    return {
+    first_row = [algebraic_cofactor(hess, 1, i) for i in range(1, n + 1)]
+    euler = euler_derivation(n, weights).images
+    candidate = DerivationTuple(tuple(Derivation1(tuple(a * img for img in euler)) for a in first_row), f)
+    cofactors = {
         (i, k): tuple(-c for c in cofactor_identity_terms(hess, weights, degree, i, 1, k))
-        for i, k in combinations(range(1, f.n + 1), 2)
+        for i, k in combinations(range(1, n + 1), 2)
     }
+    return candidate, cofactors, tuple(a.scale(degree) for a in first_row)
 
 
 def symmetrize(
@@ -477,25 +439,26 @@ def symmetrize(
     return result, tuple(ledger)
 
 
-def lift_to_diff2(tuple_in: DerivationTuple) -> DiffOp2:
+def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> DiffOp2:
     """A second-order operator D with theta2_extract(D) equal to the tuple
     and D(f) = 0 on the nose.
 
     Second-order coefficients come straight from the tuple
     (c_(e_i+e_j) = d_i(x_j), c_(2e_i) = d_i(x_i)); the first-order ones are
-    the closed form b_k of identity 3 of the module docstring, with q_i
-    from principal_cofactor.  f must be quasi-homogeneous and every d_i
-    must preserve (f), else ValueError; an operator that then fails to
-    annihilate f is an engine bug, not an input error.
+    the closed form b_k of identity 3 of the module docstring, with the
+    given scales q_i.  f must be quasi-homogeneous and d_i(f) = q_i f must
+    hold for every i (checked by multiplication), else ValueError; an
+    operator that then fails to annihilate f is an engine bug, not an
+    input error.
     """
     if not tuple_in.is_symmetric():
         raise ValueError("lifting requires a symmetric tuple")
     f = tuple_in.f
     n = tuple_in.n
-    weights, degree = _weights_and_degree(f, None)
-    scales = [principal_cofactor(d, f) for d in tuple_in.ders]
-    if any(q is None for q in scales):
-        raise ValueError("lifting requires derivations that preserve (f)")
+    weights, degree = _weights_and_degree(f)
+    scales = tuple(scales)
+    if len(scales) != n or any(d.apply(f) != q * f for d, q in zip(tuple_in.ders, scales)):
+        raise ValueError("lifting requires derivations that preserve (f) by the given scales")
     zero = Polynomial.zero(n)
     divergence = sum((q.partial(i) for i, q in enumerate(scales, 1)), zero)
     coeffs = {

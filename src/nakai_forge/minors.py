@@ -7,6 +7,11 @@ remaining indices in increasing order.  The value is independent of the
 completion and antisymmetric in the deleted row (or column) lists; for
 k = 1 it is the classical algebraic cofactor (-1)^(i+j) M_ij.
 
+Every determinant and minor of a matrix is read from one memo that the
+matrix keeps (PolyMatrix.minor): a minor is keyed by its remaining rows and
+columns and expanded along its first remaining row into minors that the
+memo already holds, so each is expanded once per matrix.
+
 All indices are 1-based.  Hessian entries are the plain second partials
 d^2 f / dx_i dx_j, with no divided-power factor.
 """
@@ -18,15 +23,15 @@ from typing import Sequence
 
 from .poly import Polynomial, quasi_homogeneous_weights, sum_of_products
 
-# Cofactor expansion over column subsets is exponential in the dimension;
-# this cap keeps memo tables tiny and is far above the pipeline's needs.
+# Laplace expansion over row and column subsets is exponential in the size
+# of the minor expanded; the cap bounds that size.
 MAX_DETERMINANT_DIM = 6
 
 
 class PolyMatrix:
     """Immutable square matrix of polynomials sharing one variable count."""
 
-    __slots__ = ("entries", "m", "nvars")
+    __slots__ = ("entries", "m", "nvars", "_minors")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]], nvars: int | None = None):
         rows = tuple(tuple(row) for row in entries)
@@ -45,6 +50,7 @@ class PolyMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_minors", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -54,6 +60,14 @@ class PolyMatrix:
         if not (1 <= i <= self.m and 1 <= j <= self.m):
             raise IndexError(f"entry ({i},{j}) out of range 1..{self.m}")
         return self.entries[i - 1][j - 1]
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        """Determinant of the sub-matrix on the given rows and columns
+        (0-based, increasing), expanded on first use and kept in the memo."""
+        value = self._minors.get((rows, cols))
+        if value is None:
+            value = self._minors[rows, cols] = _expand(self, rows, cols)
+        return value
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -90,29 +104,24 @@ def hessian(f: Polynomial) -> PolyMatrix:
     )
 
 
+def _expand(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+    """Laplace step along the first remaining row: the sum of
+    (-1)^pos a_(row, col) times the minor without that row and column."""
+    if len(rows) > MAX_DETERMINANT_DIM:
+        raise ValueError(f"determinant dimension {len(rows)} exceeds the supported cap {MAX_DETERMINANT_DIM}")
+    if not rows:
+        return Polynomial.constant(matrix.nvars, 1)
+    row, rest = matrix.entries[rows[0]], rows[1:]
+    return sum_of_products(matrix.nvars, (
+        (row[col] if pos % 2 == 0 else -row[col], matrix.minor(rest, cols[:pos] + cols[pos + 1:]))
+        for pos, col in enumerate(cols) if row[col]
+    ))
+
+
 def determinant(matrix: PolyMatrix) -> Polynomial:
-    """Exact determinant by cofactor expansion memoized on column subsets."""
-    m = matrix.m
-    if m > MAX_DETERMINANT_DIM:
-        raise ValueError(f"determinant dimension {m} exceeds the supported cap {MAX_DETERMINANT_DIM}")
-    entries = matrix.entries
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def expand(cols: tuple[int, ...]) -> Polynomial:
-        if not cols:
-            return Polynomial.constant(matrix.nvars, 1)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        # Laplace step along the next row: sum of (-1)^pos a_col * minor
-        row = entries[m - len(cols)]
-        total = memo[cols] = sum_of_products(matrix.nvars, (
-            (row[col] if pos % 2 == 0 else -row[col], expand(cols[:pos] + cols[pos + 1:]))
-            for pos, col in enumerate(cols) if row[col]
-        ))
-        return total
-
-    return expand(tuple(range(m)))
+    """Exact determinant, the memoized minor on every row and column."""
+    full = tuple(range(matrix.m))
+    return matrix.minor(full, full)
 
 
 def inversion_number(perm: Sequence[int]) -> int:
@@ -135,29 +144,17 @@ def signed_minor(matrix: PolyMatrix, spec: MinorSpec) -> Polynomial:
         inversion_number(list(spec.rows) + row_rest)
         + inversion_number(list(spec.cols) + col_rest)
     )
-    sub = PolyMatrix(
-        [[matrix.entries[r - 1][c - 1] for c in col_rest] for r in row_rest],
-        nvars=matrix.nvars,
-    )
-    det = determinant(sub)
+    det = matrix.minor(tuple(r - 1 for r in row_rest), tuple(c - 1 for c in col_rest))
     return det if sign > 0 else -det
 
 
 def algebraic_cofactor(matrix: PolyMatrix, i: int, j: int) -> Polynomial:
-    """Classical cofactor (-1)^(i+j) * complementary minor of entry (i, j).
-
-    Fast path for single deletions; agrees with signed_minor on ((i,),(j,)).
-    """
+    """Classical cofactor (-1)^(i+j) * complementary minor of entry (i, j);
+    agrees with signed_minor on ((i,),(j,))."""
     m = matrix.m
     if not (1 <= i <= m and 1 <= j <= m):
         raise IndexError(f"cofactor index ({i},{j}) out of range 1..{m}")
-    rest_r = [r for r in range(1, m + 1) if r != i]
-    rest_c = [c for c in range(1, m + 1) if c != j]
-    sub = PolyMatrix(
-        [[matrix.entries[r - 1][c - 1] for c in rest_c] for r in rest_r],
-        nvars=matrix.nvars,
-    )
-    det = determinant(sub)
+    det = matrix.minor(tuple(r for r in range(m) if r != i - 1), tuple(c for c in range(m) if c != j - 1))
     return det if (i + j) % 2 == 0 else -det
 
 

@@ -57,7 +57,11 @@ why the builder always finds P; no certified step uses it.
    (minors.verify_cofactor_identity).  So d_i = A_1i E_W has its defects
    in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f);
    derivations.symmetrize (the closed form of identity 2 of that module)
-   and derivations.lift_to_diff2 turn this tuple into P.  Every defect
+   and derivations.lift_to_diff2 turn this tuple into P.  The builder
+   reads the candidate, its defect cofactors -(D - W_l) A_[l,i,1,k] and
+   its scales q_i = D A_1i from one Hessian of g and its one table of
+   minors (derivations.build_candidate_tuple), and hands the q_i to the
+   lift, which checks them by multiplication.  Every defect
    cofactor vector has a_1 = 0, so symmetrization never moves the entry
    (1, 1), and the witness is d_1(y_1) = W_1 y_1 A_11 for the Hessian of g.
    The certificate records none of these intermediate tuples (the
@@ -159,7 +163,6 @@ from .derivations import (
     Derivation1,
     DiffOp2,
     build_candidate_tuple,
-    candidate_defect_cofactors,
     lift_to_diff2,
     symmetrize,
     theta2_extract,
@@ -184,7 +187,7 @@ from .groebner import (
     buchberger,
     jacobian_ideal,
 )
-from .minors import MAX_DETERMINANT_DIM, PolyMatrix, algebraic_cofactor, determinant, hessian
+from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
 from .poly import Exponent, LinearChange, Polynomial, is_prime, monomials_of_degree, quasi_homogeneous_weights
 
 logger = logging.getLogger(__name__)
@@ -196,16 +199,6 @@ RESOURCE_EXHAUSTED = "RESOURCE_EXHAUSTED"
 
 # slices the search tries, the no-op slice included, before it gives up
 MAX_SLICE_ATTEMPTS = 200
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The S-pair cap of the Groebner basis computations; their term cap is
-    groebner.DEFAULT_MAX_TERMS."""
-
-    max_pairs: int = 100_000
-
-    def caps(self) -> dict:
-        return {"max_pairs": self.max_pairs}
 
 
 @dataclass(frozen=True)
@@ -306,7 +299,7 @@ def _slice_candidates(weights: Sequence[int]):
             yield tuple(a)
 
 
-def generic_slice_search(f: Polynomial, cfg: PipelineConfig | None = None) -> SliceChoice:
+def generic_slice_search(f: Polynomial) -> SliceChoice:
     """Find slice coefficients making the restriction an isolated singularity.
 
     Tries the candidates of _slice_candidates in order and keeps the first
@@ -316,7 +309,6 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig | None = None) -> Sl
     ``attempts`` is the number of slices tried; a failed no-op slice with no
     variable sharing the weight of x_1 raises NoIsolatingSlice.
     """
-    cfg = cfg or PipelineConfig()
     n = f.n
     if n < 3:
         raise ValueError("slice search requires at least three variables")
@@ -331,7 +323,7 @@ def generic_slice_search(f: Polynomial, cfg: PipelineConfig | None = None) -> Sl
             attempts += 1
             change = slice_change(coeffs, n)
             g = substitute_slice(change, f)
-            gb = buchberger(jacobian_ideal(restrict_to_hyperplane(g)), GREVLEX, **cfg.caps())
+            gb = buchberger(jacobian_ideal(restrict_to_hyperplane(g)), GREVLEX)
             if gb.is_zero_dimensional():
                 logger.info("slice found after %d attempts: %s", attempts, coeffs)
                 return SliceChoice(coeffs, change, g, gb, attempts)
@@ -479,13 +471,8 @@ def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
     }
 
 
-def build_witness(
-    f: Polynomial,
-    variables: Sequence[str],
-    cfg: PipelineConfig | None = None,
-) -> WitnessCertificate:
+def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate:
     """Run the full construction and return a replayable certificate."""
-    cfg = cfg or PipelineConfig()
     doc = _empty_document(format_poly(f, variables), variables)
     info = doc["input"]
     section = doc["membership_tests"]
@@ -524,7 +511,7 @@ def build_witness(
             f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}",
         )
 
-    gb_input = buchberger(jacobian_ideal(f), GREVLEX, **cfg.caps())
+    gb_input = buchberger(jacobian_ideal(f), GREVLEX)
     if not gb_input.is_zero_dimensional():
         info["isolated"] = False
         section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(gb_input, weights, degree)}
@@ -533,7 +520,7 @@ def build_witness(
     info["milnor_number"] = int(milnor_number(weights, degree))
 
     try:
-        chosen = generic_slice_search(f, cfg)
+        chosen = generic_slice_search(f)
     except NoIsolatingSlice as exc:
         section["positive_dimension"] = {
             "slice_jacobian": _positive_dimension_record(exc.gb, weights[1:], degree)
@@ -561,19 +548,18 @@ def build_witness(
     }
 
     # point 1 of the module docstring: the candidate, its closed-form defect
-    # cofactors and symmetrize only construct P; none of them is recorded
-    candidate = build_candidate_tuple(g, check_isolated=False, weights=weights)
-    symmetric, _ = symmetrize(candidate, candidate_defect_cofactors(g, weights))
-    lifted = lift_to_diff2(symmetric)
+    # cofactors and symmetrize only construct P; none of them is recorded.
     # E_W scales g by D and Hamiltonians annihilate it, so each symmetric
-    # d_i scales g by D * A_1i
-    hess = hessian(g)
+    # d_i scales g by the candidate's q_i = D * A_1i
+    candidate, cofactors, scales = build_candidate_tuple(g)
+    symmetric, _ = symmetrize(candidate, cofactors)
+    lifted = lift_to_diff2(symmetric, scales)
     doc["lifted_operator"] = {
         "coefficients": [
             {"index": list(alpha), "value": format_poly(c, yvars)}
             for alpha, c in sorted(lifted.coeffs.items())
         ],
-        "scales_f_by": [format_poly(algebraic_cofactor(hess, 1, i).scale(degree), yvars) for i in range(1, n + 1)],
+        "scales_f_by": [format_poly(q, yvars) for q in scales],
     }
 
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness

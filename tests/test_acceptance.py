@@ -36,7 +36,6 @@ from nakai_forge.groebner import (
 from nakai_forge.minors import algebraic_cofactor, hessian, verify_cofactor_identity
 from nakai_forge.pipeline import (
     WITNESS_FOUND,
-    PipelineConfig,
     build_witness,
     saito_check,
     slice_change,

@@ -108,6 +108,10 @@ class TestSymmetrize:
     def test_rejects_non_isolated(self, capsys):
         code, out, _ = run(capsys, "symmetrize", "x^2*y", "--vars", "x,y,z")
         assert code == 1
+        # homogeneous, so past the weights gate, but singular along x = -y, z = 0
+        code, out, _ = run(capsys, "symmetrize", "x^2*z + 2*x*y*z + y^2*z + z^3", "--vars", "x,y,z")
+        assert code == 1
+        assert "isolated" in out
 
 
 class TestWitnessAndVerify:
@@ -212,6 +216,7 @@ class TestUsageErrors:
              "--order", "lex"),
             ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--prefilter"),
             ("symmetrize", "x^3+y^3+z^3", "--vars", "x,y,z", "--max-pairs", "10"),
+            ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--max-pairs", "10"),
             # the slice search and the monomial order are fixed
             ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--seed", "1"),
             ("witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--bound", "5"),

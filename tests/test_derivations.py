@@ -10,7 +10,6 @@ from nakai_forge.derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
-    candidate_defect_cofactors,
     compose2,
     euler_derivation,
     hamiltonian,
@@ -244,17 +243,17 @@ class TestOrder2Identity:
 
 class TestCandidateTuple:
     def test_fermat_first_component(self):
-        cand = build_candidate_tuple(P(FERMAT))
+        cand, _, _ = build_candidate_tuple(P(FERMAT))
         expected = tuple(P("36*y*z") * Polynomial.variable(3, i) for i in (1, 2, 3))
         assert cand.ders[0].images == expected
 
     def test_paper_cofactor(self):
-        cand = build_candidate_tuple(P(PAPER_F))
+        cand, _, _ = build_candidate_tuple(P(PAPER_F))
         assert cand.ders[0].images[0] == P("4*(x*z - y^2)") * P("x")
 
     def test_defects_in_jacobian_ideal(self):
         f = P(PAPER_F)
-        cand = build_candidate_tuple(f)
+        cand, _, _ = build_candidate_tuple(f)
         gb = buchberger(jacobian_ideal(f))
         for i in range(1, 4):
             for j in range(1, 4):
@@ -284,15 +283,22 @@ class TestCandidateTuple:
 
     def test_preserves_principal_ideal(self):
         f = P(PAPER_F)
-        cand = build_candidate_tuple(f)
-        for d in cand.ders:
+        cand, _, scales = build_candidate_tuple(f)
+        for d, scale in zip(cand.ders, scales):
             q = principal_cofactor(d, f)
-            assert q is not None
+            assert q == scale
             assert d.apply(f) == q * f
 
-    def test_rejects_non_isolated(self):
-        with pytest.raises(ValueError):
-            build_candidate_tuple(P("x^2*y"))
+    def test_needs_no_isolation(self):
+        # x^2*y is singular along the z-axis; the cofactor identity and the
+        # scales need only quasi-homogeneity, so the triple still holds
+        f = P("x^2*y")
+        cand, cofactors, scales = build_candidate_tuple(f)
+        partials = [f.partial(l) for l in range(1, 4)]
+        for (i, k), vector in cofactors.items():
+            assert sum((a * g for a, g in zip(vector, partials)), Polynomial.zero(3)) == cand.defect(i, k)
+        for d, q in zip(cand.ders, scales):
+            assert d.apply(f) == q * f
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(ValueError):
@@ -301,7 +307,7 @@ class TestCandidateTuple:
     def test_weighted_euler_for_quasi_homogeneous(self):
         # weights (5, 5, 3), weighted degree 15: d_i = A_1i * E_W
         f = P("x^2*y + y^3 + z^5")
-        cand = build_candidate_tuple(f)
+        cand, _, scales = build_candidate_tuple(f)
         hess = hessian(f)
         e_w = euler_derivation(3, (5, 5, 3))
         assert e_w.apply(f) == f.scale(15)
@@ -309,13 +315,9 @@ class TestCandidateTuple:
         for i in range(1, 4):
             a_1i = algebraic_cofactor(hess, 1, i)
             assert cand.ders[i - 1].images == tuple(a_1i * img for img in e_w.images)
-            assert principal_cofactor(cand.ders[i - 1], f) == a_1i.scale(15)
+            assert principal_cofactor(cand.ders[i - 1], f) == a_1i.scale(15) == scales[i - 1]
             for j in range(1, 4):
                 assert rest.contains(cand.defect(i, j))
-
-    def test_rejects_wrong_weights(self):
-        with pytest.raises(ValueError):
-            build_candidate_tuple(P("x^2 + y^3 + z^4"), weights=(1, 1, 1))
 
 
 class TestSymmetrize:
@@ -358,7 +360,7 @@ class TestSymmetrize:
             f = P(text)
             n = f.n
             zero = Polynomial.zero(n)
-            symmetric, _ = symmetrize(build_candidate_tuple(f), candidate_defect_cofactors(f))
+            symmetric, _ = symmetrize(*build_candidate_tuple(f)[:2])
             tau = {}
             for t in range(1, n + 1):
                 for l, k in itertools.combinations(range(1, n + 1), 2):
@@ -382,8 +384,8 @@ class TestSymmetrize:
     def test_candidate_postconditions(self):
         for text in (FERMAT, PAPER_F):
             f = P(text)
-            cand = build_candidate_tuple(f)
-            result, ledger = symmetrize(cand, candidate_defect_cofactors(f))
+            cand, cofactors, _ = build_candidate_tuple(f)
+            result, ledger = symmetrize(cand, cofactors)
             assert result.is_symmetric()
             replayed = replay_ledger(cand, ledger)
             assert all(a.images == b.images for a, b in zip(replayed.ders, result.ders))
@@ -434,8 +436,7 @@ class TestClosedFormCofactors:
                   for w in ((6, 4, 3), (4, 4, 3), (4, 3, 3, 2), (6, 4, 3, 2))]
         for f in cases:
             n = f.n
-            cand = build_candidate_tuple(f, check_isolated=False)
-            cofactors = candidate_defect_cofactors(f)
+            cand, cofactors, _ = build_candidate_tuple(f)
             gb = buchberger(jacobian_ideal(f))
             partials = [f.partial(l) for l in range(1, n + 1)]
             assert sorted(cofactors) == [(i, k) for i in range(1, n + 1) for k in range(i + 1, n + 1)]
@@ -450,8 +451,7 @@ class TestClosedFormCofactors:
 
     def test_symmetrize_rejects_vector_that_does_not_recombine(self):
         f = P(PAPER_F)
-        cand = build_candidate_tuple(f)
-        cofactors = candidate_defect_cofactors(f)
+        cand, cofactors, _ = build_candidate_tuple(f)
         a1, a2, a3 = cofactors[1, 3]
         cofactors[1, 3] = (a1, a2 + P("x"), a3)
         with pytest.raises(ValueError, match="not in the Jacobian ideal"):
@@ -463,16 +463,16 @@ class TestClosedFormCofactors:
         # entry (1, 1): d_1(x_1) = W_1 x_1 A_11
         f = P(text)
         (w1, *_), _ = quasi_homogeneous_weights(f)
-        symmetric, _ = symmetrize(build_candidate_tuple(f), candidate_defect_cofactors(f))
+        symmetric, _ = symmetrize(*build_candidate_tuple(f)[:2])
         expected = (P("x") * algebraic_cofactor(hessian(f), 1, 1)).scale(w1)
         assert symmetric.entry(1, 1) == expected
 
     @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
     def test_lift_brieskorn(self, text):
         f = P(text)
-        cand = build_candidate_tuple(f)
-        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
-        op = lift_to_diff2(symmetric)
+        cand, cofactors, scales = build_candidate_tuple(f)
+        symmetric, _ = symmetrize(cand, cofactors)
+        op = lift_to_diff2(symmetric, scales)
         assert op.apply(f).is_zero()
         extracted = theta2_extract(op, f)
         assert all(a.images == b.images for a, b in zip(extracted.ders, symmetric.ders))
@@ -481,9 +481,9 @@ class TestClosedFormCofactors:
 class TestLiftToDiff2:
     def test_section_property(self):
         f = P(PAPER_F)
-        cand = build_candidate_tuple(f)
-        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
-        op = lift_to_diff2(symmetric)
+        cand, cofactors, scales = build_candidate_tuple(f)
+        symmetric, _ = symmetrize(cand, cofactors)
+        op = lift_to_diff2(symmetric, scales)
         extracted = theta2_extract(op, f)
         assert all(a.images == b.images for a, b in zip(extracted.ders, symmetric.ders))
         assert op.apply(f).is_zero()
@@ -492,7 +492,7 @@ class TestLiftToDiff2:
         f = P(FERMAT)
         start = compose2(euler_derivation(3), euler_derivation(3)).scale(Fraction(1, 2))
         t = theta2_extract(start, f)
-        op = lift_to_diff2(t)
+        op = lift_to_diff2(t, [principal_cofactor(d, f) for d in t.ders])
         assert all(
             a.images == b.images
             for a, b in zip(theta2_extract(op, f).ders, t.ders)
@@ -503,7 +503,7 @@ class TestLiftToDiff2:
         zero = DerivationTuple(
             tuple(Derivation1((Polynomial.zero(3),) * 3) for _ in range(3)), f
         )
-        op = lift_to_diff2(zero)
+        op = lift_to_diff2(zero, [principal_cofactor(d, f) for d in zero.ders])
         assert op.coeffs == {}
 
     def test_asymmetric_rejected(self):
@@ -517,7 +517,7 @@ class TestLiftToDiff2:
             f,
         )
         with pytest.raises(ValueError, match="symmetric"):
-            lift_to_diff2(t)
+            lift_to_diff2(t, [Polynomial.zero(3)] * 3)
 
     def test_non_preserving_rejected(self):
         # d_1 = 2 d/dx, the rest zero: symmetric, but d_1(f) = 6x^2 is no
@@ -532,14 +532,14 @@ class TestLiftToDiff2:
             f,
         )
         with pytest.raises(ValueError, match="preserve"):
-            lift_to_diff2(t)
+            lift_to_diff2(t, [Polynomial.zero(3)] * 3)
 
     def test_order2_identity_on_lifts(self):
         rng = random.Random(139)
         f = P(PAPER_F)
-        cand = build_candidate_tuple(f)
-        symmetric, _ = symmetrize(cand, candidate_defect_cofactors(f))
-        op = lift_to_diff2(symmetric)
+        cand, cofactors, scales = build_candidate_tuple(f)
+        symmetric, _ = symmetrize(cand, cofactors)
+        op = lift_to_diff2(symmetric, scales)
         assert verify_order2_identity(op, monomial_triples(rng, 3, 50))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -110,6 +111,46 @@ class TestDeterminant:
             rows = [[random_polynomial(rng, 2, 2) for _ in range(m)] for _ in range(m)]
             swapped = [rows[1], rows[0], rows[2]]
             assert determinant(PolyMatrix(rows)) == -determinant(PolyMatrix(swapped))
+
+
+class TestMinorMemo:
+    @pytest.mark.parametrize("m, seed", [(4, 71), (5, 72)])
+    def test_every_minor_matches_the_reference(self, m, seed):
+        # one memo serves every minor of a matrix, whichever order they are
+        # read in: each equals the sign times the Leibniz sum of the
+        # explicitly built sub-matrix
+        from conftest import random_polynomial
+        from kernel_reference import reference_determinant
+
+        rng = random.Random(seed)
+        entries = [[random_polynomial(rng, 2, 2, max_terms=3) for _ in range(m)] for _ in range(m)]
+        indices = range(1, m + 1)
+
+        def parity(perm):
+            return sum(1 for a, b in itertools.combinations(perm, 2) if a > b) % 2
+
+        def expected(rows, cols):
+            rest_r = [r for r in indices if r not in rows]
+            rest_c = [c for c in indices if c not in cols]
+            det = reference_determinant(PolyMatrix(
+                [[entries[r - 1][c - 1] for c in rest_c] for r in rest_r], nvars=2
+            ))
+            return det if parity(list(rows) + rest_r) == parity(list(cols) + rest_c) else -det
+
+        deletions = [(rows, cols) for k in range(m + 1)
+                     for rows in itertools.combinations(indices, k)
+                     for cols in itertools.combinations(indices, k)]
+        cofactors = list(itertools.product(indices, repeat=2))
+        first, second = PolyMatrix(entries, nvars=2), PolyMatrix(entries, nvars=2)
+        for i, j in cofactors:
+            assert algebraic_cofactor(first, i, j) == expected((i,), (j,)), (i, j)
+        for rows, cols in deletions:
+            assert signed_minor(first, MinorSpec(rows, cols)) == expected(rows, cols), (rows, cols)
+        for rows, cols in reversed(deletions):
+            rows, cols = rows[::-1], cols[::-1]
+            assert signed_minor(second, MinorSpec(rows, cols)) == expected(rows, cols), (rows, cols)
+        for i, j in reversed(cofactors):
+            assert algebraic_cofactor(second, i, j) == expected((i,), (j,)), (i, j)
 
 
 class TestInversionNumber:

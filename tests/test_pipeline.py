@@ -19,7 +19,6 @@ from nakai_forge.pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
-    PipelineConfig,
     WitnessCertificate,
     _positive_dimension_record,
     _slice_candidates,
@@ -50,7 +49,7 @@ FERMAT = "x^3 + y^3 + z^3"
 
 class TestSliceSearch:
     def test_fermat_identity_slice(self):
-        choice = generic_slice_search(P(FERMAT), PipelineConfig())
+        choice = generic_slice_search(P(FERMAT))
         assert choice.coefficients == (1, 0, 0)
         assert choice.attempts == 1
 
@@ -60,7 +59,7 @@ class TestSliceSearch:
         restriction = restrict_to_hyperplane(f)
         assert restriction == parse_poly("y^2*z", ["y", "z"])
         assert not buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
-        choice = generic_slice_search(f, PipelineConfig())
+        choice = generic_slice_search(f)
         assert choice.attempts > 1
         # the search hands on g = f(x(y)) and the row-tracked basis of J(h),
         # h the restriction
@@ -109,7 +108,7 @@ class TestSliceSearch:
         # it mixes x with y or z: a row whose 1000th power the parser refuses
         f = P("x^1000 + y^1000 + x*z^999")
         with pytest.raises(ResourceLimitExceeded, match="power 1000 of slice row 1") as caught:
-            generic_slice_search(f, PipelineConfig())
+            generic_slice_search(f)
         assert caught.value.attempts == 2
         cert = build_witness(f, V3)
         assert cert.verdict == RESOURCE_EXHAUSTED
@@ -124,7 +123,7 @@ class TestSliceSearch:
 
     def test_too_few_variables(self):
         with pytest.raises(ValueError):
-            generic_slice_search(parse_poly("x^3 + y^3", ["x", "y"]), PipelineConfig())
+            generic_slice_search(parse_poly("x^3 + y^3", ["x", "y"]))
 
     def test_first_coefficient_must_be_nonzero(self):
         with pytest.raises(ValueError):
@@ -224,6 +223,34 @@ class TestBuildWitness:
             assert build_witness(P(text), V3).verdict == WITNESS_FOUND
         assert calls
         assert {args[3] for args in calls} == {2**31 - 1}
+
+    def test_witness_reads_one_hessian_and_one_minor_table(self, monkeypatch):
+        # a build computes one Hessian of g, expands each of its minors once
+        # and never divides to find the scales
+        import nakai_forge
+        import nakai_forge.cli as cli
+        import nakai_forge.derivations as derivations
+        import nakai_forge.minors as minors
+
+        calls = {}
+        for owner, name in ((minors, "hessian"), (derivations, "principal_cofactor"), (minors, "_expand")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.setdefault(_name, []).append(args)
+                return _original(*args)
+
+            for module in (nakai_forge, cli, derivations, groebner, minors, pipeline):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        for text in (FERMAT, PAPER_F, "x^2 + y^3 + z^4"):
+            calls.clear()
+            assert build_witness(P(text), V3).verdict == WITNESS_FOUND
+            assert len(calls["hessian"]) == 1
+            assert "principal_cofactor" not in calls
+            expanded = [(rows, cols) for _, rows, cols in calls["_expand"]]
+            assert len(set(expanded)) == len(expanded)
 
     def test_next_prime(self, tmp_path):
         # the first prime divides a denominator of f, so a record takes the
@@ -327,9 +354,9 @@ class TestBuildWitness:
         assert verify_certificate(cert)
 
 
-# sha256 of the certificate bytes of every BUILTIN_CORPUS entry under
-# PipelineConfig().  Two builds in one process agree even when an arithmetic
-# change alters the bytes; these digests pin them across commits.
+# sha256 of the certificate bytes of every BUILTIN_CORPUS entry.  Two
+# builds in one process agree even when an arithmetic change alters the
+# bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
     "cyclic-cubic": "3c3718c3744e3921989319dd32d5a2784671cd97f84a971211226a7d7626fd3e",
     "fermat-cubic": "2ad58a52386a041eac74f880685369ec7613be3eacad69d7a64878b5ef44e029",
@@ -355,8 +382,8 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
         raise AssertionError("the verifier ran a step of the construction")
 
     for module in (pipeline, derivations, groebner):
-        for name in ("symmetrize", "replay_ledger", "candidate_defect_cofactors",
-                     "build_candidate_tuple", "hessian", "algebraic_cofactor", "buchberger"):
+        for name in ("symmetrize", "replay_ledger", "build_candidate_tuple", "hessian",
+                     "algebraic_cofactor", "buchberger"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     for name, cert in certs.items():
         doc = cert.document
@@ -374,7 +401,7 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
 def test_builtin_certificate_bytes_pinned(name, text, variables):
-    cert = build_witness(parse_poly(text, variables), variables, PipelineConfig())
+    cert = build_witness(parse_poly(text, variables), variables)
     assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == BUILTIN_CERT_SHA256[name]
 
 
