@@ -1,10 +1,21 @@
-"""Exact Groebner-basis engine over the rationals.
+"""Exact Groebner-basis engine over the rationals or modulo a prime.
 
 Buchberger's algorithm with the normal selection strategy, the coprime
 and chain criteria, and content removal after every reduction.  Every
 basis element can be lifted to its expression in terms of the source
 generators, so ideal memberships come with replayable witnesses
 (p = sum q_i * g_i, checkable by re-multiplication).
+
+One engine serves both fields.  With a prime ``modulus`` (``buchberger``,
+``_divide_tracked`` and ``_reduce_basis`` take it), the generators are
+reduced modulo the prime, every element is made monic with the inverse of
+its leading coefficient, and every coefficient stays an integer in
+[0, p): the scale step and the content gcds of the division over Q never
+fire.  The ``GroebnerBasis`` records its modulus, and its division,
+normal forms, lifts and rows all work over its own field.  The
+``pipeline`` decides isolation with bases modulo a prime, and their rows
+are its isolation records; bases over Q decide only where that fails, and
+serve the library ``lift`` and the CLI ``member``.
 
 The algorithm records how each element was formed, not its row (the
 Groebner trace of Traverso 1988).  The nodes are the source generators,
@@ -18,16 +29,11 @@ is divided by is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
 is sum_k c_k * row_k over its recipe, each entry one
-poly.sum_of_products (_combine_rows).  A read forms the rows of the node
-and of its ancestors only, in increasing node order, and keeps them.
-``lift`` with a prime modulus forms the rows modulo that prime on the same
-path, from the same recipes: each multiplier c_k is reduced modulo the
-prime before it is used, and each entry after, so no entry grows beyond
-the prime; the rows of each modulus are kept apart.  The isolation records
-of the ``pipeline`` certificates are such rows; rows over Q serve only
-the library ``lift`` and the CLI ``member``.
+poly.sum_of_products (_combine_rows), reduced modulo the basis's prime if
+it has one.  A read forms the rows of the node and of its ancestors
+only, in increasing node order, and keeps them.
 
-Division is fraction-free.  The working polynomial is kept as integer
+Division over Q is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
 terms G over its own denominator, split once per basis element
 (_split_divisor) and reused by every division.  To cancel a term w of W with the
@@ -140,14 +146,20 @@ def _divide_tracked(
     divisors: Sequence[Divisor],
     order: MonomialOrder,
     max_terms: int,
+    modulus: int | None = None,
 ) -> tuple[list[Polynomial], Polynomial]:
-    """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder.
+    """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder,
+    over Q, or modulo the prime ``modulus`` with p reduced modulo it first
+    (working terms are then reduced when taken, so a term that cancels only
+    modulo the prime stays in the working dict until then).
 
     No remainder term is divisible by any divisor's leading monomial.
     Divisors (_split_divisor) are tried in list order, which keeps the
     result deterministic.
     """
     n = p.n
+    if modulus is not None:
+        p = p.mod(modulus)
     denominator, items = p.integer_terms()
     work = dict(items)
     key = order.descending_key
@@ -158,22 +170,28 @@ def _divide_tracked(
     while heap:
         exp = heapq.heappop(heap)[1]
         w = work.pop(exp, 0)
+        if modulus is not None:
+            w %= modulus
         if not w:
             continue  # cancelled, or a second heap entry of a monomial already taken
         for k, (lm, dg, lc, tail) in enumerate(divisors):
-            if _divides(lm, exp):
+            if all(map(le, lm, exp)):  # _divides, inlined on the hottest path
                 break
         else:
             remainder[exp] = Fraction(w, denominator)
             continue
         shift = _exp_sub(exp, lm)
-        quotients[k][shift] = Fraction(w * dg, denominator * lc)
-        h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
-        scale = lc // h
-        if scale != 1:
-            denominator *= scale
-            work = {e: c * scale for e, c in work.items()}
-        factor = w // h
+        if modulus is None:
+            quotients[k][shift] = Fraction(w * dg, denominator * lc)
+            h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
+            scale = lc // h
+            if scale != 1:
+                denominator *= scale
+                work = {e: c * scale for e, c in work.items()}
+            factor = w // h
+        else:
+            factor = w * pow(lc, -1, modulus) % modulus
+            quotients[k][shift] = Fraction(factor)
         for dexp, dc in tail:
             e = tuple(map(add, dexp, shift))
             v = factor * dc
@@ -193,6 +211,20 @@ def _divide_tracked(
         [Polynomial._raw(n, q) for q in quotients],
         Polynomial._raw(n, remainder),
     )
+
+
+def _scale(p: Polynomial, c: Fraction, modulus: int | None) -> Polynomial:
+    """c * p over Q, or modulo the prime ``modulus`` for an integer c and a
+    polynomial p with integer coefficients, neither divisible by it."""
+    if modulus is None:
+        return p.scale(c)
+    c = c.numerator
+    return Polynomial._raw(p.n, {e: Fraction(a.numerator * c % modulus) for e, a in p.terms.items()})
+
+
+def _inverse(c: Fraction, modulus: int | None) -> Fraction:
+    """1/c over Q, or the inverse of the integer c modulo ``modulus``."""
+    return 1 / c if modulus is None else Fraction(pow(c.numerator, -1, modulus))
 
 
 def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[Polynomial, ...]:
@@ -218,8 +250,11 @@ class GroebnerBasis:
     Generator j is node j - len(source.generators) (negative), node k >= 0
     has recipe ``recipes[k]``, and the last len(basis) nodes are the basis
     elements in order.  basis[i] == sum_j cofactors[i][j] * source.generators[j]
-    holds exactly.  The basis is auto-reduced with monic leading
-    coefficients.
+    holds exactly over Q, or, when ``modulus`` is a prime, modulo it: the
+    basis is then that of the source generators reduced modulo the prime,
+    with integer coefficients in [0, p), and division, normal forms, lifts
+    and rows all work modulo it.  The basis is auto-reduced with monic
+    leading coefficients.
     """
 
     basis: tuple[Polynomial, ...]
@@ -227,6 +262,7 @@ class GroebnerBasis:
     source: Ideal
     recipes: tuple[Recipe, ...]
     max_terms: int = DEFAULT_MAX_TERMS
+    modulus: int | None = None
 
     @property
     def n(self) -> int:
@@ -240,22 +276,16 @@ class GroebnerBasis:
         return [_split_divisor(g, self.order) for g in self.basis]
 
     @cached_property
-    def _rows(self) -> dict[int | None, dict[int, tuple[Polynomial, ...]]]:
-        """The rows formed so far, kept apart for each modulus (None for the
-        rows over Q)."""
-        return {}
-
-    def _row(self, node: int, modulus: int | None = None) -> tuple[Polynomial, ...]:
-        """The row of a node (modulo ``modulus`` unless that is None),
-        formed with the rows of its unformed ancestors in increasing node
-        order (parents precede their children), from the unit rows of the
-        generators."""
+    def _rows(self) -> dict[int, tuple[Polynomial, ...]]:
+        """The rows formed so far, from the unit rows of the generators."""
         width = len(self.source.generators)
-        rows = self._rows.get(modulus)
-        if rows is None:
-            rows = self._rows[modulus] = {
-                j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)
-            }
+        return {j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)}
+
+    def _row(self, node: int) -> tuple[Polynomial, ...]:
+        """The row of a node over the basis's field, formed with the rows of
+        its unformed ancestors in increasing node order (parents precede
+        their children)."""
+        rows = self._rows
         todo, stack = set(), [node]
         while stack:
             k = stack.pop()
@@ -264,7 +294,7 @@ class GroebnerBasis:
                 stack.extend(parent for _, parent in self.recipes[k])
         for k in sorted(todo):
             combination = [(q, rows[parent]) for q, parent in self.recipes[k]]
-            rows[k] = _combine_rows(self.n, combination, width, modulus)
+            rows[k] = _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
         return rows[node]
 
     @property
@@ -276,32 +306,29 @@ class GroebnerBasis:
     def _divide(self, p: Polynomial) -> tuple[list[Polynomial], Polynomial]:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
-        return _divide_tracked(p, self._divisors, self.order, self.max_terms)
+        return _divide_tracked(p, self._divisors, self.order, self.max_terms, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """The unique fully reduced remainder of p; zero iff p is a member."""
+        """The unique fully reduced remainder of p (of p reduced modulo the
+        basis's prime, if it has one); zero iff p is a member."""
         return self._divide(p)[1]
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def lift(self, p: Polynomial, modulus: int | None = None) -> tuple[Polynomial, ...] | None:
+    def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
 
-        On success p == sum lift[j] * source.generators[j] exactly.  With a
-        prime ``modulus`` the membership is still decided over Q, but the
-        cofactors are formed modulo it: every multiplier is reduced before
-        it is used and every entry after, so the identity holds modulo the
-        prime.  That raises ZeroDivisionError when the prime divides the
-        denominator of a multiplier.  Only the rows of basis elements with a
-        nonzero quotient are formed.
+        On success p == sum lift[j] * source.generators[j] over the basis's
+        field: exactly over Q, or modulo its prime.  Only the rows of basis
+        elements with a nonzero quotient are formed.
         """
         quotients, remainder = self._divide(p)
         if not remainder.is_zero():
             return None
         first = len(self.recipes) - len(self.basis)
-        combination = [(q, self._row(first + i, modulus)) for i, q in enumerate(quotients) if q]
-        return _combine_rows(self.n, combination, len(self.source.generators), modulus)
+        combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
+        return _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""
@@ -351,9 +378,12 @@ def buchberger(
     order: MonomialOrder = GREVLEX,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_terms: int = DEFAULT_MAX_TERMS,
+    modulus: int | None = None,
 ) -> GroebnerBasis:
     """Compute the reduced Groebner basis with the recipe of every element;
-    no cofactor row is formed here (see the module docstring).
+    no cofactor row is formed here (see the module docstring).  With a
+    prime ``modulus`` it is the basis of the generators reduced modulo it
+    (ZeroDivisionError if the prime divides a denominator).
 
     Deterministic: pairs are processed by (lcm degree, lcm, i, j) and the
     final basis is sorted by descending leading monomial.
@@ -367,19 +397,23 @@ def buchberger(
     def append(p: Polynomial, recipe) -> None:
         # p = sum q * node over the (q, node) pairs of recipe; p and its
         # multipliers are divided by the content of p, signed like its
-        # leading coefficient
-        c = _content(p)
-        if order.leading_term(p)[1] < 0:
-            c = -c
-        inv = 1 / c
-        if c != 1:
-            p = p.scale(inv)
+        # leading coefficient, or modulo a prime by that coefficient
+        lc = order.leading_term(p)[1]
+        if modulus is None:
+            c = _content(p)
+            inv = 1 / c if lc > 0 else -1 / c
+        else:
+            inv = _inverse(lc, modulus)
+        if inv != 1:
+            p = _scale(p, inv, modulus)
         basis.append(p)
-        recipes.append(tuple((q.scale(inv), node) for q, node in recipe))
+        recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in recipe))
         divisors.append(_split_divisor(p, order))
 
     one = Polynomial.constant(n, 1)
     for j, g in enumerate(gens):
+        if modulus is not None:
+            g = g.mod(modulus)
         if g:
             append(g, [(one, j - len(gens))])
 
@@ -420,47 +454,51 @@ def buchberger(
         m_i = Polynomial.monomial(n, _exp_sub(lcm, lm_i), Fraction(den_i, lc_i))
         m_j = Polynomial.monomial(n, _exp_sub(lcm, lm_j), Fraction(-den_j, lc_j))
         s_poly = sum_of_products(n, ((m_i, basis[i]), (m_j, basis[j])))
-        quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms)
+        quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms, modulus)
         if remainder.is_zero():
             continue
         append(remainder, [(m_i, i), (m_j, j), *((-q, k) for k, q in enumerate(quotients) if q)])
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
-    return _reduce_basis(basis, recipes, ideal, order, max_terms)
+    return _reduce_basis(basis, recipes, divisors, ideal, order, max_terms, modulus)
 
 
 def _reduce_basis(
     basis: list[Polynomial],
     recipes: list[Recipe],
+    divisors: list[Divisor],
     ideal: Ideal,
     order: MonomialOrder,
     max_terms: int,
+    modulus: int | None,
 ) -> GroebnerBasis:
     """Minimalize, auto-reduce, and make monic, appending the recipe of
-    each final element; raw element k is node k."""
+    each final element; raw element k is node k, split as divisors[k]."""
     if not basis:
-        return GroebnerBasis((), order, ideal, (), max_terms)
+        return GroebnerBasis((), order, ideal, (), max_terms, modulus)
     # Minimal: drop any element whose leading monomial another one divides.
-    indices = sorted(range(len(basis)), key=lambda k: order.key(order.leading_term(basis[k])[0]))
+    indices = sorted(range(len(basis)), key=lambda k: order.key(divisors[k][0]))
     kept: list[int] = []
     for k in indices:
-        lm_k = order.leading_term(basis[k])[0]
-        if not any(_divides(order.leading_term(basis[m])[0], lm_k) for m in kept):
+        if not any(_divides(divisors[m][0], divisors[k][0]) for m in kept):
             kept.append(k)
     polys = [basis[k] for k in kept]
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
-    split = [_split_divisor(p, order) for p in polys]
+    split = [divisors[k] for k in kept]
     final: list[tuple[Polynomial, Recipe]] = []
     for idx, (p, node) in enumerate(zip(polys, kept)):
-        quotients, p = _divide_tracked(p, split[:idx] + split[idx + 1:], order, max_terms)
+        quotients, p = _divide_tracked(p, split[:idx] + split[idx + 1:], order, max_terms, modulus)
         # p = polys[idx] - sum q * other, made monic
-        inv = 1 / order.leading_term(p)[1]
+        inv = _inverse(order.leading_term(p)[1], modulus)
         others = zip(quotients, kept[:idx] + kept[idx + 1:])
-        recipe = ((Polynomial.constant(ideal.n, inv), node), *((q.scale(-inv), other) for q, other in others if q))
-        final.append((p.scale(inv) if inv != 1 else p, recipe))
+        recipe = (
+            (Polynomial.constant(ideal.n, inv), node),
+            *((_scale(q, -inv, modulus), other) for q, other in others if q),
+        )
+        final.append((_scale(p, inv, modulus) if inv != 1 else p, recipe))
     final.sort(key=lambda t: order.key(order.leading_term(t[0])[0]), reverse=True)
     return GroebnerBasis(
         tuple(p for p, _ in final),
@@ -468,6 +506,7 @@ def _reduce_basis(
         ideal,
         tuple(recipes) + tuple(r for _, r in final),
         max_terms,
+        modulus,
     )
 
 

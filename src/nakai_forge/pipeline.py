@@ -42,13 +42,17 @@ why the builder always finds P; no certified step uses it.
    has full column rank over Q as well, J(f) contains every monomial of
    degree t, and J(f) is zero-dimensional.  The implication goes one way
    only: an unlucky prime can make the check fail, never pass falsely.
-   The builder takes for h_i the element of the reduced basis of J(f) over
-   Q that leads with x_i^(N_i), and forms its row over the partials modulo
-   p from the recipes of that basis (groebner.GroebnerBasis.lift with a
-   modulus).  The element is monic, so its image modulo p keeps that
-   leading monomial.  It takes the largest prime below 2^31 that divides
-   no denominator of f or of a multiplier its rows read.  The
-   Milnor number is then prod(D / W_i - 1) (Milnor and Orlik 1970).
+   The builder decides isolation modulo a prime first (_decide_isolation).
+   It takes the largest prime p below 2^31 that divides no denominator of
+   f and computes the reduced basis of J_p (groebner.buchberger with a
+   modulus).  If every variable has a pure power among its leading
+   monomials, h_i is the element that leads with x_i^(N_i), and its row
+   over the partials is formed modulo p from the recipes of that basis
+   (groebner.GroebnerBasis.lift).  Otherwise point 4 decides; when J(f)
+   is zero-dimensional over Q after all, p was unlucky and the next prime
+   down is tried.  Only finitely many primes are unlucky: those that
+   divide a nonzero Macaulay minor.  The Milnor number is then
+   prod(D / W_i - 1) (Milnor and Orlik 1970).
    Isolation of g = f(x(y)) follows through the invertible change.
 1. The weighted cofactor identity (builder only).  Differentiating
    E_W(f) = D f gives sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2
@@ -128,8 +132,14 @@ why the builder always finds P; no certified step uses it.
    of h_i lies in the support of lambda, so only those m are tried).  So J
    misses part of degree t and is positive-dimensional.  The builder takes
    the first variable x_i with no pure power among the leading monomials
-   of the reduced basis of J and the least t = k W_i >= 0 above s; mu = x_i^k
-   is then standard, and lambda(m) = coefficient of mu in NF(m).
+   of the reduced basis of J_p, for the prime p of point 0, and the least
+   t = k W_i >= 0 above s; mu = x_i^k is then standard, and lambda(m) =
+   coefficient of mu in NF(m), modulo p.  It rationally reconstructs each
+   value (Wang 1981) and records the result only if it is nonzero and
+   vanishes as the verifier checks, over Q.  A functional modulo p alone
+   proves only that J_p is positive-dimensional, and the rank of a
+   Macaulay matrix can rise from F_p to Q.  If the check fails, the same
+   construction on the reduced basis of J over Q decides.
 
 The slice search.  Point 3 needs some slice y_1 = sum a_i x_i, mixing only
 variables of weight W_1, whose h is isolated; which one does not matter.
@@ -188,7 +198,15 @@ from .groebner import (
     jacobian_ideal,
 )
 from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
-from .poly import Exponent, LinearChange, Polynomial, is_prime, monomials_of_degree, quasi_homogeneous_weights
+from .poly import (
+    Exponent,
+    LinearChange,
+    Polynomial,
+    is_prime,
+    monomials_of_degree,
+    quasi_homogeneous_weights,
+    rational_reconstruction,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -217,7 +235,7 @@ class SliceChoice:
     coefficients: tuple[Fraction, ...]
     change: LinearChange
     g: Polynomial  # f(x(y))
-    gb: GroebnerBasis  # basis of J(h), h = g restricted to y_1 = 0; its records lift from it
+    gb: GroebnerBasis  # basis of J(h) modulo a prime, h = g restricted to y_1 = 0; its record lifts from it
     attempts: int
 
 
@@ -272,12 +290,12 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
 
 class NoIsolatingSlice(Exception):
     """The no-op slice fails and no other variable shares the weight of x_1,
-    so no admissible slice exists; ``gb`` is the failed restriction's
-    Jacobian basis."""
+    so no admissible slice exists; ``record`` is the positive-dimension
+    record of the failed restriction's Jacobian ideal (_decide_isolation)."""
 
-    def __init__(self, gb: GroebnerBasis):
+    def __init__(self, record: dict):
         super().__init__("no admissible slice isolates the singularity")
-        self.gb = gb
+        self.record = record
 
 
 def _slice_candidates(weights: Sequence[int]):
@@ -315,22 +333,23 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
     found = quasi_homogeneous_weights(f)
     if found is None:
         raise ValueError("slice search requires a quasi-homogeneous polynomial")
+    weights, degree = found
     attempts = 0
     try:
-        for coeffs in _slice_candidates(found[0]):
+        for coeffs in _slice_candidates(weights):
             if attempts >= MAX_SLICE_ATTEMPTS:
                 raise ResourceLimitExceeded(f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts")
             attempts += 1
             change = slice_change(coeffs, n)
             g = substitute_slice(change, f)
-            gb = buchberger(jacobian_ideal(restrict_to_hyperplane(g)), GREVLEX)
-            if gb.is_zero_dimensional():
+            gb, rejection = _decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
+            if rejection is None:
                 logger.info("slice found after %d attempts: %s", attempts, coeffs)
                 return SliceChoice(coeffs, change, g, gb, attempts)
     except ResourceLimitExceeded as exc:
         exc.attempts = attempts  # the slices tried, the one that hit the limit included
         raise
-    raise NoIsolatingSlice(gb)
+    raise NoIsolatingSlice(rejection)
 
 
 def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
@@ -385,50 +404,77 @@ def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
 
 
-def _isolation_record(f: Polynomial, gb: GroebnerBasis, variables: Sequence[str]) -> dict:
-    """Point 0 of the module docstring for gb, the reduced basis of J(f):
-    for each variable x_i, the row over the partials of f of the basis
-    element that leads with a power of x_i (its lift, since it divides by
-    the monic basis with quotient e_k and remainder 0), formed modulo the
-    largest prime below 2^31 that divides no denominator of f or of a
-    multiplier the rows read."""
+def _decide_isolation(h: Polynomial, weights: Sequence[int], degree: int) -> tuple[GroebnerBasis, dict | None]:
+    """Whether J(h) is zero-dimensional, decided modulo a prime first.
+
+    Returns the basis that decides it, and None if J(h) is zero-dimensional
+    (the basis is then one modulo a prime, whose rows form the isolation
+    record of point 0 of the module docstring), else the positive-dimension
+    record of point 4.  Takes p, the largest prime below 2^31 that divides
+    no denominator of h, and the basis of J(h) modulo p.  If that is
+    zero-dimensional, point 0 shows that J(h) is.  Otherwise the functional
+    of point 4 is computed modulo p and rationally reconstructed; it is
+    recorded only if it is nonzero and vanishes over Q where the verifier
+    checks it (_vanishing_failures).  A functional modulo p proves nothing
+    over Q: the rank of the Macaulay matrix can rise from F_p to Q.  If the
+    check fails, the basis over Q decides; when it is zero-dimensional, p
+    was unlucky and the next prime down is tried.  Only finitely many
+    primes are unlucky: those dividing a nonzero Macaulay minor.
+    """
+    ideal = jacobian_ideal(h)
+    p = (1 << 31) + 1
+    while True:
+        p -= 2
+        if not is_prime(p) or any(c.denominator % p == 0 for c in h.terms.values()):
+            continue
+        gb = buchberger(ideal, GREVLEX, modulus=p)
+        if gb.is_zero_dimensional():
+            return gb, None
+        t, functional = _positive_dimension_functional(gb, weights, degree)
+        if not (functional and all(functional.values()) and not _vanishing_failures(functional, ideal.generators)):
+            gb = buchberger(ideal, GREVLEX)
+            if gb.is_zero_dimensional():
+                logger.info("J(h) is zero-dimensional over Q but not modulo the unlucky prime %d", p)
+                continue
+            t, functional = _positive_dimension_functional(gb, weights, degree)
+        return gb, {"degree": t, "functional": _functional_entries(functional, gb.order)}
+
+
+def _isolation_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
+    """Point 0 of the module docstring for gb, the reduced basis of J(f)
+    modulo its prime (_decide_isolation): for each variable x_i, the row
+    over the partials of f of the basis element that leads with a power of
+    x_i (its lift, since it divides by the monic basis with quotient e_k
+    and remainder 0)."""
     leading = gb.leading_monomials()
     elements = [gb.basis[next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)] for i in range(gb.n)]
-    p = (1 << 31) - 1
-    while True:
-        try:
-            f.mod(p)
-            rows = [gb.lift(b, p) for b in elements]
-            break
-        except ZeroDivisionError:
-            # the next prime down; only finitely many divide a denominator
-            p -= 2
-            while not is_prime(p):
-                p -= 2
-    return {"prime": p, "cofactors": [[format_poly(c, variables, gb.order) for c in row] for row in rows]}
+    rows = [gb.lift(b) for b in elements]
+    return {"prime": gb.modulus, "cofactors": [[format_poly(c, variables, gb.order) for c in row] for row in rows]}
 
 
 def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
     """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
     given monomial m; zero values are left out.  The normal form is linear
-    and vanishes on the ideal, so lambda does too.
+    and vanishes on the ideal, so lambda does too.  Over the basis's field:
+    for a basis modulo a prime the values are residues in [0, p).
 
     The monomials must be all those of one weighted degree, and the basis
     weighted homogeneous.  One pass in ascending order: a standard m has
     lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
-    b whose leading term c_lm x^lm divides m; NF(m) = NF(m - x^(m-lm) b / c_lm),
-    so lambda(m) = -(1/c_lm) sum c_t lambda(x^t x^(m-lm)) over the other terms
-    c_t x^t of b, each at a smaller monomial of the same degree.
+    b whose leading monomial x^lm divides m (b is monic);
+    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c_t lambda(x^t x^(m-lm))
+    over the other terms c_t x^t of b, each at a smaller monomial of the
+    same degree.
     """
     order = gb.order
-    leading = [order.leading_term(b) for b in gb.basis]
+    leading = gb.leading_monomials()
     values: dict[Exponent, Fraction] = {}
     for m in sorted(monomials, key=order.key):
-        k = next((k for k, (lm, _) in enumerate(leading) if all(map(le, lm, m))), None)
+        k = next((k for k, lm in enumerate(leading) if all(map(le, lm, m))), None)
         if k is None:
             values[m] = Fraction(m == mu)
             continue
-        lm, lc = leading[k]
+        lm = leading[k]
         shift = tuple(map(sub, m, lm))
         total = Fraction(0)
         for t, c in gb.basis[k].terms.items():
@@ -436,7 +482,7 @@ def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponen
                 v = values[tuple(map(add, t, shift))]
                 if v:
                     total += c * v
-        values[m] = -total / lc
+        values[m] = -total if gb.modulus is None else -total % gb.modulus
     return {m: v for m, v in values.items() if v}
 
 
@@ -447,17 +493,21 @@ def _functional_entries(functional: dict[Exponent, Fraction], order: MonomialOrd
     ]
 
 
-def _positive_dimension_record(gb: GroebnerBasis, weights: Sequence[int], degree: int) -> dict:
-    """Point 4 of the module docstring: the functional of the standard
-    monomial mu = x_i^k, x_i the first variable with no pure power among the
-    leading monomials of gb, on the least weighted degree k W_i above s."""
+def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], degree: int) -> tuple[int, dict]:
+    """Point 4 of the module docstring: the degree t and the functional of
+    the standard monomial mu = x_i^k, x_i the first variable with no pure
+    power among the leading monomials of gb, on the least weighted degree
+    t = k W_i above s.  For a basis modulo a prime each value is rationally
+    reconstructed (None where that fails)."""
     leading = gb.leading_monomials()
     i = next(i for i in range(gb.n) if all(sum(lm) != lm[i] for lm in leading))
     # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
     k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
     mu = tuple(k if j == i else 0 for j in range(gb.n))
     functional = dual_functional(gb, mu, monomials_of_degree(gb.n, k * weights[i], weights))
-    return {"degree": k * weights[i], "functional": _functional_entries(functional, gb.order)}
+    if gb.modulus is not None:
+        functional = {m: rational_reconstruction(v.numerator, gb.modulus) for m, v in functional.items()}
+    return k * weights[i], functional
 
 
 def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
@@ -511,10 +561,10 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
             f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}",
         )
 
-    gb_input = buchberger(jacobian_ideal(f), GREVLEX)
-    if not gb_input.is_zero_dimensional():
+    gb_input, rejection = _decide_isolation(f, weights, degree)
+    if rejection is not None:
         info["isolated"] = False
-        section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(gb_input, weights, degree)}
+        section["positive_dimension"] = {"input_jacobian": rejection}
         return rejected("not_isolated", "the Jacobian ideal is not zero-dimensional")
     info["isolated"] = True
     info["milnor_number"] = int(milnor_number(weights, degree))
@@ -522,9 +572,7 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
     try:
         chosen = generic_slice_search(f)
     except NoIsolatingSlice as exc:
-        section["positive_dimension"] = {
-            "slice_jacobian": _positive_dimension_record(exc.gb, weights[1:], degree)
-        }
+        section["positive_dimension"] = {"slice_jacobian": exc.record}
         return rejected(
             "no_isolating_slice",
             f"the restriction to {variables[0]} = 0 is not an isolated singularity and no other "
@@ -535,7 +583,7 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         doc["verdict"] = RESOURCE_EXHAUSTED
         info["resource_error"] = str(exc)
         return WitnessCertificate(doc)
-    section["isolation"] = _isolation_record(f, gb_input, variables)
+    section["isolation"] = _isolation_record(gb_input, variables)
 
     n = f.n
     yvars = _new_variables(n)
@@ -565,7 +613,7 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness
     # d_1(y_1) = W_1 y_1 A_11 outside S
     section["obstruction"] = {
-        "restriction_isolation": _isolation_record(restrict_to_hyperplane(g), chosen.gb, yvars[1:])
+        "restriction_isolation": _isolation_record(chosen.gb, yvars[1:])
     }
     doc["verdict"] = WITNESS_FOUND
     return WitnessCertificate(doc)

@@ -19,9 +19,11 @@ cofactor rows and lifts of ``groebner``, the Laplace step of
 ``derivations.verify_order2_identity``, ``derivations.replay_ledger`` and
 the recombination check of ``derivations.symmetrize``.
 
-``Polynomial.mod`` (reduction modulo a prime) and ``is_prime`` serve the
-isolation records, which hold rows modulo a prime (point 0 of the
-``pipeline`` docstring).
+``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
+``rational_reconstruction`` serve the Groebner engine modulo a prime and
+the isolation decisions of ``pipeline``: the isolation records hold rows
+modulo a prime (point 0 of the ``pipeline`` docstring), and a rejection's
+functional is computed modulo one and reconstructed (point 4).
 """
 
 from __future__ import annotations
@@ -442,6 +444,27 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= sqrt(m/2) and r = s a modulo m, or
+    None if there is none (Wang 1981; Collins and Encarnacion 1995).
+
+    Two such fractions congruent modulo m are equal, so the answer is
+    unique.  The extended Euclidean remainder sequence of (m, a) is cut at
+    the first remainder r <= sqrt(m/2), and the cofactor s of that step is
+    the only candidate for the denominator.
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 @dataclass(frozen=True)

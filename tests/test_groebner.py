@@ -16,7 +16,7 @@ from nakai_forge.groebner import (
     jacobian_ideal,
     quotient_dimension,
 )
-from nakai_forge.poly import GRLEX, LEX, LinearChange, Polynomial, monomials_of_degree
+from nakai_forge.poly import GRLEX, LEX, LinearChange, Polynomial, monomials_of_degree, sum_of_products
 from linalg_oracle import membership_oracle, monomial_ideal_member
 
 V3 = ["x", "y", "z"]
@@ -172,23 +172,36 @@ class TestLift:
             # each basis element lifts to its own row
             assert [lift_first.lift(b) for b in lift_first.basis] == list(rows)
             check_cofactors(lift_first)
-            # rows modulo a prime, read first or after the rows over Q, are
-            # the rows over Q reduced modulo it; the rows over Q are kept apart
-            modular_first = buchberger(gens, order)
-            for b in modular_first.basis:
-                assert modular_first.lift(b, 2147483647) == tuple(c.mod(2147483647) for c in lift_first.lift(b))
-                assert lift_first.lift(b, 2147483647) == modular_first.lift(b, 2147483647)
-            assert modular_first.cofactors == rows
+            # the basis modulo a prime is the basis over Q reduced modulo it,
+            # and each of its rows recombines to its element modulo the prime
+            p = 2147483647
+            modular = buchberger(gens, order, modulus=p)
+            assert modular.modulus == p and modular.source == gens
+            assert list(modular.basis) == [b.mod(p) for b in lift_first.basis]
+            for b, row in zip(modular.basis, modular.cofactors):
+                assert sum_of_products(gens.n, zip(row, gens.generators)).mod(p) == b
+                assert all(0 < c < p for entry in row for c in entry.terms.values())
+            # this prime takes the path of the basis over Q, so the rows are
+            # the rows over Q reduced modulo it
+            assert [modular.lift(b) for b in modular.basis] == [tuple(c.mod(p) for c in row) for row in rows]
 
     def test_lift_modulo_a_prime(self):
         # the generator 3x is divided by its content, so the row of x is 1/3
-        gb = buchberger(ideal("3*x", "y^2"))
-        assert gb.lift(P("x")) == (P("1/3"), P("0"))
-        assert gb.lift(P("x"), 5) == (P("2"), P("0"))
-        assert gb.lift(P("x*y + y^2"), 7) == (P("5*y"), P("1"))
-        assert gb.lift(P("z"), 5) is None
+        gens = ideal("3*x", "y^2")
+        assert buchberger(gens).lift(P("x")) == (P("1/3"), P("0"))
+        # modulo 5 and 7 the generator is made monic with the inverse of 3
+        mod5 = buchberger(gens, modulus=5)
+        assert mod5.basis == (P("y^2"), P("x"))
+        assert mod5.lift(P("x")) == (P("2"), P("0"))
+        assert mod5.lift(P("z")) is None
+        assert mod5.normal_form(P("x + 7*z")) == P("2*z")
+        assert buchberger(gens, modulus=7).lift(P("x*y + y^2")) == (P("5*y"), P("1"))
+        # 3x vanishes modulo 3, and x is not a member of (y^2)
+        mod3 = buchberger(gens, modulus=3)
+        assert mod3.basis == (P("y^2"),)
+        assert mod3.lift(P("x")) is None
         with pytest.raises(ZeroDivisionError, match="3 divides the denominator 3"):
-            gb.lift(P("x"), 3)
+            buchberger(ideal("1/3*x", "y^2"), modulus=3)
 
     def test_lift_rejects_a_variable_count_mismatch(self):
         # x^2 in two variables divides to remainder 0 by the zip of exponents

@@ -20,7 +20,7 @@ from nakai_forge.pipeline import (
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
-    _positive_dimension_record,
+    _decide_isolation,
     _slice_candidates,
     build_witness,
     certificate_failures,
@@ -45,6 +45,25 @@ def P(text, variables=V3):
 
 PAPER_F = "x^2*y + y^2*z + z^2*x"
 FERMAT = "x^3 + y^3 + z^3"
+
+
+def _count_bases(monkeypatch) -> list:
+    """Record the modulus of every Groebner basis computed (None: over Q)."""
+    import nakai_forge
+    import nakai_forge.derivations as derivations
+
+    moduli = []
+    original = groebner.buchberger
+
+    def counted(*args, modulus=None, **kwargs):
+        moduli.append(modulus)
+        return original(*args, modulus=modulus, **kwargs)
+
+    for module in (nakai_forge, derivations, groebner, pipeline):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return moduli
 
 
 class TestSliceSearch:
@@ -214,15 +233,17 @@ class TestBuildWitness:
         assert calls
 
     def test_witness_forms_rows_only_modulo_a_prime(self, monkeypatch):
-        # the isolation records are rows modulo a prime: a build forms no
-        # cofactor row over Q
+        # the isolation records are the rows of bases modulo a prime, formed
+        # from their own recipes: a build forms no cofactor row over Q
         calls = []
         combine = groebner._combine_rows
         monkeypatch.setattr(groebner, "_combine_rows", lambda *args: calls.append(args) or combine(*args))
+        bases = _count_bases(monkeypatch)
         for text in (FERMAT, PAPER_F, "x^3 + y^3 + z^3 + x*y*z"):
             assert build_witness(P(text), V3).verdict == WITNESS_FOUND
         assert calls
         assert {args[3] for args in calls} == {2**31 - 1}
+        assert set(bases) == {2**31 - 1}
 
     def test_witness_reads_one_hessian_and_one_minor_table(self, monkeypatch):
         # a build computes one Hessian of g, expands each of its minors once
@@ -278,6 +299,70 @@ class TestBuildWitness:
                 f"{label}: the prime 2147483647 divides a denominator of the polynomial"
             ]
             assert _cli_verify(doc, tmp_path) == 4
+
+    def test_unlucky_prime(self, monkeypatch, tmp_path):
+        # 2^31 - 1 divides the z-partial, so J_p is not zero-dimensional for
+        # that prime; its functional fails over Q, the basis over Q is
+        # zero-dimensional, and the next prime down decides
+        bases = _count_bases(monkeypatch)
+        cert = build_witness(P("x^3 + y^3 + 2147483647*z^3"), V3)
+        assert cert.verdict == WITNESS_FOUND
+        # so does the restriction y^3 + 2147483647*z^3 of the no-op slice
+        tests = cert.document["membership_tests"]
+        assert tests["isolation"]["prime"] == tests["obstruction"]["restriction_isolation"]["prime"] == 2147483629
+        assert bases == [2**31 - 1, None, 2147483629] * 2
+        assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
+            "3bc3fb7a76b64ae17e0bbebe80300bc7dc75c20925971ce8d8f3f330e8f6d182"
+        )
+        assert _cli_verify(cert.document, tmp_path) == 0
+
+    def test_functional_too_tall_for_one_prime(self, monkeypatch):
+        # lambda has the entry -1/2700000000, beyond the reach sqrt(p/2) of
+        # rational reconstruction: one basis over Q records it
+        bases = _count_bases(monkeypatch)
+        cert = build_witness(P("(200*x - y)^2*z + (300*x - z)^3"), V3)
+        assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
+        record = cert.document["membership_tests"]["positive_dimension"]["input_jacobian"]
+        assert {"monomial": [4, 0, 0], "value": "-1/2700000000"} in record["functional"]
+        assert bases == [2**31 - 1, None]
+        assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
+            "d8dd45227589a5846813a3877f69dcaa7a443636c165b47c1bbc86151a30d7a3"
+        )
+        assert verify_certificate(cert)
+
+    def test_reconstructed_functional(self, monkeypatch):
+        # singular along x = -y, z = 0: lambda modulo p reconstructs to the
+        # functional over Q, which passes the check with no basis over Q
+        bases = _count_bases(monkeypatch)
+        cert = build_witness(P("x^2*z + 2*x*y*z + y^2*z + z^3"), V3)
+        assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
+        assert bases == [2**31 - 1]
+        assert cert.document["membership_tests"]["positive_dimension"]["input_jacobian"] == {
+            "degree": 4,
+            "functional": [{"monomial": [4, 0, 0], "value": "-3"}, {"monomial": [3, 1, 0], "value": "2"},
+                           {"monomial": [2, 2, 0], "value": "-1"}, {"monomial": [0, 4, 0], "value": "1"}],
+        }
+        assert verify_certificate(cert)
+
+    def test_builds_compute_no_basis_over_q(self, monkeypatch):
+        # the built-in corpus, the acceptance corpus and an axis-singular
+        # rejection (the gate-slice benchmark's shape) each decide isolation
+        # modulo a prime alone
+        from test_acceptance import NAMED_CORPUS
+
+        corpus = NAMED_CORPUS + _random_corpus()  # drawn by tests over Q, so before counting
+        bases = _count_bases(monkeypatch)
+        for _, text, variables, verdict in BUILTIN_CORPUS:
+            assert build_witness(parse_poly(text, variables), variables).verdict == verdict
+        for _, text, variables in corpus:
+            assert build_witness(parse_poly(text, variables), variables).verdict == WITNESS_FOUND
+        rng = random.Random(20)
+        f = Polynomial(4, {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
+        })
+        cert = build_witness(f, ["x", "y", "z", "w"])
+        assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
+        assert bases and None not in bases
 
     def test_non_homogeneous_rejected(self):
         cert = build_witness(P("x^2 + y^3"), V3)
@@ -923,8 +1008,8 @@ class TestQuasiHomogeneous:
         f = P("x^3 + x*y^2 + z^4")
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
-        gb = buchberger(jacobian_ideal(restrict_to_hyperplane(f)))
-        doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(gb, (4, 3), 12)
+        _, record = _decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
+        doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = record
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures == ["another variable shares the weight of the first; other slices are admissible"]
 

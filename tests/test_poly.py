@@ -15,6 +15,7 @@ from nakai_forge.poly import (
     is_prime,
     monomials_of_degree,
     quasi_homogeneous_weights,
+    rational_reconstruction,
 )
 
 V3 = ["x", "y", "z"]
@@ -241,6 +242,39 @@ class TestModular:
         ]
         with pytest.raises(ValueError, match="below 2\\^64"):
             is_prime(2**64 + 13)
+
+    def test_rational_reconstruction_small_moduli(self):
+        # a residue reconstructs iff some r/s with |r|, s <= sqrt(m/2) has it,
+        # and then to that fraction, the only one
+        for m in (3, 5, 101, 1009, 8191):
+            bound = math.isqrt(m // 2)
+            small = {}
+            for s in range(1, bound + 1):
+                for r in range(-bound, bound + 1):
+                    if math.gcd(r, s) == 1:
+                        small.setdefault(r * pow(s, -1, m) % m, set()).add(Fraction(r, s))
+            for a in range(m):
+                expected = small.get(a)
+                assert rational_reconstruction(a, m) == (None if expected is None else expected.pop()), (a, m)
+                assert not expected
+
+    def test_rational_reconstruction_near_2_31(self):
+        p = 2**31 - 1
+        bound = math.isqrt(p // 2)
+        assert bound == 32767
+
+        def residue(x):
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        for x in (Fraction(0), Fraction(-16, 27), Fraction(bound, bound - 1), Fraction(-bound, bound), Fraction(7)):
+            assert rational_reconstruction(residue(x), p) == x
+        # beyond the bound the answer is None: no fraction within it shares
+        # the residue of these
+        for x in (Fraction(1, bound + 1), Fraction(-bound - 2, 5), Fraction(bound + 1, bound + 2)):
+            assert rational_reconstruction(residue(x), p) is None, x
+        # or another fraction within it, which only a check over Q refuses
+        tall = Fraction(-1, 2700000000)
+        assert rational_reconstruction(residue(tall), p) == Fraction(21035, 12209)
 
 
 class TestEvaluate:
