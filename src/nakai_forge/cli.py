@@ -31,6 +31,7 @@ from .groebner import (
     InternalInconsistencyError,
     ResourceLimitExceeded,
     buchberger,
+    decide_isolation,
     is_isolated_singularity,
     jacobian_ideal,
 )
@@ -106,13 +107,18 @@ def _emit(text: str):
     sys.stdout.flush()
 
 
-def _milnor(f: Polynomial, gb) -> int:
-    """The dimension of the quotient by the zero-dimensional Jacobian ideal
-    with basis gb: prod(D / W_i - 1) when f has unique weights (Milnor and
-    Orlik 1970), else a count of the standard monomials of gb, of which
-    there are (N - 1)^n for a form of degree N."""
-    found = quasi_homogeneous_weights(f)
-    return gb.quotient_dimension() if found is None else int(milnor_number(*found))
+def _milnor(f: Polynomial, found) -> int | None:
+    """The dimension of the quotient by the Jacobian ideal of f, or None if
+    that ideal is not zero-dimensional; ``found`` is the unique weights and
+    weighted degree of f, or None.  With them, the ideal is decided as the
+    witness gate decides it (groebner.decide_isolation) and the dimension is
+    prod(D / W_i - 1) (Milnor and Orlik 1970).  Without them the argument
+    modulo a prime does not apply: a basis over Q decides, and its standard
+    monomials are counted."""
+    if found is not None:
+        return int(milnor_number(*found)) if decide_isolation(f, *found)[1] is None else None
+    gb = buchberger(jacobian_ideal(f))
+    return gb.quotient_dimension() if gb.is_zero_dimensional() else None
 
 
 def cmd_check(args) -> int:
@@ -124,9 +130,8 @@ def cmd_check(args) -> int:
     # below 2, zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
-    gb = buchberger(jacobian_ideal(f))
-    zero_dim = gb.is_zero_dimensional()
-    milnor = _milnor(f, gb) if zero_dim else None
+    milnor = _milnor(f, found)
+    zero_dim = milnor is not None
     isolated = found is not None and f.min_degree() >= 2 and zero_dim
     if args.json:
         _emit(json.dumps({
@@ -289,11 +294,11 @@ def cmd_milnor(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial")
         return EXIT_REJECTED
-    gb = buchberger(jacobian_ideal(f))
-    if not gb.is_zero_dimensional():
+    milnor = _milnor(f, quasi_homogeneous_weights(f))
+    if milnor is None:
         _emit("rejected: Jacobian ideal is not zero-dimensional (Milnor number is infinite)")
         return EXIT_REJECTED
-    _emit(str(_milnor(f, gb)))
+    _emit(str(milnor))
     return EXIT_OK
 
 

@@ -12,10 +12,16 @@ reduced modulo the prime, every element is made monic with the inverse of
 its leading coefficient, and every coefficient stays an integer in
 [0, p): the scale step and the content gcds of the division over Q never
 fire.  The ``GroebnerBasis`` records its modulus, and its division,
-normal forms, lifts and rows all work over its own field.  The
-``pipeline`` decides isolation with bases modulo a prime, and their rows
-are its isolation records; bases over Q decide only where that fails, and
-serve the library ``lift`` and the CLI ``member``.
+normal forms, lifts and rows all work over its own field.
+
+``decide_isolation`` is the one decision of whether the Jacobian ideal of
+a weighted homogeneous polynomial is zero-dimensional, for the witness
+gate and slice search of ``pipeline``, for ``is_isolated_singularity`` and
+for the CLI ``check``, ``milnor`` and ``symmetrize``.  It decides with a
+basis modulo a prime, whose rows are the ``pipeline`` isolation records; a
+basis over Q decides only where that fails.  Bases over Q also serve the
+library ``lift``, the CLI ``member`` and the Milnor number of input
+without unique weights, where the argument modulo a prime does not apply.
 
 The algorithm records how each element was formed, not its row (the
 Groebner trace of Traverso 1988).  The nodes are the source generators,
@@ -63,6 +69,7 @@ from operator import add, le, sub
 from typing import Sequence
 
 from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights, sum_of_products
+from .poly import _top_degree, _vanishing_failures, is_prime, monomials_of_degree, rational_reconstruction
 
 logger = logging.getLogger(__name__)
 
@@ -532,35 +539,124 @@ def s_polynomial(a: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomi
         b.mul_monomial(_exp_sub(lcm, lm_b), Fraction(1) / lc_b)
 
 
-def is_zero_dimensional(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> bool:
-    return buchberger(ideal, order, **caps).is_zero_dimensional()
+def decide_isolation(
+    h: Polynomial, weights: Sequence[int], degree: int
+) -> tuple[GroebnerBasis, tuple[int, dict[Exponent, Fraction]] | None]:
+    """Whether J(h) is zero-dimensional, for h weighted homogeneous of
+    degree ``degree`` in the ``weights``, decided modulo a prime first.
+
+    Returns the basis that decides it, and None if J(h) is zero-dimensional
+    (the basis is then one modulo a prime, whose rows form the isolation
+    record of point 0 of the ``pipeline`` docstring), else the degree t and
+    the functional of the positive-dimension record of point 4.  Takes p,
+    the largest prime below 2^31 that divides no denominator of h, and the
+    basis of J(h) modulo p.  If that is zero-dimensional, point 0 shows
+    that J(h) is.  Otherwise the functional of point 4 is computed modulo p
+    and rationally reconstructed; it is kept only if it is nonzero and
+    vanishes over Q where the verifier checks it (poly._vanishing_failures).
+    A functional modulo p proves nothing over Q: the rank of the Macaulay
+    matrix can rise from F_p to Q.  If the check fails, the basis over Q
+    decides; when it is zero-dimensional, p was unlucky and the next prime
+    down is tried.  Only finitely many primes are unlucky: those dividing a
+    nonzero Macaulay minor (lucky primes: Pauer 1992; Arnold 2003).
+    """
+    ideal = jacobian_ideal(h)
+    p = (1 << 31) + 1
+    while True:
+        p -= 2
+        if not is_prime(p) or any(c.denominator % p == 0 for c in h.terms.values()):
+            continue
+        gb = buchberger(ideal, GREVLEX, modulus=p)
+        if gb.is_zero_dimensional():
+            return gb, None
+        t, functional = _positive_dimension_functional(gb, weights, degree)
+        if not (functional and all(functional.values()) and not _vanishing_failures(functional, ideal.generators)):
+            gb = buchberger(ideal, GREVLEX)
+            if gb.is_zero_dimensional():
+                logger.info("J(h) is zero-dimensional over Q but not modulo the unlucky prime %d", p)
+                continue
+            t, functional = _positive_dimension_functional(gb, weights, degree)
+        return gb, (t, functional)
 
 
-def quotient_dimension(ideal: Ideal, order: MonomialOrder = GREVLEX, **caps) -> int:
-    return buchberger(ideal, order, **caps).quotient_dimension()
+def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
+    """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
+    given monomial m; zero values are left out.  The normal form is linear
+    and vanishes on the ideal, so lambda does too.  Over the basis's field:
+    for a basis modulo a prime the values are residues in [0, p).
+
+    The monomials must be all those of one weighted degree, and the basis
+    weighted homogeneous.  One pass in ascending order: a standard m has
+    lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
+    b whose leading monomial x^lm divides m (b is monic);
+    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c_t lambda(x^t x^(m-lm))
+    over the other terms c_t x^t of b, each at a smaller monomial of the
+    same degree.
+    """
+    order = gb.order
+    leading = gb.leading_monomials()
+    values: dict[Exponent, Fraction] = {}
+    for m in sorted(monomials, key=order.key):
+        k = next((k for k, lm in enumerate(leading) if all(map(le, lm, m))), None)
+        if k is None:
+            values[m] = Fraction(m == mu)
+            continue
+        lm = leading[k]
+        shift = tuple(map(sub, m, lm))
+        total = Fraction(0)
+        for t, c in gb.basis[k].terms.items():
+            if t != lm:
+                v = values[tuple(map(add, t, shift))]
+                if v:
+                    total += c * v
+        values[m] = -total if gb.modulus is None else -total % gb.modulus
+    return {m: v for m, v in values.items() if v}
 
 
-def is_isolated_singularity(f: Polynomial, order: MonomialOrder = GREVLEX, **caps) -> bool:
+def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], degree: int) -> tuple[int, dict]:
+    """Point 4 of the ``pipeline`` docstring: the degree t and the
+    functional of the standard monomial mu = x_i^k, x_i the first variable
+    with no pure power among the leading monomials of gb, on the least
+    weighted degree t = k W_i above s.  For a basis modulo a prime each
+    value is rationally reconstructed (None where that fails)."""
+    leading = gb.leading_monomials()
+    i = next(i for i in range(gb.n) if all(sum(lm) != lm[i] for lm in leading))
+    # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
+    k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
+    mu = tuple(k if j == i else 0 for j in range(gb.n))
+    functional = dual_functional(gb, mu, monomials_of_degree(gb.n, k * weights[i], weights))
+    if gb.modulus is not None:
+        functional = {m: rational_reconstruction(v.numerator, gb.modulus) for m, v in functional.items()}
+    return k * weights[i], functional
+
+
+def is_zero_dimensional(ideal: Ideal) -> bool:
+    return buchberger(ideal).is_zero_dimensional()
+
+
+def quotient_dimension(ideal: Ideal) -> int:
+    return buchberger(ideal).quotient_dimension()
+
+
+def is_isolated_singularity(f: Polynomial) -> bool:
     """True iff quasi-homogeneous f with no term of degree below 2 has a
-    zero-dimensional Jacobian ideal.
+    zero-dimensional Jacobian ideal, decided as the witness gate decides it
+    (decide_isolation).
 
     The weights must be unique (see quasi_homogeneous_weights); homogeneous
     input always qualifies.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a hypersurface")
-    if quasi_homogeneous_weights(f) is None:
+    found = quasi_homogeneous_weights(f)
+    if found is None:
         raise ValueError("isolated-singularity test requires a quasi-homogeneous polynomial")
     if f.min_degree() < 2:
         return False  # smooth at the origin, no singularity at all
-    return is_zero_dimensional(jacobian_ideal(f), order, **caps)
+    return decide_isolation(f, *found)[1] is None
 
 
-def is_regular_sequence_homog(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    **caps,
-) -> bool:
+def is_regular_sequence_homog(gens: Sequence[Polynomial]) -> bool:
     """n homogeneous polynomials in n variables form a regular sequence
     iff the ideal they generate is zero-dimensional."""
     gens = tuple(gens)
@@ -574,4 +670,4 @@ def is_regular_sequence_homog(
     for g in gens:
         if g.is_zero() or g.homogeneous_degree() is None:
             raise ValueError("every entry must be nonzero and homogeneous")
-    return is_zero_dimensional(Ideal(gens), order, **caps)
+    return is_zero_dimensional(Ideal(gens))

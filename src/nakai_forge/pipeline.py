@@ -42,9 +42,10 @@ why the builder always finds P; no certified step uses it.
    has full column rank over Q as well, J(f) contains every monomial of
    degree t, and J(f) is zero-dimensional.  The implication goes one way
    only: an unlucky prime can make the check fail, never pass falsely.
-   The builder decides isolation modulo a prime first (_decide_isolation).
-   It takes the largest prime p below 2^31 that divides no denominator of
-   f and computes the reduced basis of J_p (groebner.buchberger with a
+   The builder decides isolation modulo a prime first
+   (groebner.decide_isolation, the one decision of the package).  It takes
+   the largest prime p below 2^31 that divides no denominator of f and
+   computes the reduced basis of J_p (groebner.buchberger with a
    modulus).  If every variable has a pure power among its leading
    monomials, h_i is the element that leads with x_i^(N_i), and its row
    over the partials is formed modulo p from the recipes of that basis
@@ -134,9 +135,10 @@ why the builder always finds P; no certified step uses it.
    the first variable x_i with no pure power among the leading monomials
    of the reduced basis of J_p, for the prime p of point 0, and the least
    t = k W_i >= 0 above s; mu = x_i^k is then standard, and lambda(m) =
-   coefficient of mu in NF(m), modulo p.  It rationally reconstructs each
-   value (Wang 1981) and records the result only if it is nonzero and
-   vanishes as the verifier checks, over Q.  A functional modulo p alone
+   coefficient of mu in NF(m), modulo p (groebner.decide_isolation).  It
+   rationally reconstructs each value (Wang 1981) and records the result
+   only if it is nonzero and vanishes as the verifier checks, over Q
+   (poly._vanishing_failures).  A functional modulo p alone
    proves only that J_p is positive-dimensional, and the rank of a
    Macaulay matrix can rise from F_p to Q.  If the check fails, the same
    construction on the reduced basis of J over Q decides.
@@ -166,7 +168,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
 from typing import Sequence
 
 from .derivations import (
@@ -192,20 +193,19 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     InternalInconsistencyError,
-    MonomialOrder,
     ResourceLimitExceeded,
     buchberger,
-    jacobian_ideal,
+    decide_isolation,
 )
 from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
 from .poly import (
     Exponent,
     LinearChange,
     Polynomial,
+    _top_degree,
+    _vanishing_failures,
     is_prime,
-    monomials_of_degree,
     quasi_homogeneous_weights,
-    rational_reconstruction,
 )
 
 logger = logging.getLogger(__name__)
@@ -235,7 +235,7 @@ class SliceChoice:
     coefficients: tuple[Fraction, ...]
     change: LinearChange
     g: Polynomial  # f(x(y))
-    gb: GroebnerBasis  # basis of J(h) modulo a prime, h = g restricted to y_1 = 0; its record lifts from it
+    gb: GroebnerBasis  # J(h) mod a prime (groebner.decide_isolation), h = g at y_1 = 0; its record lifts from it
     attempts: int
 
 
@@ -291,7 +291,7 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
 class NoIsolatingSlice(Exception):
     """The no-op slice fails and no other variable shares the weight of x_1,
     so no admissible slice exists; ``record`` is the positive-dimension
-    record of the failed restriction's Jacobian ideal (_decide_isolation)."""
+    record of the failed restriction's Jacobian ideal (groebner.decide_isolation)."""
 
     def __init__(self, record: dict):
         super().__init__("no admissible slice isolates the singularity")
@@ -342,14 +342,14 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
             attempts += 1
             change = slice_change(coeffs, n)
             g = substitute_slice(change, f)
-            gb, rejection = _decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
+            gb, rejection = decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
             if rejection is None:
                 logger.info("slice found after %d attempts: %s", attempts, coeffs)
                 return SliceChoice(coeffs, change, g, gb, attempts)
     except ResourceLimitExceeded as exc:
         exc.attempts = attempts  # the slices tried, the one that hit the limit included
         raise
-    raise NoIsolatingSlice(rejection)
+    raise NoIsolatingSlice(_positive_dimension_record(*rejection))
 
 
 def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
@@ -359,20 +359,14 @@ def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
     return PolyMatrix([[g.partial(j) for j in range(1, n + 1)] for g in gens], nvars=n)
 
 
-def saito_check(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    gb: GroebnerBasis | None = None,
-    **caps,
-) -> SaitoReport:
+def saito_check(gens: Sequence[Polynomial]) -> SaitoReport:
     """Determinant of the Jacobian of a zero-dimensional system is never a member.
 
     The precondition (Artinian quotient) is checked; a membership verdict of
     True is a theorem violation and raises InternalInconsistencyError.
     """
     gens = tuple(gens)
-    if gb is None:
-        gb = buchberger(Ideal(gens), order, **caps)
+    gb = buchberger(Ideal(gens))
     if not gb.is_zero_dimensional():
         raise ValueError("the system is not zero-dimensional; the criterion does not apply")
     det = determinant(jacobian_matrix(gens))
@@ -391,12 +385,6 @@ def milnor_number(weights: Sequence[int], degree: int) -> Fraction:
     return math.prod(Fraction(degree, w) - 1 for w in weights)
 
 
-def _top_degree(weights: Sequence[int], degree: int) -> int:
-    """s = sum(D - 2 W_i): the degree of the Hilbert series of the quotient
-    by a zero-dimensional Jacobian ideal (point 4 of the module docstring)."""
-    return sum(degree - 2 * w for w in weights)
-
-
 # -- certificate assembly -------------------------------------------------
 
 
@@ -404,45 +392,9 @@ def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
 
 
-def _decide_isolation(h: Polynomial, weights: Sequence[int], degree: int) -> tuple[GroebnerBasis, dict | None]:
-    """Whether J(h) is zero-dimensional, decided modulo a prime first.
-
-    Returns the basis that decides it, and None if J(h) is zero-dimensional
-    (the basis is then one modulo a prime, whose rows form the isolation
-    record of point 0 of the module docstring), else the positive-dimension
-    record of point 4.  Takes p, the largest prime below 2^31 that divides
-    no denominator of h, and the basis of J(h) modulo p.  If that is
-    zero-dimensional, point 0 shows that J(h) is.  Otherwise the functional
-    of point 4 is computed modulo p and rationally reconstructed; it is
-    recorded only if it is nonzero and vanishes over Q where the verifier
-    checks it (_vanishing_failures).  A functional modulo p proves nothing
-    over Q: the rank of the Macaulay matrix can rise from F_p to Q.  If the
-    check fails, the basis over Q decides; when it is zero-dimensional, p
-    was unlucky and the next prime down is tried.  Only finitely many
-    primes are unlucky: those dividing a nonzero Macaulay minor.
-    """
-    ideal = jacobian_ideal(h)
-    p = (1 << 31) + 1
-    while True:
-        p -= 2
-        if not is_prime(p) or any(c.denominator % p == 0 for c in h.terms.values()):
-            continue
-        gb = buchberger(ideal, GREVLEX, modulus=p)
-        if gb.is_zero_dimensional():
-            return gb, None
-        t, functional = _positive_dimension_functional(gb, weights, degree)
-        if not (functional and all(functional.values()) and not _vanishing_failures(functional, ideal.generators)):
-            gb = buchberger(ideal, GREVLEX)
-            if gb.is_zero_dimensional():
-                logger.info("J(h) is zero-dimensional over Q but not modulo the unlucky prime %d", p)
-                continue
-            t, functional = _positive_dimension_functional(gb, weights, degree)
-        return gb, {"degree": t, "functional": _functional_entries(functional, gb.order)}
-
-
 def _isolation_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
     """Point 0 of the module docstring for gb, the reduced basis of J(f)
-    modulo its prime (_decide_isolation): for each variable x_i, the row
+    modulo its prime (groebner.decide_isolation): for each variable x_i, the row
     over the partials of f of the basis element that leads with a power of
     x_i (its lift, since it divides by the monic basis with quotient e_k
     and remainder 0)."""
@@ -452,62 +404,11 @@ def _isolation_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
     return {"prime": gb.modulus, "cofactors": [[format_poly(c, variables, gb.order) for c in row] for row in rows]}
 
 
-def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
-    """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
-    given monomial m; zero values are left out.  The normal form is linear
-    and vanishes on the ideal, so lambda does too.  Over the basis's field:
-    for a basis modulo a prime the values are residues in [0, p).
-
-    The monomials must be all those of one weighted degree, and the basis
-    weighted homogeneous.  One pass in ascending order: a standard m has
-    lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
-    b whose leading monomial x^lm divides m (b is monic);
-    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c_t lambda(x^t x^(m-lm))
-    over the other terms c_t x^t of b, each at a smaller monomial of the
-    same degree.
-    """
-    order = gb.order
-    leading = gb.leading_monomials()
-    values: dict[Exponent, Fraction] = {}
-    for m in sorted(monomials, key=order.key):
-        k = next((k for k, lm in enumerate(leading) if all(map(le, lm, m))), None)
-        if k is None:
-            values[m] = Fraction(m == mu)
-            continue
-        lm = leading[k]
-        shift = tuple(map(sub, m, lm))
-        total = Fraction(0)
-        for t, c in gb.basis[k].terms.items():
-            if t != lm:
-                v = values[tuple(map(add, t, shift))]
-                if v:
-                    total += c * v
-        values[m] = -total if gb.modulus is None else -total % gb.modulus
-    return {m: v for m, v in values.items() if v}
-
-
-def _functional_entries(functional: dict[Exponent, Fraction], order: MonomialOrder) -> list[dict]:
-    return [
-        {"monomial": list(m), "value": format_fraction(c)}
-        for m, c in sorted(functional.items(), key=lambda t: order.key(t[0]), reverse=True)
-    ]
-
-
-def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], degree: int) -> tuple[int, dict]:
-    """Point 4 of the module docstring: the degree t and the functional of
-    the standard monomial mu = x_i^k, x_i the first variable with no pure
-    power among the leading monomials of gb, on the least weighted degree
-    t = k W_i above s.  For a basis modulo a prime each value is rationally
-    reconstructed (None where that fails)."""
-    leading = gb.leading_monomials()
-    i = next(i for i in range(gb.n) if all(sum(lm) != lm[i] for lm in leading))
-    # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
-    k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
-    mu = tuple(k if j == i else 0 for j in range(gb.n))
-    functional = dual_functional(gb, mu, monomials_of_degree(gb.n, k * weights[i], weights))
-    if gb.modulus is not None:
-        functional = {m: rational_reconstruction(v.numerator, gb.modulus) for m, v in functional.items()}
-    return k * weights[i], functional
+def _positive_dimension_record(t: int, functional: dict[Exponent, Fraction]) -> dict:
+    """Point 4 of the module docstring: the degree and the functional of a
+    rejection (groebner.decide_isolation), monomials in descending grevlex."""
+    entries = sorted(functional.items(), key=lambda item: GREVLEX.key(item[0]), reverse=True)
+    return {"degree": t, "functional": [{"monomial": list(m), "value": format_fraction(c)} for m, c in entries]}
 
 
 def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
@@ -561,10 +462,10 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
             f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}",
         )
 
-    gb_input, rejection = _decide_isolation(f, weights, degree)
+    gb_input, rejection = decide_isolation(f, weights, degree)
     if rejection is not None:
         info["isolated"] = False
-        section["positive_dimension"] = {"input_jacobian": rejection}
+        section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(*rejection)}
         return rejected("not_isolated", "the Jacobian ideal is not zero-dimensional")
     info["isolated"] = True
     info["milnor_number"] = int(milnor_number(weights, degree))
@@ -780,36 +681,6 @@ def _parse_functional(entries, n: int, delta: int, weights) -> dict[Exponent, Fr
             raise ValueError(f"functional monomial {exp!r} is repeated")
         out[tuple(exp)] = parse_fraction(entry["value"])
     return out
-
-
-def _apply(functional: dict[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction:
-    """lambda(x^shift * p): one dot product over the terms of p."""
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        if shift is not None:
-            e = tuple(map(add, e, shift))
-        v = functional.get(e)
-        if v:
-            total += c * v
-    return total
-
-
-def _vanishing_failures(functional: dict[Exponent, Fraction], gens: Sequence[Polynomial]) -> list[str]:
-    """lambda(m s) = 0 for every generator s and every monomial m of the
-    complementary weighted degree; at most one failure per generator.
-
-    lambda(m s) is 0 unless some m t, t a term of s, is in the support of
-    lambda: only those m need a dot product, and there are at most
-    len(functional) * len(s) of them, whatever the degree is.
-    """
-    failures = []
-    for k, s in enumerate(gens):
-        shifts = {tuple(map(sub, e, t)) for e in functional for t in s.terms}
-        for m in sorted(shifts):
-            if min(m) >= 0 and _apply(functional, s, m):
-                failures.append(f"the functional does not vanish on monomial {list(m)} times generator {k}")
-                break
-    return failures
 
 
 def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, w1: int, yvars,

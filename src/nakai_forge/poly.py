@@ -21,9 +21,11 @@ the recombination check of ``derivations.symmetrize``.
 
 ``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
 ``rational_reconstruction`` serve the Groebner engine modulo a prime and
-the isolation decisions of ``pipeline``: the isolation records hold rows
-modulo a prime (point 0 of the ``pipeline`` docstring), and a rejection's
-functional is computed modulo one and reconstructed (point 4).
+its isolation decision (``groebner.decide_isolation``): the isolation
+records hold rows modulo a prime (point 0 of the ``pipeline`` docstring),
+and a rejection's functional is computed modulo one and reconstructed
+(point 4).  That decision and the verifier check a functional the same
+way, by ``_vanishing_failures`` over Q.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -633,3 +635,40 @@ def monomials_of_degree(n: int, degree: int, weights: Sequence[int] | None = Non
         for rest in monomials_of_degree(n - 1, degree - first * w, rest_weights):
             out.append((first,) + rest)
     return out
+
+
+def _top_degree(weights: Sequence[int], degree: int) -> int:
+    """s = sum(D - 2 W_i): the degree of the Hilbert series of the quotient
+    by a zero-dimensional Jacobian ideal (point 4 of the ``pipeline``
+    docstring)."""
+    return sum(degree - 2 * w for w in weights)
+
+
+def _apply(functional: Mapping[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction:
+    """lambda(x^shift * p): one dot product over the terms of p."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        if shift is not None:
+            e = tuple(map(add, e, shift))
+        v = functional.get(e)
+        if v:
+            total += c * v
+    return total
+
+
+def _vanishing_failures(functional: Mapping[Exponent, Fraction], gens: Sequence[Polynomial]) -> list[str]:
+    """lambda(m s) = 0 for every generator s and every monomial m of the
+    complementary weighted degree; at most one failure per generator.
+
+    lambda(m s) is 0 unless some m t, t a term of s, is in the support of
+    lambda: only those m need a dot product, and there are at most
+    len(functional) * len(s) of them, whatever the degree is.
+    """
+    failures = []
+    for k, s in enumerate(gens):
+        shifts = {tuple(map(sub, e, t)) for e in functional for t in s.terms}
+        for m in sorted(shifts):
+            if min(m) >= 0 and _apply(functional, s, m):
+                failures.append(f"the functional does not vanish on monomial {list(m)} times generator {k}")
+                break
+    return failures

@@ -89,6 +89,21 @@ class TestCheck:
         assert payload["weights"] == [6, 4, 3] and payload["degree"] == 12
         assert payload["milnor_number"] == 6
 
+    @pytest.mark.parametrize("text, weights, zero_dim, milnor", [
+        # unique weights: decided modulo a prime, as witness decides
+        ("x^2*z + 2*x*y*z + y^2*z + z^3", [1, 1, 1], False, None),
+        # no weights: a basis over Q decides and its standard monomials count
+        ("x^2 + y^2 + z^2 + x^3", None, True, 2),
+    ])
+    def test_both_sides_of_the_weights_split(self, capsys, text, weights, zero_dim, milnor):
+        code, out, _ = run(capsys, "check", text, "--vars", "x,y,z", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["weights"] == weights
+        assert payload["jacobian_zero_dimensional"] is zero_dim
+        assert payload["milnor_number"] == milnor
+        assert payload["isolated_quasi_homogeneous_singularity"] is False
+
 
 class TestIdentity:
     def test_paper_triple(self, capsys):

@@ -13,18 +13,25 @@ import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
-from nakai_forge.groebner import Ideal, ResourceLimitExceeded, buchberger, jacobian_ideal
+from nakai_forge.groebner import (
+    Ideal,
+    ResourceLimitExceeded,
+    buchberger,
+    decide_isolation,
+    dual_functional,
+    is_isolated_singularity,
+    jacobian_ideal,
+)
 from nakai_forge.minors import algebraic_cofactor, determinant, hessian
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
-    _decide_isolation,
+    _positive_dimension_record,
     _slice_candidates,
     build_witness,
     certificate_failures,
-    dual_functional,
     generic_slice_search,
     jacobian_matrix,
     restrict_to_hyperplane,
@@ -50,6 +57,7 @@ FERMAT = "x^3 + y^3 + z^3"
 def _count_bases(monkeypatch) -> list:
     """Record the modulus of every Groebner basis computed (None: over Q)."""
     import nakai_forge
+    import nakai_forge.cli as cli
     import nakai_forge.derivations as derivations
 
     moduli = []
@@ -59,7 +67,7 @@ def _count_bases(monkeypatch) -> list:
         moduli.append(modulus)
         return original(*args, modulus=modulus, **kwargs)
 
-    for module in (nakai_forge, derivations, groebner, pipeline):
+    for module in (nakai_forge, cli, derivations, groebner, pipeline):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, counted)
@@ -315,6 +323,10 @@ class TestBuildWitness:
             "3bc3fb7a76b64ae17e0bbebe80300bc7dc75c20925971ce8d8f3f330e8f6d182"
         )
         assert _cli_verify(cert.document, tmp_path) == 0
+        # the library test decides as the build does
+        bases.clear()
+        assert is_isolated_singularity(P("x^3 + y^3 + 2147483647*z^3")) is True
+        assert bases == [2**31 - 1, None, 2147483629]
 
     def test_functional_too_tall_for_one_prime(self, monkeypatch):
         # lambda has the entry -1/2700000000, beyond the reach sqrt(p/2) of
@@ -329,6 +341,9 @@ class TestBuildWitness:
             "d8dd45227589a5846813a3877f69dcaa7a443636c165b47c1bbc86151a30d7a3"
         )
         assert verify_certificate(cert)
+        bases.clear()
+        assert is_isolated_singularity(P("(200*x - y)^2*z + (300*x - z)^3")) is False
+        assert bases == [2**31 - 1, None]
 
     def test_reconstructed_functional(self, monkeypatch):
         # singular along x = -y, z = 0: lambda modulo p reconstructs to the
@@ -344,25 +359,37 @@ class TestBuildWitness:
         }
         assert verify_certificate(cert)
 
-    def test_builds_compute_no_basis_over_q(self, monkeypatch):
+    def test_builds_compute_no_basis_over_q(self, monkeypatch, capsys):
         # the built-in corpus, the acceptance corpus and an axis-singular
         # rejection (the gate-slice benchmark's shape) each decide isolation
-        # modulo a prime alone
+        # modulo a prime alone, in a build, in the CLI check, milnor and
+        # symmetrize and in is_isolated_singularity
         from test_acceptance import NAMED_CORPUS
 
-        corpus = NAMED_CORPUS + _random_corpus()  # drawn by tests over Q, so before counting
+        corpus = NAMED_CORPUS + _random_corpus()  # drawn before counting
         bases = _count_bases(monkeypatch)
         for _, text, variables, verdict in BUILTIN_CORPUS:
             assert build_witness(parse_poly(text, variables), variables).verdict == verdict
         for _, text, variables in corpus:
             assert build_witness(parse_poly(text, variables), variables).verdict == WITNESS_FOUND
         rng = random.Random(20)
+        names = ["x", "y", "z", "w"]
         f = Polynomial(4, {
             e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
         })
-        cert = build_witness(f, ["x", "y", "z", "w"])
+        cert = build_witness(f, names)
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
-        assert bases and None not in bases
+        built = len(bases)
+        inputs = [(text, variables, True) for _, text, variables, _ in BUILTIN_CORPUS]
+        for text, variables, isolated in inputs + [(format_poly(f, names), names, False)]:
+            vars_flag = ",".join(variables)
+            capsys.readouterr()
+            assert cli_main(["check", text, "--vars", vars_flag, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["isolated_quasi_homogeneous_singularity"] is isolated
+            assert cli_main(["milnor", text, "--vars", vars_flag]) == (0 if isolated else 1)
+            assert cli_main(["symmetrize", text, "--vars", vars_flag, "--json"]) == (0 if isolated else 1)
+            assert is_isolated_singularity(parse_poly(text, variables)) is isolated
+        assert built and len(bases) > built and None not in bases
 
     def test_non_homogeneous_rejected(self):
         cert = build_witness(P("x^2 + y^3"), V3)
@@ -1008,8 +1035,8 @@ class TestQuasiHomogeneous:
         f = P("x^3 + x*y^2 + z^4")
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
-        _, record = _decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
-        doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = record
+        _, rejection = decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
+        doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(*rejection)
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures == ["another variable shares the weight of the first; other slices are admissible"]
 
