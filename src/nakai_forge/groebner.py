@@ -9,10 +9,18 @@ generators, so ideal memberships come with replayable witnesses
 One engine serves both fields.  With a prime ``modulus`` (``buchberger``,
 ``_divide_tracked`` and ``_reduce_basis`` take it), the generators are
 reduced modulo the prime, every element is made monic with the inverse of
-its leading coefficient, and every coefficient stays an integer in
-[0, p): the scale step and the content gcds of the division over Q never
-fire.  The ``GroebnerBasis`` records its modulus, and its division,
-normal forms, lifts and rows all work over its own field.
+its leading coefficient, and the engine works on plain integers end to
+end: a polynomial is held as ``Residues``, a dict from exponent to integer
+coefficient, reduced to [1, p) wherever it is stored.  The S-polynomial of
+two monic elements is x^a tail_i - x^b tail_j, formed from their split
+divisors; a division takes the working term itself as the quotient term
+(every divisor is monic), so no inverse is taken per step; recipe
+multipliers and rows are Residues too.  The scale step and the content
+gcds of the division over Q never fire, and Polynomials (with integer
+Fraction coefficients) are built only where the engine hands values out:
+``GroebnerBasis.basis``, ``normal_form``, ``lift`` and ``cofactors``.
+The ``GroebnerBasis`` records its modulus, and its division, normal forms,
+lifts and rows all work over its own field.
 
 ``decide_isolation`` is the one decision of whether the Jacobian ideal of
 a weighted homogeneous polynomial is zero-dimensional, for the witness
@@ -34,10 +42,11 @@ over the others; the content (or leading coefficient) that the element
 is divided by is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
-is sum_k c_k * row_k over its recipe, each entry one
-poly.sum_of_products (_combine_rows), reduced modulo the basis's prime if
-it has one.  A read forms the rows of the node and of its ancestors
-only, in increasing node order, and keeps them.
+is sum_k c_k * row_k over its recipe (_combine_rows), each entry one
+poly.sum_of_products over Q, or modulo the basis's prime one integer sum
+of products (poly._accumulate) reduced once per coefficient.  A read
+forms the rows of the node and of its ancestors only, in increasing node
+order, and keeps them.
 
 Division over Q is fraction-free.  The working polynomial is kept as integer
 numerators W over one common denominator D, and each divisor g as integer
@@ -69,7 +78,7 @@ from operator import add, le, sub
 from typing import Sequence
 
 from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights, sum_of_products
-from .poly import _top_degree, _vanishing_failures, is_prime, monomials_of_degree, rational_reconstruction
+from .poly import _accumulate, _top_degree, _vanishing_failures, is_prime, monomials_of_degree, rational_reconstruction
 
 logger = logging.getLogger(__name__)
 
@@ -138,42 +147,60 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 # g = (lc x^lm + sum of the tail terms c x^e) / denominator.
 Divisor = tuple[Exponent, int, int, list[tuple[Exponent, int]]]
 
+# A polynomial modulo a prime as the engine holds it: its terms, with
+# integer coefficients (residues in [1, p) once reduced).
+Residues = dict[Exponent, int]
 
-def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
-    """g as _divide_tracked takes it: leading monomial, common denominator,
-    integer leading coefficient and integer tail."""
-    lm = order.leading_term(g)[0]
-    denominator, terms = g.integer_terms()
-    lc = next(c for e, c in terms if e == lm)
+
+def _residues(p: Polynomial, modulus: int) -> Residues:
+    """p reduced modulo the prime ``modulus``, as Residues."""
+    return {e: c.numerator for e, c in p.mod(modulus).terms.items()}
+
+
+def _polynomial(n: int, residues: Residues) -> Polynomial:
+    """The Polynomial of reduced Residues: where the engine hands them out."""
+    return Polynomial._raw(n, {e: Fraction(c) for e, c in residues.items()})
+
+
+def _split_divisor(g: Polynomial | Residues, order: MonomialOrder) -> Divisor:
+    """g (a Polynomial, or Residues) as _divide_tracked takes it: leading
+    monomial, common denominator, integer leading coefficient and integer
+    tail."""
+    denominator, terms = g.integer_terms() if isinstance(g, Polynomial) else (1, list(g.items()))
+    key = order.descending_key
+    lm, lc = min(terms, key=lambda t: key(t[0]))
     return lm, denominator, lc, [(e, c) for e, c in terms if e != lm]
 
 
 def _divide_tracked(
-    p: Polynomial,
+    p: Polynomial | Residues,
     divisors: Sequence[Divisor],
     order: MonomialOrder,
     max_terms: int,
     modulus: int | None = None,
-) -> tuple[list[Polynomial], Polynomial]:
-    """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder,
-    over Q, or modulo the prime ``modulus`` with p reduced modulo it first
-    (working terms are then reduced when taken, so a term that cancels only
-    modulo the prime stays in the working dict until then).
+) -> tuple[list, Polynomial | Residues]:
+    """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder.
+
+    Over Q, p, the quotients and the remainder are Polynomials.  Modulo the
+    prime ``modulus`` they are Residues (p's need not be reduced yet) and
+    every divisor is monic: working terms are reduced when taken (so a term
+    that cancels only modulo the prime stays in the working dict until
+    then), and a quotient term is the working term itself.
 
     No remainder term is divisible by any divisor's leading monomial.
     Divisors (_split_divisor) are tried in list order, which keeps the
     result deterministic.
     """
-    n = p.n
-    if modulus is not None:
-        p = p.mod(modulus)
-    denominator, items = p.integer_terms()
-    work = dict(items)
+    if modulus is None:
+        denominator, items = p.integer_terms()
+        work = dict(items)
+    else:
+        denominator, work = 1, dict(p)
     key = order.descending_key
     heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
-    quotients: list[dict[Exponent, Fraction]] = [{} for _ in divisors]
-    remainder: dict[Exponent, Fraction] = {}
+    quotients: list[dict] = [{} for _ in divisors]
+    remainder: dict = {}
     while heap:
         exp = heapq.heappop(heap)[1]
         w = work.pop(exp, 0)
@@ -185,7 +212,7 @@ def _divide_tracked(
             if all(map(le, lm, exp)):  # _divides, inlined on the hottest path
                 break
         else:
-            remainder[exp] = Fraction(w, denominator)
+            remainder[exp] = w if modulus is not None else Fraction(w, denominator)
             continue
         shift = _exp_sub(exp, lm)
         if modulus is None:
@@ -197,8 +224,7 @@ def _divide_tracked(
                 work = {e: c * scale for e, c in work.items()}
             factor = w // h
         else:
-            factor = w * pow(lc, -1, modulus) % modulus
-            quotients[k][shift] = Fraction(factor)
+            factor = quotients[k][shift] = w
         for dexp, dc in tail:
             e = tuple(map(add, dexp, shift))
             v = factor * dc
@@ -214,39 +240,42 @@ def _divide_tracked(
             raise ResourceLimitExceeded(
                 f"intermediate polynomial exceeded {max_terms} terms during division"
             )
-    return (
-        [Polynomial._raw(n, q) for q in quotients],
-        Polynomial._raw(n, remainder),
-    )
+    if modulus is not None:
+        return quotients, remainder
+    n = p.n
+    return [Polynomial._raw(n, q) for q in quotients], Polynomial._raw(n, remainder)
 
 
-def _scale(p: Polynomial, c: Fraction, modulus: int | None) -> Polynomial:
-    """c * p over Q, or modulo the prime ``modulus`` for an integer c and a
-    polynomial p with integer coefficients, neither divisible by it."""
+def _scale(p: Polynomial | Residues, c, modulus: int | None) -> Polynomial | Residues:
+    """c * p: over Q for a Polynomial, or modulo the prime ``modulus`` for
+    Residues and an integer c not divisible by it (reduced Residues)."""
     if modulus is None:
         return p.scale(c)
-    c = c.numerator
-    return Polynomial._raw(p.n, {e: Fraction(a.numerator * c % modulus) for e, a in p.terms.items()})
+    return {e: a * c % modulus for e, a in p.items()}
 
 
-def _inverse(c: Fraction, modulus: int | None) -> Fraction:
-    """1/c over Q, or the inverse of the integer c modulo ``modulus``."""
-    return 1 / c if modulus is None else Fraction(pow(c.numerator, -1, modulus))
+def _constant(n: int, c, modulus: int | None) -> Polynomial | Residues:
+    """The constant c over Q, or as Residues modulo a prime (c in [0, p))."""
+    if modulus is None:
+        return Polynomial.constant(n, c)
+    return {(0,) * n: c} if c else {}
 
 
-def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[Polynomial, ...]:
-    """The row sum q * row over the (q, row) pairs of ``combination``: each
-    of its ``width`` entries is one sum_of_products.  With a prime
-    ``modulus`` (None: over Q) the rows are rows modulo it, and each q is
-    reduced modulo it before the sum and each entry after."""
-    if modulus is not None:
-        combination = [(q.mod(modulus), row) for q, row in combination]
-    entries = (sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width))
-    return tuple(entries) if modulus is None else tuple(entry.mod(modulus) for entry in entries)
+def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple:
+    """The row sum q * row over the (q, row) pairs of ``combination``, entry
+    by entry.  Over Q each of its ``width`` entries is one sum_of_products.
+    Modulo the prime ``modulus`` (None: over Q) multipliers and rows are
+    Residues, and each entry's integer products are summed in one map
+    (poly._accumulate) and reduced once per coefficient."""
+    if modulus is None:
+        return tuple(sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width))
+    entries = (_accumulate((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
+    return tuple({e: r for e, c in entry.items() if (r := c % modulus)} for entry in entries)
 
 
-# How a node was formed: its nonzero (multiplier, parent node) pairs.
-Recipe = tuple[tuple[Polynomial, int], ...]
+# How a node was formed: its nonzero (multiplier, parent node) pairs, each
+# multiplier a Polynomial over Q, or Residues modulo a prime.
+Recipe = tuple[tuple[Polynomial | Residues, int], ...]
 
 
 @dataclass(frozen=True)
@@ -260,8 +289,9 @@ class GroebnerBasis:
     holds exactly over Q, or, when ``modulus`` is a prime, modulo it: the
     basis is then that of the source generators reduced modulo the prime,
     with integer coefficients in [0, p), and division, normal forms, lifts
-    and rows all work modulo it.  The basis is auto-reduced with monic
-    leading coefficients.
+    and rows all work modulo it, on Residues inside (recipes and formed
+    rows too) and on Polynomials at the methods.  The basis is auto-reduced
+    with monic leading coefficients.
     """
 
     basis: tuple[Polynomial, ...]
@@ -283,12 +313,17 @@ class GroebnerBasis:
         return [_split_divisor(g, self.order) for g in self.basis]
 
     @cached_property
-    def _rows(self) -> dict[int, tuple[Polynomial, ...]]:
+    def _rows(self) -> dict[int, tuple]:
         """The rows formed so far, from the unit rows of the generators."""
         width = len(self.source.generators)
-        return {j - width: tuple(Polynomial.constant(self.n, int(i == j)) for i in range(width)) for j in range(width)}
+        one, zero = _constant(self.n, 1, self.modulus), _constant(self.n, 0, self.modulus)
+        return {j - width: tuple(one if i == j else zero for i in range(width)) for j in range(width)}
 
-    def _row(self, node: int) -> tuple[Polynomial, ...]:
+    def _export(self, row: tuple) -> tuple[Polynomial, ...]:
+        """A row as the methods return it: Polynomials."""
+        return row if self.modulus is None else tuple(_polynomial(self.n, entry) for entry in row)
+
+    def _row(self, node: int) -> tuple:
         """The row of a node over the basis's field, formed with the rows of
         its unformed ancestors in increasing node order (parents precede
         their children)."""
@@ -308,20 +343,23 @@ class GroebnerBasis:
     def cofactors(self) -> tuple[tuple[Polynomial, ...], ...]:
         """The row of every basis element over the source generators."""
         first = len(self.recipes) - len(self.basis)
-        return tuple(self._row(first + i) for i in range(len(self.basis)))
+        return tuple(self._export(self._row(first + i)) for i in range(len(self.basis)))
 
-    def _divide(self, p: Polynomial) -> tuple[list[Polynomial], Polynomial]:
+    def _divide(self, p: Polynomial) -> tuple[list, Polynomial | Residues]:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
+        if self.modulus is not None:
+            p = _residues(p, self.modulus)
         return _divide_tracked(p, self._divisors, self.order, self.max_terms, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p (of p reduced modulo the
         basis's prime, if it has one); zero iff p is a member."""
-        return self._divide(p)[1]
+        remainder = self._divide(p)[1]
+        return remainder if self.modulus is None else _polynomial(self.n, remainder)
 
     def contains(self, p: Polynomial) -> bool:
-        return self.normal_form(p).is_zero()
+        return not self._divide(p)[1]
 
     def lift(self, p: Polynomial) -> tuple[Polynomial, ...] | None:
         """Cofactors of p over the source generators, or None if not a member.
@@ -331,11 +369,11 @@ class GroebnerBasis:
         elements with a nonzero quotient are formed.
         """
         quotients, remainder = self._divide(p)
-        if not remainder.is_zero():
+        if remainder:
             return None
         first = len(self.recipes) - len(self.basis)
         combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
-        return _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
+        return self._export(_combine_rows(self.n, combination, len(self.source.generators), self.modulus))
 
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""
@@ -397,30 +435,31 @@ def buchberger(
     """
     n = ideal.n
     gens = ideal.generators
-    basis: list[Polynomial] = []
+    basis: list = []  # Polynomials over Q, Residues modulo a prime
     recipes: list[Recipe] = []
     divisors: list[Divisor] = []
 
-    def append(p: Polynomial, recipe) -> None:
-        # p = sum q * node over the (q, node) pairs of recipe; p and its
-        # multipliers are divided by the content of p, signed like its
-        # leading coefficient, or modulo a prime by that coefficient
-        lc = order.leading_term(p)[1]
+    def append(p, plus, minus=()) -> None:
+        # p = sum q * node over the (q, node) pairs of plus, minus those of
+        # minus; p and its multipliers are divided by the content of p,
+        # signed like its leading coefficient, or modulo a prime by that
+        # coefficient
         if modulus is None:
             c = _content(p)
-            inv = 1 / c if lc > 0 else -1 / c
+            inv = 1 / c if order.leading_term(p)[1] > 0 else -1 / c
         else:
-            inv = _inverse(lc, modulus)
+            inv = pow(p[min(p, key=order.descending_key)], -1, modulus)
         if inv != 1:
             p = _scale(p, inv, modulus)
         basis.append(p)
-        recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in recipe))
+        recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in plus)
+                       + tuple((_scale(q, -inv, modulus), node) for q, node in minus))
         divisors.append(_split_divisor(p, order))
 
-    one = Polynomial.constant(n, 1)
+    one = _constant(n, 1, modulus)
     for j, g in enumerate(gens):
         if modulus is not None:
-            g = g.mod(modulus)
+            g = _residues(g, modulus)
         if g:
             append(g, [(one, j - len(gens))])
 
@@ -446,8 +485,8 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise ResourceLimitExceeded(f"S-pair cap {max_pairs} exceeded")
-        lm_i, den_i, lc_i, _ = divisors[i]
-        lm_j, den_j, lc_j, _ = divisors[j]
+        lm_i, den_i, lc_i, tail_i = divisors[i]
+        lm_j, den_j, lc_j, tail_j = divisors[j]
         lcm = _exp_lcm(lm_i, lm_j)
         # coprime leading monomials: the S-polynomial reduces to zero
         if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
@@ -456,15 +495,21 @@ def buchberger(
         if any(k not in (i, j) and _divides(divisors[k][0], lcm) and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending for k in range(len(basis))):
             continue
-        # the S-polynomial m_i basis[i] - m_j basis[j]; 1/lc of a divisor is
-        # its denominator over its integer lc
-        m_i = Polynomial.monomial(n, _exp_sub(lcm, lm_i), Fraction(den_i, lc_i))
-        m_j = Polynomial.monomial(n, _exp_sub(lcm, lm_j), Fraction(-den_j, lc_j))
-        s_poly = sum_of_products(n, ((m_i, basis[i]), (m_j, basis[j])))
+        # the S-polynomial m_i basis[i] + m_j basis[j]
+        a, b = _exp_sub(lcm, lm_i), _exp_sub(lcm, lm_j)
+        if modulus is None:
+            # 1/lc of a divisor is its denominator over its integer lc
+            m_i = Polynomial.monomial(n, a, Fraction(den_i, lc_i))
+            m_j = Polynomial.monomial(n, b, Fraction(-den_j, lc_j))
+            s_poly = sum_of_products(n, ((m_i, basis[i]), (m_j, basis[j])))
+        else:
+            # both monic: the leading terms cancel, leaving x^a tail_i - x^b tail_j
+            m_i, m_j = {a: 1}, {b: -1}
+            s_poly = _accumulate((([(a, 1)], tail_i, 1), ([(b, -1)], tail_j, 1)))
         quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms, modulus)
-        if remainder.is_zero():
+        if not remainder:
             continue
-        append(remainder, [(m_i, i), (m_j, j), *((-q, k) for k, q in enumerate(quotients) if q)])
+        append(remainder, [(m_i, i), (m_j, j)], [(q, k) for k, q in enumerate(quotients) if q])
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
@@ -490,28 +535,34 @@ def _reduce_basis(
     for k in indices:
         if not any(_divides(divisors[m][0], divisors[k][0]) for m in kept):
             kept.append(k)
-    polys = [basis[k] for k in kept]
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
     split = [divisors[k] for k in kept]
-    final: list[tuple[Polynomial, Recipe]] = []
-    for idx, (p, node) in enumerate(zip(polys, kept)):
-        quotients, p = _divide_tracked(p, split[:idx] + split[idx + 1:], order, max_terms, modulus)
-        # p = polys[idx] - sum q * other, made monic
-        inv = _inverse(order.leading_term(p)[1], modulus)
+    final: list[tuple[Exponent, Polynomial, Recipe]] = []
+    for idx, node in enumerate(kept):
+        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, max_terms, modulus)
+        # p = basis[node] - sum q * other, made monic: its leading term is
+        # that of basis[node], which no other leading monomial divides, and
+        # modulo a prime basis[node] is monic already
+        lm, dg, lc, _ = split[idx]
+        inv = Fraction(dg, lc) if modulus is None else 1
         others = zip(quotients, kept[:idx] + kept[idx + 1:])
         recipe = (
-            (Polynomial.constant(ideal.n, inv), node),
+            (_constant(ideal.n, inv, modulus), node),
             *((_scale(q, -inv, modulus), other) for q, other in others if q),
         )
-        final.append((_scale(p, inv, modulus) if inv != 1 else p, recipe))
-    final.sort(key=lambda t: order.key(order.leading_term(t[0])[0]), reverse=True)
+        if modulus is not None:
+            p = _polynomial(ideal.n, p)
+        elif inv != 1:
+            p = p.scale(inv)
+        final.append((lm, p, recipe))
+    final.sort(key=lambda t: order.key(t[0]), reverse=True)
     return GroebnerBasis(
-        tuple(p for p, _ in final),
+        tuple(p for _, p, _ in final),
         order,
         ideal,
-        tuple(recipes) + tuple(r for _, r in final),
+        tuple(recipes) + tuple(r for _, _, r in final),
         max_terms,
         modulus,
     )
@@ -579,37 +630,37 @@ def decide_isolation(
         return gb, (t, functional)
 
 
-def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict[Exponent, Fraction]:
+def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponent]) -> dict:
     """lambda(m) = coefficient of the standard monomial mu in NF(m), for each
     given monomial m; zero values are left out.  The normal form is linear
     and vanishes on the ideal, so lambda does too.  Over the basis's field:
-    for a basis modulo a prime the values are residues in [0, p).
+    rationals over Q, and for a basis modulo a prime integer residues in
+    [1, p).
 
-    The monomials must be all those of one weighted degree, and the basis
-    weighted homogeneous.  One pass in ascending order: a standard m has
+    The monomials must hold all m >= mu of one weighted degree (others are
+    ignored), and the basis must be weighted homogeneous.  NF(m) holds only
+    monomials <= m, so lambda(m) = 0 for every m < mu, and only the m >= mu
+    are evaluated.  One pass in ascending order: a standard m has
     lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
-    b whose leading monomial x^lm divides m (b is monic);
-    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c_t lambda(x^t x^(m-lm))
-    over the other terms c_t x^t of b, each at a smaller monomial of the
-    same degree.
+    b whose leading monomial x^lm divides m (b is monic, split as the
+    divisor (lm, d, d, tail) of integer terms over d);
+    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c lambda(x^t x^(m-lm)) / d
+    over the tail terms c x^t, each at a smaller monomial of the same degree
+    (0 below mu).
     """
-    order = gb.order
-    leading = gb.leading_monomials()
-    values: dict[Exponent, Fraction] = {}
-    for m in sorted(monomials, key=order.key):
-        k = next((k for k, lm in enumerate(leading) if all(map(le, lm, m))), None)
+    key = gb.order.key
+    floor = key(mu)
+    divisors = gb._divisors
+    values: dict[Exponent, Fraction | int] = {}
+    for m in sorted((m for m in monomials if key(m) >= floor), key=key):
+        k = next((k for k, (lm, *_) in enumerate(divisors) if all(map(le, lm, m))), None)
         if k is None:
-            values[m] = Fraction(m == mu)
+            values[m] = int(m == mu)
             continue
-        lm = leading[k]
+        lm, d, _, tail = divisors[k]
         shift = tuple(map(sub, m, lm))
-        total = Fraction(0)
-        for t, c in gb.basis[k].terms.items():
-            if t != lm:
-                v = values[tuple(map(add, t, shift))]
-                if v:
-                    total += c * v
-        values[m] = -total if gb.modulus is None else -total % gb.modulus
+        total = sum(c * values.get(tuple(map(add, t, shift)), 0) for t, c in tail)
+        values[m] = Fraction(-total, d) if gb.modulus is None else -total % gb.modulus
     return {m: v for m, v in values.items() if v}
 
 
@@ -624,9 +675,14 @@ def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], de
     # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
     k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
     mu = tuple(k if j == i else 0 for j in range(gb.n))
-    functional = dual_functional(gb, mu, monomials_of_degree(gb.n, k * weights[i], weights))
+    if len(set(weights)) == 1:
+        # the monomials of degree k that are >= x_i^k in grevlex: those in x_1..x_i
+        monomials = [e + (0,) * (gb.n - i - 1) for e in monomials_of_degree(i + 1, k)]
+    else:
+        monomials = monomials_of_degree(gb.n, k * weights[i], weights)
+    functional = dual_functional(gb, mu, monomials)
     if gb.modulus is not None:
-        functional = {m: rational_reconstruction(v.numerator, gb.modulus) for m, v in functional.items()}
+        functional = {m: rational_reconstruction(v, gb.modulus) for m, v in functional.items()}
     return k * weights[i], functional
 
 

@@ -11,13 +11,16 @@ numerators over one common denominator (``integer_terms``), the term
 products are summed as integers, and each output coefficient becomes one
 normalised Fraction.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
-that every Fraction product and sum would pay.  Every sum of products in
-the package goes through it: ``Polynomial.__mul__``, the S-polynomials,
-cofactor rows and lifts of ``groebner``, the Laplace step of
-``minors.determinant`` and the two checks of ``minors`` built on it,
-``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.compose2``,
+that every Fraction product and sum would pay.  Every sum of products of
+Polynomials in the package goes through it: ``Polynomial.__mul__``, the
+S-polynomials, cofactor rows and lifts of ``groebner`` over Q, the Laplace
+step of ``minors.determinant`` and the two checks of ``minors`` built on
+it, ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.compose2``,
 ``derivations.verify_order2_identity``, ``derivations.replay_ledger`` and
-the recombination check of ``derivations.symmetrize``.
+the recombination check of ``derivations.symmetrize``.  Modulo a prime,
+``groebner`` computes on integer residues, not Polynomials: its
+S-polynomials, rows and lifts sum integer products with the integer loop
+of ``sum_of_products`` (``_accumulate``) and reduce each coefficient once.
 
 ``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
 ``rational_reconstruction`` serve the Groebner engine modulo a prime and
@@ -37,6 +40,7 @@ from operator import add, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
+Terms = Iterable[tuple[Exponent, int]]  # integer terms (exponent, coefficient)
 
 Scalar = (int, Fraction)
 
@@ -399,18 +403,26 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
             raise ValueError(f"variable-count mismatch: {a.n} and {b.n} vs {n}")
         split.append((a.integer_terms(), b.integer_terms()))
     d = math.lcm(*(d1 * d2 for (d1, _), (d2, _) in split))
+    acc = _accumulate([(terms1, terms2, d // (d1 * d2)) for (d1, terms1), (d2, terms2) in split])
+    if d == 1:
+        return Polynomial._raw(n, {e: Fraction(c) for e, c in acc.items() if c})
+    return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
+
+
+def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
+    """sum scale * a * b over the (a, b, scale) of ``products``, a and b
+    integer terms (lists or dict items), in one integer map whose zero sums
+    stay in it: the loop of ``sum_of_products`` and of the products of
+    ``groebner`` modulo a prime."""
     acc: dict[Exponent, int] = {}
     get = acc.get
-    for (d1, terms1), (d2, terms2) in split:
-        scale = d // (d1 * d2)
+    for terms1, terms2, scale in products:
         for e1, c1 in terms1:
             c1 *= scale
             for e2, c2 in terms2:
                 exp = tuple(map(add, e1, e2))
                 acc[exp] = get(exp, 0) + c1 * c2
-    if d == 1:
-        return Polynomial._raw(n, {e: Fraction(c) for e, c in acc.items() if c})
-    return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
+    return acc
 
 
 # the first 12 primes: as Miller-Rabin bases they decide primality of every

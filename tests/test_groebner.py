@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -417,3 +418,68 @@ class TestQuotientDimensionOracle:
                 if not any(all(a <= b for a, b in zip(e, point)) for e in exps)
             )
             assert computed == expected
+
+
+def _reduce_mod(terms: dict, basis, leading, order, p: int) -> dict:
+    """The textbook reduction of integer terms by the monic basis elements
+    (leading monomials ``leading``) modulo p: cancel the largest reducible
+    term until none is left; the irreducible terms are the remainder."""
+    work = {e: c % p for e, c in terms.items() if c % p}
+    remainder = {}
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        k = next((k for k, lm in enumerate(leading) if all(x <= y for x, y in zip(lm, e))), None)
+        if k is None:
+            remainder[e] = c
+            continue
+        shift = tuple(x - y for x, y in zip(e, leading[k]))
+        for t, d in basis[k].terms.items():
+            t = tuple(x + y for x, y in zip(t, shift))
+            if t != e:
+                v = (work.get(t, 0) - c * int(d)) % p
+                work[t] = v
+                if not v:
+                    del work[t]
+    return remainder
+
+
+class TestModularBasisOracle:
+    """Bases modulo a prime checked by definition, with nothing of the
+    engine but the basis and its rows: small primes make leading
+    coefficients of the generators and S-polynomials vanish."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 2147483647])
+    def test_random_ideals(self, p):
+        rng = random.Random(p)
+        monomials = [e for d in (1, 2, 3) for e in monomials_of_degree(3, d)]
+        for order in (GREVLEX, GRLEX, LEX):
+            for _ in range(6):
+                gens = Ideal(tuple(
+                    Polynomial(3, {e: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 11, 13)))
+                                   for e in rng.sample(monomials, rng.randint(2, 5))})
+                    for _ in range(rng.randint(2, 4))
+                ))
+                gb = buchberger(gens, order, modulus=p)
+                residues = [{e: int(c) for e, c in g.mod(p).terms.items()} for g in gens.generators]
+                leading = [order.leading_term(b)[0] for b in gb.basis]
+                # every generator reduces to 0
+                assert all(_reduce_mod(g, gb.basis, leading, order, p) == {} for g in residues)
+                # reduced and monic, with coefficients in [0, p)
+                for k, b in enumerate(gb.basis):
+                    assert b.terms[leading[k]] == 1
+                    assert all(c.denominator == 1 and 0 < c < p for c in b.terms.values())
+                    assert not any(all(x <= y for x, y in zip(lm, e))
+                                   for m, lm in enumerate(leading) if m != k for e in b.terms)
+                # every S-polynomial reduces to 0
+                for i, j in itertools.combinations(range(len(gb.basis)), 2):
+                    lcm = tuple(map(max, leading[i], leading[j]))
+                    s = {}
+                    for b, lm, sign in ((gb.basis[i], leading[i], 1), (gb.basis[j], leading[j], -1)):
+                        for e, c in b.terms.items():
+                            e = tuple(x + y - z for x, y, z in zip(e, lcm, lm))
+                            s[e] = s.get(e, 0) + sign * int(c)
+                    assert _reduce_mod(s, gb.basis, leading, order, p) == {}
+                # each row recombines to its element
+                for b, row in zip(gb.basis, gb.cofactors):
+                    assert sum_of_products(3, zip(row, gens.generators)).mod(p) == b

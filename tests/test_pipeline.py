@@ -39,7 +39,7 @@ from nakai_forge.pipeline import (
     slice_change,
     verify_certificate,
 )
-from nakai_forge.poly import Polynomial, monomials_of_degree
+from nakai_forge.poly import Polynomial, monomials_of_degree, rational_reconstruction
 
 from test_acceptance import _random_corpus
 
@@ -48,6 +48,15 @@ V3 = ["x", "y", "z"]
 
 def P(text, variables=V3):
     return parse_poly(text, variables)
+
+
+def _axis_singular_n4d3() -> Polynomial:
+    """A seeded n4d3 form with no x^3 or x^2*x_j term, so singular along the
+    x-axis: the shape of the gate-slice benchmark workload."""
+    rng = random.Random(20)
+    return Polynomial(4, {
+        e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
+    })
 
 
 PAPER_F = "x^2*y + y^2*z + z^2*x"
@@ -229,10 +238,7 @@ class TestBuildWitness:
         calls = []
         combine = groebner._combine_rows
         monkeypatch.setattr(groebner, "_combine_rows", lambda *args: calls.append(args) or combine(*args))
-        rng = random.Random(20)
-        f = Polynomial(4, {
-            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
-        })
+        f = _axis_singular_n4d3()
         cert = build_witness(f, ["x", "y", "z", "w"])
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
         assert calls == []
@@ -372,11 +378,8 @@ class TestBuildWitness:
             assert build_witness(parse_poly(text, variables), variables).verdict == verdict
         for _, text, variables in corpus:
             assert build_witness(parse_poly(text, variables), variables).verdict == WITNESS_FOUND
-        rng = random.Random(20)
         names = ["x", "y", "z", "w"]
-        f = Polynomial(4, {
-            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
-        })
+        f = _axis_singular_n4d3()
         cert = build_witness(f, names)
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
         built = len(bases)
@@ -515,6 +518,24 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
 def test_builtin_certificate_bytes_pinned(name, text, variables):
     cert = build_witness(parse_poly(text, variables), variables)
     assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == BUILTIN_CERT_SHA256[name]
+
+
+# sha256 of the certificate bytes of two rejections: not_isolated (its
+# functional) and no_isolating_slice (the functional of the restriction).
+REJECTION_CERT_SHA256 = {
+    "not_isolated": "3151bf82962e6320d3d4fed15679a2c7751558ed95361f445299708f919b9962",
+    "no_isolating_slice": "0807a77a2bb6c6a10732aabe6d5880da2bce2eb9c4b75a06d9c3a8c282065e06",
+}
+
+
+@pytest.mark.parametrize("reason, build", [
+    ("not_isolated", lambda: build_witness(_axis_singular_n4d3(), ["x", "y", "z", "w"])),
+    ("no_isolating_slice", lambda: build_witness(P("x^3 + x*y^3 + z^2"), V3)),
+])
+def test_rejection_certificate_bytes_pinned(reason, build):
+    cert = build()
+    assert cert.document["input"]["rejection"]["reason"] == reason
+    assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == REJECTION_CERT_SHA256[reason]
 
 
 class TestVerifyCertificate:
@@ -945,10 +966,7 @@ class TestDualFunctionalRecurrence:
         # no x^3 or x^2*x_j term: singular along the x-axis (an n4d3 form
         # of the gate-slice benchmark workload); s = 4, so the rejection's
         # degree is 5
-        rng = random.Random(20)
-        f = Polynomial(4, {
-            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials_of_degree(4, 3) if e[0] < 2
-        })
+        f = _axis_singular_n4d3()
         gb = buchberger(jacobian_ideal(f))
         assert not gb.is_zero_dimensional()
         names = ["x", "y", "z", "w"]
@@ -961,6 +979,45 @@ class TestDualFunctionalRecurrence:
         g, witness, _ = TestObstructionModuloF._witness("cyclic-cubic")
         gb = buchberger(_square_ideal_mod_g(g))
         self._check(gb, witness.homogeneous_degree())
+
+    @pytest.mark.parametrize("weights, degree", [((1, 1, 1), 3), ((1, 1, 1, 1), 3), ((1, 1, 1), 4),
+                                                 ((1, 1, 2), 4), ((2, 1, 3), 6), ((1, 2, 2, 3), 6)])
+    def test_rejection_functional_matches_every_normal_form(self, weights, degree):
+        # seeded forms singular along the x1-axis (no term of degree below 2
+        # in x2..xn): the functional of decide_isolation, which evaluates
+        # only the monomials >= mu, is the coefficient of mu in the normal
+        # form of every monomial of the degree t
+        rng = random.Random(sum(weights) * 10 + degree)
+        n = len(weights)
+        for _ in range(3):
+            f = Polynomial(n, {e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                               for e in monomials_of_degree(n, degree, weights) if sum(e[1:]) >= 2})
+            gb, rejection = decide_isolation(f, weights, degree)
+            assert rejection is not None
+            t, functional = rejection
+            leading = gb.leading_monomials()
+            i = next(i for i in range(n) if all(sum(lm) != lm[i] for lm in leading))
+            mu = tuple(t // weights[i] if j == i else 0 for j in range(n))
+            monomials = monomials_of_degree(n, t, weights)
+            expected = {m: gb.normal_form(Polynomial.monomial(n, m)).coefficient(mu) for m in monomials}
+            expected = {m: c for m, c in expected.items() if c}
+            assert dual_functional(gb, mu, monomials) == expected
+            if gb.modulus is not None:
+                expected = {m: rational_reconstruction(c.numerator, gb.modulus) for m, c in expected.items()}
+            assert functional == expected
+
+    def test_rejection_functional_evaluates_only_monomials_above_mu(self, monkeypatch):
+        # J(x^100 z^100 + y^200) is not zero-dimensional, mu = x^595, and
+        # x^595 is the only monomial of degree 595 that is >= mu in grevlex;
+        # all of them would be about 178k
+        from nakai_forge.poly import MonomialOrder
+
+        calls = []
+        key = MonomialOrder.key
+        monkeypatch.setattr(MonomialOrder, "key", lambda self, e: calls.append(e) or key(self, e))
+        gb, rejection = decide_isolation(P("x^100*z^100 + y^200"), (1, 1, 1), 200)
+        assert rejection == (595, {(595, 0, 0): 1})
+        assert len(calls) < 1000
 
 
 def test_milnor_number_without_standard_monomials(monkeypatch):
