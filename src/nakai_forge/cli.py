@@ -126,8 +126,9 @@ def cmd_check(args) -> int:
     if f.is_zero():
         _emit("rejected: the zero polynomial does not define a hypersurface")
         return EXIT_REJECTED
-    # the same gate as witness: unique positive weights, no term of degree
-    # below 2, zero-dimensional Jacobian ideal
+    # the gate of witness (pipeline.input_gate) without its variable-count
+    # checks, so that any n is reported: unique positive weights, no term
+    # of degree below 2, and a zero-dimensional Jacobian ideal
     found = quasi_homogeneous_weights(f)
     weights, degree = found if found is not None else (None, None)
     milnor = _milnor(f, found)

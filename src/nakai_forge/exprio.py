@@ -28,8 +28,7 @@ from fractions import Fraction
 from math import log2
 from typing import NamedTuple, Sequence
 
-from .groebner import DEFAULT_MAX_TERMS
-from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial
+from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 
 
 class ParseError(ValueError):

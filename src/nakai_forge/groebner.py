@@ -77,17 +77,17 @@ from math import gcd
 from operator import add, le, sub
 from typing import Sequence
 
-from .poly import GREVLEX, Exponent, MonomialOrder, Polynomial, quasi_homogeneous_weights, sum_of_products
-from .poly import _accumulate, _top_degree, _vanishing_failures, is_prime, monomials_of_degree, rational_reconstruction
+from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
+from .poly import quasi_homogeneous_weights, rational_reconstruction, sum_of_products
+from .poly import _accumulate, _top_degree, _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PAIRS = 100_000
-DEFAULT_MAX_TERMS = 500_000
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """A configured pair or term cap was hit before the computation finished."""
+    """A pair or term cap was hit before the computation finished."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -298,7 +298,6 @@ class GroebnerBasis:
     order: MonomialOrder
     source: Ideal
     recipes: tuple[Recipe, ...]
-    max_terms: int = DEFAULT_MAX_TERMS
     modulus: int | None = None
 
     @property
@@ -350,7 +349,7 @@ class GroebnerBasis:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         if self.modulus is not None:
             p = _residues(p, self.modulus)
-        return _divide_tracked(p, self._divisors, self.order, self.max_terms, self.modulus)
+        return _divide_tracked(p, self._divisors, self.order, DEFAULT_MAX_TERMS, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p (of p reduced modulo the
@@ -421,8 +420,6 @@ def standard_monomials_from_leading(lms: Sequence[Exponent], n: int) -> list[Exp
 def buchberger(
     ideal: Ideal,
     order: MonomialOrder = GREVLEX,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_terms: int = DEFAULT_MAX_TERMS,
     modulus: int | None = None,
 ) -> GroebnerBasis:
     """Compute the reduced Groebner basis with the recipe of every element;
@@ -483,8 +480,8 @@ def buchberger(
             continue
         pending.discard((i, j))
         processed += 1
-        if processed > max_pairs:
-            raise ResourceLimitExceeded(f"S-pair cap {max_pairs} exceeded")
+        if processed > DEFAULT_MAX_PAIRS:
+            raise ResourceLimitExceeded(f"S-pair cap {DEFAULT_MAX_PAIRS} exceeded")
         lm_i, den_i, lc_i, tail_i = divisors[i]
         lm_j, den_j, lc_j, tail_j = divisors[j]
         lcm = _exp_lcm(lm_i, lm_j)
@@ -506,14 +503,14 @@ def buchberger(
             # both monic: the leading terms cancel, leaving x^a tail_i - x^b tail_j
             m_i, m_j = {a: 1}, {b: -1}
             s_poly = _accumulate((([(a, 1)], tail_i, 1), ([(b, -1)], tail_j, 1)))
-        quotients, remainder = _divide_tracked(s_poly, divisors, order, max_terms, modulus)
+        quotients, remainder = _divide_tracked(s_poly, divisors, order, DEFAULT_MAX_TERMS, modulus)
         if not remainder:
             continue
         append(remainder, [(m_i, i), (m_j, j)], [(q, k) for k, q in enumerate(quotients) if q])
         push_pairs(len(basis) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
-    return _reduce_basis(basis, recipes, divisors, ideal, order, max_terms, modulus)
+    return _reduce_basis(basis, recipes, divisors, ideal, order, modulus)
 
 
 def _reduce_basis(
@@ -522,13 +519,12 @@ def _reduce_basis(
     divisors: list[Divisor],
     ideal: Ideal,
     order: MonomialOrder,
-    max_terms: int,
     modulus: int | None,
 ) -> GroebnerBasis:
     """Minimalize, auto-reduce, and make monic, appending the recipe of
     each final element; raw element k is node k, split as divisors[k]."""
     if not basis:
-        return GroebnerBasis((), order, ideal, (), max_terms, modulus)
+        return GroebnerBasis((), order, ideal, (), modulus)
     # Minimal: drop any element whose leading monomial another one divides.
     indices = sorted(range(len(basis)), key=lambda k: order.key(divisors[k][0]))
     kept: list[int] = []
@@ -541,7 +537,7 @@ def _reduce_basis(
     split = [divisors[k] for k in kept]
     final: list[tuple[Exponent, Polynomial, Recipe]] = []
     for idx, node in enumerate(kept):
-        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, max_terms, modulus)
+        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, DEFAULT_MAX_TERMS, modulus)
         # p = basis[node] - sum q * other, made monic: its leading term is
         # that of basis[node], which no other leading monomial divides, and
         # modulo a prime basis[node] is monic already
@@ -563,7 +559,6 @@ def _reduce_basis(
         order,
         ideal,
         tuple(recipes) + tuple(r for _, _, r in final),
-        max_terms,
         modulus,
     )
 
@@ -572,12 +567,11 @@ def reduce_by_basis(
     p: Polynomial,
     basis: Sequence[Polynomial],
     order: MonomialOrder,
-    max_terms: int = 10_000_000,
 ) -> Polynomial:
     """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order, max_terms)
+    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order, DEFAULT_MAX_TERMS)
     return remainder
 
 

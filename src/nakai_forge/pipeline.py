@@ -23,6 +23,16 @@ iff f is quasi-homogeneous).  Soundness rests on points 0, 2, 3 and 4, and
 the certificate records what they read and nothing else.  Point 1 says
 why the builder always finds P; no certified step uses it.
 
+The gate.  Every certificate begins with input_gate, the one place that
+decides the five input reasons: f is nonzero, has unique weights, has no
+term of degree below 2 (so it is singular at the origin) and has
+3 <= n <= MAX_DETERMINANT_DIM variables.  The builder records its input
+facts (homogeneous, weights, degree, variable_count) and rejects with the
+first gate f fails.  The verifier recomputes it for every verdict: it
+compares each recorded fact with the recomputed one, accepts a rejection
+for a gate reason only if that is the first gate f fails, and requires
+every other verdict to pass every gate.
+
 0. Isolation of f.  The certificate records a prime p that divides no
    denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
    polynomials with integer coefficients in [0, p).  The verifier forms
@@ -422,6 +432,55 @@ def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
     }
 
 
+# what failing each gate of input_gate means, in the order it tests them
+_GATE_CLAIMS = {
+    "zero_polynomial": "the input is zero",
+    "not_homogeneous": "the input has no unique positive weight vector",
+    "degree_too_small": "the input has a term of degree below 2",
+    "too_few_variables": "the input has fewer than 3 variables",
+    "dimension_cap": f"the input has more than {MAX_DETERMINANT_DIM} variables",
+}
+# the failure for each input fact that a certificate records wrongly
+_FACT_FAILURES = {
+    "homogeneous": "recorded homogeneity flag is wrong",
+    "weights": "recorded weights are not the unique weights of the input",
+    "degree": "recorded degree is not the weighted degree of the input",
+    "variable_count": "recorded variable count is wrong",
+}
+
+
+def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
+    """The gate every certificate begins with, and what it records.
+
+    ``facts`` is what a certificate records about f before isolation is
+    decided: ``homogeneous`` for nonzero f, and ``weights``, ``degree`` and
+    ``variable_count`` once f has unique positive weights.  ``failed`` is
+    the first gate f fails, as (reason, message), or None: f must be nonzero
+    (zero_polynomial), have unique positive weights (not_homogeneous), be
+    singular at the origin (degree_too_small) and have 3 <= n <=
+    MAX_DETERMINANT_DIM variables (too_few_variables, dimension_cap).  The
+    builder records both; the verifier recomputes both for every verdict.
+    """
+    if f.is_zero():
+        return {}, ("zero_polynomial", "the zero polynomial does not define a hypersurface")
+    facts = {"homogeneous": f.is_homogeneous()}
+    found = quasi_homogeneous_weights(f)
+    if found is None:
+        return facts, (
+            "not_homogeneous", "input polynomial is not quasi-homogeneous: no unique positive weight vector"
+        )
+    facts.update(weights=list(found[0]), degree=found[1], variable_count=f.n)
+    gates = (
+        (f.min_degree() < 2, "degree_too_small",
+         f"a degree-{f.min_degree()} term makes the input smooth at the origin"),
+        (f.n < 3, "too_few_variables",
+         f"{f.n}-variable input is outside this construction; two variables are settled classically"),
+        (f.n > MAX_DETERMINANT_DIM, "dimension_cap",
+         f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}"),
+    )
+    return facts, next(((reason, message) for fails, reason, message in gates if fails), None)
+
+
 def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate:
     """Run the full construction and return a replayable certificate."""
     doc = _empty_document(format_poly(f, variables), variables)
@@ -434,33 +493,11 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         logger.info("input rejected (%s): %s", reason, message)
         return WitnessCertificate(doc)
 
-    if f.is_zero():
-        return rejected("zero_polynomial", "the zero polynomial does not define a hypersurface")
-    found = quasi_homogeneous_weights(f)
-    info["homogeneous"] = f.is_homogeneous()
-    if found is None:
-        return rejected(
-            "not_homogeneous",
-            "input polynomial is not quasi-homogeneous: no unique positive weight vector",
-        )
-    weights, degree = found
-    info["weights"] = list(weights)
-    info["degree"] = degree
-    info["variable_count"] = f.n
-    if f.min_degree() < 2:
-        return rejected(
-            "degree_too_small", f"a degree-{f.min_degree()} term makes the input smooth at the origin"
-        )
-    if f.n < 3:
-        return rejected(
-            "too_few_variables",
-            f"{f.n}-variable input is outside this construction; two variables are settled classically",
-        )
-    if f.n > MAX_DETERMINANT_DIM:
-        return rejected(
-            "dimension_cap",
-            f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}",
-        )
+    facts, failed = input_gate(f)
+    info.update(facts)
+    if failed is not None:
+        return rejected(*failed)
+    weights, degree = facts["weights"], facts["degree"]
 
     gb_input, rejection = decide_isolation(f, weights, degree)
     if rejection is not None:
@@ -535,28 +572,46 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
 def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     """All verification failures (empty list means the certificate is valid).
 
-    A document without the top-level keys raises CertificateError; data
-    of any other wrong shape, type or size is a failure, never a crash.
+    Every verdict starts from the input: the verifier parses it, recomputes
+    input_gate and compares the recorded input facts with the recomputed
+    ones.  A rejection for one of the gate reasons is valid exactly when it
+    names the first gate the input fails; every other verdict needs an input
+    that passes every gate.  A document without the top-level keys raises
+    CertificateError; data of any other wrong shape, type or size is a
+    failure, never a crash.
     """
     doc = cert.document if isinstance(cert, WitnessCertificate) else cert
     missing = [k for k in ("schema", "input", "verdict") if k not in doc]
     if missing:
         raise CertificateError(f"certificate missing required keys: {missing}")
     verdict = doc["verdict"]
+    if verdict not in (RESOURCE_EXHAUSTED, INPUT_REJECTED, WITNESS_FOUND):
+        return [f"unknown verdict {verdict!r}"]
     try:
+        info = doc["input"]
+        f = parse_poly(info["polynomial"], info["variables"])
+        facts, failed = input_gate(f)
+        # compared as written, so that 1 does not pass for true
+        failures = [text for key, text in _FACT_FAILURES.items() if repr(info.get(key)) != repr(facts.get(key))]
+        reason = (info.get("rejection") or {}).get("reason") if verdict == INPUT_REJECTED else None
+        if failed is not None:
+            # only a rejection that names the first failed gate is valid
+            if reason != failed[0]:
+                failures.append(f"the input fails the gate {failed[0]!r} first: {failed[1]}")
+            return failures
+        if reason in _GATE_CLAIMS:
+            return failures + [f"rejection says {_GATE_CLAIMS[reason]}, but the input passes every gate"]
         if verdict == RESOURCE_EXHAUSTED:
-            return _verify_exhausted(doc)
+            return failures + _verify_exhausted(doc)
         if verdict == INPUT_REJECTED:
-            return _verify_rejected(doc)
-        if verdict == WITNESS_FOUND:
-            return _verify_witness(doc)
+            return failures + _verify_rejected(doc, reason, f, facts["weights"], facts["degree"])
+        return failures + _verify_witness(doc, f, facts["weights"], facts["degree"])
     except CertificateError:
         raise
     except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RuntimeError) as exc:
         # corrupted data (RuntimeError covers a runaway replay hitting a
         # resource cap and recursion on deep nesting): invalid, not a crash
         return [f"certificate data does not replay: {exc}"]
-    return [f"unknown verdict {verdict!r}"]
 
 
 def _verify_exhausted(doc: dict) -> list[str]:
@@ -582,47 +637,15 @@ def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], w
     return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
 
 
-def _verify_rejected(doc: dict) -> list[str]:
-    failures: list[str] = []
-    info = doc["input"]
-    rejection = info.get("rejection") or {}
-    reason = rejection.get("reason")
-    variables = info["variables"]
-    try:
-        f = parse_poly(info["polynomial"], variables)
-    except ValueError as exc:
-        return [f"input polynomial does not parse: {exc}"]
-    if reason == "zero_polynomial":
-        if not f.is_zero():
-            failures.append("rejection says zero polynomial but the input is nonzero")
-        return failures
-    if f.is_zero():
-        return ["input is zero but the rejection reason disagrees"]
-    found = quasi_homogeneous_weights(f)
-    if reason == "not_homogeneous":
-        if found is not None:
-            failures.append("rejection says no unique positive weight vector but the input has one")
-        return failures
-    if found is None:
-        return ["input has no unique positive weight vector but the rejection reason disagrees"]
-    weights, degree = found
-    if reason == "degree_too_small":
-        if f.min_degree() >= 2:
-            failures.append("rejection says degree too small but every term has degree at least 2")
-        return failures
-    if reason == "too_few_variables":
-        if f.n >= 3:
-            failures.append("rejection says too few variables but there are at least 3")
-        return failures
-    if reason == "dimension_cap":
-        if f.n <= MAX_DETERMINANT_DIM:
-            failures.append("rejection cites the dimension cap but the input fits it")
-        return failures
+def _verify_rejected(doc: dict, reason, f: Polynomial, weights, degree: int) -> list[str]:
+    """Point 4 of the module docstring for the two rejections that claim a
+    positive-dimensional Jacobian ideal; input_gate has passed."""
     if reason == "not_isolated":
         return _check_positive_dimension(
             doc, "input_jacobian", [f.partial(i) for i in range(1, f.n + 1)], weights, degree
         )
     if reason == "no_isolating_slice":
+        failures = []
         if any(w == weights[0] for w in weights[1:]):
             failures.append("another variable shares the weight of the first; other slices are admissible")
         restriction = restrict_to_hyperplane(f)
@@ -699,28 +722,18 @@ def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, w1: int
         failures.append("obstruction: d1(y1) is not W_1 y1 Hess(h) modulo y1^2")
 
 
-def _verify_witness(doc: dict) -> list[str]:
+def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]:
+    """Points 0, 2 and 3 of the module docstring; input_gate has passed."""
     failures: list[str] = []
     missing = [k for k in ("change_of_coordinates", "lifted_operator", "membership_tests") if not doc.get(k)]
     if missing:
         return [f"witness verdict without the supporting sections: {missing}"]
     info = doc["input"]
-    variables = info["variables"]
-    f = parse_poly(info["polynomial"], variables)
-    found = None if f.is_zero() else quasi_homogeneous_weights(f)
-    if found is None or f.min_degree() < 2 or f.n < 3:
-        failures.append("input gates (quasi-homogeneous, no term of degree below 2, n >= 3) do not hold")
-        return failures
-    weights, degree = found
     n = f.n
-    if info.get("degree") != degree or info.get("variable_count") != n:
-        failures.append("recorded degree or variable count is wrong")
-    if info.get("weights") != list(weights):
-        failures.append("recorded weights are not the unique weights of the input")
     section = doc["membership_tests"]
-    _check_isolation(section["isolation"], f, variables, "isolation", failures)
-    if info.get("homogeneous") is not f.is_homogeneous() or info.get("isolated") is not True:
-        failures.append("input flags must record the homogeneity of an isolated singularity")
+    _check_isolation(section["isolation"], f, info["variables"], "isolation", failures)
+    if info.get("isolated") is not True:
+        failures.append("a witness must record an isolated singularity")
     if info.get("milnor_number") != milnor_number(weights, degree):
         failures.append("recorded Milnor number is not prod(D / W_i - 1)")
 

@@ -44,6 +44,10 @@ Terms = Iterable[tuple[Exponent, int]]  # integer terms (exponent, coefficient)
 
 Scalar = (int, Fraction)
 
+# the term cap of the Groebner engine's divisions (groebner._divide_tracked)
+# and of the parser's expansions (exprio), which must not import the engine
+DEFAULT_MAX_TERMS = 500_000
+
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.

@@ -1,9 +1,12 @@
+import ast
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nakai_forge.exprio as exprio
 from nakai_forge.exprio import (
     CertificateError,
     ParseError,
@@ -244,3 +247,17 @@ class TestCertificateIO:
         doc["schema"]["name"] = "something-else"
         with pytest.raises(CertificateError, match="schema"):
             write_certificate(doc)
+
+
+def test_parser_does_not_import_the_groebner_engine():
+    # the verifier reads every certificate through this parser, so the parser
+    # must not pull in the basis engine that only the builder needs
+    tree = ast.parse(Path(exprio.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "groebner" in name.split(".")]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import nakai_forge.groebner as groebner
 from nakai_forge.exprio import parse_poly
 from nakai_forge.groebner import (
     GREVLEX,
@@ -70,10 +71,11 @@ class TestBuchberger:
         assert len(gb.basis) == 1
         check_cofactors(gb)
 
-    def test_pair_cap(self):
+    def test_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
         gens = ideal("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")
         with pytest.raises(ResourceLimitExceeded):
-            buchberger(gens, max_pairs=1)
+            buchberger(gens)
 
     def test_buchberger_criterion_random(self):
         # every S-polynomial of the finished basis reduces to zero; catches

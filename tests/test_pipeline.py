@@ -1092,6 +1092,7 @@ class TestQuasiHomogeneous:
         f = P("x^3 + x*y^2 + z^4")
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
+        doc["input"].update(weights=[4, 4, 3], degree=12)
         _, rejection = decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
         doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(*rejection)
         failures = certificate_failures(WitnessCertificate(doc))
@@ -1134,6 +1135,53 @@ class TestQuasiHomogeneous:
         })
         assert _cli_verify(doc, tmp_path) == 4
         assert "slice mixes variables of different weight" in certificate_failures(WitnessCertificate(doc))
+
+
+class TestInputGate:
+    """The verifier recomputes input_gate, and the input facts a certificate
+    records, for every verdict."""
+
+    @pytest.mark.parametrize("text", ["x^2*y + z^3", "x^3 + x*y^3 + z^2"])
+    def test_rejection_with_forged_weights(self, text, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        assert doc["input"]["rejection"]["reason"] in ("not_isolated", "no_isolating_slice")
+        doc["input"].update(weights=[9, 9, 9], degree=77)
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "recorded weights are not the unique weights of the input",
+            "recorded degree is not the weighted degree of the input",
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_two_variable_not_isolated(self, tmp_path):
+        # the functional is genuine, J(x^3 + x^2*y) is positive-dimensional,
+        # but two variables fail the gate too_few_variables first
+        names = ["x", "y"]
+        f = parse_poly("x^3 + x^2*y", names)
+        doc = json.loads(write_certificate(build_witness(f, names).document))
+        assert doc["input"]["rejection"]["reason"] == "too_few_variables"
+        _, rejection = decide_isolation(f, (1, 1), 3)
+        doc["input"]["rejection"] = {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}
+        doc["membership_tests"]["positive_dimension"] = {"input_jacobian": _positive_dimension_record(*rejection)}
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "the input fails the gate 'too_few_variables' first: 2-variable input is outside this "
+            "construction; two variables are settled classically"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("text, failure", [
+        ("0", "the input fails the gate 'zero_polynomial' first: "
+              "the zero polynomial does not define a hypersurface"),
+        ("x +* y", "certificate data does not replay: expected a number, variable or '(', found '*' (at position 3)"),
+    ])
+    def test_exhausted_input_must_pass_the_gate(self, text, failure, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
+        assert doc["verdict"] == RESOURCE_EXHAUSTED
+        doc["input"]["polynomial"] = text
+        for key in ("homogeneous", "weights", "degree", "variable_count"):
+            del doc["input"][key]
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
 
 
 def _square_ideal_mod_g(g):

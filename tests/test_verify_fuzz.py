@@ -4,9 +4,11 @@ witness and the not_isolated rejection of x^2*y.
 The verifier treats a certificate as untrusted input.  Every mutation here
 (a deleted field, a value swapped for one of another type, a flipped byte)
 must end in exit 0 (still valid), 2 (not a certificate document) or 4
-(invalid): never a traceback, and never a hang.
+(invalid): never a traceback, and never a hang.  A certificate whose
+verdict or rejection reason is swapped for another must end in 2 or 4.
 """
 
+import copy
 import functools
 import json
 import random
@@ -15,9 +17,9 @@ import time
 
 import pytest
 
-from nakai_forge.cli import main as cli_main
+from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.exprio import parse_poly, write_certificate
-from nakai_forge.pipeline import build_witness
+from nakai_forge.pipeline import INPUT_REJECTED, RESOURCE_EXHAUSTED, WITNESS_FOUND, build_witness
 
 SEED = 70707
 MUTATIONS = 120  # per kind
@@ -201,3 +203,39 @@ def test_huge_slice_power_exits_4(fermat_certificate, tmp_path, capsys):
     assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
     assert time.perf_counter() - start < 5
     assert "power 100000 of slice row 1 is too large to expand" in capsys.readouterr().out
+
+
+REASONS = ("zero_polynomial", "not_homogeneous", "degree_too_small", "too_few_variables", "dimension_cap",
+           "not_isolated", "no_isolating_slice")
+XYZ = ["x", "y", "z"]
+# a witness and one rejection for each reason: (input, variables)
+SWAP_INPUTS = {
+    "fermat-cubic": next((text, names) for key, text, names, _ in BUILTIN_CORPUS if key == "fermat-cubic"),
+    "zero_polynomial": ("0", XYZ),
+    "not_homogeneous": ("x*y + z^3", XYZ),
+    "degree_too_small": ("x + y", XYZ[:2]),
+    "too_few_variables": ("x^3 + y^3", XYZ[:2]),
+    "dimension_cap": (" + ".join(f"x{i}^3" for i in range(1, 8)), [f"x{i}" for i in range(1, 8)]),
+    "not_isolated": ("x^2*y + z^3", XYZ),
+    "no_isolating_slice": ("x^3 + x*y^3 + z^2", XYZ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWAP_INPUTS))
+def test_verdict_and_reason_swaps(name, tmp_path, capsys):
+    # every verdict, and under INPUT_REJECTED every reason: only the
+    # certificate as built verifies; a rejection naming a gate other than
+    # the first one the input fails (x + y as too_few_variables) does not
+    text, names = SWAP_INPUTS[name]
+    doc = json.loads(write_certificate(build_witness(parse_poly(text, names), names).document))
+    built = (doc["verdict"], doc["input"].get("rejection", {}).get("reason"))
+    assert built == ((WITNESS_FOUND, None) if name == "fermat-cubic" else (INPUT_REJECTED, name))
+    for verdict in (WITNESS_FOUND, INPUT_REJECTED, RESOURCE_EXHAUSTED):
+        for reason in REASONS if verdict == INPUT_REJECTED else (built[1],):
+            forged = copy.deepcopy(doc)
+            forged["verdict"] = verdict
+            if reason is not None:
+                forged["input"].setdefault("rejection", {"message": "forged"})["reason"] = reason
+            code = _verify_exit(json.dumps(forged).encode(), tmp_path)
+            assert (code == 0) if (verdict, reason) == built else (code in (2, 4)), (verdict, reason, code)
+    capsys.readouterr()
