@@ -7,14 +7,12 @@ from .derivations import (
     DerivationTuple,
     DiffOp2,
     build_candidate_tuple,
-    compose2,
     euler_derivation,
     hamiltonian,
     lift_to_diff2,
     replay_ledger,
     symmetrize,
     theta2_extract,
-    verify_order2_identity,
 )
 from .exprio import (
     CertificateError,
@@ -31,8 +29,6 @@ from .groebner import (
     ResourceLimitExceeded,
     buchberger,
     is_isolated_singularity,
-    is_regular_sequence_homog,
-    is_zero_dimensional,
     jacobian_ideal,
     quotient_dimension,
 )
@@ -45,7 +41,6 @@ from .minors import (
     inversion_number,
     signed_minor,
     verify_cofactor_identity,
-    verify_replaced_column_vanishes,
 )
 from .pipeline import (
     INPUT_REJECTED,

@@ -55,7 +55,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .groebner import Ideal, InternalInconsistencyError, buchberger
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
@@ -102,15 +102,6 @@ class Derivation1:
         if isinstance(coeff, Polynomial):
             return Derivation1(tuple(a + coeff * b for a, b in zip(self.images, other.images)))
         return Derivation1(tuple(a + b.scale(coeff) for a, b in zip(self.images, other.images)))
-
-    def __add__(self, other: "Derivation1") -> "Derivation1":
-        return self.add_scaled(1, other)
-
-    def __sub__(self, other: "Derivation1") -> "Derivation1":
-        return self.add_scaled(-1, other)
-
-    def __neg__(self) -> "Derivation1":
-        return Derivation1(tuple(-p for p in self.images))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.images)
@@ -215,12 +206,7 @@ def replay_ledger(tuple_in: DerivationTuple, ledger: Sequence[Adjustment]) -> De
 
 
 class DiffOp2:
-    """An operator sum c_alpha * divided-power-partial_alpha with |alpha| <= 2.
-
-    The order-zero coefficient is zero for every operator built here as a
-    derivation; shifting can produce one, in which case the result is an
-    operator of lower order plus a multiplication term.
-    """
+    """An operator sum c_alpha * divided-power-partial_alpha with |alpha| <= 2."""
 
     __slots__ = ("n", "coeffs")
 
@@ -246,9 +232,6 @@ class DiffOp2:
     def coefficient(self, alpha: Sequence[int]) -> Polynomial:
         return self.coeffs.get(tuple(alpha), Polynomial.zero(self.n))
 
-    def order(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
-
     def apply(self, p: Polynomial) -> Polynomial:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
@@ -257,40 +240,12 @@ class DiffOp2:
     def scale(self, s: Fraction | int) -> "DiffOp2":
         return DiffOp2(self.n, {a: c.scale(s) for a, c in self.coeffs.items()})
 
-    def __add__(self, other: "DiffOp2") -> "DiffOp2":
-        if other.n != self.n:
-            raise ValueError("variable-count mismatch")
-        merged = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            merged[a] = merged.get(a, Polynomial.zero(self.n)) + c
-        return DiffOp2(self.n, merged)
-
-    def __sub__(self, other: "DiffOp2") -> "DiffOp2":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp2):
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def shift(self, beta: Sequence[int]) -> "DiffOp2":
-        """The operator with coefficient map alpha -> c_(alpha + beta).
-
-        Drops the order by |beta|; the order-zero slot of the result picks
-        up c_beta itself.
-        """
-        beta = tuple(beta)
-        if len(beta) != self.n or any(b < 0 for b in beta):
-            raise ValueError(f"bad shift index {beta}")
-        if sum(beta) > 2:
-            raise ValueError("shift index exceeds the operator order bound")
-        out: dict[Exponent, Polynomial] = {}
-        for alpha, c in self.coeffs.items():
-            if all(a >= b for a, b in zip(alpha, beta)):
-                out[tuple(a - b for a, b in zip(alpha, beta))] = c
-        return DiffOp2(self.n, out)
 
 
 def _unit(n: int, i: int) -> Exponent:
@@ -318,43 +273,6 @@ def theta2_extract(op: DiffOp2, f: Polynomial) -> DerivationTuple:
         images = tuple(op.coefficient(_pair_index(n, i, j)) for i in range(1, n + 1))
         ders.append(Derivation1(images))
     return DerivationTuple(tuple(ders), f)
-
-
-def compose2(first: Derivation1, second: Derivation1) -> DiffOp2:
-    """The coefficient map of the composition (first after second) as an order-2 operator.
-
-    With a_i = first(x_i), b_i = second(x_i):
-      c_(e_j)       = first(b_j)
-      c_(e_i + e_j) = a_i b_j + a_j b_i   (i < j)
-      c_(2 e_i)     = 2 a_i b_i
-    """
-    if first.n != second.n:
-        raise ValueError("variable-count mismatch")
-    n = first.n
-    a, b = first.images, second.images
-    coeffs = {_unit(n, j + 1): first.apply(b[j]) for j in range(n)}
-    for i, j in combinations_with_replacement(range(n), 2):
-        coeffs[_pair_index(n, i + 1, j + 1)] = sum_of_products(n, ((a[i], b[j]), (a[j], b[i])))
-    return DiffOp2(n, coeffs)  # drops the zero coefficients
-
-
-def verify_order2_identity(
-    op: DiffOp2,
-    triples: Iterable[tuple[Polynomial, Polynomial, Polynomial]],
-) -> bool:
-    """Check the defining second-order identity on each sampled triple:
-
-    D(p q r) = p D(q r) + q D(p r) + r D(p q)
-             - (q r D(p) + p r D(q) + p q D(r)).
-    """
-    for p, q, r in triples:
-        rhs = sum_of_products(op.n, (
-            (p, op.apply(q * r)), (q, op.apply(p * r)), (r, op.apply(p * q)),
-            (-(q * r), op.apply(p)), (-(p * r), op.apply(q)), (-(p * q), op.apply(r)),
-        ))
-        if op.apply(p * q * r) != rhs:
-            return False
-    return True
 
 
 def _weights_and_degree(f: Polynomial) -> tuple[tuple[int, ...], int]:
@@ -474,17 +392,3 @@ def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> Di
         raise InternalInconsistencyError("lifted operator does not annihilate f")
     return op
 
-
-def modified_jacobian_ideal(f: Polynomial, i: int) -> Ideal:
-    """(f_1, ..., f_{i-1}, x_i^2, f_{i+1}, ..., f_n)."""
-    gens = [f.partial(k) for k in range(1, f.n + 1)]
-    gens[i - 1] = Polynomial.variable(f.n, i) ** 2
-    return Ideal(tuple(gens))
-
-
-def square_obstruction_ideal(f: Polynomial, i: int) -> Ideal:
-    """(f_1, ..., x_i, ..., f_n)^2, expanded into pairwise products."""
-    base = [f.partial(k) for k in range(1, f.n + 1)]
-    base[i - 1] = Polynomial.variable(f.n, i)
-    products = [base[a] * base[b] for a in range(f.n) for b in range(a, f.n)]
-    return Ideal(tuple(products))

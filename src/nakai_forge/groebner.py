@@ -680,10 +680,6 @@ def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], de
     return k * weights[i], functional
 
 
-def is_zero_dimensional(ideal: Ideal) -> bool:
-    return buchberger(ideal).is_zero_dimensional()
-
-
 def quotient_dimension(ideal: Ideal) -> int:
     return buchberger(ideal).quotient_dimension()
 
@@ -704,20 +700,3 @@ def is_isolated_singularity(f: Polynomial) -> bool:
     if f.min_degree() < 2:
         return False  # smooth at the origin, no singularity at all
     return decide_isolation(f, *found)[1] is None
-
-
-def is_regular_sequence_homog(gens: Sequence[Polynomial]) -> bool:
-    """n homogeneous polynomials in n variables form a regular sequence
-    iff the ideal they generate is zero-dimensional."""
-    gens = tuple(gens)
-    if not gens:
-        raise ValueError("empty generator list")
-    n = gens[0].n
-    if any(g.n != n for g in gens):
-        raise ValueError("generators have mixed variable counts")
-    if len(gens) != n:
-        raise ValueError(f"need exactly {n} polynomials in {n} variables, got {len(gens)}")
-    for g in gens:
-        if g.is_zero() or g.homogeneous_degree() is None:
-            raise ValueError("every entry must be nonzero and homogeneous")
-    return is_zero_dimensional(Ideal(gens))

@@ -215,22 +215,3 @@ def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[boo
         *((-f.partial(l), c) for l, c in enumerate(terms, 1) if c),
     ])
     return residual.is_zero(), residual
-
-
-def verify_replaced_column_vanishes(f: Polynomial, i: int, j: int, k: int, t: int) -> bool:
-    """Check sum_{l != j} f_lt * A_[l,i,j,k] = 0 for t outside {i, k}.
-
-    The sum is the determinant of the complementary minor of entry (j, k)
-    with its column i replaced by column t, which then has two equal
-    columns.
-    """
-    n = f.n
-    for idx in (i, j, k, t):
-        if not 1 <= idx <= n:
-            raise IndexError(f"index {idx} out of range 1..{n}")
-    if t in (i, k):
-        raise ValueError(f"replacement column t={t} must differ from i={i} and k={k}")
-    hess = hessian(f)
-    return sum_of_products(n, (
-        (hess.entry(l, t), _minor_or_zero(hess, (l, j), (i, k))) for l in range(1, n + 1) if l != j
-    )).is_zero()

@@ -31,7 +31,10 @@ facts (homogeneous, weights, degree, variable_count) and rejects with the
 first gate f fails.  The verifier recomputes it for every verdict: it
 compares each recorded fact with the recomputed one, accepts a rejection
 for a gate reason only if that is the first gate f fails, and requires
-every other verdict to pass every gate.
+every other verdict to pass every gate.  Once it accepts a verdict, the
+recorded isolated flag and Milnor number (neither for a gate rejection)
+and a rejection's message must be the ones the builder writes; no record
+backs isolated true outside a witness, so there it is only compared.
 
 0. Isolation of f.  The certificate records a prime p that divides no
    denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
@@ -447,6 +450,12 @@ _FACT_FAILURES = {
     "degree": "recorded degree is not the weighted degree of the input",
     "variable_count": "recorded variable count is wrong",
 }
+# the failure for each isolation fact that a certificate records wrongly
+# for its verdict
+_ISOLATION_FAILURES = {
+    "isolated": "recorded isolated flag does not match the verdict",
+    "milnor_number": "recorded Milnor number is not prod(D / W_i - 1)",
+}
 
 
 def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
@@ -481,41 +490,61 @@ def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
     return facts, next(((reason, message) for fails, reason, message in gates if fails), None)
 
 
+def rejection_message(reason: str, failed: tuple[str, str] | None, variables: Sequence[str], weights) -> str:
+    """The message a rejection for ``reason`` records: the message of the
+    gate f fails (``failed``, from input_gate), or else that of one of the
+    two positive-dimension reasons, which follows from the variable names
+    and the weights of f.  The builder writes it and the verifier compares
+    it."""
+    if failed is not None:
+        return failed[1]
+    if reason == "not_isolated":
+        return "the Jacobian ideal is not zero-dimensional"
+    return (
+        f"the restriction to {variables[0]} = 0 is not an isolated singularity and no other "
+        f"variable has the weight {weights[0]} of {variables[0]}, so no admissible slice exists"
+    )
+
+
+def _isolation_facts(isolated: bool, weights, degree: int) -> dict:
+    """What a certificate whose input passes input_gate records about
+    isolation: isolated false and no Milnor number for a not_isolated
+    rejection, else isolated true and prod(D / W_i - 1)."""
+    if not isolated:
+        return {"isolated": False}
+    return {"isolated": True, "milnor_number": int(milnor_number(weights, degree))}
+
+
 def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate:
     """Run the full construction and return a replayable certificate."""
     doc = _empty_document(format_poly(f, variables), variables)
     info = doc["input"]
     section = doc["membership_tests"]
+    facts, failed = input_gate(f)
+    info.update(facts)
 
-    def rejected(reason: str, message: str) -> WitnessCertificate:
+    def rejected(reason: str) -> WitnessCertificate:
+        message = rejection_message(reason, failed, variables, facts.get("weights"))
         info["rejection"] = {"reason": reason, "message": message}
         doc["verdict"] = INPUT_REJECTED
         logger.info("input rejected (%s): %s", reason, message)
         return WitnessCertificate(doc)
 
-    facts, failed = input_gate(f)
-    info.update(facts)
     if failed is not None:
-        return rejected(*failed)
+        return rejected(failed[0])
     weights, degree = facts["weights"], facts["degree"]
 
     gb_input, rejection = decide_isolation(f, weights, degree)
+    info.update(_isolation_facts(rejection is None, weights, degree))
     if rejection is not None:
-        info["isolated"] = False
         section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(*rejection)}
-        return rejected("not_isolated", "the Jacobian ideal is not zero-dimensional")
-    info["isolated"] = True
-    info["milnor_number"] = int(milnor_number(weights, degree))
+        return rejected("not_isolated")
 
     try:
         chosen = generic_slice_search(f)
     except NoIsolatingSlice as exc:
         section["positive_dimension"] = {"slice_jacobian": exc.record}
-        return rejected(
-            "no_isolating_slice",
-            f"the restriction to {variables[0]} = 0 is not an isolated singularity and no other "
-            f"variable has the weight {weights[0]} of {variables[0]}, so no admissible slice exists",
-        )
+        return rejected("no_isolating_slice")
     except ResourceLimitExceeded as exc:
         doc["change_of_coordinates"] = {"attempts": exc.attempts, "exhausted": True}
         doc["verdict"] = RESOURCE_EXHAUSTED
@@ -576,7 +605,10 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     input_gate and compares the recorded input facts with the recomputed
     ones.  A rejection for one of the gate reasons is valid exactly when it
     names the first gate the input fails; every other verdict needs an input
-    that passes every gate.  A document without the top-level keys raises
+    that passes every gate.  Once a verdict and its reason are accepted, the
+    recorded isolation facts (_isolation_facts; none for a gate rejection)
+    and a rejection's message (rejection_message) must be the ones the
+    builder writes.  A document without the top-level keys raises
     CertificateError; data of any other wrong shape, type or size is a
     failure, never a crash.
     """
@@ -597,15 +629,27 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         if failed is not None:
             # only a rejection that names the first failed gate is valid
             if reason != failed[0]:
-                failures.append(f"the input fails the gate {failed[0]!r} first: {failed[1]}")
-            return failures
-        if reason in _GATE_CLAIMS:
+                return failures + [f"the input fails the gate {failed[0]!r} first: {failed[1]}"]
+            isolation = {}
+        elif reason in _GATE_CLAIMS:
             return failures + [f"rejection says {_GATE_CLAIMS[reason]}, but the input passes every gate"]
-        if verdict == RESOURCE_EXHAUSTED:
-            return failures + _verify_exhausted(doc)
-        if verdict == INPUT_REJECTED:
-            return failures + _verify_rejected(doc, reason, f, facts["weights"], facts["degree"])
-        return failures + _verify_witness(doc, f, facts["weights"], facts["degree"])
+        elif verdict == INPUT_REJECTED and reason not in ("not_isolated", "no_isolating_slice"):
+            return failures + [f"unknown rejection reason {reason!r}"]
+        else:
+            weights, degree = facts["weights"], facts["degree"]
+            if verdict == RESOURCE_EXHAUSTED:
+                failures += _verify_exhausted(doc)
+            elif verdict == INPUT_REJECTED:
+                failures += _verify_rejected(doc, reason, f, weights, degree)
+            else:
+                failures += _verify_witness(doc, f, weights, degree)
+            isolation = _isolation_facts(reason != "not_isolated", weights, degree)
+        failures += [text for key, text in _ISOLATION_FAILURES.items() if repr(info.get(key)) != repr(isolation.get(key))]
+        if reason is not None and info["rejection"].get("message") != rejection_message(
+            reason, failed, info["variables"], facts.get("weights")
+        ):
+            failures.append(f"the rejection message is not the one the reason {reason!r} gives")
+        return failures
     except CertificateError:
         raise
     except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError, RuntimeError) as exc:
@@ -644,15 +688,13 @@ def _verify_rejected(doc: dict, reason, f: Polynomial, weights, degree: int) -> 
         return _check_positive_dimension(
             doc, "input_jacobian", [f.partial(i) for i in range(1, f.n + 1)], weights, degree
         )
-    if reason == "no_isolating_slice":
-        failures = []
-        if any(w == weights[0] for w in weights[1:]):
-            failures.append("another variable shares the weight of the first; other slices are admissible")
-        restriction = restrict_to_hyperplane(f)
-        return failures + _check_positive_dimension(
-            doc, "slice_jacobian", [restriction.partial(i) for i in range(1, f.n)], weights[1:], degree
-        )
-    return [f"unknown rejection reason {reason!r}"]
+    failures = []
+    if any(w == weights[0] for w in weights[1:]):
+        failures.append("another variable shares the weight of the first; other slices are admissible")
+    restriction = restrict_to_hyperplane(f)
+    return failures + _check_positive_dimension(
+        doc, "slice_jacobian", [restriction.partial(i) for i in range(1, f.n)], weights[1:], degree
+    )
 
 
 def _check_isolation(record: dict, f: Polynomial, variables, label: str, failures: list[str]) -> None:
@@ -732,10 +774,6 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
     n = f.n
     section = doc["membership_tests"]
     _check_isolation(section["isolation"], f, info["variables"], "isolation", failures)
-    if info.get("isolated") is not True:
-        failures.append("a witness must record an isolated singularity")
-    if info.get("milnor_number") != milnor_number(weights, degree):
-        failures.append("recorded Milnor number is not prod(D / W_i - 1)")
 
     change_doc = doc["change_of_coordinates"]
     yvars = change_doc["new_variables"]

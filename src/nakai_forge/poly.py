@@ -14,10 +14,9 @@ same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
 Polynomials in the package goes through it: ``Polynomial.__mul__``, the
 S-polynomials, cofactor rows and lifts of ``groebner`` over Q, the Laplace
-step of ``minors.determinant`` and the two checks of ``minors`` built on
-it, ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.compose2``,
-``derivations.verify_order2_identity``, ``derivations.replay_ledger`` and
-the recombination check of ``derivations.symmetrize``.  Modulo a prime,
+step of ``minors.determinant`` and the cofactor-identity check built on
+it, ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
+and the recombination check of ``derivations.symmetrize``.  Modulo a prime,
 ``groebner`` computes on integer residues, not Polynomials: its
 S-polynomials, rows and lifts sum integer products with the integer loop
 of ``sum_of_products`` (``_accumulate``) and reduce each coefficient once.
@@ -119,24 +118,14 @@ class Polynomial:
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Maximal term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def homogeneous_degree(self, weights: Sequence[int] | None = None) -> int | None:
+    def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed.
 
-        With ``weights`` the degree of x^e is the weighted sum <e, weights>.
         Raises ValueError on the zero polynomial, whose degree is not defined.
         """
         if not self.terms:
             raise ValueError("homogeneous degree of the zero polynomial is undefined")
-        if weights is None:
-            degrees = {sum(e) for e in self.terms}
-        else:
-            degrees = {sum(w * a for w, a in zip(weights, e)) for e in self.terms}
+        degrees = {sum(e) for e in self.terms}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -148,9 +137,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return bool(self.terms) and self.homogeneous_degree() is not None
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def _check_same_ring(self, other: "Polynomial") -> None:
         if self.n != other.n:
@@ -334,32 +320,6 @@ class Polynomial:
                 out.pop(key, None)
         return Polynomial._raw(self.n, out)
 
-    def euler(self) -> "Polynomial":
-        """Apply the Euler operator sum_i x_i d/dx_i.
-
-        Equals degree * self for homogeneous input.
-        """
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            d = sum(exp)
-            if d:
-                out[exp] = coeff * d
-        return Polynomial._raw(self.n, out)
-
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point."""
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.n:
-            raise ValueError(f"point has {len(vals)} coordinates, expected {self.n}")
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v**e
-            total += term
-        return total
-
     def substitute_variables(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute x_i -> images[i-1]; images live in an arbitrary ring."""
         if len(images) != self.n:
@@ -517,9 +477,6 @@ class MonomialOrder:
             return (-sum(e), *map(neg, e))
         return (-sum(e), *reversed(e))
 
-    def greater(self, a: Exponent, b: Exponent) -> bool:
-        return self.key(a) > self.key(b)
-
     def sorted_terms(self, p: Polynomial, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
         return sorted(p.terms.items(), key=lambda t: self.key(t[0]), reverse=reverse)
 
@@ -553,12 +510,6 @@ class LinearChange:
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @staticmethod
-    def identity(n: int) -> "LinearChange":
-        return LinearChange(tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ))
 
     def determinant(self) -> Fraction:
         # plain fraction-based elimination; n stays small here

@@ -23,7 +23,7 @@ def membership_oracle(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
     if p.is_zero():
         return True
     for degree in sorted({sum(e) for e in p.terms}):
-        component = p.homogeneous_component(degree)
+        component = Polynomial(p.n, {e: c for e, c in p.terms.items() if sum(e) == degree})
         if not _slice_member(component, gens, degree):
             return False
     return True

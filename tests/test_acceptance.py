@@ -15,13 +15,10 @@ import pytest
 
 from nakai_forge.cli import main as cli_main
 from nakai_forge.derivations import (
-    compose2,
     euler_derivation,
     hamiltonian,
-    modified_jacobian_ideal,
     principal_cofactor,
     replay_ledger,
-    square_obstruction_ideal,
     symmetrize,
     theta2_extract,
 )
@@ -52,6 +49,7 @@ from conftest import (
     random_polynomial,
 )
 from linalg_oracle import membership_oracle
+from operator_reference import compose2, modified_jacobian_ideal, square_obstruction_ideal
 
 V3 = ["x", "y", "z"]
 V4 = ["x", "y", "z", "w"]

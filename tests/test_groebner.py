@@ -13,8 +13,6 @@ from nakai_forge.groebner import (
     ResourceLimitExceeded,
     buchberger,
     is_isolated_singularity,
-    is_regular_sequence_homog,
-    is_zero_dimensional,
     jacobian_ideal,
     quotient_dimension,
 )
@@ -237,16 +235,16 @@ class TestLift:
 
 class TestZeroDimensional:
     def test_pure_powers(self):
-        assert is_zero_dimensional(ideal("x^2", "y^2", "z^2"))
+        assert buchberger(ideal("x^2", "y^2", "z^2")).is_zero_dimensional()
 
     def test_line_is_not(self):
-        assert not is_zero_dimensional(ideal("x", variables=["x", "y"]))
+        assert not buchberger(ideal("x", variables=["x", "y"])).is_zero_dimensional()
 
     def test_paper_example_jacobian(self):
-        assert is_zero_dimensional(jacobian_ideal(P("x^2*y + y^2*z + z^2*x")))
+        assert buchberger(jacobian_ideal(P("x^2*y + y^2*z + z^2*x"))).is_zero_dimensional()
 
     def test_unit_ideal(self):
-        assert is_zero_dimensional(ideal("x", "x - 1", variables=["x", "y"]))
+        assert buchberger(ideal("x", "x - 1", variables=["x", "y"])).is_zero_dimensional()
 
 
 class TestQuotientDimension:
@@ -311,27 +309,21 @@ class TestIsolated:
 
 
 class TestRegularSequence:
+    """n homogeneous polynomials in n variables form a regular sequence iff
+    they generate a zero-dimensional ideal."""
+
     def test_paper_slice_sequence(self):
         y = ["y1", "y2", "y3"]
         g = parse_poly("(y1 - y3)^2*y2 + y2^2*y3 + y3^2*(y1 - y3)", y)
         y1 = parse_poly("y1", y)
         seq = (y1, g.partial(2), g.partial(3))
-        assert is_regular_sequence_homog(seq)
+        assert buchberger(Ideal(seq)).is_zero_dimensional()
         squared = (parse_poly("y1^2", y), g.partial(2), g.partial(3))
-        assert is_regular_sequence_homog(squared)
+        assert buchberger(Ideal(squared)).is_zero_dimensional()
 
     def test_dependent_pair(self):
-        assert not is_regular_sequence_homog(
-            (parse_poly("x", ["x", "y"]), parse_poly("x^2", ["x", "y"]))
-        )
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            is_regular_sequence_homog((P("x"), P("y")))
-
-    def test_non_homogeneous_entry(self):
-        with pytest.raises(ValueError):
-            is_regular_sequence_homog((P("x"), P("y"), P("z + z^2")))
+        pair = (parse_poly("x", ["x", "y"]), parse_poly("x^2", ["x", "y"]))
+        assert not buchberger(Ideal(pair)).is_zero_dimensional()
 
 
 class TestOracleAgreement:

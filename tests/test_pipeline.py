@@ -11,7 +11,6 @@ import pytest
 import nakai_forge.groebner as groebner
 import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
-from nakai_forge.derivations import modified_jacobian_ideal, square_obstruction_ideal
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import (
     Ideal,
@@ -41,6 +40,7 @@ from nakai_forge.pipeline import (
 )
 from nakai_forge.poly import Polynomial, monomials_of_degree, rational_reconstruction
 
+from operator_reference import modified_jacobian_ideal, square_obstruction_ideal
 from test_acceptance import _random_corpus
 
 V3 = ["x", "y", "z"]
@@ -905,7 +905,10 @@ class TestPositiveDimension:
         doc["input"]["rejection"] = {"reason": "not_isolated", "message": "forged"}
         doc["membership_tests"]["positive_dimension"] = {}
         assert self._forge(doc, 4, {(4, 0, 0): "1"}) == [
-            "input_jacobian: the functional does not vanish on monomial [2, 0, 0] times generator 0"
+            "input_jacobian: the functional does not vanish on monomial [2, 0, 0] times generator 0",
+            "recorded isolated flag does not match the verdict",
+            "recorded Milnor number is not prod(D / W_i - 1)",
+            "the rejection message is not the one the reason 'not_isolated' gives",
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
@@ -1088,11 +1091,16 @@ class TestQuasiHomogeneous:
 
     def test_no_isolating_slice_forged_with_shared_weight(self):
         # x and y share weight 4, so mixed slices are admissible; the
-        # recorded restriction basis is genuine but cannot justify the claim
+        # recorded restriction basis is genuine but cannot justify the claim,
+        # and every other input field is rewritten to match f
         f = P("x^3 + x*y^2 + z^4")
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
-        doc["input"].update(weights=[4, 4, 3], degree=12)
+        doc["input"].update(weights=[4, 4, 3], degree=12, milnor_number=12)
+        doc["input"]["rejection"]["message"] = (
+            "the restriction to x = 0 is not an isolated singularity and no other variable "
+            "has the weight 4 of x, so no admissible slice exists"
+        )
         _, rejection = decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
         doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(*rejection)
         failures = certificate_failures(WitnessCertificate(doc))
@@ -1139,7 +1147,8 @@ class TestQuasiHomogeneous:
 
 class TestInputGate:
     """The verifier recomputes input_gate, and the input facts a certificate
-    records, for every verdict."""
+    records, for every verdict; once the verdict is accepted, the isolation
+    facts and the rejection message must be the ones the builder writes."""
 
     @pytest.mark.parametrize("text", ["x^2*y + z^3", "x^3 + x*y^3 + z^2"])
     def test_rejection_with_forged_weights(self, text, tmp_path):
@@ -1181,6 +1190,32 @@ class TestInputGate:
         for key in ("homogeneous", "weights", "degree", "variable_count"):
             del doc["input"][key]
         assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("text", ["0", "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
+    def test_rejection_with_forged_message(self, text, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        reason = doc["input"]["rejection"]["reason"]
+        doc["input"]["rejection"]["message"] = "the input is isolated after all"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            f"the rejection message is not the one the reason {reason!r} gives"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("text, forged, failures", [
+        ("0", {"isolated": False}, ["recorded isolated flag does not match the verdict"]),
+        ("x^2*y + z^3", {"isolated": True, "milnor_number": 5}, [
+            "recorded isolated flag does not match the verdict",
+            "recorded Milnor number is not prod(D / W_i - 1)",
+        ]),
+        ("x^3 + x*y^3 + z^2", {"milnor_number": 99}, ["recorded Milnor number is not prod(D / W_i - 1)"]),
+    ])
+    def test_rejection_with_forged_isolation_facts(self, text, forged, failures, tmp_path):
+        # a gate rejection records neither fact, not_isolated records
+        # isolated false, no_isolating_slice isolated true and the Milnor number
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        doc["input"].update(forged)
+        assert certificate_failures(WitnessCertificate(doc)) == failures
         assert _cli_verify(doc, tmp_path) == 4
 
 

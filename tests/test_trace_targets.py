@@ -1,11 +1,14 @@
-"""The benchmark's layer trace rebinds nakai_forge functions by name; a
-deletion or rename in the package must not silently break it."""
+"""The benchmark's layer trace rebinds nakai_forge functions by name, and
+its child and workload generator call nakai_forge by name; a deletion or
+rename in the package must not silently break it."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
 
 
 def _layertrace():
@@ -27,3 +30,31 @@ def test_every_trace_target_resolves():
             assert method in vars(getattr(owner, head)), f"{name}: method {path} is gone"
         else:
             assert callable(getattr(owner, head)), f"{name}: {path} is not callable"
+
+
+def _benchmark_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for each nakai_forge name the file imports with
+    ``from nakai_forge... import``, or reads as an attribute of ``api``,
+    the name child.py gives the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nakai_forge"):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "api":
+            names.add(("nakai_forge", node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    child = _benchmark_names(PERFBENCH / "child.py")
+    workloads = _benchmark_names(PERFBENCH / "workloads.py")
+    # the scan must see the calls it guards, or it would guard nothing
+    assert {("nakai_forge", name) for name in (
+        "parse_poly", "build_witness", "write_certificate", "read_certificate", "certificate_failures",
+    )} <= child
+    assert {module for module, _ in workloads} >= {
+        "nakai_forge.exprio", "nakai_forge.groebner", "nakai_forge.poly",
+    }
+    for module_name, name in sorted(child | workloads):
+        owner = importlib.import_module(module_name)
+        assert callable(getattr(owner, name, None)), f"{module_name}.{name} is gone"
