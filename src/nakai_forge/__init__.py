@@ -57,7 +57,6 @@ from .poly import (
     GREVLEX,
     GRLEX,
     LEX,
-    LinearChange,
     MonomialOrder,
     Polynomial,
     quasi_homogeneous_weights,

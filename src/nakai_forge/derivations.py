@@ -95,14 +95,6 @@ class Derivation1:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         return sum_of_products(self.n, ((p.partial(i), q) for i, q in enumerate(self.images, 1) if q))
 
-    def add_scaled(self, coeff: Polynomial | Fraction | int, other: "Derivation1") -> "Derivation1":
-        """self + coeff * other, componentwise."""
-        if other.n != self.n:
-            raise ValueError("variable-count mismatch between derivations")
-        if isinstance(coeff, Polynomial):
-            return Derivation1(tuple(a + coeff * b for a, b in zip(self.images, other.images)))
-        return Derivation1(tuple(a + b.scale(coeff) for a, b in zip(self.images, other.images)))
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.images)
 
@@ -236,9 +228,6 @@ class DiffOp2:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         return sum_of_products(self.n, ((c, p.higher_partial(alpha)) for alpha, c in self.coeffs.items()))
-
-    def scale(self, s: Fraction | int) -> "DiffOp2":
-        return DiffOp2(self.n, {a: c.scale(s) for a, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp2):

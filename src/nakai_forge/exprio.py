@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import log2
 from typing import NamedTuple, Sequence
 
-from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
+from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, Polynomial
 
 
 class ParseError(ValueError):
@@ -266,6 +266,8 @@ class _Parser:
 def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression over the given ordered variable names."""
     names = list(variables)
+    if isinstance(variables, str) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"variable names must be a sequence of strings, not {variables!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     parser = _Parser(_tokenize(text), names, len(names))
@@ -276,14 +278,14 @@ def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
     return result
 
 
-def format_poly(p: Polynomial, variables: Sequence[str], order: MonomialOrder = GREVLEX) -> str:
+def format_poly(p: Polynomial, variables: Sequence[str]) -> str:
     """Render p with terms in descending monomial order; parses back to p."""
     if len(variables) != p.n:
         raise ValueError(f"{len(variables)} names for {p.n} variables")
     if p.is_zero():
         return "0"
     pieces = []
-    for exp, coeff in order.sorted_terms(p):
+    for exp, coeff in GREVLEX.sorted_terms(p):
         factors = []
         if abs(coeff) != 1 or not any(exp):
             factors.append(format_fraction(abs(coeff)))

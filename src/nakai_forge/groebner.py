@@ -60,7 +60,7 @@ plain Fraction loop, so both take the same terms in the same order (the
 largest first, divisors in list order) and emit equal rationals:
 quotients and remainders agree term for term.  The largest working term
 comes from a heap keyed by ``MonomialOrder.descending_key``.  Cancelled
-terms leave the working dict at once, so the ``max_terms`` cap counts live
+terms leave the working dict at once, so the term cap counts live
 terms, and a heap entry whose monomial is no longer live is skipped.
 
 Resource limits are hard errors, never silent wrong answers.
@@ -176,7 +176,6 @@ def _divide_tracked(
     p: Polynomial | Residues,
     divisors: Sequence[Divisor],
     order: MonomialOrder,
-    max_terms: int,
     modulus: int | None = None,
 ) -> tuple[list, Polynomial | Residues]:
     """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder.
@@ -189,8 +188,10 @@ def _divide_tracked(
 
     No remainder term is divisible by any divisor's leading monomial.
     Divisors (_split_divisor) are tried in list order, which keeps the
-    result deterministic.
+    result deterministic.  More than DEFAULT_MAX_TERMS working terms raise
+    ResourceLimitExceeded.
     """
+    max_terms = DEFAULT_MAX_TERMS
     if modulus is None:
         denominator, items = p.integer_terms()
         work = dict(items)
@@ -349,7 +350,7 @@ class GroebnerBasis:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         if self.modulus is not None:
             p = _residues(p, self.modulus)
-        return _divide_tracked(p, self._divisors, self.order, DEFAULT_MAX_TERMS, self.modulus)
+        return _divide_tracked(p, self._divisors, self.order, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p (of p reduced modulo the
@@ -503,7 +504,7 @@ def buchberger(
             # both monic: the leading terms cancel, leaving x^a tail_i - x^b tail_j
             m_i, m_j = {a: 1}, {b: -1}
             s_poly = _accumulate((([(a, 1)], tail_i, 1), ([(b, -1)], tail_j, 1)))
-        quotients, remainder = _divide_tracked(s_poly, divisors, order, DEFAULT_MAX_TERMS, modulus)
+        quotients, remainder = _divide_tracked(s_poly, divisors, order, modulus)
         if not remainder:
             continue
         append(remainder, [(m_i, i), (m_j, j)], [(q, k) for k, q in enumerate(quotients) if q])
@@ -537,7 +538,7 @@ def _reduce_basis(
     split = [divisors[k] for k in kept]
     final: list[tuple[Exponent, Polynomial, Recipe]] = []
     for idx, node in enumerate(kept):
-        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, DEFAULT_MAX_TERMS, modulus)
+        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, modulus)
         # p = basis[node] - sum q * other, made monic: its leading term is
         # that of basis[node], which no other leading monomial divides, and
         # modulo a prime basis[node] is monic already
@@ -571,7 +572,7 @@ def reduce_by_basis(
     """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order, DEFAULT_MAX_TERMS)
+    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order)
     return remainder
 
 

@@ -213,7 +213,6 @@ from .groebner import (
 from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
 from .poly import (
     Exponent,
-    LinearChange,
     Polynomial,
     _top_degree,
     _vanishing_failures,
@@ -246,7 +245,6 @@ class WitnessCertificate:
 @dataclass(frozen=True)
 class SliceChoice:
     coefficients: tuple[Fraction, ...]
-    change: LinearChange
     g: Polynomial  # f(x(y))
     gb: GroebnerBasis  # J(h) mod a prime (groebner.decide_isolation), h = g at y_1 = 0; its record lifts from it
     attempts: int
@@ -262,34 +260,28 @@ class SaitoReport:
     gb: GroebnerBasis
 
 
-def slice_change(coefficients: Sequence[Fraction], n: int) -> LinearChange:
-    """The substitution for y1 = a1 x1 + ... + an xn, y_i = x_i otherwise.
-
-    Inverting gives x1 = (y1 - a2 y2 - ... - an yn) / a1, so the matrix row
-    for x1 is (1/a1, -a2/a1, ..., -an/a1) and the other rows are identity.
-    """
+def slice_images(coefficients: Sequence[Fraction], n: int) -> list[Polynomial]:
+    """The images of x_1, ..., x_n for the slice y1 = a1 x1 + ... + an xn,
+    y_i = x_i otherwise: inverting gives x1 = (y1 - a2 y2 - ... - an yn) / a1."""
     a = [Fraction(c) for c in coefficients]
     if len(a) != n:
         raise ValueError(f"{len(a)} slice coefficients for {n} variables")
     if a[0] == 0:
         raise ValueError("the first slice coefficient must be nonzero")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(1) / a[0]
-    for j in range(1, n):
-        rows[0][j] = -a[j] / a[0]
-        rows[j][j] = Fraction(1)
-    return LinearChange(tuple(tuple(r) for r in rows))
+    eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    first = Polynomial(n, {e: (1 if j == 0 else -a[j]) / a[0] for j, e in enumerate(eye)})
+    return [first] + [Polynomial.monomial(n, e) for e in eye[1:]]
 
 
-def substitute_slice(change: LinearChange, f: Polynomial) -> Polynomial:
-    """g = f(x(y)) for a slice change; raises ResourceLimitExceeded, before
-    expanding anything, when a row of two or more terms is raised to a power
-    that the parser would refuse to expand (exprio._power_too_large)."""
-    for i, row in enumerate(change.matrix):
+def substitute_slice(images: Sequence[Polynomial], f: Polynomial) -> Polynomial:
+    """g = f(x(y)) for slice images; raises ResourceLimitExceeded, before
+    expanding anything, when an image of two or more terms is raised to a
+    power that the parser would refuse to expand (exprio._power_too_large)."""
+    for i, image in enumerate(images):
         k = max((e[i] for e in f.terms), default=0)
-        if _power_too_large(sum(1 for c in row if c), k):
+        if _power_too_large(len(image.terms), k):
             raise ResourceLimitExceeded(f"power {k} of slice row {i + 1} is too large to expand")
-    return change.apply(f)
+    return f.substitute_variables(images)
 
 
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
@@ -353,12 +345,11 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
             if attempts >= MAX_SLICE_ATTEMPTS:
                 raise ResourceLimitExceeded(f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts")
             attempts += 1
-            change = slice_change(coeffs, n)
-            g = substitute_slice(change, f)
+            g = substitute_slice(slice_images(coeffs, n), f)
             gb, rejection = decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
             if rejection is None:
                 logger.info("slice found after %d attempts: %s", attempts, coeffs)
-                return SliceChoice(coeffs, change, g, gb, attempts)
+                return SliceChoice(coeffs, g, gb, attempts)
     except ResourceLimitExceeded as exc:
         exc.attempts = attempts  # the slices tried, the one that hit the limit included
         raise
@@ -414,7 +405,7 @@ def _isolation_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
     leading = gb.leading_monomials()
     elements = [gb.basis[next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)] for i in range(gb.n)]
     rows = [gb.lift(b) for b in elements]
-    return {"prime": gb.modulus, "cofactors": [[format_poly(c, variables, gb.order) for c in row] for row in rows]}
+    return {"prime": gb.modulus, "cofactors": [[format_poly(c, variables) for c in row] for row in rows]}
 
 
 def _positive_dimension_record(t: int, functional: dict[Exponent, Fraction]) -> dict:
@@ -777,14 +768,17 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
 
     change_doc = doc["change_of_coordinates"]
     yvars = change_doc["new_variables"]
-    coeffs = [parse_fraction(s) for s in change_doc["slice_coefficients"]]
+    coeffs = change_doc["slice_coefficients"]
+    if not isinstance(coeffs, list):
+        return failures + [f"slice coefficients invalid: {coeffs!r} is not a list"]
+    coeffs = [parse_fraction(s) for s in coeffs]
     try:
-        change = slice_change(coeffs, n)
+        images = slice_images(coeffs, n)
     except ValueError as exc:
         return failures + [f"slice coefficients invalid: {exc}"]
     if any(a and w != weights[0] for a, w in zip(coeffs, weights)):
         failures.append("slice mixes variables of different weight")
-    g = substitute_slice(change, f)
+    g = substitute_slice(images, f)
     if parse_poly(change_doc["transformed_polynomial"], yvars) != g:
         failures.append("transformed polynomial does not match the substitution")
 

@@ -492,58 +492,6 @@ GRLEX = MonomialOrder("grlex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
-class LinearChange:
-    """An invertible linear substitution x_i -> sum_j matrix[i][j] * y_j."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.matrix)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("coordinate change matrix must be square")
-        object.__setattr__(self, "matrix", rows)
-        if n and self.determinant() == 0:
-            raise ValueError("coordinate change matrix is singular")
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
-    def determinant(self) -> Fraction:
-        # plain fraction-based elimination; n stays small here
-        a = [list(row) for row in self.matrix]
-        n = len(a)
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = Fraction(1) / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Exact composition p(M y): substitute each old variable by its row."""
-        if p.n != self.n:
-            raise ValueError(f"variable-count mismatch: polynomial has {p.n}, matrix has {self.n}")
-        images = [
-            Polynomial(self.n, {tuple(1 if k == j else 0 for k in range(self.n)): c
-                                for j, c in enumerate(row) if c})
-            for row in self.matrix
-        ]
-        return p.substitute_variables(images)
-
-
 def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | None:
     """Weights W and weighted degree D with <e, W> = D for every exponent e of p.
 

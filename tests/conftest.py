@@ -12,8 +12,9 @@ from nakai_forge.derivations import (
     hamiltonian,
 )
 from nakai_forge.groebner import is_isolated_singularity
-from nakai_forge.minors import algebraic_cofactor, hessian
+from nakai_forge.minors import PolyMatrix, algebraic_cofactor, determinant, hessian
 from nakai_forge.poly import Polynomial, monomials_of_degree
+from operator_reference import add_scaled
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
@@ -46,6 +47,16 @@ def random_homogeneous(rng: random.Random, n: int, degree: int,
         p = Polynomial(n, terms)
         if not p.is_zero():
             return p
+
+
+def random_linear_images(rng: random.Random, n: int, bound: int) -> list[Polynomial]:
+    """The images x_i -> sum_j c_ij y_j of a random invertible linear change
+    of coordinates, with integer entries c_ij in [-bound, bound]."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if not determinant(PolyMatrix([[Polynomial.constant(n, c) for c in row] for row in rows])).is_zero():
+            return [sum((Polynomial.variable(n, j).scale(c) for j, c in enumerate(row, 1)), Polynomial.zero(n))
+                    for row in rows]
 
 
 def random_isolated(rng: random.Random, n: int, degree: int,
@@ -103,8 +114,8 @@ def random_compatible_tuple(rng: random.Random, f: Polynomial) -> DerivationTupl
             l = rng.randint(1, n)
             if k == l:
                 continue
-            d = d.add_scaled(
-                random_polynomial(rng, n, 1, max_terms=2, coeff_bound=2),
+            d = add_scaled(
+                d, random_polynomial(rng, n, 1, max_terms=2, coeff_bound=2),
                 hamiltonian(f, k, l),
             )
         if rng.random() < 0.5:

@@ -4,16 +4,18 @@ against.
 The witness construction never composes derivations, shifts an operator
 or forms these ideals; the tests do, to check what it builds from the
 outside.  ``compose2`` gives the compositions whose d_1(x_1) entries lie
-in the square ideal (point 3 of the ``pipeline`` docstring), ``shift``
-cross-checks ``theta2_extract``, ``verify_order2_identity`` checks the
-defining identity of an operator of order 2 on a lift, the square ideal
-is the membership target that the socle lemma replaced, and the modified
-Jacobian ideals are the zero-dimensional systems of the Saito criterion
-tests.
+in the square ideal (point 3 of the ``pipeline`` docstring),
+``add_scaled`` and ``scale_operator`` form the expected combinations of
+derivations and operators, ``shift`` cross-checks ``theta2_extract``,
+``verify_order2_identity`` checks the defining identity of an operator
+of order 2 on a lift, the square ideal is the membership target that the
+socle lemma replaced, and the modified Jacobian ideals are the
+zero-dimensional systems of the Saito criterion tests.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -46,6 +48,18 @@ def compose2(first: Derivation1, second: Derivation1) -> DiffOp2:
     for i, j in combinations_with_replacement(range(n), 2):
         coeffs[_index(n, i, j)] = sum_of_products(n, ((a[i], b[j]), (a[j], b[i])))
     return DiffOp2(n, coeffs)  # drops the zero coefficients
+
+
+def add_scaled(d: Derivation1, coeff: Polynomial, other: Derivation1) -> Derivation1:
+    """d + coeff * other, componentwise."""
+    if other.n != d.n:
+        raise ValueError("variable-count mismatch between derivations")
+    return Derivation1(tuple(a + coeff * b for a, b in zip(d.images, other.images)))
+
+
+def scale_operator(op: DiffOp2, s: Fraction | int) -> DiffOp2:
+    """The operator with every coefficient multiplied by s."""
+    return DiffOp2(op.n, {a: c.scale(s) for a, c in op.coeffs.items()})
 
 
 def shift(op: DiffOp2, beta: Sequence[int]) -> DiffOp2:

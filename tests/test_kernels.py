@@ -19,6 +19,7 @@ from kernel_reference import (
     reference_replay,
     reference_tokenize,
 )
+import nakai_forge.groebner as groebner
 from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, _split_divisor, buchberger
@@ -189,11 +190,11 @@ class TestReplayLedger:
                 replay_ledger(tuple_in, [Adjustment(target, 1, 2, x)])
 
 
-def _divide_both(p, divisors, order, max_terms=10**6):
+def _divide_both(p, divisors, order):
     leading = [order.leading_term(g) for g in divisors]
     return (
-        _divide_tracked(p, [_split_divisor(g, order) for g in divisors], order, max_terms),
-        reference_divide(p, divisors, leading, order, max_terms),
+        _divide_tracked(p, [_split_divisor(g, order) for g in divisors], order),
+        reference_divide(p, divisors, leading, order, groebner.DEFAULT_MAX_TERMS),
     )
 
 
@@ -261,7 +262,7 @@ class TestDivide:
             _assert_same_division((quotients, remainder), ref)
             assert remainder.is_zero() and all(q.is_zero() for q in quotients)
 
-    def test_cap_agrees_with_reference(self):
+    def test_cap_agrees_with_reference(self, monkeypatch):
         rng = random.Random(99)
         checked = 0
         for _ in range(60):
@@ -272,39 +273,43 @@ class TestDivide:
                 continue
             leading = [GREVLEX.leading_term(g)]
             for cap in range(0, 40):
+                monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", cap)
                 try:
                     reference_divide(p, [g], leading, GREVLEX, cap)
                 except ResourceLimitExceeded:
                     with pytest.raises(ResourceLimitExceeded):
-                        _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, cap)
+                        _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
                     continue
-                _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, cap)
+                _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
                 checked += cap > 0
                 break
         assert checked > 10
 
 
 class TestMaxTermsCap:
-    def test_raises_once_live_terms_exceed_cap(self):
+    def test_raises_once_live_terms_exceed_cap(self, monkeypatch):
         # x^2 by x - y - z under grevlex: after x^2 the live terms are
         # {xy, xz}, after xy {xz, y^2, yz}, after xz {y^2, 2yz, z^2};
         # the most live terms at once is 3
         V = Polynomial.variable
         p = V(3, 1) * V(3, 1)
         g = V(3, 1) - V(3, 2) - V(3, 3)
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 2)
         with pytest.raises(ResourceLimitExceeded, match="exceeded 2 terms"):
-            _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 2)
-        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 3)
+            _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 3)
+        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
         assert quotients[0] == V(3, 1) + V(3, 2) + V(3, 3)
         assert remainder == (V(3, 2) + V(3, 3)) * (V(3, 2) + V(3, 3))
 
-    def test_cancelled_terms_are_not_counted(self):
+    def test_cancelled_terms_are_not_counted(self, monkeypatch):
         # x^2 - x*y + z^2 by x - y: taking x^2 adds x*y, which cancels the
         # -x*y already there, so one live term (z^2) remains and a cap of 1
         # holds; a zero kept in the working map would count as a second
         p = parse_poly("x^2 - x*y + z^2", ["x", "y", "z"])
         g = parse_poly("x - y", ["x", "y", "z"])
-        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX, 1)
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 1)
+        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
         assert quotients[0] == parse_poly("x", ["x", "y", "z"])
         assert remainder == parse_poly("z^2", ["x", "y", "z"])
 

@@ -35,7 +35,8 @@ from nakai_forge.pipeline import (
     jacobian_matrix,
     restrict_to_hyperplane,
     saito_check,
-    slice_change,
+    slice_images,
+    substitute_slice,
     verify_certificate,
 )
 from nakai_forge.poly import Polynomial, monomials_of_degree, rational_reconstruction
@@ -99,7 +100,7 @@ class TestSliceSearch:
         assert choice.attempts > 1
         # the search hands on g = f(x(y)) and the row-tracked basis of J(h),
         # h the restriction
-        assert choice.g == choice.change.apply(f)
+        assert choice.g == f.substitute_variables(slice_images(choice.coefficients, 3))
         restriction = restrict_to_hyperplane(choice.g)
         assert choice.gb.source == jacobian_ideal(restriction)
         assert len(choice.gb.cofactors) == len(choice.gb.basis)
@@ -107,8 +108,7 @@ class TestSliceSearch:
 
     def test_paper_chosen_slice_works(self):
         # y1 = x + z: the restriction is y2*y3^2 + y2^2*y3 - y3^3
-        change = slice_change((1, 0, 1), 3)
-        g = change.apply(P(PAPER_F))
+        g = substitute_slice(slice_images((1, 0, 1), 3), P(PAPER_F))
         restriction = restrict_to_hyperplane(g)
         assert restriction == parse_poly("y2*y3^2 + y2^2*y3 - y3^3", ["y2", "y3"])
         assert buchberger(jacobian_ideal(restriction)).is_zero_dimensional()
@@ -163,7 +163,7 @@ class TestSliceSearch:
 
     def test_first_coefficient_must_be_nonzero(self):
         with pytest.raises(ValueError):
-            slice_change((0, 1, 0), 3)
+            slice_images((0, 1, 0), 3)
 
 
 class TestSaito:
@@ -182,7 +182,7 @@ class TestSaito:
 
     def test_paper_modified_system(self):
         y = ["y1", "y2", "y3"]
-        g = slice_change((1, 0, 1), 3).apply(P(PAPER_F))
+        g = substitute_slice(slice_images((1, 0, 1), 3), P(PAPER_F))
         gens = (parse_poly("y1^2", y), g.partial(2), g.partial(3))
         report = saito_check(gens)
         assert not report.member
@@ -605,6 +605,29 @@ class TestVerifyCertificate:
         doc = json.loads(write_certificate(cert.document))
         doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
         assert not verify_certificate(WitnessCertificate(doc))
+
+    @pytest.mark.parametrize("coefficients, failure", [
+        (["0", "1", "0"], "slice coefficients invalid: the first slice coefficient must be nonzero"),
+        (["1", "0", "0", "0"], "slice coefficients invalid: 4 slice coefficients for 3 variables"),
+    ], ids=["first zero", "one too many"])
+    def test_invalid_slice_coefficients(self, coefficients, failure, tmp_path):
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["change_of_coordinates"]["slice_coefficients"] = coefficients
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("section, key, text, failure", [
+        ("change_of_coordinates", "slice_coefficients", "100", "slice coefficients invalid: '100' is not a list"),
+        ("input", "variables", "xyz",
+         "certificate data does not replay: variable names must be a sequence of strings, not 'xyz'"),
+    ], ids=["slice coefficients", "input variables"])
+    def test_string_in_place_of_a_list(self, section, key, text, failure, tmp_path):
+        # a JSON string iterates as its characters: "100" reads as the
+        # coefficients 1, 0, 0 and "xyz" as the names x, y, z
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc[section][key] = text
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("case, failure", [
         ("not a pure power", "restriction isolation: row 1 does not lead with a power of y2 modulo 2147483647"),
@@ -1134,8 +1157,7 @@ class TestQuasiHomogeneous:
         f = P("x^2 + y^3 + z^4")
         doc = json.loads(write_certificate(build_witness(f, V3).document))
         coeffs = (Fraction(1), Fraction(1), Fraction(0))
-        change = slice_change(coeffs, 3)
-        g = change.apply(f)
+        g = substitute_slice(slice_images(coeffs, 3), f)
         yvars = doc["change_of_coordinates"]["new_variables"]
         doc["change_of_coordinates"].update({
             "slice_coefficients": [format_fraction(c) for c in coeffs],
@@ -1268,7 +1290,7 @@ class TestObstructionModuloF:
         # the gap shows under the slice y1 = 3x + 3z, with the witness
         # y1 A_11 of point 1 of the pipeline docstring (W_1 = 1); the slice
         # the builder takes, y1 = x - y, puts g in the modified ideal
-        g = slice_change((3, 0, 3), 3).apply(P(PAPER_F))
+        g = substitute_slice(slice_images((3, 0, 3), 3), P(PAPER_F))
         witness = algebraic_cofactor(hessian(g), 1, 1).mul_monomial((1, 0, 0))
         modified = modified_jacobian_ideal(g, 1)
         assert not buchberger(modified).contains(g)

@@ -10,7 +10,6 @@ from nakai_forge.poly import (
     GREVLEX,
     GRLEX,
     LEX,
-    LinearChange,
     MonomialOrder,
     Polynomial,
     is_prime,
@@ -271,56 +270,33 @@ class TestModular:
         assert rational_reconstruction(residue(tall), p) == Fraction(21035, 12209)
 
 
-class TestLinearChange:
-    def test_paper_change(self):
-        f = P("x^2*y + y^2*z + z^2*x")
-        m = LinearChange(((1, 0, -1), (0, 1, 0), (0, 0, 1)))
-        g = m.apply(f)
-        expected = parse_poly("(y1 - y3)^2*y2 + y2^2*y3 + y3^2*(y1 - y3)", ["y1", "y2", "y3"])
-        assert g == expected
-
+class TestSubstituteVariables:
     def test_identity(self):
         f = P("x^2*y - z^3")
-        assert LinearChange(((1, 0, 0), (0, 1, 0), (0, 0, 1))).apply(f) == f
+        assert f.substitute_variables([Polynomial.variable(3, i) for i in (1, 2, 3)]) == f
 
     def test_degree_preserved_random(self):
         rng = random.Random(23)
-        from conftest import random_homogeneous
+        from conftest import random_homogeneous, random_linear_images
 
         for _ in range(10):
             n = rng.randint(2, 4)
             d = rng.randint(1, 4)
             p = random_homogeneous(rng, n, d)
-            m = _random_invertible(rng, n)
-            assert m.apply(p).homogeneous_degree() == d
+            images = random_linear_images(rng, n, 3)
+            assert p.substitute_variables(images).homogeneous_degree() == d
 
     def test_multiplicativity_random(self):
         rng = random.Random(29)
-        from conftest import random_polynomial
+        from conftest import random_linear_images, random_polynomial
 
         for _ in range(10):
             n = rng.randint(2, 3)
             p = random_polynomial(rng, n, 2)
             q = random_polynomial(rng, n, 2)
-            m = _random_invertible(rng, n)
-            assert m.apply(p * q) == m.apply(p) * m.apply(q)
-
-    def test_singular_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            LinearChange(((1, 1), (1, 1)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            LinearChange(((1, 0, 0), (0, 1, 0)))
-
-
-def _random_invertible(rng, n) -> LinearChange:
-    while True:
-        rows = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
-        try:
-            return LinearChange(rows)
-        except ValueError:
-            continue
+            images = random_linear_images(rng, n, 3)
+            product = p.substitute_variables(images) * q.substitute_variables(images)
+            assert (p * q).substitute_variables(images) == product
 
 
 class TestMonomialOrder:
