@@ -327,7 +327,7 @@ def parse_fraction(text: str) -> Fraction:
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 REQUIRED_KEYS = (
     "schema",
@@ -369,7 +369,7 @@ def _validate_document(document: dict) -> None:
     schema = document["schema"]
     if not isinstance(schema, dict) or schema.get("name") != SCHEMA_NAME:
         raise CertificateError(f"unknown certificate schema: {schema!r}")
-    if schema.get("version") != SCHEMA_VERSION:
+    if type(schema.get("version")) is not int or schema["version"] != SCHEMA_VERSION:
         raise CertificateError(
             f"unsupported schema version {schema.get('version')!r}; this build reads version {SCHEMA_VERSION}"
         )

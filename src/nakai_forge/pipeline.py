@@ -33,8 +33,11 @@ compares each recorded fact with the recomputed one, accepts a rejection
 for a gate reason only if that is the first gate f fails, and requires
 every other verdict to pass every gate.  Once it accepts a verdict, the
 recorded isolated flag and Milnor number (neither for a gate rejection)
-and a rejection's message must be the ones the builder writes; no record
-backs isolated true outside a witness, so there it is only compared.
+and a rejection's message must be the ones the builder writes.  Every
+certificate that records isolated true (a witness, a no_isolating_slice
+rejection, RESOURCE_EXHAUSTED) holds the isolation record of point 0,
+written once the builder knows f is isolated and checked once by the
+verifier for each of them.
 
 0. Isolation of f.  The certificate records a prime p that divides no
    denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
@@ -67,7 +70,10 @@ backs isolated true outside a witness, so there it is only compared.
    down is tried.  Only finitely many primes are unlucky: those that
    divide a nonzero Macaulay minor.  The Milnor number is then
    prod(D / W_i - 1) (Milnor and Orlik 1970).
-   Isolation of g = f(x(y)) follows through the invertible change.
+   Isolation of g = f(x(y)) follows through the invertible change.  The
+   certificate records neither g nor the names y_1, ..., y_n of the new
+   variables: the verifier recomputes g from f and the slice coefficients
+   (substitute_slice) and names the variables itself (_new_variables).
 1. The weighted cofactor identity (builder only).  Differentiating
    E_W(f) = D f gives sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2
    alternation of the maximal minors of the Hessian with row 1 deleted
@@ -171,7 +177,10 @@ vanishes wherever h is not isolated.  R cannot vanish on all of the grid
 and the shells up to b cover that grid, so the search reaches an isolating
 slice; MAX_SLICE_ATTEMPTS is its only limit.  When the no-op slice fails and
 no other variable shares the weight of x_1, no admissible slice exists and
-the input is rejected with the reason no_isolating_slice.
+the input is rejected with the reason no_isolating_slice.  A certificate
+records how many slices the search tried (attempts, at most
+MAX_SLICE_ATTEMPTS); in a witness the recorded slice must be that
+candidate of the enumeration.
 """
 
 from __future__ import annotations
@@ -530,6 +539,8 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
     if rejection is not None:
         section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(*rejection)}
         return rejected("not_isolated")
+    # point 0: every certificate that records isolated true backs it
+    section["isolation"] = _isolation_record(gb_input, variables)
 
     try:
         chosen = generic_slice_search(f)
@@ -541,15 +552,11 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         doc["verdict"] = RESOURCE_EXHAUSTED
         info["resource_error"] = str(exc)
         return WitnessCertificate(doc)
-    section["isolation"] = _isolation_record(gb_input, variables)
 
-    n = f.n
-    yvars = _new_variables(n)
+    yvars = _new_variables(f.n)
     g = chosen.g
     doc["change_of_coordinates"] = {
         "slice_coefficients": [format_fraction(c) for c in chosen.coefficients],
-        "new_variables": yvars,
-        "transformed_polynomial": format_poly(g, yvars),
         "attempts": chosen.attempts,
     }
 
@@ -614,8 +621,7 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         info = doc["input"]
         f = parse_poly(info["polynomial"], info["variables"])
         facts, failed = input_gate(f)
-        # compared as written, so that 1 does not pass for true
-        failures = [text for key, text in _FACT_FAILURES.items() if repr(info.get(key)) != repr(facts.get(key))]
+        failures = [text for key, text in _FACT_FAILURES.items() if _as_written(info, key) != _as_written(facts, key)]
         reason = (info.get("rejection") or {}).get("reason") if verdict == INPUT_REJECTED else None
         if failed is not None:
             # only a rejection that names the first failed gate is valid
@@ -628,14 +634,26 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
             return failures + [f"unknown rejection reason {reason!r}"]
         else:
             weights, degree = facts["weights"], facts["degree"]
+            isolation = _isolation_facts(reason != "not_isolated", weights, degree)
+            if isolation["isolated"]:
+                # point 0 backs every isolated true
+                record = doc["membership_tests"].get("isolation")
+                if record is None:
+                    failures.append("isolated true without the isolation record")
+                else:
+                    _check_isolation(record, f, info["variables"], "isolation", failures)
             if verdict == RESOURCE_EXHAUSTED:
-                failures += _verify_exhausted(doc)
+                change = doc.get("change_of_coordinates") or {}
+                if not change.get("exhausted"):
+                    failures.append("RESOURCE_EXHAUSTED certificate without an exhaustion record")
+                failures += _attempts_failures(change.get("attempts"))
             elif verdict == INPUT_REJECTED:
                 failures += _verify_rejected(doc, reason, f, weights, degree)
             else:
                 failures += _verify_witness(doc, f, weights, degree)
-            isolation = _isolation_facts(reason != "not_isolated", weights, degree)
-        failures += [text for key, text in _ISOLATION_FAILURES.items() if repr(info.get(key)) != repr(isolation.get(key))]
+        failures += [
+            text for key, text in _ISOLATION_FAILURES.items() if _as_written(info, key) != _as_written(isolation, key)
+        ]
         if reason is not None and info["rejection"].get("message") != rejection_message(
             reason, failed, info["variables"], facts.get("weights")
         ):
@@ -649,12 +667,17 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         return [f"certificate data does not replay: {exc}"]
 
 
-def _verify_exhausted(doc: dict) -> list[str]:
-    failures: list[str] = []
-    change = doc.get("change_of_coordinates") or {}
-    if not change.get("exhausted"):
-        failures.append("RESOURCE_EXHAUSTED certificate without an exhaustion record")
-    return failures
+def _as_written(record: dict, key: str) -> str | None:
+    """A recorded value as written, so that 1 does not pass for true, nor
+    null for a value the builder leaves out."""
+    return repr(record[key]) if key in record else None
+
+
+def _attempts_failures(attempts) -> list[str]:
+    """The recorded number of slices tried is an int in 1..MAX_SLICE_ATTEMPTS."""
+    if type(attempts) is int and 1 <= attempts <= MAX_SLICE_ATTEMPTS:
+        return []
+    return [f"recorded attempts {attempts!r} is not an integer in 1..{MAX_SLICE_ATTEMPTS}"]
 
 
 def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], weights, degree: int) -> list[str]:
@@ -756,35 +779,38 @@ def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, w1: int
 
 
 def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]:
-    """Points 0, 2 and 3 of the module docstring; input_gate has passed."""
+    """Points 2 and 3 of the module docstring; input_gate has passed, and
+    certificate_failures checks point 0."""
     failures: list[str] = []
     missing = [k for k in ("change_of_coordinates", "lifted_operator", "membership_tests") if not doc.get(k)]
     if missing:
         return [f"witness verdict without the supporting sections: {missing}"]
-    info = doc["input"]
     n = f.n
-    section = doc["membership_tests"]
-    _check_isolation(section["isolation"], f, info["variables"], "isolation", failures)
-
-    change_doc = doc["change_of_coordinates"]
-    yvars = change_doc["new_variables"]
-    coeffs = change_doc["slice_coefficients"]
+    yvars = _new_variables(n)
+    change = doc["change_of_coordinates"]
+    coeffs = change["slice_coefficients"]
     if not isinstance(coeffs, list):
-        return failures + [f"slice coefficients invalid: {coeffs!r} is not a list"]
+        return [f"slice coefficients invalid: {coeffs!r} is not a list"]
     coeffs = [parse_fraction(s) for s in coeffs]
     try:
         images = slice_images(coeffs, n)
     except ValueError as exc:
-        return failures + [f"slice coefficients invalid: {exc}"]
+        return [f"slice coefficients invalid: {exc}"]
     if any(a and w != weights[0] for a, w in zip(coeffs, weights)):
         failures.append("slice mixes variables of different weight")
+    # the range check first, so that a huge count enumerates nothing
+    attempts = change.get("attempts")
+    wrong = _attempts_failures(attempts)
+    if not wrong and next(itertools.islice(_slice_candidates(weights), attempts - 1, None), None) != tuple(coeffs):
+        wrong.append(f"the slice is not candidate {attempts} of the slice search")
+    failures += wrong
     g = substitute_slice(images, f)
-    if parse_poly(change_doc["transformed_polynomial"], yvars) != g:
-        failures.append("transformed polynomial does not match the substitution")
 
     # point 2 of the module docstring: P(g) = 0 and d_j(g) = q_j g for the
     # tuple extracted from P
     op_doc = doc["lifted_operator"]
+    if any(type(a) is not int for entry in op_doc["coefficients"] for a in entry["index"]):
+        return failures + ["lifted operator has a multi-index entry that is not an integer"]
     op = DiffOp2(n, {
         tuple(entry["index"]): parse_poly(entry["value"], yvars)
         for entry in op_doc["coefficients"]
@@ -799,5 +825,5 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
     if not op.apply(g).is_zero():
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
-    _check_obstruction(section["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, failures)
+    _check_obstruction(doc["membership_tests"]["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, failures)
     return failures

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random polynomial generators."""
+"""Shared test helpers: seeded random polynomial generators, and the new
+coordinates of a witness certificate."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from nakai_forge.derivations import (
     euler_derivation,
     hamiltonian,
 )
+from nakai_forge.exprio import parse_fraction, parse_poly
 from nakai_forge.groebner import is_isolated_singularity
 from nakai_forge.minors import PolyMatrix, algebraic_cofactor, determinant, hessian
+from nakai_forge.pipeline import _new_variables, slice_images, substitute_slice
 from nakai_forge.poly import Polynomial, monomials_of_degree
 from operator_reference import add_scaled
 
@@ -135,3 +138,12 @@ def lifted_defect_cofactors(t: DerivationTuple, gb) -> dict:
         for i in range(1, t.n + 1)
         for j in range(i + 1, t.n + 1)
     }
+
+
+def slice_coordinates(document: dict) -> tuple[Polynomial, list[str]]:
+    """g = f(x(y)) and the names y1..yn of a witness certificate, derived as
+    the verifier derives them: the certificate records neither."""
+    info = document["input"]
+    f = parse_poly(info["polynomial"], info["variables"])
+    coefficients = [parse_fraction(c) for c in document["change_of_coordinates"]["slice_coefficients"]]
+    return substitute_slice(slice_images(coefficients, f.n), f), _new_variables(f.n)

@@ -48,6 +48,7 @@ from conftest import (
     random_isolated,
     random_isolated_quasi_homogeneous,
     random_polynomial,
+    slice_coordinates,
 )
 from linalg_oracle import membership_oracle
 from operator_reference import compose2, modified_jacobian_ideal, scale_operator, square_obstruction_ideal
@@ -350,11 +351,10 @@ def test_criterion_9_saito_criterion(corpus_certificates):
         saito = saito_check(jacobian_ideal(f).generators)
         assert saito.member is False, name
         checked += 1
-    # the (y1^2, g_2, ..., g_n) systems of the recorded transformed polynomials
-    # from the criterion-6 runs
+    # the (y1^2, g_2, ..., g_n) systems of the transformed polynomials of the
+    # criterion-6 certificates
     for name, _, _, document in results:
-        change = document["change_of_coordinates"]
-        g = parse_poly(change["transformed_polynomial"], change["new_variables"])
+        g, _ = slice_coordinates(document)
         gens = modified_jacobian_ideal(g, 1).generators
         saito = saito_check(gens)
         assert saito.member is False, name
@@ -371,7 +371,7 @@ def test_isolation_records_stay_small(corpus_certificates):
     sizes = {}
     for name, _, _, document in results:
         tests = document["membership_tests"]
-        new_variables = document["change_of_coordinates"]["new_variables"]
+        _, new_variables = slice_coordinates(document)
         for record, variables in ((tests["isolation"], document["input"]["variables"]),
                                   (tests["obstruction"]["restriction_isolation"], new_variables[1:])):
             p = record["prime"]

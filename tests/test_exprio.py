@@ -191,7 +191,7 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 6},
+            "schema": {"name": "nakai-witness-certificate", "version": 7},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
             "lifted_operator": None,
@@ -216,12 +216,20 @@ class TestCertificateIO:
         good = self._document()
         # schema 2 (rejections replayed from a basis), schema 3 (with the
         # candidate, the ledger and the symmetric tuple), schema 4 (the
-        # obstruction as a dual vector on S) and schema 5 (isolation rows
-        # over Q) are no longer read
-        for old in (b'"version": 2', b'"version": 3', b'"version": 4', b'"version": 5'):
-            payload = write_certificate(good).replace(b'"version": 6', old)
+        # obstruction as a dual vector on S), schema 5 (isolation rows over
+        # Q) and schema 6 (g and the new variable names recorded, isolated
+        # true unbacked outside a witness) are no longer read
+        for old in (b'"version": 2', b'"version": 3', b'"version": 4', b'"version": 5', b'"version": 6'):
+            payload = write_certificate(good).replace(b'"version": 7', old)
             with pytest.raises(CertificateError, match="version"):
                 read_certificate(payload)
+
+    @pytest.mark.parametrize("version", ["7.0", "true", '"7"'])
+    def test_version_must_be_an_integer(self, version):
+        # 7.0 == 7 in Python, but the schema version is an integer
+        payload = write_certificate(self._document()).replace(b'"version": 7', f'"version": {version}'.encode())
+        with pytest.raises(CertificateError, match="version"):
+            read_certificate(payload)
 
     def test_long_coefficients_round_trip(self):
         doc = self._document()

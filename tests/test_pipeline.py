@@ -27,6 +27,7 @@ from nakai_forge.pipeline import (
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
+    _isolation_record,
     _positive_dimension_record,
     _slice_candidates,
     build_witness,
@@ -41,6 +42,7 @@ from nakai_forge.pipeline import (
 )
 from nakai_forge.poly import Polynomial, monomials_of_degree, rational_reconstruction
 
+from conftest import slice_coordinates
 from operator_reference import modified_jacobian_ideal, square_obstruction_ideal
 from test_acceptance import _random_corpus
 
@@ -326,7 +328,7 @@ class TestBuildWitness:
         assert tests["isolation"]["prime"] == tests["obstruction"]["restriction_isolation"]["prime"] == 2147483629
         assert bases == [2**31 - 1, None, 2147483629] * 2
         assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
-            "3bc3fb7a76b64ae17e0bbebe80300bc7dc75c20925971ce8d8f3f330e8f6d182"
+            "0d37f99fba2973c6dd42a2ae2ba095f68652712412a3b87f33ca4da050785280"
         )
         assert _cli_verify(cert.document, tmp_path) == 0
         # the library test decides as the build does
@@ -344,7 +346,7 @@ class TestBuildWitness:
         assert {"monomial": [4, 0, 0], "value": "-1/2700000000"} in record["functional"]
         assert bases == [2**31 - 1, None]
         assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
-            "d8dd45227589a5846813a3877f69dcaa7a443636c165b47c1bbc86151a30d7a3"
+            "aaf61928ddb48e04997409ab573041a7e06dd70667a0cac981dbbf9118e81921"
         )
         assert verify_certificate(cert)
         bases.clear()
@@ -473,12 +475,12 @@ class TestBuildWitness:
 # builds in one process agree even when an arithmetic change alters the
 # bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "3c3718c3744e3921989319dd32d5a2784671cd97f84a971211226a7d7626fd3e",
-    "fermat-cubic": "2ad58a52386a041eac74f880685369ec7613be3eacad69d7a64878b5ef44e029",
-    "fermat-quartic": "1524fb5df02f1084cce622a34c8f5b337154b9837b66e4c54767b326cae621d9",
-    "fermat-cubic-4": "ae459c9ba594b453dfb061154631c505bac3fd06c8cb9d5321f39bd977346d55",
-    "brieskorn-2-3-4": "b210220073b3df57c900fcead3191c0d4047955e43365fe5ff00d3f169ac6dc6",
-    "brieskorn-3-3-4": "6c2572dec5f1dca0e089212e19e2a6f411bcb64f24758336810be795c475d7b3",
+    "cyclic-cubic": "c22def0a8b87e7c79a1c05ef9f4644321022137c22319bd9a223241f92e2008d",
+    "fermat-cubic": "4ec7fbeb563716251f5fb9323f1bc4fb0d5e3fac4dc668d929e820ef503baf50",
+    "fermat-quartic": "2599d9529f034df5dd38a85432815824fb17d81b950465bad76d0eecb44424c4",
+    "fermat-cubic-4": "df7c001122469df607289ea3cf172e7dfb45b2ce3d69c7466dae4b416b39f55e",
+    "brieskorn-2-3-4": "b22f9c3d8cf1ec6793fdcf9cfb2a72b17ad8f967f21774355c2c15767c77bc4f",
+    "brieskorn-3-3-4": "d97fefec660da949e75b1fb671296ae959f2150c17ebe2d8b9c9a859214dc576",
 }
 
 
@@ -507,8 +509,7 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
                             "membership_tests", "verdict"}
         assert set(doc["input"]) == {"polynomial", "variables", "homogeneous", "weights", "degree",
                                      "variable_count", "isolated", "milnor_number"}
-        assert set(doc["change_of_coordinates"]) == {"slice_coefficients", "new_variables",
-                                                     "transformed_polynomial", "attempts"}
+        assert set(doc["change_of_coordinates"]) == {"slice_coefficients", "attempts"}
         assert set(doc["lifted_operator"]) == {"coefficients", "scales_f_by"}
         assert set(doc["membership_tests"]) == {"isolation", "obstruction"}
         assert set(doc["membership_tests"]["obstruction"]) == {"restriction_isolation"}
@@ -521,10 +522,11 @@ def test_builtin_certificate_bytes_pinned(name, text, variables):
 
 
 # sha256 of the certificate bytes of two rejections: not_isolated (its
-# functional) and no_isolating_slice (the functional of the restriction).
+# functional) and no_isolating_slice (the isolation record of the input and
+# the functional of the restriction).
 REJECTION_CERT_SHA256 = {
-    "not_isolated": "3151bf82962e6320d3d4fed15679a2c7751558ed95361f445299708f919b9962",
-    "no_isolating_slice": "0807a77a2bb6c6a10732aabe6d5880da2bce2eb9c4b75a06d9c3a8c282065e06",
+    "not_isolated": "f3b0cd839c6f93105f2362cce29bfd89895de5113f9b441a3d1182fcc2faff7e",
+    "no_isolating_slice": "f7df4d3606b9520c95f79032dc08460b01eff2cc91767aef6e88cf11a1aeeda8",
 }
 
 
@@ -788,9 +790,7 @@ class TestVerifyCertificate:
         corrupt("degree", lambda d: d["input"].__setitem__("degree", 4))
         corrupt("slice coefficients", lambda d: d["change_of_coordinates"].__setitem__(
             "slice_coefficients", ["2", "0", "0"]))
-        corrupt("transformed polynomial", lambda d: d["change_of_coordinates"].__setitem__(
-            "transformed_polynomial",
-            d["change_of_coordinates"]["transformed_polynomial"] + " + y1"))
+        corrupt("slice attempts", lambda d: d["change_of_coordinates"].__setitem__("attempts", 2))
         corrupt("operator diagonal coefficient", lambda d: _coefficient(d, [2, 0, 0]).__setitem__(
             "value", "0"))
         corrupt("operator mixed coefficient", lambda d: _coefficient(d, [1, 1, 0]).__setitem__(
@@ -1114,8 +1114,9 @@ class TestQuasiHomogeneous:
 
     def test_no_isolating_slice_forged_with_shared_weight(self):
         # x and y share weight 4, so mixed slices are admissible; the
-        # recorded restriction basis is genuine but cannot justify the claim,
-        # and every other input field is rewritten to match f
+        # recorded restriction functional is genuine but cannot justify the
+        # claim, and every other input field and the isolation record are
+        # rewritten to match f
         f = P("x^3 + x*y^2 + z^4")
         doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
         doc["input"]["polynomial"] = format_poly(f, V3)
@@ -1126,6 +1127,8 @@ class TestQuasiHomogeneous:
         )
         _, rejection = decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
         doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(*rejection)
+        gb, _ = decide_isolation(f, (4, 4, 3), 12)
+        doc["membership_tests"]["isolation"] = _isolation_record(gb, V3)
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures == ["another variable shares the weight of the first; other slices are admissible"]
 
@@ -1152,17 +1155,12 @@ class TestQuasiHomogeneous:
             certificate_failures(WitnessCertificate(doc))
 
     def test_forged_slice_mixing_weights(self, tmp_path):
-        # y1 = x + y mixes weights 6 and 4; every slice-derived field is
-        # rewritten to match, so the weight check is what must catch it
+        # y1 = x + y mixes weights 6 and 4; the verifier recomputes g from
+        # the slice, and the weight check catches it (as does the position
+        # check: distinct weights leave the search one candidate)
         f = P("x^2 + y^3 + z^4")
         doc = json.loads(write_certificate(build_witness(f, V3).document))
-        coeffs = (Fraction(1), Fraction(1), Fraction(0))
-        g = substitute_slice(slice_images(coeffs, 3), f)
-        yvars = doc["change_of_coordinates"]["new_variables"]
-        doc["change_of_coordinates"].update({
-            "slice_coefficients": [format_fraction(c) for c in coeffs],
-            "transformed_polynomial": format_poly(g, yvars),
-        })
+        doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
         assert _cli_verify(doc, tmp_path) == 4
         assert "slice mixes variables of different weight" in certificate_failures(WitnessCertificate(doc))
 
@@ -1241,6 +1239,125 @@ class TestInputGate:
         assert _cli_verify(doc, tmp_path) == 4
 
 
+class TestIsolationRecord:
+    """Every certificate that records isolated true (a witness, a
+    no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds the isolation
+    record of f, and the verifier checks it for each of them."""
+
+    @staticmethod
+    def _exhausted(monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        return json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
+
+    def test_forged_no_isolating_slice_of_a_non_isolated_input(self, tmp_path):
+        # J(f) vanishes along the z-axis, so f is not isolated, but every
+        # other field of the forgery is what a no_isolating_slice rejection of
+        # an isolated f with weights [2, 1, 1] records: the Milnor number
+        # prod(4 / W_i - 1) = 9, the message, and a genuine functional of the
+        # restriction y^4 + y^2*z^2
+        f = P("x^2 + y^4 + y^2*z^2")
+        doc = json.loads(write_certificate(build_witness(f, V3).document))
+        assert doc["input"]["rejection"]["reason"] == "not_isolated"
+        _, rejection = decide_isolation(restrict_to_hyperplane(f), (1, 1), 4)
+        doc["input"].update(isolated=True, milnor_number=9, rejection={
+            "reason": "no_isolating_slice",
+            "message": pipeline.rejection_message("no_isolating_slice", None, V3, [2, 1, 1]),
+        })
+        doc["membership_tests"] = {"positive_dimension": {"slice_jacobian": _positive_dimension_record(*rejection)}}
+        assert certificate_failures(WitnessCertificate(doc)) == ["isolated true without the isolation record"]
+        assert _cli_verify(doc, tmp_path) == 4
+        # the genuine record of the isolated x^2 + y^4 + z^4, of the same
+        # weights, does not carry over: its rows over the partials of f lead
+        # with no pure power
+        gb, _ = decide_isolation(P("x^2 + y^4 + z^4"), (2, 1, 1), 4)
+        doc["membership_tests"]["isolation"] = _isolation_record(gb, V3)
+        failures = certificate_failures(WitnessCertificate(doc))
+        assert failures and all(f.startswith("isolation: row") for f in failures)
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("verdict", ["no_isolating_slice", RESOURCE_EXHAUSTED])
+    def test_record_dropped(self, verdict, monkeypatch, tmp_path):
+        if verdict == RESOURCE_EXHAUSTED:
+            doc = self._exhausted(monkeypatch)
+        else:
+            doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
+        assert doc["input"]["isolated"] is True
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        del doc["membership_tests"]["isolation"]
+        assert certificate_failures(WitnessCertificate(doc)) == ["isolated true without the isolation record"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_row_entry_changed(self, tmp_path):
+        # row 2 is (1, 0, 0): h_2 = 3x^2 + y^3 leads with y^3 under grevlex;
+        # z*(3x^2 + y^3) leads with y^3*z
+        doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
+        rows = doc["membership_tests"]["isolation"]["cofactors"]
+        assert rows[1] == ["1", "0", "0"]
+        rows[1][0] = "z"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "isolation: row 2 does not lead with a power of y modulo 2147483647"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_exhausted_record_is_checked(self, monkeypatch, tmp_path):
+        doc = self._exhausted(monkeypatch)
+        doc["membership_tests"]["isolation"]["prime"] = 2147483649
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "isolation: 2147483649 is not a prime between 2 and 2^64"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+
+class TestAttempts:
+    """change_of_coordinates.attempts is an int in 1..MAX_SLICE_ATTEMPTS,
+    and in a witness the position of the recorded slice in the search."""
+
+    @pytest.mark.parametrize("attempts", ["abc", -5, None, [1], 10**30, True, 0, 201, 1.0])
+    @pytest.mark.parametrize("text", [FERMAT, "x^1000 + y^1000 + x*z^999"], ids=["witness", "exhausted"])
+    def test_out_of_range(self, text, attempts, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        doc["change_of_coordinates"]["attempts"] = attempts
+        start = time.perf_counter()
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            f"recorded attempts {attempts!r} is not an integer in 1..200"
+        ]
+        assert time.perf_counter() - start < 5
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_missing(self, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
+        del doc["change_of_coordinates"]["attempts"]
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "recorded attempts None is not an integer in 1..200"
+        ]
+
+    @pytest.mark.parametrize("text, attempts", [(FERMAT, 2), (FERMAT, 200), (PAPER_F, 1), (PAPER_F, 3),
+                                                ("x^2 + y^3 + z^4", 2)])
+    def test_not_the_position_of_the_slice(self, text, attempts, tmp_path):
+        # x^2 + y^3 + z^4 has distinct weights, so the search has one
+        # candidate: a position past it is a failure, not a StopIteration
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        assert doc["change_of_coordinates"]["attempts"] != attempts
+        doc["change_of_coordinates"]["attempts"] = attempts
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            f"the slice is not candidate {attempts} of the slice search"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+
+@pytest.mark.parametrize("index", [[1.0, 0.0, 1.0], [1, 1.0, 0], [True, 0, 1]])
+def test_float_multi_index_refused(index, tmp_path):
+    # a float or a bool equals the int it stands for, and hashes alike, so
+    # a float index would name the same coefficient; the schema has integers
+    doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
+    entry = _coefficient(doc, [int(a) for a in index])
+    entry["index"] = index
+    assert certificate_failures(WitnessCertificate(doc)) == [
+        "lifted operator has a multi-index entry that is not an integer"
+    ]
+    assert _cli_verify(doc, tmp_path) == 4
+
+
 def _square_ideal_mod_g(g):
     """S = (y1, g_2, ..., g_n)^2 + (g)."""
     return Ideal(square_obstruction_ideal(g, 1).generators + (g,))
@@ -1261,8 +1378,7 @@ class TestObstructionModuloF:
     @staticmethod
     def _build(text, variables):
         doc = build_witness(parse_poly(text, variables), variables).document
-        yvars = doc["change_of_coordinates"]["new_variables"]
-        g = parse_poly(doc["change_of_coordinates"]["transformed_polynomial"], yvars)
+        g, yvars = slice_coordinates(doc)
         diagonal = [2] + [0] * (len(yvars) - 1)
         witness = next(e["value"] for e in doc["lifted_operator"]["coefficients"] if e["index"] == diagonal)
         return g, parse_poly(witness, yvars), doc

@@ -1,11 +1,14 @@
 """Seeded fuzzing of `verify` on valid certificates: the fermat-cubic
-witness and the not_isolated rejection of x^2*y.
+witness, the not_isolated rejection of x^2*y and the no_isolating_slice
+rejection of x^3 + x*y^3 + z^2.
 
 The verifier treats a certificate as untrusted input.  Every mutation here
 (a deleted field, a value swapped for one of another type, a flipped byte)
 must end in exit 0 (still valid), 2 (not a certificate document) or 4
 (invalid): never a traceback, and never a hang.  A certificate whose
-verdict or rejection reason is swapped for another must end in 2 or 4.
+verdict or rejection reason is swapped for another must end in 2 or 4, and
+so must one whose isolated flag, Milnor number or rejection message is not
+the one the builder writes.
 """
 
 import copy
@@ -33,7 +36,7 @@ ISOLATION_VALUES = (2147483649, 2**64, 2**64 + 13, 0, -7, True, 4, "2147483647",
 ISOLATION_RECORDS = (("isolation",), ("obstruction", "restriction_isolation"))
 
 
-INPUTS = {"fermat-cubic": "x^3 + y^3 + z^3", "not-isolated": "x^2*y"}
+INPUTS = {"fermat-cubic": "x^3 + y^3 + z^3", "not-isolated": "x^2*y", "no-isolating-slice": "x^3 + x*y^3 + z^2"}
 
 
 @functools.cache
@@ -136,6 +139,46 @@ def test_isolation_field_mutations(fermat_certificate, tmp_path, capsys):
     capsys.readouterr()
     assert 4 in codes
     assert time.perf_counter() - start < 60
+
+
+# the fields the verifier compares with what the builder writes; a witness
+# has no rejection message
+FACTS = [(name, path) for name in INPUTS
+         for path in (("isolated",), ("milnor_number",), ("rejection", "message"))
+         if name != "fermat-cubic" or path[0] != "rejection"]
+_ABSENT = object()
+
+
+def _variants(value):
+    """Every value of SWAPS, false, 8.0 and a near miss of ``value`` itself
+    (one more, one character more) that differs from it as written, and
+    _ABSENT for a deletion when ``value`` is present."""
+    near = (value + 1,) if type(value) is int else (value + ".",) if isinstance(value, str) else ()
+    out = [v for v in SWAPS + (False, 8.0) + near if value is _ABSENT or repr(v) != repr(value)]
+    return out + ([] if value is _ABSENT else [_ABSENT])
+
+
+@pytest.mark.parametrize("name, path", FACTS, ids=[f"{n}-{p[-1]}" for n, p in FACTS])
+def test_isolation_facts_and_message_mutations(name, path, tmp_path, capsys):
+    # input.isolated, input.milnor_number and input.rejection.message set to
+    # any other value, or deleted: every one is refused
+    built = json.loads(_certificate(INPUTS[name]))
+    node = built["input"]
+    for key in path[:-1]:
+        node = node[key]
+    variants = _variants(node.get(path[-1], _ABSENT))
+    for value in variants:
+        doc = copy.deepcopy(built)
+        node = doc["input"]
+        for key in path[:-1]:
+            node = node[key]
+        if value is _ABSENT:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4, value
+    capsys.readouterr()
+    assert len(variants) >= len(SWAPS)
 
 
 def test_byte_flips(certificate, tmp_path, capsys):
