@@ -10,17 +10,60 @@ One engine serves both fields.  With a prime ``modulus`` (``buchberger``,
 ``_divide_tracked`` and ``_reduce_basis`` take it), the generators are
 reduced modulo the prime, every element is made monic with the inverse of
 its leading coefficient, and the engine works on plain integers end to
-end: a polynomial is held as ``Residues``, a dict from exponent to integer
-coefficient, reduced to [1, p) wherever it is stored.  The S-polynomial of
-two monic elements is x^a tail_i - x^b tail_j, formed from their split
-divisors; a division takes the working term itself as the quotient term
-(every divisor is monic), so no inverse is taken per step; recipe
-multipliers and rows are Residues too.  The scale step and the content
-gcds of the division over Q never fire, and Polynomials (with integer
-Fraction coefficients) are built only where the engine hands values out:
-``GroebnerBasis.basis``, ``normal_form``, ``lift`` and ``cofactors``.
-The ``GroebnerBasis`` records its modulus, and its division, normal forms,
-lifts and rows all work over its own field.
+end, reduced to [1, p) wherever they are stored.  The S-polynomial of two
+monic elements is x^a tail_i - x^b tail_j, formed from their divisors; a
+division takes the working term itself as the quotient term (every divisor
+is monic), so no inverse is taken per step.  The scale step and the
+content gcds of the division over Q never fire.  The ``GroebnerBasis``
+records its modulus, and its division, normal forms, lifts and rows all
+work over its own field.
+
+Inside the engine a monomial is one int (packed exponent vectors: Monagan
+and Pearce 2007).  A ``_Packing`` of n fields of B bits maps x^e to
+K(e) = sum_i e_i w_i with w_i = 2^(B i) - t_i 2^(nB): the low nB bits hold
+e_i in field i, and the bits above hold -T(e), T(e) = sum_i t_i e_i.  For
+grevlex t_i = 1, so T is the degree; for lex t_i = 2^(B(n-1-i)), so T
+reads the fields with x_1 most significant; for grlex t_i = 2^(nB) +
+2^(B(n-1-i)), the degree and then that.  K is linear: a term product is
+k1 + k2 and a division's shift is k - K(lm).  While every field is below
+2^B, K is a descending key.  A larger T gives a smaller K.  At equal T,
+grlex and lex exponents are equal, and grevlex compares the low bits with
+e_n most significant: a smaller e_n gives a smaller K and a larger
+monomial.  So the division heap holds bare ints, and its least one is the
+largest term.  The top bit of each field is a guard, and while every field
+is at most limit = 2^(B-1) - 1, lm divides e exactly when
+((K(e) & LOW) | G) - (K(lm) & LOW) keeps every guard bit of G: a field
+with e_i < lm_i borrows its guard bit, and no borrow crosses a field.
+
+The width rule keeps every field that the engine reads within the limit;
+no overflow goes unseen.  Under grevlex and grlex (degree-compatible),
+every working term of a division is at most the dividend's largest term,
+so its degree, and each of its exponents, is at most the dividend's
+degree; the terms of the S-polynomial of a pair have degree at most that
+of the pair's lcm.  So the width holds the degrees of the dividend and of
+the divisors, and ``buchberger`` repacks its divisors wider
+(``_Divisors.fit``, to twice the degree) when a pair's lcm degree passes
+it.  Under lex, exponents can grow past the dividend's during a division.
+A new term is a shift plus a tail term, each with fields within the limit,
+so its fields stay below 2^B: no field carries into the next, and K still
+orders it.  But a field can pass the limit, so the division checks the
+guard bits of every term it takes, and one that is set (_Narrow) makes
+``_Divisors.divide`` repack one bit wider and redo the division.  The
+check runs under every order; the degree rule keeps it from firing under
+grevlex and grlex.
+
+Tuples come back only at the ``GroebnerBasis`` boundary, and only for
+kept elements: the leading monomial of each raw element (the pair order
+and the criteria read it), the recipe multipliers of an S-pair remainder
+(the quotients of a pair that reduces to zero are never unpacked), the
+final basis Polynomials, and the results of ``lift``, ``normal_form``
+and ``contains``.  These pack their argument, divide by a packed copy of
+the basis that the ``GroebnerBasis`` keeps (widened when an argument
+needs it), and unpack the quotients and remainder.  Outside the engine a
+polynomial modulo a prime is ``Residues``, a dict from exponent tuple to
+integer coefficient; rows, ``dual_functional`` and ``leading_monomials``
+read tuples, and Polynomials (with integer Fraction coefficients) are
+built only where the engine hands values out.
 
 ``decide_isolation`` is the one decision of whether the Jacobian ideal of
 a weighted homogeneous polynomial is zero-dimensional, for the witness
@@ -48,34 +91,34 @@ of products (poly._accumulate) reduced once per coefficient.  A read
 forms the rows of the node and of its ancestors only, in increasing node
 order, and keeps them.
 
-Division over Q is fraction-free.  The working polynomial is kept as integer
-numerators W over one common denominator D, and each divisor g as integer
-terms G over its own denominator, split once per basis element
-(_split_divisor) and reused by every division.  To cancel a term w of W with the
-integer leading coefficient L of G, with h = gcd(w, L) signed like L, the
-step scales W and D by L/h > 0 (only when that is not 1) and subtracts
+Division over Q is fraction-free.  The working polynomial is kept as
+integer numerators W over one common denominator D, and each divisor g as
+integer terms G over its own denominator, split once per basis element and
+reused by every division.  To cancel a term w of W with the integer
+leading coefficient L of G, with h = gcd(w, L) signed like L, the step
+scales W and D by L/h > 0 (only when that is not 1) and subtracts
 (w/h) * x^s * G.  Quotient and remainder terms become Fractions only when
 they are emitted.  After every step W/D is the working polynomial of the
 plain Fraction loop, so both take the same terms in the same order (the
 largest first, divisors in list order) and emit equal rationals:
 quotients and remainders agree term for term.  The largest working term
-comes from a heap keyed by ``MonomialOrder.descending_key``.  Cancelled
-terms leave the working dict at once, so the term cap counts live
-terms, and a heap entry whose monomial is no longer live is skipped.
+comes from the heap of packed keys.  Cancelled terms leave the working
+dict at once, so the term cap counts live terms, and a heap entry whose
+monomial is no longer live is skipped.
 
 Resource limits are hard errors, never silent wrong answers.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from operator import add, le, sub
-from typing import Sequence
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, mul, sub
+from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 from .poly import quasi_homogeneous_weights, rational_reconstruction, sum_of_products
@@ -119,16 +162,10 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
     return Ideal(tuple(f.partial(i) for i in range(1, f.n + 1)))
 
 
-def _content(p: Polynomial) -> Fraction:
-    """Positive rational c with p/c integer-primitive; 1 for zero."""
-    if p.is_zero():
-        return Fraction(1)
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
+def _content(coefficients: Sequence[Fraction]) -> Fraction:
+    """Positive rational c with every coefficient / c an integer, and those
+    integers coprime; the coefficients must not all be zero."""
+    return Fraction(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -162,60 +199,156 @@ def _polynomial(n: int, residues: Residues) -> Polynomial:
     return Polynomial._raw(n, {e: Fraction(c) for e, c in residues.items()})
 
 
-def _split_divisor(g: Polynomial | Residues, order: MonomialOrder) -> Divisor:
-    """g (a Polynomial, or Residues) as _divide_tracked takes it: leading
-    monomial, common denominator, integer leading coefficient and integer
-    tail."""
-    denominator, terms = g.integer_terms() if isinstance(g, Polynomial) else (1, list(g.items()))
+def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
+    """g as the engine's divisors take it: leading monomial, common
+    denominator, integer leading coefficient and integer tail."""
+    denominator, terms = g.integer_terms()
     key = order.descending_key
     lm, lc = min(terms, key=lambda t: key(t[0]))
     return lm, denominator, lc, [(e, c) for e, c in terms if e != lm]
 
 
-def _divide_tracked(
-    p: Polynomial | Residues,
-    divisors: Sequence[Divisor],
-    order: MonomialOrder,
-    modulus: int | None = None,
-) -> tuple[list, Polynomial | Residues]:
-    """Full multivariate division: p = sum quotients[k]*divisors[k] + remainder.
+def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:
+    """What a packing's fields must hold for these exponents: their largest
+    degree under grevlex and grlex, their largest entry under lex."""
+    measure = (lambda e: max(e, default=0)) if order.kind == "lex" else sum
+    return max(map(measure, exponents), default=0)
 
-    Over Q, p, the quotients and the remainder are Polynomials.  Modulo the
-    prime ``modulus`` they are Residues (p's need not be reduced yet) and
-    every divisor is monic: working terms are reduced when taken (so a term
-    that cancels only modulo the prime stays in the working dict until
-    then), and a quotient term is the working term itself.
+
+class _Narrow(Exception):
+    """A term the division takes has a field past the packing's limit (its
+    guard bit is set): the division must be redone with wider fields."""
+
+
+class _Packing:
+    """Exponent vectors of n variables as single ints, for one order and
+    one field width (see the module docstring): K(e) = sum e_i w_i, with
+    e_i in field i of the low n*bits bits and the guard bit of each field
+    clear while e_i <= limit."""
+
+    def __init__(self, order: MonomialOrder, n: int, bound: int):
+        bits = bound.bit_length() + 1  # limit = 2^(bits-1) - 1 >= bound
+        top = n * bits
+        lex = [1 << bits * (n - 1 - i) for i in range(n)]
+        tops = {"grevlex": [1] * n, "grlex": [(1 << top) + t for t in lex], "lex": lex}[order.kind]
+        self.n, self.order = n, order
+        self.weights = tuple((1 << bits * i) - (t << top) for i, t in enumerate(tops))
+        self.shifts = tuple(bits * i for i in range(n))
+        self.field = (1 << bits) - 1
+        self.limit = self.field >> 1
+        self.low = (1 << top) - 1
+        self.guard = sum(self.limit + 1 << s for s in self.shifts)
+
+    def pack(self, e: Exponent) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def unpack(self, k: int) -> Exponent:
+        return tuple(k >> s & self.field for s in self.shifts)
+
+    def unpack_terms(self, terms: dict, modulus: int | None) -> Polynomial | Residues:
+        """Packed terms as the engine hands them out: a Polynomial of their
+        Fractions over Q, Residues modulo a prime."""
+        residues = {self.unpack(k): c for k, c in terms.items()}
+        return residues if modulus is not None else Polynomial._raw(self.n, residues)
+
+
+class _Divisors:
+    """Divisors in list order, split as ``Divisor`` with packed monomials:
+    (K(lm), denominator, lc, packed tail).  Their width only grows."""
+
+    def __init__(self, splits: Iterable[Divisor], order: MonomialOrder, n: int, bound: int = 0):
+        splits = list(splits)
+        exponents = (e for lm, _, _, tail in splits for e in (lm, *(t for t, _ in tail)))
+        self.packing = _Packing(order, n, max(bound, _extent(order, exponents)))
+        pack = self.packing.pack
+        self.items = [(pack(lm), d, lc, [(pack(e), c) for e, c in tail]) for lm, d, lc, tail in splits]
+
+    def fit(self, bound: int) -> None:
+        """Repack the divisors, if need be, so that their fields hold
+        ``bound``."""
+        old = self.packing
+        if bound > old.limit:
+            new = self.packing = _Packing(old.order, old.n, bound)
+            self.items = [(new.pack(old.unpack(lm)), d, lc, [(new.pack(old.unpack(e)), c) for e, c in tail])
+                          for lm, d, lc, tail in self.items]
+
+    def divide(self, work: dict[int, int], denominator: int, modulus: int | None,
+               keep: Sequence[int] | None = None) -> tuple[list[dict], dict]:
+        """_divide_tracked of the packed integer terms ``work`` over
+        ``denominator`` by the divisors (those at the indices ``keep``),
+        repacked one bit wider and redone while a field overflows."""
+        while True:
+            divisors = self.items if keep is None else [self.items[k] for k in keep]
+            try:
+                return _divide_tracked(work, denominator, divisors, self.packing, modulus)
+            except _Narrow:
+                old = self.packing
+                self.fit(old.field)
+                work = {self.packing.pack(old.unpack(k)): c for k, c in work.items()}
+
+
+def _divide(p: Polynomial | Residues, divisors: _Divisors,
+            modulus: int | None = None) -> tuple[list, Polynomial | Residues]:
+    """p = sum quotients[k] * divisors[k] + remainder, on tuples: p, the
+    quotients and the remainder are Polynomials over Q, or Residues modulo
+    the prime ``modulus`` (p's need not be reduced yet, and every divisor is
+    monic).  The divisors are first widened to hold p (_extent)."""
+    denominator, terms = p.integer_terms() if modulus is None else (1, list(p.items()))
+    divisors.fit(_extent(divisors.packing.order, (e for e, _ in terms)))
+    pack = divisors.packing.pack
+    quotients, remainder = divisors.divide({pack(e): c for e, c in terms}, denominator, modulus)
+    unpack = divisors.packing.unpack_terms  # the width the division ended with
+    return [unpack(q, modulus) for q in quotients], unpack(remainder, modulus)
+
+
+def _divide_tracked(
+    work: dict[int, int],
+    denominator: int,
+    divisors: Sequence[tuple],
+    packing: _Packing,
+    modulus: int | None = None,
+) -> tuple[list[dict], dict]:
+    """Full multivariate division on packed keys (_Packing): the integer
+    terms ``work`` over ``denominator`` equal
+    sum quotients[k] * divisors[k] + remainder.
+
+    Over Q the quotient and remainder coefficients are Fractions.  Modulo
+    the prime ``modulus`` they are integers in [1, p) and every divisor is
+    monic: working terms are reduced when taken (so a term that cancels
+    only modulo the prime stays in the working dict until then), and a
+    quotient term is the working term itself.
 
     No remainder term is divisible by any divisor's leading monomial.
-    Divisors (_split_divisor) are tried in list order, which keeps the
-    result deterministic.  More than DEFAULT_MAX_TERMS working terms raise
-    ResourceLimitExceeded.
+    Divisors (_Divisors items) are tried in list order, which keeps the
+    result deterministic.  A taken term with a guard bit set raises _Narrow;
+    more than DEFAULT_MAX_TERMS working terms raise ResourceLimitExceeded.
     """
     max_terms = DEFAULT_MAX_TERMS
-    if modulus is None:
-        denominator, items = p.integer_terms()
-        work = dict(items)
-    else:
-        denominator, work = 1, dict(p)
-    key = order.descending_key
-    heap = [(key(e), e) for e in work]
-    heapq.heapify(heap)
+    low, guard = packing.low, packing.guard
+    lows = [d[0] & low for d in divisors]
+    work = dict(work)
+    heap = list(work)
+    heapify(heap)
     quotients: list[dict] = [{} for _ in divisors]
     remainder: dict = {}
     while heap:
-        exp = heapq.heappop(heap)[1]
+        exp = heappop(heap)
         w = work.pop(exp, 0)
         if modulus is not None:
             w %= modulus
         if not w:
             continue  # cancelled, or a second heap entry of a monomial already taken
-        for k, (lm, dg, lc, tail) in enumerate(divisors):
-            if all(map(le, lm, exp)):  # _divides, inlined on the hottest path
+        if exp & guard:
+            raise _Narrow
+        fields = exp & low | guard
+        for k, lm in enumerate(lows):
+            if fields - lm & guard == guard:  # lm divides exp: no field borrows its guard bit
                 break
         else:
             remainder[exp] = w if modulus is not None else Fraction(w, denominator)
             continue
-        shift = _exp_sub(exp, lm)
+        plm, dg, lc, tail = divisors[k]
+        shift = exp - plm
         if modulus is None:
             quotients[k][shift] = Fraction(w * dg, denominator * lc)
             h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
@@ -226,13 +359,14 @@ def _divide_tracked(
             factor = w // h
         else:
             factor = quotients[k][shift] = w
+        get = work.get
         for dexp, dc in tail:
-            e = tuple(map(add, dexp, shift))
+            e = dexp + shift
             v = factor * dc
-            c = work.get(e)
+            c = get(e)
             if c is None:
                 work[e] = -v
-                heapq.heappush(heap, (key(e), e))
+                heappush(heap, e)
             elif c == v:
                 del work[e]
             else:
@@ -241,10 +375,7 @@ def _divide_tracked(
             raise ResourceLimitExceeded(
                 f"intermediate polynomial exceeded {max_terms} terms during division"
             )
-    if modulus is not None:
-        return quotients, remainder
-    n = p.n
-    return [Polynomial._raw(n, q) for q in quotients], Polynomial._raw(n, remainder)
+    return quotients, remainder
 
 
 def _scale(p: Polynomial | Residues, c, modulus: int | None) -> Polynomial | Residues:
@@ -291,8 +422,9 @@ class GroebnerBasis:
     basis is then that of the source generators reduced modulo the prime,
     with integer coefficients in [0, p), and division, normal forms, lifts
     and rows all work modulo it, on Residues inside (recipes and formed
-    rows too) and on Polynomials at the methods.  The basis is auto-reduced
-    with monic leading coefficients.
+    rows too) and on Polynomials at the methods.  Divisions run on a packed
+    copy of the basis (``_packed``), kept and widened as arguments need.
+    The basis is auto-reduced with monic leading coefficients.
     """
 
     basis: tuple[Polynomial, ...]
@@ -345,12 +477,16 @@ class GroebnerBasis:
         first = len(self.recipes) - len(self.basis)
         return tuple(self._export(self._row(first + i)) for i in range(len(self.basis)))
 
+    @cached_property
+    def _packed(self) -> _Divisors:
+        return _Divisors(self._divisors, self.order, self.n)
+
     def _divide(self, p: Polynomial) -> tuple[list, Polynomial | Residues]:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
         if self.modulus is not None:
             p = _residues(p, self.modulus)
-        return _divide_tracked(p, self._divisors, self.order, self.modulus)
+        return _divide(p, self._packed, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p (of p reduced modulo the
@@ -432,128 +568,144 @@ def buchberger(
     final basis is sorted by descending leading monomial.
     """
     n = ideal.n
-    gens = ideal.generators
-    basis: list = []  # Polynomials over Q, Residues modulo a prime
+    gens = [g.terms if modulus is None else _residues(g, modulus) for g in ideal.generators]
+    lms: list[Exponent] = []  # leading monomials of the raw elements
     recipes: list[Recipe] = []
-    divisors: list[Divisor] = []
+    divisors = _Divisors((), order, n, _extent(order, (e for g in gens for e in g)))
 
-    def append(p, plus, minus=()) -> None:
-        # p = sum q * node over the (q, node) pairs of plus, minus those of
-        # minus; p and its multipliers are divided by the content of p,
-        # signed like its leading coefficient, or modulo a prime by that
-        # coefficient
+    def append(p: dict, plus, minus=()) -> None:
+        # p (packed, nonzero) = sum q * node over the (q, node) pairs of plus,
+        # minus those of minus; p and its multipliers are divided by the
+        # content of p, signed like its leading coefficient, or modulo a
+        # prime by that coefficient
+        lead = min(p)
         if modulus is None:
-            c = _content(p)
-            inv = 1 / c if order.leading_term(p)[1] > 0 else -1 / c
+            c = _content(list(p.values()))
+            inv = 1 / c if p[lead] > 0 else -1 / c
+            p = {k: (v * inv).numerator for k, v in p.items()}
         else:
-            inv = pow(p[min(p, key=order.descending_key)], -1, modulus)
-        if inv != 1:
-            p = _scale(p, inv, modulus)
-        basis.append(p)
+            inv = pow(p[lead], -1, modulus)
+            p = {k: v * inv % modulus for k, v in p.items()}
         recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in plus)
                        + tuple((_scale(q, -inv, modulus), node) for q, node in minus))
-        divisors.append(_split_divisor(p, order))
+        # a raw element is held as integer terms (denominator 1): over Q it
+        # is primitive, modulo a prime monic
+        lms.append(divisors.packing.unpack(lead))
+        lc = p.pop(lead)
+        divisors.items.append((lead, 1, lc, list(p.items())))
 
     one = _constant(n, 1, modulus)
     for j, g in enumerate(gens):
-        if modulus is not None:
-            g = _residues(g, modulus)
         if g:
-            append(g, [(one, j - len(gens))])
+            append({divisors.packing.pack(e): c for e, c in g.items()}, [(one, j - len(gens))])
 
     pending: set[tuple[int, int]] = set()
-    heap: list[tuple[tuple, int, int]] = []
+    heap: list[tuple[int, Exponent, int, int]] = []
 
     def push_pairs(new_index: int):
-        lm_new = divisors[new_index][0]
+        lm_new = lms[new_index]
         for i in range(new_index):
-            lcm = _exp_lcm(divisors[i][0], lm_new)
-            heapq.heappush(heap, ((sum(lcm), lcm, i, new_index), i, new_index))
+            lcm = _exp_lcm(lms[i], lm_new)
+            heappush(heap, (sum(lcm), lcm, i, new_index))
             pending.add((i, new_index))
 
-    for idx in range(len(basis)):
+    for idx in range(len(lms)):
         push_pairs(idx)
 
     processed = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, lcm, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         processed += 1
         if processed > DEFAULT_MAX_PAIRS:
             raise ResourceLimitExceeded(f"S-pair cap {DEFAULT_MAX_PAIRS} exceeded")
-        lm_i, den_i, lc_i, tail_i = divisors[i]
-        lm_j, den_j, lc_j, tail_j = divisors[j]
-        lcm = _exp_lcm(lm_i, lm_j)
+        lm_i, lm_j = lms[i], lms[j]
         # coprime leading monomials: the S-polynomial reduces to zero
-        if lcm == tuple(a + b for a, b in zip(lm_i, lm_j)):
+        if lcm == tuple(map(add, lm_i, lm_j)):
             continue
+        # the width holds the lcm, and under grevlex and grlex every term of
+        # the S-polynomial and of its division too (under lex, _Narrow
+        # widens when it must)
+        extent = _extent(order, (lcm,))
+        divisors.fit(2 * extent if extent > divisors.packing.limit else 0)
+        low, guard = divisors.packing.low, divisors.packing.guard
+        k_lcm = divisors.packing.pack(lcm)
+        fields = k_lcm & low | guard
         # chain criterion: some k divides the lcm and both flanking pairs are done
-        if any(k not in (i, j) and _divides(divisors[k][0], lcm) and (min(i, k), max(i, k)) not in pending
-               and (min(j, k), max(j, k)) not in pending for k in range(len(basis))):
+        if any(fields - (d[0] & low) & guard == guard and k != i and k != j and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k, d in enumerate(divisors.items)):
             continue
-        # the S-polynomial m_i basis[i] + m_j basis[j]
-        a, b = _exp_sub(lcm, lm_i), _exp_sub(lcm, lm_j)
-        if modulus is None:
-            # 1/lc of a divisor is its denominator over its integer lc
-            m_i = Polynomial.monomial(n, a, Fraction(den_i, lc_i))
-            m_j = Polynomial.monomial(n, b, Fraction(-den_j, lc_j))
-            s_poly = sum_of_products(n, ((m_i, basis[i]), (m_j, basis[j])))
-        else:
-            # both monic: the leading terms cancel, leaving x^a tail_i - x^b tail_j
-            m_i, m_j = {a: 1}, {b: -1}
-            s_poly = _accumulate((([(a, 1)], tail_i, 1), ([(b, -1)], tail_j, 1)))
-        quotients, remainder = _divide_tracked(s_poly, divisors, order, modulus)
+        # the S-polynomial x^a tail_i / lc_i - x^b tail_j / lc_j, as integer
+        # terms over L = lcm(|lc_i|, |lc_j|); L = 1 modulo a prime, where
+        # both are monic
+        (lm_i_key, _, lc_i, tail_i), (lm_j_key, _, lc_j, tail_j) = divisors.items[i], divisors.items[j]
+        den = 1 if modulus is not None else abs(lc_i * lc_j) // gcd(lc_i, lc_j)
+        s_poly = {k_lcm - lm_i_key + e: c * (den // lc_i) for e, c in tail_i}
+        for e, c in tail_j:
+            e += k_lcm - lm_j_key
+            s_poly[e] = s_poly.get(e, 0) - c * (den // lc_j)
+        quotients, remainder = divisors.divide(s_poly, den, modulus)
         if not remainder:
             continue
-        append(remainder, [(m_i, i), (m_j, j)], [(q, k) for k, q in enumerate(quotients) if q])
-        push_pairs(len(basis) - 1)
+        # the S-polynomial is m_i basis[i] + m_j basis[j], m_i = x^a / lc_i
+        a, b = _exp_sub(lcm, lm_i), _exp_sub(lcm, lm_j)
+        if modulus is None:
+            m_i, m_j = Polynomial.monomial(n, a, Fraction(1, lc_i)), Polynomial.monomial(n, b, Fraction(-1, lc_j))
+        else:
+            m_i, m_j = {a: 1}, {b: -1}
+        unpack = divisors.packing.unpack_terms
+        append(remainder, [(m_i, i), (m_j, j)], [(unpack(q, modulus), k) for k, q in enumerate(quotients) if q])
+        push_pairs(len(lms) - 1)
 
-    logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(basis), processed)
-    return _reduce_basis(basis, recipes, divisors, ideal, order, modulus)
+    logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(lms), processed)
+    return _reduce_basis(lms, recipes, divisors, ideal, order, modulus)
 
 
 def _reduce_basis(
-    basis: list[Polynomial],
+    lms: list[Exponent],
     recipes: list[Recipe],
-    divisors: list[Divisor],
+    divisors: _Divisors,
     ideal: Ideal,
     order: MonomialOrder,
     modulus: int | None,
 ) -> GroebnerBasis:
     """Minimalize, auto-reduce, and make monic, appending the recipe of
-    each final element; raw element k is node k, split as divisors[k]."""
-    if not basis:
+    each final element; raw element k is node k, with leading monomial
+    lms[k] and packed as divisors.items[k]."""
+    if not lms:
         return GroebnerBasis((), order, ideal, (), modulus)
     # Minimal: drop any element whose leading monomial another one divides.
-    indices = sorted(range(len(basis)), key=lambda k: order.key(divisors[k][0]))
+    indices = sorted(range(len(lms)), key=lambda k: order.key(lms[k]))
     kept: list[int] = []
     for k in indices:
-        if not any(_divides(divisors[m][0], divisors[k][0]) for m in kept):
+        if not any(_divides(lms[m], lms[k]) for m in kept):
             kept.append(k)
     # Reduced: each element's tail is in normal form w.r.t. the others.
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
-    split = [divisors[k] for k in kept]
+    n = ideal.n
     final: list[tuple[Exponent, Polynomial, Recipe]] = []
     for idx, node in enumerate(kept):
-        quotients, p = _divide_tracked(basis[node], split[:idx] + split[idx + 1:], order, modulus)
+        others = kept[:idx] + kept[idx + 1:]
+        lm, den, lc, tail = divisors.items[node]
+        quotients, p = divisors.divide({lm: lc, **dict(tail)}, den, modulus, others)
         # p = basis[node] - sum q * other, made monic: its leading term is
         # that of basis[node], which no other leading monomial divides, and
         # modulo a prime basis[node] is monic already
-        lm, dg, lc, _ = split[idx]
-        inv = Fraction(dg, lc) if modulus is None else 1
-        others = zip(quotients, kept[:idx] + kept[idx + 1:])
+        inv = Fraction(1, lc) if modulus is None else 1
+        unpack = divisors.packing.unpack_terms
         recipe = (
-            (_constant(ideal.n, inv, modulus), node),
-            *((_scale(q, -inv, modulus), other) for q, other in others if q),
+            (_constant(n, inv, modulus), node),
+            *((_scale(unpack(q, modulus), -inv, modulus), other) for q, other in zip(quotients, others) if q),
         )
+        p = unpack(p, modulus)
         if modulus is not None:
-            p = _polynomial(ideal.n, p)
+            p = _polynomial(n, p)
         elif inv != 1:
             p = p.scale(inv)
-        final.append((lm, p, recipe))
+        final.append((lms[node], p, recipe))
     final.sort(key=lambda t: order.key(t[0]), reverse=True)
     return GroebnerBasis(
         tuple(p for _, p, _ in final),
@@ -572,7 +724,7 @@ def reduce_by_basis(
     """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    _, remainder = _divide_tracked(p, [_split_divisor(b, order) for b in basis], order)
+    _, remainder = _divide(p, _Divisors([_split_divisor(b, order) for b in basis], order, p.n))
     return remainder
 
 

@@ -33,11 +33,12 @@ compares each recorded fact with the recomputed one, accepts a rejection
 for a gate reason only if that is the first gate f fails, and requires
 every other verdict to pass every gate.  Once it accepts a verdict, the
 recorded isolated flag and Milnor number (neither for a gate rejection)
-and a rejection's message must be the ones the builder writes.  Every
-certificate that records isolated true (a witness, a no_isolating_slice
-rejection, RESOURCE_EXHAUSTED) holds the isolation record of point 0,
-written once the builder knows f is isolated and checked once by the
-verifier for each of them.
+and a rejection's message must be the ones the builder writes.  Only a
+rejection records a rejection, and only RESOURCE_EXHAUSTED a resource
+error.  Every certificate that records isolated true (a witness, a
+no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds the isolation
+record of point 0, written once the builder knows f is isolated and
+checked once by the verifier for each of them.
 
 0. Isolation of f.  The certificate records a prime p that divides no
    denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
@@ -180,7 +181,11 @@ no other variable shares the weight of x_1, no admissible slice exists and
 the input is rejected with the reason no_isolating_slice.  A certificate
 records how many slices the search tried (attempts, at most
 MAX_SLICE_ATTEMPTS); in a witness the recorded slice must be that
-candidate of the enumeration.
+candidate of the enumeration.  A RESOURCE_EXHAUSTED certificate must stop
+where the search stops without a basis, at the first candidate too large
+to substitute or at candidate MAX_SLICE_ATTEMPTS, and record the message
+raised there.  A search stopped by a cap of the Groebner engine cannot be
+recomputed without a basis, so its certificate does not verify.
 """
 
 from __future__ import annotations
@@ -284,13 +289,26 @@ def slice_images(coefficients: Sequence[Fraction], n: int) -> list[Polynomial]:
 
 def substitute_slice(images: Sequence[Polynomial], f: Polynomial) -> Polynomial:
     """g = f(x(y)) for slice images; raises ResourceLimitExceeded, before
-    expanding anything, when an image of two or more terms is raised to a
-    power that the parser would refuse to expand (exprio._power_too_large)."""
+    expanding anything, with the message of _slice_power_error."""
+    error = _slice_power_error(images, f)
+    if error is not None:
+        raise ResourceLimitExceeded(error)
+    return f.substitute_variables(images)
+
+
+def _slice_power_error(images: Sequence[Polynomial], f: Polynomial) -> str | None:
+    """Why f(x(y)) is too large to expand, or None: an image of two or more
+    terms raised to a power that the parser would refuse to expand
+    (exprio._power_too_large)."""
     for i, image in enumerate(images):
         k = max((e[i] for e in f.terms), default=0)
         if _power_too_large(len(image.terms), k):
-            raise ResourceLimitExceeded(f"power {k} of slice row {i + 1} is too large to expand")
-    return f.substitute_variables(images)
+            return f"power {k} of slice row {i + 1} is too large to expand"
+    return None
+
+
+def _attempt_cap_message() -> str:
+    return f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts"
 
 
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
@@ -352,7 +370,7 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
     try:
         for coeffs in _slice_candidates(weights):
             if attempts >= MAX_SLICE_ATTEMPTS:
-                raise ResourceLimitExceeded(f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts")
+                raise ResourceLimitExceeded(_attempt_cap_message())
             attempts += 1
             g = substitute_slice(slice_images(coeffs, n), f)
             gb, rejection = decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
@@ -450,6 +468,8 @@ _FACT_FAILURES = {
     "degree": "recorded degree is not the weighted degree of the input",
     "variable_count": "recorded variable count is wrong",
 }
+# the input fields that only one verdict records
+_VERDICT_FIELDS = {"rejection": INPUT_REJECTED, "resource_error": RESOURCE_EXHAUSTED}
 # the failure for each isolation fact that a certificate records wrongly
 # for its verdict
 _ISOLATION_FAILURES = {
@@ -606,9 +626,10 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     that passes every gate.  Once a verdict and its reason are accepted, the
     recorded isolation facts (_isolation_facts; none for a gate rejection)
     and a rejection's message (rejection_message) must be the ones the
-    builder writes.  A document without the top-level keys raises
-    CertificateError; data of any other wrong shape, type or size is a
-    failure, never a crash.
+    builder writes, and a RESOURCE_EXHAUSTED certificate must stop where
+    the slice search stops (_exhaustion_failures).  A document without the
+    top-level keys raises CertificateError; data of any other wrong shape,
+    type or size is a failure, never a crash.
     """
     doc = cert.document if isinstance(cert, WitnessCertificate) else cert
     missing = [k for k in ("schema", "input", "verdict") if k not in doc]
@@ -622,6 +643,8 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         f = parse_poly(info["polynomial"], info["variables"])
         facts, failed = input_gate(f)
         failures = [text for key, text in _FACT_FAILURES.items() if _as_written(info, key) != _as_written(facts, key)]
+        failures += [f"a {verdict} certificate records input.{key}"
+                     for key, owner in _VERDICT_FIELDS.items() if key in info and verdict != owner]
         reason = (info.get("rejection") or {}).get("reason") if verdict == INPUT_REJECTED else None
         if failed is not None:
             # only a rejection that names the first failed gate is valid
@@ -646,7 +669,8 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
                 change = doc.get("change_of_coordinates") or {}
                 if not change.get("exhausted"):
                     failures.append("RESOURCE_EXHAUSTED certificate without an exhaustion record")
-                failures += _attempts_failures(change.get("attempts"))
+                wrong = _attempts_failures(change.get("attempts"))
+                failures += wrong or _exhaustion_failures(info.get("resource_error"), change["attempts"], f, weights)
             elif verdict == INPUT_REJECTED:
                 failures += _verify_rejected(doc, reason, f, weights, degree)
             else:
@@ -678,6 +702,27 @@ def _attempts_failures(attempts) -> list[str]:
     if type(attempts) is int and 1 <= attempts <= MAX_SLICE_ATTEMPTS:
         return []
     return [f"recorded attempts {attempts!r} is not an integer in 1..{MAX_SLICE_ATTEMPTS}"]
+
+
+def _exhaustion_failures(recorded, attempts: int, f: Polynomial, weights) -> list[str]:
+    """Where the slice search of a RESOURCE_EXHAUSTED certificate stops,
+    recomputed from f without a basis: at the first candidate too large to
+    substitute (_slice_power_error), or else after MAX_SLICE_ATTEMPTS
+    candidates.  It must stop at candidate ``attempts``, and the recorded
+    resource error must be the message it raises there."""
+    for k, coeffs in enumerate(itertools.islice(_slice_candidates(weights), attempts), 1):
+        error = _slice_power_error(slice_images(coeffs, f.n), f)
+        if error is not None:
+            break
+    else:
+        error = _attempt_cap_message() if k == attempts == MAX_SLICE_ATTEMPTS else None
+    if error is None:
+        return [f"nothing stops the slice search at candidate {attempts}"]
+    if k != attempts:
+        return [f"the slice search stops at candidate {k}, not {attempts}: {error}"]
+    if recorded != error:
+        return [f"the resource error is not the message that stops the slice search: {error}"]
+    return []
 
 
 def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], weights, degree: int) -> list[str]:

@@ -13,13 +13,17 @@ normalised Fraction.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
 Polynomials in the package goes through it: ``Polynomial.__mul__``, the
-S-polynomials, cofactor rows and lifts of ``groebner`` over Q, the Laplace
-step of ``minors.determinant`` and the cofactor-identity check built on
-it, ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
-and the recombination check of ``derivations.symmetrize``.  Modulo a prime,
-``groebner`` computes on integer residues, not Polynomials: its
-S-polynomials, rows and lifts sum integer products with the integer loop
-of ``sum_of_products`` (``_accumulate``) and reduce each coefficient once.
+cofactor rows and lifts of ``groebner`` over Q, the Laplace step of
+``minors.determinant`` and the cofactor-identity check built on it,
+``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
+and the recombination check of ``derivations.symmetrize``.  Modulo a
+prime the rows and lifts of ``groebner`` sum integer products with the
+integer loop of ``sum_of_products`` (``_accumulate``) and reduce each
+coefficient once.  Both keep exponent tuples: their calls have too few
+products to pay for packing and unpacking.  Only inside ``groebner``'s
+S-pair loop and divisions is a monomial one int (packed exponent vectors,
+see the ``groebner`` docstring); its S-polynomials are formed there, on
+those keys.
 
 ``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
 ``rational_reconstruction`` serve the Groebner engine modulo a prime and
@@ -376,7 +380,7 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
 def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
     """sum scale * a * b over the (a, b, scale) of ``products``, a and b
     integer terms (lists or dict items), in one integer map whose zero sums
-    stay in it: the loop of ``sum_of_products`` and of the products of
+    stay in it: the loop of ``sum_of_products`` and of the rows of
     ``groebner`` modulo a prime."""
     acc: dict[Exponent, int] = {}
     get = acc.get

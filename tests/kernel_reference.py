@@ -2,7 +2,9 @@
 
 These are the term-by-term loops that the integer-numerator kernels
 replaced: ``Polynomial.__mul__`` and ``groebner._divide_tracked`` with one
-Fraction operation per term, the Leibniz sum for ``minors.determinant``,
+Fraction operation per term, the same division modulo a prime on exponent
+tuples (``groebner._divide_tracked`` works on packed monomials), the
+Leibniz sum for ``minors.determinant``,
 the move-by-move fold for ``derivations.replay_ledger``, and the
 character-by-character tokenizer of ``exprio``.  They share no arithmetic
 with the kernels they check; ``tests/test_kernels.py`` requires exactly
@@ -97,6 +99,44 @@ def reference_divide(
         else:
             remainder[exp] = coeff
     return [Polynomial(n, q) for q in quotients], Polynomial(n, remainder)
+
+
+def reference_divide_mod(
+    p: dict[Exponent, int],
+    divisors: Sequence[dict[Exponent, int]],
+    order: MonomialOrder,
+    modulus: int,
+) -> tuple[list[dict[Exponent, int]], dict[Exponent, int]]:
+    """Division of integer terms modulo a prime by monic divisors, taking
+    the largest working term by a scan on every step; every coefficient
+    kept is reduced to [1, p)."""
+    work = {e: c % modulus for e, c in p.items() if c % modulus}
+    leading = [max(g, key=order.key) for g in divisors]
+    quotients: list[dict[Exponent, int]] = [dict() for _ in divisors]
+    remainder: dict[Exponent, int] = {}
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work.pop(exp)
+        for k, lm in enumerate(leading):
+            if all(x <= y for x, y in zip(lm, exp)):
+                shift = tuple(x - y for x, y in zip(exp, lm))
+                q = quotients[k]
+                q[shift] = (q.get(shift, 0) + coeff) % modulus
+                if not q[shift]:
+                    del q[shift]
+                for dexp, dcoeff in divisors[k].items():
+                    if dexp == lm:
+                        continue
+                    key = tuple(a + b for a, b in zip(dexp, shift))
+                    c = (work.get(key, 0) - coeff * dcoeff) % modulus
+                    if c:
+                        work[key] = c
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[exp] = coeff
+    return quotients, remainder
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:

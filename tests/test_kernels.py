@@ -15,6 +15,7 @@ import pytest
 from kernel_reference import (
     reference_determinant,
     reference_divide,
+    reference_divide_mod,
     reference_mul,
     reference_replay,
     reference_tokenize,
@@ -22,7 +23,7 @@ from kernel_reference import (
 import nakai_forge.groebner as groebner
 from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
-from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide_tracked, _split_divisor, buchberger
+from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger
 from nakai_forge.minors import PolyMatrix, determinant
 from nakai_forge.poly import GREVLEX, GRLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
@@ -193,7 +194,7 @@ class TestReplayLedger:
 def _divide_both(p, divisors, order):
     leading = [order.leading_term(g) for g in divisors]
     return (
-        _divide_tracked(p, [_split_divisor(g, order) for g in divisors], order),
+        _divide(p, _Divisors([_split_divisor(g, order) for g in divisors], order, p.n)),
         reference_divide(p, divisors, leading, order, groebner.DEFAULT_MAX_TERMS),
     )
 
@@ -278,12 +279,119 @@ class TestDivide:
                     reference_divide(p, [g], leading, GREVLEX, cap)
                 except ResourceLimitExceeded:
                     with pytest.raises(ResourceLimitExceeded):
-                        _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+                        _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
                     continue
-                _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+                _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
                 checked += cap > 0
                 break
         assert checked > 10
+
+
+P31 = 2**31 - 1
+
+
+def _random_monic_residues(rng: random.Random, n: int, max_degree: int, max_terms: int, order, modulus: int):
+    """Random nonzero integer terms modulo a prime, made monic under the order."""
+    terms = {tuple(rng.randint(0, max_degree) for _ in range(n)): rng.randrange(1, modulus)
+             for _ in range(rng.randint(1, max_terms))}
+    inverse = pow(terms[max(terms, key=order.key)], -1, modulus)
+    return {e: c * inverse % modulus for e, c in terms.items()}
+
+
+class TestDivideModular:
+    """The packed division modulo a prime against the plain loop on tuples
+    (kernel_reference.reference_divide_mod)."""
+
+    @pytest.mark.parametrize("modulus", [7, P31])
+    def test_random_against_reference(self, modulus):
+        # a small prime makes terms cancel modulo it; some lex divisions
+        # outgrow the width that holds the dividend, and are redone wider
+        rng = random.Random(8128 + modulus)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            for order in ORDERS:
+                p = {tuple(rng.randint(0, 9) for _ in range(n)): rng.randint(-10**12, 10**12)
+                     for _ in range(rng.randint(0, 8))}
+                divisors = [_random_monic_residues(rng, n, 3, 4, order, modulus) for _ in range(rng.randint(1, 4))]
+                packed = _Divisors([_split_divisor(groebner._polynomial(n, g), order) for g in divisors], order, n)
+                quotients, remainder = _divide(p, packed, modulus)
+                expected = reference_divide_mod(p, divisors, order, modulus)
+                assert (quotients, remainder) == expected, (order, p, divisors)
+
+
+class TestWidening:
+    """The packing never overflows silently: a lex division whose exponents
+    outgrow the first width is redone wider, and buchberger repacks its
+    divisors when a pair's lcm degree passes the width."""
+
+    @staticmethod
+    def _count_widenings(monkeypatch) -> list[int]:
+        """The bound of every fit that repacks the divisors wider."""
+        bounds = []
+        fit = groebner._Divisors.fit
+
+        def counting(self, bound):
+            before = self.packing
+            fit(self, bound)
+            if self.packing is not before:
+                bounds.append(bound)
+
+        monkeypatch.setattr(groebner._Divisors, "fit", counting)
+        return bounds
+
+    @pytest.mark.parametrize("modulus", [None, P31])
+    def test_lex_division(self, modulus, monkeypatch):
+        names = ["x", "y"]
+        g = parse_poly("x - y^100", names)
+        split = [_split_divisor(g if modulus is None else g.mod(modulus), LEX)]
+
+        def divide(text):
+            p = parse_poly(text, names)
+            return _divide(p if modulus is None else groebner._residues(p, modulus), _Divisors(split, LEX, 2), modulus)
+
+        def expect(text):
+            p = parse_poly(text, names)
+            return p if modulus is None else groebner._residues(p, modulus)
+
+        bounds = self._count_widenings(monkeypatch)
+        # the first width holds 100, so y^100 needs no second
+        assert divide("x") == ([expect("1")], expect("y^100"))
+        assert bounds == []
+        # x^2 = (x + y^100)(x - y^100) + y^200: 200 passes the first width
+        # (fields up to 127), and the division is redone one bit wider
+        assert divide("x^2") == ([expect("x + y^100")], expect("y^200"))
+        assert bounds == [255]
+
+    def test_lex_buchberger(self, monkeypatch):
+        # x^2 (x - y^2) - (x^3 - z) reduces through x*y^4 to z - y^6, past
+        # the fields (up to 3) that the generators' exponents need
+        names = ["x", "y", "z"]
+        bounds = self._count_widenings(monkeypatch)
+        ideal = Ideal((parse_poly("x - y^2", names), parse_poly("x^3 - z", names)))
+        expected = [parse_poly("x - y^2", names), parse_poly("y^6 - z", names)]
+        assert list(buchberger(ideal, LEX).basis) == expected
+        assert bounds
+        bounds.clear()
+        assert list(buchberger(ideal, LEX, modulus=P31).basis) == [g.mod(P31) for g in expected]
+        assert bounds
+
+    def test_buchberger_past_the_first_width(self, monkeypatch):
+        # quadrics: the first width holds degree 3, and the basis has pairs
+        # of higher lcm degree; the basis modulo p is that over Q reduced
+        rng = random.Random(1729)
+        bounds = self._count_widenings(monkeypatch)
+        gens = tuple(Polynomial(3, {e: Fraction(rng.randint(-3, 3)) for e in monomials_of_degree(3, 2)})
+                     for _ in range(3))
+        over_q = buchberger(Ideal(gens))
+        bounds.clear()
+        gb = buchberger(Ideal(gens), modulus=P31)
+        # each widening is the degree rule's, to twice an lcm degree past
+        # the width; none redoes a division, which widens to a field mask
+        # 2^B - 1
+        assert bounds and min(bounds) > 3 and all(bound % 2 == 0 for bound in bounds)
+        assert list(gb.basis) == [g.mod(P31) for g in over_q.basis]
+        for b, row in zip(gb.basis, gb.cofactors):
+            assert sum_of_products(3, zip(row, gens)).mod(P31) == b
 
 
 class TestMaxTermsCap:
@@ -296,9 +404,9 @@ class TestMaxTermsCap:
         g = V(3, 1) - V(3, 2) - V(3, 3)
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 2)
         with pytest.raises(ResourceLimitExceeded, match="exceeded 2 terms"):
-            _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+            _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 3)
-        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+        quotients, remainder = _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         assert quotients[0] == V(3, 1) + V(3, 2) + V(3, 3)
         assert remainder == (V(3, 2) + V(3, 3)) * (V(3, 2) + V(3, 3))
 
@@ -309,7 +417,7 @@ class TestMaxTermsCap:
         p = parse_poly("x^2 - x*y + z^2", ["x", "y", "z"])
         g = parse_poly("x - y", ["x", "y", "z"])
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 1)
-        quotients, remainder = _divide_tracked(p, [_split_divisor(g, GREVLEX)], GREVLEX)
+        quotients, remainder = _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         assert quotients[0] == parse_poly("x", ["x", "y", "z"])
         assert remainder == parse_poly("z^2", ["x", "y", "z"])
 

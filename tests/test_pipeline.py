@@ -1345,6 +1345,94 @@ class TestAttempts:
         assert _cli_verify(doc, tmp_path) == 4
 
 
+class TestExhaustion:
+    """A RESOURCE_EXHAUSTED certificate stops where the slice search of f
+    stops without a basis: at the first slice too large to substitute, or
+    after MAX_SLICE_ATTEMPTS slices, with the message raised there."""
+
+    HUGE = "x^1000 + y^1000 + x*z^999"  # candidate 2, (1, -1, 0), hits the power bound
+
+    def test_forged_message(self, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
+        assert doc["input"]["resource_error"] == "power 1000 of slice row 1 is too large to expand"
+        doc["input"]["resource_error"] = "nothing went wrong"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "the resource error is not the message that stops the slice search: "
+            "power 1000 of slice row 1 is too large to expand"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_stop_after_the_power_bound(self, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
+        doc["change_of_coordinates"]["attempts"] = 5
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "the slice search stops at candidate 2, not 5: power 1000 of slice row 1 is too large to expand"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_stop_before_the_power_bound(self, tmp_path):
+        # candidate 1 is the no-op slice, which substitutes fine
+        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
+        doc["change_of_coordinates"]["attempts"] = 1
+        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 1"]
+
+    def test_attempt_cap(self, monkeypatch, tmp_path):
+        # PAPER_F needs 2 slices, so with the cap at 1 its search stops
+        # after the no-op slice
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
+        assert doc["verdict"] == RESOURCE_EXHAUSTED
+        assert doc["input"]["resource_error"] == "no isolating slice found within 1 attempts"
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "the resource error is not the message that stops the slice search: "
+            "no isolating slice found within 1 attempts"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+        # with the cap at 2 the search would go on past one slice
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 2)
+        doc["input"]["resource_error"] = "no isolating slice found within 1 attempts"
+        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 1"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_single_candidate(self):
+        # distinct weights: the search has one candidate, so it cannot have
+        # run out of slices after two
+        doc = json.loads(write_certificate(build_witness(P("x^2 + y^3 + z^4"), V3).document))
+        doc["verdict"] = RESOURCE_EXHAUSTED
+        doc["change_of_coordinates"] = {"attempts": 2, "exhausted": True}
+        doc["input"]["resource_error"] = "no isolating slice found within 2 attempts"
+        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 2"]
+
+
+class TestStrayFields:
+    """input.rejection belongs to INPUT_REJECTED and input.resource_error to
+    RESOURCE_EXHAUSTED; any other verdict that records one is refused."""
+
+    def test_witness_with_a_rejection(self, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
+        doc["input"]["rejection"] = {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}
+        assert certificate_failures(WitnessCertificate(doc)) == ["a WITNESS_FOUND certificate records input.rejection"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("text", [FERMAT, "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
+    def test_resource_error_outside_exhaustion(self, text, tmp_path):
+        doc = json.loads(write_certificate(build_witness(P(text), V3).document))
+        doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            f"a {doc['verdict']} certificate records input.resource_error"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_exhausted_with_a_rejection(self):
+        doc = json.loads(write_certificate(build_witness(P(TestExhaustion.HUGE), V3).document))
+        doc["input"]["rejection"] = {"reason": "no_isolating_slice", "message": "none"}
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "a RESOURCE_EXHAUSTED certificate records input.rejection"
+        ]
+
+
 @pytest.mark.parametrize("index", [[1.0, 0.0, 1.0], [1, 1.0, 0], [True, 0, 1]])
 def test_float_multi_index_refused(index, tmp_path):
     # a float or a bool equals the int it stands for, and hashes alike, so

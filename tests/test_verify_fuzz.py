@@ -8,7 +8,8 @@ must end in exit 0 (still valid), 2 (not a certificate document) or 4
 (invalid): never a traceback, and never a hang.  A certificate whose
 verdict or rejection reason is swapped for another must end in 2 or 4, and
 so must one whose isolated flag, Milnor number or rejection message is not
-the one the builder writes.
+the one the builder writes, and one that records a rejection or a resource
+error under a verdict that has none.
 """
 
 import copy
@@ -179,6 +180,31 @@ def test_isolation_facts_and_message_mutations(name, path, tmp_path, capsys):
         assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4, value
     capsys.readouterr()
     assert len(variants) >= len(SWAPS)
+
+
+# the input fields that only one verdict records, with a value of the kind
+# that verdict writes
+STRAY_FIELDS = {
+    "rejection": (INPUT_REJECTED, {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}),
+    "resource_error": (RESOURCE_EXHAUSTED, "no isolating slice found within 200 attempts"),
+}
+
+
+@pytest.mark.parametrize("field", list(STRAY_FIELDS))
+def test_stray_verdict_fields(field, tmp_path, capsys):
+    # input.rejection or input.resource_error added to a certificate of any
+    # other verdict: every one is refused
+    owner, value = STRAY_FIELDS[field]
+    refused = 0
+    for text in INPUTS.values():
+        doc = json.loads(_certificate(text))
+        if doc["verdict"] == owner:
+            continue
+        doc["input"][field] = value
+        assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4, text
+        refused += 1
+    capsys.readouterr()
+    assert refused >= 1
 
 
 def test_byte_flips(certificate, tmp_path, capsys):

@@ -1,0 +1,88 @@
+"""Print the sha256 of the certificate bytes of a fixed set of inputs.
+
+The inputs are the three benchmark workloads (``perfbench/workloads.py``)
+at each ``--seed``, the first seeded draw of each ``--draw`` shape, and a
+list of named edge inputs (the CLI's built-in corpus, both rejections that
+need an isolation decision, an exhausted slice search, an unlucky prime, a
+functional too tall for one prime and rational coefficients).  Each input
+gives one ``name sha256`` line, where the digest is that of
+``write_certificate(build_witness(f, variables).document)``.
+
+Two checkouts build byte-identical certificates for these inputs exactly
+when their outputs are equal, so a change that must keep every certificate
+is checked with one ``diff``::
+
+    python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3 > new.txt
+    (cd ../parent && python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3) > old.txt
+    diff old.txt new.txt
+
+Run it from the root of a source checkout: the program is imported from
+``src/`` of that checkout, and ``perfbench/workloads.py`` is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache file beside perfbench/workloads.py
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from nakai_forge.cli import BUILTIN_CORPUS  # noqa: E402
+from nakai_forge.exprio import format_poly, parse_poly, write_certificate  # noqa: E402
+from nakai_forge.pipeline import build_witness  # noqa: E402
+
+XYZ = ["x", "y", "z"]
+EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_CORPUS] + [
+    ("not-isolated", "x^2*y + z^3", XYZ),
+    ("no-isolating-slice", "x^3 + x*y^3 + z^2", XYZ),
+    ("exhausted-slice-power", "x^1000 + y^1000 + x*z^999", XYZ),
+    ("unlucky-prime", "x^3 + y^3 + 2147483647*z^3", XYZ),
+    ("functional-too-tall", "(200*x - y)^2*z + (300*x - z)^3", XYZ),
+    ("rational-coefficients", "1/2*x^3 + 2/3*y^3 + z^3", XYZ),
+]
+
+
+def digest(text: str, variables) -> str:
+    variables = list(variables)
+    cert = build_witness(parse_poly(text, variables), variables)
+    return hashlib.sha256(write_certificate(cert.document)).hexdigest()
+
+
+def inputs(seeds: list[int], draws: list[str], draw_seed: int):
+    """(name, text, variables) of every input, in output order."""
+    for seed in seeds:
+        for workload, cases in workloads.WORKLOADS.items():
+            for case in cases(seed):
+                yield f"{workload}/{seed}/{case.name}", case.text, case.variables
+    for shape in draws:
+        n, d = map(int, re.fullmatch(r"n(\d+)d(\d+)", shape).groups())
+        names = [f"x{i}" for i in range(1, n + 1)]
+        f = workloads._homogeneous(random.Random(draw_seed), n, d)
+        yield f"draw/{draw_seed}/{shape}", format_poly(f, names), names
+    yield from ((f"edge/{name}", text, variables) for name, text, variables in EDGE_INPUTS)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, action="append", default=[],
+                        help="build the three benchmark workloads at this seed (repeatable)")
+    parser.add_argument("--draw", action="append", default=[], metavar="nNdD",
+                        help="build the first random form of N variables and degree D (repeatable)")
+    parser.add_argument("--draw-seed", type=int, default=7, help="seed of the --draw forms (default 7)")
+    args = parser.parse_args(argv)
+    if any(re.fullmatch(r"n\d+d\d+", shape) is None for shape in args.draw):
+        parser.error("--draw takes a shape such as n4d6")
+    for name, text, variables in inputs(args.seed, args.draw, args.draw_seed):
+        print(name, digest(text, variables), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
