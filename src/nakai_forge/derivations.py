@@ -40,7 +40,11 @@ of the first row of its Hessian and A_[l,i,1,k] the minor without rows
    sum_ij c_ij f_ij = -2 sum_k b_k f_k with
    b_k = -1/2 [(sum_i d q_i/dx_i) W_k x_k / D + q_k - sum_i d c_ik/dx_i],
    so the operator with second-order part c and first-order part b
-   annihilates f.
+   annihilates f.  b is a function of c and q alone, so a certificate
+   records only c and q, and the builder (lift_to_diff2) and the verifier
+   form b by the same closed_form_lift.  The verifier still checks
+   d_i(f) = q_i f and P(f) = 0 exactly, so a wrong closed form could only
+   refuse a certificate, never accept a false one.
 
 Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
 annihilate f, so the tuple symmetrize makes from it scales f by the same
@@ -346,38 +350,50 @@ def symmetrize(
     return result, tuple(ledger)
 
 
-def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> DiffOp2:
-    """A second-order operator D with theta2_extract(D) equal to the tuple
-    and D(f) = 0 on the nose.
+def closed_form_lift(
+    tuple_in: DerivationTuple, scales: Sequence[Polynomial], weights: Sequence[int], degree: int
+) -> DiffOp2:
+    """The operator with second-order part the tuple, c_(e_i+e_j) = d_i(x_j),
+    and first-order part the b_k of identity 3 of the module docstring, one
+    sum_of_products for each k.
 
-    Second-order coefficients come straight from the tuple
-    (c_(e_i+e_j) = d_i(x_j), c_(2e_i) = d_i(x_i)); the first-order ones are
-    the closed form b_k of identity 3 of the module docstring, with the
-    given scales q_i.  f must be quasi-homogeneous and d_i(f) = q_i f must
-    hold for every i (checked by multiplication), else ValueError; an
-    operator that then fails to annihilate f is an engine bug, not an
-    input error.
+    Nothing is checked: the operator annihilates f when the tuple is
+    symmetric, d_i(f) = q_i f for the given scales q_i, and f has the
+    weights W and the weighted degree D given.
     """
-    if not tuple_in.is_symmetric():
-        raise ValueError("lifting requires a symmetric tuple")
-    f = tuple_in.f
     n = tuple_in.n
-    weights, degree = _weights_and_degree(f)
-    scales = tuple(scales)
-    if len(scales) != n or any(d.apply(f) != q * f for d, q in zip(tuple_in.ders, scales)):
-        raise ValueError("lifting requires derivations that preserve (f) by the given scales")
-    zero = Polynomial.zero(n)
-    divergence = sum((q.partial(i) for i, q in enumerate(scales, 1)), zero)
     coeffs = {
         _pair_index(n, i, j): tuple_in.entry(i, j)
         for i, j in combinations_with_replacement(range(1, n + 1), 2)
     }
+    divergence = [q.partial(i) for i, q in enumerate(scales, 1)]
+    half, minus_half = Polynomial.constant(n, Fraction(1, 2)), Polynomial.constant(n, Fraction(-1, 2))
     for k in range(1, n + 1):
-        column = sum((tuple_in.entry(i, k).partial(i) for i in range(1, n + 1)), zero)
-        euler_part = (divergence * Polynomial.variable(n, k)).scale(Fraction(weights[k - 1], degree))
-        coeffs[_unit(n, k)] = (euler_part + scales[k - 1] - column).scale(Fraction(-1, 2))
-    op = DiffOp2(n, coeffs)
+        euler_part = Polynomial.variable(n, k).scale(Fraction(-weights[k - 1], 2 * degree))
+        pairs = [(d, euler_part) for d in divergence]
+        pairs.append((scales[k - 1], minus_half))
+        pairs += [(tuple_in.entry(i, k).partial(i), half) for i in range(1, n + 1)]
+        coeffs[_unit(n, k)] = sum_of_products(n, ((a, b) for a, b in pairs if a))
+    return DiffOp2(n, coeffs)
+
+
+def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> DiffOp2:
+    """A second-order operator D with theta2_extract(D) equal to the tuple
+    and D(f) = 0 on the nose: closed_form_lift with the given scales q_i
+    and the weights of f.
+
+    f must be quasi-homogeneous and d_i(f) = q_i f must hold for every i
+    (checked by multiplication), else ValueError; an operator that then
+    fails to annihilate f is an engine bug, not an input error.
+    """
+    if not tuple_in.is_symmetric():
+        raise ValueError("lifting requires a symmetric tuple")
+    f = tuple_in.f
+    weights, degree = _weights_and_degree(f)
+    scales = tuple(scales)
+    if len(scales) != tuple_in.n or any(d.apply(f) != q * f for d, q in zip(tuple_in.ders, scales)):
+        raise ValueError("lifting requires derivations that preserve (f) by the given scales")
+    op = closed_form_lift(tuple_in, scales, weights, degree)
     if not op.apply(f).is_zero():
         raise InternalInconsistencyError("lifted operator does not annihilate f")
     return op
-

@@ -327,7 +327,7 @@ def parse_fraction(text: str) -> Fraction:
 # -- certificate documents ---------------------------------------------
 
 SCHEMA_NAME = "nakai-witness-certificate"
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 REQUIRED_KEYS = (
     "schema",

@@ -92,9 +92,14 @@ checked once by the verifier for each of them.
    The certificate records none of these intermediate tuples (the
    symmetrize CLI subcommand prints them).
 2. P descends to A.  The certificate records the divided-power
-   coefficients c_alpha of P and polynomials q_j.  The verifier extracts
-   the tuple d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract) and
-   checks P(g) = 0 and d_j(g) = q_j g for every j.  The Leibniz rule gives
+   coefficients c_alpha of P of order |alpha| = 2, each nonzero one once,
+   and polynomials q_j.  The verifier extracts the tuple
+   d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract), forms the
+   first-order coefficients b_k of P from it and the q_j by the closed
+   form of identity 3 of that module (derivations.closed_form_lift, the
+   builder's own), and checks P(g) = 0 and d_j(g) = q_j g for every j.
+   Both checks are exact, so a wrong closed form could only make a sound
+   certificate fail.  The Leibniz rule gives
    P(g h) = h P(g) + g (P(h) - c_0 h) + sum_j d_j(g) dh/dy_j, so P maps (g)
    into (g) and each d_j is a derivation of A.
    Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
@@ -201,6 +206,7 @@ from .derivations import (
     Derivation1,
     DiffOp2,
     build_candidate_tuple,
+    closed_form_lift,
     lift_to_diff2,
     symmetrize,
     theta2_extract,
@@ -590,7 +596,7 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
     doc["lifted_operator"] = {
         "coefficients": [
             {"index": list(alpha), "value": format_poly(c, yvars)}
-            for alpha, c in sorted(lifted.coeffs.items())
+            for alpha, c in sorted(lifted.coeffs.items()) if sum(alpha) == 2
         ],
         "scales_f_by": [format_poly(q, yvars) for q in scales],
     }
@@ -736,7 +742,10 @@ def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], w
     if type(t) is not int or t <= s:
         return [f"{key}: recorded degree {t!r} is not an integer above s = {s}"]
     functional = _parse_functional(record["functional"], len(weights), t, weights)
-    failures = [] if any(functional.values()) else [f"{key}: the functional is zero"]
+    if not any(functional.values()):
+        failures = [f"{key}: the functional is zero"]
+    else:
+        failures = [] if all(functional.values()) else [f"{key}: the functional records a zero value"]
     return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
 
 
@@ -856,18 +865,25 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
     op_doc = doc["lifted_operator"]
     if any(type(a) is not int for entry in op_doc["coefficients"] for a in entry["index"]):
         return failures + ["lifted operator has a multi-index entry that is not an integer"]
-    op = DiffOp2(n, {
-        tuple(entry["index"]): parse_poly(entry["value"], yvars)
-        for entry in op_doc["coefficients"]
-    })
-    extracted = theta2_extract(op, g)
+    second_order: dict[Exponent, Polynomial] = {}
+    for entry in op_doc["coefficients"]:
+        alpha, value = tuple(entry["index"]), parse_poly(entry["value"], yvars)
+        wrong = ("is not of order 2" if sum(alpha) != 2 else
+                 "is repeated" if alpha in second_order else
+                 "is zero" if value.is_zero() else None)
+        if wrong:
+            return failures + [f"lifted operator entry {list(alpha)} {wrong}"]
+        second_order[alpha] = value
+    extracted = theta2_extract(DiffOp2(n, second_order), g)
     scales = [parse_poly(q, yvars) for q in op_doc["scales_f_by"]]
     if len(scales) != n:
-        failures.append(f"lifted operator records {len(scales)} scales for {n} derivations")
+        return failures + [f"lifted operator records {len(scales)} scales for {n} derivations"]
     for j, (d, q) in enumerate(zip(extracted.ders, scales), 1):
         if d.apply(g) != q * g:
             failures.append(f"extracted derivation {j} does not scale g by the recorded factor")
-    if not op.apply(g).is_zero():
+    # the first-order part is not recorded: identity 3 of derivations gives
+    # it from c and the q_j, and P(g) = 0 is checked on the nose
+    if not closed_form_lift(extracted, scales, weights, degree).apply(g).is_zero():
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
     _check_obstruction(doc["membership_tests"]["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, failures)

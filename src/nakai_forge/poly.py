@@ -281,18 +281,14 @@ class Polynomial:
         if not 1 <= i <= self.n:
             raise IndexError(f"variable index {i} out of range 1..{self.n}")
         k = i - 1
+        # x^e -> e_k x^(e - e_k) is one-to-one on the terms with e_k > 0, so
+        # no two terms meet and no coefficient becomes zero
         out: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
-            if exp[k] == 0:
-                continue
-            new = list(exp)
-            new[k] -= 1
-            key = tuple(new)
-            c = out.get(key, 0) + coeff * exp[k]
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+            if exp[k]:
+                new = list(exp)
+                new[k] -= 1
+                out[tuple(new)] = coeff * exp[k]
         return Polynomial._raw(self.n, out)
 
     def higher_partial(self, alpha: Sequence[int]) -> "Polynomial":

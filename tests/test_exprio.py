@@ -8,6 +8,7 @@ import pytest
 
 import nakai_forge.exprio as exprio
 from nakai_forge.exprio import (
+    SCHEMA_VERSION,
     CertificateError,
     ParseError,
     format_poly,
@@ -191,7 +192,7 @@ class TestFormat:
 class TestCertificateIO:
     def _document(self):
         return {
-            "schema": {"name": "nakai-witness-certificate", "version": 7},
+            "schema": {"name": "nakai-witness-certificate", "version": SCHEMA_VERSION},
             "input": {"polynomial": "x^3 + y^3 + z^3", "variables": V3},
             "change_of_coordinates": None,
             "lifted_operator": None,
@@ -213,21 +214,27 @@ class TestCertificateIO:
         doc["schema"]["version"] = 99
         with pytest.raises(CertificateError, match="version"):
             write_certificate(doc)
-        good = self._document()
-        # schema 2 (rejections replayed from a basis), schema 3 (with the
-        # candidate, the ledger and the symmetric tuple), schema 4 (the
-        # obstruction as a dual vector on S), schema 5 (isolation rows over
-        # Q) and schema 6 (g and the new variable names recorded, isolated
-        # true unbacked outside a witness) are no longer read
-        for old in (b'"version": 2', b'"version": 3', b'"version": 4', b'"version": 5', b'"version": 6'):
-            payload = write_certificate(good).replace(b'"version": 7', old)
+        good = write_certificate(self._document())
+        current = f'"version": {SCHEMA_VERSION}'.encode()
+        assert current in good
+        # no earlier schema is read: schema 2 (rejections replayed from a
+        # basis), schema 3 (with the candidate, the ledger and the symmetric
+        # tuple), schema 4 (the obstruction as a dual vector on S), schema 5
+        # (isolation rows over Q), schema 6 (g and the new variable names
+        # recorded, isolated true unbacked outside a witness) and schema 7
+        # (the first-order coefficients of the operator recorded)
+        for old in range(1, SCHEMA_VERSION):
+            payload = good.replace(current, f'"version": {old}'.encode())
             with pytest.raises(CertificateError, match="version"):
                 read_certificate(payload)
 
-    @pytest.mark.parametrize("version", ["7.0", "true", '"7"'])
+    @pytest.mark.parametrize("version", [f"{SCHEMA_VERSION}.0", "true", f'"{SCHEMA_VERSION}"'],
+                             ids=["float", "true", "string"])
     def test_version_must_be_an_integer(self, version):
-        # 7.0 == 7 in Python, but the schema version is an integer
-        payload = write_certificate(self._document()).replace(b'"version": 7', f'"version": {version}'.encode())
+        # a float equals the int it stands for in Python, but the schema
+        # version is an integer
+        current = f'"version": {SCHEMA_VERSION}'.encode()
+        payload = write_certificate(self._document()).replace(current, f'"version": {version}'.encode())
         with pytest.raises(CertificateError, match="version"):
             read_certificate(payload)
 

@@ -328,7 +328,7 @@ class TestBuildWitness:
         assert tests["isolation"]["prime"] == tests["obstruction"]["restriction_isolation"]["prime"] == 2147483629
         assert bases == [2**31 - 1, None, 2147483629] * 2
         assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
-            "0d37f99fba2973c6dd42a2ae2ba095f68652712412a3b87f33ca4da050785280"
+            "2b092b142945fb7c8e030aa3d98d776d81394c169d70ce30f5036f12372212c0"
         )
         assert _cli_verify(cert.document, tmp_path) == 0
         # the library test decides as the build does
@@ -346,7 +346,7 @@ class TestBuildWitness:
         assert {"monomial": [4, 0, 0], "value": "-1/2700000000"} in record["functional"]
         assert bases == [2**31 - 1, None]
         assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == (
-            "aaf61928ddb48e04997409ab573041a7e06dd70667a0cac981dbbf9118e81921"
+            "d8e3d7cabb9d41fdaf065c059b3b84a64024e79994b99dc4b923039b8d59cb00"
         )
         assert verify_certificate(cert)
         bases.clear()
@@ -475,12 +475,12 @@ class TestBuildWitness:
 # builds in one process agree even when an arithmetic change alters the
 # bytes; these digests pin them across commits.
 BUILTIN_CERT_SHA256 = {
-    "cyclic-cubic": "c22def0a8b87e7c79a1c05ef9f4644321022137c22319bd9a223241f92e2008d",
-    "fermat-cubic": "4ec7fbeb563716251f5fb9323f1bc4fb0d5e3fac4dc668d929e820ef503baf50",
-    "fermat-quartic": "2599d9529f034df5dd38a85432815824fb17d81b950465bad76d0eecb44424c4",
-    "fermat-cubic-4": "df7c001122469df607289ea3cf172e7dfb45b2ce3d69c7466dae4b416b39f55e",
-    "brieskorn-2-3-4": "b22f9c3d8cf1ec6793fdcf9cfb2a72b17ad8f967f21774355c2c15767c77bc4f",
-    "brieskorn-3-3-4": "d97fefec660da949e75b1fb671296ae959f2150c17ebe2d8b9c9a859214dc576",
+    "cyclic-cubic": "399374b26c46b5ea42f4711ffbc03ddb3fe8f16ccb76facfe84512772b101442",
+    "fermat-cubic": "b4c5bafde7896f8871c77f1c43e4db77d2e98684a9cf53e1bfe039ec5fd7f0e6",
+    "fermat-quartic": "27df1ac2906905b0471a78ed482dd382909fc08a918657f4addbfd030bf8e2a3",
+    "fermat-cubic-4": "2709409fb3ed0eee1749c5c265abed9b0482090fa8d01ffc969c29d6fea8136a",
+    "brieskorn-2-3-4": "92fd94a5db0ed71412bcb39f505f5072f159a94e2fc4e30bf537e2e4b278fb9a",
+    "brieskorn-3-3-4": "d290b71aac1b85c7d8fea0c11d58daad14920c23dfa3b115793df8efc0f3f25c",
 }
 
 
@@ -516,6 +516,30 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
 
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
+def test_verifier_forms_the_builders_operator(name, text, variables, monkeypatch):
+    # a certificate records only the second-order part of P; the operator
+    # the verifier forms from it (derivations.closed_form_lift) is the one
+    # lift_to_diff2 built, first-order part and all
+    def recording(function, calls):
+        def record(*args):
+            calls.append(function(*args))
+            return calls[-1]
+        return record
+
+    built, formed = [], []
+    monkeypatch.setattr(pipeline, "lift_to_diff2", recording(pipeline.lift_to_diff2, built))
+    monkeypatch.setattr(pipeline, "closed_form_lift", recording(pipeline.closed_form_lift, formed))
+    cert = build_witness(parse_poly(text, variables), variables)
+    assert formed == []
+    doc = read_certificate(write_certificate(cert.document))
+    assert all(sum(entry["index"]) == 2 for entry in doc["lifted_operator"]["coefficients"])
+    assert certificate_failures(WitnessCertificate(doc)) == []
+    assert len(built) == len(formed) == 1
+    assert any(sum(alpha) == 1 for alpha in built[0].coeffs)
+    assert formed[0] == built[0]
+
+
+@pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
 def test_builtin_certificate_bytes_pinned(name, text, variables):
     cert = build_witness(parse_poly(text, variables), variables)
     assert hashlib.sha256(write_certificate(cert.document)).hexdigest() == BUILTIN_CERT_SHA256[name]
@@ -525,8 +549,8 @@ def test_builtin_certificate_bytes_pinned(name, text, variables):
 # functional) and no_isolating_slice (the isolation record of the input and
 # the functional of the restriction).
 REJECTION_CERT_SHA256 = {
-    "not_isolated": "f3b0cd839c6f93105f2362cce29bfd89895de5113f9b441a3d1182fcc2faff7e",
-    "no_isolating_slice": "f7df4d3606b9520c95f79032dc08460b01eff2cc91767aef6e88cf11a1aeeda8",
+    "not_isolated": "c8d3222196bf7c316cce57e3164ad123c7d3b8dbf5df68e0d2837622b26d2c16",
+    "no_isolating_slice": "3a2407aa232265acce66f63942d05534b931c6133e60d1a45b615b7e84aad521",
 }
 
 
@@ -562,21 +586,42 @@ class TestVerifyCertificate:
         doc = json.loads(write_certificate(self._fermat_cert().document))
         assert doc["lifted_operator"]["scales_f_by"] == ["108*y2*y3", "0", "0"]
         doc["lifted_operator"]["scales_f_by"][1] = "y1"
+        # the first-order part of P is formed from the scales, so P(g) = 0
+        # fails too
         assert certificate_failures(WitnessCertificate(doc)) == [
-            "extracted derivation 2 does not scale g by the recorded factor"
+            "extracted derivation 2 does not scale g by the recorded factor",
+            "lifted operator does not annihilate the transformed polynomial",
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_forged_operator_that_annihilates_g(self, tmp_path):
-        # adding 3 y1^2 d^[2e1] - 3 y1 d_1 keeps P(g) = 0 on fermat-cubic
-        # (9 y1^3 - 9 y1^3), but the extracted d_1 gains y1 -> 3 y1^2 and maps
-        # g to 108 y2 y3 g + 9 y1^4, outside (g)
+        # on fermat-cubic, q_1 += g_2 = 3 y2^2 and q_2 = -3 y1^2 leave the
+        # divergence sum_i dq_i/dy_i alone, so the first-order part formed
+        # from the scales changes by b_1 -= 3/2 y2^2 and b_2 += 3/2 y1^2, and
+        # P(g) by -3/2 y2^2 * 3 y1^2 + 3/2 y1^2 * 3 y2^2 = 0; only the
+        # checks d_j(g) = q_j g catch the forgery
         doc = json.loads(write_certificate(self._fermat_cert().document))
-        _coefficient(doc, [2, 0, 0])["value"] += " + 3*y1^2"
-        _coefficient(doc, [1, 0, 0])["value"] += " - 3*y1"
-        failures = certificate_failures(WitnessCertificate(doc))
-        assert "extracted derivation 1 does not scale g by the recorded factor" in failures
-        assert "lifted operator does not annihilate the transformed polynomial" not in failures
+        scales = doc["lifted_operator"]["scales_f_by"]
+        assert scales == ["108*y2*y3", "0", "0"]
+        scales[:2] = ["108*y2*y3 + 3*y2^2", "-3*y1^2"]
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "extracted derivation 1 does not scale g by the recorded factor",
+            "extracted derivation 2 does not scale g by the recorded factor",
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @pytest.mark.parametrize("position, entry, failure", [
+        (0, {"index": [0, 0, 2], "value": "12345*y1"}, "lifted operator entry [0, 0, 2] is repeated"),
+        (5, {"index": [0, 0, 0], "value": "0"}, "lifted operator entry [0, 0, 0] is not of order 2"),
+        (5, {"index": [1, 0, 0], "value": "-3*y1"}, "lifted operator entry [1, 0, 0] is not of order 2"),
+        (1, {"index": [0, 1, 1], "value": "0"}, "lifted operator entry [0, 1, 1] is zero"),
+    ], ids=["repeated", "order 0", "order 1", "zero"])
+    def test_operator_entry_the_builder_never_writes(self, position, entry, failure, tmp_path):
+        # the builder writes each nonzero second-order coefficient once; a
+        # map would keep the last of two entries and drop a zero one
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["lifted_operator"]["coefficients"].insert(position, entry)
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_tampered_basis(self):
@@ -795,8 +840,8 @@ class TestVerifyCertificate:
             "value", "0"))
         corrupt("operator mixed coefficient", lambda d: _coefficient(d, [1, 1, 0]).__setitem__(
             "value", _coefficient(d, [1, 1, 0])["value"] + " + y2"))
-        corrupt("operator first-order coefficient", lambda d: _coefficient(d, [1, 0, 0]).__setitem__(
-            "value", "1"))
+        corrupt("operator first-order entry added", lambda d: d["lifted_operator"]["coefficients"].append(
+            {"index": [1, 0, 0], "value": "1"}))
         corrupt("operator index", lambda d: _coefficient(d, [0, 2, 0]).__setitem__("index", [0, 1, 1]))
         corrupt("operator coefficient", lambda d: d["lifted_operator"]["coefficients"].__setitem__(
             0, {"index": [1, 0, 0], "value": "y1^2"}))
@@ -886,6 +931,14 @@ class TestPositiveDimension:
     def test_zero_functional(self, tmp_path):
         doc = self._doc()
         assert self._forge(doc, 4, {(0, 4, 0): "0"}) == ["input_jacobian: the functional is zero"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_zero_value_appended(self, tmp_path):
+        # the builder leaves zero values out of a functional
+        doc = self._doc()
+        assert self._forge(doc, 4, {(0, 4, 0): "1", (4, 0, 0): "0"}) == [
+            "input_jacobian: the functional records a zero value"
+        ]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_degree_not_above_s(self, tmp_path):
