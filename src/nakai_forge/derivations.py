@@ -50,7 +50,8 @@ Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
 annihilate f, so the tuple symmetrize makes from it scales f by the same
 D A_1i.  build_candidate_tuple reads the candidate, the cofactors of
 identity 1 and these q_i from one Hessian, and lift_to_diff2 is given the
-q_i: it checks d_i(f) = q_i f by multiplication and never divides.
+q_i: it checks d_i(f) = q_i f by multiplication and never divides
+(scale_mismatches, the verifier's check too).
 """
 
 from __future__ import annotations
@@ -325,11 +326,15 @@ def symmetrize(
     f = tuple_in.f
     n = tuple_in.n
     zero = Polynomial.zero(n)
+    one, minus_one = Polynomial.constant(n, 1), Polynomial.constant(n, -1)
     partials = [f.partial(l) for l in range(1, n + 1)]
     a = {(i, i): [zero] * n for i in range(1, n + 1)}
     for i, k in combinations(range(1, n + 1), 2):
         vector = list(cofactors.get((i, k)) or [zero] * n)
-        if len(vector) != n or sum_of_products(n, zip(vector, partials)) != tuple_in.defect(i, k):
+        # sum_l a_l f_l - d_i(x_k) + d_k(x_i) = 0, as one sum of products
+        if len(vector) != n or sum_of_products(n, [
+            *zip(vector, partials), (tuple_in.entry(i, k), minus_one), (tuple_in.entry(k, i), one)
+        ]):
             raise ValueError(
                 f"defect of pair ({i},{k}) is not in the Jacobian ideal by the supplied "
                 "cofactors; the input tuple is not a valid candidate"
@@ -348,6 +353,22 @@ def symmetrize(
         raise InternalInconsistencyError("symmetrization left an asymmetric pair")
     logger.debug("symmetrize: %d adjustments over %d pairs", len(ledger), n * (n - 1) // 2)
     return result, tuple(ledger)
+
+
+def scale_mismatches(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> list[int]:
+    """The j, from 1, with d_j(f) != q_j f for the tuple's derivations d_j
+    and the n scales q_j.
+
+    Each identity is tested exactly, as one sum_of_products that must be
+    zero: sum_i f_i d_j(x_i) - q_j f, with the partials f_i taken once.
+    """
+    f, n = tuple_in.f, tuple_in.n
+    partials = [f.partial(i) for i in range(1, n + 1)]
+    minus_f = -f
+    return [
+        j for j, (d, q) in enumerate(zip(tuple_in.ders, scales), 1)
+        if sum_of_products(n, [*((p, image) for p, image in zip(partials, d.images) if image), (q, minus_f)])
+    ]
 
 
 def closed_form_lift(
@@ -391,7 +412,7 @@ def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> Di
     f = tuple_in.f
     weights, degree = _weights_and_degree(f)
     scales = tuple(scales)
-    if len(scales) != tuple_in.n or any(d.apply(f) != q * f for d, q in zip(tuple_in.ders, scales)):
+    if len(scales) != tuple_in.n or scale_mismatches(tuple_in, scales):
         raise ValueError("lifting requires derivations that preserve (f) by the given scales")
     op = closed_form_lift(tuple_in, scales, weights, degree)
     if not op.apply(f).is_zero():

@@ -1,6 +1,7 @@
 """Polynomial expression parsing/printing and certificate document IO.
 
-Expression grammar (recursive descent, explicit ``*`` required between
+There are two readers of polynomial text.  ``parse_poly`` reads the
+general grammar (recursive descent, explicit ``*`` required between
 factors, no implicit multiplication):
 
     expr   := ('+' | '-')? term (('+' | '-') term)*
@@ -9,14 +10,23 @@ factors, no implicit multiplication):
     base   := rational | ident | '(' expr ')'
     rational := digits ('/' digits)?
 
+It reads what a user writes: CLI input, and the input polynomial of a
+certificate (``input.polynomial``).  ``read_poly`` reads, in one pass, only
+the canonical text that ``format_poly`` writes, and refuses any other
+text; the verifier reads every polynomial the builder writes with it (the
+lifted operator's coefficients, its ``scales_f_by`` and every isolation
+row), so each certificate has one byte form.
+
 Certificates are JSON documents with a fixed top-level key set; every
 rational inside is a decimal-free "num/den" string and every polynomial
-an expression string in the grammar above, so documents round-trip
-exactly, with coefficients of any length.  Expressions are untrusted
-input: a power of a sum too large to expand is refused at its exponent,
-and so is any term whose size, its term count times the bits of its
-coefficients, would exceed DEFAULT_MAX_TERMS (a number or a monomial
-raised to a huge power, a long product of powers).
+an expression string, so documents round-trip exactly, with coefficients
+of any length.  Expressions are untrusted input: a power of a sum too
+large to expand is refused at its exponent, and so is any term whose
+size, its term count times the bits of its coefficients, would exceed
+DEFAULT_MAX_TERMS (a number or a monomial raised to a huge power, a long
+product of powers).  Canonical text has no power of a number or a sum,
+so its size is that of the text, and both readers cap an exponent at 4300
+digits.
 """
 
 from __future__ import annotations
@@ -276,6 +286,96 @@ def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
     if end.kind != "END":
         raise ParseError(f"unexpected trailing input {end.text!r}", end.pos)
     return result
+
+
+def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
+    """Read, in one pass, a polynomial written exactly as format_poly
+    writes it over these variable names; any other text raises ParseError
+    (a ValueError) at the term it fails in.
+
+    The text is "0" or terms joined by " + " and " - ", the first one
+    signed only when negative, in strictly descending grevlex order.  A
+    term is a coefficient in lowest terms (digits, or digits/digits with a
+    denominator above 1, no leading zero, not 0), omitted when it is 1 and
+    the term is not a constant, then the variables in index order, each at
+    most once, a power x^e with e >= 2 written without leading zeros and
+    in at most 4300 digits (parse_poly's cap), all joined by "*".
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial must be a string, not a {type(text).__name__}")
+    n = len(variables)
+    if text == "0":
+        return Polynomial._raw(n, {})
+    pieces = text.split(" ")
+    if len(pieces) % 2 == 0:
+        raise _not_canonical("a term must follow ' + ' or ' - '", len(text))
+    index = {name: i for i, name in enumerate(variables)}
+    terms: dict[Exponent, Fraction] = {}
+    last_key = ()  # below every key
+    start = 0
+    for k in range(0, len(pieces), 2):
+        body = pieces[k]
+        if k == 0:
+            negative = body[:1] == "-"
+            body = body[negative:]
+        else:
+            start += len(pieces[k - 2]) + len(pieces[k - 1]) + 2
+            if pieces[k - 1] not in ("+", "-"):
+                raise _not_canonical("terms must be joined by ' + ' or ' - '", start)
+            negative = pieces[k - 1] == "-"
+        factors = body.split("*")
+        first = factors[0]
+        if first[:1].isdecimal():
+            num, slash, den = first.partition("/")
+            if not (_canonical_digits(num) and (not slash or _canonical_digits(den))):
+                raise _not_canonical(f"{first[:40]!r} is not a nonzero coefficient in digits", start)
+            if first == "1" and len(factors) > 1:
+                raise _not_canonical("coefficient 1 written out", start)
+            if slash:
+                d = _decimal_to_int(den)
+                coeff = Fraction(_decimal_to_int(num), d)
+                if d == 1 or coeff.denominator != d:
+                    raise _not_canonical(f"coefficient {first[:40]!r} is not in lowest terms", start)
+            else:
+                coeff = Fraction(_decimal_to_int(num))
+            del factors[0]
+        elif body:
+            coeff = Fraction(1)
+        else:
+            raise _not_canonical("empty term", start)
+        exp = [0] * n
+        previous = -1
+        for factor in factors:
+            name, caret, power = factor.partition("^")
+            i = index.get(name)
+            if i is None:
+                raise _not_canonical(f"unknown variable {name[:40]!r}", start)
+            if i <= previous:
+                raise _not_canonical("variables out of index order or repeated", start)
+            previous = i
+            if not caret:
+                exp[i] = 1
+            elif not _canonical_digits(power) or power == "1":
+                raise _not_canonical("an exponent must be an integer of at least 2 without leading zeros", start)
+            elif len(power) > sys.int_info.default_max_str_digits:
+                raise _not_canonical("exponent has too many digits", start)
+            else:
+                exp[i] = _decimal_to_int(power)
+        key = (-sum(exp), *reversed(exp))  # GREVLEX.descending_key
+        if key <= last_key:
+            raise _not_canonical("terms not in strictly descending grevlex order", start)
+        last_key = key
+        terms[tuple(exp)] = -coeff if negative else coeff
+    return Polynomial._raw(n, terms)
+
+
+def _not_canonical(reason: str, position: int) -> ParseError:
+    return ParseError(f"not a canonical polynomial: {reason}", position)
+
+
+def _canonical_digits(text: str) -> bool:
+    """ASCII decimal digits without a leading zero (so not "0" either)."""
+    return text.isascii() and text.isdecimal() and text[0] != "0"
 
 
 def format_poly(p: Polynomial, variables: Sequence[str]) -> str:

@@ -19,7 +19,8 @@ records its modulus, and its division, normal forms, lifts and rows all
 work over its own field.
 
 Inside the engine a monomial is one int (packed exponent vectors: Monagan
-and Pearce 2007).  A ``_Packing`` of n fields of B bits maps x^e to
+and Pearce 2007).  A ``_Packing`` of n fields of B bits (it lives in
+``poly``, whose large sums of products are packed with it too) maps x^e to
 K(e) = sum_i e_i w_i with w_i = 2^(B i) - t_i 2^(nB): the low nB bits hold
 e_i in field i, and the bits above hold -T(e), T(e) = sum_i t_i e_i.  For
 grevlex t_i = 1, so T is the degree; for lex t_i = 2^(B(n-1-i)), so T
@@ -117,12 +118,12 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 from .poly import quasi_homogeneous_weights, rational_reconstruction, sum_of_products
-from .poly import _accumulate, _top_degree, _vanishing_failures, is_prime, monomials_of_degree
+from .poly import _accumulate, _Packing, _top_degree, _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
 
@@ -218,38 +219,6 @@ def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:
 class _Narrow(Exception):
     """A term the division takes has a field past the packing's limit (its
     guard bit is set): the division must be redone with wider fields."""
-
-
-class _Packing:
-    """Exponent vectors of n variables as single ints, for one order and
-    one field width (see the module docstring): K(e) = sum e_i w_i, with
-    e_i in field i of the low n*bits bits and the guard bit of each field
-    clear while e_i <= limit."""
-
-    def __init__(self, order: MonomialOrder, n: int, bound: int):
-        bits = bound.bit_length() + 1  # limit = 2^(bits-1) - 1 >= bound
-        top = n * bits
-        lex = [1 << bits * (n - 1 - i) for i in range(n)]
-        tops = {"grevlex": [1] * n, "grlex": [(1 << top) + t for t in lex], "lex": lex}[order.kind]
-        self.n, self.order = n, order
-        self.weights = tuple((1 << bits * i) - (t << top) for i, t in enumerate(tops))
-        self.shifts = tuple(bits * i for i in range(n))
-        self.field = (1 << bits) - 1
-        self.limit = self.field >> 1
-        self.low = (1 << top) - 1
-        self.guard = sum(self.limit + 1 << s for s in self.shifts)
-
-    def pack(self, e: Exponent) -> int:
-        return sum(map(mul, e, self.weights))
-
-    def unpack(self, k: int) -> Exponent:
-        return tuple(k >> s & self.field for s in self.shifts)
-
-    def unpack_terms(self, terms: dict, modulus: int | None) -> Polynomial | Residues:
-        """Packed terms as the engine hands them out: a Polynomial of their
-        Fractions over Q, Residues modulo a prime."""
-        residues = {self.unpack(k): c for k, c in terms.items()}
-        return residues if modulus is not None else Polynomial._raw(self.n, residues)
 
 
 class _Divisors:

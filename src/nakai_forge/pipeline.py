@@ -97,9 +97,13 @@ checked once by the verifier for each of them.
    d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract), forms the
    first-order coefficients b_k of P from it and the q_j by the closed
    form of identity 3 of that module (derivations.closed_form_lift, the
-   builder's own), and checks P(g) = 0 and d_j(g) = q_j g for every j.
-   Both checks are exact, so a wrong closed form could only make a sound
-   certificate fail.  The Leibniz rule gives
+   builder's own), and checks P(g) = 0 and d_j(g) = q_j g for every j
+   (derivations.scale_mismatches, which the builder's lift shares, tests
+   each as one sum of products that must be zero).  Both checks are
+   exact, so a wrong closed form could only make a sound certificate
+   fail.  It reads these polynomials and the isolation rows only in the
+   canonical text the builder writes (exprio.read_poly).  The Leibniz
+   rule gives
    P(g h) = h P(g) + g (P(h) - c_0 h) + sum_j d_j(g) dh/dy_j, so P maps (g)
    into (g) and each d_j is a derivation of A.
    Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
@@ -208,6 +212,7 @@ from .derivations import (
     build_candidate_tuple,
     closed_form_lift,
     lift_to_diff2,
+    scale_mismatches,
     symmetrize,
     theta2_extract,
 )
@@ -220,6 +225,7 @@ from .exprio import (
     format_poly,
     parse_fraction,
     parse_poly,
+    read_poly,
 )
 from .groebner import (
     GREVLEX,
@@ -784,7 +790,10 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
         failures.append(f"{label}: the record does not hold one row for each of the {f.n} variables")
         return
     for i, row in enumerate(rows):
-        entries = [parse_poly(s, variables) for s in row] if isinstance(row, list) else []
+        try:
+            entries = [read_poly(s, variables) for s in row] if isinstance(row, list) else []
+        except ValueError:
+            entries = []  # a row it cannot read is a row of the wrong shape
         if len(entries) != f.n or any(
             d != 1 or not 0 <= a < p for e in entries for a, d in map(Fraction.as_integer_ratio, e.terms.values())
         ):
@@ -867,7 +876,7 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
         return failures + ["lifted operator has a multi-index entry that is not an integer"]
     second_order: dict[Exponent, Polynomial] = {}
     for entry in op_doc["coefficients"]:
-        alpha, value = tuple(entry["index"]), parse_poly(entry["value"], yvars)
+        alpha, value = tuple(entry["index"]), read_poly(entry["value"], yvars)
         wrong = ("is not of order 2" if sum(alpha) != 2 else
                  "is repeated" if alpha in second_order else
                  "is zero" if value.is_zero() else None)
@@ -875,12 +884,11 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
             return failures + [f"lifted operator entry {list(alpha)} {wrong}"]
         second_order[alpha] = value
     extracted = theta2_extract(DiffOp2(n, second_order), g)
-    scales = [parse_poly(q, yvars) for q in op_doc["scales_f_by"]]
+    scales = [read_poly(q, yvars) for q in op_doc["scales_f_by"]]
     if len(scales) != n:
         return failures + [f"lifted operator records {len(scales)} scales for {n} derivations"]
-    for j, (d, q) in enumerate(zip(extracted.ders, scales), 1):
-        if d.apply(g) != q * g:
-            failures.append(f"extracted derivation {j} does not scale g by the recorded factor")
+    failures += [f"extracted derivation {j} does not scale g by the recorded factor"
+                 for j in scale_mismatches(extracted, scales)]
     # the first-order part is not recorded: identity 3 of derivations gives
     # it from c and the q_j, and P(g) = 0 is checked on the nose
     if not closed_form_lift(extracted, scales, weights, degree).apply(g).is_zero():

@@ -16,14 +16,18 @@ Polynomials in the package goes through it: ``Polynomial.__mul__``, the
 cofactor rows and lifts of ``groebner`` over Q, the Laplace step of
 ``minors.determinant`` and the cofactor-identity check built on it,
 ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
-and the recombination check of ``derivations.symmetrize``.  Modulo a
-prime the rows and lifts of ``groebner`` sum integer products with the
-integer loop of ``sum_of_products`` (``_accumulate``) and reduce each
-coefficient once.  Both keep exponent tuples: their calls have too few
-products to pay for packing and unpacking.  Only inside ``groebner``'s
-S-pair loop and divisions is a monomial one int (packed exponent vectors,
-see the ``groebner`` docstring); its S-polynomials are formed there, on
-those keys.
+and the zero-sum checks of ``derivations`` (``scale_mismatches`` and the
+recombination check of ``symmetrize``).  Modulo a prime the rows and lifts
+of ``groebner`` sum integer products with the integer loop of
+``sum_of_products`` (``_accumulate``) and reduce each coefficient once.
+
+That loop sums on exponent tuples a call of fewer than PACK_PRODUCTS term
+products, which is most calls: packing and unpacking would cost them more
+than they save.  A larger call sums on packed exponent vectors (Monagan
+and Pearce 2007): ``_Packing`` makes each monomial one int, so a term
+product is one integer addition, and only the output is unpacked.  The
+same ``_Packing`` serves ``groebner``'s S-pair loop and divisions, which
+form their S-polynomials on those keys (see the ``groebner`` docstring).
 
 ``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
 ``rational_reconstruction`` serve the Groebner engine modulo a prime and
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -373,11 +377,21 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
     return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
 
 
+# a call of _accumulate with at least this many term products sums them on
+# packed monomials; below it, packing and unpacking cost more than they save
+# (the crossover of a micro-benchmark of both loops, in CHANGES.md)
+PACK_PRODUCTS = 128
+
+
 def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
     """sum scale * a * b over the (a, b, scale) of ``products``, a and b
     integer terms (lists or dict items), in one integer map whose zero sums
-    stay in it: the loop of ``sum_of_products`` and of the rows of
-    ``groebner`` modulo a prime."""
+    may stay in it: the loop of ``sum_of_products`` and of the rows of
+    ``groebner`` modulo a prime.  A call of PACK_PRODUCTS or more term
+    products sums on packed monomials (_accumulate_packed)."""
+    products = list(products)
+    if sum(len(terms1) * len(terms2) for terms1, terms2, _ in products) >= PACK_PRODUCTS:
+        return _accumulate_packed(products)
     acc: dict[Exponent, int] = {}
     get = acc.get
     for terms1, terms2, scale in products:
@@ -387,6 +401,31 @@ def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, 
                 exp = tuple(map(add, e1, e2))
                 acc[exp] = get(exp, 0) + c1 * c2
     return acc
+
+
+def _accumulate_packed(products: list[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
+    """The loop of _accumulate on packed monomials: a term product is
+    k1 + k2, each distinct exponent is packed once, and only the nonzero
+    sums are unpacked.  The packing is _Packing under grevlex with fields
+    that hold the largest left degree plus the largest right degree, and
+    every field of a product is at most its degree, so none overflows.
+    The map takes its keys in the order the tuple loop does."""
+    lefts = dict.fromkeys(e for terms1, _, _ in products for e, _ in terms1)
+    rights = dict.fromkeys(e for _, terms2, _ in products for e, _ in terms2)
+    packing = _Packing(GREVLEX, len(next(iter(lefts))), max(map(sum, lefts)) + max(map(sum, rights)))
+    key = {e: packing.pack(e) for e in (*lefts, *rights)}
+    acc: dict[int, int] = {}
+    get = acc.get
+    for terms1, terms2, scale in products:
+        packed2 = [(key[e2], c2) for e2, c2 in terms2]
+        for e1, c1 in terms1:
+            k1 = key[e1]
+            c1 *= scale
+            for k2, c2 in packed2:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    unpack = packing.unpack
+    return {unpack(k): c for k, c in acc.items() if c}
 
 
 # the first 12 primes: as Miller-Rabin bases they decide primality of every
@@ -490,6 +529,39 @@ class MonomialOrder:
 GREVLEX = MonomialOrder("grevlex")
 GRLEX = MonomialOrder("grlex")
 LEX = MonomialOrder("lex")
+
+
+class _Packing:
+    """Exponent vectors of n variables as single ints, for one order and
+    one field width (the ``groebner`` docstring): K(e) = sum e_i w_i, with
+    e_i in field i of the low n*bits bits and the guard bit of each field
+    clear while e_i <= limit.  K is linear, so K(e1) + K(e2) = K(e1 + e2)
+    while every field of e1 + e2 is at most the limit."""
+
+    def __init__(self, order: MonomialOrder, n: int, bound: int):
+        bits = bound.bit_length() + 1  # limit = 2^(bits-1) - 1 >= bound
+        top = n * bits
+        lex = [1 << bits * (n - 1 - i) for i in range(n)]
+        tops = {"grevlex": [1] * n, "grlex": [(1 << top) + t for t in lex], "lex": lex}[order.kind]
+        self.n, self.order = n, order
+        self.weights = tuple((1 << bits * i) - (t << top) for i, t in enumerate(tops))
+        self.shifts = tuple(bits * i for i in range(n))
+        self.field = (1 << bits) - 1
+        self.limit = self.field >> 1
+        self.low = (1 << top) - 1
+        self.guard = sum(self.limit + 1 << s for s in self.shifts)
+
+    def pack(self, e: Exponent) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def unpack(self, k: int) -> Exponent:
+        return tuple(k >> s & self.field for s in self.shifts)
+
+    def unpack_terms(self, terms: dict, modulus: int | None) -> Polynomial | dict[Exponent, int]:
+        """Packed terms as the Groebner engine hands them out: a Polynomial
+        of their Fractions over Q, integer terms modulo a prime."""
+        residues = {self.unpack(k): c for k, c in terms.items()}
+        return residues if modulus is not None else Polynomial._raw(self.n, residues)
 
 
 def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | None:

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from nakai_forge.exprio import (
     format_poly,
     parse_poly,
     read_certificate,
+    read_poly,
     write_certificate,
 )
 from nakai_forge.poly import Polynomial
@@ -187,6 +189,77 @@ class TestFormat:
         text = format_poly(p, ["x", "y"])
         assert "-7" + "0" * 4998 + "3/3" + "0" * 4399 + "1*x^2*y" in text
         assert parse_poly(text, ["x", "y"]) == p
+
+
+class TestCanonicalReader:
+    """read_poly reads format_poly text, and only that."""
+
+    _REFUSED = [
+        ("out-of-order terms", "x + y^2", "descending grevlex order"),
+        ("repeated monomial", "x^2 + x^2", "descending grevlex order"),
+        ("zero coefficient", "x - 0*y", "'0' is not a nonzero coefficient"),
+        ("coefficient 1", "1*x", "coefficient 1 written out"),
+        ("not in lowest terms", "2/4*x", "not in lowest terms"),
+        ("denominator 1", "3/1*x", "not in lowest terms"),
+        ("power 1", "x^1", "exponent must be an integer of at least 2"),
+        ("leading zero", "x^01", "exponent must be an integer of at least 2"),
+        ("variables out of order", "y*x", "out of index order"),
+        ("repeated variable", "x*x", "out of index order or repeated"),
+        ("unknown name", "x + t", "unknown variable 't'"),
+        ("double space", "x  + y", "' + ' or ' - '"),
+        ("leading plus", "+x", "unknown variable '+x'"),
+        ("empty string", "", "empty term"),
+        ("parentheses", "(x + y)^2", "unknown variable '(x'"),
+        ("number power", "2^3*x", "'2^3' is not a nonzero coefficient"),
+        ("long exponent", "x^" + "1" * 4301, "exponent has too many digits"),
+    ]
+
+    @pytest.mark.parametrize("text, reason", [r[1:] for r in _REFUSED], ids=[r[0] for r in _REFUSED])
+    def test_refuses_all_but_format_poly_text(self, text, reason):
+        with pytest.raises(ParseError, match="not a canonical polynomial: .*" + re.escape(reason)):
+            read_poly(text, V3)
+
+    def test_accepts_only_what_format_poly_writes(self):
+        # random strings of pieces of polynomial text: every one the reader
+        # accepts is the format_poly text of what it reads, byte for byte
+        rng = random.Random(33)
+        pieces = ["x", "y", "z", "0", "1", "2", "9", "/", "*", "^", " ", "+", "-", " + ", " - ", "(", ")",
+                  "x^2", "y^10", "2/3", "\u0663", "\u00b2", "xy"]
+        accepted = 0
+        for _ in range(20000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+            try:
+                p = read_poly(text, V3)
+            except ParseError:
+                continue
+            assert format_poly(p, V3) == text
+            accepted += 1
+        assert accepted > 500
+
+    def test_round_trip_random(self):
+        # rational coefficients of up to 40 digits, negative leading terms,
+        # constants and exponents of two and three digits
+        rng = random.Random(2027)
+        names = ["x1", "x2", "x3", "x4"]
+        texts = []
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            exponents = [tuple(rng.choice((0, 0, 1, 2, 3, 10, 12, 123)) for _ in range(n))
+                         for _ in range(rng.randint(0, 8))]
+            p = Polynomial(n, {e: Fraction(rng.randint(-10**rng.randint(0, 20), 10**rng.randint(0, 20)),
+                                           rng.choice((1, 1, 2, 3, 10**20 + 39))) for e in exponents})
+            text = format_poly(p, names[:n])
+            read = read_poly(text, names[:n])
+            assert read == p
+            assert list(read.terms) == list(parse_poly(text, names[:n]).terms)
+            texts.append(text)
+        assert any(t.startswith("-") for t in texts) and any("/" in t for t in texts)
+        assert any(re.search(r"\^1\d", t) for t in texts)
+        assert any(re.search(r"(^|[-+] )-?\d+(/\d+)?$", t) for t in texts)  # a constant term
+        p = _long_coefficient_poly()
+        assert read_poly(format_poly(p, ["x", "y"]), ["x", "y"]) == p
+        assert read_poly("0", V3).is_zero()
+        assert read_poly("x^" + "1" * 4300, ["x"]).terms == {(int("1" * 4300),): 1}
 
 
 class TestCertificateIO:

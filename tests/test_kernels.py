@@ -21,6 +21,7 @@ from kernel_reference import (
     reference_tokenize,
 )
 import nakai_forge.groebner as groebner
+import nakai_forge.poly as poly
 from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger
@@ -420,6 +421,77 @@ class TestMaxTermsCap:
         quotients, remainder = _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         assert quotients[0] == parse_poly("x", ["x", "y", "z"])
         assert remainder == parse_poly("z^2", ["x", "y", "z"])
+
+
+def _pairs_of_products(rng: random.Random, n: int, count: int) -> list[tuple[Polynomial, Polynomial]]:
+    """Pairs whose term products number exactly ``count``: random pairs with
+    coefficients +-1 or +-1/2 on few monomials (so sums cancel), each
+    followed by its negation now and then, and a last pair of a monomial
+    and as many terms as the count lacks; one exponent is 2^70."""
+    pairs: list[tuple[Polynomial, Polynomial]] = []
+
+    def small(terms):
+        exponents = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(terms)]
+        return Polynomial(n, {e: Fraction(rng.choice((-1, 1)), rng.choice((1, 2))) for e in exponents})
+
+    while True:
+        a, b = small(rng.randint(1, 4)), small(rng.randint(1, 6))
+        pending = [(a, b), (-a, b)] if rng.random() < 0.3 else [(a, b)]
+        if sum(len(x) * len(y) for x, y in pairs + pending) >= count:
+            break
+        pairs += pending
+    missing = count - sum(len(x) * len(y) for x, y in pairs)
+    tail = {(2**70,) + (0,) * (n - 1): Fraction(-5, 3)}
+    tail.update({(k,) + (1,) * (n - 1): Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for k in range(missing - 1)})
+    pairs.append((Polynomial.monomial(n, (1,) * n, 3), Polynomial(n, tail)))
+    return pairs
+
+
+class TestPackedSums:
+    """Sums of at least poly.PACK_PRODUCTS term products run on packed
+    monomials, smaller ones on tuples; both give the reference results."""
+
+    @staticmethod
+    def _packed_calls(monkeypatch) -> list[int]:
+        calls = []
+        packed = poly._accumulate_packed
+
+        def counting(products):
+            calls.append(len(products))
+            return packed(products)
+
+        monkeypatch.setattr(poly, "_accumulate_packed", counting)
+        return calls
+
+    @pytest.mark.parametrize("count", [poly.PACK_PRODUCTS - 1, poly.PACK_PRODUCTS], ids=["below", "at"])
+    def test_sum_of_products(self, count, monkeypatch):
+        calls = self._packed_calls(monkeypatch)
+        rng = random.Random(count)
+        for n in (1, 3, 5):
+            pairs = _pairs_of_products(rng, n, count)
+            expected = Polynomial.zero(n)
+            for a, b in pairs:
+                expected = expected + reference_mul(a, b)
+            _assert_same(sum_of_products(n, pairs), expected)
+        assert len(calls) == (3 if count >= poly.PACK_PRODUCTS else 0)
+
+    @pytest.mark.parametrize("count", [poly.PACK_PRODUCTS - 1, poly.PACK_PRODUCTS], ids=["below", "at"])
+    @pytest.mark.parametrize("modulus", [7, P31])
+    def test_combine_rows_modulo_a_prime(self, count, modulus, monkeypatch):
+        # rows of width 1: the multipliers q and rows of each pair as
+        # Residues, summed modulo the prime against the reference products
+        calls = self._packed_calls(monkeypatch)
+        rng = random.Random(count + modulus)
+        for n in (2, 4):
+            pairs = _pairs_of_products(rng, n, count)
+            combination = [(groebner._residues(a, modulus), (groebner._residues(b, modulus),)) for a, b in pairs]
+            expected = Polynomial.zero(n)
+            for a, b in pairs:
+                expected = expected + reference_mul(a.mod(modulus), b.mod(modulus))
+            assert sum(len(q) * len(row[0]) for q, row in combination) == count
+            (entry,) = groebner._combine_rows(n, combination, 1, modulus)
+            assert entry == groebner._residues(expected, modulus)
+        assert len(calls) == (2 if count >= poly.PACK_PRODUCTS else 0)
 
 
 class TestDescendingKey:

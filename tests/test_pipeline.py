@@ -603,7 +603,7 @@ class TestVerifyCertificate:
         doc = json.loads(write_certificate(self._fermat_cert().document))
         scales = doc["lifted_operator"]["scales_f_by"]
         assert scales == ["108*y2*y3", "0", "0"]
-        scales[:2] = ["108*y2*y3 + 3*y2^2", "-3*y1^2"]
+        scales[:2] = ["3*y2^2 + 108*y2*y3", "-3*y1^2"]
         assert certificate_failures(WitnessCertificate(doc)) == [
             "extracted derivation 1 does not scale g by the recorded factor",
             "extracted derivation 2 does not scale g by the recorded factor",
@@ -771,20 +771,41 @@ class TestVerifyCertificate:
 
     def test_long_power_refused(self, tmp_path):
         # (y1 + y2)^100000 would expand to 100001 terms of up to 30103
-        # digits; the parser refuses it at the exponent instead
+        # digits; the canonical reader refuses the parenthesis unexpanded
         doc = json.loads(write_certificate(self._fermat_cert().document))
         _coefficient(doc, [2, 0, 0])["value"] = "(y1 + y2)^100000"
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
-        assert any("does not replay" in f and "too large to expand" in f for f in failures)
+        assert any("does not replay" in f and "not a canonical polynomial: unknown variable '(y1'" in f
+                   for f in failures)
 
     def test_number_power_refused(self, tmp_path):
-        # 2^10000000000 would be a 10^10-bit integer; the parser refuses it
+        # 2^10000000000 would be a 10^10-bit integer; the canonical reader
+        # refuses a power of a number unevaluated
         doc = json.loads(write_certificate(self._fermat_cert().document))
         _coefficient(doc, [2, 0, 0])["value"] = "2^10000000000*y1"
         assert _cli_verify(doc, tmp_path) == 4
         failures = certificate_failures(WitnessCertificate(doc))
-        assert any("does not replay" in f and "too large" in f for f in failures)
+        assert any("does not replay" in f and "'2^10000000000' is not a nonzero coefficient in digits" in f
+                   for f in failures)
+
+    @pytest.mark.parametrize("section, text, reason", [
+        ("scale", "108*y3*y2", "variables out of index order or repeated (at position 0)"),
+        ("coefficient", "36*y1*y2*y3 + 0*y1^3", "'0' is not a nonzero coefficient in digits (at position 14)"),
+        ("coefficient", "(36*y1*y2*y3)", "unknown variable '(36' (at position 0)"),
+    ])
+    def test_non_canonical_polynomial_refused(self, section, text, reason, tmp_path):
+        # each text is the recorded polynomial in other words; certificate
+        # polynomials are read as format_poly writes them, and nothing else
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        if section == "scale":
+            doc["lifted_operator"]["scales_f_by"][0] = text
+        else:
+            _coefficient(doc, [2, 0, 0])["value"] = text
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            f"certificate data does not replay: not a canonical polynomial: {reason}"
+        ]
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_tampered_input_basis_fails_fast(self, tmp_path):
         # the recorded Milnor number is checked against prod(D / W_i - 1), not

@@ -5,12 +5,15 @@ at each ``--seed``, the first seeded draw of each ``--draw`` shape, and a
 list of named edge inputs (the CLI's built-in corpus, both rejections that
 need an isolation decision, an exhausted slice search, an unlucky prime, a
 functional too tall for one prime and rational coefficients).  Each input
-gives one ``name sha256`` line, where the digest is that of
-``write_certificate(build_witness(f, variables).document)``.
+gives one ``name sha256 outcome`` line, where the digest is that of
+``write_certificate(build_witness(f, variables).document)`` and the outcome
+is ``verified`` when ``certificate_failures`` finds nothing in those bytes
+read back, or ``failed:`` and the first failure.
 
-Two checkouts build byte-identical certificates for these inputs exactly
-when their outputs are equal, so a change that must keep every certificate
-is checked with one ``diff``::
+Two checkouts build byte-identical certificates for these inputs, and each
+checkout's verifier accepts every one of them, exactly when their outputs
+are equal and every line reads ``verified``; a change that must keep every
+certificate is checked with one ``diff``::
 
     python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3 > new.txt
     (cd ../parent && python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3) > old.txt
@@ -35,8 +38,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from nakai_forge.cli import BUILTIN_CORPUS  # noqa: E402
-from nakai_forge.exprio import format_poly, parse_poly, write_certificate  # noqa: E402
-from nakai_forge.pipeline import build_witness  # noqa: E402
+from nakai_forge.exprio import format_poly, parse_poly, read_certificate, write_certificate  # noqa: E402
+from nakai_forge.pipeline import build_witness, certificate_failures  # noqa: E402
 
 XYZ = ["x", "y", "z"]
 EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_CORPUS] + [
@@ -50,9 +53,13 @@ EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_C
 
 
 def digest(text: str, variables) -> str:
+    """The sha256 of the input's certificate bytes and the verifier's
+    outcome on them."""
     variables = list(variables)
-    cert = build_witness(parse_poly(text, variables), variables)
-    return hashlib.sha256(write_certificate(cert.document)).hexdigest()
+    data = write_certificate(build_witness(parse_poly(text, variables), variables).document)
+    failures = certificate_failures(read_certificate(data))
+    outcome = f"failed: {failures[0]}" if failures else "verified"
+    return f"{hashlib.sha256(data).hexdigest()} {outcome}"
 
 
 def inputs(seeds: list[int], draws: list[str], draw_seed: int):
