@@ -33,12 +33,10 @@ from .groebner import (
     quotient_dimension,
 )
 from .minors import (
-    MinorSpec,
     PolyMatrix,
     algebraic_cofactor,
     determinant,
     hessian,
-    inversion_number,
     signed_minor,
     verify_cofactor_identity,
 )

@@ -14,7 +14,8 @@ Every cofactor the witness construction needs has a closed form, so
 symmetrize and the lift compute no Groebner basis.  Let f be
 quasi-homogeneous with weights W and weighted degree D, A_1i the cofactors
 of the first row of its Hessian and A_[l,i,1,k] the minor without rows
-(l, 1) and columns (i, k) (minors.signed_minor), and write f_l = df/dx_l.
+(l, 1) and columns (i, k), signed by (-1)^(l + i + k) for l >= 2 and
+i < k (minors.signed_minor), and write f_l = df/dx_l.
 
 1. Defect cofactors.  The candidate d_i = A_1i E_W has the defect
    d_i(x_k) - d_k(x_i) = A_1i W_k x_k - A_1k W_i x_i

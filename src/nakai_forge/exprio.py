@@ -454,7 +454,9 @@ def read_certificate(data: bytes) -> dict:
     """Parse and validate certificate bytes; raises CertificateError."""
     try:
         document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer over Python's
+        # digit limit for int(str)
         raise CertificateError(f"not a valid certificate document: {exc}") from exc
     if not isinstance(document, dict):
         raise CertificateError("certificate document must be a JSON object")

@@ -1,11 +1,17 @@
 """Polynomial matrices: Hessians, exact determinants, signed minors.
 
-The signed generalized minor deletes k rows and k columns and carries the
-sign (-1)^(tau(row permutation) + tau(column permutation)), where each
-deletion list is completed to a full permutation by appending the
-remaining indices in increasing order.  The value is independent of the
-completion and antisymmetric in the deleted row (or column) lists; for
-k = 1 it is the classical algebraic cofactor (-1)^(i+j) M_ij.
+The signed generalized minor deletes the rows r_1, ..., r_k and the
+columns c_1, ..., c_k, in the order listed, and is the minor on the
+remaining rows and columns times
+(-1)^(inv(r) + inv(c) + r_1 + ... + r_k + c_1 + ... + c_k), where inv
+counts the inverted pairs of a list.  This is the sign
+(-1)^(tau(row permutation) + tau(column permutation)) of the deletion
+lists completed to full permutations by the remaining indices in
+increasing order: the completion adds sum(r) - k - k(k-1)/2 inversions to
+inv(r), and the same terms in k to inv(c); any other completion order
+gives the same value.  The value is antisymmetric in the deleted row (or
+column) lists; for k = 1 it is the classical algebraic cofactor
+(-1)^(i+j) M_ij.
 
 Every determinant and minor of a matrix is read from one memo that the
 matrix keeps (PolyMatrix.minor): a minor is keyed by its remaining rows and
@@ -18,7 +24,7 @@ d^2 f / dx_i dx_j, with no divided-power factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Sequence
 
 from .poly import Polynomial, quasi_homogeneous_weights, sum_of_products
@@ -77,24 +83,6 @@ class PolyMatrix:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """Rows and columns to delete (1-based, distinct within each list)."""
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        if len(self.rows) != len(self.cols):
-            raise ValueError("must delete as many rows as columns")
-        if len(set(self.rows)) != len(self.rows):
-            raise ValueError(f"repeated row index in {self.rows}")
-        if len(set(self.cols)) != len(self.cols):
-            raise ValueError(f"repeated column index in {self.cols}")
-
-
 def hessian(f: Polynomial) -> PolyMatrix:
     """The symmetric matrix of plain second partials of f."""
     firsts = [f.partial(i) for i in range(1, f.n + 1)]
@@ -124,45 +112,25 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
     return matrix.minor(full, full)
 
 
-def inversion_number(perm: Sequence[int]) -> int:
-    """Number of inverted pairs of a permutation of 1..n."""
-    p = list(perm)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"{p} is not a permutation of 1..{len(p)}")
-    return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-
-
-def signed_minor(matrix: PolyMatrix, spec: MinorSpec) -> Polynomial:
-    """Signed generalized complementary minor for the given deletions."""
-    m = matrix.m
-    for idx in spec.rows + spec.cols:
-        if not 1 <= idx <= m:
-            raise IndexError(f"index {idx} out of range 1..{m}")
-    row_rest = sorted(set(range(1, m + 1)) - set(spec.rows))
-    col_rest = sorted(set(range(1, m + 1)) - set(spec.cols))
-    sign = (-1) ** (
-        inversion_number(list(spec.rows) + row_rest)
-        + inversion_number(list(spec.cols) + col_rest)
-    )
-    det = matrix.minor(tuple(r - 1 for r in row_rest), tuple(c - 1 for c in col_rest))
-    return det if sign > 0 else -det
+def signed_minor(matrix: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+    """Signed generalized complementary minor for equally long deletion
+    lists, each of distinct indices (see the module docstring)."""
+    if len(rows) != len(cols):
+        raise ValueError("must delete as many rows as columns")
+    parity = 0
+    for kind, deleted in (("row", rows), ("column", cols)):
+        if len(set(deleted)) != len(deleted):
+            raise ValueError(f"repeated {kind} index in {tuple(deleted)}")
+        if not all(1 <= idx <= matrix.m for idx in deleted):
+            raise IndexError(f"{kind} indices {tuple(deleted)} out of range 1..{matrix.m}")
+        parity += sum(deleted) + sum(a > b for a, b in itertools.combinations(deleted, 2))
+    det = matrix.minor(*(tuple(r for r in range(matrix.m) if r + 1 not in deleted) for deleted in (rows, cols)))
+    return -det if parity % 2 else det
 
 
 def algebraic_cofactor(matrix: PolyMatrix, i: int, j: int) -> Polynomial:
-    """Classical cofactor (-1)^(i+j) * complementary minor of entry (i, j);
-    agrees with signed_minor on ((i,),(j,))."""
-    m = matrix.m
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise IndexError(f"cofactor index ({i},{j}) out of range 1..{m}")
-    det = matrix.minor(tuple(r for r in range(m) if r != i - 1), tuple(c for c in range(m) if c != j - 1))
-    return det if (i + j) % 2 == 0 else -det
-
-
-def _minor_or_zero(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-    # repeated deletion indices make the minor zero by antisymmetry
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        return Polynomial.zero(matrix.nvars)
-    return signed_minor(matrix, MinorSpec(rows, cols))
+    """Classical cofactor (-1)^(i+j) * complementary minor of entry (i, j)."""
+    return signed_minor(matrix, (i,), (j,))
 
 
 def cofactor_identity_terms(
@@ -170,10 +138,11 @@ def cofactor_identity_terms(
 ) -> list[Polynomial]:
     """The coefficients c_l of the right-hand side sum_l c_l f_l of the
     weighted cofactor identity (see verify_cofactor_identity):
-    c_l = (D - W_l) A_[l,i,j,k] for l != j, and c_j = 0."""
+    c_l = (D - W_l) A_[l,i,j,k] for l != j, and c_j = 0; all are zero for
+    i = k, where A_[l,i,j,i] deletes column i twice."""
+    zero = Polynomial.zero(hess.nvars)
     return [
-        Polynomial.zero(hess.nvars) if l == j
-        else _minor_or_zero(hess, (l, j), (i, k)).scale(degree - weights[l - 1])
+        zero if l == j or i == k else signed_minor(hess, (l, j), (i, k)).scale(degree - weights[l - 1])
         for l in range(1, hess.m + 1)
     ]
 

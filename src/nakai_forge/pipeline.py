@@ -73,8 +73,9 @@ checked once by the verifier for each of them.
    prod(D / W_i - 1) (Milnor and Orlik 1970).
    Isolation of g = f(x(y)) follows through the invertible change.  The
    certificate records neither g nor the names y_1, ..., y_n of the new
-   variables: the verifier recomputes g from f and the slice coefficients
-   (substitute_slice) and names the variables itself (_new_variables).
+   variables: the verifier recomputes g from f and the slice it
+   regenerates (see the slice search; substitute_slice) and names the
+   variables itself (_new_variables).
 1. The weighted cofactor identity (builder only).  Differentiating
    E_W(f) = D f gives sum_j W_j x_j f_kj = (D - W_k) f_k.  The 2x2
    alternation of the maximal minors of the Hessian with row 1 deleted
@@ -189,11 +190,14 @@ slice; MAX_SLICE_ATTEMPTS is its only limit.  When the no-op slice fails and
 no other variable shares the weight of x_1, no admissible slice exists and
 the input is rejected with the reason no_isolating_slice.  A certificate
 records how many slices the search tried (attempts, at most
-MAX_SLICE_ATTEMPTS); in a witness the recorded slice must be that
-candidate of the enumeration.  A RESOURCE_EXHAUSTED certificate must stop
-where the search stops without a basis, at the first candidate too large
-to substitute or at candidate MAX_SLICE_ATTEMPTS, and record the message
-raised there.  A search stopped by a cap of the Groebner engine cannot be
+MAX_SLICE_ATTEMPTS).  For a witness the verifier regenerates that
+candidate and requires the recorded slice_coefficients to be its text
+(format_fraction); it never parses them, and it substitutes only the
+candidate, which is admissible by construction: a_1 = 1, and only
+variables of the weight of x_1 enter it.  A RESOURCE_EXHAUSTED
+certificate must stop where the search stops without a basis, at the
+first candidate too large to substitute or at candidate
+MAX_SLICE_ATTEMPTS, and record the message raised there.  A search stopped by a cap of the Groebner engine cannot be
 recomputed without a basis, so its certificate does not verify.
 """
 
@@ -850,24 +854,18 @@ def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]
         return [f"witness verdict without the supporting sections: {missing}"]
     n = f.n
     yvars = _new_variables(n)
+    # the slice is regenerated, never read: the range check first, so that a
+    # huge count enumerates nothing, then the recorded text must be that of
+    # the candidate, which is admissible by construction
     change = doc["change_of_coordinates"]
-    coeffs = change["slice_coefficients"]
-    if not isinstance(coeffs, list):
-        return [f"slice coefficients invalid: {coeffs!r} is not a list"]
-    coeffs = [parse_fraction(s) for s in coeffs]
-    try:
-        images = slice_images(coeffs, n)
-    except ValueError as exc:
-        return [f"slice coefficients invalid: {exc}"]
-    if any(a and w != weights[0] for a, w in zip(coeffs, weights)):
-        failures.append("slice mixes variables of different weight")
-    # the range check first, so that a huge count enumerates nothing
     attempts = change.get("attempts")
     wrong = _attempts_failures(attempts)
-    if not wrong and next(itertools.islice(_slice_candidates(weights), attempts - 1, None), None) != tuple(coeffs):
-        wrong.append(f"the slice is not candidate {attempts} of the slice search")
-    failures += wrong
-    g = substitute_slice(images, f)
+    if wrong:
+        return wrong
+    coeffs = next(itertools.islice(_slice_candidates(weights), attempts - 1, None), None)
+    if coeffs is None or change["slice_coefficients"] != [format_fraction(a) for a in coeffs]:
+        return [f"the slice is not candidate {attempts} of the slice search"]
+    g = substitute_slice(slice_images(coeffs, n), f)
 
     # point 2 of the module docstring: P(g) = 0 and d_j(g) = q_j g for the
     # tuple extracted from P

@@ -325,7 +325,11 @@ class Polynomial:
         return Polynomial._raw(self.n, out)
 
     def substitute_variables(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute x_i -> images[i-1]; images live in an arbitrary ring."""
+        """Substitute x_i -> images[i-1]; images live in an arbitrary ring.
+
+        Only the powers the terms use are formed, each once and by
+        squaring (``**``), so the number of products an exponent costs
+        follows its digits, not its value."""
         if len(images) != self.n:
             raise ValueError(f"{len(images)} images for {self.n} variables")
         if not images:
@@ -333,23 +337,15 @@ class Polynomial:
         m = images[0].n
         if any(q.n != m for q in images):
             raise ValueError("substitution images have mixed variable counts")
-        # cache powers of each image up to the needed exponent
-        max_exp = [0] * self.n
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                max_exp[i] = max(max_exp[i], e)
-        powers: list[list[Polynomial]] = []
-        for i, q in enumerate(images):
-            row = [Polynomial.constant(m, 1)]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * q)
-            powers.append(row)
+        powers: dict[tuple[int, int], Polynomial] = {}
         result = Polynomial.zero(m)
         for exp, coeff in self.terms.items():
             term = Polynomial.constant(m, coeff)
             for i, e in enumerate(exp):
                 if e:
-                    term = term * powers[i][e]
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    term = term * powers[i, e]
             result = result + term
         return result
 

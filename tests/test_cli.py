@@ -181,10 +181,12 @@ class TestWitnessAndVerify:
         assert "INVALID" in out
 
     def test_verify_malformed(self, capsys, tmp_path):
+        # the second document holds an integer over json's 4300-digit limit
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        code, _, err = run(capsys, "verify", str(bad))
-        assert code == 2
+        for text in ("{}", '{"attempts": 1' + "0" * 5000 + "}"):
+            bad.write_text(text)
+            code, _, err = run(capsys, "verify", str(bad))
+            assert code == 2
 
     def test_determinism(self, capsys, tmp_path):
         (tmp_path / "one").mkdir()

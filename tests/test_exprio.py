@@ -328,6 +328,12 @@ class TestCertificateIO:
         with pytest.raises(CertificateError):
             read_certificate(b"not a certificate")
 
+    def test_integer_over_the_digit_limit(self):
+        # json refuses an integer of more than 4300 digits with a bare
+        # ValueError; it is a document json refuses like any other
+        with pytest.raises(CertificateError, match="not a valid certificate document"):
+            read_certificate(b'{"attempts": 1' + b"0" * 5000 + b"}")
+
     def test_wrong_schema_name(self):
         doc = self._document()
         doc["schema"]["name"] = "something-else"

@@ -5,13 +5,11 @@ import pytest
 
 from nakai_forge.exprio import parse_poly
 from nakai_forge.minors import (
-    MinorSpec,
     PolyMatrix,
     algebraic_cofactor,
     cofactor_identity_terms,
     determinant,
     hessian,
-    inversion_number,
     signed_minor,
     verify_cofactor_identity,
 )
@@ -145,30 +143,12 @@ class TestMinorMemo:
         for i, j in cofactors:
             assert algebraic_cofactor(first, i, j) == expected((i,), (j,)), (i, j)
         for rows, cols in deletions:
-            assert signed_minor(first, MinorSpec(rows, cols)) == expected(rows, cols), (rows, cols)
+            assert signed_minor(first, rows, cols) == expected(rows, cols), (rows, cols)
         for rows, cols in reversed(deletions):
             rows, cols = rows[::-1], cols[::-1]
-            assert signed_minor(second, MinorSpec(rows, cols)) == expected(rows, cols), (rows, cols)
+            assert signed_minor(second, rows, cols) == expected(rows, cols), (rows, cols)
         for i, j in reversed(cofactors):
             assert algebraic_cofactor(second, i, j) == expected((i,), (j,)), (i, j)
-
-
-class TestInversionNumber:
-    def test_identity(self):
-        assert inversion_number((1, 2, 3, 4)) == 0
-
-    def test_single_swap(self):
-        assert inversion_number((2, 1, 3)) == 1
-
-    def test_three_cycle(self):
-        # pairs out of order in (3,1,2): (3,1) and (3,2)
-        assert inversion_number((3, 1, 2)) == 2
-
-    def test_not_a_permutation(self):
-        with pytest.raises(ValueError):
-            inversion_number((1, 1, 2))
-        with pytest.raises(ValueError):
-            inversion_number((0, 1, 2))
 
 
 class TestSignedMinor:
@@ -180,30 +160,35 @@ class TestSignedMinor:
             [[m.entry(3, 1), m.entry(3, 3)], [m.entry(4, 1), m.entry(4, 3)]],
             nvars=m.nvars,
         ))
-        assert signed_minor(m, MinorSpec((1, 2), (2, 4))) == -raw
-        assert signed_minor(m, MinorSpec((2, 1), (2, 4))) == raw
+        assert signed_minor(m, (1, 2), (2, 4)) == -raw
+        assert signed_minor(m, (2, 1), (2, 4)) == raw
 
     def test_empty_deletion_is_determinant(self):
         m = symbol_matrix(3)
-        assert signed_minor(m, MinorSpec((), ())) == determinant(m)
+        assert signed_minor(m, (), ()) == determinant(m)
 
     def test_full_deletion(self):
         m = symbol_matrix(2)
         # all rows and columns deleted in natural order: sign +, empty determinant
-        assert signed_minor(m, MinorSpec((1, 2), (1, 2))) == Polynomial.constant(4, 1)
+        assert signed_minor(m, (1, 2), (1, 2)) == Polynomial.constant(4, 1)
 
     def test_single_deletion_matches_cofactor(self):
+        # (-1)^(i+j) times the determinant of the explicitly built sub-matrix
         m = symbol_matrix(4)
         for i in range(1, 5):
             for j in range(1, 5):
-                assert signed_minor(m, MinorSpec((i,), (j,))) == algebraic_cofactor(m, i, j)
+                sub = determinant(PolyMatrix(
+                    [[m.entry(r, c) for c in range(1, 5) if c != j] for r in range(1, 5) if r != i],
+                    nvars=m.nvars,
+                ))
+                assert signed_minor(m, (i,), (j,)) == algebraic_cofactor(m, i, j) == sub.scale((-1) ** (i + j))
 
     def test_antisymmetry(self):
         m = symbol_matrix(4)
-        assert signed_minor(m, MinorSpec((1, 3), (2, 4))) == \
-            -signed_minor(m, MinorSpec((3, 1), (2, 4)))
-        assert signed_minor(m, MinorSpec((1, 3), (2, 4))) == \
-            -signed_minor(m, MinorSpec((1, 3), (4, 2)))
+        assert signed_minor(m, (1, 3), (2, 4)) == \
+            -signed_minor(m, (3, 1), (2, 4))
+        assert signed_minor(m, (1, 3), (2, 4)) == \
+            -signed_minor(m, (1, 3), (4, 2))
 
     def test_completion_independence(self):
         rng = random.Random(47)
@@ -212,16 +197,18 @@ class TestSignedMinor:
             k = rng.randint(0, 3)
             rows = tuple(rng.sample(range(1, 5), k))
             cols = tuple(rng.sample(range(1, 5), k))
-            expected = signed_minor(m, MinorSpec(rows, cols))
+            expected = signed_minor(m, rows, cols)
             assert _minor_with_random_completion(rng, m, rows, cols) == expected
 
     def test_repeated_index_rejected(self):
-        with pytest.raises(ValueError, match="repeated"):
-            MinorSpec((1, 1), (2, 3))
+        with pytest.raises(ValueError, match="repeated row"):
+            signed_minor(symbol_matrix(3), (1, 1), (2, 3))
+        with pytest.raises(ValueError, match="repeated column"):
+            signed_minor(symbol_matrix(3), (1, 2), (3, 3))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            signed_minor(symbol_matrix(3), MinorSpec((4,), (1,)))
+            signed_minor(symbol_matrix(3), (4,), (1,))
 
     def test_hessian_block_example(self):
         # rows (2,1), columns (1,2) deleted: minus the lower-right block of a
@@ -235,7 +222,7 @@ class TestSignedMinor:
             [[h.entry(3, 3), h.entry(3, 4)], [h.entry(4, 3), h.entry(4, 4)]],
             nvars=4,
         )
-        assert signed_minor(h, MinorSpec((2, 1), (1, 2))) == -determinant(block)
+        assert signed_minor(h, (2, 1), (1, 2)) == -determinant(block)
 
     def test_laplace_expansion_rows(self):
         m = symbol_matrix(4)
@@ -254,8 +241,8 @@ def _minor_with_random_completion(rng, matrix, rows, cols):
     col_rest = [c for c in range(1, m + 1) if c not in cols]
     rng.shuffle(row_rest)
     rng.shuffle(col_rest)
-    sign = (-1) ** (
-        inversion_number(list(rows) + row_rest) + inversion_number(list(cols) + col_rest)
+    sign = (-1) ** sum(
+        a > b for perm in (list(rows) + row_rest, list(cols) + col_rest) for a, b in itertools.combinations(perm, 2)
     )
     sub = PolyMatrix(
         [[matrix.entry(r, c) for c in col_rest] for r in row_rest],

@@ -22,8 +22,15 @@ import time
 import pytest
 
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
-from nakai_forge.exprio import parse_poly, write_certificate
-from nakai_forge.pipeline import INPUT_REJECTED, RESOURCE_EXHAUSTED, WITNESS_FOUND, build_witness
+from nakai_forge.exprio import parse_poly, read_certificate, write_certificate
+from nakai_forge.pipeline import (
+    INPUT_REJECTED,
+    RESOURCE_EXHAUSTED,
+    WITNESS_FOUND,
+    WitnessCertificate,
+    build_witness,
+    certificate_failures,
+)
 
 SEED = 70707
 MUTATIONS = 120  # per kind
@@ -263,15 +270,58 @@ def test_wrong_types_exit_4(path, value, fermat_certificate, tmp_path, capsys):
 
 
 def test_huge_slice_power_exits_4(fermat_certificate, tmp_path, capsys):
-    # the slice y1 = x + y makes g = f(x(y)) expand (y1 - y2)^100000; the
-    # verifier refuses that power before expanding it
-    doc = json.loads(fermat_certificate)
-    doc["input"]["polynomial"] = "x^100000 + y^100000 + z^100000"
-    doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
+    # y1 = x + y is no candidate of the search, so it is refused before any
+    # substitution; candidate 2, y1 = x - y, makes g = f(x(y)) expand
+    # (y1 + y2)^100000, and the verifier refuses that power before expanding it
+    for attempts, coefficients, failure in (
+        (1, ["1", "1", "0"], "the slice is not candidate 1 of the slice search"),
+        (2, ["1", "-1", "0"], "power 100000 of slice row 1 is too large to expand"),
+    ):
+        doc = json.loads(fermat_certificate)
+        doc["input"]["polynomial"] = "x^100000 + y^100000 + z^100000"
+        doc["change_of_coordinates"].update(attempts=attempts, slice_coefficients=coefficients)
+        start = time.perf_counter()
+        assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
+        assert time.perf_counter() - start < 5
+        assert failure in capsys.readouterr().out
+
+
+def test_forged_slice_of_huge_numbers_is_refused_unread(tmp_path, capsys):
+    # the verifier compares the recorded slice with the text of the
+    # regenerated candidate, so the size of a forged number costs nothing
+    doc = json.loads(_certificate("x^6 + y^6 + z^6"))
+    doc["change_of_coordinates"]["slice_coefficients"] = ["1", "7" * 50000, "3" * 50000]
     start = time.perf_counter()
+    assert certificate_failures(WitnessCertificate(doc)) == ["the slice is not candidate 1 of the slice search"]
+    assert time.perf_counter() - start < 0.5
     assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
-    assert time.perf_counter() - start < 5
-    assert "power 100000 of slice row 1 is too large to expand" in capsys.readouterr().out
+    capsys.readouterr()
+
+
+def test_input_of_huge_degree_is_refused_fast(fermat_certificate):
+    # substitution forms x^400000 by squaring, not by tabulating every power
+    # below it; the forged input's facts are re-recorded, so only the
+    # operator and the obstruction fail
+    doc = json.loads(fermat_certificate)
+    doc["input"]["polynomial"] = "x^400000 + y^400000 + z^400000"
+    doc["input"].update(degree=400000, milnor_number=399999**3)
+    start = time.perf_counter()
+    assert certificate_failures(WitnessCertificate(doc)) == [
+        "extracted derivation 1 does not scale g by the recorded factor",
+        "extracted derivation 2 does not scale g by the recorded factor",
+        "extracted derivation 3 does not scale g by the recorded factor",
+        "lifted operator does not annihilate the transformed polynomial",
+        "obstruction: d1(y1) is not W_1 y1 Hess(h) modulo y1^2",
+    ]
+    assert time.perf_counter() - start < 1
+
+
+def test_witness_of_huge_exponent():
+    # x^1000000000 + y^1000000000 + z^1000000000: every power the build and
+    # the verifier form is a monomial's, formed by squaring
+    cert = build_witness(parse_poly("x^1000000000 + y^1000000000 + z^1000000000", XYZ), XYZ)
+    assert cert.verdict == WITNESS_FOUND
+    assert certificate_failures(read_certificate(write_certificate(cert.document))) == []
 
 
 REASONS = ("zero_polynomial", "not_homogeneous", "degree_too_small", "too_few_variables", "dimension_cap",
