@@ -40,7 +40,6 @@ from .pipeline import (
     INPUT_REJECTED,
     RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
-    WitnessCertificate,
     build_witness,
     certificate_failures,
     milnor_number,
@@ -201,7 +200,7 @@ def _slice_text(change: dict, variables) -> str:
 def cmd_verify(args) -> int:
     data = Path(args.certificate).read_bytes()
     document = read_certificate(data)
-    failures = certificate_failures(WitnessCertificate(document))
+    failures = certificate_failures(document)
     if args.json:
         _emit(json.dumps({"valid": not failures, "failures": failures}, indent=2))
     elif failures:

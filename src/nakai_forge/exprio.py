@@ -10,12 +10,13 @@ factors, no implicit multiplication):
     base   := rational | ident | '(' expr ')'
     rational := digits ('/' digits)?
 
-It reads what a user writes: CLI input, and the input polynomial of a
-certificate (``input.polynomial``).  ``read_poly`` reads, in one pass, only
-the canonical text that ``format_poly`` writes, and refuses any other
-text; the verifier reads every polynomial the builder writes with it (the
-lifted operator's coefficients, its ``scales_f_by`` and every isolation
-row), so each certificate has one byte form.
+It reads what a user writes: CLI input.  ``read_poly`` reads, in one
+pass, only the canonical text that ``format_poly`` writes, and refuses any
+other text; the verifier reads every polynomial of a certificate with it
+(``input.polynomial``, the lifted operator's coefficients, its
+``scales_f_by`` and every isolation row), and no certificate text reaches
+``parse_poly``.  Both readers take the variable names as a sequence of
+distinct strings and refuse anything else.
 
 Certificates are JSON documents with a fixed top-level key set; every
 rational inside is a decimal-free "num/den" string and every polynomial
@@ -273,13 +274,21 @@ class _Parser:
         return k
 
 
-def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse an expression over the given ordered variable names."""
+def _names(variables: Sequence[str]) -> list[str]:
+    """The variable names as a list; raises ValueError unless they are a
+    sequence of distinct strings (a string is not: it would read as its
+    characters)."""
     names = list(variables)
     if isinstance(variables, str) or not all(isinstance(v, str) for v in names):
         raise ValueError(f"variable names must be a sequence of strings, not {variables!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
+    return names
+
+
+def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
+    """Parse an expression over the given ordered variable names."""
+    names = _names(variables)
     parser = _Parser(_tokenize(text), names, len(names))
     result = parser.parse_expr()
     end = parser.peek()
@@ -303,6 +312,7 @@ def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
     """
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be a string, not a {type(text).__name__}")
+    variables = _names(variables)
     n = len(variables)
     if text == "0":
         return Polynomial._raw(n, {})

@@ -26,19 +26,25 @@ why the builder always finds P; no certified step uses it.
 The gate.  Every certificate begins with input_gate, the one place that
 decides the five input reasons: f is nonzero, has unique weights, has no
 term of degree below 2 (so it is singular at the origin) and has
-3 <= n <= MAX_DETERMINANT_DIM variables.  The builder records its input
-facts (homogeneous, weights, degree, variable_count) and rejects with the
-first gate f fails.  The verifier recomputes it for every verdict: it
-compares each recorded fact with the recomputed one, accepts a rejection
-for a gate reason only if that is the first gate f fails, and requires
-every other verdict to pass every gate.  Once it accepts a verdict, the
-recorded isolated flag and Milnor number (neither for a gate rejection)
-and a rejection's message must be the ones the builder writes.  Only a
-rejection records a rejection, and only RESOURCE_EXHAUSTED a resource
-error.  Every certificate that records isolated true (a witness, a
-no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds the isolation
-record of point 0, written once the builder knows f is isolated and
-checked once by the verifier for each of them.
+3 <= n <= MAX_DETERMINANT_DIM variables.  The builder rejects with the
+first gate f fails.  A claim (a verdict, a rejection's reason and the
+number of slices tried) fixes every field of a certificate but its proof
+values: the input facts (homogeneous, weights, degree, variable_count),
+the isolated flag and Milnor number, a rejection's message, a resource
+error, the slice, and which sections and records it holds.  One writer
+(_document) lays out the certificate of every claim, and the builder and
+the verifier both write through it.  The verifier checks a certificate in
+three steps.  It decides the claim: a rejection for a gate reason is
+valid only if that is the first gate f fails, every other verdict needs an
+f that passes every gate, and a slice search must have the recorded
+candidate (and an exhausted one stop there).  It rewrites the certificate
+from the input, the claim and the recorded proof values, and requires the
+recorded document to equal the rewritten one, leaf types included: each
+difference is a failure that names its path.  Only a document that
+matches has its proofs checked.  Every certificate that records isolated
+true (a witness, a no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds
+the isolation record of point 0, written once the builder knows f is
+isolated and checked once by the verifier for each of them.
 
 0. Isolation of f.  The certificate records a prime p that divides no
    denominator of f and, for each variable x_i, a row c_i1, ..., c_in of
@@ -102,9 +108,9 @@ checked once by the verifier for each of them.
    (derivations.scale_mismatches, which the builder's lift shares, tests
    each as one sum of products that must be zero).  Both checks are
    exact, so a wrong closed form could only make a sound certificate
-   fail.  It reads these polynomials and the isolation rows only in the
-   canonical text the builder writes (exprio.read_poly).  The Leibniz
-   rule gives
+   fail.  It reads these polynomials, the input and the isolation rows
+   only in the canonical text the builder writes (exprio.read_poly).  The
+   Leibniz rule gives
    P(g h) = h P(g) + g (P(h) - c_0 h) + sum_j d_j(g) dh/dy_j, so P maps (g)
    into (g) and each d_j is a derivation of A.
    Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
@@ -191,14 +197,14 @@ no other variable shares the weight of x_1, no admissible slice exists and
 the input is rejected with the reason no_isolating_slice.  A certificate
 records how many slices the search tried (attempts, at most
 MAX_SLICE_ATTEMPTS).  For a witness the verifier regenerates that
-candidate and requires the recorded slice_coefficients to be its text
-(format_fraction); it never parses them, and it substitutes only the
-candidate, which is admissible by construction: a_1 = 1, and only
-variables of the weight of x_1 enter it.  A RESOURCE_EXHAUSTED
-certificate must stop where the search stops without a basis, at the
-first candidate too large to substitute or at candidate
-MAX_SLICE_ATTEMPTS, and record the message raised there.  A search stopped by a cap of the Groebner engine cannot be
-recomputed without a basis, so its certificate does not verify.
+candidate and rewrites slice_coefficients as its text (format_fraction);
+it never parses them, and it substitutes only the candidate, which is
+admissible by construction: a_1 = 1, and only variables of the weight of
+x_1 enter it.  A RESOURCE_EXHAUSTED certificate must stop where the search
+stops without a basis, at the first candidate too large to substitute or
+at candidate MAX_SLICE_ATTEMPTS, and record the message raised there.  A
+search stopped by a cap of the Groebner engine cannot be recomputed
+without a basis, so its certificate does not verify.
 """
 
 from __future__ import annotations
@@ -228,7 +234,6 @@ from .exprio import (
     format_fraction,
     format_poly,
     parse_fraction,
-    parse_poly,
     read_poly,
 )
 from .groebner import (
@@ -439,34 +444,36 @@ def _new_variables(n: int) -> list[str]:
     return [f"y{i}" for i in range(1, n + 1)]
 
 
-def _isolation_record(gb: GroebnerBasis, variables: Sequence[str]) -> dict:
+def _isolation_rows(gb: GroebnerBasis, variables: Sequence[str]) -> list[list[str]]:
     """Point 0 of the module docstring for gb, the reduced basis of J(f)
-    modulo its prime (groebner.decide_isolation): for each variable x_i, the row
-    over the partials of f of the basis element that leads with a power of
-    x_i (its lift, since it divides by the monic basis with quotient e_k
+    modulo its prime (groebner.decide_isolation): for each variable x_i, the
+    row over the partials of f of the basis element that leads with a power
+    of x_i (its lift, since it divides by the monic basis with quotient e_k
     and remainder 0)."""
     leading = gb.leading_monomials()
     elements = [gb.basis[next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)] for i in range(gb.n)]
-    rows = [gb.lift(b) for b in elements]
-    return {"prime": gb.modulus, "cofactors": [[format_poly(c, variables) for c in row] for row in rows]}
+    return [[format_poly(c, variables) for c in gb.lift(b)] for b in elements]
 
 
-def _positive_dimension_record(t: int, functional: dict[Exponent, Fraction]) -> dict:
+def _isolation_record(prime, rows) -> dict:
+    """Point 0 of the module docstring: the prime and the rows, one for each
+    variable, of polynomial texts."""
+    return {"prime": prime, "cofactors": rows}
+
+
+def _positive_dimension_record(t, functional: dict[Exponent, Fraction]) -> dict:
     """Point 4 of the module docstring: the degree and the functional of a
     rejection (groebner.decide_isolation), monomials in descending grevlex."""
     entries = sorted(functional.items(), key=lambda item: GREVLEX.key(item[0]), reverse=True)
     return {"degree": t, "functional": [{"monomial": list(m), "value": format_fraction(c)} for m, c in entries]}
 
 
-def _empty_document(f_text: str, variables: Sequence[str]) -> dict:
-    return {
-        "schema": {"name": SCHEMA_NAME, "version": SCHEMA_VERSION},
-        "input": {"polynomial": f_text, "variables": list(variables)},
-        "change_of_coordinates": None,
-        "lifted_operator": None,
-        "membership_tests": {},
-        "verdict": None,
-    }
+def _operator_record(second_order: dict[Exponent, str], scales: list[str]) -> dict:
+    """Point 2 of the module docstring: the text of each nonzero coefficient
+    of P of order 2, once and in the order of its multi-index, and the
+    texts of the q_j."""
+    entries = sorted((alpha, text) for alpha, text in second_order.items() if sum(alpha) == 2 and text != "0")
+    return {"coefficients": [{"index": list(alpha), "value": text} for alpha, text in entries], "scales_f_by": scales}
 
 
 # what failing each gate of input_gate means, in the order it tests them
@@ -477,21 +484,8 @@ _GATE_CLAIMS = {
     "too_few_variables": "the input has fewer than 3 variables",
     "dimension_cap": f"the input has more than {MAX_DETERMINANT_DIM} variables",
 }
-# the failure for each input fact that a certificate records wrongly
-_FACT_FAILURES = {
-    "homogeneous": "recorded homogeneity flag is wrong",
-    "weights": "recorded weights are not the unique weights of the input",
-    "degree": "recorded degree is not the weighted degree of the input",
-    "variable_count": "recorded variable count is wrong",
-}
-# the input fields that only one verdict records
-_VERDICT_FIELDS = {"rejection": INPUT_REJECTED, "resource_error": RESOURCE_EXHAUSTED}
-# the failure for each isolation fact that a certificate records wrongly
-# for its verdict
-_ISOLATION_FAILURES = {
-    "isolated": "recorded isolated flag does not match the verdict",
-    "milnor_number": "recorded Milnor number is not prod(D / W_i - 1)",
-}
+# the positive-dimension record (point 4) of each rejection that claims one
+_POSITIVE_DIMENSION_KEYS = {"not_isolated": "input_jacobian", "no_isolating_slice": "slice_jacobian"}
 
 
 def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
@@ -530,8 +524,7 @@ def rejection_message(reason: str, failed: tuple[str, str] | None, variables: Se
     """The message a rejection for ``reason`` records: the message of the
     gate f fails (``failed``, from input_gate), or else that of one of the
     two positive-dimension reasons, which follows from the variable names
-    and the weights of f.  The builder writes it and the verifier compares
-    it."""
+    and the weights of f."""
     if failed is not None:
         return failed[1]
     if reason == "not_isolated":
@@ -542,82 +535,93 @@ def rejection_message(reason: str, failed: tuple[str, str] | None, variables: Se
     )
 
 
-def _isolation_facts(isolated: bool, weights, degree: int) -> dict:
-    """What a certificate whose input passes input_gate records about
-    isolation: isolated false and no Milnor number for a not_isolated
-    rejection, else isolated true and prod(D / W_i - 1)."""
-    if not isolated:
-        return {"isolated": False}
-    return {"isolated": True, "milnor_number": int(milnor_number(weights, degree))}
+def _document(f_text: str, variables: Sequence[str], facts: dict, failed: tuple[str, str] | None, verdict: str,
+              reason: str | None = None, *, attempts=None, slice_coefficients=(), resource_error=None,
+              isolation=None, functional=None, operator=None, restriction=None) -> dict:
+    """The certificate of a claim about f: its text and variable names, what
+    input_gate gives (``facts``, ``failed``), the verdict, a rejection's
+    reason and the slices tried fix every field but the proof values, and
+    the records (written by _isolation_record, _positive_dimension_record
+    and _operator_record) carry those.  A record goes where the claim puts
+    it, and one the claim has no place for is left out.  Past the gate, a
+    not_isolated rejection records isolated false, and every other claim
+    isolated true, the Milnor number prod(D / W_i - 1) and the isolation
+    record of point 0.  The builder writes every certificate with it, and
+    the verifier rewrites every one."""
+    info = {"polynomial": f_text, "variables": list(variables), **facts}
+    tests = {}
+    if failed is None:
+        info["isolated"] = reason != "not_isolated"
+        if info["isolated"]:
+            info["milnor_number"] = int(milnor_number(facts["weights"], facts["degree"]))
+            tests["isolation"] = isolation
+    change = None
+    if verdict == INPUT_REJECTED:
+        info["rejection"] = {
+            "reason": reason, "message": rejection_message(reason, failed, variables, facts.get("weights"))
+        }
+        if reason in _POSITIVE_DIMENSION_KEYS:
+            tests["positive_dimension"] = {_POSITIVE_DIMENSION_KEYS[reason]: functional}
+    elif verdict == RESOURCE_EXHAUSTED:
+        info["resource_error"] = resource_error
+        change = {"attempts": attempts, "exhausted": True}
+    else:
+        change = {"slice_coefficients": [format_fraction(a) for a in slice_coefficients], "attempts": attempts}
+        tests["obstruction"] = {"restriction_isolation": restriction}
+    return {
+        "schema": {"name": SCHEMA_NAME, "version": SCHEMA_VERSION},
+        "input": info,
+        "change_of_coordinates": change,
+        "lifted_operator": operator,
+        "membership_tests": tests,
+        "verdict": verdict,
+    }
 
 
 def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate:
     """Run the full construction and return a replayable certificate."""
-    doc = _empty_document(format_poly(f, variables), variables)
-    info = doc["input"]
-    section = doc["membership_tests"]
     facts, failed = input_gate(f)
-    info.update(facts)
 
-    def rejected(reason: str) -> WitnessCertificate:
-        message = rejection_message(reason, failed, variables, facts.get("weights"))
-        info["rejection"] = {"reason": reason, "message": message}
-        doc["verdict"] = INPUT_REJECTED
-        logger.info("input rejected (%s): %s", reason, message)
+    def certificate(verdict: str, reason: str | None = None, **proofs) -> WitnessCertificate:
+        doc = _document(format_poly(f, variables), variables, facts, failed, verdict, reason, **proofs)
+        if reason is not None:
+            logger.info("input rejected (%s): %s", reason, doc["input"]["rejection"]["message"])
         return WitnessCertificate(doc)
 
     if failed is not None:
-        return rejected(failed[0])
+        return certificate(INPUT_REJECTED, failed[0])
     weights, degree = facts["weights"], facts["degree"]
 
     gb_input, rejection = decide_isolation(f, weights, degree)
-    info.update(_isolation_facts(rejection is None, weights, degree))
     if rejection is not None:
-        section["positive_dimension"] = {"input_jacobian": _positive_dimension_record(*rejection)}
-        return rejected("not_isolated")
+        return certificate(INPUT_REJECTED, "not_isolated", functional=_positive_dimension_record(*rejection))
     # point 0: every certificate that records isolated true backs it
-    section["isolation"] = _isolation_record(gb_input, variables)
+    isolation = _isolation_record(gb_input.modulus, _isolation_rows(gb_input, variables))
 
     try:
         chosen = generic_slice_search(f)
     except NoIsolatingSlice as exc:
-        section["positive_dimension"] = {"slice_jacobian": exc.record}
-        return rejected("no_isolating_slice")
+        return certificate(INPUT_REJECTED, "no_isolating_slice", isolation=isolation, functional=exc.record)
     except ResourceLimitExceeded as exc:
-        doc["change_of_coordinates"] = {"attempts": exc.attempts, "exhausted": True}
-        doc["verdict"] = RESOURCE_EXHAUSTED
-        info["resource_error"] = str(exc)
-        return WitnessCertificate(doc)
+        return certificate(RESOURCE_EXHAUSTED, attempts=exc.attempts, resource_error=str(exc), isolation=isolation)
 
     yvars = _new_variables(f.n)
-    g = chosen.g
-    doc["change_of_coordinates"] = {
-        "slice_coefficients": [format_fraction(c) for c in chosen.coefficients],
-        "attempts": chosen.attempts,
-    }
-
     # point 1 of the module docstring: the candidate, its closed-form defect
     # cofactors and symmetrize only construct P; none of them is recorded.
     # E_W scales g by D and Hamiltonians annihilate it, so each symmetric
     # d_i scales g by the candidate's q_i = D * A_1i
-    candidate, cofactors, scales = build_candidate_tuple(g)
+    candidate, cofactors, scales = build_candidate_tuple(chosen.g)
     symmetric, _ = symmetrize(candidate, cofactors)
     lifted = lift_to_diff2(symmetric, scales)
-    doc["lifted_operator"] = {
-        "coefficients": [
-            {"index": list(alpha), "value": format_poly(c, yvars)}
-            for alpha, c in sorted(lifted.coeffs.items()) if sum(alpha) == 2
-        ],
-        "scales_f_by": [format_poly(q, yvars) for q in scales],
-    }
-
+    operator = _operator_record(
+        {alpha: format_poly(c, yvars) for alpha, c in lifted.coeffs.items() if sum(alpha) == 2},
+        [format_poly(q, yvars) for q in scales],
+    )
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness
     # d_1(y_1) = W_1 y_1 A_11 outside S
-    section["obstruction"] = {
-        "restriction_isolation": _isolation_record(chosen.gb, yvars[1:])
-    }
-    doc["verdict"] = WITNESS_FOUND
-    return WitnessCertificate(doc)
+    restriction = _isolation_record(chosen.gb.modulus, _isolation_rows(chosen.gb, yvars[1:]))
+    return certificate(WITNESS_FOUND, attempts=chosen.attempts, slice_coefficients=chosen.coefficients,
+                       isolation=isolation, operator=operator, restriction=restriction)
 
 
 # -- certificate verification ---------------------------------------------
@@ -635,17 +639,15 @@ def verify_certificate(cert: WitnessCertificate | dict) -> bool:
 def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     """All verification failures (empty list means the certificate is valid).
 
-    Every verdict starts from the input: the verifier parses it, recomputes
-    input_gate and compares the recorded input facts with the recomputed
-    ones.  A rejection for one of the gate reasons is valid exactly when it
-    names the first gate the input fails; every other verdict needs an input
-    that passes every gate.  Once a verdict and its reason are accepted, the
-    recorded isolation facts (_isolation_facts; none for a gate rejection)
-    and a rejection's message (rejection_message) must be the ones the
-    builder writes, and a RESOURCE_EXHAUSTED certificate must stop where
-    the slice search stops (_exhaustion_failures).  A document without the
-    top-level keys raises CertificateError; data of any other wrong shape,
-    type or size is a failure, never a crash.
+    The three steps of "The gate" in the module docstring.  1. The claim:
+    the verifier reads the input, recomputes input_gate, and decides the
+    verdict, its reason and the recorded attempts (_search_claim).  2. It
+    rewrites the certificate with _document from the input, the claim and
+    the recorded proof values (_recorded_proofs), and each place where the
+    two differ is a failure (_differences).  3. Only a certificate equal to
+    its rewrite has its proofs checked: points 0, 2, 3 and 4.  A document
+    without the top-level keys raises CertificateError; data of any other
+    wrong shape, type or size is a failure, never a crash.
     """
     doc = cert.document if isinstance(cert, WitnessCertificate) else cert
     missing = [k for k in ("schema", "input", "verdict") if k not in doc]
@@ -656,48 +658,33 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         return [f"unknown verdict {verdict!r}"]
     try:
         info = doc["input"]
-        f = parse_poly(info["polynomial"], info["variables"])
+        variables = info["variables"]
+        f = read_poly(info["polynomial"], variables)
         facts, failed = input_gate(f)
-        failures = [text for key, text in _FACT_FAILURES.items() if _as_written(info, key) != _as_written(facts, key)]
-        failures += [f"a {verdict} certificate records input.{key}"
-                     for key, owner in _VERDICT_FIELDS.items() if key in info and verdict != owner]
         reason = (info.get("rejection") or {}).get("reason") if verdict == INPUT_REJECTED else None
         if failed is not None:
             # only a rejection that names the first failed gate is valid
             if reason != failed[0]:
-                return failures + [f"the input fails the gate {failed[0]!r} first: {failed[1]}"]
-            isolation = {}
+                return [f"the input fails the gate {failed[0]!r} first: {failed[1]}"]
         elif reason in _GATE_CLAIMS:
-            return failures + [f"rejection says {_GATE_CLAIMS[reason]}, but the input passes every gate"]
-        elif verdict == INPUT_REJECTED and reason not in ("not_isolated", "no_isolating_slice"):
-            return failures + [f"unknown rejection reason {reason!r}"]
-        else:
-            weights, degree = facts["weights"], facts["degree"]
-            isolation = _isolation_facts(reason != "not_isolated", weights, degree)
-            if isolation["isolated"]:
-                # point 0 backs every isolated true
-                record = doc["membership_tests"].get("isolation")
-                if record is None:
-                    failures.append("isolated true without the isolation record")
-                else:
-                    _check_isolation(record, f, info["variables"], "isolation", failures)
-            if verdict == RESOURCE_EXHAUSTED:
-                change = doc.get("change_of_coordinates") or {}
-                if not change.get("exhausted"):
-                    failures.append("RESOURCE_EXHAUSTED certificate without an exhaustion record")
-                wrong = _attempts_failures(change.get("attempts"))
-                failures += wrong or _exhaustion_failures(info.get("resource_error"), change["attempts"], f, weights)
-            elif verdict == INPUT_REJECTED:
-                failures += _verify_rejected(doc, reason, f, weights, degree)
-            else:
-                failures += _verify_witness(doc, f, weights, degree)
-        failures += [
-            text for key, text in _ISOLATION_FAILURES.items() if _as_written(info, key) != _as_written(isolation, key)
-        ]
-        if reason is not None and info["rejection"].get("message") != rejection_message(
-            reason, failed, info["variables"], facts.get("weights")
-        ):
-            failures.append(f"the rejection message is not the one the reason {reason!r} gives")
+            return [f"rejection says {_GATE_CLAIMS[reason]}, but the input passes every gate"]
+        elif verdict == INPUT_REJECTED and reason not in _POSITIVE_DIMENSION_KEYS:
+            return [f"unknown rejection reason {reason!r}"]
+        failures, search = ([], {}) if verdict == INPUT_REJECTED else _search_claim(doc, verdict, f, facts)
+        if failures:
+            return failures
+        proofs, rejection = _recorded_proofs(doc, verdict, reason, facts.get("weights"))
+        rewritten = _document(info["polynomial"], variables, facts, failed, verdict, reason, **search, **proofs)
+        failures = _differences(doc, rewritten, "")
+        if failures or failed is not None:
+            return failures
+        if reason != "not_isolated":
+            # point 0 backs every isolated true
+            _check_isolation(doc["membership_tests"]["isolation"], f, variables, "isolation", failures)
+        if verdict == INPUT_REJECTED:
+            failures += _verify_rejected(reason, f, facts["weights"], facts["degree"], *rejection)
+        elif verdict == WITNESS_FOUND:
+            failures += _verify_witness(doc, f, search["slice_coefficients"], facts["weights"], facts["degree"])
         return failures
     except CertificateError:
         raise
@@ -707,72 +694,120 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
         return [f"certificate data does not replay: {exc}"]
 
 
-def _as_written(record: dict, key: str) -> str | None:
-    """A recorded value as written, so that 1 does not pass for true, nor
-    null for a value the builder leaves out."""
-    return repr(record[key]) if key in record else None
+def _recorded(doc, *path):
+    """The recorded value at a path of keys, or None where there is none."""
+    for key in path:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
 
 
-def _attempts_failures(attempts) -> list[str]:
-    """The recorded number of slices tried is an int in 1..MAX_SLICE_ATTEMPTS."""
-    if type(attempts) is int and 1 <= attempts <= MAX_SLICE_ATTEMPTS:
-        return []
-    return [f"recorded attempts {attempts!r} is not an integer in 1..{MAX_SLICE_ATTEMPTS}"]
-
-
-def _exhaustion_failures(recorded, attempts: int, f: Polynomial, weights) -> list[str]:
-    """Where the slice search of a RESOURCE_EXHAUSTED certificate stops,
-    recomputed from f without a basis: at the first candidate too large to
-    substitute (_slice_power_error), or else after MAX_SLICE_ATTEMPTS
-    candidates.  It must stop at candidate ``attempts``, and the recorded
-    resource error must be the message it raises there."""
-    for k, coeffs in enumerate(itertools.islice(_slice_candidates(weights), attempts), 1):
+def _search_claim(doc: dict, verdict: str, f: Polynomial, facts: dict) -> tuple[list[str], dict]:
+    """The slice search a witness or RESOURCE_EXHAUSTED certificate claims,
+    decided without a basis: the recorded ``attempts`` is an int in
+    1..MAX_SLICE_ATTEMPTS, a witness's search has candidate ``attempts``,
+    and an exhausted search stops there, at the first candidate too large
+    to substitute (_slice_power_error) or else after MAX_SLICE_ATTEMPTS
+    candidates.  Returns the failures, and what _document takes for the
+    claim: attempts, and the candidate or the message that stops the
+    search."""
+    attempts = _recorded(doc, "change_of_coordinates", "attempts")
+    if not (type(attempts) is int and 1 <= attempts <= MAX_SLICE_ATTEMPTS):
+        return [f"recorded attempts {attempts!r} is not an integer in 1..{MAX_SLICE_ATTEMPTS}"], {}
+    candidates = itertools.islice(_slice_candidates(facts["weights"]), attempts)
+    if verdict == WITNESS_FOUND:
+        coeffs = next(itertools.islice(candidates, attempts - 1, None), None)
+        if coeffs is None:
+            return [f"the slice search has no candidate {attempts}"], {}
+        return [], {"attempts": attempts, "slice_coefficients": coeffs}
+    for k, coeffs in enumerate(candidates, 1):
         error = _slice_power_error(slice_images(coeffs, f.n), f)
         if error is not None:
             break
     else:
         error = _attempt_cap_message() if k == attempts == MAX_SLICE_ATTEMPTS else None
     if error is None:
-        return [f"nothing stops the slice search at candidate {attempts}"]
+        return [f"nothing stops the slice search at candidate {attempts}"], {}
     if k != attempts:
-        return [f"the slice search stops at candidate {k}, not {attempts}: {error}"]
-    if recorded != error:
-        return [f"the resource error is not the message that stops the slice search: {error}"]
-    return []
+        return [f"the slice search stops at candidate {k}, not {attempts}: {error}"], {}
+    return [], {"attempts": attempts, "resource_error": error}
 
 
-def _check_positive_dimension(doc: dict, key: str, partials: list[Polynomial], weights, degree: int) -> list[str]:
-    """Point 4 of the module docstring: a nonzero functional on a weighted
-    degree t > s that vanishes on every multiple of every partial."""
-    record = doc["membership_tests"].get("positive_dimension", {}).get(key)
-    if record is None:
-        return [f"rejection without the positive-dimension record {key!r}"]
-    s = _top_degree(weights, degree)
-    t = record["degree"]
-    if type(t) is not int or t <= s:
-        return [f"{key}: recorded degree {t!r} is not an integer above s = {s}"]
-    functional = _parse_functional(record["functional"], len(weights), t, weights)
-    if not any(functional.values()):
-        failures = [f"{key}: the functional is zero"]
-    else:
-        failures = [] if all(functional.values()) else [f"{key}: the functional records a zero value"]
-    return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
+def _recorded_proofs(doc: dict, verdict: str, reason, weights) -> tuple[dict, tuple | None]:
+    """The records of a claim's proof values, read from the recorded
+    document and written back with the builder's record writers: the
+    functional and the operator's multi-indices are parsed, and every other
+    value (primes, rows, the texts of polynomials, which read_poly reads
+    only in canonical form) passes as recorded.  Also returns a
+    positive-dimension rejection's recorded degree and parsed functional,
+    for _verify_rejected."""
+    tests = doc.get("membership_tests")
 
+    def isolation(*path):
+        record = _recorded(tests, *path)
+        return _isolation_record(_recorded(record, "prime"), _recorded(record, "cofactors"))
 
-def _verify_rejected(doc: dict, reason, f: Polynomial, weights, degree: int) -> list[str]:
-    """Point 4 of the module docstring for the two rejections that claim a
-    positive-dimensional Jacobian ideal; input_gate has passed."""
-    if reason == "not_isolated":
-        return _check_positive_dimension(
-            doc, "input_jacobian", [f.partial(i) for i in range(1, f.n + 1)], weights, degree
+    proofs, rejection = {"isolation": isolation("isolation")}, None
+    if reason in _POSITIVE_DIMENSION_KEYS:
+        record = _recorded(tests, "positive_dimension", _POSITIVE_DIMENSION_KEYS[reason])
+        t, ideal_weights = _recorded(record, "degree"), weights if reason == "not_isolated" else weights[1:]
+        rejection = t, _parse_functional(_recorded(record, "functional"), t, ideal_weights)
+        proofs["functional"] = _positive_dimension_record(*rejection)
+    if verdict == WITNESS_FOUND:
+        entries = _recorded(doc, "lifted_operator", "coefficients")
+        scales = _recorded(doc, "lifted_operator", "scales_f_by")
+        proofs["operator"] = _operator_record(
+            {tuple(map(int, e["index"])): e["value"] for e in entries} if isinstance(entries, list) else {},
+            scales if isinstance(scales, list) else [],
         )
+        proofs["restriction"] = isolation("obstruction", "restriction_isolation")
+    return proofs, rejection
+
+
+def _differences(recorded, expected, path: str) -> list[str]:
+    """Each place where a recorded document differs from its rewrite, by
+    path: a key either of them lacks, or a list or other value that is not
+    the rewritten one.  Values must match in type as well, so that 1 does
+    not pass for true, nor 1.0 for 1."""
+    if recorded is expected:
+        return []
+    if type(recorded) is dict and type(expected) is dict:
+        def where(key):
+            return f"{path}.{key}" if path else str(key)
+
+        failures = [f"{where(key)} is missing" for key in expected if key not in recorded]
+        for key, value in expected.items():
+            if key in recorded:
+                failures += _differences(recorded[key], value, where(key))
+        return failures + [f"{where(key)} is not written for this claim" for key in recorded if key not in expected]
+    if type(recorded) is list and type(expected) is list and len(recorded) == len(expected):
+        if not any(_differences(*pair, path) for pair in zip(recorded, expected)):
+            return []
+    elif type(recorded) is type(expected) and recorded == expected:
+        return []
+    return [f"{path} is not what the builder writes"]
+
+
+def _verify_rejected(reason, f: Polynomial, weights, degree: int, t, functional) -> list[str]:
+    """Point 4 of the module docstring for the two rejections that claim a
+    positive-dimensional Jacobian ideal, of f or of its restriction to
+    x_1 = 0: a nonzero functional on a weighted degree t > s that vanishes
+    on every multiple of every partial; input_gate has passed, and
+    _recorded_proofs has parsed the recorded t and functional."""
+    key = _POSITIVE_DIMENSION_KEYS[reason]
     failures = []
-    if any(w == weights[0] for w in weights[1:]):
-        failures.append("another variable shares the weight of the first; other slices are admissible")
-    restriction = restrict_to_hyperplane(f)
-    return failures + _check_positive_dimension(
-        doc, "slice_jacobian", [restriction.partial(i) for i in range(1, f.n)], weights[1:], degree
-    )
+    if reason == "no_isolating_slice":
+        if any(w == weights[0] for w in weights[1:]):
+            failures.append("another variable shares the weight of the first; other slices are admissible")
+        f, weights = restrict_to_hyperplane(f), weights[1:]
+    s = _top_degree(weights, degree)
+    if type(t) is not int or t <= s:
+        return failures + [f"{key}: recorded degree {t!r} is not an integer above s = {s}"]
+    if not any(functional.values()):
+        failures.append(f"{key}: the functional is zero")
+    elif not all(functional.values()):
+        failures.append(f"{key}: the functional records a zero value")
+    partials = [f.partial(i) for i in range(1, f.n + 1)]
+    return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
 
 
 def _check_isolation(record: dict, f: Polynomial, variables, label: str, failures: list[str]) -> None:
@@ -811,86 +846,52 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
             failures.append(f"{label}: row {i + 1} does not lead with a power of {variables[i]} modulo {p}")
 
 
-def _parse_functional(entries, n: int, delta: int, weights) -> dict[Exponent, Fraction]:
-    """The recorded dual vector as a map; every key is an exponent vector
-    of length n, no negative entry and weighted degree delta."""
+def _parse_functional(entries, delta, weights) -> dict[Exponent, Fraction]:
+    """The recorded dual vector as a map (none for entries that are not a
+    list); every key is an exponent vector of length len(weights), no
+    negative entry and weighted degree delta."""
     out: dict[Exponent, Fraction] = {}
-    for entry in entries:
+    for entry in entries if isinstance(entries, list) else ():
         exp = entry["monomial"]
         if (
-            not isinstance(exp, list) or len(exp) != n
+            not isinstance(exp, list) or len(exp) != len(weights)
             or any(type(e) is not int or e < 0 for e in exp)
             or sum(w * e for w, e in zip(weights, exp)) != delta
         ):
             raise ValueError(f"functional monomial {exp!r} is not an exponent vector of weighted degree {delta}")
-        if tuple(exp) in out:
-            raise ValueError(f"functional monomial {exp!r} is repeated")
         out[tuple(exp)] = parse_fraction(entry["value"])
     return out
 
 
-def _check_obstruction(record: dict, g: Polynomial, witness: Polynomial, w1: int, yvars,
-                       failures: list[str]) -> None:
-    """Point 3 of the module docstring: h = g(0, y_2, ..., y_n) is isolated,
-    and the witness is W_1 y_1 Hess(h) modulo y_1^2."""
-    if "restriction_isolation" not in record:
-        failures.append("obstruction: no restriction_isolation record for g(0, y2, ..., yn)")
-        return
-    h = restrict_to_hyperplane(g)
-    _check_isolation(record["restriction_isolation"], h, yvars[1:], "restriction isolation", failures)
-    hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, h.n + 1)]))
-    # W_1 y_1 Hess(h), read in the n variables y_1..y_n
-    target = Polynomial(g.n, {(1,) + e: w1 * c for e, c in hess.terms.items()})
-    if any(e[0] < 2 for e in (witness - target).terms):
-        failures.append("obstruction: d1(y1) is not W_1 y1 Hess(h) modulo y1^2")
-
-
-def _verify_witness(doc: dict, f: Polynomial, weights, degree: int) -> list[str]:
-    """Points 2 and 3 of the module docstring; input_gate has passed, and
-    certificate_failures checks point 0."""
-    failures: list[str] = []
-    missing = [k for k in ("change_of_coordinates", "lifted_operator", "membership_tests") if not doc.get(k)]
-    if missing:
-        return [f"witness verdict without the supporting sections: {missing}"]
+def _verify_witness(doc: dict, f: Polynomial, coeffs, weights, degree: int) -> list[str]:
+    """Points 2 and 3 of the module docstring for a witness whose slice is
+    the candidate ``coeffs``; certificate_failures checks point 0."""
     n = f.n
     yvars = _new_variables(n)
-    # the slice is regenerated, never read: the range check first, so that a
-    # huge count enumerates nothing, then the recorded text must be that of
-    # the candidate, which is admissible by construction
-    change = doc["change_of_coordinates"]
-    attempts = change.get("attempts")
-    wrong = _attempts_failures(attempts)
-    if wrong:
-        return wrong
-    coeffs = next(itertools.islice(_slice_candidates(weights), attempts - 1, None), None)
-    if coeffs is None or change["slice_coefficients"] != [format_fraction(a) for a in coeffs]:
-        return [f"the slice is not candidate {attempts} of the slice search"]
     g = substitute_slice(slice_images(coeffs, n), f)
-
     # point 2 of the module docstring: P(g) = 0 and d_j(g) = q_j g for the
     # tuple extracted from P
     op_doc = doc["lifted_operator"]
-    if any(type(a) is not int for entry in op_doc["coefficients"] for a in entry["index"]):
-        return failures + ["lifted operator has a multi-index entry that is not an integer"]
-    second_order: dict[Exponent, Polynomial] = {}
-    for entry in op_doc["coefficients"]:
-        alpha, value = tuple(entry["index"]), read_poly(entry["value"], yvars)
-        wrong = ("is not of order 2" if sum(alpha) != 2 else
-                 "is repeated" if alpha in second_order else
-                 "is zero" if value.is_zero() else None)
-        if wrong:
-            return failures + [f"lifted operator entry {list(alpha)} {wrong}"]
-        second_order[alpha] = value
+    second_order = {tuple(e["index"]): read_poly(e["value"], yvars) for e in op_doc["coefficients"]}
     extracted = theta2_extract(DiffOp2(n, second_order), g)
     scales = [read_poly(q, yvars) for q in op_doc["scales_f_by"]]
     if len(scales) != n:
-        return failures + [f"lifted operator records {len(scales)} scales for {n} derivations"]
-    failures += [f"extracted derivation {j} does not scale g by the recorded factor"
-                 for j in scale_mismatches(extracted, scales)]
+        return [f"lifted operator records {len(scales)} scales for {n} derivations"]
+    failures = [f"extracted derivation {j} does not scale g by the recorded factor"
+                for j in scale_mismatches(extracted, scales)]
     # the first-order part is not recorded: identity 3 of derivations gives
     # it from c and the q_j, and P(g) = 0 is checked on the nose
     if not closed_form_lift(extracted, scales, weights, degree).apply(g).is_zero():
         failures.append("lifted operator does not annihilate the transformed polynomial")
 
-    _check_obstruction(doc["membership_tests"]["obstruction"], g, extracted.entry(1, 1), weights[0], yvars, failures)
+    # point 3: h = g(0, y_2, ..., y_n) is isolated, and the witness d_1(y_1)
+    # is W_1 y_1 Hess(h) modulo y_1^2
+    h = restrict_to_hyperplane(g)
+    record = doc["membership_tests"]["obstruction"]["restriction_isolation"]
+    _check_isolation(record, h, yvars[1:], "restriction isolation", failures)
+    hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, n)]))
+    # W_1 y_1 Hess(h), read in the n variables y_1..y_n
+    target = Polynomial(n, {(1,) + e: weights[0] * c for e, c in hess.terms.items()})
+    if any(e[0] < 2 for e in (extracted.entry(1, 1) - target).terms):
+        failures.append("obstruction: d1(y1) is not W_1 y1 Hess(h) modulo y1^2")
     return failures

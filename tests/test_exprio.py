@@ -90,6 +90,16 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_poly("x", ["x", "x"])
 
+    @pytest.mark.parametrize("read", [parse_poly, read_poly])
+    @pytest.mark.parametrize("variables, message", [
+        (["x", "x", "z"], "duplicate variable names"),  # x would read as its last index
+        ("xyz", "variable names must be a sequence of strings"),  # a string reads as its characters
+        (["x", 1, "z"], "variable names must be a sequence of strings"),
+    ], ids=["repeated", "string", "not a string"])
+    def test_both_readers_check_the_names(self, read, variables, message):
+        with pytest.raises(ValueError, match=message):
+            read("x^3 + z^3", variables)
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_poly("", V3)

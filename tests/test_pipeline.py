@@ -28,6 +28,7 @@ from nakai_forge.pipeline import (
     WITNESS_FOUND,
     WitnessCertificate,
     _isolation_record,
+    _isolation_rows,
     _positive_dimension_record,
     _slice_candidates,
     build_witness,
@@ -446,12 +447,13 @@ class TestBuildWitness:
         assert cert.document["input"]["rejection"]["reason"] == "not_isolated"
         assert verify_certificate(cert)
 
-    def test_forged_order_is_not_read(self):
+    def test_forged_order_is_not_read(self, tmp_path):
         # the verifier reads every record under grevlex; a config key in the
-        # input section is ignored, never trusted
+        # input section is part of no certificate, so it is refused
         doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
         doc["input"]["config"] = {"order": "lex"}
-        assert certificate_failures(WitnessCertificate(doc)) == []
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.config is not written for this claim"]
+        assert _cli_verify(doc, tmp_path) == 4
 
     def test_witness_membership_path(self, tmp_path):
         # the socle lemma puts every witness outside S, so the builder has no
@@ -611,14 +613,15 @@ class TestVerifyCertificate:
         assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("position, entry, failure", [
-        (0, {"index": [0, 0, 2], "value": "12345*y1"}, "lifted operator entry [0, 0, 2] is repeated"),
-        (5, {"index": [0, 0, 0], "value": "0"}, "lifted operator entry [0, 0, 0] is not of order 2"),
-        (5, {"index": [1, 0, 0], "value": "-3*y1"}, "lifted operator entry [1, 0, 0] is not of order 2"),
-        (1, {"index": [0, 1, 1], "value": "0"}, "lifted operator entry [0, 1, 1] is zero"),
+        (0, {"index": [0, 0, 2], "value": "12345*y1"}, "lifted_operator.coefficients is not what the builder writes"),
+        (5, {"index": [0, 0, 0], "value": "0"}, "lifted_operator.coefficients is not what the builder writes"),
+        (5, {"index": [1, 0, 0], "value": "-3*y1"}, "lifted_operator.coefficients is not what the builder writes"),
+        (1, {"index": [0, 1, 1], "value": "0"}, "lifted_operator.coefficients is not what the builder writes"),
     ], ids=["repeated", "order 0", "order 1", "zero"])
     def test_operator_entry_the_builder_never_writes(self, position, entry, failure, tmp_path):
-        # the builder writes each nonzero second-order coefficient once; a
-        # map would keep the last of two entries and drop a zero one
+        # the builder writes each nonzero second-order coefficient once; the
+        # rewrite keeps one entry of each multi-index and drops a zero one
+        # and one of another order, so it is shorter than the forgery
         doc = json.loads(write_certificate(self._fermat_cert().document))
         doc["lifted_operator"]["coefficients"].insert(position, entry)
         assert certificate_failures(WitnessCertificate(doc)) == [failure]
@@ -654,11 +657,11 @@ class TestVerifyCertificate:
         assert not verify_certificate(WitnessCertificate(doc))
 
     @pytest.mark.parametrize("coefficients, failure", [
-        (["0", "1", "0"], "the slice is not candidate 1 of the slice search"),
-        (["1", "0", "0", "0"], "the slice is not candidate 1 of the slice search"),
+        (["0", "1", "0"], "change_of_coordinates.slice_coefficients is not what the builder writes"),
+        (["1", "0", "0", "0"], "change_of_coordinates.slice_coefficients is not what the builder writes"),
     ], ids=["first zero", "one too many"])
     def test_invalid_slice_coefficients(self, coefficients, failure, tmp_path):
-        # the verifier regenerates the slice and compares its text; it never
+        # the verifier regenerates the slice and rewrites its text; it never
         # parses the recorded one
         doc = json.loads(write_certificate(self._fermat_cert().document))
         doc["change_of_coordinates"]["slice_coefficients"] = coefficients
@@ -666,7 +669,8 @@ class TestVerifyCertificate:
         assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("section, key, text, failure", [
-        ("change_of_coordinates", "slice_coefficients", "100", "the slice is not candidate 1 of the slice search"),
+        ("change_of_coordinates", "slice_coefficients", "100",
+         "change_of_coordinates.slice_coefficients is not what the builder writes"),
         ("input", "variables", "xyz",
          "certificate data does not replay: variable names must be a sequence of strings, not 'xyz'"),
     ], ids=["slice coefficients", "input variables"])
@@ -682,7 +686,6 @@ class TestVerifyCertificate:
         ("not a pure power", "restriction isolation: row 1 does not lead with a power of y2 modulo 2147483647"),
         ("cofactors", "restriction isolation: row 1 does not lead with a power of y2 modulo 2147483647"),
         ("record count", "restriction isolation: the record does not hold one row for each of the 2 variables"),
-        ("schema-4 dual vector", "obstruction: no restriction_isolation record for g(0, y2, ..., yn)"),
     ])
     def test_tampered_obstruction(self, case, failure, tmp_path):
         # fermat-cubic: h = y2^3 + y3^3, with the rows (1/3, 0) and (0, 1/3)
@@ -695,17 +698,24 @@ class TestVerifyCertificate:
         elif case == "cofactors":
             # h_1 = 3*y3^2
             rows[0] = ["0", "1"]
-        elif case == "record count":
-            rows.pop()
         else:
-            # the schema-4 record: lambda = (y1*y2*y3)^* kills the degree-3
-            # part of S and not d1(y1) = 36*y1*y2*y3, a sound proof in the
-            # format this schema replaced
-            doc["membership_tests"]["obstruction"] = {
-                "witness": "36*y1*y2*y3", "member": False, "degree": 3,
-                "functional": [{"monomial": [1, 1, 1], "value": "1"}], "value": "36",
-            }
+            rows.pop()
         assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_schema_4_obstruction_record(self, tmp_path):
+        # the schema-4 record: lambda = (y1*y2*y3)^* kills the degree-3 part
+        # of S and not d1(y1) = 36*y1*y2*y3, a sound proof in the format this
+        # schema replaced; each of its fields is foreign to the rewrite
+        doc = json.loads(write_certificate(self._fermat_cert().document))
+        doc["membership_tests"]["obstruction"] = {
+            "witness": "36*y1*y2*y3", "member": False, "degree": 3,
+            "functional": [{"monomial": [1, 1, 1], "value": "1"}], "value": "36",
+        }
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "membership_tests.obstruction.restriction_isolation is missing",
+        ] + [f"membership_tests.obstruction.{key} is not written for this claim"
+             for key in ("witness", "member", "degree", "functional", "value")]
         assert _cli_verify(doc, tmp_path) == 4
 
     # fermat-cubic's isolation record (p = 2147483647, rows 1/3 e_i modulo
@@ -957,9 +967,10 @@ class TestPositiveDimension:
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_zero_value_appended(self, tmp_path):
-        # the builder leaves zero values out of a functional
+        # the builder leaves zero values out of a functional; the entries are
+        # in descending grevlex order, as the rewrite puts them
         doc = self._doc()
-        assert self._forge(doc, 4, {(0, 4, 0): "1", (4, 0, 0): "0"}) == [
+        assert self._forge(doc, 4, {(4, 0, 0): "0", (0, 4, 0): "1"}) == [
             "input_jacobian: the functional records a zero value"
         ]
         assert _cli_verify(doc, tmp_path) == 4
@@ -998,16 +1009,17 @@ class TestPositiveDimension:
 
     def test_forged_rejection_of_isolated_input(self, tmp_path):
         # fermat-cubic is isolated: its Jacobian quotient is zero above s = 3,
-        # so no nonzero functional above 3 kills (3x^2, 3y^2, 3z^2)
+        # so no nonzero functional above 3 kills (3x^2, 3y^2, 3z^2); every
+        # other field is what a not_isolated rejection records
         doc = self._doc(FERMAT)
         doc["verdict"] = INPUT_REJECTED
-        doc["input"]["rejection"] = {"reason": "not_isolated", "message": "forged"}
-        doc["membership_tests"]["positive_dimension"] = {}
+        doc["input"]["rejection"] = {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}
+        doc["input"]["isolated"] = False
+        del doc["input"]["milnor_number"]
+        doc["change_of_coordinates"] = doc["lifted_operator"] = None
+        doc["membership_tests"] = {"positive_dimension": {}}
         assert self._forge(doc, 4, {(4, 0, 0): "1"}) == [
             "input_jacobian: the functional does not vanish on monomial [2, 0, 0] times generator 0",
-            "recorded isolated flag does not match the verdict",
-            "recorded Milnor number is not prod(D / W_i - 1)",
-            "the rejection message is not the one the reason 'not_isolated' gives",
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
@@ -1016,7 +1028,7 @@ class TestPositiveDimension:
         record = doc["membership_tests"]["positive_dimension"].pop("slice_jacobian")
         assert record == {"degree": 12, "functional": [{"monomial": [3, 0], "value": "1"}]}
         assert certificate_failures(WitnessCertificate(doc)) == [
-            "rejection without the positive-dimension record 'slice_jacobian'"
+            "membership_tests.positive_dimension.slice_jacobian is missing"
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
@@ -1204,7 +1216,7 @@ class TestQuasiHomogeneous:
         _, rejection = decide_isolation(restrict_to_hyperplane(f), (4, 3), 12)
         doc["membership_tests"]["positive_dimension"]["slice_jacobian"] = _positive_dimension_record(*rejection)
         gb, _ = decide_isolation(f, (4, 4, 3), 12)
-        doc["membership_tests"]["isolation"] = _isolation_record(gb, V3)
+        doc["membership_tests"]["isolation"] = _isolation_record(gb.modulus, _isolation_rows(gb, V3))
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures == ["another variable shares the weight of the first; other slices are admissible"]
 
@@ -1227,8 +1239,7 @@ class TestQuasiHomogeneous:
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
         doc["input"]["weights"] = weights
         assert _cli_verify(doc, tmp_path) == 4
-        assert "recorded weights are not the unique weights of the input" in \
-            certificate_failures(WitnessCertificate(doc))
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.weights is not what the builder writes"]
 
     def test_forged_slice_mixing_weights(self, tmp_path):
         # y1 = x + y mixes weights 6 and 4; distinct weights leave the
@@ -1238,13 +1249,15 @@ class TestQuasiHomogeneous:
         doc = json.loads(write_certificate(build_witness(f, V3).document))
         doc["change_of_coordinates"]["slice_coefficients"] = ["1", "1", "0"]
         assert _cli_verify(doc, tmp_path) == 4
-        assert certificate_failures(WitnessCertificate(doc)) == ["the slice is not candidate 1 of the slice search"]
+        assert certificate_failures(WitnessCertificate(doc)) == [
+            "change_of_coordinates.slice_coefficients is not what the builder writes"
+        ]
 
 
 class TestInputGate:
-    """The verifier recomputes input_gate, and the input facts a certificate
-    records, for every verdict; once the verdict is accepted, the isolation
-    facts and the rejection message must be the ones the builder writes."""
+    """The verifier recomputes input_gate for every verdict, and the input
+    facts, the isolation facts and the rejection message of the certificate
+    it rewrites must be the recorded ones."""
 
     @pytest.mark.parametrize("text", ["x^2*y + z^3", "x^3 + x*y^3 + z^2"])
     def test_rejection_with_forged_weights(self, text, tmp_path):
@@ -1252,8 +1265,8 @@ class TestInputGate:
         assert doc["input"]["rejection"]["reason"] in ("not_isolated", "no_isolating_slice")
         doc["input"].update(weights=[9, 9, 9], degree=77)
         assert certificate_failures(WitnessCertificate(doc)) == [
-            "recorded weights are not the unique weights of the input",
-            "recorded degree is not the weighted degree of the input",
+            "input.weights is not what the builder writes",
+            "input.degree is not what the builder writes",
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
@@ -1276,7 +1289,8 @@ class TestInputGate:
     @pytest.mark.parametrize("text, failure", [
         ("0", "the input fails the gate 'zero_polynomial' first: "
               "the zero polynomial does not define a hypersurface"),
-        ("x +* y", "certificate data does not replay: expected a number, variable or '(', found '*' (at position 3)"),
+        ("x +* y", "certificate data does not replay: not a canonical polynomial: "
+                   "terms must be joined by ' + ' or ' - ' (at position 5)"),
     ])
     def test_exhausted_input_must_pass_the_gate(self, text, failure, monkeypatch, tmp_path):
         monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
@@ -1291,20 +1305,19 @@ class TestInputGate:
     @pytest.mark.parametrize("text", ["0", "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
     def test_rejection_with_forged_message(self, text, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
-        reason = doc["input"]["rejection"]["reason"]
         doc["input"]["rejection"]["message"] = "the input is isolated after all"
         assert certificate_failures(WitnessCertificate(doc)) == [
-            f"the rejection message is not the one the reason {reason!r} gives"
+            "input.rejection.message is not what the builder writes"
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("text, forged, failures", [
-        ("0", {"isolated": False}, ["recorded isolated flag does not match the verdict"]),
+        ("0", {"isolated": False}, ["input.isolated is not written for this claim"]),
         ("x^2*y + z^3", {"isolated": True, "milnor_number": 5}, [
-            "recorded isolated flag does not match the verdict",
-            "recorded Milnor number is not prod(D / W_i - 1)",
+            "input.isolated is not what the builder writes",
+            "input.milnor_number is not written for this claim",
         ]),
-        ("x^3 + x*y^3 + z^2", {"milnor_number": 99}, ["recorded Milnor number is not prod(D / W_i - 1)"]),
+        ("x^3 + x*y^3 + z^2", {"milnor_number": 99}, ["input.milnor_number is not what the builder writes"]),
     ])
     def test_rejection_with_forged_isolation_facts(self, text, forged, failures, tmp_path):
         # a gate rejection records neither fact, not_isolated records
@@ -1340,13 +1353,13 @@ class TestIsolationRecord:
             "message": pipeline.rejection_message("no_isolating_slice", None, V3, [2, 1, 1]),
         })
         doc["membership_tests"] = {"positive_dimension": {"slice_jacobian": _positive_dimension_record(*rejection)}}
-        assert certificate_failures(WitnessCertificate(doc)) == ["isolated true without the isolation record"]
+        assert certificate_failures(WitnessCertificate(doc)) == ["membership_tests.isolation is missing"]
         assert _cli_verify(doc, tmp_path) == 4
         # the genuine record of the isolated x^2 + y^4 + z^4, of the same
         # weights, does not carry over: its rows over the partials of f lead
         # with no pure power
         gb, _ = decide_isolation(P("x^2 + y^4 + z^4"), (2, 1, 1), 4)
-        doc["membership_tests"]["isolation"] = _isolation_record(gb, V3)
+        doc["membership_tests"]["isolation"] = _isolation_record(gb.modulus, _isolation_rows(gb, V3))
         failures = certificate_failures(WitnessCertificate(doc))
         assert failures and all(f.startswith("isolation: row") for f in failures)
         assert _cli_verify(doc, tmp_path) == 4
@@ -1360,7 +1373,7 @@ class TestIsolationRecord:
         assert doc["input"]["isolated"] is True
         assert certificate_failures(WitnessCertificate(doc)) == []
         del doc["membership_tests"]["isolation"]
-        assert certificate_failures(WitnessCertificate(doc)) == ["isolated true without the isolation record"]
+        assert certificate_failures(WitnessCertificate(doc)) == ["membership_tests.isolation is missing"]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_row_entry_changed(self, tmp_path):
@@ -1410,13 +1423,15 @@ class TestAttempts:
     @pytest.mark.parametrize("text, attempts", [(FERMAT, 2), (FERMAT, 200), (PAPER_F, 1), (PAPER_F, 3),
                                                 ("x^2 + y^3 + z^4", 2)])
     def test_not_the_position_of_the_slice(self, text, attempts, tmp_path):
+        # the slice rewritten for another candidate is not the recorded one;
         # x^2 + y^3 + z^4 has distinct weights, so the search has one
         # candidate: a position past it is a failure, not a StopIteration
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
         assert doc["change_of_coordinates"]["attempts"] != attempts
         doc["change_of_coordinates"]["attempts"] = attempts
         assert certificate_failures(WitnessCertificate(doc)) == [
-            f"the slice is not candidate {attempts} of the slice search"
+            "the slice search has no candidate 2" if text == "x^2 + y^3 + z^4"
+            else "change_of_coordinates.slice_coefficients is not what the builder writes"
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
@@ -1432,10 +1447,7 @@ class TestExhaustion:
         doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
         assert doc["input"]["resource_error"] == "power 1000 of slice row 1 is too large to expand"
         doc["input"]["resource_error"] = "nothing went wrong"
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            "the resource error is not the message that stops the slice search: "
-            "power 1000 of slice row 1 is too large to expand"
-        ]
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not what the builder writes"]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_stop_after_the_power_bound(self, tmp_path):
@@ -1461,10 +1473,7 @@ class TestExhaustion:
         assert doc["input"]["resource_error"] == "no isolating slice found within 1 attempts"
         assert certificate_failures(WitnessCertificate(doc)) == []
         doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            "the resource error is not the message that stops the slice search: "
-            "no isolating slice found within 1 attempts"
-        ]
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not what the builder writes"]
         assert _cli_verify(doc, tmp_path) == 4
         # with the cap at 2 the search would go on past one slice
         monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 2)
@@ -1484,40 +1493,130 @@ class TestExhaustion:
 
 class TestStrayFields:
     """input.rejection belongs to INPUT_REJECTED and input.resource_error to
-    RESOURCE_EXHAUSTED; any other verdict that records one is refused."""
+    RESOURCE_EXHAUSTED; the rewrite of any other verdict has neither, so a
+    certificate that records one is refused."""
 
     def test_witness_with_a_rejection(self, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
         doc["input"]["rejection"] = {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}
-        assert certificate_failures(WitnessCertificate(doc)) == ["a WITNESS_FOUND certificate records input.rejection"]
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.rejection is not written for this claim"]
         assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("text", [FERMAT, "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
     def test_resource_error_outside_exhaustion(self, text, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
         doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            f"a {doc['verdict']} certificate records input.resource_error"
-        ]
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not written for this claim"]
         assert _cli_verify(doc, tmp_path) == 4
 
     def test_exhausted_with_a_rejection(self):
         doc = json.loads(write_certificate(build_witness(P(TestExhaustion.HUGE), V3).document))
         doc["input"]["rejection"] = {"reason": "no_isolating_slice", "message": "none"}
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            "a RESOURCE_EXHAUSTED certificate records input.rejection"
-        ]
+        assert certificate_failures(WitnessCertificate(doc)) == ["input.rejection is not written for this claim"]
+
+
+def _built(text, variables=V3):
+    return json.loads(write_certificate(build_witness(parse_poly(text, variables), variables).document))
+
+
+def _set(path, value):
+    """A mutation that sets the value at a path of keys."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _set_functional_value(value):
+    return lambda doc: doc["membership_tests"]["positive_dimension"]["input_jacobian"]["functional"][0].update(
+        value=value)
+
+
+_NOT_WRITTEN = "{} is not written for this claim"
+_NOT_THE_BUILDERS = "{} is not what the builder writes"
+# (name, input, mutation, failures): documents that hold a certificate's
+# proofs but are not the one document its claim has
+_FOREIGN_FORMS = [
+    ("rejection with witness sections", "x^2*y + z^3",
+     lambda doc: doc.update({k: _built(FERMAT)[k] for k in ("change_of_coordinates", "lifted_operator")}),
+     [_NOT_THE_BUILDERS.format("change_of_coordinates"), _NOT_THE_BUILDERS.format("lifted_operator")]),
+    ("witness with a positive-dimension record", FERMAT,
+     _set(("membership_tests", "positive_dimension"), {"input_jacobian": {
+         "degree": 4, "functional": [{"monomial": [0, 4, 0], "value": "1"}]}}),
+     [_NOT_WRITTEN.format("membership_tests.positive_dimension")]),
+    *[(f"stray {'.'.join(path)}", FERMAT, _set(path, value), [_NOT_WRITTEN.format(".".join(path))])
+      for path, value in [(("input", "note"), "checked by hand"),
+                          (("change_of_coordinates", "matrix"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                          (("lifted_operator", "first_order"), []),
+                          (("membership_tests", "isolation", "note"), "p = 2^31 - 1"),
+                          (("comment",), "checked by hand"),
+                          (("schema", "producer"), "nakai-forge")]],
+    ("witness not exhausted", FERMAT, _set(("change_of_coordinates", "exhausted"), False),
+     [_NOT_WRITTEN.format("change_of_coordinates.exhausted")]),
+    ("input not canonical", FERMAT, _set(("input", "polynomial"), "z^3+y^3+x^3+0*x"),
+     ["certificate data does not replay: not a canonical polynomial: an exponent must be an integer of at least 2 "
+      "without leading zeros (at position 0)"]),
+    ("operator entries reversed", FERMAT, lambda doc: doc["lifted_operator"]["coefficients"].reverse(),
+     [_NOT_THE_BUILDERS.format("lifted_operator.coefficients")]),
+    *[(f"functional value {value}", "x^2*y", _set_functional_value(value),
+       [_NOT_THE_BUILDERS.format("membership_tests.positive_dimension.input_jacobian.functional")])
+      for value in ("01", "1/1")],
+]
+
+
+class TestOneDocumentPerClaim:
+    """A claim and its proof values fix every field of a certificate: the
+    verifier rewrites the certificate and refuses any other document, what
+    it adds, leaves out or writes in other words included."""
+
+    @pytest.mark.parametrize("name, text, mutate, failures", _FOREIGN_FORMS, ids=[f[0] for f in _FOREIGN_FORMS])
+    def test_foreign_form_is_refused(self, name, text, mutate, failures, tmp_path):
+        doc = _built(text)
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        mutate(doc)
+        assert certificate_failures(WitnessCertificate(doc)) == failures
+        assert _cli_verify(doc, tmp_path) == 4
+
+    @staticmethod
+    def _dicts(node, path="", list_path=None):
+        """(dict, the failure one key added to it gives) for every dict of a
+        document: its path and the key, or the path of the outermost list
+        that holds it."""
+        if isinstance(node, dict):
+            added = f"{path}.stray" if path else "stray"
+            yield node, (_NOT_THE_BUILDERS.format(list_path) if list_path else _NOT_WRITTEN.format(added))
+            for key, child in node.items():
+                yield from TestOneDocumentPerClaim._dicts(child, f"{path}.{key}" if path else key, list_path)
+        elif isinstance(node, list):
+            for child in node:
+                yield from TestOneDocumentPerClaim._dicts(child, path, list_path or path)
+
+    @pytest.mark.parametrize("text", [FERMAT, "x^2*y + z^3", "x^3 + x*y^3 + z^2", "x*y + z^3",
+                                      "x^1000 + y^1000 + x*z^999"],
+                             ids=["witness", "not_isolated", "no_isolating_slice", "gate", "exhausted"])
+    def test_a_key_added_anywhere_is_refused(self, text):
+        doc = _built(text)
+        found = 0
+        for node, failure in list(self._dicts(doc)):
+            node["stray"] = 1
+            assert certificate_failures(WitnessCertificate(doc)) == [failure]
+            del node["stray"]
+            found += 1
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        assert found >= 4
 
 
 @pytest.mark.parametrize("index", [[1.0, 0.0, 1.0], [1, 1.0, 0], [True, 0, 1]])
 def test_float_multi_index_refused(index, tmp_path):
     # a float or a bool equals the int it stands for, and hashes alike, so
-    # a float index would name the same coefficient; the schema has integers
+    # a float index would name the same coefficient; the rewrite has integers
     doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
     entry = _coefficient(doc, [int(a) for a in index])
     entry["index"] = index
     assert certificate_failures(WitnessCertificate(doc)) == [
-        "lifted operator has a multi-index entry that is not an integer"
+        "lifted_operator.coefficients is not what the builder writes"
     ]
     assert _cli_verify(doc, tmp_path) == 4
 

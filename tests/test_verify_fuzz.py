@@ -272,13 +272,15 @@ def test_wrong_types_exit_4(path, value, fermat_certificate, tmp_path, capsys):
 def test_huge_slice_power_exits_4(fermat_certificate, tmp_path, capsys):
     # y1 = x + y is no candidate of the search, so it is refused before any
     # substitution; candidate 2, y1 = x - y, makes g = f(x(y)) expand
-    # (y1 + y2)^100000, and the verifier refuses that power before expanding it
+    # (y1 + y2)^100000, and the verifier refuses that power before expanding
+    # it.  The input's facts are re-recorded, so only the slice is forged
     for attempts, coefficients, failure in (
-        (1, ["1", "1", "0"], "the slice is not candidate 1 of the slice search"),
+        (1, ["1", "1", "0"], "change_of_coordinates.slice_coefficients is not what the builder writes"),
         (2, ["1", "-1", "0"], "power 100000 of slice row 1 is too large to expand"),
     ):
         doc = json.loads(fermat_certificate)
         doc["input"]["polynomial"] = "x^100000 + y^100000 + z^100000"
+        doc["input"].update(degree=100000, milnor_number=99999**3)
         doc["change_of_coordinates"].update(attempts=attempts, slice_coefficients=coefficients)
         start = time.perf_counter()
         assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
@@ -292,7 +294,9 @@ def test_forged_slice_of_huge_numbers_is_refused_unread(tmp_path, capsys):
     doc = json.loads(_certificate("x^6 + y^6 + z^6"))
     doc["change_of_coordinates"]["slice_coefficients"] = ["1", "7" * 50000, "3" * 50000]
     start = time.perf_counter()
-    assert certificate_failures(WitnessCertificate(doc)) == ["the slice is not candidate 1 of the slice search"]
+    assert certificate_failures(WitnessCertificate(doc)) == [
+        "change_of_coordinates.slice_coefficients is not what the builder writes"
+    ]
     assert time.perf_counter() - start < 0.5
     assert _verify_exit(json.dumps(doc).encode(), tmp_path) == 4
     capsys.readouterr()
