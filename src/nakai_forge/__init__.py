@@ -53,7 +53,6 @@ from .pipeline import (
 )
 from .poly import (
     GREVLEX,
-    GRLEX,
     LEX,
     MonomialOrder,
     Polynomial,

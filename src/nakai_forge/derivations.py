@@ -29,10 +29,16 @@ i < k (minors.signed_minor), and write f_l = df/dx_l.
    d_t for every t and l < k, with tau antisymmetric in (l, k), leaves
    pair (i, k) the vector a^(i,k)_l + tau_i,lk - tau_k,li, and
      tau_t,lk = 1/2 (a^(t,l)_k - a^(t,k)_l - a^(l,k)_t)
-   makes every entry of it zero.  No other tau does: the difference of
+   makes every entry of it zero, since for any vectors so extended
+   tau_i,lk - tau_k,li = -a^(i,k)_l.  No other tau does: the difference of
    two solutions has tau_i,lk = tau_k,li, so it is symmetric in its outer
    indices and antisymmetric in its inner pair, and
    tau_a,bc = tau_c,ba = -tau_c,ab = -tau_b,ac = tau_b,ca = tau_a,cb = -tau_a,bc.
+   That difference is linear algebra, true whether or not the vectors
+   recombine, so the moves change the defect of pair (i, k) by exactly
+   -sum_l a^(i,k)_l f_l.  The result is symmetric at (i, k) exactly when
+   that vector recombines to the input's defect, and symmetrize checks
+   only its result.
    Only tau_1,1k moves d_1(x_1), and for the candidate it is
    -a^(1,k)_1 = 0, so the symmetric tuple keeps d_1(x_1) = W_1 x_1 A_11.
 3. The first-order lift.  Let c_ij = d_i(x_j) for a symmetric tuple with
@@ -111,8 +117,7 @@ def euler_derivation(n: int, weights: Sequence[int] | None = None) -> Derivation
     With weights W this is E_W = sum W_i x_i d/dx_i, which multiplies input
     of weighted degree D by D.
     """
-    if weights is None:
-        return Derivation1(tuple(Polynomial.variable(n, i) for i in range(1, n + 1)))
+    weights = (1,) * n if weights is None else weights
     if len(weights) != n:
         raise ValueError(f"{len(weights)} weights for {n} variables")
     return Derivation1(tuple(Polynomial.variable(n, i).scale(w) for i, w in enumerate(weights, 1)))
@@ -315,31 +320,24 @@ def symmetrize(
 ) -> tuple[DerivationTuple, tuple[Adjustment, ...]]:
     """Adjust the tuple by Hamiltonian moves until d_i(x_j) = d_j(x_i) exactly.
 
-    ``cofactors`` maps a pair (i, j), i < j, to a vector a with
-    sum_l a_l f_l = d_i(x_j) - d_j(x_i) for the input tuple; a missing pair
-    stands for the zero vector, and a vector that does not recombine to its
-    defect raises ValueError.  The ledger adds tau_t,lk D_lk to d_t for
-    every t and l < k with tau_t,lk nonzero, in that order, where tau is
-    the unique solution of identity 2 of the module docstring; the returned
-    tuple is its replay, and the symmetry postcondition is verified before
-    returning.
+    ``cofactors`` maps a pair (i, j), i < j, to a vector a of n entries
+    with sum_l a_l f_l = d_i(x_j) - d_j(x_i) for the input tuple; a missing
+    pair stands for the zero vector.  The ledger adds tau_t,lk D_lk to d_t
+    for every t and l < k with tau_t,lk nonzero, in that order, where tau
+    is the unique solution of identity 2 of the module docstring, and the
+    returned tuple is its replay.  The recombination is checked once, on
+    that result: by identity 2 the moves leave pair (i, j) exactly its
+    input defect minus sum_l a_l f_l, so a pair left asymmetric is one
+    whose vector does not recombine to its defect, and ValueError names the
+    first such pair.
     """
-    f = tuple_in.f
     n = tuple_in.n
     zero = Polynomial.zero(n)
-    one, minus_one = Polynomial.constant(n, 1), Polynomial.constant(n, -1)
-    partials = [f.partial(l) for l in range(1, n + 1)]
     a = {(i, i): [zero] * n for i in range(1, n + 1)}
     for i, k in combinations(range(1, n + 1), 2):
         vector = list(cofactors.get((i, k)) or [zero] * n)
-        # sum_l a_l f_l - d_i(x_k) + d_k(x_i) = 0, as one sum of products
-        if len(vector) != n or sum_of_products(n, [
-            *zip(vector, partials), (tuple_in.entry(i, k), minus_one), (tuple_in.entry(k, i), one)
-        ]):
-            raise ValueError(
-                f"defect of pair ({i},{k}) is not in the Jacobian ideal by the supplied "
-                "cofactors; the input tuple is not a valid candidate"
-            )
+        if len(vector) != n:
+            raise ValueError(f"the cofactor vector of pair ({i},{k}) has {len(vector)} entries, not {n}")
         a[i, k] = vector
         a[k, i] = [-c for c in vector]
     half = Fraction(1, 2)
@@ -350,8 +348,12 @@ def symmetrize(
             if not tau.is_zero():
                 ledger.append(Adjustment(t, l, k, tau))
     result = replay_ledger(tuple_in, ledger)
-    if not result.is_symmetric():
-        raise InternalInconsistencyError("symmetrization left an asymmetric pair")
+    for i, k in combinations(range(1, n + 1), 2):
+        if result.defect(i, k):
+            raise ValueError(
+                f"defect of pair ({i},{k}) is not in the Jacobian ideal by the supplied "
+                "cofactors; the input tuple is not a valid candidate"
+            )
     logger.debug("symmetrize: %d adjustments over %d pairs", len(ledger), n * (n - 1) // 2)
     return result, tuple(ledger)
 

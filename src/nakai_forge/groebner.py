@@ -24,12 +24,11 @@ and Pearce 2007).  A ``_Packing`` of n fields of B bits (it lives in
 K(e) = sum_i e_i w_i with w_i = 2^(B i) - t_i 2^(nB): the low nB bits hold
 e_i in field i, and the bits above hold -T(e), T(e) = sum_i t_i e_i.  For
 grevlex t_i = 1, so T is the degree; for lex t_i = 2^(B(n-1-i)), so T
-reads the fields with x_1 most significant; for grlex t_i = 2^(nB) +
-2^(B(n-1-i)), the degree and then that.  K is linear: a term product is
-k1 + k2 and a division's shift is k - K(lm).  While every field is below
-2^B, K is a descending key.  A larger T gives a smaller K.  At equal T,
-grlex and lex exponents are equal, and grevlex compares the low bits with
-e_n most significant: a smaller e_n gives a smaller K and a larger
+reads the fields with x_1 most significant.  K is linear: a term product
+is k1 + k2 and a division's shift is k - K(lm).  While every field is
+below 2^B, K is a descending key.  A larger T gives a smaller K.  At equal
+T, lex exponents are equal, and grevlex compares the low bits with e_n
+most significant: a smaller e_n gives a smaller K and a larger
 monomial.  So the division heap holds bare ints, and its least one is the
 largest term.  The top bit of each field is a guard, and while every field
 is at most limit = 2^(B-1) - 1, lm divides e exactly when
@@ -37,8 +36,8 @@ is at most limit = 2^(B-1) - 1, lm divides e exactly when
 with e_i < lm_i borrows its guard bit, and no borrow crosses a field.
 
 The width rule keeps every field that the engine reads within the limit;
-no overflow goes unseen.  Under grevlex and grlex (degree-compatible),
-every working term of a division is at most the dividend's largest term,
+no overflow goes unseen.  Under grevlex (degree-compatible), every
+working term of a division is at most the dividend's largest term,
 so its degree, and each of its exponents, is at most the dividend's
 degree; the terms of the S-polynomial of a pair have degree at most that
 of the pair's lcm.  So the width holds the degrees of the dividend and of
@@ -50,8 +49,8 @@ so its fields stay below 2^B: no field carries into the next, and K still
 orders it.  But a field can pass the limit, so the division checks the
 guard bits of every term it takes, and one that is set (_Narrow) makes
 ``_Divisors.divide`` repack one bit wider and redo the division.  The
-check runs under every order; the degree rule keeps it from firing under
-grevlex and grlex.
+check runs under both orders; the degree rule keeps it from firing under
+grevlex.
 
 Tuples come back only at the ``GroebnerBasis`` boundary, and only for
 kept elements: the leading monomial of each raw element (the pair order
@@ -211,7 +210,7 @@ def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
 
 def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:
     """What a packing's fields must hold for these exponents: their largest
-    degree under grevlex and grlex, their largest entry under lex."""
+    degree under grevlex, their largest entry under lex."""
     measure = (lambda e: max(e, default=0)) if order.kind == "lex" else sum
     return max(map(measure, exponents), default=0)
 
@@ -584,8 +583,6 @@ def buchberger(
     processed = 0
     while heap:
         _, lcm, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         processed += 1
         if processed > DEFAULT_MAX_PAIRS:
@@ -594,8 +591,8 @@ def buchberger(
         # coprime leading monomials: the S-polynomial reduces to zero
         if lcm == tuple(map(add, lm_i, lm_j)):
             continue
-        # the width holds the lcm, and under grevlex and grlex every term of
-        # the S-polynomial and of its division too (under lex, _Narrow
+        # the width holds the lcm, and under grevlex every term of the
+        # S-polynomial and of its division too (under lex, _Narrow
         # widens when it must)
         extent = _extent(order, (lcm,))
         divisors.fit(2 * extent if extent > divisors.packing.limit else 0)

@@ -16,10 +16,10 @@ Polynomials in the package goes through it: ``Polynomial.__mul__``, the
 cofactor rows and lifts of ``groebner`` over Q, the Laplace step of
 ``minors.determinant`` and the cofactor-identity check built on it,
 ``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
-and the zero-sum checks of ``derivations`` (``scale_mismatches`` and the
-recombination check of ``symmetrize``).  Modulo a prime the rows and lifts
-of ``groebner`` sum integer products with the integer loop of
-``sum_of_products`` (``_accumulate``) and reduce each coefficient once.
+and the zero-sum check of ``derivations.scale_mismatches``.  Modulo a
+prime the rows and lifts of ``groebner`` sum integer products with the
+integer loop of ``sum_of_products`` (``_accumulate``) and reduce each
+coefficient once.
 
 That loop sums on exponent tuples a call of fewer than PACK_PRODUCTS term
 products, which is most calls: packing and unpacking would cost them more
@@ -482,12 +482,11 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order with x1 > x2 > ... > xn: one of grevlex,
-    grlex, lex."""
+    """A global monomial order with x1 > x2 > ... > xn: grevlex or lex."""
 
     kind: str
 
-    KINDS = ("grevlex", "grlex", "lex")
+    KINDS = ("grevlex", "lex")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -497,19 +496,14 @@ class MonomialOrder:
         """Sort key: key(a) > key(b) iff a > b in this order."""
         if self.kind == "lex":
             return e
-        deg = sum(e)
-        if self.kind == "grlex":
-            return (deg, e)
         # grevlex: smaller exponent on the least significant variable wins ties
-        return (deg, tuple(map(neg, reversed(e))))
+        return (sum(e), tuple(map(neg, reversed(e))))
 
     def descending_key(self, e: Exponent) -> tuple[int, ...]:
         """Flat int tuple, smaller for the larger monomial: a min-heap keyed
         by it pops monomials from the largest down."""
         if self.kind == "lex":
             return tuple(map(neg, e))
-        if self.kind == "grlex":
-            return (-sum(e), *map(neg, e))
         return (-sum(e), *reversed(e))
 
     def sorted_terms(self, p: Polynomial, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
@@ -523,7 +517,6 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex")
-GRLEX = MonomialOrder("grlex")
 LEX = MonomialOrder("lex")
 
 
@@ -537,8 +530,7 @@ class _Packing:
     def __init__(self, order: MonomialOrder, n: int, bound: int):
         bits = bound.bit_length() + 1  # limit = 2^(bits-1) - 1 >= bound
         top = n * bits
-        lex = [1 << bits * (n - 1 - i) for i in range(n)]
-        tops = {"grevlex": [1] * n, "grlex": [(1 << top) + t for t in lex], "lex": lex}[order.kind]
+        tops = [1 << bits * (n - 1 - i) for i in range(n)] if order.kind == "lex" else [1] * n
         self.n, self.order = n, order
         self.weights = tuple((1 << bits * i) - (t << top) for i, t in enumerate(tops))
         self.shifts = tuple(bits * i for i in range(n))

@@ -41,6 +41,8 @@ def P(text, variables=V3):
 
 PAPER_F = "x^2*y + y^2*z + z^2*x"
 FERMAT = "x^3 + y^3 + z^3"
+V4 = ["x", "y", "z", "w"]
+WEIGHTED_N4 = "x^3 + y^4 + z^4 + w^6 + x*y*z*w"  # weights (4, 3, 3, 2), D = 12
 
 
 def monomial_triples(rng, n, count, max_degree=2):
@@ -451,12 +453,25 @@ class TestClosedFormCofactors:
                         total = total + a * g
                     assert total == defect, (f, i, k)
 
-    def test_symmetrize_rejects_vector_that_does_not_recombine(self):
+    @pytest.mark.parametrize("text, variables, pair", [
+        *((PAPER_F, V3, pair) for pair in itertools.combinations(range(1, 4), 2)),
+        *((WEIGHTED_N4, V4, pair) for pair in itertools.combinations(range(1, 5), 2)),
+    ])
+    def test_symmetrize_rejects_vector_that_does_not_recombine(self, text, variables, pair):
+        # x added to a_2 of one pair's vector: that pair, and no other, is
+        # named
+        f = P(text, variables)
+        cand, cofactors, _ = build_candidate_tuple(f)
+        a1, a2, *rest = cofactors[pair]
+        cofactors[pair] = (a1, a2 + P("x", variables), *rest)
+        with pytest.raises(ValueError, match=rf"defect of pair \({pair[0]},{pair[1]}\) is not in the Jacobian ideal"):
+            symmetrize(cand, cofactors)
+
+    def test_symmetrize_rejects_vector_of_wrong_length(self):
         f = P(PAPER_F)
         cand, cofactors, _ = build_candidate_tuple(f)
-        a1, a2, a3 = cofactors[1, 3]
-        cofactors[1, 3] = (a1, a2 + P("x"), a3)
-        with pytest.raises(ValueError, match="not in the Jacobian ideal"):
+        cofactors[1, 2] = cofactors[1, 2][:-1]
+        with pytest.raises(ValueError, match=r"pair \(1,2\)"):
             symmetrize(cand, cofactors)
 
     @pytest.mark.parametrize("text", [FERMAT, PAPER_F, "x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
@@ -468,6 +483,26 @@ class TestClosedFormCofactors:
         symmetric, _ = symmetrize(*build_candidate_tuple(f)[:2])
         expected = (P("x") * algebraic_cofactor(hessian(f), 1, 1)).scale(w1)
         assert symmetric.entry(1, 1) == expected
+
+    @pytest.mark.parametrize("text, variables", [
+        (FERMAT, V3), (PAPER_F, V3), ("x^4 + y^4 + z^4 + w^4", V4), ("x^3 + y^3 + z^3 + w^3 + x*y*z + y*z*w", V4),
+        ("x^3 + y^3 + z^3 + w^3 + v^3 + x*y*z + z*w*v", [*V4, "v"]),
+    ])
+    def test_homogeneous_symmetric_tuple_closed_form(self, text, variables):
+        # for homogeneous f, with A_ij = algebraic_cofactor(H, i, j), the tuple
+        # d_t(x_m) = A_1t x_m + A_1m x_t - x_1 A_tm is symmetric (A is), scales
+        # f by D A_1t (A H = det(H) I and H x = (D - 1) grad f) and has
+        # d_1(x_1) = x_1 A_11, and it is the tuple symmetrize returns.  It is
+        # not symmetrize's tuple for weighted input.
+        f = P(text, variables)
+        n = f.n
+        hess = hessian(f)
+        cofactor = {(i, j): algebraic_cofactor(hess, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        x = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+        symmetric, _ = symmetrize(*build_candidate_tuple(f)[:2])
+        for t, m in itertools.product(range(1, n + 1), repeat=2):
+            expected = cofactor[1, t] * x[m - 1] + cofactor[1, m] * x[t - 1] - x[0] * cofactor[t, m]
+            assert symmetric.entry(t, m) == expected, (t, m)
 
     @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
     def test_lift_brieskorn(self, text):

@@ -26,7 +26,7 @@ from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, re
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger
 from nakai_forge.minors import PolyMatrix, determinant
-from nakai_forge.poly import GREVLEX, GRLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
+from nakai_forge.poly import GREVLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
 
 def _random_rational_poly(rng: random.Random, n: int, max_degree: int, max_terms: int) -> Polynomial:
@@ -45,7 +45,7 @@ def _assert_same(new: Polynomial, ref: Polynomial):
     assert all(type(c) is Fraction and c for c in new.terms.values())
 
 
-ORDERS = (GREVLEX, GRLEX, LEX)
+ORDERS = (GREVLEX, LEX)
 
 
 class TestMultiply:

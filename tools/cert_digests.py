@@ -4,9 +4,9 @@ The inputs are the three benchmark workloads (``perfbench/workloads.py``)
 at each ``--seed``, the first seeded draw of each ``--draw`` shape, and a
 list of named edge inputs (the CLI's built-in corpus, both rejections that
 need an isolation decision, an exhausted slice search, an unlucky prime, a
-functional too tall for one prime, rational coefficients and an exponent
-of ten digits).  Each input gives one ``name sha256 outcome`` line, where
-the digest is that of
+functional too tall for one prime, rational coefficients, an exponent of
+ten digits and a weighted form of four variables).  Each input gives one
+``name sha256 outcome`` line, where the digest is that of
 ``write_certificate(build_witness(f, variables).document)`` and the outcome
 is ``verified`` when ``certificate_failures`` finds nothing in those bytes
 read back, or ``failed:`` and the first failure.
@@ -51,6 +51,7 @@ EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_C
     ("functional-too-tall", "(200*x - y)^2*z + (300*x - z)^3", XYZ),
     ("rational-coefficients", "1/2*x^3 + 2/3*y^3 + z^3", XYZ),
     ("huge-exponent", "x^1000000000 + y^1000000000 + z^1000000000", XYZ),
+    ("weighted-n4", "x^3 + y^4 + z^4 + w^6 + x*y*z*w", [*XYZ, "w"]),
 ]
 
 
