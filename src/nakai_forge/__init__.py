@@ -11,6 +11,7 @@ from .derivations import (
     hamiltonian,
     lift_to_diff2,
     replay_ledger,
+    symmetric_tuple,
     symmetrize,
     theta2_extract,
 )

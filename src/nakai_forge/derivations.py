@@ -52,12 +52,18 @@ i < k (minors.signed_minor), and write f_l = df/dx_l.
    form b by the same closed_form_lift.  The verifier still checks
    d_i(f) = q_i f and P(f) = 0 exactly, so a wrong closed form could only
    refuse a certificate, never accept a false one.
+4. The homogeneous tuple.  For W = (1, ..., 1), with A_ij the cofactors of
+   the Hessian H, d_t(x_m) = A_1t x_m + A_1m x_t - x_1 A_tm is symmetric and
+   scales f by d A_1t: A is symmetric; A H = det(H) I; and H x = (d - 1)
+   grad f, so sum_m A_tm f_m = det(H) x_t / (d - 1) and the last two terms
+   cancel in d_t(f).  It is the tuple symmetrize makes from the candidate
+   (checked entry for entry in the tests), with d_1(x_1) = x_1 A_11.
 
 Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
 annihilate f, so the tuple symmetrize makes from it scales f by the same
-D A_1i.  build_candidate_tuple reads the candidate, the cofactors of
-identity 1 and these q_i from one Hessian, and lift_to_diff2 is given the
-q_i: it checks d_i(f) = q_i f by multiplication and never divides
+D A_1i, as does the tuple of identity 4.  symmetric_tuple reads the tuple
+and these q_i from one Hessian, and lift_to_diff2 is given the q_i: it
+checks d_i(f) = q_i f by multiplication and never divides
 (scale_mismatches, the verifier's check too).
 """
 
@@ -356,6 +362,35 @@ def symmetrize(
             )
     logger.debug("symmetrize: %d adjustments over %d pairs", len(ledger), n * (n - 1) // 2)
     return result, tuple(ledger)
+
+
+def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, ...]]:
+    """The symmetric tuple the witness lifts, and its scales q_i = D A_1i.
+
+    Homogeneous f takes identity 4 of the module docstring: the n(n+1)/2
+    cofactors of one Hessian, and each entry for m >= t as one
+    sum_of_products.  Weighted f symmetrizes the candidate of
+    build_candidate_tuple.  Either way d_1(x_1) = W_1 x_1 A_11.
+    """
+    weights, degree = _weights_and_degree(f)
+    if any(w != 1 for w in weights):
+        candidate, cofactors, scales = build_candidate_tuple(f)
+        return symmetrize(candidate, cofactors)[0], scales
+    if f.min_degree() < 2:
+        raise ValueError("symmetric tuple requires a polynomial singular at the origin")
+    n = f.n
+    hess = hessian(f)
+    pairs = list(combinations_with_replacement(range(1, n + 1), 2))
+    cofactor = {(t, m): algebraic_cofactor(hess, t, m) for t, m in pairs}
+    x = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+    minus_x1 = -x[0]
+    entry = {}
+    for t, m in pairs:
+        entry[t, m] = entry[m, t] = sum_of_products(
+            n, ((cofactor[1, t], x[m - 1]), (cofactor[1, m], x[t - 1]), (cofactor[t, m], minus_x1))
+        )
+    ders = tuple(Derivation1(tuple(entry[t, m] for m in range(1, n + 1))) for t in range(1, n + 1))
+    return DerivationTuple(ders, f), tuple(cofactor[1, t].scale(degree) for t in range(1, n + 1))
 
 
 def scale_mismatches(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> list[int]:

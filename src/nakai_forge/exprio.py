@@ -396,19 +396,20 @@ def format_poly(p: Polynomial, variables: Sequence[str]) -> str:
         return "0"
     pieces = []
     for exp, coeff in GREVLEX.sorted_terms(p):
-        factors = []
-        if abs(coeff) != 1 or not any(exp):
-            factors.append(format_fraction(abs(coeff)))
-        for name, e in zip(variables, exp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        if num != 1 or den != 1 or not any(exp):
+            factors = [_int_to_decimal(num) if den == 1 else f"{_int_to_decimal(num)}/{_int_to_decimal(den)}"]
+        else:
+            factors = []
+        factors += [name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exp) if e]
         mono = "*".join(factors)
         if not pieces:
-            pieces.append(mono if coeff > 0 else f"-{mono}")
+            pieces.append(f"-{mono}" if negative else mono)
         else:
-            pieces.append(f" + {mono}" if coeff > 0 else f" - {mono}")
+            pieces.append(f" - {mono}" if negative else f" + {mono}")
     return "".join(pieces)
 
 

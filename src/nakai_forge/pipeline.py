@@ -93,11 +93,13 @@ isolated and checked once by the verifier for each of them.
    reads the candidate, its defect cofactors -(D - W_l) A_[l,i,1,k] and
    its scales q_i = D A_1i from one Hessian of g and its one table of
    minors (derivations.build_candidate_tuple), and hands the q_i to the
-   lift, which checks them by multiplication.  Every defect
-   cofactor vector has a_1 = 0, so symmetrization never moves the entry
-   (1, 1), and the witness is d_1(y_1) = W_1 y_1 A_11 for the Hessian of g.
-   The certificate records none of these intermediate tuples (the
-   symmetrize CLI subcommand prints them).
+   lift, which checks them by multiplication.  Homogeneous g skips the
+   candidate and symmetrize: identity 4 of that module gives the same
+   tuple from the cofactors of the Hessian (derivations.symmetric_tuple).
+   Every defect cofactor vector has a_1 = 0, so symmetrization never moves
+   the entry (1, 1), and the witness is d_1(y_1) = W_1 y_1 A_11 for the
+   Hessian of g.  The certificate records none of these intermediate
+   tuples (the symmetrize CLI subcommand prints them, ledger and all).
 2. P descends to A.  The certificate records the divided-power
    coefficients c_alpha of P of order |alpha| = 2, each nonzero one once,
    and polynomials q_j.  The verifier extracts the tuple
@@ -219,11 +221,10 @@ from typing import Sequence
 from .derivations import (
     Derivation1,
     DiffOp2,
-    build_candidate_tuple,
     closed_form_lift,
     lift_to_diff2,
     scale_mismatches,
-    symmetrize,
+    symmetric_tuple,
     theta2_extract,
 )
 from .exprio import (
@@ -606,12 +607,9 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         return certificate(RESOURCE_EXHAUSTED, attempts=exc.attempts, resource_error=str(exc), isolation=isolation)
 
     yvars = _new_variables(f.n)
-    # point 1 of the module docstring: the candidate, its closed-form defect
-    # cofactors and symmetrize only construct P; none of them is recorded.
-    # E_W scales g by D and Hamiltonians annihilate it, so each symmetric
-    # d_i scales g by the candidate's q_i = D * A_1i
-    candidate, cofactors, scales = build_candidate_tuple(chosen.g)
-    symmetric, _ = symmetrize(candidate, cofactors)
+    # point 1 of the module docstring: the symmetric tuple and its scales
+    # q_i = D * A_1i only construct P; neither is recorded
+    symmetric, scales = symmetric_tuple(chosen.g)
     lifted = lift_to_diff2(symmetric, scales)
     operator = _operator_record(
         {alpha: format_poly(c, yvars) for alpha, c in lifted.coeffs.items() if sum(alpha) == 2},

@@ -15,6 +15,7 @@ from nakai_forge.derivations import (
     lift_to_diff2,
     principal_cofactor,
     replay_ledger,
+    symmetric_tuple,
     symmetrize,
     theta2_extract,
 )
@@ -42,6 +43,10 @@ def P(text, variables=V3):
 PAPER_F = "x^2*y + y^2*z + z^2*x"
 FERMAT = "x^3 + y^3 + z^3"
 V4 = ["x", "y", "z", "w"]
+HOMOGENEOUS = [
+    (FERMAT, V3), (PAPER_F, V3), ("x^4 + y^4 + z^4 + w^4", V4), ("x^3 + y^3 + z^3 + w^3 + x*y*z + y*z*w", V4),
+    ("x^3 + y^3 + z^3 + w^3 + v^3 + x*y*z + z*w*v", [*V4, "v"]),
+]
 WEIGHTED_N4 = "x^3 + y^4 + z^4 + w^6 + x*y*z*w"  # weights (4, 3, 3, 2), D = 12
 
 
@@ -484,10 +489,7 @@ class TestClosedFormCofactors:
         expected = (P("x") * algebraic_cofactor(hessian(f), 1, 1)).scale(w1)
         assert symmetric.entry(1, 1) == expected
 
-    @pytest.mark.parametrize("text, variables", [
-        (FERMAT, V3), (PAPER_F, V3), ("x^4 + y^4 + z^4 + w^4", V4), ("x^3 + y^3 + z^3 + w^3 + x*y*z + y*z*w", V4),
-        ("x^3 + y^3 + z^3 + w^3 + v^3 + x*y*z + z*w*v", [*V4, "v"]),
-    ])
+    @pytest.mark.parametrize("text, variables", HOMOGENEOUS)
     def test_homogeneous_symmetric_tuple_closed_form(self, text, variables):
         # for homogeneous f, with A_ij = algebraic_cofactor(H, i, j), the tuple
         # d_t(x_m) = A_1t x_m + A_1m x_t - x_1 A_tm is symmetric (A is), scales
@@ -503,6 +505,17 @@ class TestClosedFormCofactors:
         for t, m in itertools.product(range(1, n + 1), repeat=2):
             expected = cofactor[1, t] * x[m - 1] + cofactor[1, m] * x[t - 1] - x[0] * cofactor[t, m]
             assert symmetric.entry(t, m) == expected, (t, m)
+
+    @pytest.mark.parametrize("text, variables", HOMOGENEOUS)
+    def test_symmetric_tuple_matches_symmetrize_on_homogeneous_input(self, text, variables):
+        # identity 4 gives the tuple and the scales of the candidate route,
+        # and the lift accepts them with all three of its checks
+        f = P(text, variables)
+        candidate, cofactors, scales = build_candidate_tuple(f)
+        symmetric, closed_scales = symmetric_tuple(f)
+        assert symmetric.ders == symmetrize(candidate, cofactors)[0].ders
+        assert closed_scales == scales
+        assert lift_to_diff2(symmetric, closed_scales).apply(f).is_zero()
 
     @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
     def test_lift_brieskorn(self, text):

@@ -183,6 +183,16 @@ class TestFormat:
         p = parse_poly("-x^2 - y", ["x", "y"])
         assert format_poly(p, ["x", "y"]) == "-x^2 - y"
 
+    @pytest.mark.parametrize("text", [
+        "-1",  # a lone constant keeps its unit coefficient
+        "1",
+        "-1/2*x*y^3 + 3*x^2 - y + 7/5",  # a leading negative fraction
+        "y^5 - x^2*y + x*y^2 - x",  # unit coefficients beside exponents 1 and >= 2
+        "-x^2*y - 1",
+    ])
+    def test_edge_texts(self, text):
+        assert format_poly(parse_poly(text, ["x", "y"]), ["x", "y"]) == text
+
     def test_round_trip_random(self):
         rng = random.Random(37)
         from conftest import random_polynomial

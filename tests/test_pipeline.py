@@ -290,6 +290,24 @@ class TestBuildWitness:
             expanded = [(rows, cols) for _, rows, cols in calls["_expand"]]
             assert len(set(expanded)) == len(expanded)
 
+    def test_homogeneous_witness_skips_the_candidate_and_symmetrize(self, monkeypatch):
+        # homogeneous input takes the closed form of identity 4; weighted
+        # input builds the candidate and symmetrizes it, once each
+        import nakai_forge.derivations as derivations
+
+        calls = []
+        for name in ("build_candidate_tuple", "symmetrize"):
+            original = getattr(derivations, name)
+            monkeypatch.setattr(derivations, name,
+                                lambda *args, _name=name, _original=original: calls.append(_name) or _original(*args))
+        for text in (FERMAT, PAPER_F, "x^3 + y^3 + z^3 + x*y*z"):
+            assert build_witness(P(text), V3).verdict == WITNESS_FOUND
+        assert calls == []
+        for text, variables in (("x^2 + y^3 + z^4", V3), ("x^3 + y^4 + z^4 + w^6 + x*y*z*w", ["x", "y", "z", "w"])):
+            calls.clear()
+            assert build_witness(P(text, variables), variables).verdict == WITNESS_FOUND
+            assert calls == ["build_candidate_tuple", "symmetrize"]
+
     def test_next_prime(self, tmp_path):
         # the first prime divides a denominator of f, so a record takes the
         # second one; recording the first is refused
@@ -501,7 +519,7 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
         raise AssertionError("the verifier ran a step of the construction")
 
     for module in (pipeline, derivations, groebner):
-        for name in ("symmetrize", "replay_ledger", "build_candidate_tuple", "hessian",
+        for name in ("symmetric_tuple", "symmetrize", "replay_ledger", "build_candidate_tuple", "hessian",
                      "algebraic_cofactor", "buchberger"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     for name, cert in certs.items():

@@ -16,9 +16,13 @@ checkout's verifier accepts every one of them, exactly when their outputs
 are equal and every line reads ``verified``; a change that must keep every
 certificate is checked with one ``diff``::
 
-    python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3 > new.txt
-    (cd ../parent && python3 tools/cert_digests.py --seed 60606 --seed 505 --draw n5d3) > old.txt
+    DRAWS="--seed 60606 --seed 505 --draw n5d3 --draw n4d5 --draw n5d4 --draw n6d3"
+    python3 tools/cert_digests.py $DRAWS > new.txt
+    (cd ../parent && python3 tools/cert_digests.py $DRAWS) > old.txt
     diff old.txt new.txt
+
+The draws n4d5, n5d4 and n6d3 check a change to the construction beyond
+the workloads' inputs, which have n <= 4 and degree <= 4.
 
 Run it from the root of a source checkout: the program is imported from
 ``src/`` of that checkout, and ``perfbench/workloads.py`` is only read.
