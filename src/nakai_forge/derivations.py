@@ -48,10 +48,11 @@ i < k (minors.signed_minor), and write f_l = df/dx_l.
    b_k = -1/2 [(sum_i d q_i/dx_i) W_k x_k / D + q_k - sum_i d c_ik/dx_i],
    so the operator with second-order part c and first-order part b
    annihilates f.  b is a function of c and q alone, so a certificate
-   records only c and q, and the builder (lift_to_diff2) and the verifier
-   form b by the same closed_form_lift.  The verifier still checks
-   d_i(f) = q_i f and P(f) = 0 exactly, so a wrong closed form could only
-   refuse a certificate, never accept a false one.
+   records only c and q, and the witness builder forms no b: only the
+   verifier (and a library call of lift_to_diff2) forms it, by
+   closed_form_lift.  The verifier checks d_i(f) = q_i f and P(f) = 0
+   exactly, so a wrong closed form could only refuse a certificate, never
+   accept a false one.
 4. The homogeneous tuple.  For W = (1, ..., 1), with A_ij the cofactors of
    the Hessian H, d_t(x_m) = A_1t x_m + A_1m x_t - x_1 A_tm is symmetric and
    scales f by d A_1t: A is symmetric; A H = det(H) I; and H x = (d - 1)
@@ -62,9 +63,10 @@ i < k (minors.signed_minor), and write f_l = df/dx_l.
 Scales.  d_i = A_1i E_W scales f by q_i = D A_1i, and Hamiltonians
 annihilate f, so the tuple symmetrize makes from it scales f by the same
 D A_1i, as does the tuple of identity 4.  symmetric_tuple reads the tuple
-and these q_i from one Hessian, and lift_to_diff2 is given the q_i: it
-checks d_i(f) = q_i f by multiplication and never divides
-(scale_mismatches, the verifier's check too).
+and these q_i from one Hessian.  Since both hold as theorems, the witness
+builder records them unchecked; the verifier checks d_i(f) = q_i f by
+multiplication and never divides (scale_mismatches), and so does
+lift_to_diff2, which is given the q_i.
 """
 
 from __future__ import annotations
@@ -409,6 +411,14 @@ def scale_mismatches(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) ->
     ]
 
 
+def second_order_part(tuple_in: DerivationTuple) -> dict[Exponent, Polynomial]:
+    """c_(e_i + e_j) = d_i(x_j) for i <= j: the second-order coefficients of
+    an operator whose extracted tuple (theta2_extract) is the symmetric
+    tuple given."""
+    n = tuple_in.n
+    return {_pair_index(n, i, j): tuple_in.entry(i, j) for i, j in combinations_with_replacement(range(1, n + 1), 2)}
+
+
 def closed_form_lift(
     tuple_in: DerivationTuple, scales: Sequence[Polynomial], weights: Sequence[int], degree: int
 ) -> DiffOp2:
@@ -421,10 +431,7 @@ def closed_form_lift(
     weights W and the weighted degree D given.
     """
     n = tuple_in.n
-    coeffs = {
-        _pair_index(n, i, j): tuple_in.entry(i, j)
-        for i, j in combinations_with_replacement(range(1, n + 1), 2)
-    }
+    coeffs = second_order_part(tuple_in)
     divergence = [q.partial(i) for i, q in enumerate(scales, 1)]
     half, minus_half = Polynomial.constant(n, Fraction(1, 2)), Polynomial.constant(n, Fraction(-1, 2))
     for k in range(1, n + 1):
@@ -439,11 +446,13 @@ def closed_form_lift(
 def lift_to_diff2(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> DiffOp2:
     """A second-order operator D with theta2_extract(D) equal to the tuple
     and D(f) = 0 on the nose: closed_form_lift with the given scales q_i
-    and the weights of f.
+    and the weights of f, checked.
 
     f must be quasi-homogeneous and d_i(f) = q_i f must hold for every i
     (checked by multiplication), else ValueError; an operator that then
-    fails to annihilate f is an engine bug, not an input error.
+    fails to annihilate f is an engine bug, not an input error.  The
+    witness builder does not call it: it records the tuple and the q_i,
+    and the verifier forms D and checks both identities.
     """
     if not tuple_in.is_symmetric():
         raise ValueError("lifting requires a symmetric tuple")

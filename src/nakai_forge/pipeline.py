@@ -1,9 +1,10 @@
 """End-to-end witness construction and certificate verification.
 
 Given a quasi-homogeneous polynomial f with an isolated singularity at the
-origin, the pipeline finds a linear slice y_1, builds the Hessian-cofactor
-candidate tuple in the new coordinates, symmetrizes it and lifts it to an
-explicit second-order operator P.  It certifies that P is an operator on
+origin, the pipeline finds a linear slice y_1 and builds, from Hessian
+cofactors in the new coordinates, a symmetric tuple of derivations: the
+second-order part of an operator P whose first-order part follows from it
+in closed form.  It certifies that P is an operator on
 A = Q[y]/(g) whose extracted diagonal value d_1(y_1) lies outside
 S = (y_1, g_2, ..., g_n)^2 + (g), the ideal that every sum of compositions
 of derivations of A lands in.  Every claim is recorded in a self-contained
@@ -24,12 +25,14 @@ the certificate records what they read and nothing else.  Point 1 says
 why the builder always finds P; no certified step uses it.
 
 The gate.  Every certificate begins with input_gate, the one place that
-decides the five input reasons: f is nonzero, has unique weights, has no
-term of degree below 2 (so it is singular at the origin) and has
-3 <= n <= MAX_DETERMINANT_DIM variables.  The builder rejects with the
-first gate f fails.  A claim (a verdict, a rejection's reason and the
-number of slices tried) fixes every field of a certificate but its proof
-values: the input facts (homogeneous, weights, degree, variable_count),
+decides the five input reasons, in this order: f is nonzero, has at most
+MAX_DETERMINANT_DIM variables, has unique weights, has no term of degree
+below 2 (so it is singular at the origin) and has at least 3 variables.
+The cap comes before the weights, whose elimination grows as n^3, so a
+certificate of many variables is checked quickly.  The builder rejects
+with the first gate f fails.  A claim (a verdict, a rejection's reason and
+the number of slices tried) fixes every field of a certificate but its
+proof values: the input facts (homogeneous, weights, degree, variable_count),
 the isolated flag and Milnor number, a rejection's message, a resource
 error, the slice, and which sections and records it holds.  One writer
 (_document) lays out the certificate of every claim, and the builder and
@@ -89,30 +92,33 @@ isolated and checked once by the verifier for each of them.
    (minors.verify_cofactor_identity).  So d_i = A_1i E_W has its defects
    in the Jacobian ideal, and d_i(f) = D A_1i f preserves (f);
    derivations.symmetrize (the closed form of identity 2 of that module)
-   and derivations.lift_to_diff2 turn this tuple into P.  The builder
-   reads the candidate, its defect cofactors -(D - W_l) A_[l,i,1,k] and
-   its scales q_i = D A_1i from one Hessian of g and its one table of
-   minors (derivations.build_candidate_tuple), and hands the q_i to the
-   lift, which checks them by multiplication.  Homogeneous g skips the
-   candidate and symmetrize: identity 4 of that module gives the same
-   tuple from the cofactors of the Hessian (derivations.symmetric_tuple).
-   Every defect cofactor vector has a_1 = 0, so symmetrization never moves
-   the entry (1, 1), and the witness is d_1(y_1) = W_1 y_1 A_11 for the
-   Hessian of g.  The certificate records none of these intermediate
-   tuples (the symmetrize CLI subcommand prints them, ledger and all).
+   makes this tuple symmetric, and the symmetric tuple is the second-order
+   part of P.  The builder reads the candidate, its defect cofactors
+   -(D - W_l) A_[l,i,1,k] and its scales q_i = D A_1i from one Hessian of
+   g and its one table of minors (derivations.build_candidate_tuple).
+   Homogeneous g skips the candidate and symmetrize: identity 4 of that
+   module gives the same tuple from the cofactors of the Hessian
+   (derivations.symmetric_tuple).  Either tuple scales g by the q_i
+   ("Scales." in that module), so identity 3 makes P(g) = 0; the builder
+   writes the tuple and the q_i as they come and forms no operator, and
+   point 2 checks both identities.  An engine bug here gives a
+   certificate that does not verify.  Every defect cofactor vector has
+   a_1 = 0, so symmetrization never moves the entry (1, 1), and the
+   witness is d_1(y_1) = W_1 y_1 A_11 for the Hessian of g.  The
+   certificate records neither the candidate nor the moves (the
+   symmetrize CLI subcommand prints them, ledger and all).
 2. P descends to A.  The certificate records the divided-power
    coefficients c_alpha of P of order |alpha| = 2, each nonzero one once,
    and polynomials q_j.  The verifier extracts the tuple
    d_j(y_i) = c_(e_i + e_j) (derivations.theta2_extract), forms the
    first-order coefficients b_k of P from it and the q_j by the closed
-   form of identity 3 of that module (derivations.closed_form_lift, the
-   builder's own), and checks P(g) = 0 and d_j(g) = q_j g for every j
-   (derivations.scale_mismatches, which the builder's lift shares, tests
-   each as one sum of products that must be zero).  Both checks are
-   exact, so a wrong closed form could only make a sound certificate
-   fail.  It reads these polynomials, the input and the isolation rows
-   only in the canonical text the builder writes (exprio.read_poly).  The
-   Leibniz rule gives
+   form of identity 3 of that module (derivations.closed_form_lift; the
+   builder forms no b_k), and checks P(g) = 0 and d_j(g) = q_j g for every
+   j (derivations.scale_mismatches tests each as one sum of products that
+   must be zero).  Both checks are exact, so a wrong closed form could
+   only make a sound certificate fail.  It reads these polynomials, the
+   input and the isolation rows only in the canonical text the builder
+   writes (exprio.read_poly).  The Leibniz rule gives
    P(g h) = h P(g) + g (P(h) - c_0 h) + sum_j d_j(g) dh/dy_j, so P maps (g)
    into (g) and each d_j is a derivation of A.
    Der(A) for A = Q[x]/(f), f isolated quasi-homogeneous with n >= 3, is
@@ -222,8 +228,8 @@ from .derivations import (
     Derivation1,
     DiffOp2,
     closed_form_lift,
-    lift_to_diff2,
     scale_mismatches,
+    second_order_part,
     symmetric_tuple,
     theta2_extract,
 )
@@ -477,13 +483,14 @@ def _operator_record(second_order: dict[Exponent, str], scales: list[str]) -> di
     return {"coefficients": [{"index": list(alpha), "value": text} for alpha, text in entries], "scales_f_by": scales}
 
 
-# what failing each gate of input_gate means, in the order it tests them
+# what failing each gate of input_gate means, in the order it tests them:
+# the dimension cap before the weights
 _GATE_CLAIMS = {
     "zero_polynomial": "the input is zero",
+    "dimension_cap": f"the input has more than {MAX_DETERMINANT_DIM} variables",
     "not_homogeneous": "the input has no unique positive weight vector",
     "degree_too_small": "the input has a term of degree below 2",
     "too_few_variables": "the input has fewer than 3 variables",
-    "dimension_cap": f"the input has more than {MAX_DETERMINANT_DIM} variables",
 }
 # the positive-dimension record (point 4) of each rejection that claims one
 _POSITIVE_DIMENSION_KEYS = {"not_isolated": "input_jacobian", "no_isolating_slice": "slice_jacobian"}
@@ -494,16 +501,21 @@ def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
 
     ``facts`` is what a certificate records about f before isolation is
     decided: ``homogeneous`` for nonzero f, and ``weights``, ``degree`` and
-    ``variable_count`` once f has unique positive weights.  ``failed`` is
-    the first gate f fails, as (reason, message), or None: f must be nonzero
-    (zero_polynomial), have unique positive weights (not_homogeneous), be
-    singular at the origin (degree_too_small) and have 3 <= n <=
-    MAX_DETERMINANT_DIM variables (too_few_variables, dimension_cap).  The
-    builder records both; the verifier recomputes both for every verdict.
+    ``variable_count`` once f passes the cap and has unique positive
+    weights.  ``failed`` is the first gate f fails, as (reason, message), or
+    None: f must be nonzero (zero_polynomial), have at most
+    MAX_DETERMINANT_DIM variables (dimension_cap), have unique positive
+    weights (not_homogeneous), be singular at the origin (degree_too_small)
+    and have at least 3 variables (too_few_variables).  The builder records
+    both; the verifier recomputes both for every verdict.
     """
     if f.is_zero():
         return {}, ("zero_polynomial", "the zero polynomial does not define a hypersurface")
     facts = {"homogeneous": f.is_homogeneous()}
+    if f.n > MAX_DETERMINANT_DIM:
+        # before the weights, whose elimination grows as n^3
+        return facts, ("dimension_cap",
+                       f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}")
     found = quasi_homogeneous_weights(f)
     if found is None:
         return facts, (
@@ -515,8 +527,6 @@ def input_gate(f: Polynomial) -> tuple[dict, tuple[str, str] | None]:
          f"a degree-{f.min_degree()} term makes the input smooth at the origin"),
         (f.n < 3, "too_few_variables",
          f"{f.n}-variable input is outside this construction; two variables are settled classically"),
-        (f.n > MAX_DETERMINANT_DIM, "dimension_cap",
-         f"{f.n} variables exceed the configured determinant dimension cap of {MAX_DETERMINANT_DIM}"),
     )
     return facts, next(((reason, message) for fails, reason, message in gates if fails), None)
 
@@ -607,12 +617,12 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         return certificate(RESOURCE_EXHAUSTED, attempts=exc.attempts, resource_error=str(exc), isolation=isolation)
 
     yvars = _new_variables(f.n)
-    # point 1 of the module docstring: the symmetric tuple and its scales
-    # q_i = D * A_1i only construct P; neither is recorded
+    # point 1 of the module docstring: the symmetric tuple is the
+    # second-order part of P, recorded with its scales q_i = D * A_1i; only
+    # the verifier forms P's first-order part and checks point 2
     symmetric, scales = symmetric_tuple(chosen.g)
-    lifted = lift_to_diff2(symmetric, scales)
     operator = _operator_record(
-        {alpha: format_poly(c, yvars) for alpha, c in lifted.coeffs.items() if sum(alpha) == 2},
+        {alpha: format_poly(c, yvars) for alpha, c in second_order_part(symmetric).items()},
         [format_poly(q, yvars) for q in scales],
     )
     # point 3: h = g(0, y_2, ..., y_n) is isolated, which puts the witness

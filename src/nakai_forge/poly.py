@@ -558,13 +558,16 @@ def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | No
     The weights come from the unique rational solution w of <e, w> = 1 over
     the exponents of p, found by exact elimination and scaled to coprime
     positive integers W = D * w.  So the weighted Euler derivation
-    E_W = sum W_i x_i d/dx_i satisfies E_W(p) = D * p.  Homogeneous p of
-    degree d takes a fast path to W = (1, ..., 1), D = d.
+    E_W = sum W_i x_i d/dx_i satisfies E_W(p) = D * p.
 
-    Returns None when the system has no solution, more than one (some
-    variable is missing, or the exponents are too few to fix the weights),
-    or a solution with an entry that is not positive.  Raises ValueError on
-    the zero polynomial.
+    Homogeneous p of degree d takes a fast path to W = (1, ..., 1), D = d,
+    which does not ask whether the solution is unique: x^3 + y^3 + z^3 read
+    in x, y, z, w gets (1, 1, 1, 1), and its missing variable is left to
+    the isolation decision (its partial in w is zero).  Any other p gives
+    None when the system has no solution, more than one (some variable is
+    missing, or the exponents are too few to fix the weights), or a
+    solution with an entry that is not positive.  Raises ValueError on the
+    zero polynomial.
     """
     degree = p.homogeneous_degree()
     if degree is not None:

@@ -11,6 +11,7 @@ import pytest
 import nakai_forge.groebner as groebner
 import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
+from nakai_forge.derivations import lift_to_diff2
 from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
 from nakai_forge.groebner import (
     Ideal,
@@ -292,14 +293,22 @@ class TestBuildWitness:
 
     def test_homogeneous_witness_skips_the_candidate_and_symmetrize(self, monkeypatch):
         # homogeneous input takes the closed form of identity 4; weighted
-        # input builds the candidate and symmetrizes it, once each
+        # input builds the candidate and symmetrizes it, once each.  Neither
+        # forms an operator or checks the scales: the builder records the
+        # tuple it built, and only the verifier lifts it
         import nakai_forge.derivations as derivations
 
         calls = []
-        for name in ("build_candidate_tuple", "symmetrize"):
+        for name in ("build_candidate_tuple", "symmetrize", "lift_to_diff2", "closed_form_lift", "scale_mismatches"):
             original = getattr(derivations, name)
-            monkeypatch.setattr(derivations, name,
-                                lambda *args, _name=name, _original=original: calls.append(_name) or _original(*args))
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in (derivations, pipeline):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
         for text in (FERMAT, PAPER_F, "x^3 + y^3 + z^3 + x*y*z"):
             assert build_witness(P(text), V3).verdict == WITNESS_FOUND
         assert calls == []
@@ -537,9 +546,10 @@ def test_verifier_is_independent_of_the_construction(monkeypatch):
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])
 def test_verifier_forms_the_builders_operator(name, text, variables, monkeypatch):
-    # a certificate records only the second-order part of P; the operator
-    # the verifier forms from it (derivations.closed_form_lift) is the one
-    # lift_to_diff2 built, first-order part and all
+    # a certificate records only the second-order part of P, the builder's
+    # symmetric tuple, and its scales; the operator the verifier forms from
+    # them (derivations.closed_form_lift) is the one lift_to_diff2 makes of
+    # that tuple and those scales, first-order part and all
     def recording(function, calls):
         def record(*args):
             calls.append(function(*args))
@@ -547,7 +557,7 @@ def test_verifier_forms_the_builders_operator(name, text, variables, monkeypatch
         return record
 
     built, formed = [], []
-    monkeypatch.setattr(pipeline, "lift_to_diff2", recording(pipeline.lift_to_diff2, built))
+    monkeypatch.setattr(pipeline, "symmetric_tuple", recording(pipeline.symmetric_tuple, built))
     monkeypatch.setattr(pipeline, "closed_form_lift", recording(pipeline.closed_form_lift, formed))
     cert = build_witness(parse_poly(text, variables), variables)
     assert formed == []
@@ -555,8 +565,9 @@ def test_verifier_forms_the_builders_operator(name, text, variables, monkeypatch
     assert all(sum(entry["index"]) == 2 for entry in doc["lifted_operator"]["coefficients"])
     assert certificate_failures(WitnessCertificate(doc)) == []
     assert len(built) == len(formed) == 1
-    assert any(sum(alpha) == 1 for alpha in built[0].coeffs)
-    assert formed[0] == built[0]
+    lifted = lift_to_diff2(*built[0])
+    assert any(sum(alpha) == 1 for alpha in lifted.coeffs)
+    assert formed[0] == lifted
 
 
 @pytest.mark.parametrize("name, text, variables", [(n, t, v) for n, t, v, _ in BUILTIN_CORPUS])

@@ -320,6 +320,29 @@ def test_input_of_huge_degree_is_refused_fast(fermat_certificate):
     assert time.perf_counter() - start < 1
 
 
+def test_input_of_many_variables_is_refused_fast():
+    # the gate decides the dimension cap before the weights, whose
+    # elimination grows as n^3: on this 200-variable form, with no unique
+    # weights, it took seconds.  The builder's dimension_cap certificate
+    # verifies, and a not_homogeneous rejection of it is refused, each fast
+    names = [f"x{i}" for i in range(1, 201)]
+    text = " + ".join([f"x{i}^2*x{i % 200 + 1}" for i in range(1, 201)] + ["x1^4"])
+    start = time.perf_counter()
+    doc = read_certificate(write_certificate(build_witness(parse_poly(text, names), names).document))
+    assert doc["input"]["rejection"]["reason"] == "dimension_cap"
+    assert certificate_failures(WitnessCertificate(doc)) == []
+    assert time.perf_counter() - start < 1
+    doc["input"]["rejection"] = {
+        "reason": "not_homogeneous", "message": "input polynomial is not quasi-homogeneous: no unique positive weight vector"
+    }
+    start = time.perf_counter()
+    assert certificate_failures(WitnessCertificate(doc)) == [
+        "the input fails the gate 'dimension_cap' first: 200 variables exceed the configured determinant dimension "
+        "cap of 6"
+    ]
+    assert time.perf_counter() - start < 1
+
+
 def test_witness_of_huge_exponent():
     # x^1000000000 + y^1000000000 + z^1000000000: every power the build and
     # the verifier form is a monomial's, formed by squaring

@@ -5,11 +5,12 @@ at each ``--seed``, the first seeded draw of each ``--draw`` shape, and a
 list of named edge inputs (the CLI's built-in corpus, both rejections that
 need an isolation decision, an exhausted slice search, an unlucky prime, a
 functional too tall for one prime, rational coefficients, an exponent of
-ten digits and a weighted form of four variables).  Each input gives one
-``name sha256 outcome`` line, where the digest is that of
-``write_certificate(build_witness(f, variables).document)`` and the outcome
-is ``verified`` when ``certificate_failures`` finds nothing in those bytes
-read back, or ``failed:`` and the first failure.
+ten digits, a weighted form of four variables, and three inputs the gate
+rejects: two variables, and seven variables with and without unique
+weights).  Each input gives one ``name sha256 outcome`` line, where the
+digest is that of ``write_certificate(build_witness(f, variables).document)``
+and the outcome is ``verified`` when ``certificate_failures`` finds nothing
+in those bytes read back, or ``failed:`` and the first failure.
 
 Two checkouts build byte-identical certificates for these inputs, and each
 checkout's verifier accepts every one of them, exactly when their outputs
@@ -47,6 +48,7 @@ from nakai_forge.exprio import format_poly, parse_poly, read_certificate, write_
 from nakai_forge.pipeline import build_witness, certificate_failures  # noqa: E402
 
 XYZ = ["x", "y", "z"]
+X7 = [f"x{i}" for i in range(1, 8)]
 EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_CORPUS] + [
     ("not-isolated", "x^2*y + z^3", XYZ),
     ("no-isolating-slice", "x^3 + x*y^3 + z^2", XYZ),
@@ -56,6 +58,9 @@ EDGE_INPUTS = [(name, text, variables) for name, text, variables, _ in BUILTIN_C
     ("rational-coefficients", "1/2*x^3 + 2/3*y^3 + z^3", XYZ),
     ("huge-exponent", "x^1000000000 + y^1000000000 + z^1000000000", XYZ),
     ("weighted-n4", "x^3 + y^4 + z^4 + w^6 + x*y*z*w", [*XYZ, "w"]),
+    ("too-few-variables", "x^3 + y^3", XYZ[:2]),
+    ("dimension-cap", " + ".join(f"{x}^3" for x in X7), X7),
+    ("dimension-cap-no-weights", " + ".join([*(f"{x}^3" for x in X7), "x1^4"]), X7),
 ]
 
 
