@@ -22,6 +22,7 @@ from .exprio import (
     CertificateError,
     ParseError,
     format_poly,
+    parse_fraction,
     parse_poly,
     read_certificate,
     write_certificate,
@@ -169,8 +170,11 @@ def cmd_witness(args) -> int:
         _emit(f"verdict: {cert.verdict}")
         if cert.verdict == WITNESS_FOUND:
             change = cert.document["change_of_coordinates"]
-            _emit(f"slice:   y1 = {_slice_text(change, variables)} (attempt {change['attempts']})")
-            diagonal = [2] + [0] * (len(variables) - 1)
+            n = len(variables)
+            slice_form = Polynomial(n, {tuple(int(i == j) for j in range(n)): parse_fraction(a)
+                                        for i, a in enumerate(change["slice_coefficients"])})
+            _emit(f"slice:   y1 = {format_poly(slice_form, variables)} (attempt {change['attempts']})")
+            diagonal = [2] + [0] * (n - 1)
             witness = next(e["value"] for e in cert.document["lifted_operator"]["coefficients"]
                            if e["index"] == diagonal)
             _emit(f"witness: d1(y1) = {witness}")
@@ -186,15 +190,6 @@ def cmd_witness(args) -> int:
     if cert.verdict == RESOURCE_EXHAUSTED:
         return EXIT_RESOURCES
     return EXIT_REJECTED
-
-
-def _slice_text(change: dict, variables) -> str:
-    parts = []
-    for coeff, name in zip(change["slice_coefficients"], variables):
-        if coeff == "0":
-            continue
-        parts.append(name if coeff == "1" else f"{coeff}*{name}")
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_verify(args) -> int:

@@ -1,22 +1,24 @@
 """Exact Groebner-basis engine over the rationals or modulo a prime.
 
 Buchberger's algorithm with the normal selection strategy, the coprime
-and chain criteria, and content removal after every reduction.  Every
+and chain criteria, and every element made monic when it is formed.  Every
 basis element can be lifted to its expression in terms of the source
 generators, so ideal memberships come with replayable witnesses
 (p = sum q_i * g_i, checkable by re-multiplication).
 
-One engine serves both fields.  With a prime ``modulus`` (``buchberger``,
-``_divide_tracked`` and ``_reduce_basis`` take it), the generators are
-reduced modulo the prime, every element is made monic with the inverse of
-its leading coefficient, and the engine works on plain integers end to
+One engine serves both fields, with one division loop.  Every element is
+made monic with the inverse of its leading coefficient: over Q the
+coefficients are Fractions, and with a prime ``modulus`` (``buchberger``,
+``_divide_tracked`` and ``_reduce_basis`` take it) the generators are
+reduced modulo the prime and the engine works on plain integers end to
 end, reduced to [1, p) wherever they are stored.  The S-polynomial of two
-monic elements is x^a tail_i - x^b tail_j, formed from their divisors; a
-division takes the working term itself as the quotient term (every divisor
-is monic), so no inverse is taken per step.  The scale step and the
-content gcds of the division over Q never fire.  The ``GroebnerBasis``
-records its modulus, and its division, normal forms, lifts and rows all
-work over its own field.
+monic elements is x^a tail_i - x^b tail_j, formed from their divisors.  A
+divisor is split once into its leading term and its tail over the leading
+coefficient, so a division takes the working term itself as the quotient
+term and no inverse is taken per step; modulo the prime the one extra step
+reduces each working term when it is taken.  The ``GroebnerBasis`` records
+its modulus, and its division, normal forms, lifts and rows all work over
+its own field.
 
 Inside the engine a monomial is one int (packed exponent vectors: Monagan
 and Pearce 2007).  A ``_Packing`` of n fields of B bits (it lives in
@@ -81,8 +83,8 @@ in that order, and each raw or final node keeps its recipe: the nonzero
 (multiplier, parent node) pairs of its combination.  A raw element is a
 nonzero generator or r = m_i g_i + m_j g_j - sum_k q_k g_k, the remainder
 of an S-polynomial, and a final element is one kept raw element minus its tail quotients
-over the others; the content (or leading coefficient) that the element
-is divided by is divided out of each multiplier.  Rows (cofactors over
+over the others; the leading coefficient that the element is divided by
+is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
 is sum_k c_k * row_k over its recipe (_combine_rows), each entry one
@@ -91,20 +93,10 @@ of products (poly._accumulate) reduced once per coefficient.  A read
 forms the rows of the node and of its ancestors only, in increasing node
 order, and keeps them.
 
-Division over Q is fraction-free.  The working polynomial is kept as
-integer numerators W over one common denominator D, and each divisor g as
-integer terms G over its own denominator, split once per basis element and
-reused by every division.  To cancel a term w of W with the integer
-leading coefficient L of G, with h = gcd(w, L) signed like L, the step
-scales W and D by L/h > 0 (only when that is not 1) and subtracts
-(w/h) * x^s * G.  Quotient and remainder terms become Fractions only when
-they are emitted.  After every step W/D is the working polynomial of the
-plain Fraction loop, so both take the same terms in the same order (the
-largest first, divisors in list order) and emit equal rationals:
-quotients and remainders agree term for term.  The largest working term
-comes from the heap of packed keys.  Cancelled terms leave the working
-dict at once, so the term cap counts live terms, and a heap entry whose
-monomial is no longer live is skipped.
+A division takes the largest working term first, from the heap of
+packed keys, and tries the divisors in list order.  Cancelled terms leave
+the working dict at once, so the term cap counts live terms, and a heap
+entry whose monomial is no longer live is skipped.
 
 Resource limits are hard errors, never silent wrong answers.
 """
@@ -116,7 +108,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -162,12 +153,6 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
     return Ideal(tuple(f.partial(i) for i in range(1, f.n + 1)))
 
 
-def _content(coefficients: Sequence[Fraction]) -> Fraction:
-    """Positive rational c with every coefficient / c an integer, and those
-    integers coprime; the coefficients must not all be zero."""
-    return Fraction(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
-
-
 def _divides(a: Exponent, b: Exponent) -> bool:
     return all(map(le, a, b))
 
@@ -180,9 +165,9 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-# A divisor split once into integer terms: (lm, denominator, lc, tail) with
-# g = (lc x^lm + sum of the tail terms c x^e) / denominator.
-Divisor = tuple[Exponent, int, int, list[tuple[Exponent, int]]]
+# A divisor split once: (lm, lc, tail) with g = lc (x^lm + sum of the tail
+# terms c x^e), so the tail is that of g made monic.
+Divisor = tuple[Exponent, Fraction | int, list[tuple[Exponent, Fraction | int]]]
 
 # A polynomial modulo a prime as the engine holds it: its terms, with
 # integer coefficients (residues in [1, p) once reduced).
@@ -200,12 +185,12 @@ def _polynomial(n: int, residues: Residues) -> Polynomial:
 
 
 def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
-    """g as the engine's divisors take it: leading monomial, common
-    denominator, integer leading coefficient and integer tail."""
-    denominator, terms = g.integer_terms()
-    key = order.descending_key
-    lm, lc = min(terms, key=lambda t: key(t[0]))
-    return lm, denominator, lc, [(e, c) for e, c in terms if e != lm]
+    """g as the engine's divisors take it: leading monomial, leading
+    coefficient and the tail over it, each integral coefficient an int (so
+    a monic g modulo a prime divides on ints alone)."""
+    lm, lc = order.leading_term(g)
+    tail = ((e, c / lc) for e, c in g.terms.items() if e != lm)
+    return lm, lc, [(e, c.numerator if c.denominator == 1 else c) for e, c in tail]
 
 
 def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:
@@ -222,14 +207,14 @@ class _Narrow(Exception):
 
 class _Divisors:
     """Divisors in list order, split as ``Divisor`` with packed monomials:
-    (K(lm), denominator, lc, packed tail).  Their width only grows."""
+    (K(lm), lc, packed tail).  Their width only grows."""
 
     def __init__(self, splits: Iterable[Divisor], order: MonomialOrder, n: int, bound: int = 0):
         splits = list(splits)
-        exponents = (e for lm, _, _, tail in splits for e in (lm, *(t for t, _ in tail)))
+        exponents = (e for lm, _, tail in splits for e in (lm, *(t for t, _ in tail)))
         self.packing = _Packing(order, n, max(bound, _extent(order, exponents)))
         pack = self.packing.pack
-        self.items = [(pack(lm), d, lc, [(pack(e), c) for e, c in tail]) for lm, d, lc, tail in splits]
+        self.items = [(pack(lm), lc, [(pack(e), c) for e, c in tail]) for lm, lc, tail in splits]
 
     def fit(self, bound: int) -> None:
         """Repack the divisors, if need be, so that their fields hold
@@ -237,18 +222,17 @@ class _Divisors:
         old = self.packing
         if bound > old.limit:
             new = self.packing = _Packing(old.order, old.n, bound)
-            self.items = [(new.pack(old.unpack(lm)), d, lc, [(new.pack(old.unpack(e)), c) for e, c in tail])
-                          for lm, d, lc, tail in self.items]
+            self.items = [(new.pack(old.unpack(lm)), lc, [(new.pack(old.unpack(e)), c) for e, c in tail])
+                          for lm, lc, tail in self.items]
 
-    def divide(self, work: dict[int, int], denominator: int, modulus: int | None,
-               keep: Sequence[int] | None = None) -> tuple[list[dict], dict]:
-        """_divide_tracked of the packed integer terms ``work`` over
-        ``denominator`` by the divisors (those at the indices ``keep``),
-        repacked one bit wider and redone while a field overflows."""
+    def divide(self, work: dict, modulus: int | None, keep: Sequence[int] | None = None) -> tuple[list[dict], dict]:
+        """_divide_tracked of the packed terms ``work`` by the divisors (those
+        at the indices ``keep``), repacked one bit wider and redone while a
+        field overflows."""
         while True:
             divisors = self.items if keep is None else [self.items[k] for k in keep]
             try:
-                return _divide_tracked(work, denominator, divisors, self.packing, modulus)
+                return _divide_tracked(work, divisors, self.packing, modulus)
             except _Narrow:
                 old = self.packing
                 self.fit(old.field)
@@ -260,31 +244,33 @@ def _divide(p: Polynomial | Residues, divisors: _Divisors,
     """p = sum quotients[k] * divisors[k] + remainder, on tuples: p, the
     quotients and the remainder are Polynomials over Q, or Residues modulo
     the prime ``modulus`` (p's need not be reduced yet, and every divisor is
-    monic).  The divisors are first widened to hold p (_extent)."""
-    denominator, terms = p.integer_terms() if modulus is None else (1, list(p.items()))
-    divisors.fit(_extent(divisors.packing.order, (e for e, _ in terms)))
+    monic).  The divisors are first widened to hold p (_extent).  The
+    division runs on the monic divisors; the quotient by a divisor over Q
+    with leading coefficient lc != 1 is then divided by lc."""
+    terms = p.terms if modulus is None else p
+    divisors.fit(_extent(divisors.packing.order, terms))
     pack = divisors.packing.pack
-    quotients, remainder = divisors.divide({pack(e): c for e, c in terms}, denominator, modulus)
+    quotients, remainder = divisors.divide({pack(e): c for e, c in terms.items()}, modulus)
     unpack = divisors.packing.unpack_terms  # the width the division ended with
-    return [unpack(q, modulus) for q in quotients], unpack(remainder, modulus)
+    quotients = [unpack(q, modulus) for q in quotients]
+    quotients = [q if lc == 1 else q.scale(1 / lc) for q, (_, lc, _) in zip(quotients, divisors.items)]
+    return quotients, unpack(remainder, modulus)
 
 
 def _divide_tracked(
-    work: dict[int, int],
-    denominator: int,
+    work: dict,
     divisors: Sequence[tuple],
     packing: _Packing,
     modulus: int | None = None,
 ) -> tuple[list[dict], dict]:
-    """Full multivariate division on packed keys (_Packing): the integer
-    terms ``work`` over ``denominator`` equal
-    sum quotients[k] * divisors[k] + remainder.
+    """Full multivariate division on packed keys (_Packing) by monic
+    divisors: the terms ``work`` equal
+    sum quotients[k] * (x^lm_k + tail_k) + remainder.
 
-    Over Q the quotient and remainder coefficients are Fractions.  Modulo
-    the prime ``modulus`` they are integers in [1, p) and every divisor is
-    monic: working terms are reduced when taken (so a term that cancels
-    only modulo the prime stays in the working dict until then), and a
-    quotient term is the working term itself.
+    A quotient term is the working term itself.  Over Q the coefficients
+    are Fractions.  Modulo the prime ``modulus`` they are integers in
+    [1, p): working terms are reduced when taken (so a term that cancels
+    only modulo the prime stays in the working dict until then).
 
     No remainder term is divisible by any divisor's leading monomial.
     Divisors (_Divisors items) are tried in list order, which keeps the
@@ -302,7 +288,7 @@ def _divide_tracked(
     while heap:
         exp = heappop(heap)
         w = work.pop(exp, 0)
-        if modulus is not None:
+        if modulus:
             w %= modulus
         if not w:
             continue  # cancelled, or a second heap entry of a monomial already taken
@@ -313,24 +299,15 @@ def _divide_tracked(
             if fields - lm & guard == guard:  # lm divides exp: no field borrows its guard bit
                 break
         else:
-            remainder[exp] = w if modulus is not None else Fraction(w, denominator)
+            remainder[exp] = w
             continue
-        plm, dg, lc, tail = divisors[k]
+        plm, _, tail = divisors[k]
         shift = exp - plm
-        if modulus is None:
-            quotients[k][shift] = Fraction(w * dg, denominator * lc)
-            h = gcd(w, lc) if lc > 0 else -gcd(w, lc)
-            scale = lc // h
-            if scale != 1:
-                denominator *= scale
-                work = {e: c * scale for e, c in work.items()}
-            factor = w // h
-        else:
-            factor = quotients[k][shift] = w
+        quotients[k][shift] = w
         get = work.get
         for dexp, dc in tail:
             e = dexp + shift
-            v = factor * dc
+            v = w * dc
             c = get(e)
             if c is None:
                 work[e] = -v
@@ -544,23 +521,19 @@ def buchberger(
     def append(p: dict, plus, minus=()) -> None:
         # p (packed, nonzero) = sum q * node over the (q, node) pairs of plus,
         # minus those of minus; p and its multipliers are divided by the
-        # content of p, signed like its leading coefficient, or modulo a
-        # prime by that coefficient
+        # leading coefficient of p, and p is kept as a monic divisor
         lead = min(p)
         if modulus is None:
-            c = _content(list(p.values()))
-            inv = 1 / c if p[lead] > 0 else -1 / c
-            p = {k: (v * inv).numerator for k, v in p.items()}
+            inv = 1 / p[lead]
+            p = {k: v * inv for k, v in p.items()}
         else:
             inv = pow(p[lead], -1, modulus)
             p = {k: v * inv % modulus for k, v in p.items()}
         recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in plus)
                        + tuple((_scale(q, -inv, modulus), node) for q, node in minus))
-        # a raw element is held as integer terms (denominator 1): over Q it
-        # is primitive, modulo a prime monic
         lms.append(divisors.packing.unpack(lead))
-        lc = p.pop(lead)
-        divisors.items.append((lead, 1, lc, list(p.items())))
+        lc = p.pop(lead)  # 1 in the field's type
+        divisors.items.append((lead, lc, list(p.items())))
 
     one = _constant(n, 1, modulus)
     for j, g in enumerate(gens):
@@ -603,22 +576,19 @@ def buchberger(
         if any(fields - (d[0] & low) & guard == guard and k != i and k != j and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending for k, d in enumerate(divisors.items)):
             continue
-        # the S-polynomial x^a tail_i / lc_i - x^b tail_j / lc_j, as integer
-        # terms over L = lcm(|lc_i|, |lc_j|); L = 1 modulo a prime, where
-        # both are monic
-        (lm_i_key, _, lc_i, tail_i), (lm_j_key, _, lc_j, tail_j) = divisors.items[i], divisors.items[j]
-        den = 1 if modulus is not None else abs(lc_i * lc_j) // gcd(lc_i, lc_j)
-        s_poly = {k_lcm - lm_i_key + e: c * (den // lc_i) for e, c in tail_i}
+        # the S-polynomial x^a tail_i - x^b tail_j of two monic elements
+        (lm_i_key, _, tail_i), (lm_j_key, _, tail_j) = divisors.items[i], divisors.items[j]
+        s_poly = {k_lcm - lm_i_key + e: c for e, c in tail_i}
         for e, c in tail_j:
             e += k_lcm - lm_j_key
-            s_poly[e] = s_poly.get(e, 0) - c * (den // lc_j)
-        quotients, remainder = divisors.divide(s_poly, den, modulus)
+            s_poly[e] = s_poly.get(e, 0) - c
+        quotients, remainder = divisors.divide(s_poly, modulus)
         if not remainder:
             continue
-        # the S-polynomial is m_i basis[i] + m_j basis[j], m_i = x^a / lc_i
+        # the S-polynomial is m_i basis[i] + m_j basis[j], m_i = x^a
         a, b = _exp_sub(lcm, lm_i), _exp_sub(lcm, lm_j)
         if modulus is None:
-            m_i, m_j = Polynomial.monomial(n, a, Fraction(1, lc_i)), Polynomial.monomial(n, b, Fraction(-1, lc_j))
+            m_i, m_j = Polynomial.monomial(n, a, 1), Polynomial.monomial(n, b, -1)
         else:
             m_i, m_j = {a: 1}, {b: -1}
         unpack = divisors.packing.unpack_terms
@@ -637,9 +607,9 @@ def _reduce_basis(
     order: MonomialOrder,
     modulus: int | None,
 ) -> GroebnerBasis:
-    """Minimalize, auto-reduce, and make monic, appending the recipe of
-    each final element; raw element k is node k, with leading monomial
-    lms[k] and packed as divisors.items[k]."""
+    """Minimalize and auto-reduce the monic raw elements, appending the
+    recipe of each final element; raw element k is node k, with leading
+    monomial lms[k] and packed as divisors.items[k]."""
     if not lms:
         return GroebnerBasis((), order, ideal, (), modulus)
     # Minimal: drop any element whose leading monomial another one divides.
@@ -655,23 +625,17 @@ def _reduce_basis(
     final: list[tuple[Exponent, Polynomial, Recipe]] = []
     for idx, node in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        lm, den, lc, tail = divisors.items[node]
-        quotients, p = divisors.divide({lm: lc, **dict(tail)}, den, modulus, others)
-        # p = basis[node] - sum q * other, made monic: its leading term is
-        # that of basis[node], which no other leading monomial divides, and
-        # modulo a prime basis[node] is monic already
-        inv = Fraction(1, lc) if modulus is None else 1
+        lm, one, tail = divisors.items[node]
+        quotients, p = divisors.divide({lm: one, **dict(tail)}, modulus, others)
+        # p = basis[node] - sum q * other is monic: its leading term is that
+        # of basis[node], which no other leading monomial divides
         unpack = divisors.packing.unpack_terms
         recipe = (
-            (_constant(n, inv, modulus), node),
-            *((_scale(unpack(q, modulus), -inv, modulus), other) for q, other in zip(quotients, others) if q),
+            (_constant(n, 1, modulus), node),
+            *((_scale(unpack(q, modulus), -1, modulus), other) for q, other in zip(quotients, others) if q),
         )
         p = unpack(p, modulus)
-        if modulus is not None:
-            p = _polynomial(n, p)
-        elif inv != 1:
-            p = p.scale(inv)
-        final.append((lms[node], p, recipe))
+        final.append((lms[node], p if modulus is None else _polynomial(n, p), recipe))
     final.sort(key=lambda t: order.key(t[0]), reverse=True)
     return GroebnerBasis(
         tuple(p for _, p, _ in final),
@@ -756,8 +720,8 @@ def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponen
     are evaluated.  One pass in ascending order: a standard m has
     lambda(m) = 1 if m = mu, else 0.  Otherwise take the first basis element
     b whose leading monomial x^lm divides m (b is monic, split as the
-    divisor (lm, d, d, tail) of integer terms over d);
-    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c lambda(x^t x^(m-lm)) / d
+    divisor (lm, 1, tail));
+    NF(m) = NF(m - x^(m-lm) b), so lambda(m) = -sum c lambda(x^t x^(m-lm))
     over the tail terms c x^t, each at a smaller monomial of the same degree
     (0 below mu).
     """
@@ -770,10 +734,10 @@ def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponen
         if k is None:
             values[m] = int(m == mu)
             continue
-        lm, d, _, tail = divisors[k]
+        lm, _, tail = divisors[k]
         shift = tuple(map(sub, m, lm))
         total = sum(c * values.get(tuple(map(add, t, shift)), 0) for t, c in tail)
-        values[m] = Fraction(-total, d) if gb.modulus is None else -total % gb.modulus
+        values[m] = -total % gb.modulus if gb.modulus else -total
     return {m: v for m, v in values.items() if v}
 
 

@@ -506,8 +506,9 @@ class MonomialOrder:
             return tuple(map(neg, e))
         return (-sum(e), *reversed(e))
 
-    def sorted_terms(self, p: Polynomial, reverse: bool = True) -> list[tuple[Exponent, Fraction]]:
-        return sorted(p.terms.items(), key=lambda t: self.key(t[0]), reverse=reverse)
+    def sorted_terms(self, p: Polynomial) -> list[tuple[Exponent, Fraction]]:
+        """The terms of p, largest monomial first."""
+        return sorted(p.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
 
     def leading_term(self, p: Polynomial) -> tuple[Exponent, Fraction]:
         if p.is_zero():

@@ -1,11 +1,12 @@
 """Plain-Fraction reference versions of the exact kernels.
 
-These are the term-by-term loops that the integer-numerator kernels
-replaced: ``Polynomial.__mul__`` and ``groebner._divide_tracked`` with one
-Fraction operation per term, the same division modulo a prime on exponent
-tuples (``groebner._divide_tracked`` works on packed monomials), the
-Leibniz sum for ``minors.determinant``,
-the move-by-move fold for ``derivations.replay_ledger``, and the
+These are the term-by-term loops that the exact kernels replaced:
+``Polynomial.__mul__`` with one Fraction operation per term,
+``groebner._divide_tracked`` with a scan for the largest term and a
+division by the leading coefficient at every step (the kernel divides by
+monic divisors, on packed monomials), the same division modulo a prime on
+exponent tuples, the Leibniz sum for ``minors.determinant``, the
+move-by-move fold for ``derivations.replay_ledger``, and the
 character-by-character tokenizer of ``exprio``.  They share no arithmetic
 with the kernels they check; ``tests/test_kernels.py`` requires exactly
 equal results.

@@ -153,6 +153,12 @@ class TestWitnessAndVerify:
                 "outside (y1, g_2, ..., g_n)^2 + (g) (socle lemma)") in out
         assert "lambda" not in out and "normal form" not in out
 
+    def test_witness_prints_slice_as_polynomial(self, capsys):
+        # the second slice candidate has coefficients (1, -1, 0)
+        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z")
+        assert code == 0
+        assert "slice:   y1 = x - y (attempt 2)\n" in out
+
     def test_witness_json_stdout(self, capsys):
         code, out, _ = run(capsys, "witness", "x^3+y^3+z^3", "--vars", "x,y,z", "--json")
         assert code == 0

@@ -1,10 +1,11 @@
-"""The integer-numerator kernels against their plain-Fraction references.
+"""The exact kernels against their plain-Fraction references.
 
-Multiplication and sums of products, determinants, ledger replay, tracked
-division and tokenizing must give exactly what the loops in
-kernel_reference.py give: the same term maps (Fraction values), the same
-quotients and remainders, the same tokens and the same ParseError messages
-and positions.
+Multiplication and sums of products, determinants and ledger replay work
+on integer numerators; tracked division works on packed monomials and
+divisors made monic, over Q or modulo a prime.  These, and tokenizing,
+must give exactly what the loops in kernel_reference.py give: the same
+term maps (Fraction values), the same quotients and remainders, the same
+tokens and the same ParseError messages and positions.
 """
 
 import random
@@ -24,7 +25,9 @@ import nakai_forge.groebner as groebner
 import nakai_forge.poly as poly
 from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
-from nakai_forge.groebner import Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger
+from nakai_forge.groebner import (
+    Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger, reduce_by_basis,
+)
 from nakai_forge.minors import PolyMatrix, determinant
 from nakai_forge.poly import GREVLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
@@ -238,8 +241,8 @@ class TestDivide:
                 _assert_same_division(*_divide_both(p, divisors, GREVLEX))
 
     def test_reduced_bases_against_reference(self):
-        # a monic divisor with a rational tail has, in integer form, the
-        # common denominator of its tail as leading coefficient
+        # the reduced basis over Q: monic divisors with rational tails, as
+        # buchberger holds them
         rng = random.Random(404)
         for _ in range(12):
             n = rng.randint(2, 3)
@@ -256,6 +259,25 @@ class TestDivide:
                 product = p * gens[0]
                 (quotients, remainder), _ = _divide_both(product, list(gb.basis), GREVLEX)
                 assert remainder.is_zero()
+
+    def test_reduce_by_basis_against_reference(self):
+        # reduce_by_basis splits each divisor monic; its remainder is the
+        # plain loop's for leading coefficients negative, rational or both
+        rng = random.Random(1618)
+        leading_coefficients = (Fraction(-2, 3), Fraction(-7, 12), Fraction(5, 4), Fraction(-1), Fraction(3))
+        negative_rational = 0
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            p = _random_rational_poly(rng, n, 4, 8)
+            divisors = [g for g in (_random_rational_poly(rng, n, 2, 4) for _ in range(rng.randint(1, 3)))
+                        if not g.is_zero()]
+            for order in ORDERS:
+                basis = [g.scale(rng.choice(leading_coefficients) / order.leading_term(g)[1]) for g in divisors]
+                leading = [order.leading_term(g) for g in basis]
+                negative_rational += sum(lc < 0 and lc.denominator > 1 for _, lc in leading)
+                _, expected = reference_divide(p, basis, leading, order, groebner.DEFAULT_MAX_TERMS)
+                _assert_same(reduce_by_basis(p, basis, order), expected)
+        assert negative_rational > 50
 
     def test_zero_dividend(self):
         for n in range(1, 5):

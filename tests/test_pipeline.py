@@ -88,6 +88,20 @@ def _count_bases(monkeypatch) -> list:
     return moduli
 
 
+def _count_divisions(monkeypatch) -> list:
+    """Record the modulus of every division of the Groebner engine (None:
+    over Q)."""
+    moduli = []
+    original = groebner._divide_tracked
+
+    def counted(work, divisors, packing, modulus=None):
+        moduli.append(modulus)
+        return original(work, divisors, packing, modulus)
+
+    monkeypatch.setattr(groebner, "_divide_tracked", counted)
+    return moduli
+
+
 class TestSliceSearch:
     def test_fermat_identity_slice(self):
         choice = generic_slice_search(P(FERMAT))
@@ -399,11 +413,13 @@ class TestBuildWitness:
         # the built-in corpus, the acceptance corpus and an axis-singular
         # rejection (the gate-slice benchmark's shape) each decide isolation
         # modulo a prime alone, in a build, in the CLI check, milnor and
-        # symmetrize and in is_isolated_singularity
+        # symmetrize and in is_isolated_singularity; no division runs over
+        # Q either, so the division loop's speed over Q serves no build
         from test_acceptance import NAMED_CORPUS
 
         corpus = NAMED_CORPUS + _random_corpus()  # drawn before counting
         bases = _count_bases(monkeypatch)
+        divisions = _count_divisions(monkeypatch)
         for _, text, variables, verdict in BUILTIN_CORPUS:
             assert build_witness(parse_poly(text, variables), variables).verdict == verdict
         for _, text, variables in corpus:
@@ -423,6 +439,7 @@ class TestBuildWitness:
             assert cli_main(["symmetrize", text, "--vars", vars_flag, "--json"]) == (0 if isolated else 1)
             assert is_isolated_singularity(parse_poly(text, variables)) is isolated
         assert built and len(bases) > built and None not in bases
+        assert divisions and None not in divisions
 
     def test_non_homogeneous_rejected(self):
         cert = build_witness(P("x^2 + y^3"), V3)
