@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .derivations import build_candidate_tuple, symmetrize
 from .exprio import (
-    CertificateError,
     ParseError,
     format_poly,
     parse_fraction,
@@ -209,6 +208,11 @@ def cmd_verify(args) -> int:
 
 def cmd_identity(args) -> int:
     f, variables = _read_input(args)
+    # an index outside 1..n is a usage error; an IndexError from the engine
+    # stays a bug
+    for name, index in (("-i", args.i), ("-j", args.j), ("-k", args.k)):
+        if not 1 <= index <= f.n:
+            raise ValueError(f"{name} {index} is out of range 1..{f.n}")
     holds, residual = verify_cofactor_identity(f, args.i, args.j, args.k)
     if args.json:
         _emit(json.dumps({
@@ -394,10 +398,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return HANDLERS[args.command](args)
-    except (ParseError, CertificateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ParseError and CertificateError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except ResourceLimitExceeded as exc:
@@ -406,9 +407,6 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return EXIT_INCONSISTENT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -54,18 +54,21 @@ guard bits of every term it takes, and one that is set (_Narrow) makes
 check runs under both orders; the degree rule keeps it from firing under
 grevlex.
 
-Tuples come back only at the ``GroebnerBasis`` boundary, and only for
-kept elements: the leading monomial of each raw element (the pair order
-and the criteria read it), the recipe multipliers of an S-pair remainder
-(the quotients of a pair that reduces to zero are never unpacked), the
-final basis Polynomials, and the results of ``lift``, ``normal_form``
-and ``contains``.  These pack their argument, divide by a packed copy of
-the basis that the ``GroebnerBasis`` keeps (widened when an argument
-needs it), and unpack the quotients and remainder.  Outside the engine a
-polynomial modulo a prime is ``Residues``, a dict from exponent tuple to
-integer coefficient; rows, ``dual_functional`` and ``leading_monomials``
-read tuples, and Polynomials (with integer Fraction coefficients) are
-built only where the engine hands values out.
+Tuples come back only for kept elements: the leading monomial of each
+raw element (the pair order and the criteria read it), the recipe
+multipliers of an S-pair remainder (the quotients of a pair that reduces
+to zero are never unpacked), the final basis, and the results of
+``lift``, ``normal_form`` and ``contains``.  These pack their argument,
+divide by a packed copy of the basis that the ``GroebnerBasis`` keeps
+(widened when an argument needs it), and unpack the quotients and
+remainder.  Unpacked, the engine holds every value in one representation
+in both fields, a ``TermMap`` from exponent tuple to coefficient: a
+Fraction over Q, an int in [0, p) modulo a prime.  Recipes, quotients,
+rows and the basis before hand-out are term maps, and ``dual_functional``
+and ``leading_monomials`` read tuples.  Polynomials (with Fraction
+coefficients in both fields) are built only in ``_polynomial``, where
+values leave the engine: ``GroebnerBasis.basis``, ``lift``,
+``cofactors``, ``normal_form`` and ``reduce_by_basis``.
 
 ``decide_isolation`` is the one decision of whether the Jacobian ideal of
 a weighted homogeneous polynomial is zero-dimensional, for the witness
@@ -88,8 +91,9 @@ is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
 is sum_k c_k * row_k over its recipe (_combine_rows), each entry one
-poly.sum_of_products over Q, or modulo the basis's prime one integer sum
-of products (poly._accumulate) reduced once per coefficient.  A read
+poly.sum_of_products over Q (of the term maps wrapped as Polynomials, not
+copied), or modulo the basis's prime one integer sum of products
+(poly._accumulate) reduced once per coefficient.  A read
 forms the rows of the node and of its ancestors only, in increasing node
 order, and keeps them.
 
@@ -106,7 +110,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Sequence
@@ -169,19 +173,23 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 # terms c x^e), so the tail is that of g made monic.
 Divisor = tuple[Exponent, Fraction | int, list[tuple[Exponent, Fraction | int]]]
 
-# A polynomial modulo a prime as the engine holds it: its terms, with
-# integer coefficients (residues in [1, p) once reduced).
-Residues = dict[Exponent, int]
+# A polynomial as the engine holds it in either field: its terms, with
+# Fraction coefficients over Q, or integer ones modulo a prime (residues in
+# [1, p) once reduced).  The constant 1 of unit rows and recipes is the int
+# 1 in both fields.
+TermMap = dict[Exponent, Fraction | int]
 
 
-def _residues(p: Polynomial, modulus: int) -> Residues:
-    """p reduced modulo the prime ``modulus``, as Residues."""
-    return {e: c.numerator for e, c in p.mod(modulus).terms.items()}
+def _residues(p: Polynomial, modulus: int | None) -> TermMap:
+    """p's terms over the field: as they are over Q (``modulus`` None), or
+    reduced modulo the prime ``modulus``, with integer coefficients."""
+    return p.terms if modulus is None else {e: c.numerator for e, c in p.mod(modulus).terms.items()}
 
 
-def _polynomial(n: int, residues: Residues) -> Polynomial:
-    """The Polynomial of reduced Residues: where the engine hands them out."""
-    return Polynomial._raw(n, {e: Fraction(c) for e, c in residues.items()})
+def _polynomial(n: int, terms: TermMap) -> Polynomial:
+    """The Polynomial of a reduced term map, where the engine hands values
+    out: its integer coefficients (those modulo a prime) become Fractions."""
+    return Polynomial._raw(n, {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()})
 
 
 def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
@@ -239,22 +247,21 @@ class _Divisors:
                 work = {self.packing.pack(old.unpack(k)): c for k, c in work.items()}
 
 
-def _divide(p: Polynomial | Residues, divisors: _Divisors,
-            modulus: int | None = None) -> tuple[list, Polynomial | Residues]:
-    """p = sum quotients[k] * divisors[k] + remainder, on tuples: p, the
-    quotients and the remainder are Polynomials over Q, or Residues modulo
-    the prime ``modulus`` (p's need not be reduced yet, and every divisor is
-    monic).  The divisors are first widened to hold p (_extent).  The
-    division runs on the monic divisors; the quotient by a divisor over Q
-    with leading coefficient lc != 1 is then divided by lc."""
-    terms = p.terms if modulus is None else p
+def _divide(terms: TermMap, divisors: _Divisors, modulus: int | None = None) -> tuple[list[TermMap], TermMap]:
+    """terms = sum quotients[k] * divisors[k] + remainder, on tuples: the
+    argument, the quotients and the remainder are term maps over Q, or
+    modulo the prime ``modulus`` (the argument's need not be reduced yet,
+    and every divisor is monic).  The divisors are first widened to hold
+    the argument (_extent).  The division runs on the monic divisors; the
+    quotient by a divisor over Q with leading coefficient lc != 1 is then
+    divided by lc."""
     divisors.fit(_extent(divisors.packing.order, terms))
     pack = divisors.packing.pack
     quotients, remainder = divisors.divide({pack(e): c for e, c in terms.items()}, modulus)
     unpack = divisors.packing.unpack_terms  # the width the division ended with
-    quotients = [unpack(q, modulus) for q in quotients]
-    quotients = [q if lc == 1 else q.scale(1 / lc) for q, (_, lc, _) in zip(quotients, divisors.items)]
-    return quotients, unpack(remainder, modulus)
+    quotients = [unpack(q) if lc == 1 else _scale(unpack(q), 1 / lc, modulus)
+                 for q, (_, lc, _) in zip(quotients, divisors.items)]
+    return quotients, unpack(remainder)
 
 
 def _divide_tracked(
@@ -323,36 +330,33 @@ def _divide_tracked(
     return quotients, remainder
 
 
-def _scale(p: Polynomial | Residues, c, modulus: int | None) -> Polynomial | Residues:
-    """c * p: over Q for a Polynomial, or modulo the prime ``modulus`` for
-    Residues and an integer c not divisible by it (reduced Residues)."""
+def _scale(terms: dict, c, modulus: int | None) -> dict:
+    """c * terms for a nonzero c of the field: over Q, or modulo the prime
+    ``modulus`` for an integer c not divisible by it (reduced terms).  The
+    keys may be exponent tuples or packed."""
     if modulus is None:
-        return p.scale(c)
-    return {e: a * c % modulus for e, a in p.items()}
+        return {e: a * c for e, a in terms.items()}
+    return {e: a * c % modulus for e, a in terms.items()}
 
 
-def _constant(n: int, c, modulus: int | None) -> Polynomial | Residues:
-    """The constant c over Q, or as Residues modulo a prime (c in [0, p))."""
-    if modulus is None:
-        return Polynomial.constant(n, c)
-    return {(0,) * n: c} if c else {}
-
-
-def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple:
+def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[TermMap, ...]:
     """The row sum q * row over the (q, row) pairs of ``combination``, entry
-    by entry.  Over Q each of its ``width`` entries is one sum_of_products.
-    Modulo the prime ``modulus`` (None: over Q) multipliers and rows are
-    Residues, and each entry's integer products are summed in one map
+    by entry, on term maps (multipliers, rows and the sum).  Over Q
+    (``modulus`` None) each of its ``width`` entries is one sum_of_products
+    of the term maps wrapped, without a copy, as Polynomials.  Modulo the
+    prime ``modulus`` each entry's integer products are summed in one map
     (poly._accumulate) and reduced once per coefficient."""
     if modulus is None:
-        return tuple(sum_of_products(n, ((q, row[j]) for q, row in combination)) for j in range(width))
+        wrap = partial(Polynomial._raw, n)
+        pairs = [(wrap(q), row) for q, row in combination]
+        return tuple(sum_of_products(n, ((q, wrap(row[j])) for q, row in pairs)).terms for j in range(width))
     entries = (_accumulate((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
     return tuple({e: r for e, c in entry.items() if (r := c % modulus)} for entry in entries)
 
 
 # How a node was formed: its nonzero (multiplier, parent node) pairs, each
-# multiplier a Polynomial over Q, or Residues modulo a prime.
-Recipe = tuple[tuple[Polynomial | Residues, int], ...]
+# multiplier a term map over the field.
+Recipe = tuple[tuple[TermMap, int], ...]
 
 
 @dataclass(frozen=True)
@@ -366,10 +370,11 @@ class GroebnerBasis:
     holds exactly over Q, or, when ``modulus`` is a prime, modulo it: the
     basis is then that of the source generators reduced modulo the prime,
     with integer coefficients in [0, p), and division, normal forms, lifts
-    and rows all work modulo it, on Residues inside (recipes and formed
-    rows too) and on Polynomials at the methods.  Divisions run on a packed
-    copy of the basis (``_packed``), kept and widened as arguments need.
-    The basis is auto-reduced with monic leading coefficients.
+    and rows all work modulo it.  Inside, recipes and formed rows are term
+    maps over the basis's field; the methods take and return Polynomials.
+    Divisions run on a packed copy of the basis (``_packed``), kept and
+    widened as arguments need.  The basis is auto-reduced with monic
+    leading coefficients.
     """
 
     basis: tuple[Polynomial, ...]
@@ -393,12 +398,11 @@ class GroebnerBasis:
     def _rows(self) -> dict[int, tuple]:
         """The rows formed so far, from the unit rows of the generators."""
         width = len(self.source.generators)
-        one, zero = _constant(self.n, 1, self.modulus), _constant(self.n, 0, self.modulus)
-        return {j - width: tuple(one if i == j else zero for i in range(width)) for j in range(width)}
+        return {j - width: tuple({(0,) * self.n: 1} if i == j else {} for i in range(width)) for j in range(width)}
 
-    def _export(self, row: tuple) -> tuple[Polynomial, ...]:
+    def _export(self, row: tuple[TermMap, ...]) -> tuple[Polynomial, ...]:
         """A row as the methods return it: Polynomials."""
-        return row if self.modulus is None else tuple(_polynomial(self.n, entry) for entry in row)
+        return tuple(_polynomial(self.n, entry) for entry in row)
 
     def _row(self, node: int) -> tuple:
         """The row of a node over the basis's field, formed with the rows of
@@ -426,18 +430,15 @@ class GroebnerBasis:
     def _packed(self) -> _Divisors:
         return _Divisors(self._divisors, self.order, self.n)
 
-    def _divide(self, p: Polynomial) -> tuple[list, Polynomial | Residues]:
+    def _divide(self, p: Polynomial) -> tuple[list[TermMap], TermMap]:
         if p.n != self.n:
             raise ValueError(f"variable-count mismatch: {p.n} vs {self.n}")
-        if self.modulus is not None:
-            p = _residues(p, self.modulus)
-        return _divide(p, self._packed, self.modulus)
+        return _divide(_residues(p, self.modulus), self._packed, self.modulus)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The unique fully reduced remainder of p (of p reduced modulo the
         basis's prime, if it has one); zero iff p is a member."""
-        remainder = self._divide(p)[1]
-        return remainder if self.modulus is None else _polynomial(self.n, remainder)
+        return _polynomial(self.n, self._divide(p)[1])
 
     def contains(self, p: Polynomial) -> bool:
         return not self._divide(p)[1]
@@ -513,7 +514,7 @@ def buchberger(
     final basis is sorted by descending leading monomial.
     """
     n = ideal.n
-    gens = [g.terms if modulus is None else _residues(g, modulus) for g in ideal.generators]
+    gens = [_residues(g, modulus) for g in ideal.generators]
     lms: list[Exponent] = []  # leading monomials of the raw elements
     recipes: list[Recipe] = []
     divisors = _Divisors((), order, n, _extent(order, (e for g in gens for e in g)))
@@ -523,22 +524,17 @@ def buchberger(
         # minus those of minus; p and its multipliers are divided by the
         # leading coefficient of p, and p is kept as a monic divisor
         lead = min(p)
-        if modulus is None:
-            inv = 1 / p[lead]
-            p = {k: v * inv for k, v in p.items()}
-        else:
-            inv = pow(p[lead], -1, modulus)
-            p = {k: v * inv % modulus for k, v in p.items()}
+        inv = 1 / p[lead] if modulus is None else pow(p[lead], -1, modulus)
+        p = _scale(p, inv, modulus)
         recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in plus)
                        + tuple((_scale(q, -inv, modulus), node) for q, node in minus))
         lms.append(divisors.packing.unpack(lead))
         lc = p.pop(lead)  # 1 in the field's type
         divisors.items.append((lead, lc, list(p.items())))
 
-    one = _constant(n, 1, modulus)
     for j, g in enumerate(gens):
         if g:
-            append({divisors.packing.pack(e): c for e, c in g.items()}, [(one, j - len(gens))])
+            append({divisors.packing.pack(e): c for e, c in g.items()}, [({(0,) * n: 1}, j - len(gens))])
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[int, Exponent, int, int]] = []
@@ -585,14 +581,10 @@ def buchberger(
         quotients, remainder = divisors.divide(s_poly, modulus)
         if not remainder:
             continue
-        # the S-polynomial is m_i basis[i] + m_j basis[j], m_i = x^a
+        # the S-polynomial is x^a basis[i] - x^b basis[j]
         a, b = _exp_sub(lcm, lm_i), _exp_sub(lcm, lm_j)
-        if modulus is None:
-            m_i, m_j = Polynomial.monomial(n, a, 1), Polynomial.monomial(n, b, -1)
-        else:
-            m_i, m_j = {a: 1}, {b: -1}
         unpack = divisors.packing.unpack_terms
-        append(remainder, [(m_i, i), (m_j, j)], [(unpack(q, modulus), k) for k, q in enumerate(quotients) if q])
+        append(remainder, [({a: 1}, i), ({b: -1}, j)], [(unpack(q), k) for k, q in enumerate(quotients) if q])
         push_pairs(len(lms) - 1)
 
     logger.debug("buchberger: %d generators -> %d raw basis elements, %d pairs", len(gens), len(lms), processed)
@@ -610,8 +602,6 @@ def _reduce_basis(
     """Minimalize and auto-reduce the monic raw elements, appending the
     recipe of each final element; raw element k is node k, with leading
     monomial lms[k] and packed as divisors.items[k]."""
-    if not lms:
-        return GroebnerBasis((), order, ideal, (), modulus)
     # Minimal: drop any element whose leading monomial another one divides.
     indices = sorted(range(len(lms)), key=lambda k: order.key(lms[k]))
     kept: list[int] = []
@@ -622,7 +612,7 @@ def _reduce_basis(
     # Reducedness only depends on the others' leading monomials, which tail
     # reduction never changes, so a single pass is enough.
     n = ideal.n
-    final: list[tuple[Exponent, Polynomial, Recipe]] = []
+    final: list[tuple[Exponent, TermMap, Recipe]] = []
     for idx, node in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
         lm, one, tail = divisors.items[node]
@@ -631,14 +621,13 @@ def _reduce_basis(
         # of basis[node], which no other leading monomial divides
         unpack = divisors.packing.unpack_terms
         recipe = (
-            (_constant(n, 1, modulus), node),
-            *((_scale(unpack(q, modulus), -1, modulus), other) for q, other in zip(quotients, others) if q),
+            ({(0,) * n: 1}, node),
+            *((_scale(unpack(q), -1, modulus), other) for q, other in zip(quotients, others) if q),
         )
-        p = unpack(p, modulus)
-        final.append((lms[node], p if modulus is None else _polynomial(n, p), recipe))
+        final.append((lms[node], unpack(p), recipe))
     final.sort(key=lambda t: order.key(t[0]), reverse=True)
     return GroebnerBasis(
-        tuple(p for _, p, _ in final),
+        tuple(_polynomial(n, p) for _, p, _ in final),
         order,
         ideal,
         tuple(recipes) + tuple(r for _, _, r in final),
@@ -654,8 +643,8 @@ def reduce_by_basis(
     """Fully reduce p against an explicit polynomial list."""
     if not basis:
         return p
-    _, remainder = _divide(p, _Divisors([_split_divisor(b, order) for b in basis], order, p.n))
-    return remainder
+    _, remainder = _divide(p.terms, _Divisors([_split_divisor(b, order) for b in basis], order, p.n))
+    return _polynomial(p.n, remainder)
 
 
 def s_polynomial(a: Polynomial, b: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -546,11 +546,10 @@ class _Packing:
     def unpack(self, k: int) -> Exponent:
         return tuple(k >> s & self.field for s in self.shifts)
 
-    def unpack_terms(self, terms: dict, modulus: int | None) -> Polynomial | dict[Exponent, int]:
-        """Packed terms as the Groebner engine hands them out: a Polynomial
-        of their Fractions over Q, integer terms modulo a prime."""
-        residues = {self.unpack(k): c for k, c in terms.items()}
-        return residues if modulus is not None else Polynomial._raw(self.n, residues)
+    def unpack_terms(self, terms: dict) -> dict:
+        """Packed terms as a term map on exponent tuples, with the same
+        coefficients (Fractions or ints alike)."""
+        return {self.unpack(k): c for k, c in terms.items()}
 
 
 def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | None:

@@ -112,6 +112,14 @@ class TestIdentity:
         assert code == 0
         assert "holds" in out
 
+    @pytest.mark.parametrize("indices", [("4", "1", "1"), ("0", "1", "1"), ("1", "1", "-2")])
+    def test_index_out_of_range_is_a_usage_error(self, capsys, indices):
+        i, j, k = indices
+        code, out, err = run(capsys, "identity", "x^3+y^3+z^3", "--vars", "x,y,z", "-i", i, "-j", j, "-k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "out of range 1..3" in err
+
 
 class TestSymmetrize:
     def test_fermat(self, capsys):

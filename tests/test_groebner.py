@@ -204,6 +204,23 @@ class TestLift:
         with pytest.raises(ZeroDivisionError, match="3 divides the denominator 3"):
             buchberger(ideal("1/3*x", "y^2"), modulus=3)
 
+    @pytest.mark.parametrize("modulus", [None, 2**31 - 1])
+    def test_values_leave_the_engine_as_fraction_polynomials(self, modulus):
+        # inside, the engine holds ints modulo a prime; every Polynomial it
+        # hands out has Fraction coefficients in both fields (Polynomial
+        # equality alone would not tell 2 from Fraction(2))
+        gens = jacobian_ideal(P("x^3 + 1/2*y^3 + z^3 + x*y*z"))
+        gb = buchberger(gens, modulus=modulus)
+        member = P("x") * gens.generators[0] + P("1/3*y^2") * gens.generators[1]
+        lifted = gb.lift(member)
+        remainder = gb.normal_form(P("x*y*z + 1/3*x^2 + y"))
+        assert lifted is not None and not remainder.is_zero()
+        values = [*gb.basis, *lifted, *(c for row in gb.cofactors for c in row), remainder]
+        assert all(isinstance(p, Polynomial) for p in values)
+        coefficients = [c for p in values for c in p.terms.values()]
+        assert len(coefficients) > 20
+        assert all(type(c) is Fraction for c in coefficients)
+
     def test_lift_rejects_a_variable_count_mismatch(self):
         # x^2 in two variables divides to remainder 0 by the zip of exponents
         gb = buchberger(ideal("x^2", "y^2", "z^2"))

@@ -195,10 +195,17 @@ class TestReplayLedger:
                 replay_ledger(tuple_in, [Adjustment(target, 1, 2, x)])
 
 
+def _divide_q(p: Polynomial, divisors: _Divisors):
+    """_divide over Q of p's terms, its term maps wrapped as Polynomials with
+    the engine's own coefficients (so _assert_same checks their type)."""
+    quotients, remainder = _divide(p.terms, divisors)
+    return [Polynomial._raw(p.n, q) for q in quotients], Polynomial._raw(p.n, remainder)
+
+
 def _divide_both(p, divisors, order):
     leading = [order.leading_term(g) for g in divisors]
     return (
-        _divide(p, _Divisors([_split_divisor(g, order) for g in divisors], order, p.n)),
+        _divide_q(p, _Divisors([_split_divisor(g, order) for g in divisors], order, p.n)),
         reference_divide(p, divisors, leading, order, groebner.DEFAULT_MAX_TERMS),
     )
 
@@ -302,9 +309,9 @@ class TestDivide:
                     reference_divide(p, [g], leading, GREVLEX, cap)
                 except ResourceLimitExceeded:
                     with pytest.raises(ResourceLimitExceeded):
-                        _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
+                        _divide_q(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
                     continue
-                _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
+                _divide_q(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
                 checked += cap > 0
                 break
         assert checked > 10
@@ -370,11 +377,10 @@ class TestWidening:
 
         def divide(text):
             p = parse_poly(text, names)
-            return _divide(p if modulus is None else groebner._residues(p, modulus), _Divisors(split, LEX, 2), modulus)
+            return _divide(groebner._residues(p, modulus), _Divisors(split, LEX, 2), modulus)
 
         def expect(text):
-            p = parse_poly(text, names)
-            return p if modulus is None else groebner._residues(p, modulus)
+            return groebner._residues(parse_poly(text, names), modulus)
 
         bounds = self._count_widenings(monkeypatch)
         # the first width holds 100, so y^100 needs no second
@@ -427,9 +433,9 @@ class TestMaxTermsCap:
         g = V(3, 1) - V(3, 2) - V(3, 3)
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 2)
         with pytest.raises(ResourceLimitExceeded, match="exceeded 2 terms"):
-            _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
+            _divide_q(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 3)
-        quotients, remainder = _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
+        quotients, remainder = _divide_q(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         assert quotients[0] == V(3, 1) + V(3, 2) + V(3, 3)
         assert remainder == (V(3, 2) + V(3, 3)) * (V(3, 2) + V(3, 3))
 
@@ -440,7 +446,7 @@ class TestMaxTermsCap:
         p = parse_poly("x^2 - x*y + z^2", ["x", "y", "z"])
         g = parse_poly("x - y", ["x", "y", "z"])
         monkeypatch.setattr(groebner, "DEFAULT_MAX_TERMS", 1)
-        quotients, remainder = _divide(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
+        quotients, remainder = _divide_q(p, _Divisors([_split_divisor(g, GREVLEX)], GREVLEX, p.n))
         assert quotients[0] == parse_poly("x", ["x", "y", "z"])
         assert remainder == parse_poly("z^2", ["x", "y", "z"])
 
@@ -501,7 +507,7 @@ class TestPackedSums:
     @pytest.mark.parametrize("modulus", [7, P31])
     def test_combine_rows_modulo_a_prime(self, count, modulus, monkeypatch):
         # rows of width 1: the multipliers q and rows of each pair as
-        # Residues, summed modulo the prime against the reference products
+        # term maps, summed modulo the prime against the reference products
         calls = self._packed_calls(monkeypatch)
         rng = random.Random(count + modulus)
         for n in (2, 4):

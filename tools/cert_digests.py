@@ -12,10 +12,22 @@ digest is that of ``write_certificate(build_witness(f, variables).document)``
 and the outcome is ``verified`` when ``certificate_failures`` finds nothing
 in those bytes read back, or ``failed:`` and the first failure.
 
-Two checkouts build byte-identical certificates for these inputs, and each
-checkout's verifier accepts every one of them, exactly when their outputs
-are equal and every line reads ``verified``; a change that must keep every
-certificate is checked with one ``diff``::
+Then each Jacobian of the 24-input acceptance corpus
+(``workloads.acceptance_corpus()`` at its default seed) gives one
+``engine/name sha256 outcome`` line: the digest is that of the text of the
+reduced Groebner basis over Q and of its ``cofactors`` rows, and the
+outcome is ``verified`` when every row sums exactly to its basis element
+(re-multiplied with Polynomial arithmetic), or ``failed:`` and the first
+element that does not.  No certificate holds a row over Q, so these lines
+cover the engine's arithmetic over Q that the certificate lines do not.
+
+Two checkouts build byte-identical certificates, and identical over-Q
+bases and rows, for these inputs, and each checkout accepts every one of
+them, exactly when their outputs are equal and every line reads
+``verified``; a change that must keep every certificate is checked with
+one ``diff`` of this tool's output in both checkouts.  The tool imports
+the program from the checkout it sits in, so copy this file into the
+``tools/`` of a parent checkout whose own copy predates the engine lines::
 
     DRAWS="--seed 60606 --seed 505 --draw n5d3 --draw n4d5 --draw n5d4 --draw n6d3"
     python3 tools/cert_digests.py $DRAWS > new.txt
@@ -45,7 +57,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from nakai_forge.cli import BUILTIN_CORPUS  # noqa: E402
 from nakai_forge.exprio import format_poly, parse_poly, read_certificate, write_certificate  # noqa: E402
+from nakai_forge.groebner import buchberger, jacobian_ideal  # noqa: E402
 from nakai_forge.pipeline import build_witness, certificate_failures  # noqa: E402
+from nakai_forge.poly import Polynomial  # noqa: E402
 
 XYZ = ["x", "y", "z"]
 X7 = [f"x{i}" for i in range(1, 8)]
@@ -74,6 +88,20 @@ def digest(text: str, variables) -> str:
     return f"{hashlib.sha256(data).hexdigest()} {outcome}"
 
 
+def engine_digest(text: str, variables) -> str:
+    """The sha256 of the over-Q basis of the input's Jacobian and its rows,
+    and whether every row sums exactly to its basis element."""
+    variables = list(variables)
+    ideal = jacobian_ideal(parse_poly(text, variables))
+    gb = buchberger(ideal)
+    rows = list(zip(gb.basis, gb.cofactors))
+    data = "\n".join(" ; ".join(format_poly(p, variables) for p in (b, *row)) for b, row in rows)
+    wrong = [i for i, (b, row) in enumerate(rows)
+             if sum((c * g for c, g in zip(row, ideal.generators)), Polynomial.zero(gb.n)) != b]
+    outcome = f"failed: row {wrong[0]} does not sum to basis element {wrong[0]}" if wrong else "verified"
+    return f"{hashlib.sha256(data.encode()).hexdigest()} {outcome}"
+
+
 def inputs(seeds: list[int], draws: list[str], draw_seed: int):
     """(name, text, variables) of every input, in output order."""
     for seed in seeds:
@@ -100,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--draw takes a shape such as n4d6")
     for name, text, variables in inputs(args.seed, args.draw, args.draw_seed):
         print(name, digest(text, variables), flush=True)
+    for case in workloads.acceptance_corpus():
+        print(f"engine/{case.name}", engine_digest(case.text, case.variables), flush=True)
     return 0
 
 
