@@ -37,6 +37,10 @@ the program from the checkout it sits in, so copy this file into the
 The draws n4d5, n5d4 and n6d3 check a change to the construction beyond
 the workloads' inputs, which have n <= 4 and degree <= 4.
 
+``tests/cert_digests.txt`` holds the output for $DRAWS, and
+``tests/test_cert_digests.py`` regenerates and compares it; a change that
+means to alter certificates rewrites that file in the same change.
+
 Run it from the root of a source checkout: the program is imported from
 ``src/`` of that checkout, and ``perfbench/workloads.py`` is only read.
 """
