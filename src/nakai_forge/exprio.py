@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import log2
 from typing import NamedTuple, Sequence
 
-from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, Polynomial
+from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, Polynomial, _canonical
 
 
 class ParseError(ValueError):
@@ -171,8 +171,9 @@ class _Parser:
             raise ParseError("term too large to expand", self.tokens[self.pos - 1].pos)
 
     def parse_expr(self) -> Polynomial:
-        """Sum the terms into one map in place; zeros are dropped at the end."""
-        out: dict[Exponent, Fraction] = {}
+        """Sum the terms into one map in place; zeros are dropped, and each
+        coefficient is put in canonical form, at the end."""
+        out: dict[Exponent, Fraction | int] = {}
         tok = self.peek()
         negate = False
         if tok.kind == "OP" and tok.text in "+-":
@@ -186,7 +187,7 @@ class _Parser:
                 out[exp] = c if old is None else old + c
             tok = self.peek()
             if tok.kind != "OP" or tok.text not in "+-":
-                return Polynomial._raw(self.n, {e: c for e, c in out.items() if c})
+                return Polynomial._raw(self.n, {e: _canonical(c) for e, c in out.items() if c})
             self.advance()
             negate = tok.text == "-"
 
@@ -287,7 +288,9 @@ def _names(variables: Sequence[str]) -> list[str]:
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse an expression over the given ordered variable names."""
+    """Parse an expression over the given ordered variable names; the
+    coefficients come out canonical, as every Polynomial holds them (an int
+    when integral: the ``poly`` docstring)."""
     names = _names(variables)
     parser = _Parser(_tokenize(text), names, len(names))
     result = parser.parse_expr()
@@ -308,7 +311,9 @@ def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
     denominator above 1, no leading zero, not 0), omitted when it is 1 and
     the term is not a constant, then the variables in index order, each at
     most once, a power x^e with e >= 2 written without leading zeros and
-    in at most 4300 digits (parse_poly's cap), all joined by "*".
+    in at most 4300 digits (parse_poly's cap), all joined by "*".  A
+    coefficient is read as an int when it has no denominator, else as a
+    Fraction, which is canonical as the text is in lowest terms.
     """
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be a string, not a {type(text).__name__}")
@@ -320,7 +325,7 @@ def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
     if len(pieces) % 2 == 0:
         raise _not_canonical("a term must follow ' + ' or ' - '", len(text))
     index = {name: i for i, name in enumerate(variables)}
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Fraction | int] = {}
     last_key = ()  # below every key
     start = 0
     for k in range(0, len(pieces), 2):
@@ -347,10 +352,10 @@ def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
                 if d == 1 or coeff.denominator != d:
                     raise _not_canonical(f"coefficient {first[:40]!r} is not in lowest terms", start)
             else:
-                coeff = Fraction(_decimal_to_int(num))
+                coeff = _decimal_to_int(num)
             del factors[0]
         elif body:
-            coeff = Fraction(1)
+            coeff = 1
         else:
             raise _not_canonical("empty term", start)
         exp = [0] * n

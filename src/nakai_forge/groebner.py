@@ -8,17 +8,17 @@ generators, so ideal memberships come with replayable witnesses
 
 One engine serves both fields, with one division loop.  Every element is
 made monic with the inverse of its leading coefficient: over Q the
-coefficients are Fractions, and with a prime ``modulus`` (``buchberger``,
-``_divide_tracked`` and ``_reduce_basis`` take it) the generators are
-reduced modulo the prime and the engine works on plain integers end to
-end, reduced to [1, p) wherever they are stored.  The S-polynomial of two
-monic elements is x^a tail_i - x^b tail_j, formed from their divisors.  A
-divisor is split once into its leading term and its tail over the leading
-coefficient, so a division takes the working term itself as the quotient
-term and no inverse is taken per step; modulo the prime the one extra step
-reduces each working term when it is taken.  The ``GroebnerBasis`` records
-its modulus, and its division, normal forms, lifts and rows all work over
-its own field.
+coefficients are exact rationals, and with a prime ``modulus``
+(``buchberger``, ``_divide_tracked`` and ``_reduce_basis`` take it) the
+generators are reduced modulo the prime and the engine works on plain
+integers end to end, reduced to [1, p) wherever they are stored.  The
+S-polynomial of two monic elements is x^a tail_i - x^b tail_j, formed from
+their divisors.  A divisor is split once into its leading term and its
+tail over the leading coefficient, so a division takes the working term
+itself as the quotient term and no inverse is taken per step; modulo the
+prime the one extra step reduces each working term when it is taken.  The
+``GroebnerBasis`` records its modulus, and its division, normal forms,
+lifts and rows all work over its own field.
 
 Inside the engine a monomial is one int (packed exponent vectors: Monagan
 and Pearce 2007).  A ``_Packing`` of n fields of B bits (it lives in
@@ -62,13 +62,17 @@ to zero are never unpacked), the final basis, and the results of
 divide by a packed copy of the basis that the ``GroebnerBasis`` keeps
 (widened when an argument needs it), and unpack the quotients and
 remainder.  Unpacked, the engine holds every value in one representation
-in both fields, a ``TermMap`` from exponent tuple to coefficient: a
-Fraction over Q, an int in [0, p) modulo a prime.  Recipes, quotients,
-rows and the basis before hand-out are term maps, and ``dual_functional``
-and ``leading_monomials`` read tuples.  Polynomials (with Fraction
-coefficients in both fields) are built only in ``_polynomial``, where
-values leave the engine: ``GroebnerBasis.basis``, ``lift``,
-``cofactors``, ``normal_form`` and ``reduce_by_basis``.
+in both fields, a ``TermMap`` from exponent tuple to coefficient: an
+exact rational over Q (an int or a Fraction, which may be integral inside
+the engine), an int in [0, p) modulo a prime.  Every quotient of
+coefficients over Q is taken as a Fraction, so no float enters.
+Recipes, quotients, rows and the basis before hand-out are term maps, and
+``dual_functional`` and ``leading_monomials`` read tuples.  Polynomials
+are built only in ``_polynomial``, where values leave the engine
+(``GroebnerBasis.basis``, ``lift``, ``cofactors``, ``normal_form`` and
+``reduce_by_basis``), with the coefficients of every Polynomial: in
+canonical form (the ``poly`` docstring), so ints in [1, p) modulo a
+prime.
 
 ``decide_isolation`` is the one decision of whether the Jacobian ideal of
 a weighted homogeneous polynomial is zero-dimensional, for the witness
@@ -92,10 +96,11 @@ the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
 is sum_k c_k * row_k over its recipe (_combine_rows), each entry one
 poly.sum_of_products over Q (of the term maps wrapped as Polynomials, not
-copied), or modulo the basis's prime one integer sum of products
-(poly._accumulate) reduced once per coefficient.  A read
-forms the rows of the node and of its ancestors only, in increasing node
-order, and keeps them.
+copied) whose multipliers are split into integer terms once per node,
+or modulo the basis's prime one integer sum of products
+(poly._accumulate) reduced once per coefficient.  A read forms the rows
+of the node and of its ancestors only, in increasing node order, and
+keeps them.
 
 A division takes the largest working term first, from the heap of
 packed keys, and tries the divisors in list order.  Cancelled terms leave
@@ -116,8 +121,9 @@ from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
-from .poly import quasi_homogeneous_weights, rational_reconstruction, sum_of_products
-from .poly import _accumulate, _Packing, _top_degree, _vanishing_failures, is_prime, monomials_of_degree
+from .poly import quasi_homogeneous_weights, rational_reconstruction
+from .poly import _accumulate, _canonical, _Packing, _quotient, _sum_of_split_products, _top_degree
+from .poly import _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
 
@@ -166,7 +172,7 @@ def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # A divisor split once: (lm, lc, tail) with g = lc (x^lm + sum of the tail
@@ -174,31 +180,31 @@ def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 Divisor = tuple[Exponent, Fraction | int, list[tuple[Exponent, Fraction | int]]]
 
 # A polynomial as the engine holds it in either field: its terms, with
-# Fraction coefficients over Q, or integer ones modulo a prime (residues in
-# [1, p) once reduced).  The constant 1 of unit rows and recipes is the int
-# 1 in both fields.
+# exact rational coefficients over Q (ints or Fractions), or integer ones
+# modulo a prime (residues in [1, p) once reduced).  The constant 1 of unit
+# rows and recipes is the int 1 in both fields.
 TermMap = dict[Exponent, Fraction | int]
 
 
 def _residues(p: Polynomial, modulus: int | None) -> TermMap:
     """p's terms over the field: as they are over Q (``modulus`` None), or
     reduced modulo the prime ``modulus``, with integer coefficients."""
-    return p.terms if modulus is None else {e: c.numerator for e, c in p.mod(modulus).terms.items()}
+    return p.terms if modulus is None else p.mod(modulus).terms
 
 
 def _polynomial(n: int, terms: TermMap) -> Polynomial:
     """The Polynomial of a reduced term map, where the engine hands values
-    out: its integer coefficients (those modulo a prime) become Fractions."""
-    return Polynomial._raw(n, {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()})
+    out, with canonical coefficients: an integral Fraction formed over Q
+    becomes an int, and the ints modulo a prime stay as they are."""
+    return Polynomial._raw(n, {e: c if type(c) is int else _canonical(c) for e, c in terms.items()})
 
 
 def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
     """g as the engine's divisors take it: leading monomial, leading
-    coefficient and the tail over it, each integral coefficient an int (so
-    a monic g modulo a prime divides on ints alone)."""
+    coefficient and the tail over it, in canonical form (so a monic g
+    modulo a prime divides on ints alone)."""
     lm, lc = order.leading_term(g)
-    tail = ((e, c / lc) for e, c in g.terms.items() if e != lm)
-    return lm, lc, [(e, c.numerator if c.denominator == 1 else c) for e, c in tail]
+    return lm, lc, [(e, c if lc == 1 else _quotient(c, lc)) for e, c in g.terms.items() if e != lm]
 
 
 def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:
@@ -259,7 +265,7 @@ def _divide(terms: TermMap, divisors: _Divisors, modulus: int | None = None) -> 
     pack = divisors.packing.pack
     quotients, remainder = divisors.divide({pack(e): c for e, c in terms.items()}, modulus)
     unpack = divisors.packing.unpack_terms  # the width the division ended with
-    quotients = [unpack(q) if lc == 1 else _scale(unpack(q), 1 / lc, modulus)
+    quotients = [unpack(q) if lc == 1 else _scale(unpack(q), Fraction(1, lc), modulus)
                  for q, (_, lc, _) in zip(quotients, divisors.items)]
     return quotients, unpack(remainder)
 
@@ -275,9 +281,10 @@ def _divide_tracked(
     sum quotients[k] * (x^lm_k + tail_k) + remainder.
 
     A quotient term is the working term itself.  Over Q the coefficients
-    are Fractions.  Modulo the prime ``modulus`` they are integers in
-    [1, p): working terms are reduced when taken (so a term that cancels
-    only modulo the prime stays in the working dict until then).
+    are exact rationals, ints or Fractions.  Modulo the prime ``modulus``
+    they are integers in [1, p): working terms are reduced when taken (so a
+    term that cancels only modulo the prime stays in the working dict until
+    then).
 
     No remainder term is divisible by any divisor's leading monomial.
     Divisors (_Divisors items) are tried in list order, which keeps the
@@ -343,13 +350,15 @@ def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None
     """The row sum q * row over the (q, row) pairs of ``combination``, entry
     by entry, on term maps (multipliers, rows and the sum).  Over Q
     (``modulus`` None) each of its ``width`` entries is one sum_of_products
-    of the term maps wrapped, without a copy, as Polynomials.  Modulo the
+    of the term maps wrapped, without a copy, as Polynomials, each
+    multiplier split into integer terms once for all entries.  Modulo the
     prime ``modulus`` each entry's integer products are summed in one map
     (poly._accumulate) and reduced once per coefficient."""
     if modulus is None:
         wrap = partial(Polynomial._raw, n)
-        pairs = [(wrap(q), row) for q, row in combination]
-        return tuple(sum_of_products(n, ((q, wrap(row[j])) for q, row in pairs)).terms for j in range(width))
+        split = [(wrap(q).integer_terms(), row) for q, row in combination]
+        entries = ([(q, wrap(row[j]).integer_terms()) for q, row in split if row[j]] for j in range(width))
+        return tuple(_sum_of_split_products(n, entry).terms for entry in entries)
     entries = (_accumulate((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
     return tuple({e: r for e, c in entry.items() if (r := c % modulus)} for entry in entries)
 
@@ -524,7 +533,7 @@ def buchberger(
         # minus those of minus; p and its multipliers are divided by the
         # leading coefficient of p, and p is kept as a monic divisor
         lead = min(p)
-        inv = 1 / p[lead] if modulus is None else pow(p[lead], -1, modulus)
+        inv = Fraction(1, p[lead]) if modulus is None else pow(p[lead], -1, modulus)
         p = _scale(p, inv, modulus)
         recipes.append(tuple((_scale(q, inv, modulus), node) for q, node in plus)
                        + tuple((_scale(q, -inv, modulus), node) for q, node in minus))

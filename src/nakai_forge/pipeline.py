@@ -225,7 +225,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivations import (
-    Derivation1,
     DiffOp2,
     closed_form_lift,
     scale_mismatches,
@@ -256,6 +255,7 @@ from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
 from .poly import (
     Exponent,
     Polynomial,
+    _accumulate,
     _top_degree,
     _vanishing_failures,
     is_prime,
@@ -822,7 +822,12 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
     """Point 0 of the module docstring: a prime p that divides no
     denominator of f, and for each variable x_i a row c_i over the partials
     of f, with integer coefficients in [0, p), such that
-    h_i = sum_j c_ij df/dx_j mod p leads with a power of x_i."""
+    h_i = sum_j c_ij df/dx_j mod p leads with a power of x_i.
+
+    Every value is an int: the row entries hold canonical coefficients (an
+    int when integral, so a Fraction is never in [0, p)), the n partials of
+    f mod p are taken once, and each h_i is one integer sum of products
+    (poly._accumulate) whose coefficients are reduced modulo p."""
     p = record["prime"]
     if type(p) is not int or not 2 < p < 1 << 64 or not is_prime(p):
         failures.append(f"{label}: {p!r} is not a prime between 2 and 2^64")
@@ -832,6 +837,7 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
     except ZeroDivisionError:
         failures.append(f"{label}: the prime {p} divides a denominator of the polynomial")
         return
+    partials = [f_p.partial(j).terms.items() for j in range(1, f.n + 1)]
     rows = record["cofactors"]
     if not isinstance(rows, list) or len(rows) != f.n:
         failures.append(f"{label}: the record does not hold one row for each of the {f.n} variables")
@@ -841,15 +847,13 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
             entries = [read_poly(s, variables) for s in row] if isinstance(row, list) else []
         except ValueError:
             entries = []  # a row it cannot read is a row of the wrong shape
-        if len(entries) != f.n or any(
-            d != 1 or not 0 <= a < p for e in entries for a, d in map(Fraction.as_integer_ratio, e.terms.values())
-        ):
+        if len(entries) != f.n or any(type(a) is not int or not 0 <= a < p for e in entries for a in e.terms.values()):
             failures.append(f"{label}: row {i + 1} is not {f.n} entries with integer coefficients in [0, {p})")
             continue
-        # h_i has integer coefficients; its leading monomial modulo p is the
-        # largest one whose coefficient p does not divide
-        h = Derivation1(tuple(entries)).apply(f_p)
-        lm = min((e for e, c in h.terms.items() if c.numerator % p), key=GREVLEX.descending_key, default=None)
+        # the leading monomial of h_i modulo p is the largest one whose
+        # coefficient p does not divide
+        h = _accumulate((e.terms.items(), partial, 1) for e, partial in zip(entries, partials))
+        lm = min((e for e, c in h.items() if c % p), key=GREVLEX.descending_key, default=None)
         if lm is None or not sum(lm) == lm[i] > 0:
             failures.append(f"{label}: row {i + 1} does not lead with a power of {variables[i]} modulo {p}")
 

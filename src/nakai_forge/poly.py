@@ -1,15 +1,21 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables is stored as a map from exponent tuples to
-nonzero Fraction coefficients, so equal polynomials always have identical
-term maps and every operation is exact.  Variable indices are 1-based in
-the public API (x1, ..., xn); exponent tuples are indexed positionally.
+nonzero exact rationals in canonical form: an int when the coefficient is
+integral, else a Fraction with denominator above 1 (``_canonical``).  An
+int and the equal Fraction compare and hash equal, so equal polynomials
+always have equal term maps, and every operation is exact.  Every
+operation returns canonical coefficients, every quotient of coefficients
+is taken as a Fraction (two ints never divide to a float), and a float
+coefficient raises TypeError.  Variable indices are 1-based in the public
+API (x1, ..., xn); exponent tuples are indexed positionally.
 
 Multiplication, and a sum of products (``sum_of_products``), is
 fraction-free (Bareiss 1968): each operand is written once as integer
 numerators over one common denominator (``integer_terms``), the term
-products are summed as integers, and each output coefficient becomes one
-normalised Fraction.  Exact rationals are canonical, so the result is the
+products are summed as integers, and each output coefficient is that
+integer over the common denominator, in canonical form: an int when the
+denominator is 1.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
 Polynomials in the package goes through it: ``Polynomial.__mul__``, the
@@ -56,8 +62,30 @@ Scalar = (int, Fraction)
 DEFAULT_MAX_TERMS = 500_000
 
 
+def _canonical(c: int | Fraction) -> int | Fraction:
+    """An exact rational as a Polynomial holds it: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient(c) -> int | Fraction:
+    """A coefficient given to the public API, in canonical form; a float
+    raises TypeError rather than entering as its binary expansion."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"a coefficient must be an exact rational, not the float {c!r}")
+    return _canonical(Fraction(c))
+
+
+def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """The exact quotient a / b, in canonical form."""
+    return _canonical(Fraction(a, b))
+
+
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients.
+    """Immutable sparse polynomial with exact rational coefficients, each
+    nonzero and canonical: an int when integral, else a Fraction with
+    denominator above 1 (see the module docstring).
 
     The variable count ``n`` is fixed per value; binary operations with a
     mismatched variable count raise ``ValueError`` rather than embedding
@@ -69,7 +97,7 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[Exponent, Fraction | int] | None = None):
         if n < 0:
             raise ValueError(f"variable count must be non-negative, got {n}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction | int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
@@ -77,7 +105,7 @@ class Polynomial:
                     raise ValueError(f"exponent {exp} has length {len(exp)}, expected {n}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                c = Fraction(coeff)
+                c = _coefficient(coeff)
                 if c:
                     clean[exp] = c
         object.__setattr__(self, "n", n)
@@ -94,7 +122,7 @@ class Polynomial:
 
     @staticmethod
     def constant(n: int, value: Fraction | int) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: Fraction(value)})
+        return Polynomial(n, {(0,) * n: value})
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
@@ -103,11 +131,11 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1
-        return Polynomial(n, {tuple(exp): Fraction(1)})
+        return Polynomial(n, {tuple(exp): 1})
 
     @staticmethod
     def monomial(n: int, exp: Sequence[int], coeff: Fraction | int = 1) -> "Polynomial":
-        return Polynomial(n, {tuple(exp): Fraction(coeff)})
+        return Polynomial(n, {tuple(exp): coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -120,11 +148,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponent, Fraction | int]]:
         return iter(self.terms.items())
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Sequence[int]) -> Fraction | int:
+        return self.terms.get(tuple(exp), 0)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if mixed.
@@ -160,7 +188,7 @@ class Polynomial:
         for exp, coeff in other.terms.items():
             c = out.get(exp, 0) + coeff
             if c:
-                out[exp] = c
+                out[exp] = c if type(c) is int else _canonical(c)
             else:
                 out.pop(exp, None)
         return Polynomial._raw(self.n, out)
@@ -173,7 +201,7 @@ class Polynomial:
         for exp, coeff in other.terms.items():
             c = out.get(exp, 0) - coeff
             if c:
-                out[exp] = c
+                out[exp] = c if type(c) is int else _canonical(c)
             else:
                 out.pop(exp, None)
         return Polynomial._raw(self.n, out)
@@ -196,15 +224,19 @@ class Polynomial:
 
     def integer_terms(self) -> tuple[int, list[tuple[Exponent, int]]]:
         """The lcm d of the coefficient denominators and the terms of d * self,
-        whose coefficients are integers."""
-        d = 1
+        whose coefficients are integers.  The term maps of ``groebner`` over
+        Q, wrapped as Polynomials, may hold integral Fractions: they are
+        written as ints too."""
+        d, integral = 1, True
         for c in self.terms.values():
-            q = c.denominator
-            if d % q:
-                d = d // math.gcd(d, q) * q
-        if d == 1:
-            return 1, [(e, c.numerator) for e, c in self.terms.items()]
-        return d, [(e, c.numerator * (d // c.denominator)) for e, c in self.terms.items()]
+            if type(c) is not int:
+                integral, q = False, c.denominator
+                if d % q:
+                    d = d // math.gcd(d, q) * q
+        if integral:
+            return 1, list(self.terms.items())
+        return d, [(e, c * d if type(c) is int else c.numerator * (d // c.denominator))
+                   for e, c in self.terms.items()]
 
     def mod(self, p: int) -> "Polynomial":
         """The reduction modulo the prime p: each coefficient a/b becomes
@@ -212,12 +244,12 @@ class Polynomial:
         dropped.  One inverse is taken per distinct denominator other than
         1.  Raises ZeroDivisionError when p divides a denominator."""
         inverses: dict[int, int] = {}
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for exp, c in self.terms.items():
-            a, d = c.as_integer_ratio()
-            if d == 1:
-                r = a % p
+            if type(c) is int:
+                r = c % p
             else:
+                a, d = c.numerator, c.denominator
                 inv = inverses.get(d)
                 if inv is None:
                     if d % p == 0:
@@ -225,24 +257,24 @@ class Polynomial:
                     inv = inverses[d] = pow(d, -1, p)
                 r = a * inv % p
             if r:
-                out[exp] = c if r == a and d == 1 else Fraction(r)
+                out[exp] = r
         return Polynomial._raw(self.n, out)
 
     def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return Polynomial(self.n)
-        return Polynomial._raw(self.n, {e: coeff * c for e, coeff in self.terms.items()})
+        return Polynomial._raw(self.n, {e: _canonical(coeff * c) for e, coeff in self.terms.items()})
 
     def mul_monomial(self, exp: Sequence[int], coeff: Fraction | int = 1) -> "Polynomial":
         """Multiply by coeff * x^exp without building an intermediate Polynomial."""
         exp = tuple(exp)
-        c = Fraction(coeff)
+        c = _coefficient(coeff)
         if not c:
             return Polynomial(self.n)
         return Polynomial._raw(
             self.n,
-            {tuple(a + b for a, b in zip(e, exp)): cf * c for e, cf in self.terms.items()},
+            {tuple(map(add, e, exp)): _canonical(cf * c) for e, cf in self.terms.items()},
         )
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -287,12 +319,13 @@ class Polynomial:
         k = i - 1
         # x^e -> e_k x^(e - e_k) is one-to-one on the terms with e_k > 0, so
         # no two terms meet and no coefficient becomes zero
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exp, coeff in self.terms.items():
             if exp[k]:
                 new = list(exp)
                 new[k] -= 1
-                out[tuple(new)] = coeff * exp[k]
+                c = coeff * exp[k]
+                out[tuple(new)] = c if type(c) is int else _canonical(c)
         return Polynomial._raw(self.n, out)
 
     def higher_partial(self, alpha: Sequence[int]) -> "Polynomial":
@@ -308,7 +341,7 @@ class Polynomial:
             raise ValueError(f"multi-index length {len(alpha)} != {self.n}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative entry in multi-index {alpha}")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Fraction | int] = {}
         for exp, coeff in self.terms.items():
             if any(e < a for e, a in zip(exp, alpha)):
                 continue
@@ -319,7 +352,7 @@ class Polynomial:
             key = tuple(e - a for e, a in zip(exp, alpha))
             c = out.get(key, 0) + coeff * binom
             if c:
-                out[key] = c
+                out[key] = c if type(c) is int else _canonical(c)
             else:
                 out.pop(key, None)
         return Polynomial._raw(self.n, out)
@@ -327,9 +360,14 @@ class Polynomial:
     def substitute_variables(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute x_i -> images[i-1]; images live in an arbitrary ring.
 
-        Only the powers the terms use are formed, each once and by
-        squaring (``**``), so the number of products an exponent costs
-        follows its digits, not its value."""
+        The moved variables are those whose image is not the variable
+        itself (all of them when the images live in a ring of another
+        size).  The terms are grouped by their exponents a on the moved
+        variables, as sum_a x^a f_a with f_a free of them, and the result
+        sum_a prod_i images[i]^(a_i) f_a is one sum_of_products.  Only the
+        powers the terms use are formed, each once and by squaring
+        (``**``), so the number of products an exponent costs follows its
+        digits, not its value."""
         if len(images) != self.n:
             raise ValueError(f"{len(images)} images for {self.n} variables")
         if not images:
@@ -337,17 +375,25 @@ class Polynomial:
         m = images[0].n
         if any(q.n != m for q in images):
             raise ValueError("substitution images have mixed variable counts")
-        powers: dict[tuple[int, int], Polynomial] = {}
-        result = Polynomial.zero(m)
+        fixed = [i for i, q in enumerate(images) if m == self.n and q == Polynomial.variable(m, i + 1)]
+        moved = [i for i in range(self.n) if i not in fixed]
+        groups: dict[Exponent, dict[Exponent, Fraction | int]] = {}
         for exp, coeff in self.terms.items():
-            term = Polynomial.constant(m, coeff)
-            for i, e in enumerate(exp):
+            rest = [0] * m
+            for i in fixed:
+                rest[i] = exp[i]
+            groups.setdefault(tuple(exp[i] for i in moved), {})[tuple(rest)] = coeff
+        powers: dict[tuple[int, int], Polynomial] = {}
+        pairs = []
+        for a, rest in groups.items():
+            image = None  # prod_i images[i]^(a_i), None while it is 1
+            for i, e in zip(moved, a):
                 if e:
                     if (i, e) not in powers:
                         powers[i, e] = images[i] ** e
-                    term = term * powers[i, e]
-            result = result + term
-        return result
+                    image = powers[i, e] if image is None else image * powers[i, e]
+            pairs.append((Polynomial.constant(m, 1) if image is None else image, Polynomial._raw(m, rest)))
+        return sum_of_products(m, pairs)
 
 
 def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
@@ -357,20 +403,25 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
     Every operand is split once into integer terms (``integer_terms``); d is
     the lcm of the products of the two denominators of each pair, and each
     pair's term products, scaled to the denominator d, are summed in one
-    integer map.  Each output coefficient becomes one normalised Fraction.
-    Exact rationals are canonical, so the result is the term map of the
-    repeated out = out + a * b.
+    integer map.  Each output coefficient is its sum over d in canonical
+    form: the sum itself when d is 1.  Exact rationals are canonical, so the
+    result is the term map of the repeated out = out + a * b.
     """
     split = []
     for a, b in pairs:
         if a.n != n or b.n != n:
             raise ValueError(f"variable-count mismatch: {a.n} and {b.n} vs {n}")
         split.append((a.integer_terms(), b.integer_terms()))
+    return _sum_of_split_products(n, split)
+
+
+def _sum_of_split_products(n: int, split: list[tuple[tuple[int, list], tuple[int, list]]]) -> Polynomial:
+    """sum_of_products of operands already split by ``integer_terms``."""
     d = math.lcm(*(d1 * d2 for (d1, _), (d2, _) in split))
     acc = _accumulate([(terms1, terms2, d // (d1 * d2)) for (d1, terms1), (d2, terms2) in split])
     if d == 1:
-        return Polynomial._raw(n, {e: Fraction(c) for e, c in acc.items() if c})
-    return Polynomial._raw(n, {e: Fraction(c, d) for e, c in acc.items() if c})
+        return Polynomial._raw(n, {e: c for e, c in acc.items() if c})
+    return Polynomial._raw(n, {e: Fraction(c, d) if c % d else c // d for e, c in acc.items() if c})
 
 
 # a call of _accumulate with at least this many term products sums them on
@@ -622,9 +673,9 @@ def _top_degree(weights: Sequence[int], degree: int) -> int:
     return sum(degree - 2 * w for w in weights)
 
 
-def _apply(functional: Mapping[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction:
+def _apply(functional: Mapping[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction | int:
     """lambda(x^shift * p): one dot product over the terms of p."""
-    total = Fraction(0)
+    total = 0
     for e, c in p.terms.items():
         if shift is not None:
             e = tuple(map(add, e, shift))

@@ -20,6 +20,12 @@ from nakai_forge.poly import Polynomial, monomials_of_degree
 from operator_reference import add_scaled
 
 
+def is_canonical(c) -> bool:
+    """Whether c is a coefficient as a Polynomial holds it: a nonzero int,
+    or a Fraction with denominator above 1 (so never a float)."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
+
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 6, coeff_bound: int = 5) -> Polynomial:
     terms = {}

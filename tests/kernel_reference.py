@@ -2,6 +2,7 @@
 
 These are the term-by-term loops that the exact kernels replaced:
 ``Polynomial.__mul__`` with one Fraction operation per term,
+``Polynomial.substitute_variables`` term by term,
 ``groebner._divide_tracked`` with a scan for the largest term and a
 division by the leading coefficient at every step (the kernel divides by
 monic divisors, on packed monomials), the same division modulo a prime on
@@ -36,6 +37,21 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 out.pop(exp, None)
     return Polynomial(a.n, out)
+
+
+def reference_substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """f(images) term by term: each term's coefficient times its images,
+    one reference_mul per factor x_i, with no power formed twice or by
+    squaring, and the terms summed one by one."""
+    m = images[0].n
+    total = Polynomial.zero(m)
+    for exp, coeff in f.terms.items():
+        term = Polynomial.constant(m, coeff)
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                term = reference_mul(term, image)
+        total = total + term
+    return total
 
 
 def reference_determinant(matrix: PolyMatrix) -> Polynomial:
@@ -78,7 +94,7 @@ def reference_divide(
         for k, (lm, lc) in enumerate(leading):
             if all(x <= y for x, y in zip(lm, exp)):
                 shift = tuple(x - y for x, y in zip(exp, lm))
-                factor = coeff / lc
+                factor = Fraction(coeff) / lc  # ints would divide to a float
                 q = quotients[k]
                 q[shift] = q.get(shift, Fraction(0)) + factor
                 if not q[shift]:

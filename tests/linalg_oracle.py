@@ -62,7 +62,7 @@ def _consistent(matrix: list[list[Fraction]], target: list[Fraction]) -> bool:
         pv = aug[pivot_row][col]
         for r in range(rows):
             if r != pivot_row and aug[r][col]:
-                factor = aug[r][col] / pv
+                factor = Fraction(aug[r][col]) / pv  # ints would divide to a float
                 for c in range(col, cols + 1):
                     aug[r][c] -= factor * aug[pivot_row][c]
         pivot_row += 1

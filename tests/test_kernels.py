@@ -4,7 +4,7 @@ Multiplication and sums of products, determinants and ledger replay work
 on integer numerators; tracked division works on packed monomials and
 divisors made monic, over Q or modulo a prime.  These, and tokenizing,
 must give exactly what the loops in kernel_reference.py give: the same
-term maps (Fraction values), the same quotients and remainders, the same
+term maps (canonical values: an int when integral), the same quotients and remainders, the same
 tokens and the same ParseError messages and positions.
 """
 
@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import is_canonical
 from kernel_reference import (
     reference_determinant,
     reference_divide,
     reference_divide_mod,
     reference_mul,
     reference_replay,
+    reference_substitute,
     reference_tokenize,
 )
 import nakai_forge.groebner as groebner
@@ -29,6 +31,7 @@ from nakai_forge.groebner import (
     Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger, reduce_by_basis,
 )
 from nakai_forge.minors import PolyMatrix, determinant
+from nakai_forge.pipeline import slice_images
 from nakai_forge.poly import GREVLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
 
@@ -45,7 +48,7 @@ def _random_rational_poly(rng: random.Random, n: int, max_degree: int, max_terms
 def _assert_same(new: Polynomial, ref: Polynomial):
     assert new.n == ref.n
     assert new.terms == ref.terms
-    assert all(type(c) is Fraction and c for c in new.terms.values())
+    assert all(map(is_canonical, new.terms.values()))
 
 
 ORDERS = (GREVLEX, LEX)
@@ -112,6 +115,41 @@ class TestMultiply:
             for _ in range(3):
                 expected = reference_mul(expected, p)
             _assert_same(p ** 3, expected)
+
+
+class TestSubstitute:
+    def test_slices_against_reference(self):
+        # x_1 alone moves, to (y_1 - a_2 y_2 - ... - a_n y_n) / a_1 with
+        # rational a_i; the other variables stay
+        rng = random.Random(1928)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            f = _random_rational_poly(rng, n, 3, 6)
+            first = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+            rest = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 7))) for _ in range(n - 1)]
+            images = slice_images([first, *rest], n)
+            _assert_same(f.substitute_variables(images), reference_substitute(f, images))
+
+    def test_noop_slice_gives_the_polynomial(self):
+        rng = random.Random(1929)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            f = _random_rational_poly(rng, n, 4, 8)
+            images = slice_images([1] + [0] * (n - 1), n)
+            _assert_same(f.substitute_variables(images), f)
+            _assert_same(f.substitute_variables(images), reference_substitute(f, images))
+
+    def test_images_against_reference(self):
+        # images in a ring of another size, and in the same ring with some
+        # variables left in place and the others moved
+        rng = random.Random(1930)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 4)
+            f = _random_rational_poly(rng, n, 3, 5)
+            images = [Polynomial.variable(m, i) if m == n and rng.random() < 0.5
+                      else _random_rational_poly(rng, m, 2, 3) for i in range(1, n + 1)]
+            _assert_same(f.substitute_variables(images), reference_substitute(f, images))
 
 
 class TestDeterminant:
@@ -196,10 +234,12 @@ class TestReplayLedger:
 
 
 def _divide_q(p: Polynomial, divisors: _Divisors):
-    """_divide over Q of p's terms, its term maps wrapped as Polynomials with
-    the engine's own coefficients (so _assert_same checks their type)."""
+    """_divide over Q of p's terms, its term maps handed out as the engine
+    hands out values (groebner._polynomial), so _assert_same checks that
+    their coefficients leave the engine canonical; inside, a term map over
+    Q may hold integral Fractions."""
     quotients, remainder = _divide(p.terms, divisors)
-    return [Polynomial._raw(p.n, q) for q in quotients], Polynomial._raw(p.n, remainder)
+    return [groebner._polynomial(p.n, q) for q in quotients], groebner._polynomial(p.n, remainder)
 
 
 def _divide_both(p, divisors, order):

@@ -269,6 +269,28 @@ class TestModular:
         assert rational_reconstruction(residue(tall), p) == Fraction(21035, 12209)
 
 
+class TestCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): True})
+        assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 1}
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+        assert type((p + p).coefficient((0, 1))) is int
+        assert type(p.partial(2).coefficient((0, 0))) is Fraction
+        assert type(p.scale(Fraction(2)).coefficient((0, 1))) is int
+        assert p == Polynomial(2, {(1, 0): Fraction(2), (0, 1): Fraction(1, 2), (0, 0): Fraction(1)})
+
+    def test_a_float_coefficient_raises(self):
+        # Fraction(0.1) would enter as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): 0.1})
+        with pytest.raises(TypeError):
+            Polynomial.constant(1, 0.5)
+        with pytest.raises(TypeError):
+            Polynomial.variable(1, 1).scale(0.5)
+        with pytest.raises(TypeError):
+            Polynomial.variable(1, 1) * 0.5
+
+
 class TestSubstituteVariables:
     def test_identity(self):
         f = P("x^2*y - z^3")
