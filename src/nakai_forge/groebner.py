@@ -122,7 +122,7 @@ from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 from .poly import quasi_homogeneous_weights, rational_reconstruction
-from .poly import _accumulate, _canonical, _Packing, _quotient, _sum_of_split_products, _top_degree
+from .poly import _accumulate, _canonical, _Packing, _sum_of_split_products, _top_degree
 from .poly import _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
@@ -204,7 +204,7 @@ def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:
     coefficient and the tail over it, in canonical form (so a monic g
     modulo a prime divides on ints alone)."""
     lm, lc = order.leading_term(g)
-    return lm, lc, [(e, c if lc == 1 else _quotient(c, lc)) for e, c in g.terms.items() if e != lm]
+    return lm, lc, [(e, c if lc == 1 else _canonical(Fraction(c, lc))) for e, c in g.terms.items() if e != lm]
 
 
 def _extent(order: MonomialOrder, exponents: Iterable[Exponent]) -> int:

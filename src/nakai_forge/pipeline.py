@@ -837,11 +837,11 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
     except ZeroDivisionError:
         failures.append(f"{label}: the prime {p} divides a denominator of the polynomial")
         return
-    partials = [f_p.partial(j).terms.items() for j in range(1, f.n + 1)]
     rows = record["cofactors"]
     if not isinstance(rows, list) or len(rows) != f.n:
         failures.append(f"{label}: the record does not hold one row for each of the {f.n} variables")
         return
+    partials = [f_p.partial(j).terms.items() for j in range(1, f.n + 1)]
     for i, row in enumerate(rows):
         try:
             entries = [read_poly(s, variables) for s in row] if isinstance(row, list) else []

@@ -77,11 +77,6 @@ def _coefficient(c) -> int | Fraction:
     return _canonical(Fraction(c))
 
 
-def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """The exact quotient a / b, in canonical form."""
-    return _canonical(Fraction(a, b))
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients, each
     nonzero and canonical: an int when integral, else a Fraction with
@@ -386,13 +381,13 @@ class Polynomial:
         powers: dict[tuple[int, int], Polynomial] = {}
         pairs = []
         for a, rest in groups.items():
-            image = None  # prod_i images[i]^(a_i), None while it is 1
+            image = Polynomial.constant(m, 1)  # prod_i images[i]^(a_i)
             for i, e in zip(moved, a):
                 if e:
                     if (i, e) not in powers:
                         powers[i, e] = images[i] ** e
-                    image = powers[i, e] if image is None else image * powers[i, e]
-            pairs.append((Polynomial.constant(m, 1) if image is None else image, Polynomial._raw(m, rest)))
+                    image = image * powers[i, e]
+            pairs.append((image, Polynomial._raw(m, rest)))
         return sum_of_products(m, pairs)
 
 

@@ -137,7 +137,6 @@ class TestSubstitute:
             f = _random_rational_poly(rng, n, 4, 8)
             images = slice_images([1] + [0] * (n - 1), n)
             _assert_same(f.substitute_variables(images), f)
-            _assert_same(f.substitute_variables(images), reference_substitute(f, images))
 
     def test_images_against_reference(self):
         # images in a ring of another size, and in the same ring with some
