@@ -196,7 +196,7 @@ def _polynomial(n: int, terms: TermMap) -> Polynomial:
     """The Polynomial of a reduced term map, where the engine hands values
     out, with canonical coefficients: an integral Fraction formed over Q
     becomes an int, and the ints modulo a prime stay as they are."""
-    return Polynomial._raw(n, {e: c if type(c) is int else _canonical(c) for e, c in terms.items()})
+    return Polynomial._raw(n, {e: _canonical(c) for e, c in terms.items()})
 
 
 def _split_divisor(g: Polynomial, order: MonomialOrder) -> Divisor:

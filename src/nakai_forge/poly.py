@@ -183,7 +183,7 @@ class Polynomial:
         for exp, coeff in other.terms.items():
             c = out.get(exp, 0) + coeff
             if c:
-                out[exp] = c if type(c) is int else _canonical(c)
+                out[exp] = _canonical(c)
             else:
                 out.pop(exp, None)
         return Polynomial._raw(self.n, out)
@@ -196,7 +196,7 @@ class Polynomial:
         for exp, coeff in other.terms.items():
             c = out.get(exp, 0) - coeff
             if c:
-                out[exp] = c if type(c) is int else _canonical(c)
+                out[exp] = _canonical(c)
             else:
                 out.pop(exp, None)
         return Polynomial._raw(self.n, out)
@@ -319,8 +319,7 @@ class Polynomial:
             if exp[k]:
                 new = list(exp)
                 new[k] -= 1
-                c = coeff * exp[k]
-                out[tuple(new)] = c if type(c) is int else _canonical(c)
+                out[tuple(new)] = _canonical(coeff * exp[k])
         return Polynomial._raw(self.n, out)
 
     def higher_partial(self, alpha: Sequence[int]) -> "Polynomial":
@@ -347,7 +346,7 @@ class Polynomial:
             key = tuple(e - a for e, a in zip(exp, alpha))
             c = out.get(key, 0) + coeff * binom
             if c:
-                out[key] = c if type(c) is int else _canonical(c)
+                out[key] = _canonical(c)
             else:
                 out.pop(key, None)
         return Polynomial._raw(self.n, out)
