@@ -43,7 +43,6 @@ from .minors import (
 )
 from .pipeline import (
     INPUT_REJECTED,
-    RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
     build_witness,

@@ -37,8 +37,6 @@ from .groebner import (
 )
 from .minors import verify_cofactor_identity
 from .pipeline import (
-    INPUT_REJECTED,
-    RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     build_witness,
     certificate_failures,
@@ -179,16 +177,12 @@ def cmd_witness(args) -> int:
             _emit(f"witness: d1(y1) = {witness}")
             _emit("d1(y1) = W_1*y1*Hess(h) mod y1^2 for the isolated h = g(0, y2, ..., yn), so it lies "
                   "outside (y1, g_2, ..., g_n)^2 + (g) (socle lemma)")
-        elif cert.verdict == INPUT_REJECTED:
-            rejection = cert.document["input"].get("rejection", {})
-            _emit(f"reason:  {rejection.get('reason')}: {rejection.get('message')}")
+        else:
+            rejection = cert.document["input"]["rejection"]
+            _emit(f"reason:  {rejection['reason']}: {rejection['message']}")
         if args.out:
             _emit(f"certificate written to {args.out}")
-    if cert.verdict == WITNESS_FOUND:
-        return EXIT_OK
-    if cert.verdict == RESOURCE_EXHAUSTED:
-        return EXIT_RESOURCES
-    return EXIT_REJECTED
+    return EXIT_OK if cert.verdict == WITNESS_FOUND else EXIT_REJECTED
 
 
 def cmd_verify(args) -> int:

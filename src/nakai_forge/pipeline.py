@@ -33,20 +33,19 @@ certificate of many variables is checked quickly.  The builder rejects
 with the first gate f fails.  A claim (a verdict, a rejection's reason and
 the number of slices tried) fixes every field of a certificate but its
 proof values: the input facts (homogeneous, weights, degree, variable_count),
-the isolated flag and Milnor number, a rejection's message, a resource
-error, the slice, and which sections and records it holds.  One writer
-(_document) lays out the certificate of every claim, and the builder and
-the verifier both write through it.  The verifier checks a certificate in
-three steps.  It decides the claim: a rejection for a gate reason is
-valid only if that is the first gate f fails, every other verdict needs an
-f that passes every gate, and a slice search must have the recorded
-candidate (and an exhausted one stop there).  It rewrites the certificate
-from the input, the claim and the recorded proof values, and requires the
-recorded document to equal the rewritten one, leaf types included: each
-difference is a failure that names its path.  Only a document that
-matches has its proofs checked.  Every certificate that records isolated
-true (a witness, a no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds
-the isolation record of point 0, written once the builder knows f is
+the isolated flag and Milnor number, a rejection's message, the slice, and
+which sections and records it holds.  One writer (_document) lays out the
+certificate of every claim, and the builder and the verifier both write
+through it.  The verifier checks a certificate in three steps.  It decides
+the claim: a rejection for a gate reason is valid only if that is the
+first gate f fails, every other claim needs an f that passes every gate,
+and a witness's slice search must have the recorded candidate.  It
+rewrites the certificate from the input, the claim and the recorded proof
+values, and requires the recorded document to equal the rewritten one,
+leaf types included: each difference is a failure that names its path.
+Only a document that matches has its proofs checked.  Every certificate
+that records isolated true (a witness or a no_isolating_slice rejection)
+holds the isolation record of point 0, written once the builder knows f is
 isolated and checked once by the verifier for each of them.
 
 0. Isolation of f.  The certificate records a prime p that divides no
@@ -202,17 +201,16 @@ vanishes wherever h is not isolated.  R cannot vanish on all of the grid
 and the shells up to b cover that grid, so the search reaches an isolating
 slice; MAX_SLICE_ATTEMPTS is its only limit.  When the no-op slice fails and
 no other variable shares the weight of x_1, no admissible slice exists and
-the input is rejected with the reason no_isolating_slice.  A certificate
+the input is rejected with the reason no_isolating_slice.  A witness
 records how many slices the search tried (attempts, at most
-MAX_SLICE_ATTEMPTS).  For a witness the verifier regenerates that
-candidate and rewrites slice_coefficients as its text (format_fraction);
-it never parses them, and it substitutes only the candidate, which is
-admissible by construction: a_1 = 1, and only variables of the weight of
-x_1 enter it.  A RESOURCE_EXHAUSTED certificate must stop where the search
-stops without a basis, at the first candidate too large to substitute or
-at candidate MAX_SLICE_ATTEMPTS, and record the message raised there.  A
-search stopped by a cap of the Groebner engine cannot be recomputed
-without a basis, so its certificate does not verify.
+MAX_SLICE_ATTEMPTS).  The verifier regenerates that candidate and
+rewrites slice_coefficients as its text (format_fraction); it never
+parses them, and it substitutes only the candidate, which is admissible by
+construction: a_1 = 1, and only variables of the weight of x_1 enter it.
+A search that fails MAX_SLICE_ATTEMPTS candidates, or reaches one too
+large to substitute, raises ResourceLimitExceeded, as a cap of the
+Groebner engine does, and the build writes no certificate: that no earlier
+slice isolates is not something the verifier could check without a basis.
 """
 
 from __future__ import annotations
@@ -266,7 +264,6 @@ logger = logging.getLogger(__name__)
 
 WITNESS_FOUND = "WITNESS_FOUND"
 INPUT_REJECTED = "INPUT_REJECTED"
-RESOURCE_EXHAUSTED = "RESOURCE_EXHAUSTED"
 
 
 # slices the search tries, the no-op slice included, before it gives up
@@ -316,27 +313,14 @@ def slice_images(coefficients: Sequence[Fraction], n: int) -> list[Polynomial]:
 
 
 def substitute_slice(images: Sequence[Polynomial], f: Polynomial) -> Polynomial:
-    """g = f(x(y)) for slice images; raises ResourceLimitExceeded, before
-    expanding anything, with the message of _slice_power_error."""
-    error = _slice_power_error(images, f)
-    if error is not None:
-        raise ResourceLimitExceeded(error)
-    return f.substitute_variables(images)
-
-
-def _slice_power_error(images: Sequence[Polynomial], f: Polynomial) -> str | None:
-    """Why f(x(y)) is too large to expand, or None: an image of two or more
-    terms raised to a power that the parser would refuse to expand
-    (exprio._power_too_large)."""
+    """g = f(x(y)) for slice images.  Raises ResourceLimitExceeded, before
+    expanding anything, when an image of two or more terms is raised to a
+    power that the parser would refuse to expand (exprio._power_too_large)."""
     for i, image in enumerate(images):
         k = max((e[i] for e in f.terms), default=0)
         if _power_too_large(len(image.terms), k):
-            return f"power {k} of slice row {i + 1} is too large to expand"
-    return None
-
-
-def _attempt_cap_message() -> str:
-    return f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts"
+            raise ResourceLimitExceeded(f"power {k} of slice row {i + 1} is too large to expand")
+    return f.substitute_variables(images)
 
 
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
@@ -383,9 +367,9 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
     Tries the candidates of _slice_candidates in order and keeps the first
     whose restriction h = g(0, y_2, ..., y_n) has a zero-dimensional
     Jacobian ideal.  Reaching MAX_SLICE_ATTEMPTS, or a slice too large to
-    substitute (substitute_slice), raises ResourceLimitExceeded, whose
-    ``attempts`` is the number of slices tried; a failed no-op slice with no
-    variable sharing the weight of x_1 raises NoIsolatingSlice.
+    substitute (substitute_slice), raises ResourceLimitExceeded; a failed
+    no-op slice with no variable sharing the weight of x_1 raises
+    NoIsolatingSlice.
     """
     n = f.n
     if n < 3:
@@ -395,19 +379,15 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
         raise ValueError("slice search requires a quasi-homogeneous polynomial")
     weights, degree = found
     attempts = 0
-    try:
-        for coeffs in _slice_candidates(weights):
-            if attempts >= MAX_SLICE_ATTEMPTS:
-                raise ResourceLimitExceeded(_attempt_cap_message())
-            attempts += 1
-            g = substitute_slice(slice_images(coeffs, n), f)
-            gb, rejection = decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
-            if rejection is None:
-                logger.info("slice found after %d attempts: %s", attempts, coeffs)
-                return SliceChoice(coeffs, g, gb, attempts)
-    except ResourceLimitExceeded as exc:
-        exc.attempts = attempts  # the slices tried, the one that hit the limit included
-        raise
+    for coeffs in _slice_candidates(weights):
+        if attempts >= MAX_SLICE_ATTEMPTS:
+            raise ResourceLimitExceeded(f"no isolating slice found within {MAX_SLICE_ATTEMPTS} attempts")
+        attempts += 1
+        g = substitute_slice(slice_images(coeffs, n), f)
+        gb, rejection = decide_isolation(restrict_to_hyperplane(g), weights[1:], degree)
+        if rejection is None:
+            logger.info("slice found after %d attempts: %s", attempts, coeffs)
+            return SliceChoice(coeffs, g, gb, attempts)
     raise NoIsolatingSlice(_positive_dimension_record(*rejection))
 
 
@@ -547,8 +527,8 @@ def rejection_message(reason: str, failed: tuple[str, str] | None, variables: Se
 
 
 def _document(f_text: str, variables: Sequence[str], facts: dict, failed: tuple[str, str] | None, verdict: str,
-              reason: str | None = None, *, attempts=None, slice_coefficients=(), resource_error=None,
-              isolation=None, functional=None, operator=None, restriction=None) -> dict:
+              reason: str | None = None, *, attempts=None, slice_coefficients=(), isolation=None,
+              functional=None, operator=None, restriction=None) -> dict:
     """The certificate of a claim about f: its text and variable names, what
     input_gate gives (``facts``, ``failed``), the verdict, a rejection's
     reason and the slices tried fix every field but the proof values, and
@@ -573,9 +553,6 @@ def _document(f_text: str, variables: Sequence[str], facts: dict, failed: tuple[
         }
         if reason in _POSITIVE_DIMENSION_KEYS:
             tests["positive_dimension"] = {_POSITIVE_DIMENSION_KEYS[reason]: functional}
-    elif verdict == RESOURCE_EXHAUSTED:
-        info["resource_error"] = resource_error
-        change = {"attempts": attempts, "exhausted": True}
     else:
         change = {"slice_coefficients": [format_fraction(a) for a in slice_coefficients], "attempts": attempts}
         tests["obstruction"] = {"restriction_isolation": restriction}
@@ -613,8 +590,6 @@ def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate
         chosen = generic_slice_search(f)
     except NoIsolatingSlice as exc:
         return certificate(INPUT_REJECTED, "no_isolating_slice", isolation=isolation, functional=exc.record)
-    except ResourceLimitExceeded as exc:
-        return certificate(RESOURCE_EXHAUSTED, attempts=exc.attempts, resource_error=str(exc), isolation=isolation)
 
     yvars = _new_variables(f.n)
     # point 1 of the module docstring: the symmetric tuple is the
@@ -662,7 +637,7 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     if missing:
         raise CertificateError(f"certificate missing required keys: {missing}")
     verdict = doc["verdict"]
-    if verdict not in (RESOURCE_EXHAUSTED, INPUT_REJECTED, WITNESS_FOUND):
+    if verdict not in (INPUT_REJECTED, WITNESS_FOUND):
         return [f"unknown verdict {verdict!r}"]
     try:
         info = doc["input"]
@@ -678,7 +653,7 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
             return [f"rejection says {_GATE_CLAIMS[reason]}, but the input passes every gate"]
         elif verdict == INPUT_REJECTED and reason not in _POSITIVE_DIMENSION_KEYS:
             return [f"unknown rejection reason {reason!r}"]
-        failures, search = ([], {}) if verdict == INPUT_REJECTED else _search_claim(doc, verdict, f, facts)
+        failures, search = ([], {}) if verdict == INPUT_REJECTED else _search_claim(doc, facts)
         if failures:
             return failures
         proofs, rejection = _recorded_proofs(doc, verdict, reason, facts.get("weights"))
@@ -691,7 +666,7 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
             _check_isolation(doc["membership_tests"]["isolation"], f, variables, "isolation", failures)
         if verdict == INPUT_REJECTED:
             failures += _verify_rejected(reason, f, facts["weights"], facts["degree"], *rejection)
-        elif verdict == WITNESS_FOUND:
+        else:
             failures += _verify_witness(doc, f, search["slice_coefficients"], facts["weights"], facts["degree"])
         return failures
     except CertificateError:
@@ -709,35 +684,18 @@ def _recorded(doc, *path):
     return doc
 
 
-def _search_claim(doc: dict, verdict: str, f: Polynomial, facts: dict) -> tuple[list[str], dict]:
-    """The slice search a witness or RESOURCE_EXHAUSTED certificate claims,
-    decided without a basis: the recorded ``attempts`` is an int in
-    1..MAX_SLICE_ATTEMPTS, a witness's search has candidate ``attempts``,
-    and an exhausted search stops there, at the first candidate too large
-    to substitute (_slice_power_error) or else after MAX_SLICE_ATTEMPTS
-    candidates.  Returns the failures, and what _document takes for the
-    claim: attempts, and the candidate or the message that stops the
-    search."""
+def _search_claim(doc: dict, facts: dict) -> tuple[list[str], dict]:
+    """The slice a witness claims, found without a basis: the recorded
+    ``attempts`` is an int in 1..MAX_SLICE_ATTEMPTS and the search has
+    candidate ``attempts``.  Returns the failures, and what _document takes
+    for the claim: attempts and that candidate."""
     attempts = _recorded(doc, "change_of_coordinates", "attempts")
     if not (type(attempts) is int and 1 <= attempts <= MAX_SLICE_ATTEMPTS):
         return [f"recorded attempts {attempts!r} is not an integer in 1..{MAX_SLICE_ATTEMPTS}"], {}
-    candidates = itertools.islice(_slice_candidates(facts["weights"]), attempts)
-    if verdict == WITNESS_FOUND:
-        coeffs = next(itertools.islice(candidates, attempts - 1, None), None)
-        if coeffs is None:
-            return [f"the slice search has no candidate {attempts}"], {}
-        return [], {"attempts": attempts, "slice_coefficients": coeffs}
-    for k, coeffs in enumerate(candidates, 1):
-        error = _slice_power_error(slice_images(coeffs, f.n), f)
-        if error is not None:
-            break
-    else:
-        error = _attempt_cap_message() if k == attempts == MAX_SLICE_ATTEMPTS else None
-    if error is None:
-        return [f"nothing stops the slice search at candidate {attempts}"], {}
-    if k != attempts:
-        return [f"the slice search stops at candidate {k}, not {attempts}: {error}"], {}
-    return [], {"attempts": attempts, "resource_error": error}
+    coeffs = next(itertools.islice(_slice_candidates(facts["weights"]), attempts - 1, None), None)
+    if coeffs is None:
+        return [f"the slice search has no candidate {attempts}"], {}
+    return [], {"attempts": attempts, "slice_coefficients": coeffs}
 
 
 def _recorded_proofs(doc: dict, verdict: str, reason, weights) -> tuple[dict, tuple | None]:

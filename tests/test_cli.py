@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import nakai_forge.groebner as groebner
 import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import main
 
@@ -178,11 +179,27 @@ class TestWitnessAndVerify:
         assert code == 1
         assert "not_isolated" in out
 
-    def test_witness_resource_exhausted(self, capsys, monkeypatch):
+    @staticmethod
+    def _stopped(capsys, tmp_path, text, message):
+        # a resource limit exits 3 with its message on stderr, and writes no
+        # certificate, to stdout or to --out
+        out_path = tmp_path / "cert.json"
+        code, out, err = run(capsys, "witness", text, "--vars", "x,y,z", "--json", "--out", str(out_path))
+        assert (code, out, err) == (3, "", f"resource limit: {message}\n")
+        assert not out_path.exists()
+
+    def test_witness_resource_exhausted(self, capsys, monkeypatch, tmp_path):
+        # the cyclic cubic needs 2 slices
         monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        code, out, _ = run(capsys, "witness", "x^2*y + y^2*z + z^2*x", "--vars", "x,y,z", "--json")
-        assert code == 3
-        assert json.loads(out)["change_of_coordinates"] == {"attempts": 1, "exhausted": True}
+        self._stopped(capsys, tmp_path, "x^2*y + y^2*z + z^2*x", "no isolating slice found within 1 attempts")
+
+    def test_witness_slice_too_large_to_substitute(self, capsys, tmp_path):
+        self._stopped(capsys, tmp_path, "x^1000 + y^1000 + x*z^999",
+                      "power 1000 of slice row 1 is too large to expand")
+
+    def test_witness_spair_cap(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", 1)
+        self._stopped(capsys, tmp_path, "x^2*y + y^2*z + z^2*x", "S-pair cap 1 exceeded")
 
     def test_verify_tampered(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"

@@ -25,7 +25,6 @@ from nakai_forge.groebner import (
 from nakai_forge.minors import algebraic_cofactor, determinant, hessian
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
-    RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
     _isolation_record,
@@ -152,23 +151,24 @@ class TestSliceSearch:
         assert list(_slice_candidates((1, 2, 2))) == [(1, 0, 0)]
 
     def test_retry_cap(self, monkeypatch):
+        # PAPER_F needs 2 slices; the build stops where the search does
         monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        with pytest.raises(ResourceLimitExceeded) as caught:
+        message = "no isolating slice found within 1 attempts$"
+        with pytest.raises(ResourceLimitExceeded, match=message):
             generic_slice_search(P(PAPER_F))
-        assert caught.value.attempts == 1
+        with pytest.raises(ResourceLimitExceeded, match=message):
+            build_witness(P(PAPER_F), V3)
 
     def test_huge_slice_power_is_refused(self):
         # the restriction y^1000 is not isolated, and any slice that changes
-        # it mixes x with y or z: a row whose 1000th power the parser refuses
+        # it mixes x with y or z: the second slice, (1, -1, 0), is a row whose
+        # 1000th power the parser refuses, and the build writes no certificate
         f = P("x^1000 + y^1000 + x*z^999")
-        with pytest.raises(ResourceLimitExceeded, match="power 1000 of slice row 1") as caught:
+        message = "power 1000 of slice row 1 is too large to expand$"
+        with pytest.raises(ResourceLimitExceeded, match=message):
             generic_slice_search(f)
-        assert caught.value.attempts == 2
-        cert = build_witness(f, V3)
-        assert cert.verdict == RESOURCE_EXHAUSTED
-        # the second slice, (1, -1, 0), hit the power bound, not the attempt cap
-        assert cert.document["change_of_coordinates"] == {"attempts": 2, "exhausted": True}
-        assert verify_certificate(cert)
+        with pytest.raises(ResourceLimitExceeded, match=message):
+            build_witness(f, V3)
 
     def test_determinism(self):
         a = generic_slice_search(P(PAPER_F))
@@ -465,11 +465,10 @@ class TestBuildWitness:
         assert verify_certificate(cert)
 
     def test_resource_exhausted(self, monkeypatch):
+        # a stopped slice search ends the build as an engine cap does
         monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        cert = build_witness(P(PAPER_F), V3)
-        assert cert.verdict == RESOURCE_EXHAUSTED
-        assert cert.document["change_of_coordinates"] == {"attempts": 1, "exhausted": True}
-        assert verify_certificate(cert)
+        with pytest.raises(ResourceLimitExceeded, match="no isolating slice found within 1 attempts$"):
+            build_witness(P(PAPER_F), V3)
 
     def test_determinism_byte_identical(self):
         one = write_certificate(build_witness(P(PAPER_F), V3).document)
@@ -1332,20 +1331,15 @@ class TestInputGate:
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
-    @pytest.mark.parametrize("text, failure", [
-        ("0", "the input fails the gate 'zero_polynomial' first: "
-              "the zero polynomial does not define a hypersurface"),
-        ("x +* y", "certificate data does not replay: not a canonical polynomial: "
-                   "terms must be joined by ' + ' or ' - ' (at position 5)"),
-    ])
-    def test_exhausted_input_must_pass_the_gate(self, text, failure, monkeypatch, tmp_path):
-        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
-        assert doc["verdict"] == RESOURCE_EXHAUSTED
+    @pytest.mark.parametrize("text", ["0", "x +* y"])
+    def test_exhausted_input_must_pass_the_gate(self, text, tmp_path):
+        # RESOURCE_EXHAUSTED is no verdict: its document is refused before
+        # the input is read, whatever the input
+        doc = _exhausted_layout(_built(PAPER_F), 1, "no isolating slice found within 1 attempts")
         doc["input"]["polynomial"] = text
         for key in ("homogeneous", "weights", "degree", "variable_count"):
             del doc["input"][key]
-        assert certificate_failures(WitnessCertificate(doc)) == [failure]
+        assert certificate_failures(WitnessCertificate(doc)) == ["unknown verdict 'RESOURCE_EXHAUSTED'"]
         assert _cli_verify(doc, tmp_path) == 4
 
     @pytest.mark.parametrize("text", ["0", "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
@@ -1375,14 +1369,9 @@ class TestInputGate:
 
 
 class TestIsolationRecord:
-    """Every certificate that records isolated true (a witness, a
-    no_isolating_slice rejection, RESOURCE_EXHAUSTED) holds the isolation
-    record of f, and the verifier checks it for each of them."""
-
-    @staticmethod
-    def _exhausted(monkeypatch):
-        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        return json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
+    """Every certificate that records isolated true (a witness or a
+    no_isolating_slice rejection) holds the isolation record of f, and the
+    verifier checks it for each of them."""
 
     def test_forged_no_isolating_slice_of_a_non_isolated_input(self, tmp_path):
         # J(f) vanishes along the z-axis, so f is not isolated, but every
@@ -1410,12 +1399,9 @@ class TestIsolationRecord:
         assert failures and all(f.startswith("isolation: row") for f in failures)
         assert _cli_verify(doc, tmp_path) == 4
 
-    @pytest.mark.parametrize("verdict", ["no_isolating_slice", RESOURCE_EXHAUSTED])
-    def test_record_dropped(self, verdict, monkeypatch, tmp_path):
-        if verdict == RESOURCE_EXHAUSTED:
-            doc = self._exhausted(monkeypatch)
-        else:
-            doc = json.loads(write_certificate(build_witness(P("x^3 + x*y^3 + z^2"), V3).document))
+    @pytest.mark.parametrize("verdict", ["no_isolating_slice", WITNESS_FOUND])
+    def test_record_dropped(self, verdict, tmp_path):
+        doc = _built(FERMAT if verdict == WITNESS_FOUND else "x^3 + x*y^3 + z^2")
         assert doc["input"]["isolated"] is True
         assert certificate_failures(WitnessCertificate(doc)) == []
         del doc["membership_tests"]["isolation"]
@@ -1434,21 +1420,13 @@ class TestIsolationRecord:
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
-    def test_exhausted_record_is_checked(self, monkeypatch, tmp_path):
-        doc = self._exhausted(monkeypatch)
-        doc["membership_tests"]["isolation"]["prime"] = 2147483649
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            "isolation: 2147483649 is not a prime between 2 and 2^64"
-        ]
-        assert _cli_verify(doc, tmp_path) == 4
-
 
 class TestAttempts:
     """change_of_coordinates.attempts is an int in 1..MAX_SLICE_ATTEMPTS,
     and in a witness the position of the recorded slice in the search."""
 
     @pytest.mark.parametrize("attempts", ["abc", -5, None, [1], 10**30, True, 0, 201, 1.0])
-    @pytest.mark.parametrize("text", [FERMAT, "x^1000 + y^1000 + x*z^999"], ids=["witness", "exhausted"])
+    @pytest.mark.parametrize("text", [FERMAT], ids=["witness"])
     def test_out_of_range(self, text, attempts, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
         doc["change_of_coordinates"]["attempts"] = attempts
@@ -1482,65 +1460,42 @@ class TestAttempts:
         assert _cli_verify(doc, tmp_path) == 4
 
 
-class TestExhaustion:
-    """A RESOURCE_EXHAUSTED certificate stops where the slice search of f
-    stops without a basis: at the first slice too large to substitute, or
-    after MAX_SLICE_ATTEMPTS slices, with the message raised there."""
+def _exhausted_layout(doc, attempts, message):
+    """A witness certificate rewritten into the layout of the removed
+    RESOURCE_EXHAUSTED verdict: the slices tried and a stop flag as its
+    change of coordinates, the message that stopped the search as its
+    resource error, and no operator or obstruction."""
+    doc["verdict"] = "RESOURCE_EXHAUSTED"
+    doc["change_of_coordinates"] = {"attempts": attempts, "exhausted": True}
+    doc["input"]["resource_error"] = message
+    doc["lifted_operator"] = None
+    del doc["membership_tests"]["obstruction"]
+    return doc
 
-    HUGE = "x^1000 + y^1000 + x*z^999"  # candidate 2, (1, -1, 0), hits the power bound
 
-    def test_forged_message(self, tmp_path):
-        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
-        assert doc["input"]["resource_error"] == "power 1000 of slice row 1 is too large to expand"
-        doc["input"]["resource_error"] = "nothing went wrong"
-        assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not what the builder writes"]
+class TestExhaustedForgery:
+    """A stopped slice search raises ResourceLimitExceeded and writes no
+    certificate, so a document that claims one is refused.  The verifier
+    could only follow the search to the recorded stop, without a basis, so
+    it could not see that an earlier slice isolates: both inputs here have
+    a witness at the first slice, and a genuine isolation record."""
+
+    @pytest.mark.parametrize("text, attempts, message", [
+        (FERMAT, 200, "no isolating slice found within 200 attempts"),
+        ("x^1000 + y^1000 + z^1000", 2, "power 1000 of slice row 1 is too large to expand"),
+    ], ids=["attempt-cap", "slice-power"])
+    def test_is_refused(self, text, attempts, message, tmp_path):
+        doc = _built(text)
+        assert (doc["verdict"], doc["change_of_coordinates"]["attempts"]) == (WITNESS_FOUND, 1)
+        _exhausted_layout(doc, attempts, message)
+        assert certificate_failures(WitnessCertificate(doc)) == ["unknown verdict 'RESOURCE_EXHAUSTED'"]
         assert _cli_verify(doc, tmp_path) == 4
-
-    def test_stop_after_the_power_bound(self, tmp_path):
-        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
-        doc["change_of_coordinates"]["attempts"] = 5
-        assert certificate_failures(WitnessCertificate(doc)) == [
-            "the slice search stops at candidate 2, not 5: power 1000 of slice row 1 is too large to expand"
-        ]
-        assert _cli_verify(doc, tmp_path) == 4
-
-    def test_stop_before_the_power_bound(self, tmp_path):
-        # candidate 1 is the no-op slice, which substitutes fine
-        doc = json.loads(write_certificate(build_witness(P(self.HUGE), V3).document))
-        doc["change_of_coordinates"]["attempts"] = 1
-        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 1"]
-
-    def test_attempt_cap(self, monkeypatch, tmp_path):
-        # PAPER_F needs 2 slices, so with the cap at 1 its search stops
-        # after the no-op slice
-        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
-        doc = json.loads(write_certificate(build_witness(P(PAPER_F), V3).document))
-        assert doc["verdict"] == RESOURCE_EXHAUSTED
-        assert doc["input"]["resource_error"] == "no isolating slice found within 1 attempts"
-        assert certificate_failures(WitnessCertificate(doc)) == []
-        doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
-        assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not what the builder writes"]
-        assert _cli_verify(doc, tmp_path) == 4
-        # with the cap at 2 the search would go on past one slice
-        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 2)
-        doc["input"]["resource_error"] = "no isolating slice found within 1 attempts"
-        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 1"]
-        assert _cli_verify(doc, tmp_path) == 4
-
-    def test_single_candidate(self):
-        # distinct weights: the search has one candidate, so it cannot have
-        # run out of slices after two
-        doc = json.loads(write_certificate(build_witness(P("x^2 + y^3 + z^4"), V3).document))
-        doc["verdict"] = RESOURCE_EXHAUSTED
-        doc["change_of_coordinates"] = {"attempts": 2, "exhausted": True}
-        doc["input"]["resource_error"] = "no isolating slice found within 2 attempts"
-        assert certificate_failures(WitnessCertificate(doc)) == ["nothing stops the slice search at candidate 2"]
 
 
 class TestStrayFields:
-    """input.rejection belongs to INPUT_REJECTED and input.resource_error to
-    RESOURCE_EXHAUSTED; the rewrite of any other verdict has neither, so a
-    certificate that records one is refused."""
+    """input.rejection belongs to INPUT_REJECTED, and no verdict writes
+    input.resource_error; a certificate that records either where its
+    rewrite has none is refused."""
 
     def test_witness_with_a_rejection(self, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(FERMAT), V3).document))
@@ -1554,11 +1509,6 @@ class TestStrayFields:
         doc["input"]["resource_error"] = "power 1000 of slice row 1 is too large to expand"
         assert certificate_failures(WitnessCertificate(doc)) == ["input.resource_error is not written for this claim"]
         assert _cli_verify(doc, tmp_path) == 4
-
-    def test_exhausted_with_a_rejection(self):
-        doc = json.loads(write_certificate(build_witness(P(TestExhaustion.HUGE), V3).document))
-        doc["input"]["rejection"] = {"reason": "no_isolating_slice", "message": "none"}
-        assert certificate_failures(WitnessCertificate(doc)) == ["input.rejection is not written for this claim"]
 
 
 def _built(text, variables=V3):
@@ -1639,9 +1589,8 @@ class TestOneDocumentPerClaim:
             for child in node:
                 yield from TestOneDocumentPerClaim._dicts(child, path, list_path or path)
 
-    @pytest.mark.parametrize("text", [FERMAT, "x^2*y + z^3", "x^3 + x*y^3 + z^2", "x*y + z^3",
-                                      "x^1000 + y^1000 + x*z^999"],
-                             ids=["witness", "not_isolated", "no_isolating_slice", "gate", "exhausted"])
+    @pytest.mark.parametrize("text", [FERMAT, "x^2*y + z^3", "x^3 + x*y^3 + z^2", "x*y + z^3"],
+                             ids=["witness", "not_isolated", "no_isolating_slice", "gate"])
     def test_a_key_added_anywhere_is_refused(self, text):
         doc = _built(text)
         found = 0

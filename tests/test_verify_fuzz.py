@@ -8,8 +8,8 @@ must end in exit 0 (still valid), 2 (not a certificate document) or 4
 (invalid): never a traceback, and never a hang.  A certificate whose
 verdict or rejection reason is swapped for another must end in 2 or 4, and
 so must one whose isolated flag, Milnor number or rejection message is not
-the one the builder writes, and one that records a rejection or a resource
-error under a verdict that has none.
+the one the builder writes, and one that records a rejection under a
+verdict that has none or a resource error, which no verdict records.
 """
 
 import copy
@@ -25,7 +25,6 @@ from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.exprio import parse_poly, read_certificate, write_certificate
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
-    RESOURCE_EXHAUSTED,
     WITNESS_FOUND,
     WitnessCertificate,
     build_witness,
@@ -193,7 +192,7 @@ def test_isolation_facts_and_message_mutations(name, path, tmp_path, capsys):
 # that verdict writes
 STRAY_FIELDS = {
     "rejection": (INPUT_REJECTED, {"reason": "not_isolated", "message": "the Jacobian ideal is not zero-dimensional"}),
-    "resource_error": (RESOURCE_EXHAUSTED, "no isolating slice found within 200 attempts"),
+    "resource_error": ("RESOURCE_EXHAUSTED", "no isolating slice found within 200 attempts"),
 }
 
 
@@ -376,7 +375,7 @@ def test_verdict_and_reason_swaps(name, tmp_path, capsys):
     doc = json.loads(write_certificate(build_witness(parse_poly(text, names), names).document))
     built = (doc["verdict"], doc["input"].get("rejection", {}).get("reason"))
     assert built == ((WITNESS_FOUND, None) if name == "fermat-cubic" else (INPUT_REJECTED, name))
-    for verdict in (WITNESS_FOUND, INPUT_REJECTED, RESOURCE_EXHAUSTED):
+    for verdict in (WITNESS_FOUND, INPUT_REJECTED, "RESOURCE_EXHAUSTED"):
         for reason in REASONS if verdict == INPUT_REJECTED else (built[1],):
             forged = copy.deepcopy(doc)
             forged["verdict"] = verdict
