@@ -1331,16 +1331,24 @@ class TestInputGate:
         ]
         assert _cli_verify(doc, tmp_path) == 4
 
-    @pytest.mark.parametrize("text", ["0", "x +* y"])
-    def test_exhausted_input_must_pass_the_gate(self, text, tmp_path):
+    @pytest.mark.parametrize("text, failure", [
+        ("0", "the input fails the gate 'zero_polynomial' first: "
+              "the zero polynomial does not define a hypersurface"),
+        ("x +* y", "certificate data does not replay: not a canonical polynomial: "
+                   "terms must be joined by ' + ' or ' - ' (at position 5)"),
+    ])
+    def test_exhausted_input_must_pass_the_gate(self, text, failure, tmp_path):
         # RESOURCE_EXHAUSTED is no verdict: its document is refused before
-        # the input is read, whatever the input
+        # the input is read, whatever the input; relabelled a witness, the
+        # same document fails at the gate
         doc = _exhausted_layout(_built(PAPER_F), 1, "no isolating slice found within 1 attempts")
         doc["input"]["polynomial"] = text
         for key in ("homogeneous", "weights", "degree", "variable_count"):
             del doc["input"][key]
         assert certificate_failures(WitnessCertificate(doc)) == ["unknown verdict 'RESOURCE_EXHAUSTED'"]
         assert _cli_verify(doc, tmp_path) == 4
+        doc["verdict"] = WITNESS_FOUND
+        assert certificate_failures(WitnessCertificate(doc)) == [failure]
 
     @pytest.mark.parametrize("text", ["0", "x^2*y + z^3", "x^3 + x*y^3 + z^2"])
     def test_rejection_with_forged_message(self, text, tmp_path):
@@ -1426,7 +1434,7 @@ class TestAttempts:
     and in a witness the position of the recorded slice in the search."""
 
     @pytest.mark.parametrize("attempts", ["abc", -5, None, [1], 10**30, True, 0, 201, 1.0])
-    @pytest.mark.parametrize("text", [FERMAT], ids=["witness"])
+    @pytest.mark.parametrize("text", [FERMAT, PAPER_F], ids=["witness", "second-slice"])
     def test_out_of_range(self, text, attempts, tmp_path):
         doc = json.loads(write_certificate(build_witness(P(text), V3).document))
         doc["change_of_coordinates"]["attempts"] = attempts
@@ -1471,6 +1479,79 @@ def _exhausted_layout(doc, attempts, message):
     doc["lifted_operator"] = None
     del doc["membership_tests"]["obstruction"]
     return doc
+
+
+class TestExhaustion:
+    """The slice search of f stops without a basis: at the first slice too
+    large to substitute, or after MAX_SLICE_ATTEMPTS slices.  It raises
+    ResourceLimitExceeded with the message of that stop, and no document
+    can certify the stop."""
+
+    HUGE = "x^1000 + y^1000 + x*z^999"  # candidate 2, (1, -1, 0), hits the power bound
+    POWER = "power 1000 of slice row 1 is too large to expand"
+
+    @staticmethod
+    def _substituted(monkeypatch):
+        """The slices the search substitutes, in order."""
+        tried = []
+        substitute = pipeline.substitute_slice
+
+        def recording(images, f):
+            tried.append(images)
+            return substitute(images, f)
+        monkeypatch.setattr(pipeline, "substitute_slice", recording)
+        return tried
+
+    def test_forged_message(self, tmp_path):
+        # the search of HUGE does stop, yet a document that records the
+        # stop with the very message raised there is refused
+        with pytest.raises(ResourceLimitExceeded) as caught:
+            build_witness(P(self.HUGE), V3)
+        assert str(caught.value) == self.POWER
+        doc = _exhausted_layout(_built(FERMAT), 2, str(caught.value))
+        doc["input"]["polynomial"] = self.HUGE
+        assert certificate_failures(WitnessCertificate(doc)) == ["unknown verdict 'RESOURCE_EXHAUSTED'"]
+        assert _cli_verify(doc, tmp_path) == 4
+
+    def test_stop_after_the_power_bound(self, monkeypatch):
+        tried = self._substituted(monkeypatch)
+        with pytest.raises(ResourceLimitExceeded, match=f"^{self.POWER}$"):
+            generic_slice_search(P(self.HUGE))
+        assert len(tried) == 2
+
+    def test_stop_before_the_power_bound(self, monkeypatch):
+        # candidate 1 is the no-op slice, which substitutes fine, so a cap
+        # of 1 stops the search before the power bound
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        tried = self._substituted(monkeypatch)
+        with pytest.raises(ResourceLimitExceeded, match="^no isolating slice found within 1 attempts$"):
+            generic_slice_search(P(self.HUGE))
+        assert len(tried) == 1
+
+    def test_attempt_cap(self, monkeypatch, tmp_path):
+        # PAPER_F needs 2 slices, so with the cap at 1 its search stops
+        # after the no-op slice, and with the cap at 2 it finds the witness
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        tried = self._substituted(monkeypatch)
+        with pytest.raises(ResourceLimitExceeded, match="^no isolating slice found within 1 attempts$"):
+            build_witness(P(PAPER_F), V3)
+        assert len(tried) == 1
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 2)
+        doc = _built(PAPER_F)
+        assert (doc["verdict"], doc["change_of_coordinates"]["attempts"]) == (WITNESS_FOUND, 2)
+        assert certificate_failures(WitnessCertificate(doc)) == []
+        assert _cli_verify(doc, tmp_path) == 0
+
+    def test_single_candidate(self, monkeypatch):
+        # distinct weights: the search has one candidate, so a cap of 1
+        # stops nothing: the only slice gives a witness, or its failure is
+        # the rejection no_isolating_slice, not a stop
+        monkeypatch.setattr(pipeline, "MAX_SLICE_ATTEMPTS", 1)
+        witness = _built("x^2 + y^3 + z^4")
+        assert (witness["verdict"], witness["change_of_coordinates"]["attempts"]) == (WITNESS_FOUND, 1)
+        rejected = _built("x^3 + x*y^3 + z^2")
+        assert (rejected["verdict"], rejected["input"]["rejection"]["reason"]) == (
+            INPUT_REJECTED, "no_isolating_slice")
 
 
 class TestExhaustedForgery:
