@@ -83,6 +83,15 @@ basis over Q decides only where that fails.  Bases over Q also serve the
 library ``lift``, the CLI ``member`` and the Milnor number of input
 without unique weights, where the argument modulo a prime does not apply.
 
+Every reading of the finiteness criterion (Cox, Little and O'Shea,
+*Ideals, Varieties, and Algorithms*, ch. 5 section 3) goes through one map,
+``GroebnerBasis.pure_powers``: variable i to the basis element whose
+leading monomial is a power of x_i.  The basis is zero-dimensional iff
+every variable has one; its standard monomials lie in the box below those
+powers; ``pipeline``'s isolation rows lift those elements; and the
+functional of a positive-dimensional basis is taken at the first variable
+without one.
+
 The algorithm records how each element was formed, not its row (the
 Groebner trace of Traverso 1988).  The nodes are the source generators,
 the raw elements of the S-pair loop and the final auto-reduced elements,
@@ -117,6 +126,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
+from itertools import product
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -383,7 +393,9 @@ class GroebnerBasis:
     maps over the basis's field; the methods take and return Polynomials.
     Divisions run on a packed copy of the basis (``_packed``), kept and
     widened as arguments need.  The basis is auto-reduced with monic
-    leading coefficients.
+    leading coefficients.  ``pure_powers``, formed once in one pass over
+    the leading monomials, maps each variable that has one to its
+    pure-power element (the module docstring).
     """
 
     basis: tuple[Polynomial, ...]
@@ -466,47 +478,29 @@ class GroebnerBasis:
         combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
         return self._export(_combine_rows(self.n, combination, len(self.source.generators), self.modulus))
 
+    @cached_property
+    def pure_powers(self) -> dict[int, int]:
+        """Variable index i -> index of the basis element whose leading
+        monomial is a power of x_i; the 1 of the unit ideal counts for every
+        variable.  A reduced basis has at most one such element per variable."""
+        return {i: k for k, lm in enumerate(self.leading_monomials()) for i in range(self.n) if sum(lm) == lm[i]}
+
     def is_zero_dimensional(self) -> bool:
         """True iff every variable has a pure power among the leading monomials."""
-        return leading_terms_zero_dimensional(self.leading_monomials(), self.n)
+        return len(self.pure_powers) == self.n
 
     def standard_monomials(self) -> list[Exponent]:
-        """Monomials outside the leading-term ideal (finite iff zero-dimensional)."""
-        return standard_monomials_from_leading(self.leading_monomials(), self.n)
+        """Monomials outside the leading-term ideal (finite iff zero-dimensional),
+        in the box below the pure powers, in lexicographic order."""
+        if not self.is_zero_dimensional():
+            raise ValueError("ideal is not zero-dimensional; standard monomials are infinite")
+        leading = self.leading_monomials()
+        box = product(*(range(leading[self.pure_powers[i]][i]) for i in range(self.n)))
+        return [e for e in box if not any(_divides(lm, e) for lm in leading)]
 
     def quotient_dimension(self) -> int:
         """Vector-space dimension of the quotient ring (the Milnor number for J(f))."""
         return len(self.standard_monomials())
-
-
-def leading_terms_zero_dimensional(lms: Sequence[Exponent], n: int) -> bool:
-    """Zero-dimensionality criterion on a leading-monomial list."""
-    for i in range(n):
-        if not any(all(e == 0 for k, e in enumerate(lm) if k != i) for lm in lms):
-            return False
-    return True
-
-
-def standard_monomials_from_leading(lms: Sequence[Exponent], n: int) -> list[Exponent]:
-    """Monomials outside the ideal generated by the given leading terms."""
-    if not leading_terms_zero_dimensional(lms, n):
-        raise ValueError("ideal is not zero-dimensional; standard monomials are infinite")
-    bounds = []
-    for i in range(n):
-        pure = [lm[i] for lm in lms if all(e == 0 for k, e in enumerate(lm) if k != i)]
-        bounds.append(min(pure))
-    out: list[Exponent] = []
-
-    def walk(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            if not any(_divides(lm, prefix) for lm in lms):
-                out.append(prefix)
-            return
-        for e in range(bounds[len(prefix)]):
-            walk(prefix + (e,))
-
-    walk(())
-    return out
 
 
 def buchberger(
@@ -745,8 +739,7 @@ def _positive_dimension_functional(gb: GroebnerBasis, weights: Sequence[int], de
     with no pure power among the leading monomials of gb, on the least
     weighted degree t = k W_i above s.  For a basis modulo a prime each
     value is rationally reconstructed (None where that fails)."""
-    leading = gb.leading_monomials()
-    i = next(i for i in range(gb.n) if all(sum(lm) != lm[i] for lm in leading))
+    i = next(i for i in range(gb.n) if i not in gb.pure_powers)
     # s can be negative (x*w + y*w + z*w + w^10 has s = -16): then t = 0, mu = 1
     k = max(_top_degree(weights, degree) // weights[i] + 1, 0)
     mu = tuple(k if j == i else 0 for j in range(gb.n))

@@ -435,11 +435,9 @@ def _isolation_rows(gb: GroebnerBasis, variables: Sequence[str]) -> list[list[st
     """Point 0 of the module docstring for gb, the reduced basis of J(f)
     modulo its prime (groebner.decide_isolation): for each variable x_i, the
     row over the partials of f of the basis element that leads with a power
-    of x_i (its lift, since it divides by the monic basis with quotient e_k
-    and remainder 0)."""
-    leading = gb.leading_monomials()
-    elements = [gb.basis[next(k for k, lm in enumerate(leading) if sum(lm) == lm[i] > 0)] for i in range(gb.n)]
-    return [[format_poly(c, variables) for c in gb.lift(b)] for b in elements]
+    of x_i, gb.basis[gb.pure_powers[i]] (its lift, since it divides by the
+    monic basis with quotient e_k and remainder 0)."""
+    return [[format_poly(c, variables) for c in gb.lift(gb.basis[gb.pure_powers[i]])] for i in range(gb.n)]
 
 
 def _isolation_record(prime, rows) -> dict:

@@ -191,15 +191,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_ring(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            c = out.get(exp, 0) - coeff
-            if c:
-                out[exp] = _canonical(c)
-            else:
-                out.pop(exp, None)
-        return Polynomial._raw(self.n, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.n, {e: -c for e, c in self.terms.items()})
@@ -667,13 +659,11 @@ def _top_degree(weights: Sequence[int], degree: int) -> int:
     return sum(degree - 2 * w for w in weights)
 
 
-def _apply(functional: Mapping[Exponent, Fraction], p: Polynomial, shift: Exponent | None = None) -> Fraction | int:
+def _apply(functional: Mapping[Exponent, Fraction], p: Polynomial, shift: Exponent) -> Fraction | int:
     """lambda(x^shift * p): one dot product over the terms of p."""
     total = 0
     for e, c in p.terms.items():
-        if shift is not None:
-            e = tuple(map(add, e, shift))
-        v = functional.get(e)
+        v = functional.get(tuple(map(add, e, shift)))
         if v:
             total += c * v
     return total

@@ -7,8 +7,10 @@ These are the term-by-term loops that the exact kernels replaced:
 division by the leading coefficient at every step (the kernel divides by
 monic divisors, on packed monomials), the same division modulo a prime on
 exponent tuples, the Leibniz sum for ``minors.determinant``, the
-move-by-move fold for ``derivations.replay_ledger``, and the
-character-by-character tokenizer of ``exprio``.  They share no arithmetic
+move-by-move fold for ``derivations.replay_ledger``, the
+character-by-character tokenizer of ``exprio``, and the recursive walk of
+the standard monomials that ``GroebnerBasis.standard_monomials`` (a filter
+of the box below its ``pure_powers``) replaced.  They share no arithmetic
 with the kernels they check; ``tests/test_kernels.py`` requires exactly
 equal results.
 """
@@ -154,6 +156,30 @@ def reference_divide_mod(
         else:
             remainder[exp] = coeff
     return quotients, remainder
+
+
+def reference_standard_monomials(lms: Sequence[Exponent], n: int) -> list[Exponent]:
+    """The monomials outside the ideal of the leading monomials ``lms``: a
+    recursive walk of the box below each variable's least pure power
+    (ValueError if a variable has none)."""
+    bounds = []
+    for i in range(n):
+        pure = [lm[i] for lm in lms if all(e == 0 for k, e in enumerate(lm) if k != i)]
+        if not pure:
+            raise ValueError("ideal is not zero-dimensional; standard monomials are infinite")
+        bounds.append(min(pure))
+    out: list[Exponent] = []
+
+    def walk(prefix: tuple[int, ...]):
+        if len(prefix) == n:
+            if not any(all(a <= b for a, b in zip(lm, prefix)) for lm in lms):
+                out.append(prefix)
+            return
+        for e in range(bounds[len(prefix)]):
+            walk(prefix + (e,))
+
+    walk(())
+    return out
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -55,6 +55,18 @@ class TestMilnor:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_unit_jacobian_counts_an_empty_box(self, capsys):
+        # no unique weights, and J = (1 + 2*x*y, x^2) is the unit ideal: the
+        # box below the pure powers of its basis (1) is empty
+        code, out, _ = run(capsys, "milnor", "x + x^2*y", "--vars", "x,y")
+        assert code == 0
+        assert out.strip() == "0"
+        code, out, _ = run(capsys, "check", "x + x^2*y", "--vars", "x,y", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["jacobian_zero_dimensional"] is True
+        assert payload["milnor_number"] == 0
+
 
 def test_large_degree_milnor_number_is_fast(capsys):
     # (N - 1)^n standard monomials: 199^3 here, read off the weights instead

@@ -263,7 +263,24 @@ class TestZeroDimensional:
         assert buchberger(jacobian_ideal(P("x^2*y + y^2*z + z^2*x"))).is_zero_dimensional()
 
     def test_unit_ideal(self):
-        assert buchberger(ideal("x", "x - 1", variables=["x", "y"])).is_zero_dimensional()
+        # the 1 of the unit ideal is a pure power of every variable
+        gb = buchberger(ideal("x", "x - 1", variables=["x", "y"]))
+        assert gb.is_zero_dimensional()
+        assert list(gb.basis) == [parse_poly("1", ["x", "y"])]
+        assert gb.pure_powers == {0: 0, 1: 0}
+        assert gb.quotient_dimension() == 0
+
+
+class TestPurePowers:
+    def test_fermat_cubic_jacobian(self):
+        gb = buchberger(jacobian_ideal(P("x^3 + y^3 + z^3")))
+        assert [gb.basis[gb.pure_powers[i]] for i in range(3)] == [P("x^2"), P("y^2"), P("z^2")]
+
+    def test_missing_variable(self):
+        gb = buchberger(ideal("x*y", "y^2", variables=["x", "y"]))
+        assert 0 not in gb.pure_powers
+        assert gb.basis[gb.pure_powers[1]] == parse_poly("y^2", ["x", "y"])
+        assert not gb.is_zero_dimensional()
 
 
 class TestQuotientDimension:

@@ -2,10 +2,11 @@
 
 Multiplication and sums of products, determinants and ledger replay work
 on integer numerators; tracked division works on packed monomials and
-divisors made monic, over Q or modulo a prime.  These, and tokenizing,
-must give exactly what the loops in kernel_reference.py give: the same
-term maps (canonical values: an int when integral), the same quotients and remainders, the same
-tokens and the same ParseError messages and positions.
+divisors made monic, over Q or modulo a prime.  These, tokenizing and the
+standard monomials of a basis must give exactly what the loops in
+kernel_reference.py give: the same term maps (canonical values: an int
+when integral), the same quotients and remainders, the same tokens and the
+same ParseError messages and positions, the same monomial lists.
 """
 
 import random
@@ -20,6 +21,7 @@ from kernel_reference import (
     reference_divide_mod,
     reference_mul,
     reference_replay,
+    reference_standard_monomials,
     reference_substitute,
     reference_tokenize,
 )
@@ -610,3 +612,33 @@ class TestTokenizer:
             with pytest.raises(ParseError) as info:
                 parse_poly(text, ["x"])
             assert info.value.position == position
+
+
+def _random_zero_dimensional(rng: random.Random, n: int) -> Ideal:
+    """For each variable a pure power x_i^a, with terms of lower degree
+    added, or in half the draws alone and with up to three sparse random
+    forms: under grevlex the leading-term ideal holds every x_i^a, so the
+    ideal is zero-dimensional."""
+    homogeneous = rng.random() < 0.5
+    gens = []
+    for i in range(n):
+        a = rng.randint(1, 4)
+        power = Polynomial.monomial(n, tuple(a if k == i else 0 for k in range(n)))
+        lower = {e: c for e, c in _random_rational_poly(rng, n, a - 1, 3).terms.items() if sum(e) < a}
+        gens.append(power if homogeneous else power + Polynomial(n, lower))
+    for _ in range(rng.randint(1, 3) if homogeneous else 0):
+        monomials = monomials_of_degree(n, rng.randint(1, 3))
+        picked = rng.sample(monomials, rng.randint(1, min(3, len(monomials))))
+        gens.append(Polynomial(n, {e: Fraction(rng.choice((-3, -1, 1, 2, 5))) for e in picked}))
+    return Ideal(tuple(gens))
+
+
+class TestStandardMonomials:
+    @pytest.mark.parametrize("modulus", [None, 2147483647])
+    def test_random_bases_against_reference(self, modulus):
+        rng = random.Random(2 if modulus is None else modulus)
+        for _ in range(60):
+            order = rng.choice((GREVLEX, LEX))
+            gb = buchberger(_random_zero_dimensional(rng, rng.randint(1, 4)), order, modulus)
+            assert gb.is_zero_dimensional()
+            assert gb.standard_monomials() == reference_standard_monomials(gb.leading_monomials(), gb.n)
