@@ -79,7 +79,7 @@ from typing import Mapping, Sequence
 
 from .groebner import Ideal, InternalInconsistencyError, buchberger
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
-from .poly import Exponent, Polynomial, quasi_homogeneous_weights, sum_of_products
+from .poly import Exponent, Polynomial, _packed_products, quasi_homogeneous_weights, sum_of_products
 
 logger = logging.getLogger(__name__)
 
@@ -369,9 +369,12 @@ def symmetrize(
 def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, ...]]:
     """The symmetric tuple the witness lifts, and its scales q_i = D A_1i.
 
-    Homogeneous f takes identity 4 of the module docstring: the n(n+1)/2
-    cofactors of one Hessian, and each entry for m >= t as one
-    sum_of_products.  Weighted f symmetrizes the candidate of
+    Homogeneous f takes identity 4 of the module docstring from the n(n+1)/2
+    cofactors of one Hessian, each read once through algebraic_cofactor,
+    which expands it in the matrix's memo.  Each entry for m >= t is then
+    summed on the memo's packed keys, as three shifted copies of cofactors,
+    A_1t x_m + A_1m x_t - x_1 A_tm, in one poly._packed_products, and
+    unpacked once.  Weighted f symmetrizes the candidate of
     build_candidate_tuple.  Either way d_1(x_1) = W_1 x_1 A_11.
     """
     weights, degree = _weights_and_degree(f)
@@ -384,13 +387,19 @@ def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, .
     hess = hessian(f)
     pairs = list(combinations_with_replacement(range(1, n + 1), 2))
     cofactor = {(t, m): algebraic_cofactor(hess, t, m) for t, m in pairs}
-    x = [Polynomial.variable(n, i) for i in range(1, n + 1)]
-    minus_x1 = -x[0]
+
+    def without(i: int) -> tuple[int, ...]:
+        return tuple(k for k in range(n) if k != i - 1)
+
+    # M_tm, the minor without row t and column m, times the matrix's
+    # denominator ** (n - 1); A_tm = (-1)^(t+m) M_tm
+    packed = {(t, m): hess.packed_minor(without(t), without(m)).items() for t, m in pairs}
+    x = [((hess.packing.pack(tuple(int(k == i) for k in range(n))), 1),) for i in range(n)]
     entry = {}
     for t, m in pairs:
-        entry[t, m] = entry[m, t] = sum_of_products(
-            n, ((cofactor[1, t], x[m - 1]), (cofactor[1, m], x[t - 1]), (cofactor[t, m], minus_x1))
-        )
+        products = ((x[m - 1], packed[1, t], (-1) ** (1 + t)), (x[t - 1], packed[1, m], (-1) ** (1 + m)),
+                    (x[0], packed[t, m], -(-1) ** (t + m)))
+        entry[t, m] = entry[m, t] = hess.unpack(_packed_products(products), n - 1)
     ders = tuple(Derivation1(tuple(entry[t, m] for m in range(1, n + 1))) for t in range(1, n + 1))
     return DerivationTuple(ders, f), tuple(cofactor[1, t].scale(degree) for t in range(1, n + 1))
 

@@ -103,13 +103,19 @@ over the others; the leading coefficient that the element is divided by
 is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
-is sum_k c_k * row_k over its recipe (_combine_rows), each entry one
-poly.sum_of_products over Q (of the term maps wrapped as Polynomials, not
-copied) whose multipliers are split into integer terms once per node,
-or modulo the basis's prime one integer sum of products
-(poly._accumulate) reduced once per coefficient.  A read forms the rows
-of the node and of its ancestors only, in increasing node order, and
-keeps them.
+is sum_k c_k * row_k over its recipe (_combine_rows).  Over Q each entry
+is one poly.sum_of_products (of the term maps wrapped as Polynomials,
+not copied) whose multipliers are split into integer terms once per
+node.  Modulo the basis's prime the rows stay packed from the first
+product to the last (``_Rows``), under one grevlex packing per basis
+whose fields hold a degree bound computed once over the recipe DAG: 0 for
+a generator, else the largest deg q + bound(parent) over the node's
+recipe.  Each multiplier is packed once, with its recipe, each entry is
+one sum of packed products (poly._packed_products) reduced once per
+coefficient, and a row is unpacked only where it leaves
+(``GroebnerBasis._export``).  A lift whose quotients need wider fields
+first repacks the rows formed so far.  A read forms the rows of the node
+and of its ancestors only, in increasing node order, and keeps them.
 
 A division takes the largest working term first, from the heap of
 packed keys, and tries the divisors in list order.  Cancelled terms leave
@@ -132,7 +138,7 @@ from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 from .poly import quasi_homogeneous_weights, rational_reconstruction
-from .poly import _accumulate, _canonical, _Packing, _sum_of_split_products, _top_degree
+from .poly import _canonical, _packed_products, _Packing, _sum_of_split_products, _top_degree
 from .poly import _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
@@ -358,24 +364,58 @@ def _scale(terms: dict, c, modulus: int | None) -> dict:
 
 def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[TermMap, ...]:
     """The row sum q * row over the (q, row) pairs of ``combination``, entry
-    by entry, on term maps (multipliers, rows and the sum).  Over Q
-    (``modulus`` None) each of its ``width`` entries is one sum_of_products
-    of the term maps wrapped, without a copy, as Polynomials, each
-    multiplier split into integer terms once for all entries.  Modulo the
-    prime ``modulus`` each entry's integer products are summed in one map
-    (poly._accumulate) and reduced once per coefficient."""
+    by entry.  Over Q (``modulus`` None) the multipliers, rows and sum are
+    term maps on exponent tuples, and each of the ``width`` entries is one
+    sum_of_products of the term maps wrapped, without a copy, as
+    Polynomials, each multiplier split into integer terms once for all
+    entries.  Modulo the prime ``modulus`` they are term maps on the packed
+    keys of one _Packing whose fields hold every product's degree
+    (``_Rows``): each entry's products are summed in one map
+    (poly._packed_products) and reduced once per coefficient."""
     if modulus is None:
         wrap = partial(Polynomial._raw, n)
         split = [(wrap(q).integer_terms(), row) for q, row in combination]
         entries = ([(q, wrap(row[j]).integer_terms()) for q, row in split if row[j]] for j in range(width))
         return tuple(_sum_of_split_products(n, entry).terms for entry in entries)
-    entries = (_accumulate((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
-    return tuple({e: r for e, c in entry.items() if (r := c % modulus)} for entry in entries)
+    entries = (_packed_products((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
+    return tuple({k: r for k, c in entry.items() if (r := c % modulus)} for entry in entries)
 
 
-# How a node was formed: its nonzero (multiplier, parent node) pairs, each
-# multiplier a term map over the field.
-Recipe = tuple[tuple[TermMap, int], ...]
+class _Rows:
+    """The rows of a basis formed so far (node -> row), from the unit rows
+    of its generators.  Over Q their entries are term maps on exponent
+    tuples.  Modulo a prime they are term maps on packed keys, under one
+    grevlex _Packing per basis whose fields hold the degree bound of every
+    node: 0 for a generator, else the largest deg q + bound(parent) over
+    the (q, parent) pairs of its recipe.  Each product of a row sum is then
+    within its node's bound.  The width only grows (``fit``)."""
+
+    def __init__(self, basis: GroebnerBasis):
+        n, width = basis.n, len(basis.source.generators)
+        self.packing = None
+        if basis.modulus is not None:
+            self.bounds = dict.fromkeys(range(-width, 0), 0)
+            for k, recipe in enumerate(basis.recipes):
+                self.bounds[k] = max(_extent(GREVLEX, q) + self.bounds[parent] for q, parent in recipe)
+            self.packing = _Packing(GREVLEX, n, max(self.bounds.values()))
+        one = {(0,) * n if self.packing is None else 0: 1}
+        self.formed = {j - width: tuple(one if i == j else {} for i in range(width)) for j in range(width)}
+
+    def multiplier(self, q: TermMap) -> TermMap:
+        """A recipe or lift multiplier as the row sums take it."""
+        return q if self.packing is None else {self.packing.pack(e): c for e, c in q.items()}
+
+    def fit(self, terms: Iterable[tuple[TermMap, int]]) -> None:
+        """Repack the rows formed so far, if need be, so that the fields hold
+        deg q + bound(node) for the (q, node) pairs of a lift."""
+        old = self.packing
+        if old is None:
+            return
+        bound = max((_extent(GREVLEX, q) + self.bounds[node] for q, node in terms), default=0)
+        if bound > old.limit:
+            new = self.packing = _Packing(GREVLEX, old.n, bound)
+            self.formed = {node: tuple({new.pack(old.unpack(k)): c for k, c in entry.items()} for entry in row)
+                           for node, row in self.formed.items()}
 
 
 @dataclass(frozen=True)
@@ -416,30 +456,32 @@ class GroebnerBasis:
         return [_split_divisor(g, self.order) for g in self.basis]
 
     @cached_property
-    def _rows(self) -> dict[int, tuple]:
-        """The rows formed so far, from the unit rows of the generators."""
-        width = len(self.source.generators)
-        return {j - width: tuple({(0,) * self.n: 1} if i == j else {} for i in range(width)) for j in range(width)}
+    def _rows(self) -> _Rows:
+        return _Rows(self)
 
     def _export(self, row: tuple[TermMap, ...]) -> tuple[Polynomial, ...]:
-        """A row as the methods return it: Polynomials."""
-        return tuple(_polynomial(self.n, entry) for entry in row)
+        """A row as the methods return it: Polynomials, unpacked once modulo a
+        prime."""
+        packing = self._rows.packing
+        if packing is None:
+            return tuple(_polynomial(self.n, entry) for entry in row)
+        return tuple(Polynomial._raw(self.n, packing.unpack_terms(entry)) for entry in row)
 
     def _row(self, node: int) -> tuple:
         """The row of a node over the basis's field, formed with the rows of
         its unformed ancestors in increasing node order (parents precede
         their children)."""
         rows = self._rows
-        todo, stack = set(), [node]
+        formed, todo, stack = rows.formed, set(), [node]
         while stack:
             k = stack.pop()
-            if k not in rows and k not in todo:
+            if k not in formed and k not in todo:
                 todo.add(k)
                 stack.extend(parent for _, parent in self.recipes[k])
         for k in sorted(todo):
-            combination = [(q, rows[parent]) for q, parent in self.recipes[k]]
-            rows[k] = _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
-        return rows[node]
+            combination = [(rows.multiplier(q), formed[parent]) for q, parent in self.recipes[k]]
+            formed[k] = _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
+        return formed[node]
 
     @property
     def cofactors(self) -> tuple[tuple[Polynomial, ...], ...]:
@@ -475,7 +517,10 @@ class GroebnerBasis:
         if remainder:
             return None
         first = len(self.recipes) - len(self.basis)
-        combination = [(q, self._row(first + i)) for i, q in enumerate(quotients) if q]
+        terms = [(q, first + i) for i, q in enumerate(quotients) if q]
+        rows = self._rows
+        rows.fit(terms)
+        combination = [(rows.multiplier(q), self._row(node)) for q, node in terms]
         return self._export(_combine_rows(self.n, combination, len(self.source.generators), self.modulus))
 
     @cached_property

@@ -16,7 +16,15 @@ column) lists; for k = 1 it is the classical algebraic cofactor
 Every determinant and minor of a matrix is read from one memo that the
 matrix keeps (PolyMatrix.minor): a minor is keyed by its remaining rows and
 columns and expanded along its first remaining row into minors that the
-memo already holds, so each is expanded once per matrix.
+memo already holds, so each is expanded once per matrix.  The memo holds
+packed integer terms (poly._Packing; Monagan and Pearce 2007) under one
+packing per matrix, whose fields hold m times the largest entry degree
+(a constant matrix counting as degree 1, so that symmetric_tuple's
+minors times a variable fit as well).
+The expansion is fraction-free: it runs on the entries times the lcm D of
+their denominators, each Laplace step one poly._packed_products, so a
+minor of k rows is held times D^k.  A read (PolyMatrix.minor) unpacks
+the minor once and divides it by D^k.
 
 All indices are 1-based.  Hessian entries are the plain second partials
 d^2 f / dx_i dx_j, with no divided-power factor.
@@ -25,9 +33,11 @@ d^2 f / dx_i dx_j, with no divided-power factor.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, quasi_homogeneous_weights, sum_of_products
+from .poly import GREVLEX, Polynomial, _packed_products, _Packing, quasi_homogeneous_weights, sum_of_products
 
 # Laplace expansion over row and column subsets is exponential in the size
 # of the minor expanded; the cap bounds that size.
@@ -35,9 +45,16 @@ MAX_DETERMINANT_DIM = 6
 
 
 class PolyMatrix:
-    """Immutable square matrix of polynomials sharing one variable count."""
+    """Immutable square matrix of polynomials sharing one variable count.
 
-    __slots__ = ("entries", "m", "nvars", "_minors")
+    Its minors are expanded on packed integer keys (the module docstring):
+    ``packing`` is one grevlex _Packing whose fields hold m times the
+    largest entry degree, at least 1, so every minor fits, and so does a
+    minor of fewer than m rows times a variable; ``denominator`` is the lcm
+    of the entry denominators.
+    """
+
+    __slots__ = ("entries", "m", "nvars", "packing", "denominator", "_packed", "_minors")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]], nvars: int | None = None):
         rows = tuple(tuple(row) for row in entries)
@@ -53,10 +70,15 @@ class PolyMatrix:
             nvars = seen.pop()
         elif seen and seen.pop() != nvars:
             raise ValueError("entries disagree with the stated variable count")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_minors", {})
+        split = [[p.integer_terms() for p in row] for row in rows]
+        denominator = math.lcm(*(d for row in split for d, _ in row))
+        degree = max((sum(e) for row in rows for p in row for e in p.terms), default=0)
+        packing = _Packing(GREVLEX, nvars, m * max(degree, 1))
+        packed = tuple(tuple([(packing.pack(e), c * (denominator // d)) for e, c in terms] for d, terms in row)
+                       for row in split)
+        for name, value in (("entries", rows), ("m", m), ("nvars", nvars), ("packing", packing),
+                            ("denominator", denominator), ("_packed", packed), ("_minors", {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -67,13 +89,28 @@ class PolyMatrix:
             raise IndexError(f"entry ({i},{j}) out of range 1..{self.m}")
         return self.entries[i - 1][j - 1]
 
-    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-        """Determinant of the sub-matrix on the given rows and columns
-        (0-based, increasing), expanded on first use and kept in the memo."""
+    def packed_minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
+        """The memo's value for the sub-matrix on the given rows and columns
+        (0-based, increasing): the packed integer terms of its determinant
+        times ``denominator`` ** len(rows), expanded on first use."""
         value = self._minors.get((rows, cols))
         if value is None:
             value = self._minors[rows, cols] = _expand(self, rows, cols)
         return value
+
+    def unpack(self, terms: dict[int, int], size: int) -> Polynomial:
+        """The Polynomial of packed integer terms over ``denominator`` ** size,
+        with canonical coefficients; zero sums are dropped."""
+        unpack, d = self.packing.unpack, self.denominator ** size
+        if d == 1:
+            return Polynomial._raw(self.nvars, {unpack(k): c for k, c in terms.items() if c})
+        return Polynomial._raw(self.nvars, {unpack(k): Fraction(c, d) if c % d else c // d
+                                            for k, c in terms.items() if c})
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
+        """Determinant of the sub-matrix on the given rows and columns
+        (0-based, increasing), read from the memo and unpacked."""
+        return self.unpack(self.packed_minor(rows, cols), len(rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -92,18 +129,20 @@ def hessian(f: Polynomial) -> PolyMatrix:
     )
 
 
-def _expand(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-    """Laplace step along the first remaining row: the sum of
-    (-1)^pos a_(row, col) times the minor without that row and column."""
+def _expand(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
+    """Laplace step along the first remaining row, on the packed integer
+    entries: the sum of (-1)^pos a_(row, col) times the minor without that
+    row and column, with no zero sum kept."""
     if len(rows) > MAX_DETERMINANT_DIM:
         raise ValueError(f"determinant dimension {len(rows)} exceeds the supported cap {MAX_DETERMINANT_DIM}")
     if not rows:
-        return Polynomial.constant(matrix.nvars, 1)
-    row, rest = matrix.entries[rows[0]], rows[1:]
-    return sum_of_products(matrix.nvars, (
-        (row[col] if pos % 2 == 0 else -row[col], matrix.minor(rest, cols[:pos] + cols[pos + 1:]))
+        return {0: 1}  # the key of the monomial 1
+    row, rest = matrix._packed[rows[0]], rows[1:]
+    acc = _packed_products(
+        (row[col], matrix.packed_minor(rest, cols[:pos] + cols[pos + 1:]).items(), -1 if pos % 2 else 1)
         for pos, col in enumerate(cols) if row[col]
-    ))
+    )
+    return {k: c for k, c in acc.items() if c}
 
 
 def determinant(matrix: PolyMatrix) -> Polynomial:

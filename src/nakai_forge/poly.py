@@ -19,21 +19,24 @@ denominator is 1.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
 Polynomials in the package goes through it: ``Polynomial.__mul__``, the
-cofactor rows and lifts of ``groebner`` over Q, the Laplace step of
-``minors.determinant`` and the cofactor-identity check built on it,
-``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``
-and the zero-sum check of ``derivations.scale_mismatches``.  Modulo a
-prime the rows and lifts of ``groebner`` sum integer products with the
-integer loop of ``sum_of_products`` (``_accumulate``) and reduce each
-coefficient once.
+cofactor rows and lifts of ``groebner`` over Q, the cofactor-identity
+check of ``minors``, ``Derivation1.apply``, ``DiffOp2.apply``,
+``derivations.replay_ledger`` and the zero-sum check of
+``derivations.scale_mismatches``.
 
-That loop sums on exponent tuples a call of fewer than PACK_PRODUCTS term
-products, which is most calls: packing and unpacking would cost them more
-than they save.  A larger call sums on packed exponent vectors (Monagan
-and Pearce 2007): ``_Packing`` makes each monomial one int, so a term
-product is one integer addition, and only the output is unpacked.  The
-same ``_Packing`` serves ``groebner``'s S-pair loop and divisions, which
-form their S-polynomials on those keys (see the ``groebner`` docstring).
+Its integer loop (``_accumulate``) sums on exponent tuples a call of fewer
+than PACK_PRODUCTS term products, which is most calls: packing and
+unpacking would cost them more than they save.  A larger call sums on
+packed exponent vectors (Monagan and Pearce 2007): ``_Packing`` makes each
+monomial one int, so a term product is one integer addition, and only the
+output is unpacked.  The packed product loop (``_packed_products``) exists
+once.  Three computations hold their values on packed keys from the first
+product to the last, under one ``_Packing`` each, and call it directly:
+the rows and lifts of ``groebner`` modulo a prime, the minors of
+``minors.PolyMatrix`` and the entries of ``derivations.symmetric_tuple``.
+The same ``_Packing`` serves ``groebner``'s S-pair loop and divisions,
+which form their S-polynomials on those keys (see the ``groebner``
+docstring).
 
 ``Polynomial.mod`` (reduction modulo a prime), ``is_prime`` and
 ``rational_reconstruction`` serve the Groebner engine modulo a prime and
@@ -419,8 +422,8 @@ PACK_PRODUCTS = 128
 def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
     """sum scale * a * b over the (a, b, scale) of ``products``, a and b
     integer terms (lists or dict items), in one integer map whose zero sums
-    may stay in it: the loop of ``sum_of_products`` and of the rows of
-    ``groebner`` modulo a prime.  A call of PACK_PRODUCTS or more term
+    may stay in it: the loop of ``sum_of_products`` and of the verifier's
+    isolation check (``pipeline``).  A call of PACK_PRODUCTS or more term
     products sums on packed monomials (_accumulate_packed)."""
     products = list(products)
     if sum(len(terms1) * len(terms2) for terms1, terms2, _ in products) >= PACK_PRODUCTS:
@@ -437,28 +440,39 @@ def _accumulate(products: Iterable[tuple[Terms, Terms, int]]) -> dict[Exponent, 
 
 
 def _accumulate_packed(products: list[tuple[Terms, Terms, int]]) -> dict[Exponent, int]:
-    """The loop of _accumulate on packed monomials: a term product is
-    k1 + k2, each distinct exponent is packed once, and only the nonzero
-    sums are unpacked.  The packing is _Packing under grevlex with fields
-    that hold the largest left degree plus the largest right degree, and
-    every field of a product is at most its degree, so none overflows.
-    The map takes its keys in the order the tuple loop does."""
+    """The loop of _accumulate on packed monomials (_packed_products): each
+    distinct exponent is packed once, and only the nonzero sums are
+    unpacked.  The packing is _Packing under grevlex with fields that hold
+    the largest left degree plus the largest right degree, and every field
+    of a product is at most its degree, so none overflows.  The map takes
+    its keys in the order the tuple loop does."""
     lefts = dict.fromkeys(e for terms1, _, _ in products for e, _ in terms1)
     rights = dict.fromkeys(e for _, terms2, _ in products for e, _ in terms2)
     packing = _Packing(GREVLEX, len(next(iter(lefts))), max(map(sum, lefts)) + max(map(sum, rights)))
     key = {e: packing.pack(e) for e in (*lefts, *rights)}
+    acc = _packed_products(([(key[e1], c1) for e1, c1 in terms1], [(key[e2], c2) for e2, c2 in terms2], scale)
+                           for terms1, terms2, scale in products)
+    unpack = packing.unpack
+    return {unpack(k): c for k, c in acc.items() if c}
+
+
+def _packed_products(products: Iterable[tuple[Terms, Terms, int]]) -> dict[int, int]:
+    """sum scale * a * b over the (a, b, scale) of ``products``, a and b
+    integer terms on packed keys of one _Packing (lists or dict items), in
+    one map whose zero sums may stay in it: a term product is k1 + k2.  The
+    one packed product loop, of _accumulate_packed, of ``groebner``'s rows
+    modulo a prime, of the Laplace steps of ``minors`` and of the entries of
+    ``derivations.symmetric_tuple``; each caller's packing holds the degree
+    of every product it sums."""
     acc: dict[int, int] = {}
     get = acc.get
     for terms1, terms2, scale in products:
-        packed2 = [(key[e2], c2) for e2, c2 in terms2]
-        for e1, c1 in terms1:
-            k1 = key[e1]
+        for k1, c1 in terms1:
             c1 *= scale
-            for k2, c2 in packed2:
+            for k2, c2 in terms2:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-    unpack = packing.unpack
-    return {unpack(k): c for k, c in acc.items() if c}
+    return acc
 
 
 # the first 12 primes: as Miller-Rabin bases they decide primality of every
@@ -581,7 +595,8 @@ class _Packing:
         return sum(map(mul, e, self.weights))
 
     def unpack(self, k: int) -> Exponent:
-        return tuple(k >> s & self.field for s in self.shifts)
+        field = self.field
+        return tuple([k >> s & field for s in self.shifts])
 
     def unpack_terms(self, terms: dict) -> dict:
         """Packed terms as a term map on exponent tuples, with the same

@@ -6,8 +6,9 @@ These are the term-by-term loops that the exact kernels replaced:
 ``groebner._divide_tracked`` with a scan for the largest term and a
 division by the leading coefficient at every step (the kernel divides by
 monic divisors, on packed monomials), the same division modulo a prime on
-exponent tuples, the Leibniz sum for ``minors.determinant``, the
-move-by-move fold for ``derivations.replay_ledger``, the
+exponent tuples, the Leibniz sum for ``minors.determinant``, a plain
+Laplace expansion on exponent tuples for every minor of the packed memo
+of ``minors.PolyMatrix``, the move-by-move fold for ``derivations.replay_ledger``, the
 character-by-character tokenizer of ``exprio``, and the recursive walk of
 the standard monomials that ``GroebnerBasis.standard_monomials`` (a filter
 of the box below its ``pure_powers``) replaced.  They share no arithmetic
@@ -65,6 +66,19 @@ def reference_determinant(matrix: PolyMatrix) -> Polynomial:
         for r, c in enumerate(perm):
             term = reference_mul(term, matrix.entries[r][c])
         total = total + term
+    return total
+
+
+def reference_minor(matrix: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+    """The determinant of the sub-matrix on the rows and columns (0-based,
+    increasing) by Laplace expansion along its first row, term by term on
+    exponent tuples with Fraction coefficients."""
+    if not rows:
+        return Polynomial.constant(matrix.nvars, 1)
+    total = Polynomial.zero(matrix.nvars)
+    for pos, col in enumerate(cols):
+        term = reference_mul(matrix.entries[rows[0]][col], reference_minor(matrix, rows[1:], cols[:pos] + cols[pos + 1:]))
+        total = total - term if pos % 2 else total + term
     return total
 
 

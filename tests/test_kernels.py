@@ -9,6 +9,7 @@ when integral), the same quotients and remainders, the same tokens and the
 same ParseError messages and positions, the same monomial lists.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from kernel_reference import (
     reference_determinant,
     reference_divide,
     reference_divide_mod,
+    reference_minor,
     reference_mul,
     reference_replay,
     reference_standard_monomials,
@@ -30,9 +32,9 @@ import nakai_forge.poly as poly
 from nakai_forge.derivations import Adjustment, Derivation1, DerivationTuple, replay_ledger
 from nakai_forge.exprio import ParseError, _tokenize, parse_poly
 from nakai_forge.groebner import (
-    Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger, reduce_by_basis,
+    Ideal, ResourceLimitExceeded, _divide, _Divisors, _split_divisor, buchberger, jacobian_ideal, reduce_by_basis,
 )
-from nakai_forge.minors import PolyMatrix, determinant
+from nakai_forge.minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant, signed_minor
 from nakai_forge.pipeline import slice_images
 from nakai_forge.poly import GREVLEX, LEX, Polynomial, monomials_of_degree, sum_of_products
 
@@ -184,6 +186,59 @@ class TestDeterminant:
                                                                                                rng.choice((1, 2))))
                                      for _ in range(m)] for _ in range(m)], nvars=n)
                 _assert_same(determinant(signs), reference_determinant(signs))
+
+
+def _random_matrix(rng: random.Random, m: int, n: int, constant: bool) -> PolyMatrix:
+    """An m x m matrix of rational entries, about a third of them zero:
+    constants, or sparse entries of mixed degrees (up to 2 in each
+    variable, fewer terms as m grows)."""
+    def entry():
+        if rng.random() < 0.35:
+            return Polynomial.zero(n)
+        if constant:
+            return Polynomial.constant(n, Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 10**20 + 39))))
+        return _random_rational_poly(rng, n, 2, 3 if m < 5 else 2)
+    return PolyMatrix([[entry() for _ in range(m)] for _ in range(m)], nvars=n)
+
+
+class TestMinors:
+    """Every minor the packed memo expands, and determinant and signed_minor
+    read from it, against the plain Laplace expansion on exponent tuples."""
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["polynomial", "constant"])
+    def test_random_against_reference(self, constant):
+        rng = random.Random(1985 + constant)
+        for m in range(MAX_DETERMINANT_DIM + 1):
+            n = rng.randint(1, 3)
+            matrix = _random_matrix(rng, m, n, constant)
+            full = tuple(range(m))
+            for k in range(m + 1):
+                for rows in itertools.combinations(full, k):
+                    for cols in itertools.combinations(full, k):
+                        _assert_same(matrix.minor(rows, cols), reference_minor(matrix, rows, cols))
+            _assert_same(determinant(matrix), reference_minor(matrix, full, full))
+            for _ in range(10):
+                k = rng.randint(0, m)
+                deleted = [rng.sample(range(1, m + 1), k) for _ in range(2)]
+                parity = sum(sum(d) + sum(a > b for a, b in itertools.combinations(d, 2)) for d in deleted)
+                rest = [tuple(i for i in full if i + 1 not in d) for d in deleted]
+                expected = reference_minor(matrix, *rest)
+                _assert_same(signed_minor(matrix, *deleted), -expected if parity % 2 else expected)
+
+    def test_minors_at_the_packing_bound(self):
+        # the fields hold m times the largest entry degree, here exactly
+        # their limit: diagonal powers x_1^5 in a 3 x 3 matrix, and a
+        # constant 3 x 3 matrix, whose entries count as degree 1
+        n = 2
+        power = Polynomial.monomial(n, (5, 0), Fraction(2, 3))
+        zero = Polynomial.zero(n)
+        diagonal = PolyMatrix([[power if i == j else zero for j in range(3)] for i in range(3)], nvars=n)
+        assert diagonal.packing.limit == 15
+        _assert_same(determinant(diagonal), Polynomial.monomial(n, (15, 0), Fraction(8, 27)))
+        _assert_same(diagonal.minor((0, 1), (0, 1)), reference_minor(diagonal, (0, 1), (0, 1)))
+        constants = PolyMatrix([[Polynomial.constant(n, (i + 1) ** j) for j in range(3)] for i in range(3)], nvars=n)
+        assert constants.packing.limit == 3
+        _assert_same(determinant(constants), Polynomial.constant(n, 2))
 
 
 class TestReplayLedger:
@@ -547,20 +602,101 @@ class TestPackedSums:
     @pytest.mark.parametrize("count", [poly.PACK_PRODUCTS - 1, poly.PACK_PRODUCTS], ids=["below", "at"])
     @pytest.mark.parametrize("modulus", [7, P31])
     def test_combine_rows_modulo_a_prime(self, count, modulus, monkeypatch):
-        # rows of width 1: the multipliers q and rows of each pair as
-        # term maps, summed modulo the prime against the reference products
+        # rows of width 1: the multipliers q and rows of each pair as term
+        # maps on the keys of one packing that holds every product's degree,
+        # summed modulo the prime against the reference products; the terms
+        # arrive packed, so no call packs them again
         calls = self._packed_calls(monkeypatch)
         rng = random.Random(count + modulus)
         for n in (2, 4):
             pairs = _pairs_of_products(rng, n, count)
-            combination = [(groebner._residues(a, modulus), (groebner._residues(b, modulus),)) for a, b in pairs]
+            packing = poly._Packing(GREVLEX, n, max(_degree(a) + _degree(b) for a, b in pairs))
+            combination = [(_packed_residues(a, packing, modulus), (_packed_residues(b, packing, modulus),))
+                           for a, b in pairs]
             expected = Polynomial.zero(n)
             for a, b in pairs:
                 expected = expected + reference_mul(a.mod(modulus), b.mod(modulus))
             assert sum(len(q) * len(row[0]) for q, row in combination) == count
             (entry,) = groebner._combine_rows(n, combination, 1, modulus)
-            assert entry == groebner._residues(expected, modulus)
-        assert len(calls) == (2 if count >= poly.PACK_PRODUCTS else 0)
+            assert packing.unpack_terms(entry) == groebner._residues(expected, modulus)
+        assert calls == []
+
+
+def _degree(p: Polynomial) -> int:
+    return max(map(sum, p.terms))
+
+
+def _packed_residues(p: Polynomial, packing, modulus: int) -> dict[int, int]:
+    return {packing.pack(e): c for e, c in groebner._residues(p, modulus).items()}
+
+
+def _integer_poly(rng: random.Random, n: int, degree: int, terms: int) -> Polynomial:
+    """Integer coefficients of either sign, exponents up to ``degree`` in
+    each variable and in total, some of the coefficients multiples of 7."""
+    out = {}
+    for _ in range(terms):
+        e = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(n)] += 1
+        out[tuple(e)] = rng.choice((rng.randint(-9, 9), 7 * rng.randint(-3, 3), rng.randint(-10**12, 10**12)))
+    return Polynomial(n, out)
+
+
+class TestRows:
+    """The rows of a basis modulo a prime, on packed keys under one packing
+    whose fields hold the degree bound of every node."""
+
+    @pytest.mark.parametrize("modulus", [7, P31])
+    def test_combine_rows_at_the_packing_bound(self, modulus):
+        # rows of width 2 whose products have degree at most 7, the limit of
+        # the packing; one product is x_n^3 * x_n^4, the last field at it
+        rng = random.Random(modulus)
+        for n in (2, 3):
+            packing = poly._Packing(GREVLEX, n, 7)
+            assert packing.limit == 7
+            top = tuple(int(i == n - 1) for i in range(n))
+            pairs = [(_integer_poly(rng, n, 3, 4), [_integer_poly(rng, n, 4, 5) for _ in range(2)]) for _ in range(6)]
+            pairs.append((Polynomial.monomial(n, [3 * e for e in top], 2),
+                          [Polynomial.monomial(n, [4 * e for e in top], -3), _integer_poly(rng, n, 4, 5)]))
+            combination = [(_packed_residues(q, packing, modulus), tuple(_packed_residues(r, packing, modulus) for r in row))
+                           for q, row in pairs]
+            entries = groebner._combine_rows(n, combination, 2, modulus)
+            for j, entry in enumerate(entries):
+                expected = Polynomial.zero(n)
+                for q, row in pairs:
+                    expected = expected + reference_mul(q, row[j])
+                assert packing.unpack_terms(entry) == groebner._residues(expected, modulus)
+            assert any(k == packing.pack(tuple(7 * e for e in top)) for k in entries[0])
+
+    def test_node_bounds_hold_every_row(self):
+        # each formed row entry has degree at most its node's bound, and the
+        # rows give back the basis modulo the prime
+        gens = jacobian_ideal(parse_poly("x^3 + 2*y^3 + z^3 - x*y*z + x^2*z", ["x", "y", "z"])).generators
+        gb = buchberger(Ideal(gens), modulus=P31)
+        for row, b in zip(gb.cofactors, gb.basis):
+            assert sum_of_products(3, zip(row, gens)).mod(P31) == b
+        rows = gb._rows
+        assert rows.packing.limit >= max(rows.bounds.values())
+        for node, row in rows.formed.items():
+            for entry in row:
+                assert all(sum(rows.packing.unpack(k)) <= rows.bounds[node] for k in entry)
+
+    def test_lift_widens_the_row_packing(self):
+        # a member whose quotients have a degree above every node bound: the
+        # lift repacks the rows formed so far and gives the lift over Q
+        # reduced modulo the prime
+        names = ["x", "y", "z"]
+        gens = jacobian_ideal(parse_poly("x^3 + 2*y^3 + z^3 - x*y*z + x^2*z", names)).generators
+        gb, over_q = buchberger(Ideal(gens), modulus=P31), buchberger(Ideal(gens))
+        rows = gb.cofactors  # forms every row under the first packing
+        limit = gb._rows.packing.limit
+        high = Polynomial.monomial(3, (2 * limit + 2, 2, 0), 5)  # past every unpackable field
+        member = sum_of_products(3, [(high, gens[0]), (parse_poly("y^2 - 3*x*z", names), gens[2])])
+        lifted = gb.lift(member)
+        assert gb._rows.packing.limit > limit
+        assert lifted == tuple(c.mod(P31) for c in over_q.lift(member))
+        assert sum_of_products(3, zip(lifted, gens)).mod(P31) == member.mod(P31)
+        assert gb.cofactors == rows
 
 
 class TestDescendingKey:
