@@ -370,11 +370,12 @@ def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, .
     """The symmetric tuple the witness lifts, and its scales q_i = D A_1i.
 
     Homogeneous f takes identity 4 of the module docstring from the n(n+1)/2
-    cofactors of one Hessian, each read once through algebraic_cofactor,
-    which expands it in the matrix's memo.  Each entry for m >= t is then
-    summed on the memo's packed keys, as three shifted copies of cofactors,
-    A_1t x_m + A_1m x_t - x_1 A_tm, in one poly._packed_products, and
-    unpacked once.  Weighted f symmetrizes the candidate of
+    cofactors of one Hessian, all expanded in the matrix's memo.  Each entry
+    for m >= t is summed on the memo's packed keys, as three shifted copies
+    of cofactors, A_1t x_m + A_1m x_t - x_1 A_tm, in one
+    poly._packed_products, and unpacked once; only the n cofactors A_1t of
+    the first row are read as Polynomials, through algebraic_cofactor, for
+    the scales.  Weighted f symmetrizes the candidate of
     build_candidate_tuple.  Either way d_1(x_1) = W_1 x_1 A_11.
     """
     weights, degree = _weights_and_degree(f)
@@ -386,7 +387,7 @@ def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, .
     n = f.n
     hess = hessian(f)
     pairs = list(combinations_with_replacement(range(1, n + 1), 2))
-    cofactor = {(t, m): algebraic_cofactor(hess, t, m) for t, m in pairs}
+    first_row = [algebraic_cofactor(hess, 1, t) for t in range(1, n + 1)]
 
     def without(i: int) -> tuple[int, ...]:
         return tuple(k for k in range(n) if k != i - 1)
@@ -401,7 +402,7 @@ def symmetric_tuple(f: Polynomial) -> tuple[DerivationTuple, tuple[Polynomial, .
                     (x[0], packed[t, m], -(-1) ** (t + m)))
         entry[t, m] = entry[m, t] = hess.unpack(_packed_products(products), n - 1)
     ders = tuple(Derivation1(tuple(entry[t, m] for m in range(1, n + 1))) for t in range(1, n + 1))
-    return DerivationTuple(ders, f), tuple(cofactor[1, t].scale(degree) for t in range(1, n + 1))
+    return DerivationTuple(ders, f), tuple(a.scale(degree) for a in first_row)
 
 
 def scale_mismatches(tuple_in: DerivationTuple, scales: Sequence[Polynomial]) -> list[int]:

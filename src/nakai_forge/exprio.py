@@ -16,7 +16,8 @@ other text; the verifier reads every polynomial of a certificate with it
 (``input.polynomial``, the lifted operator's coefficients, its
 ``scales_f_by`` and every isolation row), and no certificate text reaches
 ``parse_poly``.  Both readers take the variable names as a sequence of
-distinct strings and refuse anything else.
+distinct strings, each an identifier of the grammar, and refuse anything
+else.
 
 Certificates are JSON documents with a fixed top-level key set; every
 rational inside is a decimal-free "num/den" string and every polynomial
@@ -58,8 +59,10 @@ class Token(NamedTuple):
 
 # \s, \w and \d match exactly str.isspace, str.isalnum-or-underscore and
 # str.isdecimal.  [^\W\d] also admits numeric characters that are not
-# letters (such as '½' or '²'); _tokenize rejects those as unexpected.
-_TOKEN = re.compile(r"\s*(?:(?P<NUMBER>\d+(?:/\d*)?)|(?P<IDENT>[^\W\d]\w*)|(?P<OP>[-+*^()])|(?P<BAD>\S))")
+# letters (such as '½' or '²'); _tokenize rejects those as unexpected, so
+# an identifier is an _IDENT that starts with a letter or '_'.
+_IDENT = re.compile(r"[^\W\d]\w*")
+_TOKEN = re.compile(rf"\s*(?:(?P<NUMBER>\d+(?:/\d*)?)|(?P<IDENT>{_IDENT.pattern})|(?P<OP>[-+*^()])|(?P<BAD>\S))")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -278,10 +281,14 @@ class _Parser:
 def _names(variables: Sequence[str]) -> list[str]:
     """The variable names as a list; raises ValueError unless they are a
     sequence of distinct strings (a string is not: it would read as its
-    characters)."""
+    characters), each one that _tokenize reads whole as one identifier, so
+    that format_poly writes text both readers read back."""
     names = list(variables)
     if isinstance(variables, str) or not all(isinstance(v, str) for v in names):
         raise ValueError(f"variable names must be a sequence of strings, not {variables!r}")
+    bad = [v for v in names if not (_IDENT.fullmatch(v) and (v[0].isalpha() or v[0] == "_"))]
+    if bad:
+        raise ValueError(f"variable names must be identifiers, not {bad[0]!r}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     return names

@@ -200,6 +200,8 @@ Divisor = tuple[Exponent, Fraction | int, list[tuple[Exponent, Fraction | int]]]
 # modulo a prime (residues in [1, p) once reduced).  The constant 1 of unit
 # rows and recipes is the int 1 in both fields.
 TermMap = dict[Exponent, Fraction | int]
+# a node's recipe: the (q, parent) pairs, the node being sum q * node[parent]
+Recipe = tuple[tuple[TermMap, int], ...]
 
 
 def _residues(p: Polynomial, modulus: int | None) -> TermMap:

@@ -234,6 +234,7 @@ from .exprio import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     CertificateError,
+    _names,
     _power_too_large,
     format_fraction,
     format_poly,
@@ -565,7 +566,9 @@ def _document(f_text: str, variables: Sequence[str], facts: dict, failed: tuple[
 
 
 def build_witness(f: Polynomial, variables: Sequence[str]) -> WitnessCertificate:
-    """Run the full construction and return a replayable certificate."""
+    """Run the full construction and return a replayable certificate;
+    ValueError for variable names the certificate cannot carry (exprio._names)."""
+    variables = _names(variables)
     facts, failed = input_gate(f)
 
     def certificate(verdict: str, reason: str | None = None, **proofs) -> WitnessCertificate:

@@ -10,6 +10,10 @@ is taken as a Fraction (two ints never divide to a float), and a float
 coefficient raises TypeError.  Variable indices are 1-based in the public
 API (x1, ..., xn); exponent tuples are indexed positionally.
 
+``partial`` is the one derivative routine: the divided-power derivative
+``higher_partial`` of the second-order operators (``derivations.DiffOp2``)
+is repeated ``partial`` calls and one ``scale``.
+
 Multiplication, and a sum of products (``sum_of_products``), is
 fraction-free (Bareiss 1968): each operand is written once as integer
 numerators over one common denominator (``integer_terms``), the term
@@ -321,30 +325,21 @@ class Polynomial:
         """Divided-power derivative (1/alpha!) d^|alpha| / dx^alpha.
 
         On a monomial x^g this gives prod(binomial(g_i, alpha_i)) * x^(g-alpha),
-        so higher_partial(x^a, a) == 1.  The un-divided derivative is never
-        exposed; all higher-order coefficients in this package use this
-        normalization.
+        so higher_partial(x^a, a) == 1.  It is ``partial(i)`` taken alpha_i
+        times for each i, then one ``scale`` by 1/alpha!.  The un-divided
+        derivative is never exposed; all higher-order coefficients in this
+        package use this normalization.
         """
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError(f"multi-index length {len(alpha)} != {self.n}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative entry in multi-index {alpha}")
-        out: dict[Exponent, Fraction | int] = {}
-        for exp, coeff in self.terms.items():
-            if any(e < a for e, a in zip(exp, alpha)):
-                continue
-            binom = 1
-            for e, a in zip(exp, alpha):
-                if a:
-                    binom *= math.comb(e, a)
-            key = tuple(e - a for e, a in zip(exp, alpha))
-            c = out.get(key, 0) + coeff * binom
-            if c:
-                out[key] = _canonical(c)
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(self.n, out)
+        out = self
+        for i, a in enumerate(alpha, 1):
+            for _ in range(a):
+                out = out.partial(i)
+        return out.scale(Fraction(1, math.prod(map(math.factorial, alpha))))
 
     def substitute_variables(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute x_i -> images[i-1]; images live in an arbitrary ring.

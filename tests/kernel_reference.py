@@ -2,7 +2,8 @@
 
 These are the term-by-term loops that the exact kernels replaced:
 ``Polynomial.__mul__`` with one Fraction operation per term,
-``Polynomial.substitute_variables`` term by term,
+``Polynomial.substitute_variables`` term by term, the binomial formula for
+``Polynomial.higher_partial``,
 ``groebner._divide_tracked`` with a scan for the largest term and a
 division by the leading coefficient at every step (the kernel divides by
 monic divisors, on packed monomials), the same division modulo a prime on
@@ -18,6 +19,7 @@ equal results.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
@@ -55,6 +57,26 @@ def reference_substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynom
                 term = reference_mul(term, image)
         total = total + term
     return total
+
+
+def reference_higher_partial(p: Polynomial, alpha: Sequence[int]) -> Polynomial:
+    """The divided-power derivative term by term: x^g goes to
+    prod(binomial(g_i, alpha_i)) * x^(g - alpha), and a term with some
+    g_i < alpha_i vanishes."""
+    out: dict[Exponent, Fraction] = {}
+    for exp, coeff in p.terms.items():
+        if any(e < a for e, a in zip(exp, alpha)):
+            continue
+        binom = 1
+        for e, a in zip(exp, alpha):
+            binom *= math.comb(e, a)
+        key = tuple(e - a for e, a in zip(exp, alpha))
+        c = out.get(key, Fraction(0)) + coeff * binom
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return Polynomial(p.n, out)
 
 
 def reference_determinant(matrix: PolyMatrix) -> Polynomial:

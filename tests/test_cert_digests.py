@@ -12,7 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cert_digests.txt"
 DIGEST_ARGS = ["--seed", "60606", "--seed", "505",
-               "--draw", "n5d3", "--draw", "n4d5", "--draw", "n5d4", "--draw", "n6d3"]
+               "--draw", "n5d3", "--draw", "n4d5", "--draw", "n5d4", "--draw", "n6d3", "--draw", "n4d6"]
 
 
 def test_certificate_digests_match_the_golden_file():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import nakai_forge.derivations as derivations
 from nakai_forge.derivations import (
     Adjustment,
     Derivation1,
@@ -15,6 +16,7 @@ from nakai_forge.derivations import (
     lift_to_diff2,
     principal_cofactor,
     replay_ledger,
+    scale_mismatches,
     symmetric_tuple,
     symmetrize,
     theta2_extract,
@@ -516,6 +518,21 @@ class TestClosedFormCofactors:
         assert symmetric.ders == symmetrize(candidate, cofactors)[0].ders
         assert closed_scales == scales
         assert lift_to_diff2(symmetric, closed_scales).apply(f).is_zero()
+
+    @pytest.mark.parametrize("text, variables", [
+        (FERMAT, V3), ("x^3 + y^3 + z^3 + w^3", V4), ("x^3 + y^3 + z^3 + w^3 + v^3 + x*y*z + z*w*v", [*V4, "v"]),
+    ])
+    def test_symmetric_tuple_reads_only_the_first_row_as_polynomials(self, text, variables, monkeypatch):
+        # the scales need the n cofactors A_1t as Polynomials; the entries
+        # read every A_tm packed from the Hessian's memo
+        calls = []
+        read = derivations.algebraic_cofactor
+        monkeypatch.setattr(derivations, "algebraic_cofactor",
+                            lambda hess, i, j: calls.append((i, j)) or read(hess, i, j))
+        f = P(text, variables)
+        symmetric, scales = symmetric_tuple(f)
+        assert calls == [(1, t) for t in range(1, f.n + 1)]
+        assert scale_mismatches(symmetric, scales) == []
 
     @pytest.mark.parametrize("text", ["x^2 + y^3 + z^4", "x^3 + y^3 + z^4"])
     def test_lift_brieskorn(self, text):

@@ -95,7 +95,16 @@ class TestParse:
         (["x", "x", "z"], "duplicate variable names"),  # x would read as its last index
         ("xyz", "variable names must be a sequence of strings"),  # a string reads as its characters
         (["x", 1, "z"], "variable names must be a sequence of strings"),
-    ], ids=["repeated", "string", "not a string"])
+        # format_poly would write text that neither reader reads back
+        (["x", "y", "z z"], "variable names must be identifiers"),
+        (["x", "y", "z*w"], "variable names must be identifiers"),
+        (["x", "y", "1"], "variable names must be identifiers"),
+        (["x", "y", "z^2"], "variable names must be identifiers"),
+        (["x", "y", ""], "variable names must be identifiers"),
+        (["x", "y", " z"], "variable names must be identifiers"),
+        (["x", "y", "½"], "variable names must be identifiers"),
+    ], ids=["repeated", "string", "not a string", "space", "product", "number", "power", "empty", "padded",
+            "numeric"])
     def test_both_readers_check_the_names(self, read, variables, message):
         with pytest.raises(ValueError, match=message):
             read("x^3 + z^3", variables)

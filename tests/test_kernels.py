@@ -2,11 +2,12 @@
 
 Multiplication and sums of products, determinants and ledger replay work
 on integer numerators; tracked division works on packed monomials and
-divisors made monic, over Q or modulo a prime.  These, tokenizing and the
-standard monomials of a basis must give exactly what the loops in
-kernel_reference.py give: the same term maps (canonical values: an int
-when integral), the same quotients and remainders, the same tokens and the
-same ParseError messages and positions, the same monomial lists.
+divisors made monic, over Q or modulo a prime.  These, the divided-power
+derivative, tokenizing and the standard monomials of a basis must give
+exactly what the loops in kernel_reference.py give: the same term maps
+(canonical values: an int when integral), the same quotients and
+remainders, the same tokens and the same ParseError messages and
+positions, the same monomial lists.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from kernel_reference import (
     reference_determinant,
     reference_divide,
     reference_divide_mod,
+    reference_higher_partial,
     reference_minor,
     reference_mul,
     reference_replay,
@@ -119,6 +121,32 @@ class TestMultiply:
             for _ in range(3):
                 expected = reference_mul(expected, p)
             _assert_same(p ** 3, expected)
+
+
+class TestHigherPartial:
+    def test_random_against_reference(self):
+        # every multi-index of order at most 3, over 3 variables, on random
+        # rational polynomials; orders past a polynomial's degrees give zero
+        rng = random.Random(4141)
+        alphas = [a for a in itertools.product(range(4), repeat=3) if sum(a) <= 3]
+        zeros = 0
+        for _ in range(25):
+            p = _random_rational_poly(rng, 3, 3, 8)
+            for alpha in alphas:
+                new = p.higher_partial(alpha)
+                _assert_same(new, reference_higher_partial(p, alpha))
+                zeros += new.is_zero()
+        assert zeros > 0
+
+    def test_built_from_partial_and_one_scale(self, monkeypatch):
+        calls = []
+        for name in ("partial", "scale"):
+            method = getattr(Polynomial, name)
+            monkeypatch.setattr(Polynomial, name,
+                                lambda self, arg, _m=method, _n=name: calls.append(_n) or _m(self, arg))
+        p = parse_poly("x^3*y^2*z + 1/2*x*y", ["x", "y", "z"])
+        assert p.higher_partial((2, 1, 0)) == parse_poly("6*x*y*z", ["x", "y", "z"])
+        assert calls == ["partial", "partial", "partial", "scale"]
 
 
 class TestSubstitute:

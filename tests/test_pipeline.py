@@ -231,6 +231,13 @@ class TestBuildWitness:
         }
         assert "groebner_bases" not in doc["membership_tests"]
 
+    @pytest.mark.parametrize("name", ["z z", "z*w", "1", "z^2", ""])
+    def test_names_the_certificate_cannot_carry_are_refused(self, name):
+        # format_poly would write "x^3 + y^3 + z z^3", which the verifier's
+        # read_poly refuses
+        with pytest.raises(ValueError, match="variable names must be identifiers"):
+            build_witness(P(FERMAT), ["x", "y", name])
+
     def test_paper_example(self):
         cert = build_witness(P(PAPER_F), V3)
         assert cert.verdict == WITNESS_FOUND
