@@ -80,7 +80,7 @@ def _read_input(args) -> tuple[Polynomial, list[str]]:
     if is_file:
         lines = path.read_text(encoding="utf-8").splitlines()
         if lines and lines[0].strip().lower().startswith("vars:"):
-            variables = [v.strip() for v in lines[0].split(":", 1)[1].split(",") if v.strip()]
+            variables = _split_vars(lines[0].split(":", 1)[1])
             text = " ".join(lines[1:])
         elif args.vars:
             variables = _split_vars(args.vars)
@@ -345,42 +345,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, *flags):
-        p = sub.add_parser(name, help=help)
+    def add(handler, help, *flags):
+        """Add the subcommand that the handler cmd_<name> runs, named <name>."""
+        p = sub.add_parser(handler.__name__.removeprefix("cmd_"), help=help)
+        p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
         return p
 
-    add("check", "quasi-homogeneity, isolatedness, Milnor number",
+    add(cmd_check, "quasi-homogeneity, isolatedness, Milnor number",
         "input", "--vars", "--json")
-    add("witness", "run the full pipeline and emit a certificate",
+    add(cmd_witness, "run the full pipeline and emit a certificate",
         "input", "--vars", "--json", "--out")
-    verify = add("verify", "replay a certificate without searching", "--json")
+    verify = add(cmd_verify, "replay a certificate without searching", "--json")
     verify.add_argument("certificate", help="path to a certificate file")
-    identity = add("identity", "cofactor identity residual report", "input", "--vars", "--json")
+    identity = add(cmd_identity, "cofactor identity residual report", "input", "--vars", "--json")
     identity.add_argument("-i", type=int, required=True)
     identity.add_argument("-j", type=int, required=True)
     identity.add_argument("-k", type=int, required=True)
-    add("symmetrize", "candidate tuple, ledger, symmetric tuple", "input", "--vars", "--json")
-    member = add("member", "ideal membership with cofactors", "--json")
+    add(cmd_symmetrize, "candidate tuple, ledger, symmetric tuple", "input", "--vars", "--json")
+    member = add(cmd_member, "ideal membership with cofactors", "--json")
     member.add_argument("polynomial")
     member.add_argument("--ideal", required=True, help="comma-separated generators")
     member.add_argument("--vars", required=True)
-    add("milnor", "quotient dimension of the Jacobian ideal", "input", "--vars")
-    add("examples", "run the built-in corpus and print a summary", "--json")
+    add(cmd_milnor, "quotient dimension of the Jacobian ideal", "input", "--vars")
+    add(cmd_examples, "run the built-in corpus and print a summary", "--json")
     return parser
-
-
-HANDLERS = {
-    "check": cmd_check,
-    "witness": cmd_witness,
-    "verify": cmd_verify,
-    "identity": cmd_identity,
-    "symmetrize": cmd_symmetrize,
-    "member": cmd_member,
-    "milnor": cmd_milnor,
-    "examples": cmd_examples,
-}
 
 
 def main(argv=None) -> int:
@@ -391,7 +381,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return HANDLERS[args.command](args)
+        return args.handler(args)
     except (OSError, ValueError) as exc:  # ParseError and CertificateError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

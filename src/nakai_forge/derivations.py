@@ -79,7 +79,7 @@ from typing import Mapping, Sequence
 
 from .groebner import Ideal, InternalInconsistencyError, buchberger
 from .minors import algebraic_cofactor, cofactor_identity_terms, hessian
-from .poly import Exponent, Polynomial, _packed_products, quasi_homogeneous_weights, sum_of_products
+from .poly import Exponent, Polynomial, _packed_products, _weights_and_degree, sum_of_products
 
 logger = logging.getLogger(__name__)
 
@@ -281,14 +281,6 @@ def theta2_extract(op: DiffOp2, f: Polynomial) -> DerivationTuple:
         images = tuple(op.coefficient(_pair_index(n, i, j)) for i in range(1, n + 1))
         ders.append(Derivation1(images))
     return DerivationTuple(tuple(ders), f)
-
-
-def _weights_and_degree(f: Polynomial) -> tuple[tuple[int, ...], int]:
-    """quasi_homogeneous_weights(f); ValueError when f has no unique weights."""
-    found = quasi_homogeneous_weights(f)
-    if found is None:
-        raise ValueError("polynomial is not quasi-homogeneous: no unique positive weight vector")
-    return found
 
 
 def build_candidate_tuple(

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import log2
 from typing import NamedTuple, Sequence
@@ -407,7 +408,7 @@ def format_poly(p: Polynomial, variables: Sequence[str]) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exp, coeff in GREVLEX.sorted_terms(p):
+    for exp, coeff in sorted(p.terms.items(), key=lambda t: GREVLEX.descending_key(t[0])):
         num, den = coeff.numerator, coeff.denominator
         negative = num < 0
         if negative:
@@ -473,10 +474,22 @@ def write_certificate(document: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError.  JSON
+    leaves the meaning of a repeated name open (RFC 8259 section 4), and
+    json.loads would keep its last value where another reader may keep the
+    first, so a certificate with one could read as two documents."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        raise ValueError(f"repeated keys {sorted(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)}")
+    return document
+
+
 def read_certificate(data: bytes) -> dict:
-    """Parse and validate certificate bytes; raises CertificateError."""
+    """Parse and validate certificate bytes; raises CertificateError, also
+    for an object that repeats a key."""
     try:
-        document = json.loads(data.decode("utf-8"))
+        document = json.loads(data.decode("utf-8"), object_pairs_hook=_object_without_repeats)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and an integer over Python's
         # digit limit for int(str)

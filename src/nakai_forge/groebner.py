@@ -68,9 +68,11 @@ the engine), an int in [0, p) modulo a prime.  Every quotient of
 coefficients over Q is taken as a Fraction, so no float enters.
 Recipes, quotients, rows and the basis before hand-out are term maps, and
 ``dual_functional`` and ``leading_monomials`` read tuples.  Polynomials
-are built only in ``_polynomial``, where values leave the engine
-(``GroebnerBasis.basis``, ``lift``, ``cofactors``, ``normal_form`` and
-``reduce_by_basis``), with the coefficients of every Polynomial: in
+are built only where values leave the engine: in ``_polynomial``, for
+``GroebnerBasis.basis``, ``normal_form``, ``reduce_by_basis`` and the rows
+over Q of ``lift`` and ``cofactors``, and in ``GroebnerBasis._export``,
+which wraps each row entry modulo a prime with ``Polynomial._raw`` as it
+unpacks it.  Their coefficients are those of every Polynomial: in
 canonical form (the ``poly`` docstring), so ints in [1, p) modulo a
 prime.
 
@@ -137,7 +139,7 @@ from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
-from .poly import quasi_homogeneous_weights, rational_reconstruction
+from .poly import _weights_and_degree, rational_reconstruction
 from .poly import _canonical, _packed_products, _Packing, _sum_of_split_products, _top_degree
 from .poly import _vanishing_failures, is_prime, monomials_of_degree
 
@@ -653,7 +655,7 @@ def _reduce_basis(
     recipe of each final element; raw element k is node k, with leading
     monomial lms[k] and packed as divisors.items[k]."""
     # Minimal: drop any element whose leading monomial another one divides.
-    indices = sorted(range(len(lms)), key=lambda k: order.key(lms[k]))
+    indices = sorted(range(len(lms)), key=lambda k: order.descending_key(lms[k]), reverse=True)
     kept: list[int] = []
     for k in indices:
         if not any(_divides(lms[m], lms[k]) for m in kept):
@@ -675,7 +677,7 @@ def _reduce_basis(
             *((_scale(unpack(q), -1, modulus), other) for q, other in zip(quotients, others) if q),
         )
         final.append((lms[node], unpack(p), recipe))
-    final.sort(key=lambda t: order.key(t[0]), reverse=True)
+    final.sort(key=lambda t: order.descending_key(t[0]))
     return GroebnerBasis(
         tuple(_polynomial(n, p) for _, p, _ in final),
         order,
@@ -764,11 +766,11 @@ def dual_functional(gb: GroebnerBasis, mu: Exponent, monomials: Sequence[Exponen
     over the tail terms c x^t, each at a smaller monomial of the same degree
     (0 below mu).
     """
-    key = gb.order.key
+    key = gb.order.descending_key
     floor = key(mu)
     divisors = gb._divisors
     values: dict[Exponent, Fraction | int] = {}
-    for m in sorted((m for m in monomials if key(m) >= floor), key=key):
+    for m in sorted((m for m in monomials if key(m) <= floor), key=key, reverse=True):
         k = next((k for k, (lm, *_) in enumerate(divisors) if all(map(le, lm, m))), None)
         if k is None:
             values[m] = int(m == mu)
@@ -810,14 +812,12 @@ def is_isolated_singularity(f: Polynomial) -> bool:
     zero-dimensional Jacobian ideal, decided as the witness gate decides it
     (decide_isolation).
 
-    The weights must be unique (see quasi_homogeneous_weights); homogeneous
-    input always qualifies.
+    The weights must be unique (see quasi_homogeneous_weights), else
+    ValueError; homogeneous input always qualifies.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a hypersurface")
-    found = quasi_homogeneous_weights(f)
-    if found is None:
-        raise ValueError("isolated-singularity test requires a quasi-homogeneous polynomial")
+    found = _weights_and_degree(f)
     if f.min_degree() < 2:
         return False  # smooth at the origin, no singularity at all
     return decide_isolation(f, *found)[1] is None

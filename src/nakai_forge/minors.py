@@ -1,4 +1,5 @@
-"""Polynomial matrices: Hessians, exact determinants, signed minors.
+"""Polynomial matrices: Jacobian matrices and Hessians, exact
+determinants, signed minors.
 
 The signed generalized minor deletes the rows r_1, ..., r_k and the
 columns c_1, ..., c_k, in the order listed, and is the minor on the
@@ -26,8 +27,11 @@ their denominators, each Laplace step one poly._packed_products, so a
 minor of k rows is held times D^k.  A read (PolyMatrix.minor) unpacks
 the minor once and divides it by D^k.
 
-All indices are 1-based.  Hessian entries are the plain second partials
-d^2 f / dx_i dx_j, with no divided-power factor.
+All indices are 1-based.  jacobian_matrix is the one builder of a matrix
+of partials: the Hessian of f is the Jacobian matrix of its gradient, so
+its entries are the plain second partials d^2 f / dx_i dx_j, with no
+divided-power factor.  It builds the witness builder's Hessian, the
+verifier's Hess(h) and the matrix of ``pipeline.saito_check``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import GREVLEX, Polynomial, _packed_products, _Packing, quasi_homogeneous_weights, sum_of_products
+from .poly import GREVLEX, Polynomial, _packed_products, _Packing, _weights_and_degree, sum_of_products
 
 # Laplace expansion over row and column subsets is exponential in the size
 # of the minor expanded; the cap bounds that size.
@@ -120,13 +124,19 @@ class PolyMatrix:
     __hash__ = None
 
 
+def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
+    """The matrix of partials d g_i / dx_j of n polynomials in n variables;
+    the empty matrix for none."""
+    n = len(gens)
+    if any(g.n != n for g in gens):
+        raise ValueError(f"need {n} polynomials in {n} variables")
+    return PolyMatrix([[g.partial(j) for j in range(1, n + 1)] for g in gens], nvars=n)
+
+
 def hessian(f: Polynomial) -> PolyMatrix:
-    """The symmetric matrix of plain second partials of f."""
-    firsts = [f.partial(i) for i in range(1, f.n + 1)]
-    return PolyMatrix(
-        [[firsts[i].partial(j + 1) for j in range(f.n)] for i in range(f.n)],
-        nvars=f.n,
-    )
+    """The symmetric matrix of plain second partials of f: the Jacobian
+    matrix of its gradient."""
+    return jacobian_matrix([f.partial(i) for i in range(1, f.n + 1)])
 
 
 def _expand(matrix: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
@@ -191,8 +201,9 @@ def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[boo
 
         W_i x_i A_jk - W_k x_k A_ji = sum_{l != j} (D - W_l) f_l A_[l,i,j,k]
 
-    with W, D from quasi_homogeneous_weights(f); for homogeneous f of degree
-    d this reads x_i A_jk - x_k A_ji = (d-1) * sum_{l != j} f_l A_[l,i,j,k].
+    with W, D from quasi_homogeneous_weights(f), and ValueError without
+    unique weights; for homogeneous f of degree d this reads
+    x_i A_jk - x_k A_ji = (d-1) * sum_{l != j} f_l A_[l,i,j,k].
     A_[l,i,j,k] deletes rows (l, j) and columns (i, k) of the Hessian.
 
     Why it holds: differentiating E_W(f) = D f by x_l gives
@@ -205,10 +216,7 @@ def verify_cofactor_identity(f: Polynomial, i: int, j: int, k: int) -> tuple[boo
 
     Returns (holds, residual); the residual is LHS - RHS and must be zero.
     """
-    found = quasi_homogeneous_weights(f)
-    if found is None:
-        raise ValueError("identity is stated for quasi-homogeneous polynomials with unique weights only")
-    weights, degree = found
+    weights, degree = _weights_and_degree(f)
     n = f.n
     for idx in (i, j, k):
         if not 1 <= idx <= n:

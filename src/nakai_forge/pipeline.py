@@ -250,13 +250,14 @@ from .groebner import (
     buchberger,
     decide_isolation,
 )
-from .minors import MAX_DETERMINANT_DIM, PolyMatrix, determinant
+from .minors import MAX_DETERMINANT_DIM, determinant, jacobian_matrix
 from .poly import (
     Exponent,
     Polynomial,
     _accumulate,
     _top_degree,
     _vanishing_failures,
+    _weights_and_degree,
     is_prime,
     quasi_homogeneous_weights,
 )
@@ -375,10 +376,7 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
     n = f.n
     if n < 3:
         raise ValueError("slice search requires at least three variables")
-    found = quasi_homogeneous_weights(f)
-    if found is None:
-        raise ValueError("slice search requires a quasi-homogeneous polynomial")
-    weights, degree = found
+    weights, degree = _weights_and_degree(f)
     attempts = 0
     for coeffs in _slice_candidates(weights):
         if attempts >= MAX_SLICE_ATTEMPTS:
@@ -390,13 +388,6 @@ def generic_slice_search(f: Polynomial) -> SliceChoice:
             logger.info("slice found after %d attempts: %s", attempts, coeffs)
             return SliceChoice(coeffs, g, gb, attempts)
     raise NoIsolatingSlice(_positive_dimension_record(*rejection))
-
-
-def jacobian_matrix(gens: Sequence[Polynomial]) -> PolyMatrix:
-    n = gens[0].n
-    if len(gens) != n:
-        raise ValueError(f"need {n} polynomials in {n} variables, got {len(gens)}")
-    return PolyMatrix([[g.partial(j) for j in range(1, n + 1)] for g in gens], nvars=n)
 
 
 def saito_check(gens: Sequence[Polynomial]) -> SaitoReport:
@@ -450,7 +441,7 @@ def _isolation_record(prime, rows) -> dict:
 def _positive_dimension_record(t, functional: dict[Exponent, Fraction]) -> dict:
     """Point 4 of the module docstring: the degree and the functional of a
     rejection (groebner.decide_isolation), monomials in descending grevlex."""
-    entries = sorted(functional.items(), key=lambda item: GREVLEX.key(item[0]), reverse=True)
+    entries = sorted(functional.items(), key=lambda item: GREVLEX.descending_key(item[0]))
     return {"degree": t, "functional": [{"monomial": list(m), "value": format_fraction(c)} for m, c in entries]}
 
 
@@ -630,10 +621,13 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     the recorded proof values (_recorded_proofs), and each place where the
     two differ is a failure (_differences).  3. Only a certificate equal to
     its rewrite has its proofs checked: points 0, 2, 3 and 4.  A document
-    without the top-level keys raises CertificateError; data of any other
-    wrong shape, type or size is a failure, never a crash.
+    that is not a JSON object or lacks the top-level keys raises
+    CertificateError; data of any other wrong shape, type or size is a
+    failure, never a crash.
     """
     doc = cert.document if isinstance(cert, WitnessCertificate) else cert
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate document must be a JSON object")
     missing = [k for k in ("schema", "input", "verdict") if k not in doc]
     if missing:
         raise CertificateError(f"certificate missing required keys: {missing}")

@@ -22,10 +22,11 @@ integer over the common denominator, in canonical form: an int when the
 denominator is 1.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
-Polynomials in the package goes through it: ``Polynomial.__mul__``, the
-cofactor rows and lifts of ``groebner`` over Q, the cofactor-identity
-check of ``minors``, ``Derivation1.apply``, ``DiffOp2.apply``,
-``derivations.replay_ledger`` and the zero-sum check of
+Polynomials in the package goes through it: ``Polynomial.__mul__``,
+``Polynomial.substitute_variables``, the cofactor rows and lifts of
+``groebner`` over Q, the cofactor-identity check of ``minors``,
+``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``,
+``derivations.closed_form_lift`` and the zero-sum check of
 ``derivations.scale_mismatches``.
 
 Its integer loop (``_accumulate``) sums on exponent tuples a call of fewer
@@ -538,23 +539,13 @@ class MonomialOrder:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown monomial order {self.kind!r}; expected one of {self.KINDS}")
 
-    def key(self, e: Exponent):
-        """Sort key: key(a) > key(b) iff a > b in this order."""
-        if self.kind == "lex":
-            return e
-        # grevlex: smaller exponent on the least significant variable wins ties
-        return (sum(e), tuple(map(neg, reversed(e))))
-
     def descending_key(self, e: Exponent) -> tuple[int, ...]:
         """Flat int tuple, smaller for the larger monomial: a min-heap keyed
-        by it pops monomials from the largest down."""
+        by it pops monomials from the largest down, and a sort on it with
+        reverse=True lists them from the smallest up (stable on ties)."""
         if self.kind == "lex":
             return tuple(map(neg, e))
         return (-sum(e), *reversed(e))
-
-    def sorted_terms(self, p: Polynomial) -> list[tuple[Exponent, Fraction]]:
-        """The terms of p, largest monomial first."""
-        return sorted(p.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
 
     def leading_term(self, p: Polynomial) -> tuple[Exponent, Fraction]:
         if p.is_zero():
@@ -643,6 +634,14 @@ def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | No
     ints = [int(v * scale) for v in w]
     common = math.gcd(*ints)
     return tuple(v // common for v in ints), scale // common
+
+
+def _weights_and_degree(f: Polynomial) -> tuple[tuple[int, ...], int]:
+    """quasi_homogeneous_weights(f); ValueError when f has no unique weights."""
+    found = quasi_homogeneous_weights(f)
+    if found is None:
+        raise ValueError("polynomial is not quasi-homogeneous: no unique positive weight vector")
+    return found
 
 
 def monomials_of_degree(n: int, degree: int, weights: Sequence[int] | None = None) -> list[Exponent]:

@@ -1,6 +1,8 @@
 """Plain-Fraction reference versions of the exact kernels.
 
 These are the term-by-term loops that the exact kernels replaced:
+the ascending sort key of a ``MonomialOrder`` (a nested tuple under
+grevlex) that ``MonomialOrder.descending_key`` replaced,
 ``Polynomial.__mul__`` with one Fraction operation per term,
 ``Polynomial.substitute_variables`` term by term, the binomial formula for
 ``Polynomial.higher_partial``,
@@ -42,6 +44,14 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 out.pop(exp, None)
     return Polynomial(a.n, out)
+
+
+def reference_order_key(order: MonomialOrder, e: Exponent):
+    """Sort key: larger for the larger monomial of the order."""
+    if order.kind == "lex":
+        return e
+    # grevlex: smaller exponent on the least significant variable wins ties
+    return (sum(e), tuple(-a for a in reversed(e)))
 
 
 def reference_substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
@@ -127,7 +137,7 @@ def reference_divide(
     quotients = [dict() for _ in divisors]
     remainder: dict[Exponent, Fraction] = {}
     while work:
-        exp = max(work, key=order.key)
+        exp = min(work, key=order.descending_key)
         coeff = work.pop(exp)
         for k, (lm, lc) in enumerate(leading):
             if all(x <= y for x, y in zip(lm, exp)):
@@ -166,11 +176,11 @@ def reference_divide_mod(
     the largest working term by a scan on every step; every coefficient
     kept is reduced to [1, p)."""
     work = {e: c % modulus for e, c in p.items() if c % modulus}
-    leading = [max(g, key=order.key) for g in divisors]
+    leading = [min(g, key=order.descending_key) for g in divisors]
     quotients: list[dict[Exponent, int]] = [dict() for _ in divisors]
     remainder: dict[Exponent, int] = {}
     while work:
-        exp = max(work, key=order.key)
+        exp = min(work, key=order.descending_key)
         coeff = work.pop(exp)
         for k, lm in enumerate(leading):
             if all(x <= y for x, y in zip(lm, exp)):

@@ -450,7 +450,7 @@ def _reduce_mod(terms: dict, basis, leading, order, p: int) -> dict:
     work = {e: c % p for e, c in terms.items() if c % p}
     remainder = {}
     while work:
-        e = max(work, key=order.key)
+        e = min(work, key=order.descending_key)
         c = work.pop(e)
         k = next((k for k, lm in enumerate(leading) if all(x <= y for x, y in zip(lm, e))), None)
         if k is None:

@@ -10,6 +10,7 @@ from nakai_forge.minors import (
     cofactor_identity_terms,
     determinant,
     hessian,
+    jacobian_matrix,
     signed_minor,
     verify_cofactor_identity,
 )
@@ -34,6 +35,19 @@ def symbol_matrix(m):
 
 
 class TestHessian:
+    def test_jacobian_matrix_of_the_gradient(self):
+        f = P("x^2*y + y^2*z + z^2*x + x^4")
+        assert hessian(f) == jacobian_matrix([f.partial(i) for i in range(1, 4)])
+
+    def test_no_variables(self):
+        h = hessian(Polynomial.constant(0, 5))
+        assert h.m == 0 and h.nvars == 0
+        assert determinant(h) == Polynomial.constant(0, 1)
+
+    def test_jacobian_matrix_needs_as_many_polynomials_as_variables(self):
+        with pytest.raises(ValueError, match="need 2 polynomials in 2 variables"):
+            jacobian_matrix([P("x"), P("y")])
+
     def test_paper_example(self):
         f = P("x^2*y + y^2*z + z^2*x")
         h = hessian(f)

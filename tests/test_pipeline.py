@@ -12,7 +12,9 @@ import nakai_forge.groebner as groebner
 import nakai_forge.pipeline as pipeline
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
 from nakai_forge.derivations import lift_to_diff2
-from nakai_forge.exprio import format_fraction, format_poly, parse_poly, read_certificate, write_certificate
+from nakai_forge.exprio import (
+    CertificateError, format_fraction, format_poly, parse_poly, read_certificate, write_certificate,
+)
 from nakai_forge.groebner import (
     Ideal,
     ResourceLimitExceeded,
@@ -534,6 +536,15 @@ BUILTIN_CERT_SHA256 = {
     "brieskorn-2-3-4": "92fd94a5db0ed71412bcb39f505f5072f159a94e2fc4e30bf537e2e4b278fb9a",
     "brieskorn-3-3-4": "d290b71aac1b85c7d8fea0c11d58daad14920c23dfa3b115793df8efc0f3f25c",
 }
+
+
+@pytest.mark.parametrize("document", [5, None, ["schema", "input", "verdict"], "schema input verdict"],
+                         ids=["int", "None", "list", "str"])
+def test_a_document_that_is_not_an_object_is_refused(document):
+    # certificate_failures takes a parsed document from any caller; one that
+    # is not a JSON object is refused as read_certificate refuses it
+    with pytest.raises(CertificateError, match="^certificate document must be a JSON object$"):
+        certificate_failures(document)
 
 
 def test_verifier_is_independent_of_the_construction(monkeypatch):
@@ -1179,8 +1190,8 @@ class TestDualFunctionalRecurrence:
         from nakai_forge.poly import MonomialOrder
 
         calls = []
-        key = MonomialOrder.key
-        monkeypatch.setattr(MonomialOrder, "key", lambda self, e: calls.append(e) or key(self, e))
+        key = MonomialOrder.descending_key
+        monkeypatch.setattr(MonomialOrder, "descending_key", lambda self, e: calls.append(e) or key(self, e))
         gb, rejection = decide_isolation(P("x^100*z^100 + y^200"), (1, 1, 1), 200)
         assert rejection == (595, {(595, 0, 0): 1})
         assert len(calls) < 1000

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nakai_forge.derivations import euler_derivation
+from nakai_forge.derivations import build_candidate_tuple, euler_derivation, symmetric_tuple
 from nakai_forge.exprio import parse_poly
+from nakai_forge.groebner import is_isolated_singularity
+from nakai_forge.minors import verify_cofactor_identity
+from nakai_forge.pipeline import generic_slice_search
 from nakai_forge.poly import (
     GREVLEX,
     LEX,
@@ -188,6 +191,19 @@ class TestQuasiHomogeneousWeights:
         assert quasi_homogeneous_weights(P("x^2 + y^3 + z^4 + 1")) is None  # inconsistent
         assert quasi_homogeneous_weights(P("x*y^2 + y + z^2")) is None  # w1 = -1
 
+    @pytest.mark.parametrize("call", [
+        build_candidate_tuple,
+        symmetric_tuple,
+        generic_slice_search,
+        is_isolated_singularity,
+        lambda f: verify_cofactor_identity(f, 1, 1, 2),
+    ], ids=["build_candidate_tuple", "symmetric_tuple", "generic_slice_search", "is_isolated_singularity",
+            "verify_cofactor_identity"])
+    def test_one_check_for_every_caller_that_raises(self, call):
+        # x^2 + y^3 read in x, y, z leaves the weight of z free
+        with pytest.raises(ValueError, match="^polynomial is not quasi-homogeneous: no unique positive weight vector$"):
+            call(P("x^2 + y^3"))
+
     def test_weighted_euler_multiplies_by_degree(self):
         rng = random.Random(29)
         for text in ("x^2 + y^3 + z^4", "x^2*y + y^3 + z^5", "x + y^2 + z^3"):
@@ -323,11 +339,11 @@ class TestSubstituteVariables:
 class TestMonomialOrder:
     def test_grevlex_degree_two(self):
         # x^2 > xy > y^2 > xz > yz > z^2 in grevlex(x > y > z)
-        ordering = sorted(monomials_of_degree(3, 2), key=GREVLEX.key, reverse=True)
+        ordering = sorted(monomials_of_degree(3, 2), key=GREVLEX.descending_key)
         assert ordering == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
 
     def test_lex(self):
-        assert LEX.key((1, 0, 0)) > LEX.key((0, 5, 5))
+        assert LEX.descending_key((1, 0, 0)) < LEX.descending_key((0, 5, 5))
 
     def test_multiplicative_random(self):
         rng = random.Random(31)
@@ -337,9 +353,9 @@ class TestMonomialOrder:
                 a = tuple(rng.randint(0, 4) for _ in range(n))
                 b = tuple(rng.randint(0, 4) for _ in range(n))
                 c = tuple(rng.randint(0, 4) for _ in range(n))
-                if order.key(a) > order.key(b):
-                    assert order.key(tuple(x + y for x, y in zip(a, c))) > \
-                        order.key(tuple(x + y for x, y in zip(b, c)))
+                if order.descending_key(a) < order.descending_key(b):
+                    assert order.descending_key(tuple(x + y for x, y in zip(a, c))) < \
+                        order.descending_key(tuple(x + y for x, y in zip(b, c)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ must end in exit 0 (still valid), 2 (not a certificate document) or 4
 verdict or rejection reason is swapped for another must end in 2 or 4, and
 so must one whose isolated flag, Milnor number or rejection message is not
 the one the builder writes, and one that records a rejection under a
-verdict that has none or a resource error, which no verdict records.
+verdict that has none or a resource error, which no verdict records.  A
+text that repeats a key of one object is not a certificate document
+(exit 2), though json.loads alone would read it as the valid witness.
 """
 
 import copy
@@ -22,7 +24,7 @@ import time
 import pytest
 
 from nakai_forge.cli import BUILTIN_CORPUS, main as cli_main
-from nakai_forge.exprio import parse_poly, read_certificate, write_certificate
+from nakai_forge.exprio import CertificateError, parse_poly, read_certificate, write_certificate
 from nakai_forge.pipeline import (
     INPUT_REJECTED,
     WITNESS_FOUND,
@@ -384,3 +386,23 @@ def test_verdict_and_reason_swaps(name, tmp_path, capsys):
             code = _verify_exit(json.dumps(forged).encode(), tmp_path)
             assert (code == 0) if (verdict, reason) == built else (code in (2, 4)), (verdict, reason, code)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, real, forged", [
+    ("polynomial", "x^3 + y^3 + z^3", "x^3 + y^3 + z^2"),
+    ("verdict", WITNESS_FOUND, INPUT_REJECTED),
+])
+def test_repeated_key_is_not_a_certificate(key, real, forged, fermat_certificate, tmp_path, capsys):
+    # a second value inserted before the real one: json.loads keeps the
+    # last value, so the text reads as the valid witness, while a reader
+    # that keeps the first value sees another document (RFC 8259 section 4
+    # leaves repeated names open); such a text is no certificate
+    text = fermat_certificate.decode()
+    line = next(line for line in text.splitlines() if line.strip().startswith(f'"{key}": "{real}"'))
+    indent = line[:len(line) - len(line.lstrip())]
+    data = text.replace(line, f'{indent}"{key}": "{forged}",\n{line}', 1).encode()
+    assert json.loads(data) == json.loads(fermat_certificate)
+    with pytest.raises(CertificateError, match=rf"repeated keys \['{key}'\]"):
+        read_certificate(data)
+    assert _verify_exit(data, tmp_path) == 2
+    assert "repeated keys" in capsys.readouterr().err
