@@ -323,16 +323,26 @@ def read_poly(text: str, variables: Sequence[str]) -> Polynomial:
     coefficient is read as an int when it has no denominator, else as a
     Fraction, which is canonical as the text is in lowest terms.
     """
+    return _read_poly(text, _name_index(variables))
+
+
+def _name_index(variables: Sequence[str]) -> dict[str, int]:
+    """Each variable name, checked by _names, to its position: what
+    _read_poly reads with, so that a reader of many polynomials over one
+    list checks the names once."""
+    return {name: i for i, name in enumerate(_names(variables))}
+
+
+def _read_poly(text: str, index: dict[str, int]) -> Polynomial:
+    """read_poly over names already checked, given by their _name_index."""
     if not isinstance(text, str):
         raise ValueError(f"a polynomial must be a string, not a {type(text).__name__}")
-    variables = _names(variables)
-    n = len(variables)
+    n = len(index)
     if text == "0":
         return Polynomial._raw(n, {})
     pieces = text.split(" ")
     if len(pieces) % 2 == 0:
         raise _not_canonical("a term must follow ' + ' or ' - '", len(text))
-    index = {name: i for i, name in enumerate(variables)}
     terms: dict[Exponent, Fraction | int] = {}
     last_key = ()  # below every key
     start = 0

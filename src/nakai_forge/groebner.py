@@ -66,15 +66,15 @@ in both fields, a ``TermMap`` from exponent tuple to coefficient: an
 exact rational over Q (an int or a Fraction, which may be integral inside
 the engine), an int in [0, p) modulo a prime.  Every quotient of
 coefficients over Q is taken as a Fraction, so no float enters.
-Recipes, quotients, rows and the basis before hand-out are term maps, and
-``dual_functional`` and ``leading_monomials`` read tuples.  Polynomials
-are built only where values leave the engine: in ``_polynomial``, for
-``GroebnerBasis.basis``, ``normal_form``, ``reduce_by_basis`` and the rows
-over Q of ``lift`` and ``cofactors``, and in ``GroebnerBasis._export``,
-which wraps each row entry modulo a prime with ``Polynomial._raw`` as it
-unpacks it.  Their coefficients are those of every Polynomial: in
-canonical form (the ``poly`` docstring), so ints in [1, p) modulo a
-prime.
+Recipes, quotients and the basis before hand-out are term maps, and
+``dual_functional`` and ``leading_monomials`` read tuples; rows stay
+packed (below).  Polynomials are built only where values leave the
+engine: in ``_polynomial``, for ``GroebnerBasis.basis``, ``normal_form``
+and ``reduce_by_basis``, and in ``GroebnerBasis._export``, which reads
+each row entry of ``lift`` and ``cofactors`` in both fields with
+``poly._Packing.polynomial``, the reader of ``minors.PolyMatrix`` too.
+Their coefficients are those of every Polynomial: in canonical form (the
+``poly`` docstring), so ints in [1, p) modulo a prime.
 
 ``decide_isolation`` is the one decision of whether the Jacobian ideal of
 a weighted homogeneous polynomial is zero-dimensional, for the witness
@@ -105,16 +105,19 @@ over the others; the leading coefficient that the element is divided by
 is divided out of each multiplier.  Rows (cofactors over
 the generators) are formed only when a caller reads them, through
 ``GroebnerBasis.lift`` or ``GroebnerBasis.cofactors``: the row of a node
-is sum_k c_k * row_k over its recipe (_combine_rows).  Over Q each entry
-is one poly.sum_of_products (of the term maps wrapped as Polynomials,
-not copied) whose multipliers are split into integer terms once per
-node.  Modulo the basis's prime the rows stay packed from the first
-product to the last (``_Rows``), under one grevlex packing per basis
-whose fields hold a degree bound computed once over the recipe DAG: 0 for
-a generator, else the largest deg q + bound(parent) over the node's
-recipe.  Each multiplier is packed once, with its recipe, each entry is
-one sum of packed products (poly._packed_products) reduced once per
-coefficient, and a row is unpacked only where it leaves
+is sum_k c_k * row_k over its recipe (_combine_rows).  In both fields a
+row stays packed and fraction-free from the first product to the last
+(``_Rows``; Bareiss 1968, as in ``poly.sum_of_products``): one positive
+denominator, always 1 modulo the basis's prime, and one map of integer
+terms per entry, under one grevlex packing per basis whose fields hold a
+degree bound computed once over the recipe DAG: 0 for a generator, else
+the largest deg q + bound(parent) over the node's recipe.  Each
+multiplier is packed once, with its recipe, as integer terms over the
+lcm of its denominators.  Each entry is one sum of packed products
+(poly._packed_products), each pair scaled to the lcm of the denominators
+of the products.  Modulo the prime every denominator is 1, so neither lcm
+is taken and each coefficient is reduced once; over Q the gcd of the lcm
+and the sums is divided out.  A row is unpacked only where it leaves
 (``GroebnerBasis._export``).  A lift whose quotients need wider fields
 first repacks the rows formed so far.  A read forms the rows of the node
 and of its ancestors only, in increasing node order, and keeps them.
@@ -130,9 +133,10 @@ Resource limits are hard errors, never silent wrong answers.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import add, le, sub
@@ -140,7 +144,7 @@ from typing import Iterable, Sequence
 
 from .poly import DEFAULT_MAX_TERMS, GREVLEX, Exponent, MonomialOrder, Polynomial
 from .poly import _weights_and_degree, rational_reconstruction
-from .poly import _canonical, _packed_products, _Packing, _sum_of_split_products, _top_degree
+from .poly import _canonical, _packed_products, _Packing, _top_degree
 from .poly import _vanishing_failures, is_prime, monomials_of_degree
 
 logger = logging.getLogger(__name__)
@@ -204,6 +208,10 @@ Divisor = tuple[Exponent, Fraction | int, list[tuple[Exponent, Fraction | int]]]
 TermMap = dict[Exponent, Fraction | int]
 # a node's recipe: the (q, parent) pairs, the node being sum q * node[parent]
 Recipe = tuple[tuple[TermMap, int], ...]
+# a row as the engine forms it (``_Rows``): a positive denominator d, 1
+# modulo a prime, and one entry per source generator, each the packed
+# integer terms of d times the entry
+Row = tuple[int, tuple[dict[int, int], ...]]
 
 
 def _residues(p: Polynomial, modulus: int | None) -> TermMap:
@@ -366,60 +374,63 @@ def _scale(terms: dict, c, modulus: int | None) -> dict:
     return {e: a * c % modulus for e, a in terms.items()}
 
 
-def _combine_rows(n: int, combination: Sequence, width: int, modulus: int | None) -> tuple[TermMap, ...]:
+def _combine_rows(combination: Sequence[tuple[tuple[int, dict], Row]], width: int, modulus: int | None) -> Row:
     """The row sum q * row over the (q, row) pairs of ``combination``, entry
-    by entry.  Over Q (``modulus`` None) the multipliers, rows and sum are
-    term maps on exponent tuples, and each of the ``width`` entries is one
-    sum_of_products of the term maps wrapped, without a copy, as
-    Polynomials, each multiplier split into integer terms once for all
-    entries.  Modulo the prime ``modulus`` they are term maps on the packed
-    keys of one _Packing whose fields hold every product's degree
-    (``_Rows``): each entry's products are summed in one map
-    (poly._packed_products) and reduced once per coefficient."""
-    if modulus is None:
-        wrap = partial(Polynomial._raw, n)
-        split = [(wrap(q).integer_terms(), row) for q, row in combination]
-        entries = ([(q, wrap(row[j]).integer_terms()) for q, row in split if row[j]] for j in range(width))
-        return tuple(_sum_of_split_products(n, entry).terms for entry in entries)
-    entries = (_packed_products((q.items(), row[j].items(), 1) for q, row in combination) for j in range(width))
-    return tuple({k: r for k, c in entry.items() if (r := c % modulus)} for entry in entries)
+    by entry.  A multiplier (``_Rows.multiplier``) and the entries of a row
+    are integer terms over a positive denominator, on the packed keys of
+    one _Packing whose fields hold every product's degree (``_Rows``).
+    Each pair is scaled to the lcm D of the denominators of the products,
+    and each of the ``width`` entries is one sum of packed products
+    (poly._packed_products).  Modulo the prime ``modulus`` every
+    denominator is 1, so D is not taken, and each coefficient of a sum is
+    reduced once; over Q (``modulus`` None) the gcd of D and the sums is
+    divided out, so the row's denominator is the least common denominator
+    of its coefficients."""
+    d = 1 if modulus else math.lcm(*(dq * dr for (dq, _), (dr, _) in combination))
+    scaled = [(q.items(), row, d // (dq * dr)) for (dq, q), (dr, row) in combination]
+    entries = [_packed_products((q, row[j].items(), s) for q, row, s in scaled) for j in range(width)]
+    if modulus:
+        return 1, tuple({k: r for k, c in entry.items() if (r := c % modulus)} for entry in entries)
+    g = math.gcd(d, *(c for entry in entries for c in entry.values()))  # zero sums leave the gcd as it is
+    return d // g, tuple({k: c // g for k, c in entry.items() if c} for entry in entries)
 
 
 class _Rows:
     """The rows of a basis formed so far (node -> row), from the unit rows
-    of its generators.  Over Q their entries are term maps on exponent
-    tuples.  Modulo a prime they are term maps on packed keys, under one
-    grevlex _Packing per basis whose fields hold the degree bound of every
-    node: 0 for a generator, else the largest deg q + bound(parent) over
-    the (q, parent) pairs of its recipe.  Each product of a row sum is then
-    within its node's bound.  The width only grows (``fit``)."""
+    of its generators.  In both fields a row is one positive denominator
+    (always 1 modulo a prime) and one map of integer terms per entry, on
+    the packed keys of one grevlex _Packing per basis whose fields hold
+    the degree bound of every node: 0 for a generator, else the largest
+    deg q + bound(parent) over the (q, parent) pairs of its recipe.  Each
+    product of a row sum is then within its node's bound.  The width only
+    grows (``fit``)."""
 
     def __init__(self, basis: GroebnerBasis):
         n, width = basis.n, len(basis.source.generators)
-        self.packing = None
-        if basis.modulus is not None:
-            self.bounds = dict.fromkeys(range(-width, 0), 0)
-            for k, recipe in enumerate(basis.recipes):
-                self.bounds[k] = max(_extent(GREVLEX, q) + self.bounds[parent] for q, parent in recipe)
-            self.packing = _Packing(GREVLEX, n, max(self.bounds.values()))
-        one = {(0,) * n if self.packing is None else 0: 1}
-        self.formed = {j - width: tuple(one if i == j else {} for i in range(width)) for j in range(width)}
+        self.modulus = basis.modulus
+        self.bounds = dict.fromkeys(range(-width, 0), 0)
+        for k, recipe in enumerate(basis.recipes):
+            self.bounds[k] = max(_extent(GREVLEX, q) + self.bounds[parent] for q, parent in recipe)
+        self.packing = _Packing(GREVLEX, n, max(self.bounds.values()))
+        self.formed = {j - width: (1, tuple({0: 1} if i == j else {} for i in range(width))) for j in range(width)}
 
-    def multiplier(self, q: TermMap) -> TermMap:
-        """A recipe or lift multiplier as the row sums take it."""
-        return q if self.packing is None else {self.packing.pack(e): c for e, c in q.items()}
+    def multiplier(self, q: TermMap) -> tuple[int, dict[int, int]]:
+        """A recipe or lift multiplier as the row sums take it: the lcm d of
+        the denominators of q and the packed integer terms of d * q
+        (Polynomial.integer_terms); modulo a prime d is 1, and q is taken
+        as it is."""
+        d, terms = (1, q.items()) if self.modulus else Polynomial._raw(self.packing.n, q).integer_terms()
+        return d, {self.packing.pack(e): c for e, c in terms}
 
     def fit(self, terms: Iterable[tuple[TermMap, int]]) -> None:
         """Repack the rows formed so far, if need be, so that the fields hold
         deg q + bound(node) for the (q, node) pairs of a lift."""
         old = self.packing
-        if old is None:
-            return
         bound = max((_extent(GREVLEX, q) + self.bounds[node] for q, node in terms), default=0)
         if bound > old.limit:
             new = self.packing = _Packing(GREVLEX, old.n, bound)
-            self.formed = {node: tuple({new.pack(old.unpack(k)): c for k, c in entry.items()} for entry in row)
-                           for node, row in self.formed.items()}
+            self.formed = {node: (d, tuple({new.pack(old.unpack(k)): c for k, c in entry.items()} for entry in row))
+                           for node, (d, row) in self.formed.items()}
 
 
 @dataclass(frozen=True)
@@ -433,8 +444,9 @@ class GroebnerBasis:
     holds exactly over Q, or, when ``modulus`` is a prime, modulo it: the
     basis is then that of the source generators reduced modulo the prime,
     with integer coefficients in [0, p), and division, normal forms, lifts
-    and rows all work modulo it.  Inside, recipes and formed rows are term
-    maps over the basis's field; the methods take and return Polynomials.
+    and rows all work modulo it.  Inside, recipes are term maps over the
+    basis's field, and formed rows are packed integer terms over a
+    denominator (``_Rows``); the methods take and return Polynomials.
     Divisions run on a packed copy of the basis (``_packed``), kept and
     widened as arguments need.  The basis is auto-reduced with monic
     leading coefficients.  ``pure_powers``, formed once in one pass over
@@ -463,15 +475,12 @@ class GroebnerBasis:
     def _rows(self) -> _Rows:
         return _Rows(self)
 
-    def _export(self, row: tuple[TermMap, ...]) -> tuple[Polynomial, ...]:
-        """A row as the methods return it: Polynomials, unpacked once modulo a
-        prime."""
-        packing = self._rows.packing
-        if packing is None:
-            return tuple(_polynomial(self.n, entry) for entry in row)
-        return tuple(Polynomial._raw(self.n, packing.unpack_terms(entry)) for entry in row)
+    def _export(self, row: Row) -> tuple[Polynomial, ...]:
+        """A row as the methods return it: Polynomials, each entry read once
+        over the row's denominator (poly._Packing.polynomial)."""
+        return tuple(self._rows.packing.polynomial(entry, row[0]) for entry in row[1])
 
-    def _row(self, node: int) -> tuple:
+    def _row(self, node: int) -> Row:
         """The row of a node over the basis's field, formed with the rows of
         its unformed ancestors in increasing node order (parents precede
         their children)."""
@@ -484,7 +493,7 @@ class GroebnerBasis:
                 stack.extend(parent for _, parent in self.recipes[k])
         for k in sorted(todo):
             combination = [(rows.multiplier(q), formed[parent]) for q, parent in self.recipes[k]]
-            formed[k] = _combine_rows(self.n, combination, len(self.source.generators), self.modulus)
+            formed[k] = _combine_rows(combination, len(self.source.generators), self.modulus)
         return formed[node]
 
     @property
@@ -525,7 +534,7 @@ class GroebnerBasis:
         rows = self._rows
         rows.fit(terms)
         combination = [(rows.multiplier(q), self._row(node)) for q, node in terms]
-        return self._export(_combine_rows(self.n, combination, len(self.source.generators), self.modulus))
+        return self._export(_combine_rows(combination, len(self.source.generators), self.modulus))
 
     @cached_property
     def pure_powers(self) -> dict[int, int]:

@@ -25,7 +25,8 @@ minors times a variable fit as well).
 The expansion is fraction-free: it runs on the entries times the lcm D of
 their denominators, each Laplace step one poly._packed_products, so a
 minor of k rows is held times D^k.  A read (PolyMatrix.minor) unpacks
-the minor once and divides it by D^k.
+the minor once over the denominator D^k with poly._Packing.polynomial,
+the reader of groebner's packed rows too.
 
 All indices are 1-based.  jacobian_matrix is the one builder of a matrix
 of partials: the Hessian of f is the Jacobian matrix of its gradient, so
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .poly import GREVLEX, Polynomial, _packed_products, _Packing, _weights_and_degree, sum_of_products
@@ -104,12 +104,8 @@ class PolyMatrix:
 
     def unpack(self, terms: dict[int, int], size: int) -> Polynomial:
         """The Polynomial of packed integer terms over ``denominator`` ** size,
-        with canonical coefficients; zero sums are dropped."""
-        unpack, d = self.packing.unpack, self.denominator ** size
-        if d == 1:
-            return Polynomial._raw(self.nvars, {unpack(k): c for k, c in terms.items() if c})
-        return Polynomial._raw(self.nvars, {unpack(k): Fraction(c, d) if c % d else c // d
-                                            for k, c in terms.items() if c})
+        with canonical coefficients; zero sums are dropped (_Packing.polynomial)."""
+        return self.packing.polynomial(terms, self.denominator ** size)
 
     def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         """Determinant of the sub-matrix on the given rows and columns

@@ -234,12 +234,13 @@ from .exprio import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     CertificateError,
+    _name_index,
     _names,
     _power_too_large,
+    _read_poly,
     format_fraction,
     format_poly,
     parse_fraction,
-    read_poly,
 )
 from .groebner import (
     GREVLEX,
@@ -637,7 +638,8 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
     try:
         info = doc["input"]
         variables = info["variables"]
-        f = read_poly(info["polynomial"], variables)
+        names = _name_index(variables)  # each list of names is checked once per certificate
+        f = _read_poly(info["polynomial"], names)
         facts, failed = input_gate(f)
         reason = (info.get("rejection") or {}).get("reason") if verdict == INPUT_REJECTED else None
         if failed is not None:
@@ -658,7 +660,7 @@ def certificate_failures(cert: WitnessCertificate | dict) -> list[str]:
             return failures
         if reason != "not_isolated":
             # point 0 backs every isolated true
-            _check_isolation(doc["membership_tests"]["isolation"], f, variables, "isolation", failures)
+            _check_isolation(doc["membership_tests"]["isolation"], f, names, "isolation", failures)
         if verdict == INPUT_REJECTED:
             failures += _verify_rejected(reason, f, facts["weights"], facts["degree"], *rejection)
         else:
@@ -771,11 +773,12 @@ def _verify_rejected(reason, f: Polynomial, weights, degree: int, t, functional)
     return failures + [f"{key}: {msg}" for msg in _vanishing_failures(functional, partials)]
 
 
-def _check_isolation(record: dict, f: Polynomial, variables, label: str, failures: list[str]) -> None:
+def _check_isolation(record: dict, f: Polynomial, names: dict[str, int], label: str, failures: list[str]) -> None:
     """Point 0 of the module docstring: a prime p that divides no
     denominator of f, and for each variable x_i a row c_i over the partials
     of f, with integer coefficients in [0, p), such that
-    h_i = sum_j c_ij df/dx_j mod p leads with a power of x_i.
+    h_i = sum_j c_ij df/dx_j mod p leads with a power of x_i.  The entries
+    are read over the checked variable ``names`` (exprio._name_index).
 
     Every value is an int: the row entries hold canonical coefficients (an
     int when integral, so a Fraction is never in [0, p)), the n partials of
@@ -797,7 +800,7 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
     partials = [f_p.partial(j).terms.items() for j in range(1, f.n + 1)]
     for i, row in enumerate(rows):
         try:
-            entries = [read_poly(s, variables) for s in row] if isinstance(row, list) else []
+            entries = [_read_poly(s, names) for s in row] if isinstance(row, list) else []
         except ValueError:
             entries = []  # a row it cannot read is a row of the wrong shape
         if len(entries) != f.n or any(type(a) is not int or not 0 <= a < p for e in entries for a in e.terms.values()):
@@ -808,7 +811,7 @@ def _check_isolation(record: dict, f: Polynomial, variables, label: str, failure
         h = _accumulate((e.terms.items(), partial, 1) for e, partial in zip(entries, partials))
         lm = min((e for e, c in h.items() if c % p), key=GREVLEX.descending_key, default=None)
         if lm is None or not sum(lm) == lm[i] > 0:
-            failures.append(f"{label}: row {i + 1} does not lead with a power of {variables[i]} modulo {p}")
+            failures.append(f"{label}: row {i + 1} does not lead with a power of {list(names)[i]} modulo {p}")
 
 
 def _parse_functional(entries, delta, weights) -> dict[Exponent, Fraction]:
@@ -833,13 +836,14 @@ def _verify_witness(doc: dict, f: Polynomial, coeffs, weights, degree: int) -> l
     the candidate ``coeffs``; certificate_failures checks point 0."""
     n = f.n
     yvars = _new_variables(n)
+    ynames = _name_index(yvars)
     g = substitute_slice(slice_images(coeffs, n), f)
     # point 2 of the module docstring: P(g) = 0 and d_j(g) = q_j g for the
     # tuple extracted from P
     op_doc = doc["lifted_operator"]
-    second_order = {tuple(e["index"]): read_poly(e["value"], yvars) for e in op_doc["coefficients"]}
+    second_order = {tuple(e["index"]): _read_poly(e["value"], ynames) for e in op_doc["coefficients"]}
     extracted = theta2_extract(DiffOp2(n, second_order), g)
-    scales = [read_poly(q, yvars) for q in op_doc["scales_f_by"]]
+    scales = [_read_poly(q, ynames) for q in op_doc["scales_f_by"]]
     if len(scales) != n:
         return [f"lifted operator records {len(scales)} scales for {n} derivations"]
     failures = [f"extracted derivation {j} does not scale g by the recorded factor"
@@ -853,7 +857,7 @@ def _verify_witness(doc: dict, f: Polynomial, coeffs, weights, degree: int) -> l
     # is W_1 y_1 Hess(h) modulo y_1^2
     h = restrict_to_hyperplane(g)
     record = doc["membership_tests"]["obstruction"]["restriction_isolation"]
-    _check_isolation(record, h, yvars[1:], "restriction isolation", failures)
+    _check_isolation(record, h, _name_index(yvars[1:]), "restriction isolation", failures)
     hess = determinant(jacobian_matrix([h.partial(i) for i in range(1, n)]))
     # W_1 y_1 Hess(h), read in the n variables y_1..y_n
     target = Polynomial(n, {(1,) + e: weights[0] * c for e, c in hess.terms.items()})

@@ -23,11 +23,10 @@ denominator is 1.  Exact rationals are canonical, so the result is the
 same term map the term-by-term Fraction loop gives; it only skips the gcd
 that every Fraction product and sum would pay.  Every sum of products of
 Polynomials in the package goes through it: ``Polynomial.__mul__``,
-``Polynomial.substitute_variables``, the cofactor rows and lifts of
-``groebner`` over Q, the cofactor-identity check of ``minors``,
-``Derivation1.apply``, ``DiffOp2.apply``, ``derivations.replay_ledger``,
-``derivations.closed_form_lift`` and the zero-sum check of
-``derivations.scale_mismatches``.
+``Polynomial.substitute_variables``, the cofactor-identity check of
+``minors``, ``Derivation1.apply``, ``DiffOp2.apply``,
+``derivations.replay_ledger``, ``derivations.closed_form_lift`` and the
+zero-sum check of ``derivations.scale_mismatches``.
 
 Its integer loop (``_accumulate``) sums on exponent tuples a call of fewer
 than PACK_PRODUCTS term products, which is most calls: packing and
@@ -37,9 +36,11 @@ monomial one int, so a term product is one integer addition, and only the
 output is unpacked.  The packed product loop (``_packed_products``) exists
 once.  Three computations hold their values on packed keys from the first
 product to the last, under one ``_Packing`` each, and call it directly:
-the rows and lifts of ``groebner`` modulo a prime, the minors of
+the rows and lifts of ``groebner`` in both fields, the minors of
 ``minors.PolyMatrix`` and the entries of ``derivations.symmetric_tuple``.
-The same ``_Packing`` serves ``groebner``'s S-pair loop and divisions,
+The first two hold integer terms over one denominator, fraction-free as
+above, and ``_Packing.polynomial`` reads both back.  The same
+``_Packing`` serves ``groebner``'s S-pair loop and divisions,
 which form their S-polynomials on those keys (see the ``groebner``
 docstring).
 
@@ -397,11 +398,6 @@ def sum_of_products(n: int, pairs: Iterable[tuple[Polynomial, Polynomial]]) -> P
         if a.n != n or b.n != n:
             raise ValueError(f"variable-count mismatch: {a.n} and {b.n} vs {n}")
         split.append((a.integer_terms(), b.integer_terms()))
-    return _sum_of_split_products(n, split)
-
-
-def _sum_of_split_products(n: int, split: list[tuple[tuple[int, list], tuple[int, list]]]) -> Polynomial:
-    """sum_of_products of operands already split by ``integer_terms``."""
     d = math.lcm(*(d1 * d2 for (d1, _), (d2, _) in split))
     acc = _accumulate([(terms1, terms2, d // (d1 * d2)) for (d1, terms1), (d2, terms2) in split])
     if d == 1:
@@ -457,7 +453,7 @@ def _packed_products(products: Iterable[tuple[Terms, Terms, int]]) -> dict[int, 
     integer terms on packed keys of one _Packing (lists or dict items), in
     one map whose zero sums may stay in it: a term product is k1 + k2.  The
     one packed product loop, of _accumulate_packed, of ``groebner``'s rows
-    modulo a prime, of the Laplace steps of ``minors`` and of the entries of
+    in both fields, of the Laplace steps of ``minors`` and of the entries of
     ``derivations.symmetric_tuple``; each caller's packing holds the degree
     of every product it sums."""
     acc: dict[int, int] = {}
@@ -588,6 +584,16 @@ class _Packing:
         """Packed terms as a term map on exponent tuples, with the same
         coefficients (Fractions or ints alike)."""
         return {self.unpack(k): c for k, c in terms.items()}
+
+    def polynomial(self, terms: dict[int, int], d: int) -> Polynomial:
+        """The Polynomial of packed integer terms over a positive
+        denominator d, with canonical coefficients; zero sums are dropped.
+        The one reader of the packed fraction-free values of
+        ``groebner``'s rows and ``minors.PolyMatrix``'s minors."""
+        unpack = self.unpack
+        if d == 1:
+            return Polynomial._raw(self.n, {unpack(k): c for k, c in terms.items() if c})
+        return Polynomial._raw(self.n, {unpack(k): Fraction(c, d) if c % d else c // d for k, c in terms.items() if c})
 
 
 def quasi_homogeneous_weights(p: Polynomial) -> tuple[tuple[int, ...], int] | None:

@@ -311,10 +311,6 @@ class TestCandidateTuple:
         for d, q in zip(cand.ders, scales):
             assert d.apply(f) == q * f
 
-    def test_rejects_non_homogeneous(self):
-        with pytest.raises(ValueError):
-            build_candidate_tuple(P("x^2 + y^3"))
-
     def test_weighted_euler_for_quasi_homogeneous(self):
         # weights (5, 5, 3), weighted degree 15: d_i = A_1i * E_W
         f = P("x^2*y + y^3 + z^5")

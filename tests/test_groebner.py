@@ -319,10 +319,6 @@ class TestIsolated:
     def test_paper_example(self):
         assert is_isolated_singularity(P("x^2*y + y^2*z + z^2*x"))
 
-    def test_non_homogeneous_rejected(self):
-        with pytest.raises(ValueError):
-            is_isolated_singularity(P("x^2 + y^3"))
-
     def test_smooth_linear(self):
         assert not is_isolated_singularity(P("x"))
 

@@ -11,6 +11,7 @@ positions, the same monomial lists.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -631,22 +632,24 @@ class TestPackedSums:
     @pytest.mark.parametrize("count", [poly.PACK_PRODUCTS - 1, poly.PACK_PRODUCTS], ids=["below", "at"])
     @pytest.mark.parametrize("modulus", [7, P31])
     def test_combine_rows_modulo_a_prime(self, count, modulus, monkeypatch):
-        # rows of width 1: the multipliers q and rows of each pair as term
-        # maps on the keys of one packing that holds every product's degree,
-        # summed modulo the prime against the reference products; the terms
-        # arrive packed, so no call packs them again
+        # rows of width 1: the multipliers q and rows of each pair as integer
+        # terms over the denominator 1 on the keys of one packing that holds
+        # every product's degree, summed modulo the prime against the
+        # reference products; the terms arrive packed, so no call packs them
+        # again
         calls = self._packed_calls(monkeypatch)
         rng = random.Random(count + modulus)
         for n in (2, 4):
             pairs = _pairs_of_products(rng, n, count)
             packing = poly._Packing(GREVLEX, n, max(_degree(a) + _degree(b) for a, b in pairs))
-            combination = [(_packed_residues(a, packing, modulus), (_packed_residues(b, packing, modulus),))
+            combination = [((1, _packed_residues(a, packing, modulus)), (1, (_packed_residues(b, packing, modulus),)))
                            for a, b in pairs]
             expected = Polynomial.zero(n)
             for a, b in pairs:
                 expected = expected + reference_mul(a.mod(modulus), b.mod(modulus))
-            assert sum(len(q) * len(row[0]) for q, row in combination) == count
-            (entry,) = groebner._combine_rows(n, combination, 1, modulus)
+            assert sum(len(q) * len(row[0]) for (_, q), (_, row) in combination) == count
+            d, (entry,) = groebner._combine_rows(combination, 1, modulus)
+            assert d == 1
             assert packing.unpack_terms(entry) == groebner._residues(expected, modulus)
         assert calls == []
 
@@ -657,6 +660,13 @@ def _degree(p: Polynomial) -> int:
 
 def _packed_residues(p: Polynomial, packing, modulus: int) -> dict[int, int]:
     return {packing.pack(e): c for e, c in groebner._residues(p, modulus).items()}
+
+
+def _packed_row(entries, packing) -> tuple[int, tuple[dict[int, int], ...]]:
+    """Rational polynomials as a row over Q: the lcm d of their denominators
+    and the packed integer terms of d times each."""
+    d = math.lcm(*(p.integer_terms()[0] for p in entries))
+    return d, tuple({packing.pack(e): int(c * d) for e, c in p.terms.items()} for p in entries)
 
 
 def _integer_poly(rng: random.Random, n: int, degree: int, terms: int) -> Polynomial:
@@ -687,9 +697,10 @@ class TestRows:
             pairs = [(_integer_poly(rng, n, 3, 4), [_integer_poly(rng, n, 4, 5) for _ in range(2)]) for _ in range(6)]
             pairs.append((Polynomial.monomial(n, [3 * e for e in top], 2),
                           [Polynomial.monomial(n, [4 * e for e in top], -3), _integer_poly(rng, n, 4, 5)]))
-            combination = [(_packed_residues(q, packing, modulus), tuple(_packed_residues(r, packing, modulus) for r in row))
-                           for q, row in pairs]
-            entries = groebner._combine_rows(n, combination, 2, modulus)
+            combination = [((1, _packed_residues(q, packing, modulus)),
+                            (1, tuple(_packed_residues(r, packing, modulus) for r in row))) for q, row in pairs]
+            d, entries = groebner._combine_rows(combination, 2, modulus)
+            assert d == 1
             for j, entry in enumerate(entries):
                 expected = Polynomial.zero(n)
                 for q, row in pairs:
@@ -706,7 +717,7 @@ class TestRows:
             assert sum_of_products(3, zip(row, gens)).mod(P31) == b
         rows = gb._rows
         assert rows.packing.limit >= max(rows.bounds.values())
-        for node, row in rows.formed.items():
+        for node, (_, row) in rows.formed.items():
             for entry in row:
                 assert all(sum(rows.packing.unpack(k)) <= rows.bounds[node] for k in entry)
 
@@ -726,6 +737,56 @@ class TestRows:
         assert lifted == tuple(c.mod(P31) for c in over_q.lift(member))
         assert sum_of_products(3, zip(lifted, gens)).mod(P31) == member.mod(P31)
         assert gb.cofactors == rows
+
+    def test_lift_over_q_widens_the_row_packing(self):
+        # the same over Q with rational coefficients: the lift repacks the
+        # rows formed so far, and its cofactors sum exactly to the member
+        names = ["x", "y", "z"]
+        gens = jacobian_ideal(parse_poly("1/2*x^3 + 2*y^3 + z^3 - 1/3*x*y*z + x^2*z", names)).generators
+        gb = buchberger(Ideal(gens))
+        rows = gb.cofactors
+        limit = gb._rows.packing.limit
+        high = Polynomial.monomial(3, (2 * limit + 2, 2, 0), Fraction(5, 7))
+        member = sum_of_products(3, [(high, gens[0]), (parse_poly("y^2 - 3/2*x*z", names), gens[2])])
+        lifted = gb.lift(member)
+        assert gb._rows.packing.limit > limit
+        assert sum_of_products(3, zip(lifted, gens)) == member
+        assert all(map(is_canonical, (c for p in lifted for c in p.terms.values())))
+        assert gb.cofactors == rows
+
+    def test_combine_rows_over_q(self):
+        # rational multipliers and rows of width 2 against the reference
+        # sums; the returned denominator is the least common denominator of
+        # the coefficients read back, so the gcd of the lcm and the sums is
+        # divided out: the first combination sums to integer coefficients
+        # over an lcm of 6, and its second entry and the cancelling pair
+        # leave no term behind
+        rng = random.Random(43)
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        exact = [(x.scale(half), [y.scale(2 * third), x]), (x.scale(half), [y.scale(4 * third), -x])]
+        cancelling = [(y.scale(c), [x, y.scale(Fraction(1, 7))]) for c in (Fraction(3, 5), Fraction(-3, 5))]
+        cases = [(2, exact), (2, cancelling)]
+        for n in (2, 3):
+            for _ in range(8):
+                pairs = [(_random_rational_poly(rng, n, 3, 4), [_random_rational_poly(rng, n, 3, 5) for _ in range(2)])
+                         for _ in range(rng.randint(1, 6))]
+                cases.append((n, pairs))
+        for n, pairs in cases:
+            packing = poly._Packing(GREVLEX, n, 6 * n)  # each product's degree is at most 2 * 3n
+            combination = []
+            for q, row in pairs:
+                dq, (terms,) = _packed_row([q], packing)
+                combination.append(((dq, terms), _packed_row(row, packing)))
+            d, entries = groebner._combine_rows(combination, 2, None)
+            read = [packing.polynomial(entry, d) for entry in entries]
+            for j, entry in enumerate(read):
+                expected = Polynomial.zero(n)
+                for q, row in pairs:
+                    expected = expected + reference_mul(q, row[j])
+                _assert_same(entry, expected)
+            assert d == math.lcm(*(c.denominator for p in read for c in p.terms.values()))
+        assert groebner._combine_rows([((2, {0: 1}), (3, ({0: 3},)))], 1, None) == (2, ({0: 1},))
 
 
 class TestDescendingKey:

@@ -301,10 +301,6 @@ class TestCofactorIdentity:
                     holds, _ = verify_cofactor_identity(f, i, j, k)
                     assert holds, (i, j, k)
 
-    def test_requires_homogeneous(self):
-        with pytest.raises(ValueError):
-            verify_cofactor_identity(P("x^2 + y^3"), 1, 1, 2)
-
     def test_euler_row_identity(self):
         # sum_i x_i f_li = (d-1) f_l for homogeneous f
         rng = random.Random(71)

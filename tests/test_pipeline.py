@@ -283,7 +283,7 @@ class TestBuildWitness:
         for text in (FERMAT, PAPER_F, "x^3 + y^3 + z^3 + x*y*z"):
             assert build_witness(P(text), V3).verdict == WITNESS_FOUND
         assert calls
-        assert {args[3] for args in calls} == {2**31 - 1}
+        assert {args[2] for args in calls} == {2**31 - 1}
         assert set(bases) == {2**31 - 1}
 
     def test_witness_reads_one_hessian_and_one_minor_table(self, monkeypatch):
@@ -640,6 +640,18 @@ class TestVerifyCertificate:
         cert = self._fermat_cert()
         doc = read_certificate(write_certificate(cert.document))
         assert verify_certificate(WitnessCertificate(doc))
+
+    def test_names_are_checked_once_per_variable_list(self, monkeypatch):
+        # the verifier checks the input's names and each list of y names
+        # once, and reads every polynomial over the checked list
+        import nakai_forge.exprio as exprio
+
+        doc = read_certificate(write_certificate(self._fermat_cert().document))
+        calls = []
+        names = exprio._names
+        monkeypatch.setattr(exprio, "_names", lambda variables: calls.append(tuple(variables)) or names(variables))
+        assert certificate_failures(doc) == []
+        assert sorted(calls) == [("x", "y", "z"), ("y1", "y2", "y3"), ("y2", "y3")]
 
     def test_tampered_coefficient(self):
         cert = self._fermat_cert()

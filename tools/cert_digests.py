@@ -17,8 +17,17 @@ Then each Jacobian of the 24-input acceptance corpus
 reduced Groebner basis over Q and of its ``cofactors`` rows, and the
 outcome is ``verified`` when every row sums exactly to its basis element
 (re-multiplied with Polynomial arithmetic), or ``failed:`` and the first
-element that does not.  No certificate holds a row over Q, so these lines
-cover the engine's arithmetic over Q that the certificate lines do not.
+element that does not.  Then each of those Jacobians gives one
+``engine-lift/name sha256 outcome`` line, from the same basis: the digest
+is that of the text of ``lift(f)``, the cofactors of f itself over its
+partials (f lies in J(f) by Euler's identity), and the outcome is
+``verified`` when they sum exactly to f.  A lift of degree-one cofactors
+is unique for degree 3 and up (the partials are a regular sequence, with
+no syzygy of degree below d - 1), so those lines read x_i / d for their n
+and d, and it is the outcome that checks the lift.  No certificate holds a
+row or a lift over Q, so these lines cover the engine's arithmetic over Q
+that the certificate lines do not: the basis, the rows, and the quotient
+multipliers of a lift.
 
 Two checkouts build byte-identical certificates, and identical over-Q
 bases and rows, for these inputs, and each checkout accepts every one of
@@ -26,14 +35,15 @@ them, exactly when their outputs are equal and every line reads
 ``verified``; a change that must keep every certificate is checked with
 one ``diff`` of this tool's output in both checkouts.  The tool imports
 the program from the checkout it sits in, so copy this file into the
-``tools/`` of a parent checkout whose own copy predates the engine lines::
+``tools/`` of a parent checkout whose own copy predates the engine or
+engine-lift lines::
 
-    DRAWS="--seed 60606 --seed 505 --draw n5d3 --draw n4d5 --draw n5d4 --draw n6d3"
+    DRAWS="--seed 60606 --seed 505 --draw n5d3 --draw n4d5 --draw n5d4 --draw n6d3 --draw n4d6"
     python3 tools/cert_digests.py $DRAWS > new.txt
     (cd ../parent && python3 tools/cert_digests.py $DRAWS) > old.txt
     diff old.txt new.txt
 
-The draws n4d5, n5d4 and n6d3 check a change to the construction beyond
+The draws n4d5, n5d4, n6d3 and n4d6 check a change to the construction beyond
 the workloads' inputs, which have n <= 4 and degree <= 4.
 
 ``tests/cert_digests.txt`` holds the output for $DRAWS, and
@@ -90,18 +100,28 @@ def digest(text: str, variables) -> str:
     return f"{hashlib.sha256(data).hexdigest()} {outcome}"
 
 
-def engine_digest(text: str, variables) -> str:
+def engine_digests(text: str, variables) -> tuple[str, str]:
     """The sha256 of the over-Q basis of the input's Jacobian and its rows,
-    and whether every row sums exactly to its basis element."""
+    and whether every row sums exactly to its basis element; then the
+    sha256 of the lift of the input over that basis, and whether it sums
+    exactly to the input."""
     variables = list(variables)
-    ideal = jacobian_ideal(parse_poly(text, variables))
+    f = parse_poly(text, variables)
+    ideal = jacobian_ideal(f)
     gb = buchberger(ideal)
+
+    def combine(row):
+        return sum((c * g for c, g in zip(row, ideal.generators)), Polynomial.zero(gb.n))
+
     rows = list(zip(gb.basis, gb.cofactors))
     data = "\n".join(" ; ".join(format_poly(p, variables) for p in (b, *row)) for b, row in rows)
-    wrong = [i for i, (b, row) in enumerate(rows)
-             if sum((c * g for c, g in zip(row, ideal.generators)), Polynomial.zero(gb.n)) != b]
+    wrong = [i for i, (b, row) in enumerate(rows) if combine(row) != b]
     outcome = f"failed: row {wrong[0]} does not sum to basis element {wrong[0]}" if wrong else "verified"
-    return f"{hashlib.sha256(data.encode()).hexdigest()} {outcome}"
+    lift = gb.lift(f)
+    lift_data = "none" if lift is None else " ; ".join(format_poly(c, variables) for c in lift)
+    lift_outcome = "verified" if lift is not None and combine(lift) == f else "failed: the lift does not sum to f"
+    return (f"{hashlib.sha256(data.encode()).hexdigest()} {outcome}",
+            f"{hashlib.sha256(lift_data.encode()).hexdigest()} {lift_outcome}")
 
 
 def inputs(seeds: list[int], draws: list[str], draw_seed: int):
@@ -130,8 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--draw takes a shape such as n4d6")
     for name, text, variables in inputs(args.seed, args.draw, args.draw_seed):
         print(name, digest(text, variables), flush=True)
+    lifts = []
     for case in workloads.acceptance_corpus():
-        print(f"engine/{case.name}", engine_digest(case.text, case.variables), flush=True)
+        basis_line, lift_line = engine_digests(case.text, case.variables)
+        print(f"engine/{case.name}", basis_line, flush=True)
+        lifts.append(f"engine-lift/{case.name} {lift_line}")
+    print(*lifts, sep="\n", flush=True)
     return 0
 
 
